@@ -176,6 +176,10 @@ class TruthTable:
             raise DimensionMismatch(f"query length {x.length} != {self.n}")
         return int(self.table[x.code])
 
+    def eval_many(self, xs: Sequence[BitString]) -> tuple[int, ...]:
+        """``tuple(self.eval(x) for x in xs)``."""
+        return tuple(self.eval(x) for x in xs)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruthTable):
             return NotImplemented
@@ -214,11 +218,13 @@ _H_ROLE = "h-value"
 class StructuredFn:
     """A lazily evaluated instance f(x) = h_{address(x)}(x restricted to S).
 
-    Evaluation is stateless: the address selects a per-fiber coordinate
+    ``eval`` is the definition: the address selects a per-fiber coordinate
     subset S (each member of A joins with probability epsilon/sqrt(n)) and
-    a per-fiber random function value, both re-derived from the seed on
-    every call, so repeated queries always agree and instances are safe to
-    share across threads.
+    a per-fiber random function value, both derived from the seed, so
+    repeated queries always agree and instances are safe to share across
+    threads.  ``eval`` re-derives both at every point.  ``eval_many`` and
+    ``to_table`` compute the same values but derive each fiber's S once per
+    call, and ``to_table`` derives each value of h once.
     """
 
     params: Params
@@ -259,19 +265,64 @@ class StructuredFn:
         payload = pack_ints(address, len(coords), *coords, *(x.bit(a) for a in coords))
         return derive_bit(self.seed, _H_ROLE, payload, 0.5)
 
+    def eval_many(self, xs: Sequence[BitString]) -> tuple[int, ...]:
+        """``tuple(self.eval(x) for x in xs)``, deriving each address's S once."""
+        fibers: dict[int, tuple[int, ...]] = {}
+        out = []
+        for x in xs:
+            address = address_index(self.M, x)
+            coords = fibers.get(address)
+            if coords is None:
+                coords = fibers[address] = self.fiber_coords(address)
+            out.append(self._fiber_value(address, coords, x.restrict(coords)))
+        return tuple(out)
+
+    def _fiber_value(self, address: int, coords: tuple[int, ...], bits: Sequence[int]) -> int:
+        """h_address at the assignment ``bits`` of ``coords``, as ``eval`` derives it."""
+        payload = pack_ints(address, len(coords), *coords, *bits)
+        return derive_bit(self.seed, _H_ROLE, payload, 0.5)
+
 
 BoolFn = Union[TruthTable, StructuredFn]
 
 
 def to_table(f: StructuredFn) -> TruthTable:
-    """Materialize a structured instance; capped at n <= 24."""
-    n = f.n
+    """Materialize a structured instance fiber by fiber; capped at n <= 24.
+
+    Bit-identical to evaluating ``f.eval`` at every code, at a fraction of
+    the digests: ``eval`` costs |A| + 1 digests per point, 2^n * (|A| + 1)
+    in all, while this derives each fiber's S once and each of its 2^|S|
+    values of h once, 2^t * |A| + sum over addresses of 2^|S_a|.
+
+    The fiber of an address is the sub-cube with the coordinates of M fixed
+    to the address bits.  On the (2,)*n view of the table it is a view over
+    the remaining axes, and the fiber's values, shaped with one axis per
+    member of S (in the same MSB-first order) and length-1 axes elsewhere,
+    broadcast onto it without any 2^n-sized temporary.
+    """
+    n, t = f.n, len(f.M)
     if n > TABLE_CAP:
         raise TooLarge(f"n = {n} exceeds the truth-table cap {TABLE_CAP}")
     out = np.empty(1 << n, dtype=np.uint8)
-    for code in range(1 << n):
-        out[code] = f.eval(BitString(n, code))
+    cube = out.reshape((2,) * n)
+    free = [i for i in range(1, n + 1) if i not in f.M]
+    for code in range(1 << t):
+        address = code + 1
+        coords = f.fiber_coords(address)
+        width = len(coords)
+        values = np.array(
+            [f._fiber_value(address, coords, _bits(y, width)) for y in range(1 << width)],
+            dtype=np.uint8,
+        )
+        address_bits = dict(zip(f.M.members, _bits(code, t)))
+        fiber = tuple(address_bits.get(i, slice(None)) for i in range(1, n + 1))
+        cube[fiber] = values.reshape([2 if i in coords else 1 for i in free])
     return TruthTable(n, out)
+
+
+def _bits(value: int, width: int) -> tuple[int, ...]:
+    """The width-bit MSB-first expansion of value."""
+    return tuple((value >> (width - 1 - j)) & 1 for j in range(width))
 
 
 def relevant_variables(f: TruthTable) -> IndexSet:

@@ -1,10 +1,13 @@
 """Samplers for the hard-instance distributions.
 
 Yes-style and no-style structured instances share everything except the
-inclusion rate of the coordinate pool A (p = 1/2 versus q > 1/2).  Their
-per-fiber randomness is never materialized; it is re-derived on demand
-from the seed, which keeps memory O(1) even when the number of fibers is
-astronomically large.
+inclusion rate of the coordinate pool A (p = 1/2 versus q > 1/2).  A
+sampler stores only M, A and the seed.  The per-fiber randomness (each
+fiber's subset S and its values of h) is defined point by point by
+``StructuredFn.eval``, which re-derives it from the seed, so an instance
+takes O(1) memory however many fibers it has.  ``boolfn.to_table``
+materializes the same values fiber by fiber, deriving each S and each
+value of h once.
 
 The two tail distributions produce explicit truth tables: iid
 Bernoulli(3*epsilon) entries, or exactly round(2^n * epsilon) ones placed

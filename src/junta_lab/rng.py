@@ -77,13 +77,13 @@ def derive_u64(seed: Seed, role: str, payload: bytes) -> int:
 def derive_bit(seed: Seed, role: str, payload: bytes, threshold: float) -> int:
     """Return 1 with probability ``threshold``, deterministically per input.
 
-    The 64-bit digest is mapped to [0, 1) by division by 2^64 and compared
-    against the threshold, so threshold 0 never fires and threshold 1
-    always does.
+    The 64-bit digest is compared against ``threshold * 2^64``.  Scaling a
+    float by a power of two and comparing it with an int are both exact, so
+    threshold 0 never fires and threshold 1 always does.
     """
     if not 0.0 <= threshold <= 1.0:
         raise InvalidInput(f"threshold must be in [0, 1], got {threshold}")
-    return 1 if derive_u64(seed, role, payload) / _U64 < threshold else 0
+    return 1 if derive_u64(seed, role, payload) < threshold * _U64 else 0
 
 
 class RandomStream:

@@ -22,7 +22,7 @@ from junta_lab.errors import (
     InvalidInput,
     TooLarge,
 )
-from junta_lab.hardgen import Seed, sample_yes
+from junta_lab.hardgen import Seed, sample_no, sample_yes
 from junta_lab.params import DESK_SCALE, derive_params
 
 
@@ -208,6 +208,56 @@ def test_to_table_matches_eval():
     for code in rng.integers(0, 1 << 10, size=1000):
         x = BitString(10, int(code))
         assert table.eval(x) == f.eval(x)
+
+
+def per_point_table(f):
+    n = f.n
+    return TruthTable(n, np.array([f.eval(BitString(n, c)) for c in range(1 << n)]))
+
+
+# epsilon = 1 raises the per-fiber coin to epsilon/sqrt(n) >= 1/4, so the
+# fibers' coordinate subsets S are non-empty as well as empty
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(4, 12),
+    st.sampled_from([sample_yes, sample_no]),
+    st.sampled_from([0.1, 1.0]),
+    st.integers(0, 2**64 - 1),
+)
+def test_to_table_equals_per_point_eval(n, sampler, epsilon, seed_value):
+    f = sampler(desk(n, epsilon), Seed(seed_value))
+    assert to_table(f) == per_point_table(f)
+
+
+@pytest.mark.parametrize(
+    "n, sampler, epsilon", [(14, sample_yes, 0.1), (14, sample_no, 1.0), (16, sample_no, 1.0)]
+)
+def test_to_table_equals_per_point_eval_at_larger_n(n, sampler, epsilon):
+    f = sampler(desk(n, epsilon), Seed(n))
+    assert to_table(f) == per_point_table(f)
+
+
+def test_eval_many_matches_eval():
+    f = sample_no(desk(10, 1.0), Seed(8))
+    rng = np.random.default_rng(2)
+    xs = [BitString(10, int(c)) for c in rng.integers(0, 1 << 10, size=40)]
+    xs += xs[:5]
+    # every query in one fiber: the M coordinates held at zero
+    mask = sum(1 << (10 - i) for i in f.M.members)
+    xs += [BitString(10, c & ~mask) for c in range(0, 1 << 10, 37)]
+    expected = tuple(f.eval(x) for x in xs)
+    assert f.eval_many(xs) == expected
+    assert to_table(f).eval_many(xs) == expected
+    assert f.eval_many([]) == ()
+
+
+def test_eval_many_length_mismatch():
+    f = sample_yes(desk(8), Seed(3))
+    xs = [BitString(8, 5), BitString(7, 5)]
+    with pytest.raises(DimensionMismatch):
+        f.eval_many(xs)
+    with pytest.raises(DimensionMismatch):
+        to_table(f).eval_many(xs)
 
 
 def test_to_table_cap():

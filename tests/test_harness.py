@@ -111,9 +111,16 @@ def test_verify_yes_small():
 
 
 def test_verify_yes_cap():
-    cfg = ExperimentConfig(params=desk_params(12), experiment="verify_yes", trials=5, seed=5)
+    cfg = ExperimentConfig(params=desk_params(25), experiment="verify_yes", trials=5, seed=5)
     with pytest.raises(TooLarge):
         run_experiment(cfg)
+
+
+def test_verify_yes_at_n12():
+    cfg = ExperimentConfig(params=desk_params(12), experiment="verify_yes", trials=10, seed=5)
+    report = run_experiment(cfg)
+    assert report.passed
+    assert report.rows[0]["containment_fraction"] == 1.0
 
 
 def test_verify_no_small():

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from junta_lab import rng
 from junta_lab.errors import InvalidInput
 from junta_lab.rng import RandomStream, Seed, derive_bit, derive_u64, pack_ints
 
@@ -23,6 +24,17 @@ def test_degenerate_thresholds():
         payload = pack_ints(j)
         assert derive_bit(seed, "t", payload, 0.0) == 0
         assert derive_bit(seed, "t", payload, 1.0) == 1
+
+
+def test_threshold_one_fires_on_the_largest_digest(monkeypatch):
+    # 2^64 - 1 divided by 2^64 rounds to 1.0, so a float comparison misses it
+    monkeypatch.setattr(rng, "derive_u64", lambda seed, role, payload: 2**64 - 1)
+    assert derive_bit(Seed(1), "t", b"", 1.0) == 1
+
+
+def test_threshold_comparison_is_strict_at_the_boundary(monkeypatch):
+    monkeypatch.setattr(rng, "derive_u64", lambda seed, role, payload: 2**63)
+    assert derive_bit(Seed(1), "t", b"", 0.5) == 0
 
 
 def test_fair_coin_frequency():
