@@ -1,15 +1,25 @@
 #!/usr/bin/env python3
-"""Time fiber-wise ``to_table`` against per-point evaluation on fixed seeds.
+"""Time the fast table and oracle paths against their references on fixed seeds.
 
-For yes and no desk instances at n in {10, 12, 14, 16} it times
+``to_table``: for yes and no desk instances at n in {10, 12, 14, 16} it times
 ``to_table`` and the per-point reference ``[f.eval(x) for every x]``, which
 is how tables were built before ``to_table`` went fiber by fiber; at n = 20
 and 24 (the truth-table cap) it times ``to_table`` alone.  Each case records
 the median and quartiles of its repeats and the number of blake2b digests
-each path derives.  The script checks that both paths give the same table
-and that the digest counts match their closed forms, and exits 1 if not.
+each path derives.
 
-Writes BENCH_2.json at the root of the checkout.
+Exact oracles: on fixed-seed D2 tables at n in {10, 12, 14, 16} it times
+``dist_to_k_junta`` (one walk over the subset lattice) against the
+per-subset reference, one fiber-id pass and one ``bincount`` over 2^n for
+each of the C(n,k) subsets, at k = n - 1 (the tail experiments' k) and
+k = n - 4.  It also times ``bichromatic_edge_counts`` against n
+single-direction Hopcroft-Karp matchings, one per coordinate.
+
+The script checks that every fast path agrees with its reference (tables,
+distances, witnesses, per-direction counts) and that the digest counts
+match their closed forms, and exits 1 if not.
+
+Writes BENCH_3.json at the root of the checkout.
 
 Usage: python scripts/bench.py
 """
@@ -20,26 +30,64 @@ import platform
 import sys
 import time
 from contextlib import contextmanager
+from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
 from junta_lab import rng
-from junta_lab.boolfn import BitString, TruthTable, to_table
-from junta_lab.hardgen import Seed, sample_no, sample_yes
+from junta_lab.boolfn import BitString, TruthTable, bichromatic_edge_counts, to_table
+from junta_lab.hardgen import RandomStream, Seed, sample_d2, sample_no, sample_yes
 from junta_lab.harness import desk_params
+from junta_lab.junta_distance import dist_to_k_junta, max_disjoint_bichromatic_matching
 
-OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_2.json"
+OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_3.json"
 SEED = 1
 COMPARED = (10, 12, 14, 16)
 FAST_ONLY = (20, 24)
-REPEATS = {"per_point": 3, "to_table": 7}
+REPEATS = {"per_point": 3, "to_table": 7, "per_subset": 3, "lattice_walk": 7,
+           "hopcroft_karp": 3, "edge_counts": 7}
 SAMPLERS = {"yes": sample_yes, "no": sample_no}
+ORACLE_N = (10, 12, 14, 16)
+D2_EPSILON = 0.1
 
 
 def per_point_table(f) -> TruthTable:
     n = f.n
     return TruthTable(n, np.array([f.eval(BitString(n, c)) for c in range(1 << n)]))
+
+
+def per_subset_dist_to_k_junta(f: TruthTable, k: int) -> tuple[Fraction, tuple[int, ...]]:
+    """Distance and witness as ``dist_to_k_junta`` found them before the lattice walk.
+
+    For each size-k J in lexicographic order: read every code's projection
+    onto J as a fiber id, count the ones per fiber with ``bincount``, and
+    keep the first J of least distance, stopping at distance 0.
+    """
+    n = f.n
+    best, witness = None, ()
+    for J in combinations(range(1, n + 1), k):
+        codes = np.arange(1 << n, dtype=np.int64)
+        fibers = np.zeros(1 << n, dtype=np.int64)
+        for pos, j in enumerate(J):
+            fibers |= ((codes >> (n - j)) & 1) << (k - 1 - pos)
+        ones = np.bincount(fibers, weights=f.table, minlength=1 << k).astype(np.int64)
+        d = Fraction(int(np.minimum(ones, (1 << (n - k)) - ones).sum()), 1 << n)
+        if best is None or d < best:
+            best, witness = d, J
+            if best == 0:
+                break
+    return best, witness
+
+
+def lattice_walk(f: TruthTable, k: int) -> tuple[Fraction, tuple[int, ...]]:
+    report = dist_to_k_junta(f, k)
+    return report.distance, report.witness.members
+
+
+def hopcroft_karp_per_direction(f: TruthTable) -> tuple[int, ...]:
+    return tuple(max_disjoint_bichromatic_matching(f, [i]).size for i in range(1, f.n + 1))
 
 
 @contextmanager
@@ -59,11 +107,11 @@ def counted_digests():
         rng.derive_u64 = original
 
 
-def timed(build, f, repeats: int) -> dict:
+def timed(build, f, repeats: int, *args) -> dict:
     seconds = []
     for _ in range(repeats):
         start = time.perf_counter()
-        build(f)
+        build(f, *args)
         seconds.append(time.perf_counter() - start)
     q1, median, q3 = np.percentile(seconds, [25, 50, 75])
     return {"median_s": median, "q1_s": q1, "q3_s": q3,
@@ -97,6 +145,37 @@ def bench_case(n: int, kind: str) -> tuple[dict, list[str]]:
     return case, problems
 
 
+def oracle_cases(n: int) -> tuple[list[dict], dict, list[str]]:
+    g = sample_d2(n, D2_EPSILON, RandomStream(Seed(SEED), "d2"))
+    problems = []
+    distance = []
+    for k in (n - 1, n - 4):
+        case = {"n": n, "k": k, "seed": SEED, "epsilon": D2_EPSILON}
+        results = {}
+        for name, path in (("per_subset", per_subset_dist_to_k_junta), ("lattice_walk", lattice_walk)):
+            results[name] = path(g, k)
+            case[name] = timed(path, g, REPEATS[name], k)
+        if results["per_subset"] != results["lattice_walk"]:
+            problems.append(f"n={n} k={k}: lattice walk {results['lattice_walk']} "
+                            f"!= per-subset {results['per_subset']}")
+        d, witness = results["lattice_walk"]
+        case["distance"] = [d.numerator, d.denominator]
+        case["witness"] = list(witness)
+        case["speedup"] = case["per_subset"]["median_s"] / case["lattice_walk"]["median_s"]
+        distance.append(case)
+    matching = {"n": n, "seed": SEED, "epsilon": D2_EPSILON}
+    counts = {}
+    for name, path in (("hopcroft_karp", hopcroft_karp_per_direction),
+                       ("edge_counts", bichromatic_edge_counts)):
+        counts[name] = path(g)
+        matching[name] = timed(path, g, REPEATS[name])
+    if counts["hopcroft_karp"] != counts["edge_counts"]:
+        problems.append(f"n={n}: per-direction counts differ from Hopcroft-Karp")
+    matching["per_direction"] = list(counts["edge_counts"])
+    matching["speedup"] = matching["hopcroft_karp"]["median_s"] / matching["edge_counts"]["median_s"]
+    return distance, matching, problems
+
+
 def main() -> int:
     cases, problems = [], []
     for n in COMPARED + FAST_ONLY:
@@ -108,6 +187,18 @@ def main() -> int:
             if "speedup" in case:
                 line += f", per-point {case['per_point']['median_s']:.3f} s, {case['speedup']:.0f}x"
             print(line, flush=True)
+    distance, matching = [], []
+    for n in ORACLE_N:
+        dist_cases, match_case, found = oracle_cases(n)
+        distance += dist_cases
+        matching.append(match_case)
+        problems += found
+        for case in dist_cases:
+            print(f"n={n:2d} k={case['k']:2d} dist_to_k_junta {case['lattice_walk']['median_s']:.4f} s, "
+                  f"per-subset {case['per_subset']['median_s']:.3f} s, {case['speedup']:.0f}x", flush=True)
+        print(f"n={n:2d} edge counts {match_case['edge_counts']['median_s']:.5f} s, "
+              f"Hopcroft-Karp {match_case['hopcroft_karp']['median_s']:.3f} s, "
+              f"{match_case['speedup']:.0f}x", flush=True)
     result = {
         "machine": {
             "nproc": os.cpu_count(),
@@ -115,8 +206,11 @@ def main() -> int:
             "numpy": np.__version__,
             "platform": platform.platform(),
         },
-        "params": "desk_params(n): alpha 0.75, epsilon 0.1",
+        "params": "desk_params(n): alpha 0.75, epsilon 0.1; D2 tables: sample_d2(n, 0.1, "
+                  "RandomStream(Seed(1), 'd2'))",
         "cases": cases,
+        "distance": distance,
+        "matching": matching,
         "problems": problems,
     }
     OUTPUT.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")

@@ -325,13 +325,21 @@ def _bits(value: int, width: int) -> tuple[int, ...]:
     return tuple((value >> (width - 1 - j)) & 1 for j in range(width))
 
 
+def bichromatic_edge_counts(f: TruthTable) -> tuple[int, ...]:
+    """For each coordinate i, the number of x with x_i = 0 and f(x) != f(flip(x, i)).
+
+    These edges share no vertex, so entry i - 1 is also the size of the
+    maximum disjoint bichromatic matching in direction i alone.
+    """
+    n = f.n
+    counts = []
+    for i in range(n):
+        halves = f.table.reshape(1 << i, 2, -1)
+        counts.append(int(np.count_nonzero(halves[:, 0] != halves[:, 1])))
+    return tuple(counts)
+
+
 def relevant_variables(f: TruthTable) -> IndexSet:
     """Exactly the coordinates i with f(x) != f(flip(x, i)) for some x."""
-    n = f.n
-    view = f.table.reshape((2,) * n)
-    members = [
-        i
-        for i in range(1, n + 1)
-        if not np.array_equal(view.take(0, axis=i - 1), view.take(1, axis=i - 1))
-    ]
-    return IndexSet.of(n, members)
+    counts = bichromatic_edge_counts(f)
+    return IndexSet.of(f.n, [i for i, c in enumerate(counts, start=1) if c])

@@ -18,7 +18,7 @@ import sys
 
 from . import harness, params as params_mod, tasks
 from .boolfn import BitString, IndexSet, TruthTable
-from .errors import JuntaLabError
+from .errors import InvalidInput, JuntaLabError
 from .hardgen import RandomStream, Seed, sample_d1, sample_d2, sample_yes, sample_no
 from .junta_distance import dist_to_k_junta
 
@@ -114,7 +114,19 @@ def cmd_dist(args: argparse.Namespace) -> int:
 
 def _plan_from_file(path: str, mode: str):
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:
+            raise InvalidInput(f"plan file {path} is not UTF-8 JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise InvalidInput("a plan file must hold a JSON object")
+    try:
+        return _plan_from_json(raw, mode)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"malformed plan in {path}: {exc}") from exc
+
+
+def _plan_from_json(raw: dict, mode: str):
     if mode == "sseq":
         if "ell" not in raw:
             raise JuntaLabError("sseq mode expects an 'ell' list in the plan file")
@@ -123,7 +135,12 @@ def _plan_from_file(path: str, mode: str):
         if "T" not in raw:
             raise JuntaLabError("sssq mode expects a 'T' list of index lists")
         sets = raw["T"]
-        m = raw.get("m") or max((max(T) for T in sets if T), default=1)
+        if "m" not in raw:
+            m = max((max(T) for T in sets if T), default=1)
+        elif type(raw["m"]) is int and raw["m"] >= 1:
+            m = raw["m"]
+        else:
+            raise InvalidInput(f"'m' must be a positive integer, got {raw['m']!r}")
         return tasks.SetQueryPlan.of(m, sets)
     if "X" not in raw:
         raise JuntaLabError("strings mode expects an 'X' list of 0/1 strings")

@@ -12,8 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -83,58 +82,82 @@ def _as_indexset(J: IndexSet | Sequence[int], n: int) -> IndexSet:
     return IndexSet.of(n, J)
 
 
-def _fiber_ids(n: int, coords: Sequence[int]) -> np.ndarray:
-    """For every code, the projection onto coords read as an integer."""
-    codes = np.arange(1 << n, dtype=np.int64)
-    out = np.zeros(1 << n, dtype=np.int64)
-    for pos, j in enumerate(coords):
-        out |= ((codes >> (n - j)) & 1) << (len(coords) - 1 - pos)
-    return out
+def _disagreements(ones: np.ndarray, fiber_size: int) -> int:
+    """Sum over fibers of min(ones, zeros): the majority vote's error count."""
+    return int(np.minimum(ones, fiber_size - ones).sum())
 
 
 def dist_to_junta_on(f: TruthTable, J: IndexSet | Sequence[int]) -> Fraction:
     """Exact distance from f to the closest function depending only on J.
 
     On each fiber x|_J = b the best approximator takes the majority value,
-    so the distance is sum_b min(zeros_b, ones_b) / 2^n.
+    so the distance is sum_b min(zeros_b, ones_b) / 2^n.  The fiber
+    ones-counts are the table's (2,)*n view summed over the axes outside J.
     """
     n = f.n
     if n > DIST_CAP:
         raise TooLarge(f"n = {n} exceeds the exact-distance cap {DIST_CAP}")
     J = _as_indexset(J, n)
-    if not J.members:
-        ones = int(f.table.sum())
-        return Fraction(min(ones, (1 << n) - ones), 1 << n)
-    fibers = _fiber_ids(n, J.members)
-    ones = np.bincount(fibers, weights=f.table, minlength=1 << len(J)).astype(np.int64)
-    fiber_size = 1 << (n - len(J))
-    disagreements = int(np.minimum(ones, fiber_size - ones).sum())
-    return Fraction(disagreements, 1 << n)
+    outside = tuple(i - 1 for i in J.complement().members)
+    ones = f.table.reshape((2,) * n).sum(axis=outside, dtype=np.int64)
+    return Fraction(_disagreements(ones, 1 << (n - len(J))), 1 << n)
+
+
+def _fiber_ones(f: TruthTable, k: int) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
+    """Yield (J, fiber ones-counts) for every size-k J, in ``combinations`` order.
+
+    A depth-first walk over coordinates 1..n that at each coordinate first
+    keeps it, then sums out its axis.  A child's counts are its parent's
+    summed over one axis, so partial sums are shared across the subset
+    lattice, and keeping before dropping visits the subsets in lexicographic
+    order.  Counts never exceed the fiber size 2^(n-k), so they are held in
+    the smallest unsigned type that fits it.
+    """
+    n = f.n
+    dtype = np.min_scalar_type(1 << (n - k))
+
+    def walk(counts: np.ndarray, kept: tuple[int, ...], i: int):
+        # counts has one axis per kept coordinate, then one per coordinate i..n
+        if n - i + 1 == k - len(kept):
+            yield kept + tuple(range(i, n + 1)), counts
+        elif len(kept) == k:
+            yield kept, counts.reshape(1 << k, -1).sum(axis=1, dtype=dtype)
+        else:
+            yield from walk(counts, kept + (i,), i + 1)
+            halves = counts.reshape(1 << len(kept), 2, -1)
+            yield from walk(halves[:, 0] + halves[:, 1], kept, i + 1)
+
+    yield from walk(f.table.astype(dtype, copy=False), (), 1)
 
 
 def dist_to_k_junta(f: TruthTable, k: int, epsilon: float | None = None) -> DistanceReport:
     """Minimum of dist_to_junta_on over all size-k subsets, with a witness.
 
-    Cost is C(n,k) * 2^n, comfortable up to about n = 14.  Ties resolve to
-    the lexicographically smallest witness.
+    The fiber counts of all C(n,k) subsets come from one walk over the
+    subset lattice (``_fiber_ones``) in which each step is one axis
+    reduction, so no subset rescans the table.  Ties resolve to the
+    lexicographically smallest witness, and the walk stops at the first
+    exact k-junta witness.
     """
     n = f.n
     if n > DIST_CAP:
         raise TooLarge(f"n = {n} exceeds the exact-distance cap {DIST_CAP}")
     if not 0 <= k <= n:
         raise InvalidInput(f"k must be in [0, n], got {k}")
-    best: Fraction | None = None
+    fiber_size = 1 << (n - k)
+    best: int | None = None
     witness: tuple[int, ...] = ()
-    for J in combinations(range(1, n + 1), k):
-        d = dist_to_junta_on(f, J)
+    for J, ones in _fiber_ones(f, k):
+        d = _disagreements(ones, fiber_size)
         if best is None or d < best:
             best, witness = d, J
             if best == 0:
                 break
     assert best is not None
-    far = None if epsilon is None else bool(best >= Fraction(epsilon))
+    distance = Fraction(best, 1 << n)
+    far = None if epsilon is None else bool(distance >= Fraction(epsilon))
     return DistanceReport(
-        distance=best, witness=IndexSet.of(n, witness), epsilon=epsilon, far=far
+        distance=distance, witness=IndexSet.of(n, witness), epsilon=epsilon, far=far
     )
 
 
@@ -230,23 +253,6 @@ def max_disjoint_bichromatic_matching(f: TruthTable, V: IndexSet | Sequence[int]
         (BitString(n, x), mask_to_dir[x ^ y]) for x, y in sorted(match.items())
     )
     return MatchingCertificate(V=V, size=len(edges), edges=edges)
-
-
-def greedy_direction_matching_size(f: TruthTable, V: IndexSet | Sequence[int]) -> int:
-    """Greedy per-direction disjoint edge count; a lower bound on the exact matching."""
-    n = f.n
-    V = _as_indexset(V, n)
-    used = np.zeros(1 << n, dtype=bool)
-    table = f.table
-    total = 0
-    for j in V.members:
-        mask = 1 << (n - j)
-        for x in range(1 << n):
-            y = x ^ mask
-            if x < y and not used[x] and not used[y] and table[x] != table[y]:
-                used[x] = used[y] = True
-                total += 1
-    return total
 
 
 def farness_from_matching(cert: MatchingCertificate, epsilon: float, n: int) -> bool:

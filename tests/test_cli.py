@@ -113,6 +113,29 @@ def test_game_rejects_unknown_decider(tmp_path, capsys, desk10_file):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "mode, text",
+    [
+        ("sseq", "{not json"),
+        ("sseq", json.dumps({"ell": [1, "x"]})),
+        ("sssq", json.dumps({"m": 0, "T": [[1, 2]]})),
+    ],
+    ids=["not-json", "non-integer-count", "zero-m"],
+)
+def test_game_rejects_malformed_plan(tmp_path, capsys, desk10_file, mode, text):
+    plan = tmp_path / "plan.json"
+    plan.write_text(text)
+    code = main([
+        "game", "--mode", mode, "--plan", str(plan),
+        "--params", desk10_file, "--trials", "10", "--seed", "5",
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_dtv_subcommand(capsys):
     code, out = run_cli(
         capsys, "dtv", "--c", "1", "--p", "0.5", "--q", "0.75", "--lambda", "1.0"

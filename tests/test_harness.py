@@ -134,6 +134,25 @@ def test_verify_no_small():
     )
 
 
+@pytest.mark.parametrize(
+    "experiment, epsilon", [("verify_no", 0.1), ("verify_d2", 2.0**-10)]
+)
+def test_distance_experiments_at_n14(experiment, epsilon):
+    params = desk_params(14, epsilon=epsilon)
+    report = run_experiment(ExperimentConfig(params=params, experiment=experiment, trials=2, seed=5))
+    assert report.passed
+    assert report.rows[0]["n"] == 14
+
+
+@pytest.mark.parametrize(
+    "experiment, epsilon", [("verify_no", 0.1), ("verify_d2", 2.0**-10)]
+)
+def test_distance_experiments_cap_at_n21(experiment, epsilon):
+    params = desk_params(21, epsilon=epsilon)
+    with pytest.raises(TooLarge):
+        run_experiment(ExperimentConfig(params=params, experiment=experiment, trials=2, seed=5))
+
+
 def test_verify_d1_small():
     cfg = ExperimentConfig(
         params=desk_params(10, epsilon=0.05), experiment="verify_d1", trials=25, seed=5

@@ -5,15 +5,17 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from junta_lab.boolfn import BitString, IndexSet, TruthTable
+from junta_lab.boolfn import BitString, IndexSet, TruthTable, bichromatic_edge_counts
 from junta_lab.errors import InvalidInput, TooLarge
+from junta_lab.hardgen import RandomStream, Seed, sample_d2
 from junta_lab.junta_distance import (
     MatchingCertificate,
     dist_to_junta_on,
     dist_to_k_junta,
     farness_from_matching,
-    greedy_direction_matching_size,
     max_disjoint_bichromatic_matching,
 )
 
@@ -97,6 +99,52 @@ def test_dist_k_witness_is_lex_smallest():
     assert report.witness.members == (1, 2)
 
 
+def first_minimum_over_subsets(f: TruthTable, k: int):
+    """The per-subset definition: lexicographically first J minimizing the distance."""
+    best, witness = None, None
+    for J in combinations(range(1, f.n + 1), k):
+        d = dist_to_junta_on(f, J)
+        if best is None or d < best:
+            best, witness = d, J
+    return best, witness
+
+
+@st.composite
+def tables_and_k(draw):
+    """Random-density tables, a third of them exact juntas on at most k coordinates."""
+    n = draw(st.integers(1, 10))
+    k = draw(st.integers(0, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.integers(0, 2)) == 0:
+        J = sorted(rng.choice(n, size=draw(st.integers(0, k)), replace=False) + 1)
+        values = rng.integers(0, 2, size=1 << len(J), dtype=np.uint8)
+        fiber = np.zeros(1 << n, dtype=np.int64)
+        for j in J:
+            fiber = (fiber << 1) | ((np.arange(1 << n) >> (n - j)) & 1)
+        return TruthTable(n, values[fiber]), k
+    density = draw(st.floats(0.0, 1.0))
+    return TruthTable(n, (rng.random(1 << n) < density).astype(np.uint8)), k
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables_and_k())
+def test_dist_k_is_first_minimum_over_subsets(case):
+    f, k = case
+    report = dist_to_k_junta(f, k)
+    distance, witness = first_minimum_over_subsets(f, k)
+    assert report.distance == distance
+    assert report.witness.members == witness
+
+
+def test_dist_k_fixed_d2_case_at_n14():
+    f = sample_d2(14, 0.1, RandomStream(Seed(1), "d2"))
+    report = dist_to_k_junta(f, 10, epsilon=0.1)
+    assert report.distance == Fraction(1634, 1 << 14)
+    assert report.witness.members == (1, 2, 4, 5, 6, 8, 9, 12, 13, 14)
+    assert report.far is False
+    assert (report.distance, report.witness.members) == first_minimum_over_subsets(f, 10)
+
+
 def brute_force_matching(f: TruthTable, V) -> int:
     """Exhaustive maximum matching by branching over the edge list."""
     n = f.n
@@ -147,13 +195,15 @@ def test_matching_matches_brute_force():
         assert max_disjoint_bichromatic_matching(f, V).size == brute_force_matching(f, V)
 
 
-def test_greedy_never_exceeds_exact():
-    rng = np.random.default_rng(19)
-    for _ in range(25):
-        n = int(rng.integers(2, 6))
-        f = TruthTable(n, rng.integers(0, 2, size=1 << n, dtype=np.uint8))
-        V = sorted(int(i) + 1 for i in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
-        assert greedy_direction_matching_size(f, V) <= max_disjoint_bichromatic_matching(f, V).size
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 10), st.integers(0, 2**32 - 1))
+def test_bichromatic_counts_equal_single_direction_matchings(n, seed):
+    rng = np.random.default_rng(seed)
+    f = TruthTable(n, (rng.random(1 << n) < rng.random()).astype(np.uint8))
+    counts = bichromatic_edge_counts(f)
+    assert len(counts) == n
+    for i in range(1, n + 1):
+        assert counts[i - 1] == max_disjoint_bichromatic_matching(f, [i]).size
 
 
 def test_farness_from_matching():
