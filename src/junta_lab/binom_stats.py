@@ -22,7 +22,7 @@ from .errors import (
     MismatchedSupport,
     TooLarge,
 )
-from .params import Params
+from .params import Params, coin_rate
 
 # Leading constant of the total-variation shift bound, validated by the
 # exhaustive desk sweep in the test suite.  If a sweep cell ever fails,
@@ -113,11 +113,7 @@ def hit_prob(count: int, epsilon: float, n: int) -> float:
     """
     if count < 0:
         raise InvalidInput(f"count must be non-negative, got {count}")
-    if n < 1:
-        raise InvalidInput(f"n must be positive, got {n}")
-    theta = epsilon / math.sqrt(n)
-    if not 0.0 <= theta <= 1.0:
-        raise InvalidInput(f"epsilon/sqrt(n) = {theta} outside [0, 1]")
+    theta = coin_rate(epsilon, n)
     if count == 0:
         return 0.0
     if count == 1:
@@ -155,13 +151,11 @@ def tv_shift_bound(x: float, c: int, r: float) -> Optional[float]:
     return TV_BOUND_CONSTANT * t / (1.0 - t) ** 2
 
 
-def product_dtv_subadditivity(
-    pairs: Sequence[tuple[BinomialSpec, BinomialSpec]],
-) -> tuple[float, float]:
-    """(exact TV of the product distributions, sum of the marginal TVs).
+def product_dtv(pairs: Sequence[tuple[BinomialSpec, BinomialSpec]]) -> float:
+    """Exact TV distance between the product of the first and of the second members.
 
-    The first is always at most the second.  The joint support is the
-    product of the per-coordinate supports and is capped at 2^20.
+    The joint support is the product of the per-coordinate supports and is
+    capped at JOINT_SUPPORT_CAP.
     """
     if not pairs:
         raise InvalidInput("need at least one pair")
@@ -174,13 +168,21 @@ def product_dtv_subadditivity(
             raise TooLarge(f"joint support exceeds {JOINT_SUPPORT_CAP}")
     joint_a = np.array([1.0])
     joint_b = np.array([1.0])
-    marginal_sum = 0.0
     for a, b in pairs:
         joint_a = np.kron(joint_a, pmf_vector(a))
         joint_b = np.kron(joint_b, pmf_vector(b))
-        marginal_sum += exact_dtv(a, b)
-    joint = 0.5 * float(np.abs(joint_a - joint_b).sum())
-    return joint, marginal_sum
+    return 0.5 * float(np.abs(joint_a - joint_b).sum())
+
+
+def product_dtv_subadditivity(
+    pairs: Sequence[tuple[BinomialSpec, BinomialSpec]],
+) -> tuple[float, float]:
+    """(exact TV of the product distributions, sum of the marginal TVs).
+
+    The first is always at most the second.
+    """
+    joint = product_dtv(pairs)
+    return joint, sum(exact_dtv(a, b) for a, b in pairs)
 
 
 def summary_distribution(c_j: int, inclusion: float, j: int, params: Params) -> BinomialSpec:

@@ -70,8 +70,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_text(path: str) -> str:
+    """The text of a UTF-8 input file; any other file is a usage error."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise InvalidInput(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def _load_params(path: str) -> params_mod.Params:
-    return params_mod.load(path)
+    return params_mod.from_config_text(_read_text(path))
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -105,19 +114,18 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_dist(args: argparse.Namespace) -> int:
-    with open(args.table, "r", encoding="utf-8") as fh:
-        table = TruthTable.deserialize(fh.read())
+    table = TruthTable.deserialize(_read_text(args.table))
     report = dist_to_k_junta(table, args.k, args.eps)
     print(json.dumps(report.as_json_dict()))
     return 0
 
 
 def _plan_from_file(path: str, mode: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except ValueError as exc:
-            raise InvalidInput(f"plan file {path} is not UTF-8 JSON: {exc}") from exc
+    text = _read_text(path)
+    try:
+        raw = json.loads(text)
+    except ValueError as exc:
+        raise InvalidInput(f"plan file {path} is not JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise InvalidInput("a plan file must hold a JSON object")
     try:
@@ -164,41 +172,9 @@ def cmd_game(args: argparse.Namespace) -> int:
             trials=args.trials,
             seed=args.seed,
         )
-        print(json.dumps(result.as_json_dict()))
-        return 0
-
-    base = RandomStream(Seed(args.seed), f"game-{args.mode}")
-    trials_yes = args.trials // 2
-    trials_no = args.trials - trials_yes
-    hits = {}
-    for side, inclusion, count in ((tasks.YES, p.p, trials_yes), (tasks.NO, p.q, trials_no)):
-        stream = base.child(side)
-        yeses = 0
-        for j in range(count):
-            hidden = tasks.sample_hidden(plan.m, inclusion, stream.child(str(j)), origin=side)
-            if args.mode == "sseq":
-                resp = tasks.sseq_respond(hidden, plan, p.epsilon, p.n, stream.child(f"r{j}"))
-            else:
-                resp = tasks.sssq_respond(hidden, plan, p.epsilon, p.n, stream.child(f"r{j}"))
-            if tasks.bayes_decide(resp, plan, p) == tasks.YES:
-                yeses += 1
-        hits[side] = yeses
-    p_yes = hits[tasks.YES] / trials_yes
-    p_no = hits[tasks.NO] / trials_no
-    advantage = p_yes - p_no
-    pooled = (hits[tasks.YES] + hits[tasks.NO]) / args.trials
-    se = (pooled * (1 - pooled) * (1 / trials_yes + 1 / trials_no)) ** 0.5
-    print(
-        json.dumps(
-            {
-                "advantage": advantage,
-                "ci_low": advantage - harness.Z_95 * se,
-                "ci_high": advantage + harness.Z_95 * se,
-                "trials": args.trials,
-                "cost": plan.cost,
-            }
-        )
-    )
+    else:
+        result = harness.run_hidden_set_game(plan, p, args.trials, args.seed)
+    print(json.dumps(result.as_json_dict()))
     return 0
 
 
@@ -256,10 +232,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except JuntaLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (JuntaLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,8 +6,8 @@ fraction or curve.  Reports hold plain-dict rows so identical configs and
 seeds always serialize to byte-identical CSV.
 
 ``trials`` means: sample count for verify_yes, per-side sample count for
-verify_no, total game trials for game, Monte-Carlo rounds for sseq_curve's
-large-universe branch, and the number of addressing-set draws for goodM.
+verify_no, total game trials for game, and the number of addressing-set
+draws for goodM; sseq_curve, dtv_sweep and claim53 are exact and ignore it.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .params import DESK_SCALE, Params, derive_params
 from .tasks import (
     NO,
     YES,
+    AnyPlan,
     ElementQueryPlan,
     SetQueryPlan,
     StringQueryPlan,
@@ -203,6 +204,37 @@ class ExperimentConfig:
 InstanceSampler = Callable[[Seed], object]
 
 
+def _tally(trials: int, cost: int, says_yes: Callable[[str, int, int], bool]) -> GameResult:
+    """Play a game's trials and summarize them as a GameResult.
+
+    The first half (rounded down) of the trials go to the yes side, the
+    rest to the no side, and each side needs at least one.
+    ``says_yes(side, j, trial)`` plays the side's j-th trial, which is
+    trial number ``trial`` of the whole game, and reports whether the
+    decider answered yes.  The 95% interval uses the normal approximation
+    with pooled variance.
+    """
+    start = time.perf_counter()
+    trials_yes = trials // 2
+    trials_no = trials - trials_yes
+    if trials_yes < 1 or trials_no < 1:
+        raise InvalidInput(f"need at least 2 trials, got {trials}")
+    yes_hits = sum(1 for j in range(trials_yes) if says_yes(YES, j, j))
+    no_hits = sum(1 for j in range(trials_no) if says_yes(NO, j, trials_yes + j))
+    advantage = yes_hits / trials_yes - no_hits / trials_no
+    pooled = (yes_hits + no_hits) / (trials_yes + trials_no)
+    se = math.sqrt(pooled * (1.0 - pooled) * (1.0 / trials_yes + 1.0 / trials_no))
+    return GameResult(
+        advantage=advantage,
+        ci_low=advantage - Z_95 * se,
+        ci_high=advantage + Z_95 * se,
+        trials_yes=trials_yes,
+        trials_no=trials_no,
+        cost=cost,
+        wall_time=time.perf_counter() - start,
+    )
+
+
 def run_game(
     gen_yes: InstanceSampler,
     gen_no: InstanceSampler,
@@ -212,41 +244,40 @@ def run_game(
 ) -> GameResult:
     """Empirical advantage of a string plan at distinguishing two samplers.
 
-    Half the trials go to each side, each with its own derived seed; the
-    95% interval uses the normal approximation with pooled variance.
+    Trial number ``i`` of the game draws its instance from seed ``mix(i)``.
     """
-    start = time.perf_counter()
     base = Seed(seed)
-    trials_yes = trials // 2
-    trials_no = trials - trials_yes
-    if trials_yes < 1 or trials_no < 1:
-        raise InvalidInput(f"need at least 2 trials, got {trials}")
+    gens = {YES: gen_yes, NO: gen_no}
 
-    def play(gen: InstanceSampler, offset: int, count: int) -> int:
-        yeses = 0
-        for j in range(count):
-            f = gen(base.mix(offset + j))
-            bits = f.eval_many(algorithm.queries)
-            if algorithm.decider(bits) == YES:
-                yeses += 1
-        return yeses
+    def says_yes(side: str, j: int, trial: int) -> bool:
+        f = gens[side](base.mix(trial))
+        return algorithm.decider(f.eval_many(algorithm.queries)) == YES
 
-    yes_hits = play(gen_yes, 0, trials_yes)
-    no_hits = play(gen_no, trials_yes, trials_no)
-    p_yes = yes_hits / trials_yes
-    p_no = no_hits / trials_no
-    advantage = p_yes - p_no
-    pooled = (yes_hits + no_hits) / (trials_yes + trials_no)
-    se = math.sqrt(pooled * (1.0 - pooled) * (1.0 / trials_yes + 1.0 / trials_no))
-    return GameResult(
-        advantage=advantage,
-        ci_low=advantage - Z_95 * se,
-        ci_high=advantage + Z_95 * se,
-        trials_yes=trials_yes,
-        trials_no=trials_no,
-        cost=algorithm.q,
-        wall_time=time.perf_counter() - start,
-    )
+    return _tally(trials, algorithm.q, says_yes)
+
+
+def run_hidden_set_game(plan: AnyPlan, params: Params, trials: int, seed: int) -> GameResult:
+    """Empirical advantage of the likelihood-threshold decider for a set or element plan.
+
+    Each trial hides a set drawn at its side's inclusion rate (p on the yes
+    side, q on the no side), asks the oracle the plan once and lets
+    ``bayes_decide`` answer.  Element plans play the sseq game and set
+    plans the sssq game, each from its own stream.
+    """
+    if isinstance(plan, ElementQueryPlan):
+        mode, respond = "sseq", tasks.sseq_respond
+    else:
+        mode, respond = "sssq", tasks.sssq_respond
+    base = RandomStream(Seed(seed), f"game-{mode}")
+    sides = {YES: (base.child(YES), params.p), NO: (base.child(NO), params.q)}
+
+    def says_yes(side: str, j: int, trial: int) -> bool:
+        stream, inclusion = sides[side]
+        hidden = sample_hidden(plan.m, inclusion, stream.child(str(j)), origin=side)
+        response = respond(hidden, plan, params.epsilon, params.n, stream.child(f"r{j}"))
+        return tasks.bayes_decide(response, plan, params) == YES
+
+    return _tally(trials, plan.cost, says_yes)
 
 
 def _pool_size(f: StructuredFn) -> int:
@@ -449,29 +480,24 @@ def budget_game(config: ExperimentConfig) -> ExperimentReport:
 
 
 def sseq_curve(config: ExperimentConfig) -> ExperimentReport:
-    """Exact (or Monte-Carlo) optimal advantage over a uniform budget grid."""
+    """Exact optimal advantage of uniform element plans over a budget grid.
+
+    Step s queries each of the m elements s times, for s = 0..16.  The
+    advantage comes from per-count binomial laws, so every m is exact.
+    """
     params = config.params
     m = params.m
     report = ExperimentReport("sseq_curve")
     advantages = []
-    for step in range(17):
-        per_element = step
-        budget = per_element * m
-        plan = ElementQueryPlan.uniform(m, per_element)
-        if m <= tasks.ADVANTAGE_UNIVERSE_CAP:
-            advantage = exact_optimal_advantage(plan, params)
-            method = "exact"
-        else:
-            advantage = _mc_advantage(plan, params, config)
-            method = "monte_carlo"
+    for per_element in range(17):
+        advantage = exact_optimal_advantage(ElementQueryPlan.uniform(m, per_element), params)
         advantages.append(advantage)
         report.rows.append(
             {
                 "experiment": "sseq_curve",
                 "m": m,
-                "budget": budget,
+                "budget": per_element * m,
                 "advantage": advantage,
-                "method": method,
             }
         )
     report.checks.append(
@@ -490,19 +516,6 @@ def sseq_curve(config: ExperimentConfig) -> ExperimentReport:
         )
     )
     return report
-
-
-def _mc_advantage(plan: ElementQueryPlan, params: Params, config: ExperimentConfig) -> float:
-    hits = {YES: 0, NO: 0}
-    base = RandomStream(Seed(config.seed), "sseq-curve")
-    for side, inclusion in ((YES, params.p), (NO, params.q)):
-        stream = base.child(side)
-        for j in range(config.trials):
-            hidden = sample_hidden(plan.m, inclusion, stream.child(str(j)), origin=side)
-            b = tasks.sseq_respond(hidden, plan, params.epsilon, params.n, stream.child(f"r{j}"))
-            if tasks.bayes_decide(b, plan, params) == YES:
-                hits[side] += 1
-    return hits[YES] / config.trials - hits[NO] / config.trials
 
 
 def dtv_sweep(config: ExperimentConfig) -> ExperimentReport:

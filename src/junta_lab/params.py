@@ -71,7 +71,17 @@ class Params:
     @property
     def coin_prob(self) -> float:
         """The per-coin success rate epsilon / sqrt(n) used by every oracle."""
-        return self.epsilon / math.sqrt(self.n)
+        return coin_rate(self.epsilon, self.n)
+
+
+def coin_rate(epsilon: float, n: int) -> float:
+    """The per-coin success rate theta = epsilon / sqrt(n), checked to lie in [0, 1]."""
+    if n < 1:
+        raise InvalidInput(f"n must be positive, got {n}")
+    theta = epsilon / math.sqrt(n)
+    if not 0.0 <= theta <= 1.0:
+        raise InvalidInput(f"epsilon/sqrt(n) = {theta} outside [0, 1]")
+    return theta
 
 
 def _check_domain(n: int, alpha: float, epsilon: float, mode: str) -> None:

@@ -24,13 +24,12 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
-import numpy as np
-
-from .binom_stats import hit_prob
+from .binom_stats import BinomialSpec, hit_prob, product_dtv
 from .boolfn import BitString, IndexSet, address_index, hamming
 from .errors import (
     BadM,
@@ -39,14 +38,13 @@ from .errors import (
     InvalidInput,
     TooLarge,
 )
-from .params import Params
+from .params import Params, coin_rate
 from .rng import RandomStream, Seed, derive_bit, pack_ints
 
 YES = "yes"
 NO = "no"
 
 OUTCOME_SPACE_CAP = 1 << 20
-ADVANTAGE_UNIVERSE_CAP = 14
 
 SssqResponse = tuple[tuple[int, ...], ...]
 SseqResponse = tuple[int, ...]
@@ -163,13 +161,6 @@ def sample_hidden(
     return HiddenSet(m=m, A=IndexSet.of(m, members), origin=origin)
 
 
-def _theta(epsilon: float, n: int) -> float:
-    theta = epsilon / math.sqrt(n)
-    if not 0.0 <= theta <= 1.0:
-        raise InvalidInput(f"epsilon/sqrt(n) = {theta} outside [0, 1]")
-    return theta
-
-
 def sssq_respond(
     hidden: HiddenSet,
     plan: SetQueryPlan,
@@ -180,7 +171,7 @@ def sssq_respond(
     """One oracle round: per queried element, 0 off A, rate-theta coin on A."""
     if plan.m != hidden.m:
         raise DimensionMismatch(f"plan universe {plan.m} != hidden universe {hidden.m}")
-    theta = _theta(epsilon, n)
+    theta = coin_rate(epsilon, n)
     members = set(hidden.A.members)
     response = []
     for T in plan.queries:
@@ -268,7 +259,7 @@ def lift_response(
     """
     if len(b) != plan.m:
         raise DimensionMismatch(f"response length {len(b)} != plan universe {plan.m}")
-    theta = _theta(epsilon, n)
+    theta = coin_rate(epsilon, n)
     slots = _slots_by_element(plan)
     out = [[0] * len(T) for T in plan.queries]
     for j in range(1, plan.m + 1):
@@ -311,7 +302,7 @@ def exact_response_distribution(
     zero are omitted.
     """
     _check_outcome_space(plan)
-    theta = _theta(epsilon, n)
+    theta = coin_rate(epsilon, n)
     members = set(A.members)
     if isinstance(plan, ElementQueryPlan):
         if A.universe_size != plan.m:
@@ -374,7 +365,7 @@ def lifted_response_distribution(
     _check_outcome_space(plan)
     if A.universe_size != plan.m:
         raise DimensionMismatch(f"universe {A.universe_size} != plan universe {plan.m}")
-    theta = _theta(epsilon, n)
+    theta = coin_rate(epsilon, n)
     members = set(A.members)
     slots = _slots_by_element(plan)
     elements = sorted(slots)
@@ -449,8 +440,9 @@ class ReductionPlan:
 
     Labels 1..m of the set-query universe correspond, in sorted order, to
     the coordinates outside M (``label_coords[label - 1]`` is the original
-    coordinate).  ``address_of_class`` keeps each class's shared address
-    value for introspection; the set-query game itself never reads it.
+    coordinate).  Query ``idx`` falls in class ``class_of[idx]``, whose
+    members are ``classes[class_of[idx]]`` and whose set query is
+    ``set_plan.queries[class_of[idx]]``.
     """
 
     M: IndexSet
@@ -458,7 +450,6 @@ class ReductionPlan:
     classes: tuple[tuple[int, ...], ...]
     class_of: tuple[int, ...]
     set_plan: SetQueryPlan
-    address_of_class: tuple[int, ...]
 
 
 def build_set_queries(
@@ -494,7 +485,6 @@ def build_set_queries(
         class_of.append(c)
 
     sets = []
-    addresses = []
     for group in classes:
         base = X.queries[group[0]].code
         diff_mask = 0
@@ -507,7 +497,6 @@ def build_set_queries(
             if (diff_mask >> (n - c)) & 1
         ]
         sets.append(IndexSet.of(m, coords))
-        addresses.append(address_index(M, X.queries[group[0]]))
     set_plan = SetQueryPlan(m, tuple(sets))
 
     if not force and set_plan.cost > tau * X.q:
@@ -520,7 +509,6 @@ def build_set_queries(
         classes=tuple(tuple(g) for g in classes),
         class_of=tuple(class_of),
         set_plan=set_plan,
-        address_of_class=tuple(addresses),
     )
 
 
@@ -604,38 +592,6 @@ def canonicalize_plan(ell: ElementQueryPlan) -> ElementQueryPlan:
     return ElementQueryPlan.of(rounded + [0] * (ell.m - len(rounded)))
 
 
-def _element_local_laws(
-    plan: AnyPlan, inclusion: float, epsilon: float, n: int
-) -> list[np.ndarray]:
-    """Per-element response laws with the element's membership marginalized.
-
-    Each element is in the hidden set independently, so enumerating hidden
-    sets factorizes into a present/absent average per element.
-    """
-    theta = _theta(epsilon, n)
-    laws = []
-    if isinstance(plan, ElementQueryPlan):
-        for c in plan.counts:
-            if c == 0:
-                continue
-            lam = hit_prob(c, epsilon, n)
-            present = np.array([1.0 - lam, lam])
-            absent = np.array([1.0, 0.0])
-            laws.append(inclusion * present + (1.0 - inclusion) * absent)
-        return laws
-    slots = _slots_by_element(plan)
-    for j in sorted(slots):
-        r = len(slots[j])
-        present = np.empty(1 << r)
-        for idx in range(1 << r):
-            k = bin(idx).count("1")
-            present[idx] = theta**k * (1.0 - theta) ** (r - k)
-        absent = np.zeros(1 << r)
-        absent[0] = 1.0
-        laws.append(inclusion * present + (1.0 - inclusion) * absent)
-    return laws
-
-
 def exact_optimal_advantage(
     plan: AnyPlan,
     params: Params,
@@ -644,23 +600,27 @@ def exact_optimal_advantage(
 ) -> float:
     """Best achievable advantage of any decider for this plan.
 
-    Computes the full response laws under yes-side and no-side hidden-set
-    inclusion rates and returns their total variation distance, which any
-    decider attains at best (and a likelihood-threshold decider achieves).
+    That is the total variation distance between the response laws under
+    the yes-side and no-side inclusion rates, which a likelihood-threshold
+    decider attains.  A set plan has the advantage of its per-element
+    counts: on a hit the likelihood ratio is p/q whatever the coin pattern.
+    Elements with the same count c are exchangeable, so the number of hits
+    among them, Bin(mult_c, inclusion * hit_prob(c)), is a sufficient
+    statistic, and the advantage is the TV distance of the product of those
+    binomials (support prod(mult_c + 1), capped at JOINT_SUPPORT_CAP).
     """
-    m = plan.m
-    if m > ADVANTAGE_UNIVERSE_CAP:
-        raise TooLarge(f"m = {m} exceeds the exact-advantage cap {ADVANTAGE_UNIVERSE_CAP}")
-    _check_outcome_space(plan)
+    if isinstance(plan, SetQueryPlan):
+        plan = set_plan_to_element_counts(plan)
     p_val = params.p if p is None else p
     q_val = params.q if q is None else q
-    joint_yes = np.array([1.0])
-    for law in _element_local_laws(plan, p_val, params.epsilon, params.n):
-        joint_yes = np.kron(joint_yes, law)
-    joint_no = np.array([1.0])
-    for law in _element_local_laws(plan, q_val, params.epsilon, params.n):
-        joint_no = np.kron(joint_no, law)
-    return 0.5 * float(np.abs(joint_yes - joint_no).sum())
+    multiplicity = Counter(c for c in plan.counts if c > 0)
+    if not multiplicity:
+        return 0.0
+    pairs = []
+    for c, mult in sorted(multiplicity.items()):
+        lam = hit_prob(c, params.epsilon, params.n)
+        pairs.append((BinomialSpec(mult, p_val * lam), BinomialSpec(mult, q_val * lam)))
+    return product_dtv(pairs)
 
 
 def response_log_likelihood(
@@ -671,7 +631,7 @@ def response_log_likelihood(
     n: int,
 ) -> float:
     """Log-probability of an observed response under a given inclusion rate."""
-    theta = _theta(epsilon, n)
+    theta = coin_rate(epsilon, n)
     total = 0.0
     if isinstance(plan, ElementQueryPlan):
         for i, c in enumerate(plan.counts):

@@ -24,6 +24,17 @@ def run_cli(capsys, *argv):
     return code, out
 
 
+def assert_usage_error(capsys, argv):
+    """Exit code 2, nothing on stdout and exactly one ``error:`` line on stderr."""
+    capsys.readouterr()
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_gen_yes_and_dist(tmp_path, capsys, desk10_file):
     table_path = tmp_path / "f.tbl"
     code, out = run_cli(
@@ -125,15 +136,28 @@ def test_game_rejects_unknown_decider(tmp_path, capsys, desk10_file):
 def test_game_rejects_malformed_plan(tmp_path, capsys, desk10_file, mode, text):
     plan = tmp_path / "plan.json"
     plan.write_text(text)
-    code = main([
+    assert_usage_error(capsys, [
         "game", "--mode", mode, "--plan", str(plan),
         "--params", desk10_file, "--trials", "10", "--seed", "5",
     ])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("trials", [1, 0, -3])
+@pytest.mark.parametrize(
+    "mode, plan_json",
+    [
+        ("sseq", {"ell": [4] * 8}),
+        ("sssq", {"m": 8, "T": [[1, 2, 3], [2, 4]]}),
+        ("strings", {"X": ["0000000000", "1000000000"]}),
+    ],
+)
+def test_game_rejects_degenerate_trials(tmp_path, capsys, desk10_file, mode, plan_json, trials):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(plan_json))
+    assert_usage_error(capsys, [
+        "game", "--mode", mode, "--plan", str(plan),
+        "--params", desk10_file, "--trials", str(trials), "--seed", "5",
+    ])
 
 
 def test_dtv_subcommand(capsys):
@@ -170,7 +194,7 @@ def test_curve_subcommand(tmp_path, capsys, desk10_file):
     )
     assert code == 0
     body = out_path.read_text()
-    assert body.splitlines()[0] == "experiment,m,budget,advantage,method"
+    assert body.splitlines()[0] == "experiment,m,budget,advantage"
 
 
 def test_usage_errors_exit_2(tmp_path, capsys, desk10_file):
@@ -183,6 +207,12 @@ def test_usage_errors_exit_2(tmp_path, capsys, desk10_file):
     # missing file is a clean error, not a traceback
     code = main(["dist", "--table", str(tmp_path / "missing.tbl"), "--k", "1"])
     assert code == 2
+    # so are input files that are not UTF-8 text, and directories
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"\xff\xfe\x00")
+    assert_usage_error(capsys, ["dist", "--table", str(binary), "--k", "1"])
+    assert_usage_error(capsys, ["gen", "--dist", "yes", "--params", str(binary)])
+    assert_usage_error(capsys, ["dist", "--table", str(tmp_path), "--k", "1"])
 
 
 def test_cli_reproducibility(tmp_path, capsys, desk10_file):

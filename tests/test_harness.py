@@ -191,7 +191,20 @@ def test_sseq_curve_small():
     advantages = [row["advantage"] for row in report.rows]
     assert advantages[0] == 0.0
     assert all(b >= a - 1e-12 for a, b in zip(advantages, advantages[1:]))
-    assert all(row["method"] == "exact" for row in report.rows)
+
+
+def test_sseq_curve_exact_at_n20():
+    params = desk_params(20)
+    assert params.m == 15
+    cfg = ExperimentConfig(params=params, experiment="sseq_curve", trials=200, seed=5)
+    report = run_experiment(cfg)
+    assert [c.name for c in report.checks] == [
+        "zero_budget_zero_advantage", "curve_non_decreasing"]
+    assert report.passed
+    assert len(report.rows) == 17
+    # exact: neither the seed nor the trial count moves the curve
+    other = ExperimentConfig(params=params, experiment="sseq_curve", trials=1, seed=6)
+    assert run_experiment(other).csv_text() == report.csv_text()
 
 
 def test_dtv_sweep_passes():

@@ -45,7 +45,7 @@ from junta_lab.tasks import (
     summarize,
     tv_distance,
 )
-from junta_lab.binom_stats import hit_prob
+from junta_lab.binom_stats import BinomialSpec, exact_dtv, hit_prob
 
 
 def desk(n=64, epsilon=0.1):
@@ -503,6 +503,78 @@ def brute_force_advantage_sseq(plan, params, p, q):
     return tv_distance(dists[0], dists[1])
 
 
+def kronecker_advantage(plan, params, p, q):
+    """Reference: TV distance of the full response laws as 2^r-point Kronecker products.
+
+    Each element is in the hidden set independently, so the response law is
+    the product of per-element laws with membership averaged out: one bit
+    per element with a positive count, or one bit per query slot of a set
+    plan (2^r patterns for an element in r queries).
+    """
+    theta = params.coin_prob
+
+    def local_laws(inclusion):
+        laws = []
+        if isinstance(plan, ElementQueryPlan):
+            for c in plan.counts:
+                if c == 0:
+                    continue
+                lam = hit_prob(c, params.epsilon, params.n)
+                present = np.array([1.0 - lam, lam])
+                absent = np.array([1.0, 0.0])
+                laws.append(inclusion * present + (1.0 - inclusion) * absent)
+            return laws
+        for r in set_plan_to_element_counts(plan).counts:
+            if r == 0:
+                continue
+            present = np.empty(1 << r)
+            for idx in range(1 << r):
+                k = bin(idx).count("1")
+                present[idx] = theta**k * (1.0 - theta) ** (r - k)
+            absent = np.zeros(1 << r)
+            absent[0] = 1.0
+            laws.append(inclusion * present + (1.0 - inclusion) * absent)
+        return laws
+
+    joint_yes = np.array([1.0])
+    for law in local_laws(p):
+        joint_yes = np.kron(joint_yes, law)
+    joint_no = np.array([1.0])
+    for law in local_laws(q):
+        joint_no = np.kron(joint_no, law)
+    return 0.5 * float(np.abs(joint_yes - joint_no).sum())
+
+
+rates = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=12), rates, rates)
+def test_exact_advantage_matches_kronecker_on_element_plans(counts, p, q):
+    plan = ElementQueryPlan.of(counts)
+    expected = kronecker_advantage(plan, PARAMS, p, q)
+    assert exact_optimal_advantage(plan, PARAMS, p=p, q=q) == pytest.approx(expected, abs=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), rates, rates)
+def test_exact_advantage_matches_kronecker_on_set_plans(data, p, q):
+    m = data.draw(st.integers(1, 7))
+    k = data.draw(st.integers(1, 4))
+    sets = data.draw(
+        st.lists(st.sets(st.integers(1, m), max_size=min(m, 14 // k)), min_size=k, max_size=k)
+    )
+    plan = SetQueryPlan.of(m, sets)
+    assert plan.cost <= 14
+    counts = set_plan_to_element_counts(plan)
+    expected = kronecker_advantage(plan, PARAMS, p, q)
+    # the reduction itself: per-query coin patterns carry nothing beyond the counts
+    assert kronecker_advantage(counts, PARAMS, p, q) == pytest.approx(expected, abs=1e-12)
+    advantage = exact_optimal_advantage(plan, PARAMS, p=p, q=q)
+    assert advantage == pytest.approx(expected, abs=1e-12)
+    assert advantage == exact_optimal_advantage(counts, PARAMS, p=p, q=q)
+
+
 def test_exact_advantage_degenerate():
     assert exact_optimal_advantage(ElementQueryPlan.of([0, 0, 0]), PARAMS) == 0.0
     assert exact_optimal_advantage(ElementQueryPlan.of([2, 1, 0]), PARAMS, p=0.4, q=0.4) == 0.0
@@ -546,8 +618,14 @@ def test_exact_advantage_monotone_on_lattice():
 
 
 def test_exact_advantage_caps():
+    # a uniform plan is one binomial pair, so a large universe stays exact
+    lam = hit_prob(3, PARAMS.epsilon, PARAMS.n)
+    expected = exact_dtv(BinomialSpec(64, PARAMS.p * lam), BinomialSpec(64, PARAMS.q * lam))
+    adv = exact_optimal_advantage(ElementQueryPlan.uniform(64, 3), PARAMS)
+    assert adv == pytest.approx(expected, rel=1e-12)
+    # 21 distinct counts: joint support 2^21 exceeds JOINT_SUPPORT_CAP
     with pytest.raises(TooLarge):
-        exact_optimal_advantage(ElementQueryPlan.uniform(15, 1), PARAMS)
+        exact_optimal_advantage(ElementQueryPlan.of(range(1, 22)), PARAMS)
 
 
 def test_log_likelihood_matches_law():
