@@ -15,18 +15,31 @@ each of the C(n,k) subsets, at k = n - 1 (the tail experiments' k) and
 k = n - 4.  It also times ``bichromatic_edge_counts`` against n
 single-direction Hopcroft-Karp matchings, one per coordinate.
 
-The script checks that every fast path agrees with its reference (tables,
-distances, witnesses, per-direction counts) and that the digest counts
-match their closed forms, and exits 1 if not.
+Games: it times the paths the ``games`` workload spends its time in
+against the per-call forms they replace.  ``exact_dtv`` over the 956 cells
+of the ``dtv_sweep`` bound sweep (desk n = 10) against the half-L1 sum of
+per-k ``pmf`` calls; the sseq and sssq games of the desk n = 10 plans
+(2000 trials) against a loop that calls ``bayes_decide`` on every trial;
+the goodM separation test (desk n = 12, 20 queries, 2000 draws of M)
+against pairwise Hamming distances and ``address_index`` equality; and
+``pack_ints`` on fiber payloads of single-byte values against the general
+per-value encoding.
 
-Writes BENCH_3.json at the root of the checkout.
+The script checks that every fast path agrees with its reference (tables,
+distances, witnesses, per-direction counts, TV distances, game advantages,
+separation verdicts, payload bytes) and that the digest counts match their
+closed forms, and exits 1 if not.
+
+Writes BENCH_5.json at the root of the checkout.
 
 Usage: python scripts/bench.py
 """
 
 import json
+import math
 import os
 import platform
+import random
 import sys
 import time
 from contextlib import contextmanager
@@ -36,18 +49,35 @@ from pathlib import Path
 
 import numpy as np
 
-from junta_lab import rng
-from junta_lab.boolfn import BitString, TruthTable, bichromatic_edge_counts, to_table
-from junta_lab.hardgen import RandomStream, Seed, sample_d2, sample_no, sample_yes
-from junta_lab.harness import desk_params
+from junta_lab import rng, tasks
+from junta_lab.binom_stats import BinomialSpec, exact_dtv, pmf, tv_shift_bound
+from junta_lab.boolfn import (
+    BitString,
+    TruthTable,
+    address_index,
+    bichromatic_edge_counts,
+    hamming,
+    to_table,
+)
+from junta_lab.hardgen import (
+    RandomStream,
+    Seed,
+    sample_addressing_set,
+    sample_d2,
+    sample_no,
+    sample_yes,
+)
+from junta_lab.harness import always_yes, desk_params, random_string_plan, run_hidden_set_game
 from junta_lab.junta_distance import dist_to_k_junta, max_disjoint_bichromatic_matching
 
-OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_3.json"
+OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_5.json"
 SEED = 1
 COMPARED = (10, 12, 14, 16)
 FAST_ONLY = (20, 24)
 REPEATS = {"per_point": 3, "to_table": 7, "per_subset": 3, "lattice_walk": 7,
-           "hopcroft_karp": 3, "edge_counts": 7}
+           "hopcroft_karp": 3, "edge_counts": 7, "games": 5}
+GAME_TRIALS = 2000
+GOOD_M_DRAWS = 2000
 SAMPLERS = {"yes": sample_yes, "no": sample_no}
 ORACLE_N = (10, 12, 14, 16)
 D2_EPSILON = 0.1
@@ -176,6 +206,126 @@ def oracle_cases(n: int) -> tuple[list[dict], dict, list[str]]:
     return distance, matching, problems
 
 
+def per_k_dtv(a: BinomialSpec, b: BinomialSpec) -> float:
+    """exact_dtv as it was computed before: one pmf() call, with a fresh comb, per k."""
+    return 0.5 * math.fsum(abs(pmf(a, k) - pmf(b, k)) for k in range(a.c + 1))
+
+
+def sweep_cells() -> list[tuple[BinomialSpec, BinomialSpec]]:
+    """The applicable cells of harness.dtv_sweep's bound sweep at desk n = 10."""
+    params = desk_params(10)
+    p, q = params.p, params.q
+    cells = []
+    for c in range(1, 257):
+        for lam in (0.001, 0.003, 0.01, 0.03, 0.1, 0.2, 0.4, 0.7, 1.0):
+            r, x = p * lam, (q - p) * lam
+            if 0.0 < r < 1.0 and tv_shift_bound(x, c, r) is not None:
+                cells.append((BinomialSpec(c, r), BinomialSpec(c, min(r + x, 1.0))))
+    return cells
+
+
+def per_trial_game(plan, params, trials: int, seed: int) -> float:
+    """The hidden-set game with bayes_decide, and its plan-only work, on every trial."""
+    if isinstance(plan, tasks.ElementQueryPlan):
+        mode, respond = "sseq", tasks.sseq_respond
+    else:
+        mode, respond = "sssq", tasks.sssq_respond
+    base = RandomStream(Seed(seed), f"game-{mode}")
+    rates = {}
+    for side, inclusion, count in ((tasks.YES, params.p, trials // 2),
+                                   (tasks.NO, params.q, trials - trials // 2)):
+        stream, hits = base.child(side), 0
+        for j in range(count):
+            hidden = tasks.sample_hidden(plan.m, inclusion, stream.child(str(j)), origin=side)
+            response = respond(hidden, plan, params.epsilon, params.n, stream.child(f"r{j}"))
+            hits += tasks.bayes_decide(response, plan, params) == tasks.YES
+        rates[side] = hits / count
+    return rates[tasks.YES] - rates[tasks.NO]
+
+
+def pairwise_separation(Ms, X, tau: int) -> list[bool]:
+    queries = X.queries
+    verdicts = []
+    for M in Ms:
+        addresses = [address_index(M, x) for x in queries]
+        verdicts.append(not any(
+            hamming(queries[i], queries[j]) >= tau and addresses[i] == addresses[j]
+            for i in range(len(queries)) for j in range(i + 1, len(queries))
+        ))
+    return verdicts
+
+
+def mask_separation(Ms, X, tau: int) -> list[bool]:
+    codes = tasks.far_pair_codes(X, tau)
+    return [tasks.separates(M, codes) for M in Ms]
+
+
+def general_encoding(payloads) -> list[bytes]:
+    out = []
+    for values in payloads:
+        packed = b""
+        for v in values:
+            body = v.to_bytes(max(1, (v.bit_length() + 7) // 8), "big")
+            packed += len(body).to_bytes(4, "big") + body
+        out.append(packed)
+    return out
+
+
+def table_encoding(payloads) -> list[bytes]:
+    return [rng.pack_ints(*values) for values in payloads]
+
+
+def game_cases() -> tuple[list[dict], list[str]]:
+    """Each games-workload fast path against its per-call reference."""
+    p10, p12 = desk_params(10), desk_params(12)
+    m = p10.m
+    plans = {
+        "sseq": tasks.ElementQueryPlan.uniform(m, 4),
+        "sssq": tasks.SetQueryPlan.of(m, [range(1, m + 1)] * 4),
+    }
+    X = random_string_plan(p12.n, 20, RandomStream(Seed(SEED), "goodM-plan"), always_yes)
+    Ms = [sample_addressing_set(p12, Seed(SEED).mix(j)) for j in range(GOOD_M_DRAWS)]
+    draw = random.Random(SEED)
+    # to_table's payloads: address, |S|, the members of S, then their bits.
+    payloads = []
+    for _ in range(20000):
+        size = draw.randint(0, 6)
+        coords = sorted(draw.sample(range(1, 17), size))
+        payloads.append((draw.randint(1, 16), size, *coords,
+                         *(draw.randint(0, 1) for _ in coords)))
+    cells = sweep_cells()
+    pairs = [
+        ("exact_dtv", f"{len(cells)} dtv_sweep cells, desk n = 10",
+         lambda: [per_k_dtv(a, b) for a, b in cells],
+         lambda: [exact_dtv(a, b) for a, b in cells]),
+        ("game_sseq", f"ell = [4] * {m}, desk n = 10, {GAME_TRIALS} trials, seed {SEED}",
+         lambda: per_trial_game(plans["sseq"], p10, GAME_TRIALS, SEED),
+         lambda: run_hidden_set_game(plans["sseq"], p10, GAME_TRIALS, SEED).advantage),
+        ("game_sssq", f"4 copies of [1..{m}], desk n = 10, {GAME_TRIALS} trials, seed {SEED}",
+         lambda: per_trial_game(plans["sssq"], p10, GAME_TRIALS, SEED),
+         lambda: run_hidden_set_game(plans["sssq"], p10, GAME_TRIALS, SEED).advantage),
+        ("good_m", f"desk n = 12, 20 queries, tau = {p12.tau}, {GOOD_M_DRAWS} draws of M",
+         lambda: pairwise_separation(Ms, X, p12.tau),
+         lambda: mask_separation(Ms, X, p12.tau)),
+        ("pack_ints", f"{len(payloads)} fiber payloads of single-byte values",
+         lambda: general_encoding(payloads),
+         lambda: table_encoding(payloads)),
+    ]
+    cases, problems = [], []
+    for name, inputs, reference, fast in pairs:
+        case = {"name": name, "inputs": inputs}
+        results = {}
+        for label, path in (("reference", reference), ("fast", fast)):
+            results[label] = path()
+            case[label] = timed(lambda _: path(), None, REPEATS["games"])
+        if results["reference"] != results["fast"]:
+            problems.append(f"{name}: fast path differs from its reference")
+        case["equal"] = results["reference"] == results["fast"]
+        case["speedup"] = case["reference"]["median_s"] / case["fast"]["median_s"]
+        cases.append(case)
+    return cases, problems
+
+
 def main() -> int:
     cases, problems = [], []
     for n in COMPARED + FAST_ONLY:
@@ -199,6 +349,11 @@ def main() -> int:
         print(f"n={n:2d} edge counts {match_case['edge_counts']['median_s']:.5f} s, "
               f"Hopcroft-Karp {match_case['hopcroft_karp']['median_s']:.3f} s, "
               f"{match_case['speedup']:.0f}x", flush=True)
+    games, found = game_cases()
+    problems += found
+    for case in games:
+        print(f"{case['name']:9s} {case['fast']['median_s']:.4f} s, reference "
+              f"{case['reference']['median_s']:.4f} s, {case['speedup']:.1f}x", flush=True)
     result = {
         "machine": {
             "nproc": os.cpu_count(),
@@ -211,6 +366,7 @@ def main() -> int:
         "cases": cases,
         "distance": distance,
         "matching": matching,
+        "games": games,
         "problems": problems,
     }
     OUTPUT.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")

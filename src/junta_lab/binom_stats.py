@@ -3,7 +3,10 @@
 Mass functions keep the binomial coefficient exact as a Python integer and
 round only when combining it with the rate powers, directly for small
 trial counts and through logs for large ones; whole-vector normalization
-stays within 1e-12 up to c = 10^4.  Hit probabilities use exact
+stays within 1e-12 up to c = 10^4.  Whole mass vectors, in both regimes,
+walk the coefficients C(c, 0..c) by one exact integer recurrence instead
+of computing each from scratch, and ``exact_dtv`` shares that walk between
+its two laws.  Hit probabilities use exact
 compounding via log1p/expm1 rather than any exponential approximation.
 """
 
@@ -81,29 +84,50 @@ def pmf(spec: BinomialSpec, k: int) -> float:
     return math.exp(log_pmf(spec, k))
 
 
-def pmf_vector(spec: BinomialSpec) -> np.ndarray:
-    """All masses pmf(0..c) as a float array, normalized to about 1e-13."""
-    c, r = spec.c, spec.r
-    if r == 0.0 or r == 1.0 or c <= _DIRECT_CAP:
-        return np.array([pmf(spec, k) for k in range(c + 1)])
-    # Incremental exact coefficient: one bigint update per k instead of a
-    # fresh comb computation, with the same per-entry values as pmf().
-    out = np.empty(c + 1)
+def _coefficients(c: int):
+    """Yield C(c, k) for k = 0..c, exactly, by the integer recurrence."""
     coefficient = 1
+    for k in range(c + 1):
+        yield coefficient
+        coefficient = coefficient * (c - k) // (k + 1)
+
+
+def pmf_vector(spec: BinomialSpec) -> np.ndarray:
+    """All masses pmf(0..c) as a float array, normalized to about 1e-13.
+
+    Each entry equals ``pmf(spec, k)`` exactly.
+    """
+    c, r = spec.c, spec.r
+    if c <= _DIRECT_CAP:
+        s = 1.0 - r
+        return np.array([
+            float(coefficient) * r**k * s ** (c - k)
+            for k, coefficient in enumerate(_coefficients(c))
+        ])
+    if r == 0.0 or r == 1.0:
+        return np.array([pmf(spec, k) for k in range(c + 1)])
     log_r = math.log(r)
     log_1r = math.log1p(-r)
-    for k in range(c + 1):
-        out[k] = math.exp(math.log(coefficient) + k * log_r + (c - k) * log_1r)
-        coefficient = coefficient * (c - k) // (k + 1)
-    return out
+    return np.array([
+        math.exp(math.log(coefficient) + k * log_r + (c - k) * log_1r)
+        for k, coefficient in enumerate(_coefficients(c))
+    ])
 
 
 def exact_dtv(a: BinomialSpec, b: BinomialSpec) -> float:
     """Half the L1 distance between two binomials on the same trial count."""
     if a.c != b.c:
         raise MismatchedSupport(f"trial counts differ: {a.c} vs {b.c}")
-    va, vb = pmf_vector(a), pmf_vector(b)
-    return 0.5 * math.fsum(abs(x - y) for x, y in zip(va.tolist(), vb.tolist()))
+    c = a.c
+    if c > _DIRECT_CAP:
+        va, vb = pmf_vector(a).tolist(), pmf_vector(b).tolist()
+        return 0.5 * math.fsum(abs(x - y) for x, y in zip(va, vb))
+    ra, sa, rb, sb = a.r, 1.0 - a.r, b.r, 1.0 - b.r
+    gaps = []
+    for k, coefficient in enumerate(_coefficients(c)):
+        whole = float(coefficient)
+        gaps.append(abs(whole * ra**k * sa ** (c - k) - whole * rb**k * sb ** (c - k)))
+    return 0.5 * math.fsum(gaps)
 
 
 def hit_prob(count: int, epsilon: float, n: int) -> float:

@@ -134,15 +134,27 @@ def _plan_from_file(path: str, mode: str):
         raise InvalidInput(f"malformed plan in {path}: {exc}") from exc
 
 
+def _int_list(value, what: str) -> list:
+    """``value`` if it is a JSON list of integers; anything else is a usage error."""
+    if not isinstance(value, list):
+        raise InvalidInput(f"{what} must be a list of integers, got {value!r}")
+    for v in value:
+        if type(v) is not int:
+            raise InvalidInput(f"{what} must hold only integers, got {v!r}")
+    return value
+
+
 def _plan_from_json(raw: dict, mode: str):
     if mode == "sseq":
         if "ell" not in raw:
             raise JuntaLabError("sseq mode expects an 'ell' list in the plan file")
-        return tasks.ElementQueryPlan.of(raw["ell"])
+        return tasks.ElementQueryPlan.of(_int_list(raw["ell"], "'ell'"))
     if mode == "sssq":
         if "T" not in raw:
             raise JuntaLabError("sssq mode expects a 'T' list of index lists")
-        sets = raw["T"]
+        if not isinstance(raw["T"], list):
+            raise InvalidInput(f"'T' must be a list of index lists, got {raw['T']!r}")
+        sets = [_int_list(T, "each query in 'T'") for T in raw["T"]]
         if "m" not in raw:
             m = max((max(T) for T in sets if T), default=1)
         elif type(raw["m"]) is int and raw["m"] >= 1:

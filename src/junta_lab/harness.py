@@ -260,9 +260,12 @@ def run_hidden_set_game(plan: AnyPlan, params: Params, trials: int, seed: int) -
     """Empirical advantage of the likelihood-threshold decider for a set or element plan.
 
     Each trial hides a set drawn at its side's inclusion rate (p on the yes
-    side, q on the no side), asks the oracle the plan once and lets
-    ``bayes_decide`` answer.  Element plans play the sseq game and set
-    plans the sssq game, each from its own stream.
+    side, q on the no side), asks the oracle the plan once and lets the
+    ``bayes_decide`` rule answer.  The decider's log-likelihood terms
+    depend only on the plan, so they are built once per game
+    (``tasks.bayes_decider``) and each trial only looks them up; the
+    answers are those of ``bayes_decide``.  Element plans play the sseq
+    game and set plans the sssq game, each from its own stream.
     """
     if isinstance(plan, ElementQueryPlan):
         mode, respond = "sseq", tasks.sseq_respond
@@ -270,12 +273,13 @@ def run_hidden_set_game(plan: AnyPlan, params: Params, trials: int, seed: int) -
         mode, respond = "sssq", tasks.sssq_respond
     base = RandomStream(Seed(seed), f"game-{mode}")
     sides = {YES: (base.child(YES), params.p), NO: (base.child(NO), params.q)}
+    decide = tasks.bayes_decider(plan, params)
 
     def says_yes(side: str, j: int, trial: int) -> bool:
         stream, inclusion = sides[side]
         hidden = sample_hidden(plan.m, inclusion, stream.child(str(j)), origin=side)
         response = respond(hidden, plan, params.epsilon, params.n, stream.child(f"r{j}"))
-        return tasks.bayes_decide(response, plan, params) == YES
+        return decide(response) == YES
 
     return _tally(trials, plan.cost, says_yes)
 
@@ -650,16 +654,22 @@ def lift_equivalence_sweep(config: ExperimentConfig) -> ExperimentReport:
 
 
 def good_m(config: ExperimentConfig) -> ExperimentReport:
-    """Monte-Carlo separation failure rate against the pairwise union bound."""
+    """Monte-Carlo separation failure rate against the pairwise union bound.
+
+    The plan X is fixed, so its far pairs (``tasks.far_pair_codes``) are
+    listed once; each draw of M is then one mask test per far pair, the
+    same verdict as ``tasks.is_separating``.
+    """
     params = config.params
     q_queries = 20
     plan_stream = RandomStream(Seed(config.seed), "goodM-plan")
     X = random_string_plan(params.n, q_queries, plan_stream, always_yes)
+    far_codes = tasks.far_pair_codes(X, params.tau)
     base = Seed(config.seed)
     bad = 0
     for j in range(config.trials):
         M = sample_addressing_set(params, base.mix(j))
-        if not tasks.is_separating(M, X, params.tau):
+        if not tasks.separates(M, far_codes):
             bad += 1
     frac = bad / config.trials
     bound = q_queries**2 * (1.5 - params.alpha) ** params.tau

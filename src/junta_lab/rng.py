@@ -43,12 +43,22 @@ class Seed:
         return self.value.to_bytes(8, "little")
 
 
+# pack_ints(v) for every v in [0, 255]: a 4-byte length of 1, then the byte.
+_BYTE_CODES = tuple(b"\x00\x00\x00\x01" + bytes((v,)) for v in range(256))
+
+
 def pack_ints(*values: int) -> bytes:
     """Length-prefixed big-endian encoding of non-negative integers.
 
     Unambiguous for arbitrary-precision values, so address indices larger
-    than 64 bits are safe payloads.
+    than 64 bits are safe payloads.  Payloads of single-byte values, the
+    common case, join precomputed encodings.
     """
+    if values and min(values) >= 0:
+        try:
+            return b"".join([_BYTE_CODES[v] for v in values])
+        except IndexError:
+            pass
     out = bytearray()
     for v in values:
         if v < 0:

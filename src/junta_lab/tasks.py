@@ -30,7 +30,7 @@ from itertools import product as iter_product
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .binom_stats import BinomialSpec, hit_prob, product_dtv
-from .boolfn import BitString, IndexSet, address_index, hamming
+from .boolfn import BitString, IndexSet, address_index
 from .errors import (
     BadM,
     DimensionMismatch,
@@ -421,17 +421,51 @@ def lift_equivalence_gap(A: IndexSet, plan: SetQueryPlan, epsilon: float, n: int
     return tv_distance(direct, lifted)
 
 
-def is_separating(M: IndexSet, X: StringQueryPlan, tau: int) -> bool:
-    """True iff every query pair at Hamming distance >= tau splits on M."""
+def far_pair_codes(X: StringQueryPlan, tau: int) -> tuple[int, ...]:
+    """XOR codes of the query pairs of X at Hamming distance >= tau.
+
+    A pair has equal projections on an addressing set M exactly when its
+    code is zero on M's coordinates, so these codes are all that
+    ``separates`` needs to test any M against X.
+    """
     if tau < 1:
         raise InvalidInput(f"tau must be positive, got {tau}")
-    queries = X.queries
-    addresses = [address_index(M, x) for x in queries]
-    for i in range(len(queries)):
-        for j in range(i + 1, len(queries)):
-            if hamming(queries[i], queries[j]) >= tau and addresses[i] == addresses[j]:
-                return False
-    return True
+    codes = [x.code for x in X.queries]
+    return tuple(
+        a ^ b
+        for i, a in enumerate(codes)
+        for b in codes[i + 1:]
+        if (a ^ b).bit_count() >= tau
+    )
+
+
+def separates(M: IndexSet, codes: Sequence[int]) -> bool:
+    """True iff no code in ``codes`` is zero on M's coordinates.
+
+    Codes are n-bit with coordinate 1 in the most significant bit, as in
+    ``BitString``, where n is M's universe size.
+    """
+    if not M.members:
+        raise InvalidInput("the addressing set must be non-empty")
+    n = M.universe_size
+    mask = 0
+    for i in M.members:
+        mask |= 1 << (n - i)
+    return all(code & mask for code in codes)
+
+
+def is_separating(M: IndexSet, X: StringQueryPlan, tau: int) -> bool:
+    """True iff every query pair at Hamming distance >= tau splits on M.
+
+    That is ``separates(M, far_pair_codes(X, tau))``; a caller testing many
+    M against one X lists the far-pair codes once.
+    """
+    codes = far_pair_codes(X, tau)
+    if M.universe_size != X.n:
+        raise DimensionMismatch(
+            f"universe {M.universe_size} does not match string length {X.n}"
+        )
+    return separates(M, codes)
 
 
 @dataclass(frozen=True)
@@ -623,6 +657,60 @@ def exact_optimal_advantage(
     return product_dtv(pairs)
 
 
+def _log_likelihood_rows(
+    plan: AnyPlan, inclusion: float, epsilon: float, n: int
+) -> list[tuple[float, ...]]:
+    """Per-element log-likelihood terms of a response under an inclusion rate.
+
+    Entry k of a row is the element's term when k of its slots answered 1.
+    An element plan has one row per element, in order, with one slot each
+    (entries for bit 0 and bit 1).  A set plan has one row per queried
+    element, in increasing order, with one slot per query holding it
+    (entries for k = 0..r).  A term of zero mass is -inf.
+    """
+
+    def log_mass(mass: float) -> float:
+        return math.log(mass) if mass > 0.0 else -math.inf
+
+    if isinstance(plan, ElementQueryPlan):
+        rows = []
+        for c in plan.counts:
+            hit = inclusion * hit_prob(c, epsilon, n)
+            rows.append((math.log1p(-hit) if hit < 1.0 else -math.inf, log_mass(hit)))
+        return rows
+    theta = coin_rate(epsilon, n)
+    rows = []
+    for j, positions in sorted(_slots_by_element(plan).items()):
+        r = len(positions)
+        hit = inclusion * hit_prob(r, epsilon, n)
+        row = [math.log1p(-hit) if hit < 1.0 else -math.inf]
+        for k in range(1, r + 1):
+            row.append(log_mass(inclusion * theta**k * (1.0 - theta) ** (r - k)))
+        rows.append(tuple(row))
+    return rows
+
+
+def _ones_counter(plan: AnyPlan) -> Callable:
+    """Map a response to its per-element counts of ones, aligned with the rows.
+
+    An element-query response is its own count vector.
+    """
+    if isinstance(plan, ElementQueryPlan):
+        return lambda response: response
+    slots = [positions for _, positions in sorted(_slots_by_element(plan).items())]
+    return lambda response: [sum(response[i][pos] for i, pos in positions) for positions in slots]
+
+
+def _sum_terms(rows: Sequence[tuple[float, ...]], ones: Sequence[int]) -> float:
+    """The sum of each row's term for its count, added in row order."""
+    if len(ones) != len(rows):
+        raise DimensionMismatch(f"response covers {len(ones)} elements, plan {len(rows)}")
+    total = 0.0
+    for row, k in zip(rows, ones):
+        total += row[k]
+    return total
+
+
 def response_log_likelihood(
     response: Union[SssqResponse, SseqResponse],
     plan: AnyPlan,
@@ -631,30 +719,26 @@ def response_log_likelihood(
     n: int,
 ) -> float:
     """Log-probability of an observed response under a given inclusion rate."""
-    theta = coin_rate(epsilon, n)
-    total = 0.0
-    if isinstance(plan, ElementQueryPlan):
-        for i, c in enumerate(plan.counts):
-            lam = hit_prob(c, epsilon, n)
-            hit = inclusion * lam
-            bit = response[i]
-            if bit and hit == 0.0:
-                return -math.inf
-            total += math.log(hit) if bit else math.log1p(-hit)
-        return total
-    slots = _slots_by_element(plan)
-    for j, positions in sorted(slots.items()):
-        r = len(positions)
-        k = sum(response[i][pos] for i, pos in positions)
-        if k == 0:
-            lam = hit_prob(r, epsilon, n)
-            total += math.log1p(-inclusion * lam)
-        else:
-            mass = inclusion * theta**k * (1.0 - theta) ** (r - k)
-            if mass == 0.0:
-                return -math.inf
-            total += math.log(mass)
-    return total
+    rows = _log_likelihood_rows(plan, inclusion, epsilon, n)
+    return _sum_terms(rows, _ones_counter(plan)(response))
+
+
+def bayes_decider(plan: AnyPlan, params: Params) -> Callable:
+    """``bayes_decide`` for one plan, with the work that depends only on the plan done once.
+
+    Builds the log-likelihood rows under p and under q (and, for a set
+    plan, each element's slots) up front; each call then counts ones per
+    element, looks the terms up and compares the two sums.
+    """
+    rows_yes = _log_likelihood_rows(plan, params.p, params.epsilon, params.n)
+    rows_no = _log_likelihood_rows(plan, params.q, params.epsilon, params.n)
+    ones_of = _ones_counter(plan)
+
+    def decide(response: Union[SssqResponse, SseqResponse]) -> str:
+        ones = ones_of(response)
+        return YES if _sum_terms(rows_yes, ones) >= _sum_terms(rows_no, ones) else NO
+
+    return decide
 
 
 def bayes_decide(
@@ -663,6 +747,4 @@ def bayes_decide(
     params: Params,
 ) -> str:
     """The likelihood-threshold decider between the two inclusion rates."""
-    ll_yes = response_log_likelihood(response, plan, params.p, params.epsilon, params.n)
-    ll_no = response_log_likelihood(response, plan, params.q, params.epsilon, params.n)
-    return YES if ll_yes >= ll_no else NO
+    return bayes_decider(plan, params)(response)

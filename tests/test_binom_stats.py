@@ -262,3 +262,24 @@ def test_summary_mean_shift_between_rates():
 def test_pmf_vector_normalizes(c, r):
     total = math.fsum(pmf_vector(BinomialSpec(c, r)))
     assert abs(total - 1.0) <= 1e-12
+
+
+_RATES = st.floats(min_value=0.0, max_value=1.0) | st.sampled_from([0.0, 1.0, 0.5, 1e-300, 1.0 - 2**-53])
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=st.integers(min_value=0, max_value=1000), r=_RATES, s=_RATES)
+def test_mass_vectors_equal_per_entry_pmf(c, r, s):
+    # The coefficient recurrence gives exactly pmf()'s floats, and exact_dtv
+    # exactly the fsum of their per-entry gaps.
+    a, b = BinomialSpec(c, r), BinomialSpec(c, s)
+    va = [pmf(a, k) for k in range(c + 1)]
+    vb = [pmf(b, k) for k in range(c + 1)]
+    assert pmf_vector(a).tolist() == va
+    assert exact_dtv(a, b) == 0.5 * math.fsum(abs(x - y) for x, y in zip(va, vb))
+
+
+def test_mass_vectors_above_the_direct_cap():
+    for c, r in ((1001, 0.3), (1500, 0.0), (1500, 1.0), (2000, 1e-3)):
+        spec = BinomialSpec(c, r)
+        assert pmf_vector(spec).tolist() == [pmf(spec, k) for k in range(c + 1)]

@@ -1,8 +1,13 @@
 """The command-line surface: every subcommand plus exit-code conventions."""
 
+import io
 import json
+import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from junta_lab import params as params_mod
 from junta_lab.boolfn import TruthTable
@@ -130,8 +135,14 @@ def test_game_rejects_unknown_decider(tmp_path, capsys, desk10_file):
         ("sseq", "{not json"),
         ("sseq", json.dumps({"ell": [1, "x"]})),
         ("sssq", json.dumps({"m": 0, "T": [[1, 2]]})),
+        ("sseq", json.dumps({"ell": [1.7, 2]})),
+        ("sseq", json.dumps({"ell": ["3", 2]})),
+        ("sseq", json.dumps({"ell": [True, 2]})),
+        ("sseq", '{"ell": [1e400]}'),
+        ("sssq", json.dumps({"T": [[1.5, 2]]})),
     ],
-    ids=["not-json", "non-integer-count", "zero-m"],
+    ids=["not-json", "non-integer-count", "zero-m", "float-count", "string-count",
+         "bool-count", "overflowing-count", "float-member"],
 )
 def test_game_rejects_malformed_plan(tmp_path, capsys, desk10_file, mode, text):
     plan = tmp_path / "plan.json"
@@ -140,6 +151,53 @@ def test_game_rejects_malformed_plan(tmp_path, capsys, desk10_file, mode, text):
         "game", "--mode", mode, "--plan", str(plan),
         "--params", desk10_file, "--trials", "10", "--seed", "5",
     ])
+
+
+# JSON values a plan file may hold.  Integers stay small: a huge "m" or
+# count is a resource limit, not a malformed input.  json.dumps writes the
+# non-finite floats as the Infinity and NaN tokens that json.loads reads.
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-2, max_value=12)
+    | st.sampled_from([0.5, 1.7, 2.0, math.inf, -math.inf, math.nan])
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from(["", "0", "x", "3", "0000000000", "1000000000", "0101", "parity_yes"])
+)
+_JSON_VALUES = st.recursive(_JSON_LEAVES, lambda inner: st.lists(inner, max_size=4), max_leaves=12)
+# Each mode's required key, then its optional keys.
+_PLAN_KEYS = {"sseq": ("ell", ["T"]), "sssq": ("T", ["m"]), "strings": ("X", ["decider"])}
+
+
+@pytest.mark.parametrize("mode", sorted(_PLAN_KEYS))
+def test_game_plan_fuzz(tmp_path_factory, mode):
+    """Any plan file either plays (exit 0) or is one clean usage error (exit 2)."""
+    work = tmp_path_factory.mktemp(f"fuzz-{mode}")
+    params_path = work / "desk10.cfg"
+    params_mod.save(desk_params(10), str(params_path))
+    plan_path = work / "plan.json"
+
+    required, optional = _PLAN_KEYS[mode]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.fixed_dictionaries(
+        {required: _JSON_VALUES}, optional={key: _JSON_VALUES for key in optional}
+    ))
+    def play(plan):
+        plan_path.write_text(json.dumps(plan), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([
+                "game", "--mode", mode, "--plan", str(plan_path),
+                "--params", str(params_path), "--trials", "2", "--seed", "1",
+            ])
+        if code == 0:
+            assert set(json.loads(out.getvalue())) >= {"advantage", "trials"}
+        else:
+            lines = err.getvalue().splitlines()
+            assert code == 2 and len(lines) == 1 and lines[0].startswith("error: "), lines
+
+    play()
 
 
 @pytest.mark.parametrize("trials", [1, 0, -3])

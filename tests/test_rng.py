@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from junta_lab import rng
 from junta_lab.errors import InvalidInput
@@ -72,6 +74,36 @@ def test_pack_ints_is_injective_on_tricky_cases():
 def test_pack_ints_rejects_negative():
     with pytest.raises(InvalidInput):
         pack_ints(-1)
+    with pytest.raises(InvalidInput):
+        pack_ints(5, -1)
+
+
+def general_encoding(*values: int) -> bytes:
+    """pack_ints by its definition: per value, a 4-byte length then the big-endian bytes."""
+    out = b""
+    for v in values:
+        body = v.to_bytes(max(1, (v.bit_length() + 7) // 8), "big")
+        out += len(body).to_bytes(4, "big") + body
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(
+    st.integers(min_value=0, max_value=255)
+    | st.sampled_from([0, 255, 256, 65535, 65536, 2**64, 2**100])
+    | st.integers(min_value=0, max_value=2**80),
+    max_size=12,
+))
+def test_pack_ints_equals_general_encoding(values):
+    assert pack_ints(*values) == general_encoding(*values)
+
+
+def test_pack_ints_boundaries():
+    assert pack_ints() == b""
+    assert pack_ints(255) == b"\x00\x00\x00\x01\xff"
+    assert pack_ints(256) == b"\x00\x00\x00\x02\x01\x00"
+    assert pack_ints(0, 255, 256) == general_encoding(0, 255, 256)
+    assert pack_ints(2**64, 3) == b"\x00\x00\x00\x09\x01" + bytes(8) + b"\x00\x00\x00\x01\x03"
 
 
 def test_long_role_labels_are_supported():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from junta_lab.boolfn import BitString, IndexSet, flip
+from junta_lab.boolfn import BitString, IndexSet, address_index, flip, hamming
 from junta_lab.errors import (
     BadM,
     DimensionMismatch,
@@ -16,6 +16,7 @@ from junta_lab.errors import (
     InvalidInput,
     TooLarge,
 )
+from junta_lab.harness import desk_params, run_hidden_set_game
 from junta_lab.params import DESK_SCALE, derive_params
 from junta_lab.rng import RandomStream, Seed
 from junta_lab.tasks import (
@@ -32,11 +33,13 @@ from junta_lab.tasks import (
     canonicalize_plan,
     exact_optimal_advantage,
     exact_response_distribution,
+    far_pair_codes,
     is_separating,
     lift_equivalence_gap,
     lift_response,
     lifted_response_distribution,
     response_log_likelihood,
+    separates,
     sample_hidden,
     set_plan_to_element_counts,
     simulate_distinguisher,
@@ -314,6 +317,40 @@ def test_is_separating_detects_hidden_far_pair():
     X = StringQueryPlan(queries=(BitString.from_text("000000"), y), decider=lambda b: YES)
     assert not is_separating(M, X, tau=4)
     assert is_separating(M, X, tau=5)
+
+
+def reference_is_separating(M, X, tau):
+    queries = X.queries
+    addresses = [address_index(M, x) for x in queries]
+    return not any(
+        hamming(queries[i], queries[j]) >= tau and addresses[i] == addresses[j]
+        for i in range(len(queries))
+        for j in range(i + 1, len(queries))
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_is_separating_equals_pairwise_reference(data):
+    n = data.draw(st.integers(min_value=1, max_value=10))
+    codes = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=8))
+    members = data.draw(st.sets(st.integers(1, n), min_size=1))
+    tau = data.draw(st.integers(min_value=1, max_value=n + 1))
+    X = StringQueryPlan(queries=tuple(BitString(n, c) for c in codes), decider=lambda b: YES)
+    M = IndexSet.of(n, members)
+    want = reference_is_separating(M, X, tau)
+    assert is_separating(M, X, tau) == want
+    assert separates(M, far_pair_codes(X, tau)) == want
+
+
+def test_is_separating_input_errors():
+    X = StringQueryPlan(queries=(BitString.from_text("0000"),), decider=lambda b: YES)
+    with pytest.raises(InvalidInput):
+        is_separating(IndexSet.of(4, [1]), X, tau=0)
+    with pytest.raises(InvalidInput):
+        is_separating(IndexSet.of(4, []), X, tau=1)
+    with pytest.raises(DimensionMismatch):
+        is_separating(IndexSet.of(5, [1]), X, tau=1)
 
 
 # ---------------------------------------------------------------- reduction
@@ -644,6 +681,110 @@ def test_log_likelihood_matches_law():
         for outcome, prob in law.items():
             ll = response_log_likelihood(outcome, plan, inclusion, PARAMS.epsilon, PARAMS.n)
             assert math.exp(ll) == pytest.approx(prob, rel=1e-9)
+
+
+def reference_log_likelihood(response, plan, inclusion, epsilon, n):
+    """The log-likelihood summed element by element, each term computed in place."""
+    theta = epsilon / math.sqrt(n)
+    total = 0.0
+    if isinstance(plan, ElementQueryPlan):
+        for i, c in enumerate(plan.counts):
+            hit = inclusion * hit_prob(c, epsilon, n)
+            bit = response[i]
+            if bit and hit == 0.0:
+                return -math.inf
+            total += math.log(hit) if bit else math.log1p(-hit)
+        return total
+    slots = {}
+    for i, T in enumerate(plan.queries):
+        for pos, j in enumerate(T.members):
+            slots.setdefault(j, []).append((i, pos))
+    for j, positions in sorted(slots.items()):
+        r = len(positions)
+        k = sum(response[i][pos] for i, pos in positions)
+        if k == 0:
+            total += math.log1p(-inclusion * hit_prob(r, epsilon, n))
+        else:
+            mass = inclusion * theta**k * (1.0 - theta) ** (r - k)
+            if mass == 0.0:
+                return -math.inf
+            total += math.log(mass)
+    return total
+
+
+def reference_decide(response, plan, params):
+    ll_yes = reference_log_likelihood(response, plan, params.p, params.epsilon, params.n)
+    ll_no = reference_log_likelihood(response, plan, params.q, params.epsilon, params.n)
+    return YES if ll_yes >= ll_no else NO
+
+
+def all_responses(plan):
+    if isinstance(plan, ElementQueryPlan):
+        return list(product((0, 1), repeat=plan.m))
+    sizes = [len(T) for T in plan.queries]
+    flat = product((0, 1), repeat=sum(sizes))
+    out = []
+    for bits in flat:
+        rows, at = [], 0
+        for size in sizes:
+            rows.append(tuple(bits[at:at + size]))
+            at += size
+        out.append(tuple(rows))
+    return out
+
+
+@pytest.mark.parametrize(
+    "plan",
+    [
+        ElementQueryPlan.of([2, 0, 1, 5]),
+        SetQueryPlan.of(4, [[1, 2], [], [2, 3], [2]]),
+        SetQueryPlan.of(3, [[1, 2, 3], [1, 2, 3], [3]]),
+    ],
+)
+def test_log_likelihood_equals_per_element_reference(plan):
+    for response in all_responses(plan):
+        for inclusion in (PARAMS.p, PARAMS.q, 0.0, 1.0):
+            got = response_log_likelihood(response, plan, inclusion, PARAMS.epsilon, PARAMS.n)
+            want = reference_log_likelihood(response, plan, inclusion, PARAMS.epsilon, PARAMS.n)
+            assert got == want
+        assert bayes_decide(response, plan, PARAMS) == reference_decide(response, plan, PARAMS)
+
+
+GAME_PARAMS = desk_params(10)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize(
+    "plan",
+    [
+        ElementQueryPlan.of([4] * GAME_PARAMS.m),
+        ElementQueryPlan.of([0, 3, 0, 1, 7, 0]),
+        SetQueryPlan.of(GAME_PARAMS.m, [range(1, GAME_PARAMS.m + 1)] * 4),
+        SetQueryPlan.of(6, [[1, 2, 3], [], [2, 4], [2], [2, 3]]),
+    ],
+    ids=["sseq-desk", "sseq-zero-counts", "sssq-desk", "sssq-empty-query"],
+)
+def test_hidden_set_game_equals_per_trial_loop(plan, seed):
+    """run_hidden_set_game plays the trials of the sample -> respond -> decide loop."""
+    params, trials = GAME_PARAMS, 300
+    if isinstance(plan, ElementQueryPlan):
+        mode, respond = "sseq", sseq_respond
+    else:
+        mode, respond = "sssq", sssq_respond
+    base = RandomStream(Seed(seed), f"game-{mode}")
+    hits = {}
+    for side, inclusion, count in ((YES, params.p, trials // 2), (NO, params.q, trials - trials // 2)):
+        stream = base.child(side)
+        hits[side] = 0
+        for j in range(count):
+            hidden = sample_hidden(plan.m, inclusion, stream.child(str(j)), origin=side)
+            response = respond(hidden, plan, params.epsilon, params.n, stream.child(f"r{j}"))
+            decision = reference_decide(response, plan, params)
+            assert bayes_decide(response, plan, params) == decision
+            hits[side] += decision == YES
+    result = run_hidden_set_game(plan, params, trials, seed)
+    assert (result.trials_yes, result.trials_no) == (trials // 2, trials - trials // 2)
+    assert result.advantage == hits[YES] / result.trials_yes - hits[NO] / result.trials_no
 
 
 def test_bayes_decide_runs():
