@@ -19,7 +19,9 @@ Games: it times the paths the ``games`` workload spends its time in
 against the per-call forms they replace.  ``exact_dtv`` over the 956 cells
 of the ``dtv_sweep`` bound sweep (desk n = 10) against the half-L1 sum of
 per-k ``pmf`` calls; the sseq and sssq games of the desk n = 10 plans
-(2000 trials) against a loop that calls ``bayes_decide`` on every trial;
+(2000 trials), which draw each side's trials as arrays and decide a
+block of trials at a time, against the scalar loop that samples, responds
+and decides one trial at a time on the same side streams;
 the goodM separation test (desk n = 12, 20 queries, 2000 draws of M)
 against pairwise Hamming distances and ``address_index`` equality; and
 ``pack_ints`` on fiber payloads of single-byte values against the general
@@ -30,7 +32,8 @@ distances, witnesses, per-direction counts, TV distances, game advantages,
 separation verdicts, payload bytes) and that the digest counts match their
 closed forms, and exits 1 if not.
 
-Writes BENCH_5.json at the root of the checkout.
+Writes BENCH_6.json at the root of the checkout (BENCH_2, BENCH_3 and
+BENCH_5.json are earlier runs).
 
 Usage: python scripts/bench.py
 """
@@ -59,18 +62,12 @@ from junta_lab.boolfn import (
     hamming,
     to_table,
 )
-from junta_lab.hardgen import (
-    RandomStream,
-    Seed,
-    sample_addressing_set,
-    sample_d2,
-    sample_no,
-    sample_yes,
-)
+from junta_lab.hardgen import sample_addressing_set, sample_d2, sample_no, sample_yes
 from junta_lab.harness import always_yes, desk_params, random_string_plan, run_hidden_set_game
 from junta_lab.junta_distance import dist_to_k_junta, max_disjoint_bichromatic_matching
+from junta_lab.rng import RandomStream, Seed
 
-OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_5.json"
+OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_6.json"
 SEED = 1
 COMPARED = (10, 12, 14, 16)
 FAST_ONLY = (20, 24)
@@ -225,20 +222,27 @@ def sweep_cells() -> list[tuple[BinomialSpec, BinomialSpec]]:
 
 
 def per_trial_game(plan, params, trials: int, seed: int) -> float:
-    """The hidden-set game with bayes_decide, and its plan-only work, on every trial."""
+    """The hidden-set game one trial at a time on each side's stream.
+
+    Each trial calls ``sample_hidden`` and then the oracle's respond
+    function on the side stream and asks ``bayes_decider``'s decide
+    function, built once per game: the scalar loop whose draws and
+    answers the batched game reproduces.
+    """
     if isinstance(plan, tasks.ElementQueryPlan):
         mode, respond = "sseq", tasks.sseq_respond
     else:
         mode, respond = "sssq", tasks.sssq_respond
     base = RandomStream(Seed(seed), f"game-{mode}")
+    decide = tasks.bayes_decider(plan, params)
     rates = {}
     for side, inclusion, count in ((tasks.YES, params.p, trials // 2),
                                    (tasks.NO, params.q, trials - trials // 2)):
         stream, hits = base.child(side), 0
-        for j in range(count):
-            hidden = tasks.sample_hidden(plan.m, inclusion, stream.child(str(j)), origin=side)
-            response = respond(hidden, plan, params.epsilon, params.n, stream.child(f"r{j}"))
-            hits += tasks.bayes_decide(response, plan, params) == tasks.YES
+        for _ in range(count):
+            hidden = tasks.sample_hidden(plan.m, inclusion, stream, origin=side)
+            response = respond(hidden, plan, params.epsilon, params.n, stream)
+            hits += decide(response) == tasks.YES
         rates[side] = hits / count
     return rates[tasks.YES] - rates[tasks.NO]
 

@@ -19,8 +19,9 @@ import sys
 from . import harness, params as params_mod, tasks
 from .boolfn import BitString, IndexSet, TruthTable
 from .errors import InvalidInput, JuntaLabError
-from .hardgen import RandomStream, Seed, sample_d1, sample_d2, sample_yes, sample_no
+from .hardgen import sample_d1, sample_d2, sample_yes, sample_no
 from .junta_distance import dist_to_k_junta
+from .rng import RandomStream, Seed
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

@@ -21,14 +21,9 @@ import numpy as np
 from .boolfn import NO_STYLE, YES_STYLE, IndexSet, StructuredFn, TruthTable, TABLE_CAP
 from .errors import EpsilonOutOfRange, TooLarge, WeightOutOfRange
 from .params import Params
-from .rng import RandomStream, Seed, derive_bit, derive_u64, pack_ints
+from .rng import RandomStream, Seed
 
 __all__ = [
-    "Seed",
-    "RandomStream",
-    "derive_bit",
-    "derive_u64",
-    "pack_ints",
     "sample_yes",
     "sample_no",
     "sample_conditioned",

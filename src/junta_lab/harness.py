@@ -32,8 +32,6 @@ from .boolfn import (
 )
 from .errors import InvalidInput
 from .hardgen import (
-    RandomStream,
-    Seed,
     sample_addressing_set,
     sample_d1,
     sample_d2,
@@ -41,7 +39,8 @@ from .hardgen import (
     sample_no,
 )
 from .junta_distance import dist_to_k_junta
-from .params import DESK_SCALE, Params, derive_params
+from .params import DESK_SCALE, Params, coin_rate, derive_params
+from .rng import RandomStream, Seed
 from .tasks import (
     NO,
     YES,
@@ -51,7 +50,6 @@ from .tasks import (
     StringQueryPlan,
     exact_optimal_advantage,
     lift_equivalence_gap,
-    sample_hidden,
 )
 
 # The set-game success threshold, exposed for experiments rather than
@@ -204,23 +202,23 @@ class ExperimentConfig:
 InstanceSampler = Callable[[Seed], object]
 
 
-def _tally(trials: int, cost: int, says_yes: Callable[[str, int, int], bool]) -> GameResult:
+def _tally(trials: int, cost: int, count_yes: Callable[[str, int, int], int]) -> GameResult:
     """Play a game's trials and summarize them as a GameResult.
 
     The first half (rounded down) of the trials go to the yes side, the
     rest to the no side, and each side needs at least one.
-    ``says_yes(side, j, trial)`` plays the side's j-th trial, which is
-    trial number ``trial`` of the whole game, and reports whether the
-    decider answered yes.  The 95% interval uses the normal approximation
-    with pooled variance.
+    ``count_yes(side, first, count)`` plays the side's ``count`` trials,
+    which are trials ``first`` to ``first + count - 1`` of the whole game,
+    and returns how many of them the decider answered yes.  The 95%
+    interval uses the normal approximation with pooled variance.
     """
     start = time.perf_counter()
     trials_yes = trials // 2
     trials_no = trials - trials_yes
     if trials_yes < 1 or trials_no < 1:
         raise InvalidInput(f"need at least 2 trials, got {trials}")
-    yes_hits = sum(1 for j in range(trials_yes) if says_yes(YES, j, j))
-    no_hits = sum(1 for j in range(trials_no) if says_yes(NO, j, trials_yes + j))
+    yes_hits = count_yes(YES, 0, trials_yes)
+    no_hits = count_yes(NO, trials_yes, trials_no)
     advantage = yes_hits / trials_yes - no_hits / trials_no
     pooled = (yes_hits + no_hits) / (trials_yes + trials_no)
     se = math.sqrt(pooled * (1.0 - pooled) * (1.0 / trials_yes + 1.0 / trials_no))
@@ -249,39 +247,112 @@ def run_game(
     base = Seed(seed)
     gens = {YES: gen_yes, NO: gen_no}
 
-    def says_yes(side: str, j: int, trial: int) -> bool:
-        f = gens[side](base.mix(trial))
-        return algorithm.decider(f.eval_many(algorithm.queries)) == YES
+    def count_yes(side: str, first: int, count: int) -> int:
+        return sum(
+            algorithm.decider(gens[side](base.mix(trial)).eval_many(algorithm.queries)) == YES
+            for trial in range(first, first + count)
+        )
 
-    return _tally(trials, algorithm.q, says_yes)
+    return _tally(trials, algorithm.q, count_yes)
+
+
+def _response_elements(plan: AnyPlan) -> np.ndarray:
+    """The element (0-based) that answers each bit of a flattened response.
+
+    A response flattens to its bits in order: an element response as it is,
+    a set response query after query.
+    """
+    if isinstance(plan, ElementQueryPlan):
+        return np.arange(plan.m)
+    return np.array([j - 1 for T in plan.queries for j in T.members], dtype=np.intp)
+
+
+def batch_bayes_decider(plan: AnyPlan, params: Params) -> Callable[[np.ndarray], np.ndarray]:
+    """``tasks.bayes_decider`` over a batch of responses, one flattened response per row.
+
+    The returned function takes a boolean array whose rows are responses
+    flattened as in ``_response_elements`` and returns a boolean array,
+    True where the decider answers yes.  Each element's count of ones picks
+    its term from the ``tasks._log_likelihood_rows`` tables, and the terms
+    are added in row order, one array add per element starting from 0.0:
+    the same float sums that ``tasks._sum_terms`` forms.  So every entry
+    equals ``tasks.bayes_decider(plan, params)`` on its row, ties and -inf
+    terms included.
+    """
+    tables = []
+    for inclusion in (params.p, params.q):
+        rows = tasks._log_likelihood_rows(plan, inclusion, params.epsilon, params.n)
+        tables.append([np.array(row) for row in rows])
+    # One entry per likelihood row: every element of an element plan, the
+    # queried elements of a set plan, each in increasing order.
+    elements = _response_elements(plan)
+    columns = [np.flatnonzero(elements == e) for e in sorted(set(elements.tolist()))]
+
+    def decide(bits: np.ndarray) -> np.ndarray:
+        ll_yes, ll_no = np.zeros(len(bits)), np.zeros(len(bits))
+        for row_yes, row_no, cols in zip(*tables, columns):
+            ones = np.count_nonzero(bits[:, cols], axis=1)
+            ll_yes += row_yes[ones]
+            ll_no += row_no[ones]
+        return ll_yes >= ll_no
+
+    return decide
+
+
+# Cells per block of a hidden-set game's uniform draws: 2^15 float64 cells
+# keep each float temporary at 256 KiB however many trials a game plays.
+GAME_BLOCK_CELLS = 1 << 15
 
 
 def run_hidden_set_game(plan: AnyPlan, params: Params, trials: int, seed: int) -> GameResult:
     """Empirical advantage of the likelihood-threshold decider for a set or element plan.
 
-    Each trial hides a set drawn at its side's inclusion rate (p on the yes
-    side, q on the no side), asks the oracle the plan once and lets the
-    ``bayes_decide`` rule answer.  The decider's log-likelihood terms
-    depend only on the plan, so they are built once per game
-    (``tasks.bayes_decider``) and each trial only looks them up; the
-    answers are those of ``bayes_decide``.  Element plans play the sseq
-    game and set plans the sssq game, each from its own stream.
+    Element plans play the sseq game and set plans the sssq game.  Each
+    side of a game has one stream, ``RandomStream(Seed(seed),
+    f"game-{mode}").child(side)``, and every trial of the side reads the
+    next ``m + width`` uniforms from it: first the m coins of
+    ``sample_hidden`` (element i joins the hidden set when its coin is
+    below the side's inclusion rate, p or q), then the ``width`` response
+    draws of ``sseq_respond`` (width m, one per element, compared with the
+    element's ``hit_prob``) or ``sssq_respond`` (width ``plan.cost``, one
+    per query slot in query order, compared with theta).  That is the
+    sequence a loop of ``sample_hidden(m, inclusion, stream)`` then
+    ``respond(hidden, plan, epsilon, n, stream)`` consumes.
+
+    The side draws its trials as C-order blocks of shape (rows, m + width),
+    each at most ``GAME_BLOCK_CELLS`` cells (at least one row), so memory
+    does not grow with ``trials``; consecutive blocks read the stream in
+    the same order, so the block size changes no output.  The rates are
+    computed once per game, and ``batch_bayes_decider`` decides every
+    trial of a block at once, exactly as ``bayes_decide`` would.
     """
+    m, epsilon, n = plan.m, params.epsilon, params.n
+    if m < 1:
+        raise InvalidInput(f"m must be positive, got {m}")
     if isinstance(plan, ElementQueryPlan):
-        mode, respond = "sseq", tasks.sseq_respond
+        mode = "sseq"
+        rates = np.array([binom_stats.hit_prob(c, epsilon, n) for c in plan.counts])
     else:
-        mode, respond = "sssq", tasks.sssq_respond
+        mode = "sssq"
+        rates = coin_rate(epsilon, n)
+    element_of = _response_elements(plan)
+    width = len(element_of)
+    rows_per_block = max(1, GAME_BLOCK_CELLS // (m + width))
     base = RandomStream(Seed(seed), f"game-{mode}")
-    sides = {YES: (base.child(YES), params.p), NO: (base.child(NO), params.q)}
-    decide = tasks.bayes_decider(plan, params)
+    inclusions = {YES: params.p, NO: params.q}
+    decide = batch_bayes_decider(plan, params)
 
-    def says_yes(side: str, j: int, trial: int) -> bool:
-        stream, inclusion = sides[side]
-        hidden = sample_hidden(plan.m, inclusion, stream.child(str(j)), origin=side)
-        response = respond(hidden, plan, params.epsilon, params.n, stream.child(f"r{j}"))
-        return decide(response) == YES
+    def count_yes(side: str, first: int, count: int) -> int:
+        stream = base.child(side)
+        yes = 0
+        for done in range(0, count, rows_per_block):
+            draws = stream.random((min(rows_per_block, count - done), m + width))
+            hidden = draws[:, :m] < inclusions[side]
+            bits = hidden[:, element_of] & (draws[:, m:] < rates)
+            yes += int(np.count_nonzero(decide(bits)))
+        return yes
 
-    return _tally(trials, plan.cost, says_yes)
+    return _tally(trials, plan.cost, count_yes)
 
 
 def _pool_size(f: StructuredFn) -> int:

@@ -9,6 +9,7 @@ bound.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -144,6 +145,8 @@ def dist_to_k_junta(f: TruthTable, k: int, epsilon: float | None = None) -> Dist
         raise TooLarge(f"n = {n} exceeds the exact-distance cap {DIST_CAP}")
     if not 0 <= k <= n:
         raise InvalidInput(f"k must be in [0, n], got {k}")
+    if epsilon is not None and not math.isfinite(epsilon):
+        raise InvalidInput(f"epsilon must be finite, got {epsilon}")
     fiber_size = 1 << (n - k)
     best: int | None = None
     witness: tuple[int, ...] = ()

@@ -191,6 +191,22 @@ def to_config_text(params: Params) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_field(name: str, value: str) -> object:
+    """A config value as its field's type; a malformed value is a usage error."""
+    try:
+        if name in _INT_FIELDS:
+            return int(value)
+        if name in _FLOAT_FIELDS:
+            return float(value)
+    except ValueError as exc:
+        raise InvalidInput(f"malformed config value: {exc}") from exc
+    if name == "warning":
+        if value not in ("true", "false"):
+            raise InvalidInput(f"warning must be true or false, got {value!r}")
+        return value == "true"
+    return value
+
+
 def from_config_text(text: str) -> Params:
     """Parse a config file and re-derive, rejecting corrupted records."""
     raw: dict[str, str] = {}
@@ -211,32 +227,22 @@ def from_config_text(text: str) -> Params:
     if unknown:
         raise InvalidInput(f"config has unknown fields: {sorted(unknown)}")
 
-    try:
-        n = int(raw["n"])
-        alpha = float(raw["alpha"])
-        epsilon = float(raw["epsilon"])
-        k = int(raw["k"])
-        mode = raw["mode"]
-    except ValueError as exc:
-        raise InvalidInput(f"malformed config value: {exc}") from exc
+    n, alpha, epsilon, k, mode = (
+        _parse_field(name, raw[name]) for name in ("n", "alpha", "epsilon", "k", "mode")
+    )
 
-    k_override = None
-    if mode == DESK_SCALE and k != math.floor(alpha * n + 1e-9):
-        k_override = k
-    derived = derive_params(n, alpha, epsilon, mode, k_override=k_override)
+    try:
+        _check_domain(n, alpha, epsilon, mode)
+        k_override = None
+        if mode == DESK_SCALE and k != math.floor(alpha * n + 1e-9):
+            k_override = k
+        derived = derive_params(n, alpha, epsilon, mode, k_override=k_override)
+    except OverflowError as exc:
+        raise InvalidInput(f"config values out of range: {exc}") from exc
 
     for f in fields(Params):
         value = raw[f.name]
-        if f.name in _INT_FIELDS:
-            parsed: object = int(value)
-        elif f.name in _FLOAT_FIELDS:
-            parsed = float(value)
-        elif f.name == "warning":
-            if value not in ("true", "false"):
-                raise InvalidInput(f"warning must be true or false, got {value!r}")
-            parsed = value == "true"
-        else:
-            parsed = value
+        parsed = _parse_field(f.name, value)
         if parsed != getattr(derived, f.name):
             raise InvalidInput(
                 f"config field {f.name} = {value!r} disagrees with derivation "

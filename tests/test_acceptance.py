@@ -21,7 +21,7 @@ from junta_lab.binom_stats import (
     tv_shift_bound,
 )
 from junta_lab.boolfn import BitString, IndexSet, flip, relevant_variables, to_table
-from junta_lab.hardgen import RandomStream, Seed, sample_conditioned, sample_yes
+from junta_lab.hardgen import sample_conditioned, sample_yes
 from junta_lab.harness import (
     SET_GAME_ADVANTAGE,
     ExperimentConfig,
@@ -31,6 +31,7 @@ from junta_lab.harness import (
 )
 from junta_lab.junta_distance import dist_to_k_junta
 from junta_lab.params import derive_params
+from junta_lab.rng import RandomStream, Seed
 from junta_lab.tasks import (
     YES,
     ElementQueryPlan,

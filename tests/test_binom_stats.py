@@ -28,8 +28,8 @@ from junta_lab.errors import (
     MismatchedSupport,
     TooLarge,
 )
-from junta_lab.hardgen import RandomStream, Seed
 from junta_lab.params import DESK_SCALE, derive_params
+from junta_lab.rng import RandomStream, Seed
 from junta_lab.tasks import ElementQueryPlan, HiddenSet, sseq_respond
 from junta_lab.boolfn import IndexSet
 

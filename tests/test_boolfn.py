@@ -22,8 +22,9 @@ from junta_lab.errors import (
     InvalidInput,
     TooLarge,
 )
-from junta_lab.hardgen import Seed, sample_no, sample_yes
+from junta_lab.hardgen import sample_no, sample_yes
 from junta_lab.params import DESK_SCALE, derive_params
+from junta_lab.rng import Seed
 
 
 def bitstrings(max_n=12):

@@ -200,6 +200,123 @@ def test_game_plan_fuzz(tmp_path_factory, mode):
     play()
 
 
+def assert_clean_exit(code, out, err):
+    """Exit 0 with JSON or PASS lines on stdout, or one ``error:`` line and exit 2."""
+    if code == 0:
+        assert out.strip(), "a successful run prints its result"
+    else:
+        lines = err.splitlines()
+        assert code == 2 and len(lines) == 1 and lines[0].startswith("error: "), (code, lines)
+
+
+def run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# Values a parameter-file field may be replaced with: malformed numbers,
+# non-finite and extreme floats, huge integers, the other fields' words.
+_CONFIG_TOKENS = (
+    st.sampled_from([
+        "", "x", "nan", "inf", "-inf", "1e400", "5e-324", "1" + "0" * 40, "9" * 5000,
+        "true", "false", "True", "strict", "desk_scale", "0.75", "= 3", "1_0", "0x10", "\u0663",
+    ])
+    | st.integers(min_value=-5, max_value=30).map(str)
+    | st.floats(allow_nan=True, allow_infinity=True).map(repr)
+    | st.text(max_size=6)
+)
+# One edit of the line list: replace a value, drop, duplicate, rename or insert a line.
+_CONFIG_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["value", "drop", "duplicate", "key", "insert"]),
+        st.integers(min_value=0, max_value=16),
+        _CONFIG_TOKENS,
+    ),
+    max_size=3,
+)
+
+
+def edited_config(text, edits):
+    lines = text.splitlines()
+    for op, at, token in edits:
+        at %= len(lines) + 1 if op == "insert" else max(len(lines), 1)
+        if op == "insert":
+            lines.insert(at, token)
+        elif not lines:
+            continue
+        elif op == "value":
+            lines[at] = lines[at].partition("=")[0] + "= " + token
+        elif op == "drop":
+            del lines[at]
+        elif op == "duplicate":
+            lines.insert(at, lines[at])
+        else:
+            lines[at] = token + " =" + lines[at].partition("=")[2]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("command", ["gen", "verify"])
+def test_params_file_fuzz(tmp_path_factory, command):
+    """Any parameter file either runs (exit 0) or is one clean usage error (exit 2)."""
+    work = tmp_path_factory.mktemp(f"fuzz-params-{command}")
+    params_path = work / "fuzz.cfg"
+    valid = params_mod.to_config_text(desk_params(10))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        _CONFIG_EDITS,
+        st.sampled_from(["yes", "no", "d1", "d2"]),
+        st.sampled_from(["claim53", "verify_yes", "sseq_curve"]),
+    )
+    def run(edits, dist, experiment):
+        params_path.write_text(edited_config(valid, edits), encoding="utf-8")
+        if command == "gen":
+            argv = ["gen", "--dist", dist, "--params", str(params_path), "--seed", "3"]
+        else:
+            argv = ["verify", "--experiment", experiment, "--params", str(params_path),
+                    "--trials", "2", "--seed", "3"]
+        assert_clean_exit(*run_captured(argv))
+
+    run()
+
+
+# Table files: a dimension line, then a line of bits, each drawn from
+# well-formed and malformed forms.
+_TABLE_HEADERS = (
+    st.integers(min_value=-2, max_value=26).map(lambda n: f"n={n}")
+    | st.sampled_from(["n=", "n=x", "n= 2", "m=2", "n=2.0", "n=1e3", "n=\u0663", "n=" + "9" * 5000, ""])
+)
+_TABLE_BITS = (
+    st.integers(min_value=0, max_value=4).flatmap(
+        lambda n: st.text(alphabet="01", min_size=1 << n, max_size=1 << n)
+    )
+    | st.text(alphabet="01x 2\t", max_size=20)
+)
+
+
+def test_table_file_fuzz(tmp_path_factory):
+    """Any table file either gives a distance (exit 0) or is one clean usage error (exit 2)."""
+    table_path = tmp_path_factory.mktemp("fuzz-table") / "fuzz.tbl"
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.tuples(_TABLE_HEADERS, _TABLE_BITS).map(lambda hb: f"{hb[0]}\n{hb[1]}\n")
+        | st.text(max_size=24),
+        st.integers(min_value=-1, max_value=5),
+        st.none() | st.sampled_from(["0.1", "0", "-1", "2", "nan", "inf", "-inf", "1e-400"]),
+    )
+    def run(text, k, eps):
+        table_path.write_text(text, encoding="utf-8")
+        argv = ["dist", "--table", str(table_path), f"--k={k}"]
+        if eps is not None:
+            argv.append(f"--eps={eps}")
+        assert_clean_exit(*run_captured(argv))
+
+    run()
+
+
 @pytest.mark.parametrize("trials", [1, 0, -3])
 @pytest.mark.parametrize(
     "mode, plan_json",
@@ -271,6 +388,11 @@ def test_usage_errors_exit_2(tmp_path, capsys, desk10_file):
     assert_usage_error(capsys, ["dist", "--table", str(binary), "--k", "1"])
     assert_usage_error(capsys, ["gen", "--dist", "yes", "--params", str(binary)])
     assert_usage_error(capsys, ["dist", "--table", str(tmp_path), "--k", "1"])
+    # and so is a farness threshold that is not a finite number
+    table = tmp_path / "f.tbl"
+    table.write_text("n=2\n0110\n")
+    for eps in ("nan", "inf", "-inf"):
+        assert_usage_error(capsys, ["dist", "--table", str(table), "--k", "1", f"--eps={eps}"])
 
 
 def test_cli_reproducibility(tmp_path, capsys, desk10_file):

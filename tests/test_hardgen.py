@@ -7,17 +7,9 @@ import pytest
 
 from junta_lab.boolfn import BitString, IndexSet, StructuredFn, TruthTable, to_table
 from junta_lab.errors import EpsilonOutOfRange, TooLarge, WeightOutOfRange
-from junta_lab.hardgen import (
-    RandomStream,
-    Seed,
-    derive_bit,
-    pack_ints,
-    sample_d1,
-    sample_d2,
-    sample_no,
-    sample_yes,
-)
+from junta_lab.hardgen import sample_d1, sample_d2, sample_no, sample_yes
 from junta_lab.params import DESK_SCALE, derive_params
+from junta_lab.rng import RandomStream, Seed, derive_bit, pack_ints
 
 
 def desk(n, epsilon=0.1):

@@ -7,7 +7,7 @@ import pytest
 
 from junta_lab.boolfn import BitString, TruthTable
 from junta_lab.errors import InvalidInput, TooLarge
-from junta_lab.hardgen import RandomStream, Seed, sample_yes
+from junta_lab.hardgen import sample_yes
 from junta_lab.harness import (
     DECIDERS,
     EXPERIMENTS,
@@ -26,6 +26,7 @@ from junta_lab.harness import (
     run_game,
     write_atomic,
 )
+from junta_lab.rng import RandomStream, Seed
 from junta_lab.tasks import NO, YES, StringQueryPlan
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from junta_lab.boolfn import BitString, IndexSet, TruthTable, bichromatic_edge_counts
 from junta_lab.errors import InvalidInput, TooLarge
-from junta_lab.hardgen import RandomStream, Seed, sample_d2
+from junta_lab.hardgen import sample_d2
 from junta_lab.junta_distance import (
     MatchingCertificate,
     dist_to_junta_on,
@@ -18,6 +18,7 @@ from junta_lab.junta_distance import (
     farness_from_matching,
     max_disjoint_bichromatic_matching,
 )
+from junta_lab.rng import RandomStream, Seed
 
 
 def table_from_fn(n, fn):
@@ -254,8 +255,9 @@ def test_matching_mass_when_v_meets_the_addressing_set():
     import math
 
     from junta_lab.boolfn import to_table
-    from junta_lab.hardgen import Seed, sample_no, sample_yes
+    from junta_lab.hardgen import sample_no, sample_yes
     from junta_lab.params import DESK_SCALE, derive_params
+    from junta_lab.rng import Seed
 
     params = derive_params(10, 0.75, 0.1, DESK_SCALE)
     n = params.n

@@ -124,6 +124,24 @@ def test_config_rejects_missing_and_unknown():
         from_config_text("\n".join(lines + ["bogus = 1"]))
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("m = 8", "m = "),
+        ("tau = 81", "tau = x"),
+        ("alpha = 0.75", "alpha = nan"),
+        ("n = 10", "n = 1" + "0" * 400),
+        ("epsilon = 0.1", "epsilon = 5e-324"),
+    ],
+    ids=["empty-int", "malformed-int", "nan-alpha", "huge-n", "tiny-epsilon"],
+)
+def test_config_rejects_malformed_and_out_of_range_values(old, new):
+    text = to_config_text(derive_params(10, 0.75, 0.1, DESK_SCALE))
+    assert old in text
+    with pytest.raises(InvalidInput):
+        from_config_text(text.replace(old, new))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(min_value=4, max_value=4096),

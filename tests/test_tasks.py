@@ -1,6 +1,7 @@
 """Oracle games, reductions, and exact response laws against brute force."""
 
 import math
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -16,7 +17,8 @@ from junta_lab.errors import (
     InvalidInput,
     TooLarge,
 )
-from junta_lab.harness import desk_params, run_hidden_set_game
+from junta_lab import harness
+from junta_lab.harness import Z_95, batch_bayes_decider, desk_params, run_hidden_set_game
 from junta_lab.params import DESK_SCALE, derive_params
 from junta_lab.rng import RandomStream, Seed
 from junta_lab.tasks import (
@@ -29,6 +31,7 @@ from junta_lab.tasks import (
     StringQueryPlan,
     Summary,
     bayes_decide,
+    bayes_decider,
     build_set_queries,
     canonicalize_plan,
     exact_optimal_advantage,
@@ -750,22 +753,52 @@ def test_log_likelihood_equals_per_element_reference(plan):
         assert bayes_decide(response, plan, PARAMS) == reference_decide(response, plan, PARAMS)
 
 
-GAME_PARAMS = desk_params(10)
+def flat_bits(responses, plan):
+    """Responses as the boolean rows ``batch_bayes_decider`` takes."""
+    if isinstance(plan, SetQueryPlan):
+        responses = [tuple(bit for row in response for bit in row) for response in responses]
+    return np.array(responses, dtype=bool).reshape(len(responses), -1)
 
 
-@pytest.mark.parametrize("seed", range(4))
+# theta = 2 / sqrt(4) = 1 and q = 1: hit rates of exactly 1, so -inf terms
+# on the no side, and -inf on both sides for a set element with k < r ones.
+CERTAIN_HITS = replace(desk(4), epsilon=2.0, q=1.0)
+
+
+@pytest.mark.parametrize("params", [PARAMS, CERTAIN_HITS], ids=["desk", "certain-hits"])
 @pytest.mark.parametrize(
     "plan",
     [
-        ElementQueryPlan.of([4] * GAME_PARAMS.m),
-        ElementQueryPlan.of([0, 3, 0, 1, 7, 0]),
-        SetQueryPlan.of(GAME_PARAMS.m, [range(1, GAME_PARAMS.m + 1)] * 4),
-        SetQueryPlan.of(6, [[1, 2, 3], [], [2, 4], [2], [2, 3]]),
+        ElementQueryPlan.of([2, 0, 1, 5]),
+        ElementQueryPlan.of([0, 0, 0]),
+        SetQueryPlan.of(4, [[1, 2], [], [2, 3], [2]]),
+        SetQueryPlan.of(3, [[1, 2, 3], [1, 2, 3], [3]]),
+        SetQueryPlan.of(2, [[]]),
     ],
-    ids=["sseq-desk", "sseq-zero-counts", "sssq-desk", "sssq-empty-query"],
+    ids=["sseq", "sseq-all-zero", "sssq-empty-query", "sssq-repeated", "sssq-no-slots"],
 )
+def test_batch_decider_equals_bayes_decider(plan, params):
+    """Every response of a small plan gets bayes_decider's answer, ties and -inf included."""
+    responses = all_responses(plan)
+    got = batch_bayes_decider(plan, params)(flat_bits(responses, plan))
+    decide = bayes_decider(plan, params)
+    assert got.tolist() == [decide(response) == YES for response in responses]
+
+
+GAME_PARAMS = desk_params(10)
+GAME_PLANS = [
+    ElementQueryPlan.of([4] * GAME_PARAMS.m),
+    ElementQueryPlan.of([0, 3, 0, 1, 7, 0]),
+    SetQueryPlan.of(GAME_PARAMS.m, [range(1, GAME_PARAMS.m + 1)] * 4),
+    SetQueryPlan.of(6, [[1, 2, 3], [], [2, 4], [2], [2, 3]]),
+]
+GAME_IDS = ["sseq-desk", "sseq-zero-counts", "sssq-desk", "sssq-empty-query"]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("plan", GAME_PLANS, ids=GAME_IDS)
 def test_hidden_set_game_equals_per_trial_loop(plan, seed):
-    """run_hidden_set_game plays the trials of the sample -> respond -> decide loop."""
+    """run_hidden_set_game plays the sample -> respond -> decide loop on each side's stream."""
     params, trials = GAME_PARAMS, 300
     if isinstance(plan, ElementQueryPlan):
         mode, respond = "sseq", sseq_respond
@@ -776,15 +809,42 @@ def test_hidden_set_game_equals_per_trial_loop(plan, seed):
     for side, inclusion, count in ((YES, params.p, trials // 2), (NO, params.q, trials - trials // 2)):
         stream = base.child(side)
         hits[side] = 0
-        for j in range(count):
-            hidden = sample_hidden(plan.m, inclusion, stream.child(str(j)), origin=side)
-            response = respond(hidden, plan, params.epsilon, params.n, stream.child(f"r{j}"))
+        for _ in range(count):
+            hidden = sample_hidden(plan.m, inclusion, stream, origin=side)
+            response = respond(hidden, plan, params.epsilon, params.n, stream)
             decision = reference_decide(response, plan, params)
             assert bayes_decide(response, plan, params) == decision
             hits[side] += decision == YES
     result = run_hidden_set_game(plan, params, trials, seed)
     assert (result.trials_yes, result.trials_no) == (trials // 2, trials - trials // 2)
     assert result.advantage == hits[YES] / result.trials_yes - hits[NO] / result.trials_no
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("plan", GAME_PLANS, ids=GAME_IDS)
+def test_hidden_set_game_matches_exact_advantage(plan, seed):
+    """The likelihood-threshold decider attains the exact optimum, so the estimate lies within 3 sigma."""
+    result = run_hidden_set_game(plan, GAME_PARAMS, 2000, seed)
+    sigma = (result.ci_high - result.ci_low) / (2 * Z_95)
+    exact = exact_optimal_advantage(plan, GAME_PARAMS)
+    assert abs(result.advantage - exact) <= 3 * sigma
+
+
+@pytest.mark.parametrize("plan", GAME_PLANS, ids=GAME_IDS)
+def test_hidden_set_game_block_size_changes_nothing(plan, monkeypatch):
+    """Blocks of a few rows read the side streams in the same order as one block."""
+    whole = run_hidden_set_game(plan, GAME_PARAMS, 301, 7)
+    monkeypatch.setattr(harness, "GAME_BLOCK_CELLS", 3 * (plan.m + plan.cost) + 1)
+    blocked = run_hidden_set_game(plan, GAME_PARAMS, 301, 7)
+    assert replace(blocked, wall_time=0.0) == replace(whole, wall_time=0.0)
+
+
+def test_hidden_set_game_rejects_degenerate_input():
+    with pytest.raises(InvalidInput):
+        run_hidden_set_game(ElementQueryPlan.of([]), GAME_PARAMS, 10, 0)
+    for trials in (1, 0, -3):
+        with pytest.raises(InvalidInput):
+            run_hidden_set_game(GAME_PLANS[0], GAME_PARAMS, trials, 0)
 
 
 def test_bayes_decide_runs():
