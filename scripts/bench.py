@@ -32,8 +32,15 @@ distances, witnesses, per-direction counts, TV distances, game advantages,
 separation verdicts, payload bytes) and that the digest counts match their
 closed forms, and exits 1 if not.
 
-Writes BENCH_6.json at the root of the checkout (BENCH_2, BENCH_3 and
-BENCH_5.json are earlier runs).
+Two more game cases time the paths that compute only what they read: the
+budget game (desk n = 14, epsilon = 0.01, 2000 trials), whose no side reads
+each trial's D1 table at the plan's queries, against the same game drawing
+every no-side trial's full 2^14 table with ``sample_d1``; and the bound
+sweep's 956 cells from shared Pascal rows and rate power tables
+(``binom_stats.dtv_from_tables``) against one ``exact_dtv`` call per cell.
+
+Writes BENCH_7.json at the root of the checkout (BENCH_2, BENCH_3, BENCH_5
+and BENCH_6.json are earlier runs).
 
 Usage: python scripts/bench.py
 """
@@ -52,8 +59,16 @@ from pathlib import Path
 
 import numpy as np
 
-from junta_lab import rng, tasks
-from junta_lab.binom_stats import BinomialSpec, exact_dtv, pmf, tv_shift_bound
+from junta_lab import harness, rng, tasks
+from junta_lab.binom_stats import (
+    BinomialSpec,
+    dtv_from_tables,
+    exact_dtv,
+    pascal_rows,
+    pmf,
+    rate_powers,
+    tv_shift_bound,
+)
 from junta_lab.boolfn import (
     BitString,
     TruthTable,
@@ -62,12 +77,19 @@ from junta_lab.boolfn import (
     hamming,
     to_table,
 )
-from junta_lab.hardgen import sample_addressing_set, sample_d2, sample_no, sample_yes
-from junta_lab.harness import always_yes, desk_params, random_string_plan, run_hidden_set_game
+from junta_lab.hardgen import sample_addressing_set, sample_d1, sample_d2, sample_no, sample_yes
+from junta_lab.harness import (
+    ExperimentConfig,
+    always_yes,
+    budget_game,
+    desk_params,
+    random_string_plan,
+    run_hidden_set_game,
+)
 from junta_lab.junta_distance import dist_to_k_junta, max_disjoint_bichromatic_matching
 from junta_lab.rng import RandomStream, Seed
 
-OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_6.json"
+OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_7.json"
 SEED = 1
 COMPARED = (10, 12, 14, 16)
 FAST_ONLY = (20, 24)
@@ -221,6 +243,32 @@ def sweep_cells() -> list[tuple[BinomialSpec, BinomialSpec]]:
     return cells
 
 
+def shared_table_sweep(cells) -> list[float]:
+    """The cells' distances as dtv_sweep computes them: c outer, one table set per rate pair."""
+    top = max(a.c for a, _ in cells)
+    powers = {}
+    by_count: dict[int, list] = {}
+    for a, b in cells:
+        by_count.setdefault(a.c, []).append((a.r, b.r))
+    out = []
+    for c, whole in pascal_rows(top):
+        for pair in by_count.get(c, ()):
+            if pair not in powers:
+                powers[pair] = (rate_powers(pair[0], top), rate_powers(pair[1], top))
+            out.append(dtv_from_tables(whole, *powers[pair]))
+    return out
+
+
+def full_table_budget_game(config) -> str:
+    """``budget_game`` with every no-side trial drawing its whole D1 table, as before point reads."""
+    point_reads = harness._D1Points
+    harness._D1Points = lambda n, epsilon, seed: sample_d1(n, epsilon, RandomStream(seed, "d1"))
+    try:
+        return budget_game(config).csv_text()
+    finally:
+        harness._D1Points = point_reads
+
+
 def per_trial_game(plan, params, trials: int, seed: int) -> float:
     """The hidden-set game one trial at a time on each side's stream.
 
@@ -298,10 +346,19 @@ def game_cases() -> tuple[list[dict], list[str]]:
         payloads.append((draw.randint(1, 16), size, *coords,
                          *(draw.randint(0, 1) for _ in coords)))
     cells = sweep_cells()
+    budget = ExperimentConfig(desk_params(14, epsilon=0.01), "game", GAME_TRIALS, SEED)
     pairs = [
         ("exact_dtv", f"{len(cells)} dtv_sweep cells, desk n = 10",
          lambda: [per_k_dtv(a, b) for a, b in cells],
          lambda: [exact_dtv(a, b) for a, b in cells]),
+        ("dtv_sweep_tables", f"{len(cells)} dtv_sweep cells, desk n = 10, shared tables "
+         "against one exact_dtv per cell",
+         lambda: [exact_dtv(a, b) for a, b in cells],
+         lambda: shared_table_sweep(cells)),
+        ("budget_game", f"desk n = 14, epsilon = 0.01, {GAME_TRIALS} trials, seed {SEED}, "
+         "D1 point reads against full sample_d1 tables",
+         lambda: full_table_budget_game(budget),
+         lambda: budget_game(budget).csv_text()),
         ("game_sseq", f"ell = [4] * {m}, desk n = 10, {GAME_TRIALS} trials, seed {SEED}",
          lambda: per_trial_game(plans["sseq"], p10, GAME_TRIALS, SEED),
          lambda: run_hidden_set_game(plans["sseq"], p10, GAME_TRIALS, SEED).advantage),

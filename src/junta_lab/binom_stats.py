@@ -5,8 +5,11 @@ round only when combining it with the rate powers, directly for small
 trial counts and through logs for large ones; whole-vector normalization
 stays within 1e-12 up to c = 10^4.  Whole mass vectors, in both regimes,
 walk the coefficients C(c, 0..c) by one exact integer recurrence instead
-of computing each from scratch, and ``exact_dtv`` shares that walk between
-its two laws.  Hit probabilities use exact
+of computing each from scratch.  Up to c = 1000 a mass vector is one
+float64 product of a coefficient row and two power tables, and
+``exact_dtv`` shares the row between its two laws; ``pascal_rows``,
+``rate_powers`` and ``dtv_from_tables`` let a sweep share rows across
+rates and power tables across trial counts.  Hit probabilities use exact
 compounding via log1p/expm1 rather than any exponential approximation.
 """
 
@@ -92,6 +95,57 @@ def _coefficients(c: int):
         coefficient = coefficient * (c - k) // (k + 1)
 
 
+def _coefficient_row(c: int) -> np.ndarray:
+    return np.array([float(v) for v in _coefficients(c)])
+
+
+def pascal_rows(top: int):
+    """Yield ``(c, float(C(c, 0..c)))`` for c = 0..top, one row at a time.
+
+    Each row comes from the previous one by exact integer additions and
+    is rounded to float64 once; only the current row is held.
+    """
+    row = [1]
+    for c in range(top + 1):
+        yield c, np.array([float(v) for v in row])
+        row = [1, *[x + y for x, y in zip(row, row[1:])], 1]
+
+
+def rate_powers(r: float, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(r**k, (1 - r)**k)`` for k = 0..top, each by Python's float ``**``.
+
+    ``**`` keeps ``0.0**0 == 1.0`` and the exact results that ``pmf`` uses;
+    numpy's vector ``power`` may round differently.
+    """
+    s = 1.0 - r
+    return np.array([r**k for k in range(top + 1)]), np.array([s**k for k in range(top + 1)])
+
+
+def _masses(whole: np.ndarray, powers: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """``(C(c, k) * r**k) * (1 - r)**(c - k)`` for k = 0..c, as ``pmf`` forms each one."""
+    c = len(whole) - 1
+    rk, sk = powers
+    return whole * rk[: c + 1] * sk[c::-1]
+
+
+def dtv_from_tables(
+    whole: np.ndarray,
+    powers_a: tuple[np.ndarray, np.ndarray],
+    powers_b: tuple[np.ndarray, np.ndarray],
+) -> float:
+    """``exact_dtv`` of Bin(c, a) and Bin(c, b) for c <= 1000 from shared tables.
+
+    ``whole`` is a ``pascal_rows`` row of length c + 1, and ``powers_a``
+    and ``powers_b`` are ``rate_powers`` tables of the two rates with at
+    least c + 1 entries, so callers that sweep many trial counts or pair
+    the same rates again compute each coefficient and power once.  The
+    per-k gaps are float64 products and differences, the same floats the
+    per-term formula gives, and ``math.fsum`` rounds their sum exactly.
+    """
+    gaps = np.abs(_masses(whole, powers_a) - _masses(whole, powers_b))
+    return 0.5 * math.fsum(gaps.tolist())
+
+
 def pmf_vector(spec: BinomialSpec) -> np.ndarray:
     """All masses pmf(0..c) as a float array, normalized to about 1e-13.
 
@@ -99,11 +153,7 @@ def pmf_vector(spec: BinomialSpec) -> np.ndarray:
     """
     c, r = spec.c, spec.r
     if c <= _DIRECT_CAP:
-        s = 1.0 - r
-        return np.array([
-            float(coefficient) * r**k * s ** (c - k)
-            for k, coefficient in enumerate(_coefficients(c))
-        ])
+        return _masses(_coefficient_row(c), rate_powers(r, c))
     if r == 0.0 or r == 1.0:
         return np.array([pmf(spec, k) for k in range(c + 1)])
     log_r = math.log(r)
@@ -115,19 +165,19 @@ def pmf_vector(spec: BinomialSpec) -> np.ndarray:
 
 
 def exact_dtv(a: BinomialSpec, b: BinomialSpec) -> float:
-    """Half the L1 distance between two binomials on the same trial count."""
+    """Half the L1 distance between two binomials on the same trial count.
+
+    Up to c = 1000 this is ``dtv_from_tables`` on the coefficient row and
+    the two rates' power tables; above, the half-L1 sum of the two
+    ``pmf_vector`` arrays.
+    """
     if a.c != b.c:
         raise MismatchedSupport(f"trial counts differ: {a.c} vs {b.c}")
     c = a.c
     if c > _DIRECT_CAP:
         va, vb = pmf_vector(a).tolist(), pmf_vector(b).tolist()
         return 0.5 * math.fsum(abs(x - y) for x, y in zip(va, vb))
-    ra, sa, rb, sb = a.r, 1.0 - a.r, b.r, 1.0 - b.r
-    gaps = []
-    for k, coefficient in enumerate(_coefficients(c)):
-        whole = float(coefficient)
-        gaps.append(abs(whole * ra**k * sa ** (c - k) - whole * rb**k * sb ** (c - k)))
-    return 0.5 * math.fsum(gaps)
+    return dtv_from_tables(_coefficient_row(c), rate_powers(a.r, c), rate_powers(b.r, c))
 
 
 def hit_prob(count: int, epsilon: float, n: int) -> float:

@@ -47,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     dist = sub.add_parser("dist", help="exact distance of a truth table to k-juntas")
     dist.add_argument("--table", required=True, help="truth table file")
     dist.add_argument("--k", type=int, required=True)
-    dist.add_argument("--eps", type=float)
+    dist.add_argument("--eps", type=float, help="farness threshold in (0, 1]")
 
     game = sub.add_parser("game", help="play a distinguishing game from a plan file")
     game.add_argument("--mode", required=True, choices=["sseq", "sssq", "strings"])

@@ -11,15 +11,18 @@ value of h once.
 
 The two tail distributions produce explicit truth tables: iid
 Bernoulli(3*epsilon) entries, or exactly round(2^n * epsilon) ones placed
-uniformly at random.
+uniformly at random.  ``sample_d1_at`` reads the D1 table at a few points
+without building it.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from .boolfn import NO_STYLE, YES_STYLE, IndexSet, StructuredFn, TruthTable, TABLE_CAP
-from .errors import EpsilonOutOfRange, TooLarge, WeightOutOfRange
+from .errors import EpsilonOutOfRange, InvalidInput, TooLarge, WeightOutOfRange
 from .params import Params
 from .rng import RandomStream, Seed
 
@@ -29,6 +32,7 @@ __all__ = [
     "sample_conditioned",
     "sample_addressing_set",
     "sample_d1",
+    "sample_d1_at",
     "sample_d2",
 ]
 
@@ -74,14 +78,41 @@ def sample_no(params: Params, seed: Seed) -> StructuredFn:
     return sample_conditioned(params, seed, M, params.q, NO_STYLE)
 
 
-def sample_d1(n: int, epsilon: float, stream: RandomStream) -> TruthTable:
-    """Each of the 2^n table bits is independently 1 with probability 3*epsilon."""
+def _check_d1(n: int, epsilon: float) -> None:
+    if n < 1:
+        raise InvalidInput(f"n must be positive, got {n}")
     if n > TABLE_CAP:
         raise TooLarge(f"n = {n} exceeds the truth-table cap {TABLE_CAP}")
     if not 0.0 < epsilon <= 0.2:
         raise EpsilonOutOfRange(f"epsilon must be in (0, 1/5], got {epsilon}")
+
+
+def sample_d1(n: int, epsilon: float, stream: RandomStream) -> TruthTable:
+    """Each of the 2^n table bits is independently 1 with probability 3*epsilon.
+
+    Entry ``code`` is 1 when the stream's uniform number ``code`` is below
+    3*epsilon.  ``sample_d1_at`` reads the same entries one at a time.
+    """
+    _check_d1(n, epsilon)
     bits = stream.bernoulli_mask(1 << n, 3.0 * epsilon)
     return TruthTable(n, bits.astype(np.uint8))
+
+
+def sample_d1_at(
+    n: int, epsilon: float, stream: RandomStream, codes: Sequence[int]
+) -> tuple[int, ...]:
+    """``sample_d1(n, epsilon, stream).table[codes]``, drawing only the entries read.
+
+    Codes may come in any order and repeat; each distinct code costs one
+    ``RandomStream.random_at`` draw instead of 2^n.
+    """
+    _check_d1(n, epsilon)
+    distinct = sorted(set(codes))
+    if distinct and not 0 <= distinct[0] <= distinct[-1] < 1 << n:
+        raise InvalidInput(f"codes must lie in [0, 2^{n}), got {distinct[0]}..{distinct[-1]}")
+    rate = 3.0 * epsilon
+    bit = {code: int(u < rate) for code, u in zip(distinct, stream.random_at(distinct))}
+    return tuple(bit[code] for code in codes)
 
 
 def sample_d2(n: int, epsilon: float, stream: RandomStream) -> TruthTable:

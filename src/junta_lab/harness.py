@@ -16,7 +16,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .errors import InvalidInput
 from .hardgen import (
     sample_addressing_set,
     sample_d1,
+    sample_d1_at,
     sample_d2,
     sample_yes,
     sample_no,
@@ -516,13 +517,34 @@ def verify_d2(config: ExperimentConfig) -> ExperimentReport:
     return _tail_experiment(config, "verify_d2")
 
 
+@dataclass(frozen=True)
+class _D1Points:
+    """The D1 table of one trial, read only at the points queried.
+
+    ``eval_many`` answers as ``sample_d1(n, epsilon, RandomStream(seed,
+    "d1"))`` would, through ``sample_d1_at`` on a fresh stream, so a trial
+    draws one uniform per distinct query instead of 2^n.
+    """
+
+    n: int
+    epsilon: float
+    seed: Seed
+
+    def eval_many(self, xs: Sequence[BitString]) -> tuple[int, ...]:
+        stream = RandomStream(self.seed, "d1")
+        return sample_d1_at(self.n, self.epsilon, stream, [x.code for x in xs])
+
+
 def budget_game(config: ExperimentConfig) -> ExperimentReport:
     """All-zero function versus the Bernoulli tail sampler at budget floor(1/(30 eps)).
 
     The plan queries uniformly random strings and answers yes on an
     all-zero reply; with this few queries the reply is almost always all
     zero on both sides, so the advantage must sit below the set-game
-    threshold.
+    threshold.  No-side trial ``i`` reads the D1 table of
+    ``RandomStream(Seed(seed).mix(i), "d1")`` at the plan's queries only
+    (``_D1Points``), so the result equals that of full ``sample_d1``
+    tables.
     """
     params = config.params
     n, epsilon = params.n, params.epsilon
@@ -535,7 +557,7 @@ def budget_game(config: ExperimentConfig) -> ExperimentReport:
     zero_fn = TruthTable.constant(n, 0)
     result = run_game(
         gen_yes=lambda seed: zero_fn,
-        gen_no=lambda seed: sample_d1(n, epsilon, RandomStream(seed, "d1")),
+        gen_no=lambda seed: _D1Points(n, epsilon, seed),
         algorithm=algorithm,
         trials=config.trials,
         seed=config.seed,
@@ -598,6 +620,10 @@ def dtv_sweep(config: ExperimentConfig) -> ExperimentReport:
 
     Sweep: every trial count up to 256 against a grid of hit rates, using
     the configured p and q; every applicable cell must respect the bound.
+    The cells share their tables: c walks the Pascal rows in the outer
+    loop, and each grid rate's power tables are computed once, so a cell's
+    exact distance is ``binom_stats.dtv_from_tables``, equal to
+    ``exact_dtv`` of its two laws.
     Curve: per-bin counts are fixed to the largest family valid at every
     grid scale, then the L-scaled exact distance must fall as n grows.
     """
@@ -606,10 +632,14 @@ def dtv_sweep(config: ExperimentConfig) -> ExperimentReport:
     p, q = params.p, params.q
 
     lam_grid = [0.001, 0.003, 0.01, 0.03, 0.1, 0.2, 0.4, 0.7, 1.0]
+    top = 256
+    powers = {}
     violations = 0
     applicable = 0
     worst_margin = math.inf
-    for c in range(1, 257):
+    rows = binom_stats.pascal_rows(top)
+    next(rows)  # c = 0 is not swept
+    for c, whole in rows:
         for lam in lam_grid:
             r = p * lam
             x = (q - p) * lam
@@ -619,9 +649,12 @@ def dtv_sweep(config: ExperimentConfig) -> ExperimentReport:
             if bound is None:
                 continue
             applicable += 1
-            exact = binom_stats.exact_dtv(
-                binom_stats.BinomialSpec(c, r), binom_stats.BinomialSpec(c, min(r + x, 1.0))
-            )
+            if lam not in powers:
+                powers[lam] = (
+                    binom_stats.rate_powers(r, top),
+                    binom_stats.rate_powers(min(r + x, 1.0), top),
+                )
+            exact = binom_stats.dtv_from_tables(whole, *powers[lam])
             margin = bound - exact
             if margin < worst_margin:
                 worst_margin = margin

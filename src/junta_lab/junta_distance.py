@@ -9,7 +9,6 @@ bound.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -138,15 +137,16 @@ def dist_to_k_junta(f: TruthTable, k: int, epsilon: float | None = None) -> Dist
     subset lattice (``_fiber_ones``) in which each step is one axis
     reduction, so no subset rescans the table.  Ties resolve to the
     lexicographically smallest witness, and the walk stops at the first
-    exact k-junta witness.
+    exact k-junta witness.  A given ``epsilon`` must lie in (0, 1], the
+    parameter domain; the report is far when the distance reaches it.
     """
     n = f.n
     if n > DIST_CAP:
         raise TooLarge(f"n = {n} exceeds the exact-distance cap {DIST_CAP}")
     if not 0 <= k <= n:
         raise InvalidInput(f"k must be in [0, n], got {k}")
-    if epsilon is not None and not math.isfinite(epsilon):
-        raise InvalidInput(f"epsilon must be finite, got {epsilon}")
+    if epsilon is not None and not 0.0 < epsilon <= 1.0:
+        raise InvalidInput(f"epsilon must be in (0, 1], got {epsilon}")
     fiber_size = 1 << (n - k)
     best: int | None = None
     witness: tuple[int, ...] = ()

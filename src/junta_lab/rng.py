@@ -114,6 +114,24 @@ class RandomStream:
     def random(self, size: int | None = None):
         return self._gen.random(size)
 
+    def random_at(self, positions) -> list[float]:
+        """The doubles ``random(size)`` would put at the given strictly increasing positions.
+
+        Each double takes one step of PCG64, so the stream jumps over each
+        gap with ``advance`` and draws one value per position; the stream
+        then stands just past the last position.
+        """
+        bit_generator = self._gen.bit_generator
+        out = []
+        at = 0
+        for pos in positions:
+            if pos < at:
+                raise InvalidInput(f"positions must be strictly increasing and >= 0, got {pos}")
+            bit_generator.advance(pos - at)
+            out.append(self._gen.random())
+            at = pos + 1
+        return out
+
     def integers(self, low: int, high: int) -> int:
         """Uniform integer in [low, high)."""
         return int(self._gen.integers(low, high))

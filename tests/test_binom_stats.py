@@ -10,12 +10,15 @@ from hypothesis import strategies as st
 from junta_lab.binom_stats import (
     BinomialSpec,
     bin_hit_prob,
+    dtv_from_tables,
     exact_dtv,
     hit_prob,
     log_pmf,
+    pascal_rows,
     pmf,
     pmf_vector,
     product_dtv_subadditivity,
+    rate_powers,
     summary_distribution,
     tv_shift_bound,
     tv_shift_param,
@@ -28,6 +31,7 @@ from junta_lab.errors import (
     MismatchedSupport,
     TooLarge,
 )
+from junta_lab.harness import ExperimentConfig, desk_params, dtv_sweep
 from junta_lab.params import DESK_SCALE, derive_params
 from junta_lab.rng import RandomStream, Seed
 from junta_lab.tasks import ElementQueryPlan, HiddenSet, sseq_respond
@@ -283,3 +287,77 @@ def test_mass_vectors_above_the_direct_cap():
     for c, r in ((1001, 0.3), (1500, 0.0), (1500, 1.0), (2000, 1e-3)):
         spec = BinomialSpec(c, r)
         assert pmf_vector(spec).tolist() == [pmf(spec, k) for k in range(c + 1)]
+
+
+def per_term_dtv(a, b):
+    """exact_dtv for c <= 1000 as one scalar term per k: the reference the tables must equal."""
+    c = a.c
+    ra, sa, rb, sb = a.r, 1.0 - a.r, b.r, 1.0 - b.r
+    gaps = []
+    for k in range(c + 1):
+        whole = float(math.comb(c, k))
+        gaps.append(abs(whole * ra**k * sa ** (c - k) - whole * rb**k * sb ** (c - k)))
+    return 0.5 * math.fsum(gaps)
+
+
+def test_pascal_rows_are_the_rounded_coefficients():
+    for c, row in pascal_rows(300):
+        assert row.tolist() == [float(math.comb(c, k)) for k in range(c + 1)]
+    assert c == 300
+
+
+def test_dtv_sweep_cells_equal_the_per_term_form():
+    # Every cell of dtv_sweep's bound sweep at desk n = 10, read from the
+    # shared row and power tables, equals the per-term reference exactly,
+    # and so do the sweep's cell count, violations and worst margin.
+    params = desk_params(10)
+    p, q = params.p, params.q
+    lam_grid = (0.001, 0.003, 0.01, 0.03, 0.1, 0.2, 0.4, 0.7, 1.0)
+    powers = {}
+    for lam in lam_grid:
+        r, x = p * lam, (q - p) * lam
+        powers[lam] = (rate_powers(r, 256), rate_powers(min(r + x, 1.0), 256))
+    cells, violations, worst = 0, 0, math.inf
+    for c, row in pascal_rows(256):
+        for lam in lam_grid:
+            r, x = p * lam, (q - p) * lam
+            if c == 0 or not 0.0 < r < 1.0:
+                continue
+            bound = tv_shift_bound(x, c, r)
+            if bound is None:
+                continue
+            a, b = BinomialSpec(c, r), BinomialSpec(c, min(r + x, 1.0))
+            reference = per_term_dtv(a, b)
+            assert dtv_from_tables(row, *powers[lam]) == reference, (c, lam)
+            assert exact_dtv(a, b) == reference
+            cells += 1
+            violations += reference > bound
+            worst = min(worst, bound - reference)
+    assert cells == 956
+    report = dtv_sweep(ExperimentConfig(params, "dtv_sweep", 1, 1))
+    sweep = report.rows[0]
+    assert (sweep["cells"], sweep["violations"], sweep["worst_margin"]) == (cells, violations, worst)
+
+
+@settings(max_examples=80, deadline=None)
+@given(c=st.integers(min_value=0, max_value=1000), r=_RATES, s=_RATES)
+def test_exact_dtv_equals_the_per_term_form(c, r, s):
+    a, b = BinomialSpec(c, r), BinomialSpec(c, s)
+    assert exact_dtv(a, b) == per_term_dtv(a, b)
+
+
+def test_dtv_tables_at_the_clipped_rates():
+    # r = 0 and r' = 1 (dtv_sweep's min(r + x, 1.0) clip): 0.0**0 stays 1.0.
+    zero, one = rate_powers(0.0, 1000), rate_powers(1.0, 1000)
+    assert zero[0][0] == 1.0 and one[1][0] == 1.0
+    for c in (0, 1, 2, 17, 999, 1000):
+        a, b = BinomialSpec(c, 0.0), BinomialSpec(c, 1.0)
+        expected = 0.0 if c == 0 else 1.0
+        assert exact_dtv(a, b) == per_term_dtv(a, b) == expected
+        for r in (0.3, 1.0 - 2**-53, 1e-300):
+            mid = BinomialSpec(c, r)
+            assert exact_dtv(mid, b) == per_term_dtv(mid, b)
+            assert exact_dtv(a, mid) == per_term_dtv(a, mid)
+    rows = dict(pascal_rows(40))
+    assert dtv_from_tables(rows[40], rate_powers(0.25, 1000), one) == per_term_dtv(
+        BinomialSpec(40, 0.25), BinomialSpec(40, 1.0))

@@ -388,10 +388,10 @@ def test_usage_errors_exit_2(tmp_path, capsys, desk10_file):
     assert_usage_error(capsys, ["dist", "--table", str(binary), "--k", "1"])
     assert_usage_error(capsys, ["gen", "--dist", "yes", "--params", str(binary)])
     assert_usage_error(capsys, ["dist", "--table", str(tmp_path), "--k", "1"])
-    # and so is a farness threshold that is not a finite number
+    # and so is a farness threshold outside (0, 1]
     table = tmp_path / "f.tbl"
     table.write_text("n=2\n0110\n")
-    for eps in ("nan", "inf", "-inf"):
+    for eps in ("nan", "inf", "-inf", "-1", "0", "1e-400", "1.5"):
         assert_usage_error(capsys, ["dist", "--table", str(table), "--k", "1", f"--eps={eps}"])
 
 

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from junta_lab.boolfn import BitString, IndexSet, StructuredFn, TruthTable, to_table
-from junta_lab.errors import EpsilonOutOfRange, TooLarge, WeightOutOfRange
-from junta_lab.hardgen import sample_d1, sample_d2, sample_no, sample_yes
+from junta_lab.errors import EpsilonOutOfRange, InvalidInput, TooLarge, WeightOutOfRange
+from junta_lab.hardgen import sample_d1, sample_d1_at, sample_d2, sample_no, sample_yes
 from junta_lab.params import DESK_SCALE, derive_params
 from junta_lab.rng import RandomStream, Seed, derive_bit, pack_ints
 
@@ -133,6 +135,57 @@ def test_d1_determinism_and_domain():
         sample_d1(8, 0.0, RandomStream(Seed(5), "x"))
     with pytest.raises(TooLarge):
         sample_d1(25, 0.05, RandomStream(Seed(5), "x"))
+    with pytest.raises(InvalidInput):
+        sample_d1(-1, 0.05, RandomStream(Seed(5), "x"))
+
+
+@st.composite
+def d1_reads(draw):
+    n = draw(st.integers(min_value=1, max_value=14))
+    top = (1 << n) - 1
+    codes = draw(st.lists(st.integers(min_value=0, max_value=top), max_size=8))
+    # both ends of the table, shuffled in among repeats
+    codes = draw(st.permutations(codes + [0, top] + codes[:2]))
+    epsilon = draw(st.sampled_from([0.2, 0.1, 0.01, 2.0**-20]) | st.floats(1e-6, 0.2))
+    return n, epsilon, codes
+
+
+@settings(max_examples=60, deadline=None)
+@given(read=d1_reads(), seed=st.integers(min_value=0, max_value=2**64 - 1))
+def test_d1_point_reads_equal_the_full_table(read, seed):
+    n, epsilon, codes = read
+    table = sample_d1(n, epsilon, RandomStream(Seed(seed), "d1")).table
+    points = sample_d1_at(n, epsilon, RandomStream(Seed(seed), "d1"), codes)
+    assert points == tuple(int(b) for b in table[codes])
+
+
+def test_d1_point_reads_compare_strictly():
+    # An entry whose uniform equals 3 * epsilon exactly is 0 in both forms.
+    n = 6
+    full = RandomStream(Seed(9), "d1").random(1 << n).tolist()
+    for code, u in enumerate(full):
+        third = u / 3.0
+        exact = [e for e in (third, math.nextafter(third, 0.0), math.nextafter(third, 1.0))
+                 if 3.0 * e == u and 0.0 < e <= 0.2]
+        if exact:
+            break
+    epsilon = exact[0]
+    assert sample_d1(n, epsilon, RandomStream(Seed(9), "d1")).table[code] == 0
+    assert sample_d1_at(n, epsilon, RandomStream(Seed(9), "d1"), [code]) == (0,)
+
+
+def test_d1_point_reads_domain():
+    stream = RandomStream(Seed(5), "x")
+    assert sample_d1_at(8, 0.05, stream, []) == ()
+    with pytest.raises(EpsilonOutOfRange):
+        sample_d1_at(8, 0.25, stream, [1])
+    with pytest.raises(EpsilonOutOfRange):
+        sample_d1_at(8, 0.0, stream, [1])
+    with pytest.raises(TooLarge):
+        sample_d1_at(25, 0.05, stream, [1])
+    for n, codes in ((0, [0]), (8, [256]), (8, [3, -1])):
+        with pytest.raises(InvalidInput):
+            sample_d1_at(n, 0.05, stream, codes)
 
 
 def test_d2_exact_weight():

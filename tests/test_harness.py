@@ -7,7 +7,8 @@ import pytest
 
 from junta_lab.boolfn import BitString, TruthTable
 from junta_lab.errors import InvalidInput, TooLarge
-from junta_lab.hardgen import sample_yes
+from junta_lab import harness
+from junta_lab.hardgen import sample_d1, sample_yes
 from junta_lab.harness import (
     DECIDERS,
     EXPERIMENTS,
@@ -183,6 +184,40 @@ def test_budget_game_small():
     row = report.rows[0]
     assert row["budget"] == 3
     assert row["ci_high"] < SET_GAME_ADVANTAGE
+
+
+def budget_config(seed, trials=2000):
+    return ExperimentConfig(
+        params=desk_params(14, epsilon=0.01), experiment="game", trials=trials, seed=seed
+    )
+
+
+def test_budget_game_equals_full_table_game(monkeypatch):
+    # The no side reads D1 at the plan's queries only; the reference draws
+    # each trial's whole 2^14 table with sample_d1, as the game did before.
+    fast = [run_experiment(budget_config(seed)).csv_text() for seed in range(4)]
+    monkeypatch.setattr(
+        harness, "_D1Points",
+        lambda n, epsilon, seed: sample_d1(n, epsilon, RandomStream(seed, "d1")),
+    )
+    assert fast == [run_experiment(budget_config(seed)).csv_text() for seed in range(4)]
+
+
+def test_budget_game_matches_exact_advantage():
+    # The zero function always answers all zeros, and a D1 table answers
+    # d distinct queries all zero with probability (1 - 3 eps)^d, so the
+    # all-zero decider's exact advantage is 1 - (1 - 3 eps)^d.
+    epsilon, trials = 0.01, 2000
+    for seed in range(6):
+        plan = random_string_plan(
+            14, 3, RandomStream(Seed(seed), "budget-game-plan"), all_zero_yes
+        )
+        distinct = len({x.code for x in plan.queries})
+        all_zero = (1.0 - 3.0 * epsilon) ** distinct
+        exact = 1.0 - all_zero
+        sigma = math.sqrt(all_zero * exact / (trials - trials // 2))
+        advantage = run_experiment(budget_config(seed, trials)).rows[0]["advantage"]
+        assert abs(advantage - exact) <= 3.0 * sigma, (seed, advantage, exact)
 
 
 def test_sseq_curve_small():

@@ -293,3 +293,12 @@ def test_caps_and_validation():
         max_disjoint_bichromatic_matching(XOR2, [])
     with pytest.raises(InvalidInput):
         dist_to_k_junta(XOR2, 3)
+
+
+def test_farness_threshold_outside_the_parameter_domain_is_rejected():
+    # A threshold of 0 or below made every table "far", one above 1 none.
+    for epsilon in (-1.0, 0.0, 1e-400, 1.5, float("nan"), float("inf")):
+        with pytest.raises(InvalidInput):
+            dist_to_k_junta(XOR2, 1, epsilon=epsilon)
+    assert dist_to_k_junta(XOR2, 0, epsilon=1.0).far is False
+    assert dist_to_k_junta(TruthTable.constant(2, 1), 0, epsilon=5e-324).far is False

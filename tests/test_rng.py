@@ -142,3 +142,28 @@ def test_sample_without_replacement():
     picked = stream.sample_without_replacement(10, 4)
     assert len(set(int(v) for v in picked)) == 4
     assert all(0 <= v < 10 for v in picked)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    positions=st.sets(st.integers(min_value=0, max_value=4095), max_size=12),
+)
+def test_random_at_equals_the_full_draw(seed, positions):
+    full = RandomStream(Seed(seed), "r").random(4096)
+    ordered = sorted(positions)
+    assert RandomStream(Seed(seed), "r").random_at(ordered) == [full[p] for p in ordered]
+
+
+def test_random_at_leaves_the_stream_past_the_last_position():
+    full = RandomStream(Seed(2), "r").random(10)
+    stream = RandomStream(Seed(2), "r")
+    assert stream.random_at([0, 3]) == [full[0], full[3]]
+    assert stream.random(2).tolist() == full[4:6].tolist()
+    assert RandomStream(Seed(2), "r").random_at([]) == []
+
+
+def test_random_at_rejects_unsorted_or_negative_positions():
+    for positions in ([3, 1], [2, 2], [-1]):
+        with pytest.raises(InvalidInput):
+            RandomStream(Seed(2), "r").random_at(positions)
