@@ -273,16 +273,17 @@ def per_trial_game(plan, params, trials: int, seed: int) -> float:
     """The hidden-set game one trial at a time on each side's stream.
 
     Each trial calls ``sample_hidden`` and then the oracle's respond
-    function on the side stream and asks ``bayes_decider``'s decide
-    function, built once per game: the scalar loop whose draws and
-    answers the batched game reproduces.
+    function on the side stream and asks ``tasks.bayes_decide``: the
+    scalar loop whose draws and answers the batched game reproduces.
+    ``bayes_decide`` builds the likelihood tables on every call (it is the
+    batched decider on a one-row batch), so this reference costs more per
+    trial than the per-game decider that ``BENCH_7.json`` timed.
     """
     if isinstance(plan, tasks.ElementQueryPlan):
         mode, respond = "sseq", tasks.sseq_respond
     else:
         mode, respond = "sssq", tasks.sssq_respond
     base = RandomStream(Seed(seed), f"game-{mode}")
-    decide = tasks.bayes_decider(plan, params)
     rates = {}
     for side, inclusion, count in ((tasks.YES, params.p, trials // 2),
                                    (tasks.NO, params.q, trials - trials // 2)):
@@ -290,7 +291,7 @@ def per_trial_game(plan, params, trials: int, seed: int) -> float:
         for _ in range(count):
             hidden = tasks.sample_hidden(plan.m, inclusion, stream, origin=side)
             response = respond(hidden, plan, params.epsilon, params.n, stream)
-            hits += decide(response) == tasks.YES
+            hits += tasks.bayes_decide(response, plan, params) == tasks.YES
         rates[side] = hits / count
     return rates[tasks.YES] - rates[tasks.NO]
 

@@ -28,7 +28,7 @@ from .errors import (
     MismatchedSupport,
     TooLarge,
 )
-from .params import Params, coin_rate
+from .params import coin_rate
 
 # Leading constant of the total-variation shift bound, validated by the
 # exhaustive desk sweep in the test suite.  If a sweep cell ever fails,
@@ -210,6 +210,8 @@ def tv_shift_param(x: float, c: int, r: float) -> float:
         raise DegenerateRate(f"rate must be strictly inside (0, 1), got {r}")
     if c < 0:
         raise InvalidInput(f"trial count must be non-negative, got {c}")
+    if not x >= 0.0:
+        raise InvalidInput(f"rate shift must be non-negative, got {x}")
     return x * math.sqrt((c + 2) / (2.0 * r * (1.0 - r)))
 
 
@@ -246,23 +248,3 @@ def product_dtv(pairs: Sequence[tuple[BinomialSpec, BinomialSpec]]) -> float:
         joint_a = np.kron(joint_a, pmf_vector(a))
         joint_b = np.kron(joint_b, pmf_vector(b))
     return 0.5 * float(np.abs(joint_a - joint_b).sum())
-
-
-def product_dtv_subadditivity(
-    pairs: Sequence[tuple[BinomialSpec, BinomialSpec]],
-) -> tuple[float, float]:
-    """(exact TV of the product distributions, sum of the marginal TVs).
-
-    The first is always at most the second.
-    """
-    joint = product_dtv(pairs)
-    return joint, sum(exact_dtv(a, b) for a, b in pairs)
-
-
-def summary_distribution(c_j: int, inclusion: float, j: int, params: Params) -> BinomialSpec:
-    """Law of one summary coordinate: Bin(c_j, inclusion * bin hit probability)."""
-    if c_j < 0:
-        raise InvalidInput(f"bin size must be non-negative, got {c_j}")
-    if not 0.0 <= inclusion <= 1.0:
-        raise InvalidInput(f"inclusion must be in [0, 1], got {inclusion}")
-    return BinomialSpec(c_j, inclusion * bin_hit_prob(j, params.epsilon, params.n))

@@ -10,7 +10,7 @@ addressing set contributes the most significant bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -281,9 +281,6 @@ class StructuredFn:
         """h_address at the assignment ``bits`` of ``coords``, as ``eval`` derives it."""
         payload = pack_ints(address, len(coords), *coords, *bits)
         return derive_bit(self.seed, _H_ROLE, payload, 0.5)
-
-
-BoolFn = Union[TruthTable, StructuredFn]
 
 
 def to_table(f: StructuredFn) -> TruthTable:

@@ -17,6 +17,7 @@ without building it.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -117,8 +118,12 @@ def sample_d1_at(
 
 def sample_d2(n: int, epsilon: float, stream: RandomStream) -> TruthTable:
     """Exactly round(2^n * epsilon) ones at uniform positions without replacement."""
+    if n < 1:
+        raise InvalidInput(f"n must be positive, got {n}")
     if n > TABLE_CAP:
         raise TooLarge(f"n = {n} exceeds the truth-table cap {TABLE_CAP}")
+    if not math.isfinite(epsilon):
+        raise InvalidInput(f"epsilon must be finite, got {epsilon}")
     size = 1 << n
     weight = round(size * epsilon)
     if not 1 <= weight <= size:

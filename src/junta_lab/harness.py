@@ -257,49 +257,6 @@ def run_game(
     return _tally(trials, algorithm.q, count_yes)
 
 
-def _response_elements(plan: AnyPlan) -> np.ndarray:
-    """The element (0-based) that answers each bit of a flattened response.
-
-    A response flattens to its bits in order: an element response as it is,
-    a set response query after query.
-    """
-    if isinstance(plan, ElementQueryPlan):
-        return np.arange(plan.m)
-    return np.array([j - 1 for T in plan.queries for j in T.members], dtype=np.intp)
-
-
-def batch_bayes_decider(plan: AnyPlan, params: Params) -> Callable[[np.ndarray], np.ndarray]:
-    """``tasks.bayes_decider`` over a batch of responses, one flattened response per row.
-
-    The returned function takes a boolean array whose rows are responses
-    flattened as in ``_response_elements`` and returns a boolean array,
-    True where the decider answers yes.  Each element's count of ones picks
-    its term from the ``tasks._log_likelihood_rows`` tables, and the terms
-    are added in row order, one array add per element starting from 0.0:
-    the same float sums that ``tasks._sum_terms`` forms.  So every entry
-    equals ``tasks.bayes_decider(plan, params)`` on its row, ties and -inf
-    terms included.
-    """
-    tables = []
-    for inclusion in (params.p, params.q):
-        rows = tasks._log_likelihood_rows(plan, inclusion, params.epsilon, params.n)
-        tables.append([np.array(row) for row in rows])
-    # One entry per likelihood row: every element of an element plan, the
-    # queried elements of a set plan, each in increasing order.
-    elements = _response_elements(plan)
-    columns = [np.flatnonzero(elements == e) for e in sorted(set(elements.tolist()))]
-
-    def decide(bits: np.ndarray) -> np.ndarray:
-        ll_yes, ll_no = np.zeros(len(bits)), np.zeros(len(bits))
-        for row_yes, row_no, cols in zip(*tables, columns):
-            ones = np.count_nonzero(bits[:, cols], axis=1)
-            ll_yes += row_yes[ones]
-            ll_no += row_no[ones]
-        return ll_yes >= ll_no
-
-    return decide
-
-
 # Cells per block of a hidden-set game's uniform draws: 2^15 float64 cells
 # keep each float temporary at 256 KiB however many trials a game plays.
 GAME_BLOCK_CELLS = 1 << 15
@@ -324,8 +281,9 @@ def run_hidden_set_game(plan: AnyPlan, params: Params, trials: int, seed: int) -
     each at most ``GAME_BLOCK_CELLS`` cells (at least one row), so memory
     does not grow with ``trials``; consecutive blocks read the stream in
     the same order, so the block size changes no output.  The rates are
-    computed once per game, and ``batch_bayes_decider`` decides every
-    trial of a block at once, exactly as ``bayes_decide`` would.
+    computed once per game, and ``tasks.batch_bayes_decider`` decides
+    every trial of a block at once, exactly as ``tasks.bayes_decide``
+    would decide each on its own.
     """
     m, epsilon, n = plan.m, params.epsilon, params.n
     if m < 1:
@@ -336,12 +294,12 @@ def run_hidden_set_game(plan: AnyPlan, params: Params, trials: int, seed: int) -
     else:
         mode = "sssq"
         rates = coin_rate(epsilon, n)
-    element_of = _response_elements(plan)
+    element_of = tasks.response_elements(plan)
     width = len(element_of)
     rows_per_block = max(1, GAME_BLOCK_CELLS // (m + width))
     base = RandomStream(Seed(seed), f"game-{mode}")
     inclusions = {YES: params.p, NO: params.q}
-    decide = batch_bayes_decider(plan, params)
+    decide = tasks.batch_bayes_decider(plan, params)
 
     def count_yes(side: str, first: int, count: int) -> int:
         stream = base.child(side)

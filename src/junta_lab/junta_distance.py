@@ -55,24 +55,6 @@ class MatchingCertificate:
     size: int
     edges: tuple[tuple[BitString, int], ...]
 
-    def validate(self, f: TruthTable) -> None:
-        """Raise unless every edge is bichromatic, in-direction, and disjoint."""
-        if self.size != len(self.edges):
-            raise InvalidInput("certificate size disagrees with its edge list")
-        seen: set[int] = set()
-        allowed = set(self.V.members)
-        n = f.n
-        for x, direction in self.edges:
-            if direction not in allowed:
-                raise InvalidInput(f"direction {direction} not in V")
-            y = x.code ^ (1 << (n - direction))
-            if f.table[x.code] == f.table[y]:
-                raise InvalidInput(f"edge at {x} direction {direction} is monochromatic")
-            if x.code in seen or y in seen:
-                raise InvalidInput("certificate edges share a vertex")
-            seen.add(x.code)
-            seen.add(y)
-
 
 def _as_indexset(J: IndexSet | Sequence[int], n: int) -> IndexSet:
     if isinstance(J, IndexSet):
@@ -256,16 +238,3 @@ def max_disjoint_bichromatic_matching(f: TruthTable, V: IndexSet | Sequence[int]
         (BitString(n, x), mask_to_dir[x ^ y]) for x, y in sorted(match.items())
     )
     return MatchingCertificate(V=V, size=len(edges), edges=edges)
-
-
-def farness_from_matching(cert: MatchingCertificate, epsilon: float, n: int) -> bool:
-    """True iff the certificate size reaches epsilon * 2^n.
-
-    When true, every function depending on no direction in V disagrees
-    with f on at least epsilon * 2^n points: each certificate edge flips a
-    direction such a function ignores, so it contributes one disagreement,
-    and the edges share no vertices.  Exact rational comparison.
-    """
-    if n < 1:
-        raise InvalidInput(f"n must be positive, got {n}")
-    return Fraction(cert.size, 1 << n) >= Fraction(epsilon)

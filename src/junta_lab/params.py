@@ -217,7 +217,10 @@ def from_config_text(text: str) -> Params:
         if "=" not in line:
             raise InvalidInput(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
-        raw[key.strip()] = value.strip()
+        key = key.strip()
+        if key in raw:
+            raise InvalidInput(f"line {lineno}: field {key!r} is repeated")
+        raw[key] = value.strip()
 
     expected = {f.name for f in fields(Params)}
     missing = expected - raw.keys()

@@ -13,7 +13,10 @@ The two reductions implemented here: string plans collapse to set plans
 through the addressing-set equivalence classes (with the per-class
 selected-coordinate simulation), and set plans collapse to element plans
 through per-element multiplicity counting (with an exact conditional
-lifting of the single response bit back to per-query bits).
+lifting of the single response bit back to per-query bits).  The
+likelihood-threshold decider between the two inclusion rates,
+``batch_bayes_decider`` (and ``bayes_decide`` on one response), is the
+only reader of the per-element log-likelihood tables.
 
 Outcome conventions: a set-query response is a tuple of per-query bit
 tuples aligned with the sorted members of each query; an element-query
@@ -28,6 +31,8 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+
+import numpy as np
 
 from .binom_stats import BinomialSpec, hit_prob, product_dtv
 from .boolfn import BitString, IndexSet, address_index
@@ -139,13 +144,6 @@ class StringQueryPlan:
     @property
     def n(self) -> int:
         return self.queries[0].length
-
-
-@dataclass(frozen=True)
-class Summary:
-    """Per-bin popcounts of an element-query response."""
-
-    counts: tuple[int, ...]
 
 
 def sample_hidden(
@@ -598,34 +596,6 @@ def simulate_distinguisher(
     return X.decider(tuple(bits))
 
 
-def summarize(b: Sequence[int], bins: Sequence[IndexSet | Sequence[int]]) -> Summary:
-    """Per-bin popcounts of an element-query response."""
-    m = len(b)
-    seen: set[int] = set()
-    counts = []
-    for one_bin in bins:
-        members = tuple(one_bin.members) if isinstance(one_bin, IndexSet) else tuple(one_bin)
-        for i in members:
-            if not 1 <= i <= m:
-                raise DimensionMismatch(f"bin member {i} outside [1, {m}]")
-            if i in seen:
-                raise DimensionMismatch(f"bins overlap at element {i}")
-            seen.add(i)
-        counts.append(sum(int(b[i - 1]) for i in members))
-    return Summary(tuple(counts))
-
-
-def canonicalize_plan(ell: ElementQueryPlan) -> ElementQueryPlan:
-    """Round positive counts up to powers of two and sort them decreasing.
-
-    The cost at most doubles; plans already in that shape are fixed points.
-    """
-    rounded = sorted(
-        (1 << (c - 1).bit_length() for c in ell.counts if c > 0), reverse=True
-    )
-    return ElementQueryPlan.of(rounded + [0] * (ell.m - len(rounded)))
-
-
 def exact_optimal_advantage(
     plan: AnyPlan,
     params: Params,
@@ -690,53 +660,46 @@ def _log_likelihood_rows(
     return rows
 
 
-def _ones_counter(plan: AnyPlan) -> Callable:
-    """Map a response to its per-element counts of ones, aligned with the rows.
+def response_elements(plan: AnyPlan) -> np.ndarray:
+    """The element (0-based) that answers each bit of a flattened response.
 
-    An element-query response is its own count vector.
+    A response flattens to its bits in order: an element response as it is,
+    a set response query after query.
     """
     if isinstance(plan, ElementQueryPlan):
-        return lambda response: response
-    slots = [positions for _, positions in sorted(_slots_by_element(plan).items())]
-    return lambda response: [sum(response[i][pos] for i, pos in positions) for positions in slots]
+        return np.arange(plan.m)
+    return np.array([j - 1 for T in plan.queries for j in T.members], dtype=np.intp)
 
 
-def _sum_terms(rows: Sequence[tuple[float, ...]], ones: Sequence[int]) -> float:
-    """The sum of each row's term for its count, added in row order."""
-    if len(ones) != len(rows):
-        raise DimensionMismatch(f"response covers {len(ones)} elements, plan {len(rows)}")
-    total = 0.0
-    for row, k in zip(rows, ones):
-        total += row[k]
-    return total
+def batch_bayes_decider(plan: AnyPlan, params: Params) -> Callable[[np.ndarray], np.ndarray]:
+    """The likelihood-threshold decider between the two inclusion rates, over a batch.
 
-
-def response_log_likelihood(
-    response: Union[SssqResponse, SseqResponse],
-    plan: AnyPlan,
-    inclusion: float,
-    epsilon: float,
-    n: int,
-) -> float:
-    """Log-probability of an observed response under a given inclusion rate."""
-    rows = _log_likelihood_rows(plan, inclusion, epsilon, n)
-    return _sum_terms(rows, _ones_counter(plan)(response))
-
-
-def bayes_decider(plan: AnyPlan, params: Params) -> Callable:
-    """``bayes_decide`` for one plan, with the work that depends only on the plan done once.
-
-    Builds the log-likelihood rows under p and under q (and, for a set
-    plan, each element's slots) up front; each call then counts ones per
-    element, looks the terms up and compares the two sums.
+    The returned function takes a boolean array whose rows are responses
+    flattened as in ``response_elements`` and returns a boolean array, True
+    where the decider answers yes: where the response's log-likelihood
+    under p is at least its log-likelihood under q.  Each element's count of
+    ones picks its term from the ``_log_likelihood_rows`` tables, and the
+    terms are added in row order, one array add per element starting from
+    0.0, so a row's answer does not depend on the rest of its batch.  Ties,
+    two -inf sums included, answer yes.  The tables are built once, when
+    the decider is made.
     """
-    rows_yes = _log_likelihood_rows(plan, params.p, params.epsilon, params.n)
-    rows_no = _log_likelihood_rows(plan, params.q, params.epsilon, params.n)
-    ones_of = _ones_counter(plan)
+    tables = []
+    for inclusion in (params.p, params.q):
+        rows = _log_likelihood_rows(plan, inclusion, params.epsilon, params.n)
+        tables.append([np.array(row) for row in rows])
+    # One entry per likelihood row: every element of an element plan, the
+    # queried elements of a set plan, each in increasing order.
+    elements = response_elements(plan)
+    columns = [np.flatnonzero(elements == e) for e in sorted(set(elements.tolist()))]
 
-    def decide(response: Union[SssqResponse, SseqResponse]) -> str:
-        ones = ones_of(response)
-        return YES if _sum_terms(rows_yes, ones) >= _sum_terms(rows_no, ones) else NO
+    def decide(bits: np.ndarray) -> np.ndarray:
+        ll_yes, ll_no = np.zeros(len(bits)), np.zeros(len(bits))
+        for row_yes, row_no, cols in zip(*tables, columns):
+            ones = np.count_nonzero(bits[:, cols], axis=1)
+            ll_yes += row_yes[ones]
+            ll_no += row_no[ones]
+        return ll_yes >= ll_no
 
     return decide
 
@@ -746,5 +709,11 @@ def bayes_decide(
     plan: AnyPlan,
     params: Params,
 ) -> str:
-    """The likelihood-threshold decider between the two inclusion rates."""
-    return bayes_decider(plan, params)(response)
+    """The likelihood-threshold decider on one response: a one-row ``batch_bayes_decider``."""
+    if isinstance(plan, SetQueryPlan):
+        response = [bit for row in response for bit in row]
+    width = len(response_elements(plan))
+    if len(response) != width:
+        raise DimensionMismatch(f"response has {len(response)} bits, plan {width} slots")
+    bits = np.array(response, dtype=bool).reshape(1, width)
+    return YES if batch_bayes_decider(plan, params)(bits)[0] else NO

@@ -17,7 +17,7 @@ from junta_lab.binom_stats import (
     BinomialSpec,
     exact_dtv,
     pmf_vector,
-    product_dtv_subadditivity,
+    product_dtv,
     tv_shift_bound,
 )
 from junta_lab.boolfn import BitString, IndexSet, flip, relevant_variables, to_table
@@ -39,7 +39,6 @@ from junta_lab.tasks import (
     SssqSession,
     StringQueryPlan,
     build_set_queries,
-    canonicalize_plan,
     exact_optimal_advantage,
     is_separating,
     lift_equivalence_gap,
@@ -177,8 +176,8 @@ def test_subadditivity_of_product_tv():
                 pairs.append(
                     (BinomialSpec(c, float(rng.random())), BinomialSpec(c, float(rng.random())))
                 )
-            joint, marginal_sum = product_dtv_subadditivity(pairs)
-            assert joint <= marginal_sum + 1e-12, trial
+            joint = product_dtv(pairs)
+            assert joint <= sum(exact_dtv(a, b) for a, b in pairs) + 1e-12, trial
 
 
 def test_reduction_cost_accounting():
@@ -201,9 +200,6 @@ def test_reduction_cost_accounting():
 
             counts = set_plan_to_element_counts(plan.set_plan)
             assert counts.cost == plan.set_plan.cost
-
-            canon = canonicalize_plan(counts)
-            assert counts.cost <= canon.cost <= 2 * max(counts.cost, 1)
             checked += 1
         assert checked == 100
 

@@ -17,9 +17,8 @@ from junta_lab.binom_stats import (
     pascal_rows,
     pmf,
     pmf_vector,
-    product_dtv_subadditivity,
+    product_dtv,
     rate_powers,
-    summary_distribution,
     tv_shift_bound,
     tv_shift_param,
     TV_BOUND_CONSTANT,
@@ -132,6 +131,10 @@ def test_tv_shift_param():
         tv_shift_param(0.1, 2, 0.0)
     with pytest.raises(DegenerateRate):
         tv_shift_param(0.1, 2, 1.0)
+    # the bound compares Bin(c, r) with Bin(c, r + x) for x >= 0 only
+    for x in (-0.05, -1e-300, math.nan):
+        with pytest.raises(InvalidInput):
+            tv_shift_param(x, 10, 0.3)
 
 
 def test_tv_shift_bound_applicability():
@@ -163,15 +166,12 @@ def test_bound_dominates_exact_dtv_on_sweep():
 
 def test_subadditivity_single_pair_is_equality():
     a, b = BinomialSpec(4, 0.2), BinomialSpec(4, 0.6)
-    joint, total = product_dtv_subadditivity([(a, b)])
-    assert joint == pytest.approx(total, abs=1e-15)
-    assert joint == pytest.approx(exact_dtv(a, b), abs=1e-15)
+    assert product_dtv([(a, b)]) == pytest.approx(exact_dtv(a, b), abs=1e-15)
 
 
 def test_subadditivity_identical_pairs():
     a = BinomialSpec(3, 0.4)
-    joint, total = product_dtv_subadditivity([(a, a), (a, a)])
-    assert joint == 0.0 and total == 0.0
+    assert product_dtv([(a, a), (a, a)]) == 0.0 and exact_dtv(a, a) == 0.0
 
 
 def test_subadditivity_random_triples():
@@ -181,24 +181,23 @@ def test_subadditivity_random_triples():
         for _ in range(3):
             c = int(rng.integers(1, 6))
             pairs.append((BinomialSpec(c, float(rng.random())), BinomialSpec(c, float(rng.random()))))
-        joint, total = product_dtv_subadditivity(pairs)
-        assert joint <= total + 1e-12
+        assert product_dtv(pairs) <= sum(exact_dtv(a, b) for a, b in pairs) + 1e-12
 
 
 def test_subadditivity_caps():
     big = BinomialSpec(2000, 0.5)
     with pytest.raises(TooLarge):
-        product_dtv_subadditivity([(big, big), (big, big)])
+        product_dtv([(big, big), (big, big)])
     with pytest.raises(InvalidInput):
-        product_dtv_subadditivity([])
+        product_dtv([])
     with pytest.raises(MismatchedSupport):
-        product_dtv_subadditivity([(BinomialSpec(1, 0.5), BinomialSpec(2, 0.5))])
+        product_dtv([(BinomialSpec(1, 0.5), BinomialSpec(2, 0.5))])
 
 
 def test_summary_distribution_degenerate():
     params = derive_params(10, 0.75, 0.1, DESK_SCALE)
-    spec = summary_distribution(0, params.p, 0, params)
-    assert spec.c == 0 and pmf(spec, 0) == 1.0
+    spec = BinomialSpec(0, params.p * bin_hit_prob(0, params.epsilon, params.n))
+    assert pmf(spec, 0) == 1.0
 
 
 def _chi_square_quantile(df: int, alpha: float = 1e-3) -> float:
@@ -213,7 +212,7 @@ def test_summary_counts_match_binomial_law():
     params = derive_params(64, 0.75, 0.3, DESK_SCALE)
     j, c_j = 1, 6
     plan = ElementQueryPlan.uniform(c_j, 1 << j)
-    spec = summary_distribution(c_j, params.p, j, params)
+    spec = BinomialSpec(c_j, params.p * bin_hit_prob(j, params.epsilon, params.n))
     rounds = 10_000
     base = RandomStream(Seed(77), "summary-law")
     counts = np.zeros(c_j + 1, dtype=np.int64)
@@ -250,8 +249,7 @@ def test_summary_mean_shift_between_rates():
         means[label] = totals / rounds
     lam = bin_hit_prob(j, params.epsilon, params.n)
     expected_shift = (params.q - params.p) * lam * c_j
-    yes_var = summary_distribution(c_j, params.p, j, params).r
-    no_var = summary_distribution(c_j, params.q, j, params).r
+    yes_var, no_var = params.p * lam, params.q * lam
     sigma = math.sqrt(
         c_j * yes_var * (1 - yes_var) / rounds + c_j * no_var * (1 - no_var) / rounds
     )

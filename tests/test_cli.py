@@ -5,6 +5,7 @@ import json
 import math
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -257,21 +258,56 @@ def edited_config(text, edits):
     return "\n".join(lines) + "\n"
 
 
+# One edit of any input file: drop, duplicate or replace a line or a
+# character, at a position taken modulo the current number of them.
+_TEXT_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["drop", "duplicate", "replace"]),
+        st.sampled_from(["line", "char"]),
+        st.integers(min_value=0, max_value=1 << 12),
+        _CONFIG_TOKENS,
+    ),
+    max_size=3,
+)
+
+
+def mutated(text, edits):
+    for op, unit, at, token in edits:
+        parts = text.splitlines(keepends=True) if unit == "line" else list(text)
+        if not parts:
+            continue
+        at %= len(parts)
+        if op == "drop":
+            del parts[at]
+        elif op == "duplicate":
+            parts.insert(at, parts[at])
+        else:
+            parts[at] = token + "\n" if unit == "line" else token
+        text = "".join(parts)
+    return text
+
+
 @pytest.mark.parametrize("command", ["gen", "verify"])
 def test_params_file_fuzz(tmp_path_factory, command):
-    """Any parameter file either runs (exit 0) or is one clean usage error (exit 2)."""
+    """Any parameter file either runs (exit 0) or is one clean usage error (exit 2).
+
+    The files are the valid desk file with fields edited and then lines or
+    characters dropped, repeated or replaced.
+    """
     work = tmp_path_factory.mktemp(f"fuzz-params-{command}")
     params_path = work / "fuzz.cfg"
     valid = params_mod.to_config_text(desk_params(10))
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(
         _CONFIG_EDITS,
+        _TEXT_EDITS,
         st.sampled_from(["yes", "no", "d1", "d2"]),
         st.sampled_from(["claim53", "verify_yes", "sseq_curve"]),
     )
-    def run(edits, dist, experiment):
-        params_path.write_text(edited_config(valid, edits), encoding="utf-8")
+    def run(edits, text_edits, dist, experiment):
+        text = mutated(edited_config(valid, edits), text_edits)
+        params_path.write_text(text, encoding="utf-8")
         if command == "gen":
             argv = ["gen", "--dist", dist, "--params", str(params_path), "--seed", "3"]
         else:
@@ -294,16 +330,22 @@ _TABLE_BITS = (
     )
     | st.text(alphabet="01x 2\t", max_size=20)
 )
+_VALID_TABLE = TruthTable(4, np.array([0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 0, 0, 1, 0, 1], dtype=np.uint8)).serialize()
 
 
 def test_table_file_fuzz(tmp_path_factory):
-    """Any table file either gives a distance (exit 0) or is one clean usage error (exit 2)."""
+    """Any table file either gives a distance (exit 0) or is one clean usage error (exit 2).
+
+    The files are generated, arbitrary text, or a valid table with lines or
+    characters dropped, repeated or replaced.
+    """
     table_path = tmp_path_factory.mktemp("fuzz-table") / "fuzz.tbl"
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(
         st.tuples(_TABLE_HEADERS, _TABLE_BITS).map(lambda hb: f"{hb[0]}\n{hb[1]}\n")
-        | st.text(max_size=24),
+        | st.text(max_size=24)
+        | _TEXT_EDITS.map(lambda edits: mutated(_VALID_TABLE, edits)),
         st.integers(min_value=-1, max_value=5),
         st.none() | st.sampled_from(["0.1", "0", "-1", "2", "nan", "inf", "-inf", "1e-400"]),
     )
@@ -393,6 +435,8 @@ def test_usage_errors_exit_2(tmp_path, capsys, desk10_file):
     table.write_text("n=2\n0110\n")
     for eps in ("nan", "inf", "-inf", "-1", "0", "1e-400", "1.5"):
         assert_usage_error(capsys, ["dist", "--table", str(table), "--k", "1", f"--eps={eps}"])
+    # the shift bound needs q >= p: a negative shift has no bound to print
+    assert_usage_error(capsys, ["dtv", "--c", "10", "--p", "0.6", "--q", "0.5", "--lambda", "0.5"])
 
 
 def test_cli_reproducibility(tmp_path, capsys, desk10_file):

@@ -214,3 +214,14 @@ def test_d2_weight_out_of_range():
         sample_d2(10, 2.0**-12, RandomStream(Seed(8), "d2"))  # rounds to 0
     with pytest.raises(WeightOutOfRange):
         sample_d2(4, 1.5, RandomStream(Seed(8), "d2"))  # rounds above 2^n
+
+
+def test_d2_domain():
+    # the same n check as sample_d1, and a package error for a non-finite epsilon
+    stream = RandomStream(Seed(8), "d2")
+    for n in (-1, 0):
+        with pytest.raises(InvalidInput):
+            sample_d2(n, 0.1, stream)
+    for eps in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidInput):
+            sample_d2(4, eps, stream)

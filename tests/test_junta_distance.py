@@ -12,10 +12,8 @@ from junta_lab.boolfn import BitString, IndexSet, TruthTable, bichromatic_edge_c
 from junta_lab.errors import InvalidInput, TooLarge
 from junta_lab.hardgen import sample_d2
 from junta_lab.junta_distance import (
-    MatchingCertificate,
     dist_to_junta_on,
     dist_to_k_junta,
-    farness_from_matching,
     max_disjoint_bichromatic_matching,
 )
 from junta_lab.rng import RandomStream, Seed
@@ -177,6 +175,19 @@ def test_matching_examples():
     assert max_disjoint_bichromatic_matching(dictator3, [1]).size == 4
 
 
+def validate_certificate(cert, f):
+    """Raise unless every edge is bichromatic, in-direction, and disjoint."""
+    assert cert.size == len(cert.edges), "certificate size disagrees with its edge list"
+    seen = set()
+    n = f.n
+    for x, direction in cert.edges:
+        assert direction in cert.V.members, f"direction {direction} not in V"
+        y = x.code ^ (1 << (n - direction))
+        assert f.table[x.code] != f.table[y], f"edge at {x} direction {direction} is monochromatic"
+        assert x.code not in seen and y not in seen, "certificate edges share a vertex"
+        seen.update((x.code, y))
+
+
 def test_matching_certificates_validate():
     rng = np.random.default_rng(13)
     for _ in range(20):
@@ -184,7 +195,7 @@ def test_matching_certificates_validate():
         f = TruthTable(n, rng.integers(0, 2, size=1 << n, dtype=np.uint8))
         V = sorted(int(i) + 1 for i in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
         cert = max_disjoint_bichromatic_matching(f, V)
-        cert.validate(f)
+        validate_certificate(cert, f)
 
 
 def test_matching_matches_brute_force():
@@ -208,25 +219,16 @@ def test_bichromatic_counts_equal_single_direction_matchings(n, seed):
 
 
 def test_farness_from_matching():
-    cert0 = MatchingCertificate(V=IndexSet.of(2, [1]), size=0, edges=())
-    assert not farness_from_matching(cert0, 0.01, 2)
+    # a certificate holding eps * 2^n edges makes f eps-far from every junta
+    # that ignores V; an empty one certifies nothing
+    constant = TruthTable.constant(2, 0)
+    assert max_disjoint_bichromatic_matching(constant, [1]).size == 0
+    assert dist_to_junta_on(constant, [2]) == 0
 
     cert = max_disjoint_bichromatic_matching(XOR2, [1])
-    assert farness_from_matching(cert, 0.25, 2)
+    assert Fraction(cert.size, 1 << 2) >= Fraction(1, 4)
     assert dist_to_junta_on(XOR2, [2]) >= Fraction(1, 4)
-
-    # strict threshold: one edge short of ceil(eps * 2^n) missing the mark
-    n, eps = 4, 0.3
-    need = -(-int(eps * (1 << n)) // 1)
-    short = MatchingCertificate(V=IndexSet.of(n, [1]), size=need - 1, edges=())
-    assert short.size < eps * (1 << n)
-    # size field is what matters for the threshold, edges elided here
-    assert not farness_from_matching(
-        MatchingCertificate(V=IndexSet.of(n, [1]), size=4, edges=()), 0.5, n
-    )
-    assert farness_from_matching(
-        MatchingCertificate(V=IndexSet.of(n, [1]), size=8, edges=()), 0.5, n
-    )
+    assert dist_to_junta_on(XOR2, [2]) >= Fraction(cert.size, 1 << 2)
 
 
 def test_certificate_soundness_against_exact_distance():

@@ -122,6 +122,11 @@ def test_config_rejects_missing_and_unknown():
         from_config_text("\n".join(lines[1:]))
     with pytest.raises(InvalidInput):
         from_config_text("\n".join(lines + ["bogus = 1"]))
+    # a repeated field is rejected, whether or not the two values agree
+    n_line = next(line for line in lines if line.startswith("n ="))
+    for repeat in (n_line, "n = 10"):
+        with pytest.raises(InvalidInput, match="repeated"):
+            from_config_text("\n".join(lines + [repeat]))
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,15 @@
-"""The command-line scripts under scripts/ run end to end."""
+"""The scripts under scripts/ run end to end, and their references match the library."""
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from junta_lab.harness import desk_params, run_hidden_set_game
+from junta_lab.tasks import ElementQueryPlan, SetQueryPlan
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -24,3 +30,28 @@ def test_advantage_vs_budget_at_m16():
     assert len(lines) == 4
     assert lines[0] == "budget,advantage,per_element_tv_sum"
     assert [line.split(",")[0] for line in lines[1:]] == ["0", "16", "32"]
+
+
+def test_desk_suite_writes_every_csv(tmp_path):
+    proc = run_script("run_desk_suite.py", "--out-dir", str(tmp_path))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert len(list(tmp_path.glob("*.csv"))) == 9
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(Path(name).stem, ROOT / "scripts" / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "plan",
+    [ElementQueryPlan.of([0, 3, 0, 1, 7, 0]), SetQueryPlan.of(6, [[1, 2, 3], [], [2, 4], [2], [2, 3]])],
+    ids=["sseq", "sssq"],
+)
+def test_bench_per_trial_game_equals_the_batched_game(plan):
+    bench = load_script("bench.py")
+    params = desk_params(10)
+    batched = run_hidden_set_game(plan, params, 200, 3).advantage
+    assert bench.per_trial_game(plan, params, 200, 3) == batched

@@ -17,8 +17,8 @@ from junta_lab.errors import (
     InvalidInput,
     TooLarge,
 )
-from junta_lab import harness
-from junta_lab.harness import Z_95, batch_bayes_decider, desk_params, run_hidden_set_game
+from junta_lab import harness, tasks
+from junta_lab.harness import Z_95, desk_params, run_hidden_set_game
 from junta_lab.params import DESK_SCALE, derive_params
 from junta_lab.rng import RandomStream, Seed
 from junta_lab.tasks import (
@@ -29,11 +29,9 @@ from junta_lab.tasks import (
     SetQueryPlan,
     SssqSession,
     StringQueryPlan,
-    Summary,
+    batch_bayes_decider,
     bayes_decide,
-    bayes_decider,
     build_set_queries,
-    canonicalize_plan,
     exact_optimal_advantage,
     exact_response_distribution,
     far_pair_codes,
@@ -41,14 +39,12 @@ from junta_lab.tasks import (
     lift_equivalence_gap,
     lift_response,
     lifted_response_distribution,
-    response_log_likelihood,
     separates,
     sample_hidden,
     set_plan_to_element_counts,
     simulate_distinguisher,
     sseq_respond,
     sssq_respond,
-    summarize,
     tv_distance,
 )
 from junta_lab.binom_stats import BinomialSpec, exact_dtv, hit_prob
@@ -480,40 +476,6 @@ def test_simulate_distinguisher_empty_live_sets_give_equal_bits():
         assert len(set(bits)) == 1
 
 
-# ---------------------------------------------------------------- summaries
-
-
-def test_summarize_examples():
-    assert summarize((0, 0, 0), [[1, 2], [3]]).counts == (0, 0)
-    assert summarize((1, 0, 1, 1), [range(1, 5)]).counts == (3,)
-    assert summarize((1, 0, 1), [[1, 2], [3]]).counts == (1, 1)
-    with pytest.raises(DimensionMismatch):
-        summarize((1, 0), [[1, 2], [2]])
-    with pytest.raises(DimensionMismatch):
-        summarize((1, 0), [[3]])
-
-
-# ---------------------------------------------------------------- canonical
-
-
-def test_canonicalize_examples():
-    assert canonicalize_plan(ElementQueryPlan.of([3, 0, 5])).counts == (8, 4, 0)
-    fixed = ElementQueryPlan.of([8, 4, 1, 0])
-    assert canonicalize_plan(fixed).counts == (8, 4, 1, 0)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(0, 200), min_size=1, max_size=12))
-def test_canonicalize_properties(counts):
-    plan = ElementQueryPlan.of(counts)
-    canon = canonicalize_plan(plan)
-    assert canon.m == plan.m
-    assert plan.cost <= canon.cost <= 2 * plan.cost
-    positive = [c for c in canon.counts if c > 0]
-    assert all(c & (c - 1) == 0 for c in positive)
-    assert list(canon.counts) == sorted(canon.counts, reverse=True)
-
-
 # ---------------------------------------------------------------- advantage
 
 
@@ -682,19 +644,41 @@ def test_log_likelihood_matches_law():
             ).items():
                 law[outcome] = law.get(outcome, 0.0) + weight * prob
         for outcome, prob in law.items():
-            ll = response_log_likelihood(outcome, plan, inclusion, PARAMS.epsilon, PARAMS.n)
+            ll = summed_table_terms(outcome, plan, inclusion, PARAMS)
             assert math.exp(ll) == pytest.approx(prob, rel=1e-9)
 
 
+def summed_table_terms(response, plan, inclusion, params):
+    """The ``_log_likelihood_rows`` terms of a response's per-element ones counts, summed in row order."""
+    rows = tasks._log_likelihood_rows(plan, inclusion, params.epsilon, params.n)
+    if isinstance(plan, ElementQueryPlan):
+        ones = response
+    else:
+        counts = {}
+        for T, bits in zip(plan.queries, response):
+            for j, bit in zip(T.members, bits):
+                counts[j] = counts.get(j, 0) + bit
+        ones = [counts[j] for j in sorted(counts)]
+    assert len(ones) == len(rows)
+    total = 0.0
+    for row, k in zip(rows, ones):
+        total += row[k]
+    return total
+
+
 def reference_log_likelihood(response, plan, inclusion, epsilon, n):
-    """The log-likelihood summed element by element, each term computed in place."""
+    """The log-likelihood summed element by element, each term computed in place.
+
+    A term of zero mass makes the whole sum -inf, including a zero count
+    where the element's hit rate is 1.
+    """
     theta = epsilon / math.sqrt(n)
     total = 0.0
     if isinstance(plan, ElementQueryPlan):
         for i, c in enumerate(plan.counts):
             hit = inclusion * hit_prob(c, epsilon, n)
             bit = response[i]
-            if bit and hit == 0.0:
+            if hit == (0.0 if bit else 1.0):
                 return -math.inf
             total += math.log(hit) if bit else math.log1p(-hit)
         return total
@@ -706,7 +690,10 @@ def reference_log_likelihood(response, plan, inclusion, epsilon, n):
         r = len(positions)
         k = sum(response[i][pos] for i, pos in positions)
         if k == 0:
-            total += math.log1p(-inclusion * hit_prob(r, epsilon, n))
+            hit = inclusion * hit_prob(r, epsilon, n)
+            if hit == 1.0:
+                return -math.inf
+            total += math.log1p(-hit)
         else:
             mass = inclusion * theta**k * (1.0 - theta) ** (r - k)
             if mass == 0.0:
@@ -736,6 +723,11 @@ def all_responses(plan):
     return out
 
 
+# theta = 2 / sqrt(4) = 1 and q = 1: hit rates of exactly 1, so -inf terms
+# on the no side, and -inf on both sides for a set element with k < r ones.
+CERTAIN_HITS = replace(desk(4), epsilon=2.0, q=1.0)
+
+
 @pytest.mark.parametrize(
     "plan",
     [
@@ -745,12 +737,13 @@ def all_responses(plan):
     ],
 )
 def test_log_likelihood_equals_per_element_reference(plan):
-    for response in all_responses(plan):
-        for inclusion in (PARAMS.p, PARAMS.q, 0.0, 1.0):
-            got = response_log_likelihood(response, plan, inclusion, PARAMS.epsilon, PARAMS.n)
-            want = reference_log_likelihood(response, plan, inclusion, PARAMS.epsilon, PARAMS.n)
-            assert got == want
-        assert bayes_decide(response, plan, PARAMS) == reference_decide(response, plan, PARAMS)
+    """The summed table terms equal the in-place reference float for float, -inf included."""
+    for params in (PARAMS, CERTAIN_HITS):
+        for response in all_responses(plan):
+            for inclusion in (params.p, params.q, 0.0, 1.0):
+                got = summed_table_terms(response, plan, inclusion, params)
+                want = reference_log_likelihood(response, plan, inclusion, params.epsilon, params.n)
+                assert got == want
 
 
 def flat_bits(responses, plan):
@@ -758,11 +751,6 @@ def flat_bits(responses, plan):
     if isinstance(plan, SetQueryPlan):
         responses = [tuple(bit for row in response for bit in row) for response in responses]
     return np.array(responses, dtype=bool).reshape(len(responses), -1)
-
-
-# theta = 2 / sqrt(4) = 1 and q = 1: hit rates of exactly 1, so -inf terms
-# on the no side, and -inf on both sides for a set element with k < r ones.
-CERTAIN_HITS = replace(desk(4), epsilon=2.0, q=1.0)
 
 
 @pytest.mark.parametrize("params", [PARAMS, CERTAIN_HITS], ids=["desk", "certain-hits"])
@@ -778,11 +766,15 @@ CERTAIN_HITS = replace(desk(4), epsilon=2.0, q=1.0)
     ids=["sseq", "sseq-all-zero", "sssq-empty-query", "sssq-repeated", "sssq-no-slots"],
 )
 def test_batch_decider_equals_bayes_decider(plan, params):
-    """Every response of a small plan gets bayes_decider's answer, ties and -inf included."""
+    """Every response of a small plan gets the reference's answer in a batch and one row at a time.
+
+    Ties and -inf terms included.
+    """
     responses = all_responses(plan)
+    want = [reference_decide(response, plan, params) for response in responses]
     got = batch_bayes_decider(plan, params)(flat_bits(responses, plan))
-    decide = bayes_decider(plan, params)
-    assert got.tolist() == [decide(response) == YES for response in responses]
+    assert [YES if yes else NO for yes in got.tolist()] == want
+    assert [bayes_decide(response, plan, params) for response in responses] == want
 
 
 GAME_PARAMS = desk_params(10)
@@ -854,6 +846,19 @@ def test_bayes_decide_runs():
     # an all-one response is likelier under the larger inclusion rate
     assert bayes_decide((1, 1), plan, PARAMS) == NO
     assert bayes_decide((0, 0), plan, PARAMS) == YES
+    # the flattened response must cover every slot of the plan
+    with pytest.raises(DimensionMismatch):
+        bayes_decide((1, 1, 0), plan, PARAMS)
+    set_plan = SetQueryPlan.of(3, [[1, 2], [], [3]])
+    assert bayes_decide(((0, 1), (), (0,)), set_plan, PARAMS) in (YES, NO)
+    with pytest.raises(DimensionMismatch):
+        bayes_decide(((0, 1), ()), set_plan, PARAMS)
+    # which element answered matters: a hit on the once-queried element 1
+    # is outweighed by element 2's five silent slots, a hit on element 2 is not
+    params = replace(desk(4), epsilon=1.0)
+    plan = SetQueryPlan.of(2, [[1, 2], [2], [2], [2], [2]])
+    assert bayes_decide(((1, 0), (0,), (0,), (0,), (0,)), plan, params) == YES
+    assert bayes_decide(((0, 0), (0,), (0,), (0,), (1,)), plan, params) == NO
 
 
 def test_reduction_preserves_the_advantage():
