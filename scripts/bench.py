@@ -9,11 +9,21 @@ the median and quartiles of its repeats and the number of blake2b digests
 each path derives.
 
 Exact oracles: on fixed-seed D2 tables at n in {10, 12, 14, 16} it times
-``dist_to_k_junta`` (one walk over the subset lattice) against the
-per-subset reference, one fiber-id pass and one ``bincount`` over 2^n for
-each of the C(n,k) subsets, at k = n - 1 (the tail experiments' k) and
-k = n - 4.  It also times ``bichromatic_edge_counts`` against n
-single-direction Hopcroft-Karp matchings, one per coordinate.
+``dist_to_k_junta`` against the per-subset reference, one fiber-id pass
+and one ``bincount`` over 2^n for each of the C(n,k) subsets, at k = n - 1
+(the tail experiments' k) and k = n - 4.  It also times
+``bichromatic_edge_counts`` against n single-direction Hopcroft-Karp
+matchings, one per coordinate.
+
+Distance kernel: it times ``dist_to_k_junta`` (a junta test, then every
+size-k set a block at a time) against the generator walk it replaced,
+which yields the subsets one at a time in ``combinations`` order.  The
+cases are the inputs the benchmark jobs pass it (ten desk n = 10, k = 7
+yes and ten no instances, as ``verify_no`` draws them; ten D1 and ten D2
+tables at n = 12, k = 11, as ``verify_d1``/``verify_d2`` draw them; the
+D2 n = 14, k = 10 table of the CLI ``dist`` job) and three at the
+exact-distance frontier: D_no at n = 18, k = 13 and D_yes at n = 20,
+k = 15, both at epsilon = 1, and D2 at n = 18, k = 14.
 
 Games: it times the paths the ``games`` workload spends its time in
 against the per-call forms they replace.  ``exact_dtv`` over the 956 cells
@@ -39,8 +49,8 @@ every no-side trial's full 2^14 table with ``sample_d1``; and the bound
 sweep's 956 cells from shared Pascal rows and rate power tables
 (``binom_stats.dtv_from_tables``) against one ``exact_dtv`` call per cell.
 
-Writes BENCH_7.json at the root of the checkout (BENCH_2, BENCH_3, BENCH_5
-and BENCH_6.json are earlier runs).
+Writes BENCH_10.json at the root of the checkout (BENCH_2, BENCH_3,
+BENCH_5, BENCH_6 and BENCH_7.json are earlier runs).
 
 Usage: python scripts/bench.py
 """
@@ -89,12 +99,12 @@ from junta_lab.harness import (
 from junta_lab.junta_distance import dist_to_k_junta, max_disjoint_bichromatic_matching
 from junta_lab.rng import RandomStream, Seed
 
-OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_7.json"
+OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_10.json"
 SEED = 1
 COMPARED = (10, 12, 14, 16)
 FAST_ONLY = (20, 24)
-REPEATS = {"per_point": 3, "to_table": 7, "per_subset": 3, "lattice_walk": 7,
-           "hopcroft_karp": 3, "edge_counts": 7, "games": 5}
+REPEATS = {"per_point": 3, "to_table": 7, "per_subset": 3, "dist_to_k_junta": 7,
+           "hopcroft_karp": 3, "edge_counts": 7, "games": 5, "kernel": 7, "frontier": 3}
 GAME_TRIALS = 2000
 GOOD_M_DRAWS = 2000
 SAMPLERS = {"yes": sample_yes, "no": sample_no}
@@ -130,9 +140,43 @@ def per_subset_dist_to_k_junta(f: TruthTable, k: int) -> tuple[Fraction, tuple[i
     return best, witness
 
 
-def lattice_walk(f: TruthTable, k: int) -> tuple[Fraction, tuple[int, ...]]:
+def distance_and_witness(f: TruthTable, k: int) -> tuple[Fraction, tuple[int, ...]]:
     report = dist_to_k_junta(f, k)
     return report.distance, report.witness.members
+
+
+def generator_walk(f: TruthTable, k: int) -> tuple[Fraction, tuple[int, ...]]:
+    """Distance and witness as ``dist_to_k_junta`` found them before the blocked kernel.
+
+    A generator walks the subset lattice depth first over coordinates
+    1..n, keeping each coordinate before dropping it, so it yields every
+    size-k J in ``combinations`` order with its fiber counts; a child's
+    counts are its parent's summed over one axis.  The first J of least
+    distance wins, and the walk stops at the first exact k-junta.
+    """
+    n = f.n
+    dtype = np.min_scalar_type(1 << (n - k))
+
+    def walk(counts, kept, i):
+        # counts has one axis per kept coordinate, then one per coordinate i..n
+        if n - i + 1 == k - len(kept):
+            yield kept + tuple(range(i, n + 1)), counts
+        elif len(kept) == k:
+            yield kept, counts.reshape(1 << k, -1).sum(axis=1, dtype=dtype)
+        else:
+            yield from walk(counts, kept + (i,), i + 1)
+            halves = counts.reshape(1 << len(kept), 2, -1)
+            yield from walk(halves[:, 0] + halves[:, 1], kept, i + 1)
+
+    fiber_size = 1 << (n - k)
+    best, witness = None, ()
+    for J, ones in walk(f.table.astype(dtype, copy=False), (), 1):
+        d = int(np.minimum(ones, fiber_size - ones).sum())
+        if best is None or d < best:
+            best, witness = d, J
+            if best == 0:
+                break
+    return Fraction(best, 1 << n), witness
 
 
 def hopcroft_karp_per_direction(f: TruthTable) -> tuple[int, ...]:
@@ -201,16 +245,17 @@ def oracle_cases(n: int) -> tuple[list[dict], dict, list[str]]:
     for k in (n - 1, n - 4):
         case = {"n": n, "k": k, "seed": SEED, "epsilon": D2_EPSILON}
         results = {}
-        for name, path in (("per_subset", per_subset_dist_to_k_junta), ("lattice_walk", lattice_walk)):
+        for name, path in (("per_subset", per_subset_dist_to_k_junta),
+                           ("dist_to_k_junta", distance_and_witness)):
             results[name] = path(g, k)
             case[name] = timed(path, g, REPEATS[name], k)
-        if results["per_subset"] != results["lattice_walk"]:
-            problems.append(f"n={n} k={k}: lattice walk {results['lattice_walk']} "
+        if results["per_subset"] != results["dist_to_k_junta"]:
+            problems.append(f"n={n} k={k}: dist_to_k_junta {results['dist_to_k_junta']} "
                             f"!= per-subset {results['per_subset']}")
-        d, witness = results["lattice_walk"]
+        d, witness = results["dist_to_k_junta"]
         case["distance"] = [d.numerator, d.denominator]
         case["witness"] = list(witness)
-        case["speedup"] = case["per_subset"]["median_s"] / case["lattice_walk"]["median_s"]
+        case["speedup"] = case["per_subset"]["median_s"] / case["dist_to_k_junta"]["median_s"]
         distance.append(case)
     matching = {"n": n, "seed": SEED, "epsilon": D2_EPSILON}
     counts = {}
@@ -223,6 +268,54 @@ def oracle_cases(n: int) -> tuple[list[dict], dict, list[str]]:
     matching["per_direction"] = list(counts["edge_counts"])
     matching["speedup"] = matching["hopcroft_karp"]["median_s"] / matching["edge_counts"]["median_s"]
     return distance, matching, problems
+
+
+def kernel_inputs() -> list[tuple[str, list[tuple[TruthTable, int]], str]]:
+    """(name, [(table, k), ...], repeats key) for each distance kernel case."""
+    p10 = desk_params(10)
+    base = Seed(SEED)
+    # verify_no: the yes side reads base.mix(j), the no side base.mix(trials + j)
+    yes10 = [(to_table(sample_yes(p10, base.mix(j))), p10.k) for j in range(10)]
+    no10 = [(to_table(sample_no(p10, base.mix(10 + j))), p10.k) for j in range(10)]
+    tails = {}
+    for which, sampler, epsilon in (("verify_d1", sample_d1, 0.05), ("verify_d2", sample_d2, 2.0**-7)):
+        stream = RandomStream(Seed(SEED), which)
+        tails[which] = [(sampler(12, epsilon, stream.child(str(j))), 11) for j in range(10)]
+    p18, p20 = desk_params(18, epsilon=1.0), desk_params(20, epsilon=1.0)
+    return [
+        (f"desk n = 10, k = {p10.k}: 10 yes instances", yes10, "kernel"),
+        (f"desk n = 10, k = {p10.k}: 10 no instances", no10, "kernel"),
+        ("D1 n = 12, k = 11, epsilon = 0.05: 10 tables", tails["verify_d1"], "kernel"),
+        ("D2 n = 12, k = 11, epsilon = 2^-7: 10 tables", tails["verify_d2"], "kernel"),
+        ("D2 n = 14, k = 10, epsilon = 0.1",
+         [(sample_d2(14, D2_EPSILON, RandomStream(Seed(SEED), "d2")), 10)], "kernel"),
+        (f"D_no n = 18, k = {p18.k}, epsilon = 1",
+         [(to_table(sample_no(p18, base)), p18.k)], "frontier"),
+        (f"D_yes n = 20, k = {p20.k}, epsilon = 1",
+         [(to_table(sample_yes(p20, base)), p20.k)], "frontier"),
+        ("D2 n = 18, k = 14, epsilon = 0.1",
+         [(sample_d2(18, D2_EPSILON, RandomStream(Seed(SEED), "d2")), 14)], "frontier"),
+    ]
+
+
+def kernel_cases() -> tuple[list[dict], list[str]]:
+    """``dist_to_k_junta`` against the generator walk, on every table of each case."""
+    cases, problems = [], []
+    for name, tables, repeats in kernel_inputs():
+        case = {"name": name, "seed": SEED}
+        results = {}
+        for label, path in (("generator_walk", generator_walk), ("blocked", distance_and_witness)):
+            run = lambda _, path=path: [path(f, k) for f, k in tables]
+            results[label] = run(None)
+            case[label] = timed(run, None, REPEATS[repeats])
+        if results["generator_walk"] != results["blocked"]:
+            problems.append(f"{name}: blocked kernel differs from the generator walk")
+        case["equal"] = results["generator_walk"] == results["blocked"]
+        case["distances"] = [[d.numerator, d.denominator] for d, _ in results["blocked"]]
+        case["witnesses"] = [list(w) for _, w in results["blocked"]]
+        case["speedup"] = case["generator_walk"]["median_s"] / case["blocked"]["median_s"]
+        cases.append(case)
+    return cases, problems
 
 
 def per_k_dtv(a: BinomialSpec, b: BinomialSpec) -> float:
@@ -273,16 +366,16 @@ def per_trial_game(plan, params, trials: int, seed: int) -> float:
     """The hidden-set game one trial at a time on each side's stream.
 
     Each trial calls ``sample_hidden`` and then the oracle's respond
-    function on the side stream and asks ``tasks.bayes_decide``: the
-    scalar loop whose draws and answers the batched game reproduces.
-    ``bayes_decide`` builds the likelihood tables on every call (it is the
-    batched decider on a one-row batch), so this reference costs more per
-    trial than the per-game decider that ``BENCH_7.json`` timed.
+    function on the side stream and decides its response with
+    ``tasks.bayes_decide``, passing the game's ``batch_bayes_decider``,
+    built once: the scalar loop whose draws and answers the batched game
+    reproduces.
     """
     if isinstance(plan, tasks.ElementQueryPlan):
         mode, respond = "sseq", tasks.sseq_respond
     else:
         mode, respond = "sssq", tasks.sssq_respond
+    decide = tasks.batch_bayes_decider(plan, params)
     base = RandomStream(Seed(seed), f"game-{mode}")
     rates = {}
     for side, inclusion, count in ((tasks.YES, params.p, trials // 2),
@@ -291,7 +384,7 @@ def per_trial_game(plan, params, trials: int, seed: int) -> float:
         for _ in range(count):
             hidden = tasks.sample_hidden(plan.m, inclusion, stream, origin=side)
             response = respond(hidden, plan, params.epsilon, params.n, stream)
-            hits += tasks.bayes_decide(response, plan, params) == tasks.YES
+            hits += tasks.bayes_decide(response, plan, params, decide) == tasks.YES
         rates[side] = hits / count
     return rates[tasks.YES] - rates[tasks.NO]
 
@@ -406,11 +499,16 @@ def main() -> int:
         matching.append(match_case)
         problems += found
         for case in dist_cases:
-            print(f"n={n:2d} k={case['k']:2d} dist_to_k_junta {case['lattice_walk']['median_s']:.4f} s, "
+            print(f"n={n:2d} k={case['k']:2d} dist_to_k_junta {case['dist_to_k_junta']['median_s']:.4f} s, "
                   f"per-subset {case['per_subset']['median_s']:.3f} s, {case['speedup']:.0f}x", flush=True)
         print(f"n={n:2d} edge counts {match_case['edge_counts']['median_s']:.5f} s, "
               f"Hopcroft-Karp {match_case['hopcroft_karp']['median_s']:.3f} s, "
               f"{match_case['speedup']:.0f}x", flush=True)
+    kernel, found = kernel_cases()
+    problems += found
+    for case in kernel:
+        print(f"{case['name']}: blocked {case['blocked']['median_s']:.4f} s, generator walk "
+              f"{case['generator_walk']['median_s']:.4f} s, {case['speedup']:.1f}x", flush=True)
     games, found = game_cases()
     problems += found
     for case in games:
@@ -427,6 +525,7 @@ def main() -> int:
                   "RandomStream(Seed(1), 'd2'))",
         "cases": cases,
         "distance": distance,
+        "kernel": kernel,
         "matching": matching,
         "games": games,
         "problems": problems,

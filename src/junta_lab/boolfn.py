@@ -190,7 +190,7 @@ class TruthTable:
 
     def serialize(self) -> str:
         """``n=<int>`` line, then 2^n characters of 0/1 in code order."""
-        bits = "".join("1" if b else "0" for b in self.table)
+        bits = (self.table + ord("0")).tobytes().decode("ascii")
         return f"n={self.n}\n{bits}\n"
 
     @classmethod
@@ -337,6 +337,24 @@ def bichromatic_edge_counts(f: TruthTable) -> tuple[int, ...]:
 
 
 def relevant_variables(f: TruthTable) -> IndexSet:
-    """Exactly the coordinates i with f(x) != f(flip(x, i)) for some x."""
-    counts = bichromatic_edge_counts(f)
-    return IndexSet.of(f.n, [i for i, c in enumerate(counts, start=1) if c])
+    """Exactly the coordinates i with f(x) != f(flip(x, i)) for some x.
+
+    Coordinate i is relevant when the table's two halves along i differ.
+    Both halves are compared at once on the table packed into one integer,
+    entry 0 in its top bit, so entry c sits at bit 2^n - 1 - c: shifting
+    by 2^(n-i) bits lines every entry up with its partner across i, and
+    the mask keeps the entries with x_i = 1: the runs of 2^(n-i) bits whose
+    run index from the bottom is even.  XOR with itself shifted up by
+    2^(n-i) bits turns the mask for runs of 2^(n-i+1) into this one; the
+    mask before coordinate 1 is every bit, one run of 2^n.
+    """
+    n, size = f.n, 1 << f.n
+    packed = int.from_bytes(np.packbits(f.table).tobytes(), "big") >> (-size % 8)
+    full = mask = (1 << size) - 1
+    relevant = []
+    for i in range(1, n + 1):
+        run = 1 << (n - i)
+        mask = (mask ^ (mask << run)) & full
+        if (packed ^ (packed >> run)) & mask:
+            relevant.append(i)
+    return IndexSet.of(n, relevant)

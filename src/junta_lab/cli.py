@@ -17,7 +17,7 @@ import json
 import sys
 
 from . import harness, params as params_mod, tasks
-from .boolfn import BitString, IndexSet, TruthTable
+from .boolfn import BitString, TruthTable
 from .errors import InvalidInput, JuntaLabError
 from .hardgen import sample_d1, sample_d2, sample_yes, sample_no
 from .junta_distance import dist_to_k_junta

@@ -12,14 +12,16 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from math import comb
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .boolfn import BitString, IndexSet, TruthTable
+from .boolfn import BitString, IndexSet, TruthTable, relevant_variables
 from .errors import InvalidInput, TooLarge
 
 DIST_CAP = 20
+DIST_BLOCK_CELLS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -85,42 +87,107 @@ def dist_to_junta_on(f: TruthTable, J: IndexSet | Sequence[int]) -> Fraction:
     return Fraction(_disagreements(ones, 1 << (n - len(J))), 1 << n)
 
 
-def _fiber_ones(f: TruthTable, k: int) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
-    """Yield (J, fiber ones-counts) for every size-k J, in ``combinations`` order.
+def _colex_subset(rank: int, size: int, width: int) -> int:
+    """The rank-th (from 0) of the ``width``-bit masks with ``size`` bits set, in increasing order."""
+    mask, c = 0, width
+    for j in range(size, 0, -1):
+        c -= 1
+        while comb(c, j) > rank:
+            c -= 1
+        mask |= 1 << c
+        rank -= comb(c, j)
+    return mask
 
-    A depth-first walk over coordinates 1..n that at each coordinate first
-    keeps it, then sums out its axis.  A child's counts are its parent's
-    summed over one axis, so partial sums are shared across the subset
-    lattice, and keeping before dropping visits the subsets in lexicographic
-    order.  Counts never exceed the fiber size 2^(n-k), so they are held in
-    the smallest unsigned type that fits it.
+
+def _block_least(
+    counts: np.ndarray, kept: int, free: int, k: int, fiber_size: int
+) -> tuple[int, int]:
+    """(disagreements, drop bits) of the first best leaf below one node of the walk.
+
+    ``counts`` holds the node's fiber counts: its ``kept`` axes, then one
+    axis per undecided coordinate n - free + 1 .. n.  The block decides
+    these innermost first, so the axes it keeps gather at the end and each
+    drop adds two contiguous runs.  After s steps, group d stacks every
+    partial choice that dropped d of them, one row each of 2^(kept + free
+    - d) counts laid out as the node's kept axes, the undecided axes, then
+    the s - d axes the block kept.  A step appends group d - 1's rows,
+    summed over the decided axis, to group d; its own rows keep the axis.
+    So rows stay in increasing order of their drop bits (bit s for
+    coordinate n - s), and the first least leaf is the lexicographically
+    first.
+    """
+    keep_total, drop_total = k - kept, free - (k - kept)
+    groups: list[np.ndarray | None] = [counts.reshape(1, -1)] + [None] * drop_total
+    rows = [1] + [0] * drop_total
+    for s in range(free):
+        # descending, so group d - 1 still holds only its rows of step s
+        for d in range(min(s + 1, drop_total), max(1, s + 1 - keep_total) - 1, -1):
+            if groups[d] is None:
+                groups[d] = np.empty(
+                    (comb(d + keep_total, d), 1 << (kept + free - d)), counts.dtype
+                )
+            # group d - 1's rows end in the s - d + 1 axes the block kept,
+            # and the decided axis sits just before them
+            run = 1 << (s - d + 1)
+            halves = groups[d - 1][: rows[d - 1]].reshape(-1, 2, run)
+            out = groups[d][rows[d] : rows[d] + rows[d - 1]].reshape(-1, run)
+            np.add(halves[:, 0], halves[:, 1], out=out)
+            rows[d] += rows[d - 1]
+            if s + 1 - (d - 1) > keep_total:
+                groups[d - 1] = None
+    leaves = groups[drop_total]
+    # min(ones, zeros) per fiber: the majority vote's error count
+    folded = fiber_size - leaves
+    errors = np.minimum(folded, leaves, out=folded).sum(axis=1, dtype=np.uint32)
+    first = int(errors.argmin())
+    return int(errors[first]), _colex_subset(first, drop_total, free)
+
+
+def _least_key(f: TruthTable, k: int) -> int:
+    """The least (disagreements(J) << n) | drop_code(J) over every size-k J.
+
+    drop_code(J) sets bit n - i for each coordinate i outside J, so among
+    the J of least distance the least key is the lexicographically first.
+    A depth-first walk decides coordinates 1, 2, ... in order: keeping one
+    shares the parent's counts, dropping one sums out its axis.  Once the
+    leaves below a node fit in DIST_BLOCK_CELLS counts (or it has only
+    one), ``_block_least`` decides the rest.  Counts never exceed the
+    fiber size 2^(n-k), so they are held in the smallest unsigned type
+    that fits it.
     """
     n = f.n
-    dtype = np.min_scalar_type(1 << (n - k))
+    fit = max(DIST_BLOCK_CELLS, 1 << k)
 
-    def walk(counts: np.ndarray, kept: tuple[int, ...], i: int):
-        # counts has one axis per kept coordinate, then one per coordinate i..n
-        if n - i + 1 == k - len(kept):
-            yield kept + tuple(range(i, n + 1)), counts
-        elif len(kept) == k:
-            yield kept, counts.reshape(1 << k, -1).sum(axis=1, dtype=dtype)
-        else:
-            yield from walk(counts, kept + (i,), i + 1)
-            halves = counts.reshape(1 << len(kept), 2, -1)
-            yield from walk(halves[:, 0] + halves[:, 1], kept, i + 1)
+    def walk(counts: np.ndarray, i: int, kept: int, code: int) -> int:
+        # coordinates 1..i are decided; counts has one axis per kept one,
+        # then one per coordinate i + 1..n
+        free = n - i
+        if comb(free, k - kept) << k <= fit:
+            errors, drops = _block_least(counts, kept, free, k, 1 << (n - k))
+            return (errors << n) | code | drops
+        keys = []
+        if kept < k:
+            keys.append(walk(counts, i + 1, kept + 1, code))
+        if free > k - kept:
+            halves = counts.reshape(1 << kept, 2, -1)
+            keys.append(walk(halves[:, 0] + halves[:, 1], i + 1, kept, code | 1 << (n - i - 1)))
+        return min(keys)
 
-    yield from walk(f.table.astype(dtype, copy=False), (), 1)
+    counts = np.ascontiguousarray(f.table, dtype=np.min_scalar_type(1 << (n - k)))
+    return walk(counts, 0, 0, 0)
 
 
 def dist_to_k_junta(f: TruthTable, k: int, epsilon: float | None = None) -> DistanceReport:
     """Minimum of dist_to_junta_on over all size-k subsets, with a witness.
 
-    The fiber counts of all C(n,k) subsets come from one walk over the
-    subset lattice (``_fiber_ones``) in which each step is one axis
-    reduction, so no subset rescans the table.  Ties resolve to the
-    lexicographically smallest witness, and the walk stops at the first
-    exact k-junta witness.  A given ``epsilon`` must lie in (0, 1], the
-    parameter domain; the report is far when the distance reaches it.
+    Ties resolve to the lexicographically smallest witness.  A table with
+    at most k coordinates in ``relevant_variables`` is a k-junta: its
+    distance is 0 and its witness the first size-k superset of those
+    coordinates, with no walk.
+    Otherwise ``_least_key`` scans every size-k subset, sharing partial
+    sums across the subset lattice.  A given ``epsilon`` must lie in
+    (0, 1], the parameter domain; the report is far when the distance
+    reaches it.
     """
     n = f.n
     if n > DIST_CAP:
@@ -129,17 +196,15 @@ def dist_to_k_junta(f: TruthTable, k: int, epsilon: float | None = None) -> Dist
         raise InvalidInput(f"k must be in [0, n], got {k}")
     if epsilon is not None and not 0.0 < epsilon <= 1.0:
         raise InvalidInput(f"epsilon must be in (0, 1], got {epsilon}")
-    fiber_size = 1 << (n - k)
-    best: int | None = None
-    witness: tuple[int, ...] = ()
-    for J, ones in _fiber_ones(f, k):
-        d = _disagreements(ones, fiber_size)
-        if best is None or d < best:
-            best, witness = d, J
-            if best == 0:
-                break
-    assert best is not None
-    distance = Fraction(best, 1 << n)
+    relevant = list(relevant_variables(f).members)
+    if len(relevant) <= k:
+        others = [i for i in range(1, n + 1) if i not in relevant]
+        disagreements, witness = 0, relevant + others[: k - len(relevant)]
+    else:
+        key = _least_key(f, k)
+        disagreements = key >> n
+        witness = [i for i in range(1, n + 1) if not key >> (n - i) & 1]
+    distance = Fraction(disagreements, 1 << n)
     far = None if epsilon is None else bool(distance >= Fraction(epsilon))
     return DistanceReport(
         distance=distance, witness=IndexSet.of(n, witness), epsilon=epsilon, far=far

@@ -708,12 +708,19 @@ def bayes_decide(
     response: Union[SssqResponse, SseqResponse],
     plan: AnyPlan,
     params: Params,
+    decide: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> str:
-    """The likelihood-threshold decider on one response: a one-row ``batch_bayes_decider``."""
+    """The likelihood-threshold decider on one response: a one-row ``batch_bayes_decider``.
+
+    A caller deciding many responses of one plan passes ``decide``, that
+    plan's ``batch_bayes_decider(plan, params)``, so the tables are built once.
+    """
     if isinstance(plan, SetQueryPlan):
         response = [bit for row in response for bit in row]
     width = len(response_elements(plan))
     if len(response) != width:
         raise DimensionMismatch(f"response has {len(response)} bits, plan {width} slots")
     bits = np.array(response, dtype=bool).reshape(1, width)
-    return YES if batch_bayes_decider(plan, params)(bits)[0] else NO
+    if decide is None:
+        decide = batch_bayes_decider(plan, params)
+    return YES if decide(bits)[0] else NO

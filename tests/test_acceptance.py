@@ -9,7 +9,7 @@ deterministic.
 import math
 import time
 from contextlib import contextmanager
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from junta_lab.harness import (
     run_experiment,
 )
 from junta_lab.junta_distance import dist_to_k_junta
-from junta_lab.params import derive_params
 from junta_lab.rng import RandomStream, Seed
 from junta_lab.tasks import (
     YES,

@@ -133,6 +133,17 @@ def test_truth_table_serialization_round_trip():
         TruthTable.deserialize("m=2\n0110\n")
 
 
+def test_serialize_equals_the_per_entry_join():
+    rng = np.random.default_rng(5)
+    for n in range(1, 9):
+        for table in (TruthTable.constant(n, 0), TruthTable.constant(n, 1),
+                      TruthTable(n, rng.integers(0, 2, size=1 << n, dtype=np.uint8))):
+            text = table.serialize()
+            per_entry = "".join("1" if b else "0" for b in table.table)
+            assert text == f"n={n}\n{per_entry}\n"
+            assert TruthTable.deserialize(text) == table
+
+
 def test_relevant_variables_examples():
     assert relevant_variables(TruthTable.constant(4, 0)).members == ()
     # XOR of coordinates 1, 2 on n = 3

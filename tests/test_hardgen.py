@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from junta_lab.boolfn import BitString, IndexSet, StructuredFn, TruthTable, to_table
+from junta_lab.boolfn import BitString, StructuredFn, TruthTable, to_table
 from junta_lab.errors import EpsilonOutOfRange, InvalidInput, TooLarge, WeightOutOfRange
 from junta_lab.hardgen import sample_d1, sample_d1_at, sample_d2, sample_no, sample_yes
 from junta_lab.params import DESK_SCALE, derive_params

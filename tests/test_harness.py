@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from junta_lab.boolfn import BitString, TruthTable

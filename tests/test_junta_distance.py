@@ -5,10 +5,11 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from junta_lab.boolfn import BitString, IndexSet, TruthTable, bichromatic_edge_counts
+from junta_lab import junta_distance
+from junta_lab.boolfn import IndexSet, TruthTable, bichromatic_edge_counts
 from junta_lab.errors import InvalidInput, TooLarge
 from junta_lab.hardgen import sample_d2
 from junta_lab.junta_distance import (
@@ -108,21 +109,35 @@ def first_minimum_over_subsets(f: TruthTable, k: int):
     return best, witness
 
 
+def junta_table(n, J, rng):
+    """A random function of the coordinates in J, as an n-variable table."""
+    values = rng.integers(0, 2, size=1 << len(J), dtype=np.uint8)
+    fiber = np.zeros(1 << n, dtype=np.int64)
+    for j in J:
+        fiber = (fiber << 1) | ((np.arange(1 << n) >> (n - j)) & 1)
+    return values[fiber]
+
+
 @st.composite
 def tables_and_k(draw):
-    """Random-density tables, a third of them exact juntas on at most k coordinates."""
+    """Random-density tables, exact juntas on at most k coordinates, and near-juntas.
+
+    A near-junta is a junta with a few points flipped: it fails the junta
+    test, yet its distance is tiny and many subsets tie.
+    """
     n = draw(st.integers(1, 10))
     k = draw(st.integers(0, n))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.integers(0, 2)) == 0:
-        J = sorted(rng.choice(n, size=draw(st.integers(0, k)), replace=False) + 1)
-        values = rng.integers(0, 2, size=1 << len(J), dtype=np.uint8)
-        fiber = np.zeros(1 << n, dtype=np.int64)
-        for j in J:
-            fiber = (fiber << 1) | ((np.arange(1 << n) >> (n - j)) & 1)
-        return TruthTable(n, values[fiber]), k
-    density = draw(st.floats(0.0, 1.0))
-    return TruthTable(n, (rng.random(1 << n) < density).astype(np.uint8)), k
+    kind = draw(st.sampled_from(("random", "junta", "near-junta")))
+    if kind == "random":
+        density = draw(st.floats(0.0, 1.0))
+        return TruthTable(n, (rng.random(1 << n) < density).astype(np.uint8)), k
+    J = sorted(rng.choice(n, size=draw(st.integers(0, k)), replace=False) + 1)
+    table = junta_table(n, J, rng)
+    if kind == "near-junta":
+        flips = min(draw(st.integers(1, 3)), 1 << n)
+        table[rng.choice(1 << n, size=flips, replace=False)] ^= 1
+    return TruthTable(n, table), k
 
 
 @settings(max_examples=60, deadline=None)
@@ -135,13 +150,60 @@ def test_dist_k_is_first_minimum_over_subsets(case):
     assert report.witness.members == witness
 
 
+D2_N14 = sample_d2(14, 0.1, RandomStream(Seed(1), "d2"))
+
+
 def test_dist_k_fixed_d2_case_at_n14():
-    f = sample_d2(14, 0.1, RandomStream(Seed(1), "d2"))
+    f = D2_N14
     report = dist_to_k_junta(f, 10, epsilon=0.1)
     assert report.distance == Fraction(1634, 1 << 14)
     assert report.witness.members == (1, 2, 4, 5, 6, 8, 9, 12, 13, 14)
     assert report.far is False
     assert (report.distance, report.witness.members) == first_minimum_over_subsets(f, 10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables_and_k())
+@example((D2_N14, 10))
+def test_dist_block_size_changes_nothing(case):
+    # 1 makes every block a single leaf; 2^13 holds 8 leaves of 2^10 counts
+    f, k = case
+    reports = []
+    for cells in (1, 1 << 6, 1 << 13, junta_distance.DIST_BLOCK_CELLS):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(junta_distance, "DIST_BLOCK_CELLS", cells)
+            reports.append(dist_to_k_junta(f, k, epsilon=0.1))
+    assert all(report == reports[-1] for report in reports)
+
+
+def test_dist_k_on_a_strided_table():
+    # TruthTable keeps a view of the caller's array, so its table may be strided
+    rng = np.random.default_rng(7)
+    f = TruthTable(8, rng.integers(0, 2, size=1 << 9, dtype=np.uint8)[::2])
+    assert not f.table.flags.c_contiguous
+    for k in (3, 5):
+        report = dist_to_k_junta(f, k)
+        assert (report.distance, report.witness.members) == first_minimum_over_subsets(f, k)
+
+
+def test_junta_test_witnesses():
+    # a constant table depends on no coordinate
+    for n in (1, 4):
+        zero = TruthTable.constant(n, 0)
+        assert dist_to_k_junta(zero, 0).witness.members == ()
+        assert dist_to_k_junta(zero, n).witness.members == tuple(range(1, n + 1))
+    # x2 ^ x5 depends on exactly two coordinates, x5 ^ x6 on the last two
+    middle = table_from_fn(6, lambda c: bit_of(c, 6, 2) ^ bit_of(c, 6, 5))
+    last = table_from_fn(6, lambda c: bit_of(c, 6, 5) ^ bit_of(c, 6, 6))
+    report = dist_to_k_junta(middle, 2, epsilon=0.5)
+    assert (report.distance, report.witness.members, report.far) == (0, (2, 5), False)
+    assert dist_to_k_junta(middle, 4).witness.members == (1, 2, 3, 5)
+    assert dist_to_k_junta(last, 2).witness.members == (5, 6)
+    assert dist_to_k_junta(last, 4).witness.members == (1, 2, 5, 6)
+    assert dist_to_k_junta(last, 1).distance == Fraction(1, 2)
+    for f, k in ((middle, 2), (middle, 4), (last, 4), (last, 1)):
+        report = dist_to_k_junta(f, k)
+        assert (report.distance, report.witness.members) == first_minimum_over_subsets(f, k)
 
 
 def brute_force_matching(f: TruthTable, V) -> int:

@@ -10,7 +10,6 @@ from junta_lab.errors import InvalidInput, StrictModeViolation
 from junta_lab.params import (
     DESK_SCALE,
     STRICT,
-    Params,
     derive_params,
     from_config_text,
     to_config_text,
