@@ -40,7 +40,8 @@ per-value encoding.
 The script checks that every fast path agrees with its reference (tables,
 distances, witnesses, per-direction counts, TV distances, game advantages,
 separation verdicts, payload bytes) and that the digest counts match their
-closed forms, and exits 1 if not.
+closed forms, and exits 1 if not.  The counts take every digest a keyed
+digest state derives.
 
 Two more game cases time the paths that compute only what they read: the
 budget game (desk n = 14, epsilon = 0.01, 2000 trials), whose no side reads
@@ -49,8 +50,17 @@ every no-side trial's full 2^14 table with ``sample_d1``; and the bound
 sweep's 956 cells from shared Pascal rows and rate power tables
 (``binom_stats.dtv_from_tables``) against one ``exact_dtv`` call per cell.
 
-Writes BENCH_10.json at the root of the checkout (BENCH_2, BENCH_3,
-BENCH_5, BENCH_6 and BENCH_7.json are earlier runs).
+Seed derivation: the strings game's trial loop (desk n = 12, 16 queries,
+500 trials, the ``games`` workload's strings job) and ``to_table`` on yes
+and no desk instances at n in {10, 14}, with the package's keyed digest
+states against ``FreshDigest``, which builds one fresh keyed blake2b per
+digest as every digest was derived before the states were kept.
+
+The references live in ``tests/references.py``, which the tests compare
+the library against too.
+
+Writes BENCH_11.json at the root of the checkout (BENCH_2, BENCH_3,
+BENCH_5, BENCH_6, BENCH_7 and BENCH_10.json are earlier runs).
 
 Usage: python scripts/bench.py
 """
@@ -69,7 +79,7 @@ from pathlib import Path
 
 import numpy as np
 
-from junta_lab import harness, rng, tasks
+from junta_lab import boolfn, harness, rng, tasks
 from junta_lab.binom_stats import (
     BinomialSpec,
     dtv_from_tables,
@@ -97,24 +107,26 @@ from junta_lab.harness import (
     run_hidden_set_game,
 )
 from junta_lab.junta_distance import dist_to_k_junta, max_disjoint_bichromatic_matching
-from junta_lab.rng import RandomStream, Seed
+from junta_lab.rng import KeyedDigest, RandomStream, Seed
 
-OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_10.json"
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tests"))
+from references import FreshDigest, general_encoding, per_point_table  # noqa: E402
+
+OUTPUT = ROOT / "BENCH_11.json"
 SEED = 1
 COMPARED = (10, 12, 14, 16)
 FAST_ONLY = (20, 24)
 REPEATS = {"per_point": 3, "to_table": 7, "per_subset": 3, "dist_to_k_junta": 7,
-           "hopcroft_karp": 3, "edge_counts": 7, "games": 5, "kernel": 7, "frontier": 3}
+           "hopcroft_karp": 3, "edge_counts": 7, "games": 5, "kernel": 7, "frontier": 3,
+           "seed_derivation": 7}
 GAME_TRIALS = 2000
 GOOD_M_DRAWS = 2000
 SAMPLERS = {"yes": sample_yes, "no": sample_no}
 ORACLE_N = (10, 12, 14, 16)
 D2_EPSILON = 0.1
-
-
-def per_point_table(f) -> TruthTable:
-    n = f.n
-    return TruthTable(n, np.array([f.eval(BitString(n, c)) for c in range(1 << n)]))
+STRINGS_N, STRINGS_QUERIES, STRINGS_TRIALS = 12, 16, 500
+DIGEST_TABLE_N = (10, 14)
 
 
 def per_subset_dist_to_k_junta(f: TruthTable, k: int) -> tuple[Fraction, tuple[int, ...]]:
@@ -185,19 +197,34 @@ def hopcroft_karp_per_direction(f: TruthTable) -> tuple[int, ...]:
 
 @contextmanager
 def counted_digests():
-    """Count ``rng.derive_u64`` calls, which every digest-derived bit goes through."""
-    original = rng.derive_u64
+    """Count the digests ``rng.KeyedDigest`` derives, which every digest-derived bit goes through."""
+    u64, below = KeyedDigest.u64, KeyedDigest.below
     count = [0]
 
-    def counting(*args):
+    def counting_u64(self, payload):
         count[0] += 1
-        return original(*args)
+        return u64(self, payload)
 
-    rng.derive_u64 = counting
+    def counting_below(self, payloads, limit):
+        count[0] += len(payloads)
+        return below(self, payloads, limit)
+
+    KeyedDigest.u64, KeyedDigest.below = counting_u64, counting_below
     try:
         yield count
     finally:
-        rng.derive_u64 = original
+        KeyedDigest.u64, KeyedDigest.below = u64, below
+
+
+@contextmanager
+def fresh_digests():
+    """Structured instances built inside derive every digest from a fresh keyed blake2b."""
+    keyed = boolfn.KeyedDigest
+    boolfn.KeyedDigest = FreshDigest
+    try:
+        yield
+    finally:
+        boolfn.KeyedDigest = keyed
 
 
 def timed(build, f, repeats: int, *args) -> dict:
@@ -406,17 +433,6 @@ def mask_separation(Ms, X, tau: int) -> list[bool]:
     return [tasks.separates(M, codes) for M in Ms]
 
 
-def general_encoding(payloads) -> list[bytes]:
-    out = []
-    for values in payloads:
-        packed = b""
-        for v in values:
-            body = v.to_bytes(max(1, (v.bit_length() + 7) // 8), "big")
-            packed += len(body).to_bytes(4, "big") + body
-        out.append(packed)
-    return out
-
-
 def table_encoding(payloads) -> list[bytes]:
     return [rng.pack_ints(*values) for values in payloads]
 
@@ -463,22 +479,66 @@ def game_cases() -> tuple[list[dict], list[str]]:
          lambda: pairwise_separation(Ms, X, p12.tau),
          lambda: mask_separation(Ms, X, p12.tau)),
         ("pack_ints", f"{len(payloads)} fiber payloads of single-byte values",
-         lambda: general_encoding(payloads),
+         lambda: [general_encoding(*values) for values in payloads],
          lambda: table_encoding(payloads)),
     ]
+    return compared(pairs, REPEATS["games"])
+
+
+def compared(pairs, repeats: int) -> tuple[list[dict], list[str]]:
+    """Time and check each (name, inputs, reference, fast) pair of calls."""
     cases, problems = [], []
     for name, inputs, reference, fast in pairs:
         case = {"name": name, "inputs": inputs}
         results = {}
         for label, path in (("reference", reference), ("fast", fast)):
             results[label] = path()
-            case[label] = timed(lambda _: path(), None, REPEATS["games"])
+            case[label] = timed(lambda _: path(), None, repeats)
         if results["reference"] != results["fast"]:
             problems.append(f"{name}: fast path differs from its reference")
         case["equal"] = results["reference"] == results["fast"]
         case["speedup"] = case["reference"]["median_s"] / case["fast"]["median_s"]
         cases.append(case)
     return cases, problems
+
+
+def strings_game(plan, params) -> dict:
+    return harness.run_game(
+        lambda seed: sample_yes(params, seed), lambda seed: sample_no(params, seed),
+        plan, STRINGS_TRIALS, SEED,
+    ).as_json_dict()
+
+
+def fresh_strings_game(plan, params) -> dict:
+    with fresh_digests():
+        return strings_game(plan, params)
+
+
+def seed_derivation_cases() -> tuple[list[dict], list[str]]:
+    """Keyed digest states against one fresh keyed blake2b per digest."""
+    params = desk_params(STRINGS_N)
+    draw = random.Random(SEED)
+    plan = tasks.StringQueryPlan(
+        tuple(BitString(STRINGS_N, draw.getrandbits(STRINGS_N)) for _ in range(STRINGS_QUERIES)),
+        harness.DECIDERS["parity_yes"],
+    )
+    pairs = [("strings_game", f"desk n = {STRINGS_N}, {STRINGS_QUERIES} queries, parity_yes, "
+              f"{STRINGS_TRIALS} trials, seed {SEED}",
+              lambda: fresh_strings_game(plan, params), lambda: strings_game(plan, params))]
+    # epsilon = 0.1 is the structured workload's instances, whose fibers are
+    # mostly empty; at epsilon = 1 every fiber draws several coordinates
+    for n in DIGEST_TABLE_N:
+        for epsilon in (0.1, 1.0):
+            for kind, sampler in SAMPLERS.items():
+                p = desk_params(n, epsilon=epsilon)
+                with fresh_digests():
+                    fresh = sampler(p, Seed(SEED))
+                keyed = sampler(p, Seed(SEED))
+                pairs.append((f"to_table n = {n}, epsilon = {epsilon}, {kind}",
+                              f"desk {kind} instance, seed {SEED}",
+                              lambda fresh=fresh: to_table(fresh),
+                              lambda keyed=keyed: to_table(keyed)))
+    return compared(pairs, REPEATS["seed_derivation"])
 
 
 def main() -> int:
@@ -514,6 +574,12 @@ def main() -> int:
     for case in games:
         print(f"{case['name']:9s} {case['fast']['median_s']:.4f} s, reference "
               f"{case['reference']['median_s']:.4f} s, {case['speedup']:.1f}x", flush=True)
+    seed_derivation, found = seed_derivation_cases()
+    problems += found
+    for case in seed_derivation:
+        print(f"{case['name']}: keyed states {case['fast']['median_s']:.5f} s, fresh "
+              f"blake2b {case['reference']['median_s']:.5f} s, {case['speedup']:.1f}x",
+              flush=True)
     result = {
         "machine": {
             "nproc": os.cpu_count(),
@@ -528,6 +594,7 @@ def main() -> int:
         "kernel": kernel,
         "matching": matching,
         "games": games,
+        "seed_derivation": seed_derivation,
         "problems": problems,
     }
     OUTPUT.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")

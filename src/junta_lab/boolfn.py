@@ -9,14 +9,15 @@ addressing set contributes the most significant bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import compress, product
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidInput, TooLarge
 from .params import Params
-from .rng import Seed, derive_bit, pack_ints
+from .rng import KeyedDigest, Seed, byte_limit, pack_each, pack_ints
 
 TABLE_CAP = 24
 
@@ -212,19 +213,25 @@ class TruthTable:
 
 _S_ROLE = "S-membership"
 _H_ROLE = "h-value"
+_HALF = byte_limit(0.5)
 
 
 @dataclass(frozen=True)
 class StructuredFn:
     """A lazily evaluated instance f(x) = h_{address(x)}(x restricted to S).
 
-    ``eval`` is the definition: the address selects a per-fiber coordinate
-    subset S (each member of A joins with probability epsilon/sqrt(n)) and
-    a per-fiber random function value, both derived from the seed, so
-    repeated queries always agree and instances are safe to share across
-    threads.  ``eval`` re-derives both at every point.  ``eval_many`` and
-    ``to_table`` compute the same values but derive each fiber's S once per
-    call, and ``to_table`` derives each value of h once.
+    The address selects a per-fiber coordinate subset S (member a of A
+    joins when the digest of ``(seed, "S-membership", pack_ints(address,
+    a))`` fires at rate epsilon/sqrt(n)) and a per-fiber random function,
+    whose value is the fair bit of ``(seed, "h-value", pack_ints(address,
+    |S|, *S, *bits of x on S))``.  Both derive from the seed, so repeated
+    queries always agree and instances are safe to share across threads.
+
+    Each instance keeps one keyed S-state and one keyed h-state, and the
+    encodings of A's members.  ``fiber_coords`` extends the S-state with
+    the address once per fiber, and a fiber's values extend the h-state
+    with (address, |S|, *S) once per fiber, so no digest pays the key
+    schedule again.  ``eval_many`` derives each address's S once per call.
     """
 
     params: Params
@@ -232,6 +239,10 @@ class StructuredFn:
     A: IndexSet
     seed: Seed
     kind: str
+    _s_state: KeyedDigest = field(init=False, repr=False, compare=False)
+    _h_state: KeyedDigest = field(init=False, repr=False, compare=False)
+    _pool_codes: tuple[bytes, ...] = field(init=False, repr=False, compare=False)
+    _coin_limit: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.params.n
@@ -243,6 +254,18 @@ class StructuredFn:
             raise InvalidInput("M and A must be disjoint")
         if self.kind not in (YES_STYLE, NO_STYLE):
             raise InvalidInput(f"kind must be {YES_STYLE!r} or {NO_STYLE!r}")
+        derived = {
+            "_s_state": KeyedDigest.of(self.seed, _S_ROLE),
+            "_h_state": KeyedDigest.of(self.seed, _H_ROLE),
+            "_pool_codes": pack_each(self.A.members),
+            "_coin_limit": byte_limit(self.params.coin_prob),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        # the keyed states cannot be pickled; they are rebuilt from the fields
+        return (StructuredFn, (self.params, self.M, self.A, self.seed, self.kind))
 
     @property
     def n(self) -> int:
@@ -250,46 +273,55 @@ class StructuredFn:
 
     def fiber_coords(self, address: int) -> tuple[int, ...]:
         """The members of A that join the coordinate subset for this address."""
-        theta = self.params.coin_prob
-        return tuple(
-            a
-            for a in self.A.members
-            if derive_bit(self.seed, _S_ROLE, pack_ints(address, a), theta)
-        )
+        fired = self._s_state.extend(pack_ints(address)).below(self._pool_codes, self._coin_limit)
+        return tuple(compress(self.A.members, fired))
+
+    def _fiber_state(self, address: int, coords: tuple[int, ...]) -> KeyedDigest:
+        """The h-state extended with the fiber's prefix (address, |S|, *S)."""
+        return self._h_state.extend(pack_ints(address, len(coords), *coords))
 
     def eval(self, x: BitString) -> int:
         if x.length != self.n:
             raise DimensionMismatch(f"query length {x.length} != {self.n}")
-        address = address_index(self.M, x)
-        coords = self.fiber_coords(address)
-        payload = pack_ints(address, len(coords), *coords, *(x.bit(a) for a in coords))
-        return derive_bit(self.seed, _H_ROLE, payload, 0.5)
+        return self.eval_many((x,))[0]
 
     def eval_many(self, xs: Sequence[BitString]) -> tuple[int, ...]:
-        """``tuple(self.eval(x) for x in xs)``, deriving each address's S once."""
-        fibers: dict[int, tuple[int, ...]] = {}
+        """``tuple(self.eval(x) for x in xs)``, deriving each address's S once.
+
+        The address and the bits on S are read by shifts on ``x.code``.
+        """
+        n = self.n
+        address_shifts = [n - i for i in self.M.members]
+        fibers: dict[int, tuple[KeyedDigest, list[int]]] = {}
         out = []
         for x in xs:
-            address = address_index(self.M, x)
-            coords = fibers.get(address)
-            if coords is None:
-                coords = fibers[address] = self.fiber_coords(address)
-            out.append(self._fiber_value(address, coords, x.restrict(coords)))
+            if x.length != n:
+                raise DimensionMismatch(f"universe {n} does not match string length {x.length}")
+            code = x.code
+            address = 0
+            for shift in address_shifts:
+                address = (address << 1) | ((code >> shift) & 1)
+            address += 1
+            fiber = fibers.get(address)
+            if fiber is None:
+                coords = self.fiber_coords(address)
+                fiber = (self._fiber_state(address, coords), [n - a for a in coords])
+                fibers[address] = fiber
+            state, shifts = fiber
+            bits = pack_ints(*[(code >> shift) & 1 for shift in shifts])
+            out.append(int(state.below((bits,), _HALF)[0]))
         return tuple(out)
-
-    def _fiber_value(self, address: int, coords: tuple[int, ...], bits: Sequence[int]) -> int:
-        """h_address at the assignment ``bits`` of ``coords``, as ``eval`` derives it."""
-        payload = pack_ints(address, len(coords), *coords, *bits)
-        return derive_bit(self.seed, _H_ROLE, payload, 0.5)
 
 
 def to_table(f: StructuredFn) -> TruthTable:
     """Materialize a structured instance fiber by fiber; capped at n <= 24.
 
     Bit-identical to evaluating ``f.eval`` at every code, at a fraction of
-    the digests: ``eval`` costs |A| + 1 digests per point, 2^n * (|A| + 1)
-    in all, while this derives each fiber's S once and each of its 2^|S|
-    values of h once, 2^t * |A| + sum over addresses of 2^|S_a|.
+    the digests: per-point evaluation costs |A| + 1 digests per point,
+    2^n * (|A| + 1) in all, while this derives each fiber's S once and each
+    of its 2^|S| values of h once, 2^t * |A| + sum over addresses of
+    2^|S_a|.  Each fiber extends the h-state with (address, |S|, *S) once;
+    its values then add only the encoded bits, built once per width.
 
     The fiber of an address is the sub-cube with the coordinates of M fixed
     to the address bits.  On the (2,)*n view of the table it is a view over
@@ -303,13 +335,16 @@ def to_table(f: StructuredFn) -> TruthTable:
     out = np.empty(1 << n, dtype=np.uint8)
     cube = out.reshape((2,) * n)
     free = [i for i in range(1, n + 1) if i not in f.M]
+    # per width w, pack_ints of the w bits of y, MSB first, for y in range(2^w)
+    assignments: dict[int, list[bytes]] = {}
     for code in range(1 << t):
         address = code + 1
         coords = f.fiber_coords(address)
         width = len(coords)
+        if width not in assignments:
+            assignments[width] = [pack_ints(*bits) for bits in product((0, 1), repeat=width)]
         values = np.array(
-            [f._fiber_value(address, coords, _bits(y, width)) for y in range(1 << width)],
-            dtype=np.uint8,
+            f._fiber_state(address, coords).below(assignments[width], _HALF), dtype=np.uint8
         )
         address_bits = dict(zip(f.M.members, _bits(code, t)))
         fiber = tuple(address_bits.get(i, slice(None)) for i in range(1, n + 1))

@@ -18,7 +18,7 @@ import sys
 
 from . import harness, params as params_mod, tasks
 from .boolfn import BitString, TruthTable
-from .errors import InvalidInput, JuntaLabError
+from .errors import DimensionMismatch, InvalidInput, JuntaLabError
 from .hardgen import sample_d1, sample_d2, sample_yes, sample_no
 from .junta_distance import dist_to_k_junta
 from .rng import RandomStream, Seed
@@ -170,7 +170,10 @@ def _plan_from_json(raw: dict, mode: str):
         raise JuntaLabError(
             f"unknown decider {decider_name!r}; options: {sorted(harness.DECIDERS)}"
         )
-    queries = tuple(BitString.from_text(s) for s in raw["X"])
+    X = raw["X"]
+    if not isinstance(X, list) or not all(isinstance(s, str) for s in X):
+        raise InvalidInput(f"'X' must be a list of 0/1 strings, got {X!r}")
+    queries = tuple(BitString.from_text(s) for s in X)
     return tasks.StringQueryPlan(queries=queries, decider=harness.DECIDERS[decider_name])
 
 
@@ -178,6 +181,10 @@ def cmd_game(args: argparse.Namespace) -> int:
     p = _load_params(args.params)
     plan = _plan_from_file(args.plan, args.mode)
     if args.mode == "strings":
+        if plan.n != p.n:
+            raise DimensionMismatch(
+                f"plan strings have length {plan.n}, but the params have n = {p.n}"
+            )
         result = harness.run_game(
             gen_yes=lambda seed: sample_yes(p, seed),
             gen_no=lambda seed: sample_no(p, seed),

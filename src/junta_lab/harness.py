@@ -720,7 +720,9 @@ def good_m(config: ExperimentConfig) -> ExperimentReport:
 
     The plan X is fixed, so its far pairs (``tasks.far_pair_codes``) are
     listed once; each draw of M is then one mask test per far pair, the
-    same verdict as ``tasks.is_separating``.
+    same verdict as ``tasks.is_separating``.  When X has no far pair (at
+    desk scale tau exceeds n) every M separates, so no M is drawn and the
+    bad fraction is exactly 0.
     """
     params = config.params
     q_queries = 20
@@ -729,7 +731,7 @@ def good_m(config: ExperimentConfig) -> ExperimentReport:
     far_codes = tasks.far_pair_codes(X, params.tau)
     base = Seed(config.seed)
     bad = 0
-    for j in range(config.trials):
+    for j in range(config.trials if far_codes else 0):
         M = sample_addressing_set(params, base.mix(j))
         if not tasks.separates(M, far_codes):
             bad += 1

@@ -2,9 +2,12 @@
 
 Every random choice in the package flows through one of two mechanisms:
 
-* ``derive_bit`` / ``derive_u64``: a keyed blake2b digest of
-  ``(seed, role, payload)``.  Stateless, so lazily evaluated objects can
-  re-derive any bit on demand without caching.
+* ``KeyedDigest``: a blake2b state keyed by the seed and personalized by
+  a role, with a payload prefix absorbed.  For any payload it answers the
+  64-bit digest of ``(seed, role, prefix + payload)``, or whether that
+  digest falls below a threshold, so lazily evaluated objects re-derive
+  any bit on demand without caching and pay the key schedule once per
+  state.  ``derive_u64`` and ``derive_bit`` are one-shot calls into it.
 * ``RandomStream``: a PCG64 generator whose state is derived from
   ``(seed, role)``.  Used for bulk sampling where a stateful stream is the
   natural fit (subset draws, Monte-Carlo trials).
@@ -16,7 +19,9 @@ seed and role always reproduce the same draws.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -51,22 +56,29 @@ def pack_ints(*values: int) -> bytes:
     """Length-prefixed big-endian encoding of non-negative integers.
 
     Unambiguous for arbitrary-precision values, so address indices larger
-    than 64 bits are safe payloads.  Payloads of single-byte values, the
-    common case, join precomputed encodings.
+    than 64 bits are safe payloads.  It is the concatenation of
+    ``pack_each(values)``.
     """
-    if values and min(values) >= 0:
+    return b"".join(pack_each(values))
+
+
+def pack_each(values: Sequence[int]) -> tuple[bytes, ...]:
+    """``pack_ints(v)`` for each v in values.
+
+    Single-byte values, the common case, take precomputed encodings.
+    """
+    if min(values, default=0) >= 0:
         try:
-            return b"".join([_BYTE_CODES[v] for v in values])
+            return tuple([_BYTE_CODES[v] for v in values])
         except IndexError:
             pass
-    out = bytearray()
+    out = []
     for v in values:
         if v < 0:
             raise InvalidInput(f"payload integers must be non-negative, got {v}")
         body = v.to_bytes(max(1, (v.bit_length() + 7) // 8), "big")
-        out += len(body).to_bytes(4, "big")
-        out += body
-    return bytes(out)
+        out.append(len(body).to_bytes(4, "big") + body)
+    return tuple(out)
 
 
 def _person(role: str) -> bytes:
@@ -76,24 +88,85 @@ def _person(role: str) -> bytes:
     return hashlib.blake2b(raw, digest_size=hashlib.blake2b.PERSON_SIZE).digest()
 
 
+class KeyedDigest:
+    """A blake2b state that has absorbed a seed (the key), a role (the person) and a prefix.
+
+    Each answer copies the state, feeds it the payload and reads the
+    8-byte digest, so the key schedule and the prefix are paid once
+    however many payloads follow.  ``state`` is any object with ``copy``,
+    ``update`` and ``digest``; ``of`` builds the blake2b one, with an
+    empty prefix, and ``extend`` appends to the prefix.
+    """
+
+    __slots__ = ("_state",)
+
+    def __init__(self, state):
+        self._state = state
+
+    @classmethod
+    def of(cls, seed: Seed, role: str) -> "KeyedDigest":
+        return cls(hashlib.blake2b(digest_size=8, key=seed._key(), person=_person(role)))
+
+    def extend(self, data: bytes) -> "KeyedDigest":
+        """The state with ``data`` appended to its prefix."""
+        state = self._state.copy()
+        state.update(data)
+        return KeyedDigest(state)
+
+    def u64(self, payload: bytes) -> int:
+        """The digest of prefix + payload as a big-endian 64-bit word."""
+        state = self._state.copy()
+        state.update(payload)
+        return int.from_bytes(state.digest(), "big")
+
+    def below(self, payloads: Sequence[bytes], limit: bytes) -> list[bool]:
+        """For each payload, whether the digest of prefix + payload sorts below ``limit``.
+
+        ``limit`` comes from ``byte_limit``.  Digests are big-endian, so
+        bytes order is numeric order.
+        """
+        out = []
+        for payload in payloads:
+            state = self._state.copy()
+            state.update(payload)
+            out.append(state.digest() < limit)
+        return out
+
+
+# Sorts after every 8-byte digest: an 8-byte string is a prefix of it or
+# smaller at its first differing byte.
+_ABOVE_EVERY_DIGEST = b"\xff" * 9
+
+
+def byte_limit(threshold: float) -> bytes:
+    """The bytes that exactly a ``threshold`` share of 8-byte digests sort below.
+
+    A digest d fires when d < threshold * 2^64, which for an integer d is
+    d < ceil(threshold * 2^64).  Scaling a float by a power of two is
+    exact, so threshold 0 never fires, threshold 1 always does and 0.5
+    fires exactly when the top bit is 0.  The limit 2^64 (threshold 1)
+    has no 8-byte form and becomes a 9-byte string above every digest.
+    """
+    if not 0.0 <= threshold <= 1.0:
+        raise InvalidInput(f"threshold must be in [0, 1], got {threshold}")
+    limit = math.ceil(threshold * _U64)
+    return limit.to_bytes(8, "big") if limit < _U64 else _ABOVE_EVERY_DIGEST
+
+
 def derive_u64(seed: Seed, role: str, payload: bytes) -> int:
     """Avalanche-mix ``(seed, role, payload)`` into a uniform 64-bit word."""
-    digest = hashlib.blake2b(
-        payload, digest_size=8, key=seed._key(), person=_person(role)
-    ).digest()
-    return int.from_bytes(digest, "big")
+    return KeyedDigest.of(seed, role).u64(payload)
 
 
 def derive_bit(seed: Seed, role: str, payload: bytes, threshold: float) -> int:
     """Return 1 with probability ``threshold``, deterministically per input.
 
-    The 64-bit digest is compared against ``threshold * 2^64``.  Scaling a
-    float by a power of two and comparing it with an int are both exact, so
-    threshold 0 never fires and threshold 1 always does.
+    The 8-byte digest of ``(seed, role, payload)`` fires when it sorts
+    below ``byte_limit(threshold)``, that is when its 64-bit value is below
+    ceil(threshold * 2^64): threshold 0 never fires and threshold 1 always
+    does.
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise InvalidInput(f"threshold must be in [0, 1], got {threshold}")
-    return 1 if derive_u64(seed, role, payload) < threshold * _U64 else 0
+    return int(KeyedDigest.of(seed, role).below((payload,), byte_limit(threshold))[0])
 
 
 class RandomStream:

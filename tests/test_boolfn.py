@@ -1,5 +1,8 @@
 """Bit strings, truth tables, the addressing map, and structured instances."""
 
+import pickle
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +28,12 @@ from junta_lab.errors import (
 from junta_lab.hardgen import sample_no, sample_yes
 from junta_lab.params import DESK_SCALE, derive_params
 from junta_lab.rng import Seed
+from references import (
+    per_point_table,
+    reference_eval,
+    reference_fiber_coords,
+    reference_table,
+)
 
 
 def bitstrings(max_n=12):
@@ -222,11 +231,6 @@ def test_to_table_matches_eval():
         assert table.eval(x) == f.eval(x)
 
 
-def per_point_table(f):
-    n = f.n
-    return TruthTable(n, np.array([f.eval(BitString(n, c)) for c in range(1 << n)]))
-
-
 # epsilon = 1 raises the per-fiber coin to epsilon/sqrt(n) >= 1/4, so the
 # fibers' coordinate subsets S are non-empty as well as empty
 @settings(max_examples=20, deadline=None)
@@ -263,10 +267,36 @@ def test_eval_many_matches_eval():
     assert f.eval_many([]) == ()
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(2, 14),
+    st.sampled_from([sample_yes, sample_no]),
+    st.sampled_from([0.1, 1.0]),
+    st.integers(0, 2**64 - 1),
+    st.data(),
+)
+def test_keyed_paths_equal_the_fresh_blake2b_reference(n, sampler, epsilon, seed_value, data):
+    """fiber_coords, eval_many and to_table against one fresh keyed blake2b per digest."""
+    # derive_params starts at n = 4; below it one address bit and the rest pool
+    params = desk(n, epsilon) if n >= 4 else replace(desk(4, epsilon), n=n, m=n - 1, t=1)
+    f = sampler(params, Seed(seed_value))
+    for address in range(1, (1 << len(f.M)) + 1):
+        assert f.fiber_coords(address) == reference_fiber_coords(f, address)
+    codes = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=24))
+    codes += codes[::-1]
+    mask = sum(1 << (n - i) for i in f.M.members)
+    one_fiber = [c & ~mask for c in codes]
+    for batch in (codes, one_fiber):
+        xs = [BitString(n, c) for c in batch]
+        assert f.eval_many(xs) == tuple(reference_eval(f, x) for x in xs)
+    if n <= 10 or data.draw(st.booleans()):
+        assert to_table(f) == reference_table(f)
+
+
 def test_eval_many_length_mismatch():
     f = sample_yes(desk(8), Seed(3))
     xs = [BitString(8, 5), BitString(7, 5)]
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match="^universe 8 does not match string length 7$"):
         f.eval_many(xs)
     with pytest.raises(DimensionMismatch):
         to_table(f).eval_many(xs)
@@ -299,3 +329,10 @@ def test_sampled_instances_stay_inside_their_pool(seed_value):
     f = sample_yes(params, Seed(seed_value))
     rel = relevant_variables(to_table(f))
     assert set(rel.members) <= set(f.M.members) | set(f.A.members)
+
+
+def test_structured_fn_pickles_to_an_equal_instance():
+    f = sample_no(desk(8, 1.0), Seed(5))
+    g = pickle.loads(pickle.dumps(f))
+    assert g == f
+    assert to_table(g) == to_table(f)

@@ -141,9 +141,13 @@ def test_game_rejects_unknown_decider(tmp_path, capsys, desk10_file):
         ("sseq", json.dumps({"ell": [True, 2]})),
         ("sseq", '{"ell": [1e400]}'),
         ("sssq", json.dumps({"T": [[1.5, 2]]})),
+        ("strings", json.dumps({"X": "0101010101"})),
+        ("strings", json.dumps({"X": {"0101010101": 1}})),
+        ("strings", json.dumps({"X": ["0101", "0110"]})),
     ],
     ids=["not-json", "non-integer-count", "zero-m", "float-count", "string-count",
-         "bool-count", "overflowing-count", "float-member"],
+         "bool-count", "overflowing-count", "float-member", "string-X", "object-X",
+         "short-queries"],
 )
 def test_game_rejects_malformed_plan(tmp_path, capsys, desk10_file, mode, text):
     plan = tmp_path / "plan.json"
@@ -152,6 +156,20 @@ def test_game_rejects_malformed_plan(tmp_path, capsys, desk10_file, mode, text):
         "game", "--mode", mode, "--plan", str(plan),
         "--params", desk10_file, "--trials", "10", "--seed", "5",
     ])
+
+
+@pytest.mark.parametrize(
+    "X, message",
+    [("0101010101", "'X' must be a list of 0/1 strings"),
+     (["0101", "0110"], "plan strings have length 4, but the params have n = 10")],
+)
+def test_strings_plan_errors_name_the_plan(tmp_path, capsys, desk10_file, X, message):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"X": X}))
+    capsys.readouterr()
+    assert main(["game", "--mode", "strings", "--plan", str(plan), "--params", desk10_file]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
 
 
 # JSON values a plan file may hold.  Integers stay small: a huge "m" or

@@ -6,9 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from junta_lab import rng
 from junta_lab.errors import InvalidInput
-from junta_lab.rng import RandomStream, Seed, derive_bit, derive_u64, pack_ints
+from junta_lab.rng import (
+    KeyedDigest,
+    RandomStream,
+    Seed,
+    byte_limit,
+    derive_bit,
+    derive_u64,
+    pack_ints,
+)
+from references import general_encoding, reference_bit, reference_digest
 
 
 def test_seed_validation():
@@ -28,15 +36,78 @@ def test_degenerate_thresholds():
         assert derive_bit(seed, "t", payload, 1.0) == 1
 
 
-def test_threshold_one_fires_on_the_largest_digest(monkeypatch):
+class FixedState:
+    """A hash state whose digest is a fixed 64-bit value, whatever it is fed."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def copy(self):
+        return self
+
+    def update(self, data):
+        pass
+
+    def digest(self):
+        return self.value.to_bytes(8, "big")
+
+
+def fires(digest_value, threshold):
+    return KeyedDigest(FixedState(digest_value)).below([b""], byte_limit(threshold))[0]
+
+
+def test_threshold_one_fires_on_the_largest_digest():
     # 2^64 - 1 divided by 2^64 rounds to 1.0, so a float comparison misses it
-    monkeypatch.setattr(rng, "derive_u64", lambda seed, role, payload: 2**64 - 1)
-    assert derive_bit(Seed(1), "t", b"", 1.0) == 1
+    assert fires(2**64 - 1, 1.0)
 
 
-def test_threshold_comparison_is_strict_at_the_boundary(monkeypatch):
-    monkeypatch.setattr(rng, "derive_u64", lambda seed, role, payload: 2**63)
-    assert derive_bit(Seed(1), "t", b"", 0.5) == 0
+def test_threshold_comparison_is_strict_at_the_boundary():
+    assert not fires(2**63, 0.5)
+    assert fires(2**63 - 1, 0.5)
+
+
+@pytest.mark.parametrize(
+    "threshold, limit",
+    [(0.0, 0), (2.0**-64, 1), (0.5, 2**63), (1.0 - 2.0**-53, 2**64 - 2**11), (1.0, 2**64)],
+)
+def test_byte_limit_fires_below_the_ceiling_of_threshold_times_2_64(threshold, limit):
+    """Digests at limit - 1 fire and at limit do not, where limit = ceil(threshold * 2^64)."""
+    if limit > 0:
+        assert fires(limit - 1, threshold)
+        assert limit - 1 < threshold * 2**64
+    if limit < 2**64:
+        assert not fires(limit, threshold)
+        assert not limit < threshold * 2**64
+    assert not fires(0, threshold) if limit == 0 else fires(0, threshold)
+
+
+def test_byte_limit_rejects_thresholds_outside_the_unit_interval():
+    for threshold in (-2.0**-64, 1.0 + 2.0**-52, math.nan):
+        with pytest.raises(InvalidInput):
+            byte_limit(threshold)
+        with pytest.raises(InvalidInput):
+            derive_bit(Seed(1), "t", b"", threshold)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.sampled_from(["t", "S-membership", "h-value", "a-role-label-well-past-sixteen-bytes"]),
+    st.binary(max_size=40),
+    st.binary(max_size=40),
+    st.floats(0.0, 1.0) | st.sampled_from([0.0, 2.0**-64, 0.5, 1.0 - 2.0**-53, 1.0]),
+)
+def test_keyed_digest_equals_the_fresh_blake2b_reference(seed_value, role, prefix, payload, threshold):
+    seed = Seed(seed_value)
+    whole = prefix + payload
+    expected = int.from_bytes(reference_digest(seed, role, whole), "big")
+    assert derive_u64(seed, role, whole) == expected
+    assert derive_bit(seed, role, whole, threshold) == reference_bit(seed, role, whole, threshold)
+    keyed = KeyedDigest.of(seed, role).extend(prefix)
+    assert keyed.u64(payload) == expected
+    assert keyed.below([payload, payload], byte_limit(threshold)) == [
+        bool(reference_bit(seed, role, whole, threshold))
+    ] * 2
 
 
 def test_fair_coin_frequency():
@@ -76,15 +147,6 @@ def test_pack_ints_rejects_negative():
         pack_ints(-1)
     with pytest.raises(InvalidInput):
         pack_ints(5, -1)
-
-
-def general_encoding(*values: int) -> bytes:
-    """pack_ints by its definition: per value, a 4-byte length then the big-endian bytes."""
-    out = b""
-    for v in values:
-        body = v.to_bytes(max(1, (v.bit_length() + 7) // 8), "big")
-        out += len(body).to_bytes(4, "big") + body
-    return out
 
 
 @settings(max_examples=200, deadline=None)

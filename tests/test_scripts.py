@@ -8,7 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from junta_lab.boolfn import to_table
+from junta_lab.hardgen import sample_no
 from junta_lab.harness import desk_params, run_hidden_set_game
+from junta_lab.rng import Seed
 from junta_lab.tasks import ElementQueryPlan, SetQueryPlan
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -55,3 +58,18 @@ def test_bench_per_trial_game_equals_the_batched_game(plan):
     params = desk_params(10)
     batched = run_hidden_set_game(plan, params, 200, 3).advantage
     assert bench.per_trial_game(plan, params, 200, 3) == batched
+
+
+def test_bench_counts_every_keyed_digest_and_fresh_digests_agree():
+    bench = load_script("bench.py")
+    params = desk_params(10, epsilon=1.0)
+    keyed = sample_no(params, Seed(4))
+    with bench.fresh_digests():
+        fresh = sample_no(params, Seed(4))
+    fibers = [keyed.fiber_coords(a) for a in range(1, (1 << params.t) + 1)]
+    with bench.counted_digests() as count:
+        table = to_table(keyed)
+    assert count[0] == (1 << params.t) * len(keyed.A) + sum(1 << len(S) for S in fibers)
+    with bench.counted_digests() as count:
+        assert to_table(fresh) == table
+    assert count[0] == 0
