@@ -56,15 +56,27 @@ and no desk instances at n in {10, 14}, with the package's keyed digest
 states against ``FreshDigest``, which builds one fresh keyed blake2b per
 digest as every digest was derived before the states were kept.
 
+Explicit tables: the fixed costs of the ``tables`` workload's path, each
+against the form it replaced.  ``bichromatic_edge_counts``, one packed
+pass for all n directions, against one compare-and-count pass over the
+table per direction (the ten ``verify_d2`` tables at n = 12 and the D2
+table at n = 16); ``dist_to_k_junta`` with its block adds made a machine
+word at a time against the same kernel adding one count at a time (the
+ten ``verify_d2`` tables at n = 12, k = 11 and the D2 table at n = 14,
+k = 10); and the per-call overhead of ``cli.main`` on a ``dtv`` call at
+c = 1, which does almost no work, with the parser built once per process
+against a parser built for every call.
+
 The references live in ``tests/references.py``, which the tests compare
 the library against too.
 
-Writes BENCH_11.json at the root of the checkout (BENCH_2, BENCH_3,
-BENCH_5, BENCH_6, BENCH_7 and BENCH_10.json are earlier runs).
+Writes BENCH_12.json at the root of the checkout (BENCH_2, BENCH_3,
+BENCH_5, BENCH_6, BENCH_7, BENCH_10 and BENCH_11.json are earlier runs).
 
 Usage: python scripts/bench.py
 """
 
+import io
 import json
 import math
 import os
@@ -72,14 +84,14 @@ import platform
 import random
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
-from junta_lab import boolfn, harness, rng, tasks
+from junta_lab import boolfn, cli, harness, junta_distance, rng, tasks
 from junta_lab.binom_stats import (
     BinomialSpec,
     dtv_from_tables,
@@ -111,15 +123,21 @@ from junta_lab.rng import KeyedDigest, RandomStream, Seed
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))
-from references import FreshDigest, general_encoding, per_point_table  # noqa: E402
+from references import (  # noqa: E402
+    FreshDigest,
+    count_words,
+    general_encoding,
+    per_direction_edge_counts,
+    per_point_table,
+)
 
-OUTPUT = ROOT / "BENCH_11.json"
+OUTPUT = ROOT / "BENCH_12.json"
 SEED = 1
 COMPARED = (10, 12, 14, 16)
 FAST_ONLY = (20, 24)
 REPEATS = {"per_point": 3, "to_table": 7, "per_subset": 3, "dist_to_k_junta": 7,
            "hopcroft_karp": 3, "edge_counts": 7, "games": 5, "kernel": 7, "frontier": 3,
-           "seed_derivation": 7}
+           "seed_derivation": 7, "explicit_tables": 21}
 GAME_TRIALS = 2000
 GOOD_M_DRAWS = 2000
 SAMPLERS = {"yes": sample_yes, "no": sample_no}
@@ -127,6 +145,8 @@ ORACLE_N = (10, 12, 14, 16)
 D2_EPSILON = 0.1
 STRINGS_N, STRINGS_QUERIES, STRINGS_TRIALS = 12, 16, 500
 DIGEST_TABLE_N = (10, 14)
+CLI_CALLS = 100
+DTV_ARGV = ["dtv", "--c", "1", "--p", "0.5", "--q", "0.75", "--lambda", "1.0"]
 
 
 def per_subset_dist_to_k_junta(f: TruthTable, k: int) -> tuple[Fraction, tuple[int, ...]]:
@@ -541,6 +561,59 @@ def seed_derivation_cases() -> tuple[list[dict], list[str]]:
     return compared(pairs, REPEATS["seed_derivation"])
 
 
+def count_adds(tables) -> list:
+    """``distance_and_witness`` of each (table, k), its block runs added one count at a time."""
+    words = junta_distance._words
+    junta_distance._words = count_words
+    try:
+        return [distance_and_witness(f, k) for f, k in tables]
+    finally:
+        junta_distance._words = words
+
+
+def cli_calls(fresh_parser: bool) -> list[tuple[int, str]]:
+    """(exit code, stdout) of CLI_CALLS in-process ``dtv`` calls, optionally rebuilding the parser each time."""
+    out = []
+    for _ in range(CLI_CALLS):
+        if fresh_parser:
+            cli.build_parser.cache_clear()
+        text = io.StringIO()
+        with redirect_stdout(text):
+            code = cli.main(DTV_ARGV)
+        out.append((code, text.getvalue()))
+    return out
+
+
+def explicit_table_cases() -> tuple[list[dict], list[str]]:
+    """The tables workload's fixed costs, each against the form it replaced."""
+    stream = RandomStream(Seed(SEED), "verify_d2")
+    d2_12 = [sample_d2(12, 2.0**-7, stream.child(str(j))) for j in range(10)]
+    d2_14 = sample_d2(14, D2_EPSILON, RandomStream(Seed(SEED), "d2"))
+    d2_16 = sample_d2(16, D2_EPSILON, RandomStream(Seed(SEED), "d2"))
+    kernel_12 = [(g, 11) for g in d2_12]
+    pairs = [
+        ("edge_counts n = 12", "10 verify_d2 tables, n = 12, epsilon = 2^-7, packed pass "
+         "against one pass per direction",
+         lambda: [per_direction_edge_counts(g) for g in d2_12],
+         lambda: [bichromatic_edge_counts(g) for g in d2_12]),
+        ("edge_counts n = 16", f"D2 table, n = 16, epsilon = {D2_EPSILON}",
+         lambda: per_direction_edge_counts(d2_16),
+         lambda: bichromatic_edge_counts(d2_16)),
+        ("dist_to_k_junta (12, 11)", "10 verify_d2 tables, n = 12, k = 11, word adds "
+         "against count adds",
+         lambda: count_adds(kernel_12),
+         lambda: [distance_and_witness(f, k) for f, k in kernel_12]),
+        ("dist_to_k_junta (14, 10)", f"D2 table, n = 14, k = 10, epsilon = {D2_EPSILON}",
+         lambda: count_adds([(d2_14, 10)]),
+         lambda: [distance_and_witness(d2_14, 10)]),
+        ("cli.main overhead", f"{CLI_CALLS} in-process calls of {' '.join(DTV_ARGV)}, "
+         "one parser per process against one per call",
+         lambda: cli_calls(fresh_parser=True),
+         lambda: cli_calls(fresh_parser=False)),
+    ]
+    return compared(pairs, REPEATS["explicit_tables"])
+
+
 def main() -> int:
     cases, problems = [], []
     for n in COMPARED + FAST_ONLY:
@@ -580,6 +653,11 @@ def main() -> int:
         print(f"{case['name']}: keyed states {case['fast']['median_s']:.5f} s, fresh "
               f"blake2b {case['reference']['median_s']:.5f} s, {case['speedup']:.1f}x",
               flush=True)
+    explicit_tables, found = explicit_table_cases()
+    problems += found
+    for case in explicit_tables:
+        print(f"{case['name']}: {case['fast']['median_s']:.5f} s, before "
+              f"{case['reference']['median_s']:.5f} s, {case['speedup']:.1f}x", flush=True)
     result = {
         "machine": {
             "nproc": os.cpu_count(),
@@ -595,6 +673,7 @@ def main() -> int:
         "matching": matching,
         "games": games,
         "seed_derivation": seed_derivation,
+        "explicit_tables": explicit_tables,
         "problems": problems,
     }
     OUTPUT.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")

@@ -362,34 +362,30 @@ def bichromatic_edge_counts(f: TruthTable) -> tuple[int, ...]:
 
     These edges share no vertex, so entry i - 1 is also the size of the
     maximum disjoint bichromatic matching in direction i alone.
-    """
-    n = f.n
-    counts = []
-    for i in range(n):
-        halves = f.table.reshape(1 << i, 2, -1)
-        counts.append(int(np.count_nonzero(halves[:, 0] != halves[:, 1])))
-    return tuple(counts)
 
-
-def relevant_variables(f: TruthTable) -> IndexSet:
-    """Exactly the coordinates i with f(x) != f(flip(x, i)) for some x.
-
-    Coordinate i is relevant when the table's two halves along i differ.
-    Both halves are compared at once on the table packed into one integer,
-    entry 0 in its top bit, so entry c sits at bit 2^n - 1 - c: shifting
-    by 2^(n-i) bits lines every entry up with its partner across i, and
-    the mask keeps the entries with x_i = 1: the runs of 2^(n-i) bits whose
-    run index from the bottom is even.  XOR with itself shifted up by
+    All n directions are counted in one pass over the table packed into
+    one integer, entry 0 in its top bit, so entry c sits at bit 2^n - 1 - c:
+    shifting by 2^(n-i) bits lines every entry up with its partner across
+    i, and the mask keeps the entries with x_i = 1: the runs of 2^(n-i) bits
+    whose run index from the bottom is even.  XOR with itself shifted up by
     2^(n-i) bits turns the mask for runs of 2^(n-i+1) into this one; the
     mask before coordinate 1 is every bit, one run of 2^n.
     """
     n, size = f.n, 1 << f.n
     packed = int.from_bytes(np.packbits(f.table).tobytes(), "big") >> (-size % 8)
     full = mask = (1 << size) - 1
-    relevant = []
+    counts = []
     for i in range(1, n + 1):
         run = 1 << (n - i)
         mask = (mask ^ (mask << run)) & full
-        if (packed ^ (packed >> run)) & mask:
-            relevant.append(i)
-    return IndexSet.of(n, relevant)
+        counts.append(((packed ^ (packed >> run)) & mask).bit_count())
+    return tuple(counts)
+
+
+def relevant_variables(f: TruthTable) -> IndexSet:
+    """Exactly the coordinates i with f(x) != f(flip(x, i)) for some x.
+
+    These are the directions with a nonzero ``bichromatic_edge_counts``.
+    """
+    counts = bichromatic_edge_counts(f)
+    return IndexSet.of(f.n, [i for i, count in enumerate(counts, 1) if count])

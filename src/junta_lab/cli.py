@@ -13,6 +13,7 @@ Plan files for ``game`` are JSON objects with exactly one of:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -31,7 +32,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output path (CSV or table)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process on first use.
+
+    Parsing reads it and never changes it, so every ``main`` call shares it.
+    """
     parser = argparse.ArgumentParser(
         prog="junta-lab",
         description="hard-instance generators, oracle games, and exact distance oracles",

@@ -22,6 +22,7 @@ from .errors import InvalidInput, TooLarge
 
 DIST_CAP = 20
 DIST_BLOCK_CELLS = 1 << 17
+_UNSIGNED = {width: np.dtype(f"u{width}") for width in (1, 2, 4, 8)}
 
 
 @dataclass(frozen=True)
@@ -99,6 +100,17 @@ def _colex_subset(rank: int, size: int, width: int) -> int:
     return mask
 
 
+def _words(dtype: np.dtype, run: int) -> tuple[np.dtype, int]:
+    """The widest unsigned word (up to 8 bytes) that tiles ``run`` counts, and the run in words.
+
+    Adding two runs word by word adds their counts lane by lane with no
+    carry between lanes, because every sum the walk forms is at most the
+    fiber size 2^(n-k), which the count dtype holds.
+    """
+    width = min(8, run * dtype.itemsize)
+    return _UNSIGNED[width], run * dtype.itemsize // width
+
+
 def _block_least(
     counts: np.ndarray, kept: int, free: int, k: int, fiber_size: int
 ) -> tuple[int, int]:
@@ -114,7 +126,8 @@ def _block_least(
     summed over the decided axis, to group d; its own rows keep the axis.
     So rows stay in increasing order of their drop bits (bit s for
     coordinate n - s), and the first least leaf is the lexicographically
-    first.
+    first.  The two runs of each sum are added as ``_words``, so a run of
+    2, 4 or 8 one-byte counts costs one word add.
     """
     keep_total, drop_total = k - kept, free - (k - kept)
     groups: list[np.ndarray | None] = [counts.reshape(1, -1)] + [None] * drop_total
@@ -128,9 +141,9 @@ def _block_least(
                 )
             # group d - 1's rows end in the s - d + 1 axes the block kept,
             # and the decided axis sits just before them
-            run = 1 << (s - d + 1)
-            halves = groups[d - 1][: rows[d - 1]].reshape(-1, 2, run)
-            out = groups[d][rows[d] : rows[d] + rows[d - 1]].reshape(-1, run)
+            word, run = _words(counts.dtype, 1 << (s - d + 1))
+            halves = groups[d - 1][: rows[d - 1]].view(word).reshape(-1, 2, run)
+            out = groups[d][rows[d] : rows[d] + rows[d - 1]].view(word).reshape(-1, run)
             np.add(halves[:, 0], halves[:, 1], out=out)
             rows[d] += rows[d - 1]
             if s + 1 - (d - 1) > keep_total:
@@ -153,7 +166,7 @@ def _least_key(f: TruthTable, k: int) -> int:
     leaves below a node fit in DIST_BLOCK_CELLS counts (or it has only
     one), ``_block_least`` decides the rest.  Counts never exceed the
     fiber size 2^(n-k), so they are held in the smallest unsigned type
-    that fits it.
+    that fits it, in a contiguous array that the word views need.
     """
     n = f.n
     fit = max(DIST_BLOCK_CELLS, 1 << k)

@@ -41,8 +41,14 @@ class Seed:
             raise InvalidInput(f"seed must be a 64-bit unsigned integer, got {self.value!r}")
 
     def mix(self, index: int) -> "Seed":
-        """Derive the seed for trial number ``index`` of a Monte-Carlo run."""
-        return Seed(derive_u64(self, "mix", pack_ints(index)))
+        """Derive the seed for trial number ``index`` of a Monte-Carlo run.
+
+        ``derive_u64(self, "mix", pack_ints(index))`` as one keyed blake2b call.
+        """
+        digest = hashlib.blake2b(
+            pack_ints(index), digest_size=8, key=self._key(), person=_MIX_PERSON
+        ).digest()
+        return Seed(int.from_bytes(digest, "big"))
 
     def _key(self) -> bytes:
         return self.value.to_bytes(8, "little")
@@ -86,6 +92,9 @@ def _person(role: str) -> bytes:
     if len(raw) <= hashlib.blake2b.PERSON_SIZE:
         return raw
     return hashlib.blake2b(raw, digest_size=hashlib.blake2b.PERSON_SIZE).digest()
+
+
+_MIX_PERSON = _person("mix")
 
 
 class KeyedDigest:

@@ -21,6 +21,20 @@ def per_point_table(f) -> TruthTable:
     return TruthTable(n, np.array([f.eval(BitString(n, c)) for c in range(1 << n)]))
 
 
+def per_direction_edge_counts(f: TruthTable) -> tuple[int, ...]:
+    """Bichromatic edges per direction i: the table's two halves along i, compared entry by entry."""
+    counts = []
+    for i in range(f.n):
+        halves = f.table.reshape(1 << i, 2, -1)
+        counts.append(int(np.count_nonzero(halves[:, 0] != halves[:, 1])))
+    return tuple(counts)
+
+
+def count_words(dtype, run: int):
+    """``junta_distance._words`` without the word views: each run is added one count at a time."""
+    return dtype, run
+
+
 def general_encoding(*values: int) -> bytes:
     """pack_ints by its definition: per value, a 4-byte length then the big-endian bytes."""
     out = b""

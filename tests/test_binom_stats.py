@@ -21,6 +21,7 @@ from junta_lab.binom_stats import (
     rate_powers,
     tv_shift_bound,
     tv_shift_param,
+    TRIAL_CAP,
     TV_BOUND_CONSTANT,
 )
 from junta_lab.errors import (
@@ -30,6 +31,7 @@ from junta_lab.errors import (
     MismatchedSupport,
     TooLarge,
 )
+from junta_lab import binom_stats
 from junta_lab.harness import ExperimentConfig, desk_params, dtv_sweep
 from junta_lab.params import DESK_SCALE, derive_params
 from junta_lab.rng import RandomStream, Seed
@@ -182,6 +184,21 @@ def test_subadditivity_random_triples():
             c = int(rng.integers(1, 6))
             pairs.append((BinomialSpec(c, float(rng.random())), BinomialSpec(c, float(rng.random()))))
         assert product_dtv(pairs) <= sum(exact_dtv(a, b) for a, b in pairs) + 1e-12
+
+
+def test_trial_count_cap_refuses_before_any_work(monkeypatch):
+    # the cap leaves room for the element game's m = 33 792 at n = 2^16
+    assert TRIAL_CAP > 33_792
+
+    def no_work(c):
+        raise AssertionError("a refused trial count started its coefficient row")
+
+    monkeypatch.setattr(binom_stats, "_coefficients", no_work)
+    over = BinomialSpec(TRIAL_CAP + 1, 0.3)
+    with pytest.raises(TooLarge):
+        pmf_vector(over)
+    with pytest.raises(TooLarge):
+        exact_dtv(over, BinomialSpec(TRIAL_CAP + 1, 0.4))
 
 
 def test_subadditivity_caps():

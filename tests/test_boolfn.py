@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from junta_lab.boolfn import (
@@ -14,6 +14,7 @@ from junta_lab.boolfn import (
     StructuredFn,
     TruthTable,
     address_index,
+    bichromatic_edge_counts,
     flip,
     hamming,
     relevant_variables,
@@ -29,6 +30,7 @@ from junta_lab.hardgen import sample_no, sample_yes
 from junta_lab.params import DESK_SCALE, derive_params
 from junta_lab.rng import Seed
 from references import (
+    per_direction_edge_counts,
     per_point_table,
     reference_eval,
     reference_fiber_coords,
@@ -179,6 +181,46 @@ def test_relevant_variables_against_definition():
                     expected.add(i)
                     break
         assert set(relevant_variables(f).members) == expected
+
+
+def parity_table(n, coords):
+    """The XOR of the given coordinates, as an n-variable table."""
+    codes = np.arange(1 << n)
+    table = np.zeros(1 << n, dtype=np.uint8)
+    for i in coords:
+        table ^= ((codes >> (n - i)) & 1).astype(np.uint8)
+    return TruthTable(n, table)
+
+
+@st.composite
+def edge_count_tables(draw):
+    """Random-density, constant and parity tables at n = 1..12."""
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(("random", "constant", "parity")))
+    if kind == "constant":
+        return TruthTable.constant(n, draw(st.integers(0, 1)))
+    if kind == "parity":
+        return parity_table(n, draw(st.sets(st.integers(1, n))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return TruthTable(n, (rng.random(1 << n) < draw(st.floats(0.0, 1.0))).astype(np.uint8))
+
+
+@settings(max_examples=100, deadline=None)
+@given(edge_count_tables())
+@example(TruthTable.constant(1, 1))
+@example(parity_table(12, range(1, 13)))
+@example(TruthTable(9, (np.arange(1 << 10) >> 3 & 1).astype(np.uint8)[::2]))
+def test_edge_counts_equal_the_per_direction_reference(f):
+    counts = bichromatic_edge_counts(f)
+    assert counts == per_direction_edge_counts(f)
+    assert relevant_variables(f).members == tuple(i for i, c in enumerate(counts, 1) if c)
+
+
+def test_edge_counts_of_a_parity_table():
+    # along a coordinate of the parity every edge is bichromatic, along any other none
+    coords = {2, 3, 7}
+    expected = tuple((1 << 8) if i in coords else 0 for i in range(1, 10))
+    assert bichromatic_edge_counts(parity_table(9, coords)) == expected
 
 
 def desk(n, epsilon=0.1):

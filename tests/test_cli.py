@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from junta_lab import params as params_mod
 from junta_lab.boolfn import TruthTable
-from junta_lab.cli import main
+from junta_lab.cli import build_parser, main
 from junta_lab.harness import desk_params
 from junta_lab.params import derive_params
 
@@ -455,6 +455,48 @@ def test_usage_errors_exit_2(tmp_path, capsys, desk10_file):
         assert_usage_error(capsys, ["dist", "--table", str(table), "--k", "1", f"--eps={eps}"])
     # the shift bound needs q >= p: a negative shift has no bound to print
     assert_usage_error(capsys, ["dtv", "--c", "10", "--p", "0.6", "--q", "0.5", "--lambda", "0.5"])
+    # a trial count above the cap is refused before its mass vectors start
+    assert_usage_error(
+        capsys, ["dtv", "--c", "100000000", "--p", "0.5", "--q", "0.6", "--lambda", "0.5"]
+    )
+
+
+def run_captured(argv):
+    """(exit code, stdout, stderr) of one ``main`` call, usage errors included."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_one_parser_serves_every_call(tmp_path, desk10_file):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"ell": [4] * 8}))
+    table = str(tmp_path / "d2.tbl")
+    calls = [
+        ["gen", "--dist", "d2", "--params", desk10_file, "--seed", "5", "--emit-table", table],
+        ["gen", "--dist", "d3", "--params", desk10_file],
+        ["dist", "--table", table, "--k", "7", "--eps", "0.1"],
+        ["game", "--mode", "sseq", "--plan", str(plan), "--params", desk10_file,
+         "--trials", "100", "--seed", "5"],
+        ["--help"],
+        ["dist", "--help"],
+    ]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run_captured(argv))
+    shared = [run_captured(argv) for argv in calls]
+    assert build_parser() is build_parser()
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 2, 0, 0, 0, 0]
+    assert "invalid choice: 'd3'" in shared[1][2]
+    assert shared[4][1] == build_parser().format_help()
+    assert shared[4][1].startswith("usage: junta-lab [-h]")
+    assert shared[5][1].startswith("usage: junta-lab dist [-h]")
 
 
 def test_cli_reproducibility(tmp_path, capsys, desk10_file):

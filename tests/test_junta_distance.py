@@ -186,6 +186,28 @@ def test_dist_k_on_a_strided_table():
         assert (report.distance, report.witness.members) == first_minimum_over_subsets(f, k)
 
 
+@pytest.mark.parametrize(
+    "n, k, dtype, strided",
+    [
+        (12, 11, np.uint8, False),
+        (12, 5, np.uint8, True),
+        (12, 4, np.uint16, False),
+        (13, 3, np.uint16, True),
+        (17, 1, np.uint32, False),
+    ],
+)
+def test_dist_k_in_every_count_dtype(n, k, dtype, strided):
+    # counts are held in the smallest type that holds the fiber size 2^(n-k),
+    # and runs of them are added a word at a time
+    assert np.min_scalar_type(1 << (n - k)) == dtype
+    rng = np.random.default_rng(n * 100 + k)
+    bits = (rng.random(2 << n) < 0.3).astype(np.uint8)
+    f = TruthTable(n, bits[::2] if strided else bits[: 1 << n])
+    assert f.table.flags.c_contiguous != strided
+    report = dist_to_k_junta(f, k)
+    assert (report.distance, report.witness.members) == first_minimum_over_subsets(f, k)
+
+
 def test_junta_test_witnesses():
     # a constant table depends on no coordinate
     for n in (1, 4):

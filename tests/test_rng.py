@@ -199,6 +199,12 @@ def test_seed_mix_is_deterministic():
     assert base.mix(3) != base.mix(4)
 
 
+@pytest.mark.parametrize("index", [0, 255, 256, 2**40])
+def test_seed_mix_is_the_mix_digest_of_the_packed_index(index):
+    for base in (Seed(0), Seed(42), Seed(2**64 - 1)):
+        assert base.mix(index).value == derive_u64(base, "mix", pack_ints(index))
+
+
 def test_sample_without_replacement():
     stream = RandomStream(Seed(2), "swr")
     picked = stream.sample_without_replacement(10, 4)

@@ -8,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
+from junta_lab import junta_distance
 from junta_lab.boolfn import to_table
-from junta_lab.hardgen import sample_no
+from junta_lab.hardgen import sample_d2, sample_no
 from junta_lab.harness import desk_params, run_hidden_set_game
-from junta_lab.rng import Seed
+from junta_lab.rng import RandomStream, Seed
 from junta_lab.tasks import ElementQueryPlan, SetQueryPlan
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -73,3 +74,16 @@ def test_bench_counts_every_keyed_digest_and_fresh_digests_agree():
     with bench.counted_digests() as count:
         assert to_table(fresh) == table
     assert count[0] == 0
+
+
+def test_bench_before_forms_of_the_table_path_agree(monkeypatch):
+    bench = load_script("bench.py")
+    words = junta_distance._words
+    g = sample_d2(12, 2.0**-7, RandomStream(Seed(2), "d2"))
+    cases = [(g, 11), (g, 6), (g, 3)]
+    assert bench.count_adds(cases) == [bench.distance_and_witness(f, k) for f, k in cases]
+    assert junta_distance._words is words
+    monkeypatch.setattr(bench, "CLI_CALLS", 3)
+    calls = bench.cli_calls(fresh_parser=True)
+    assert calls == bench.cli_calls(fresh_parser=False)
+    assert [code for code, _ in calls] == [0, 0, 0]
