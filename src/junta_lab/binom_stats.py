@@ -37,9 +37,10 @@ TV_BOUND_CONSTANT = 3.0
 
 JOINT_SUPPORT_CAP = 1 << 20
 
-# Largest trial count of a whole mass vector.  Its coefficient recurrence
-# costs O(c^2) bit operations (about 2 s at the cap, 5.5 s at c = 10^5), and
-# the cap sits above the element game's m = 33 792 at n = 2^16.
+# Largest trial count whose masses come from the exact coefficient
+# recurrence, which costs O(c^2) bit operations (about 2 s at the cap, 5.5 s
+# at c = 10^5), and of an ``exact_dtv`` pair.  It sits above the element
+# game's m = 33 792 at n = 2^16.
 TRIAL_CAP = 1 << 16
 
 
@@ -155,15 +156,16 @@ def pmf_vector(spec: BinomialSpec) -> np.ndarray:
     """All masses pmf(0..c) as a float array, normalized to about 1e-13.
 
     Each entry equals ``pmf(spec, k)`` exactly.  A trial count above
-    TRIAL_CAP raises ``TooLarge`` before any work.
+    TRIAL_CAP at a rate strictly inside (0, 1) raises ``TooLarge`` before
+    the coefficient recurrence starts.
     """
     c, r = spec.c, spec.r
-    if c > TRIAL_CAP:
-        raise TooLarge(f"trial count {c} exceeds the cap {TRIAL_CAP}")
     if c <= _DIRECT_CAP:
         return _masses(_coefficient_row(c), rate_powers(r, c))
     if r == 0.0 or r == 1.0:
         return np.array([pmf(spec, k) for k in range(c + 1)])
+    if c > TRIAL_CAP:
+        raise TooLarge(f"trial count {c} exceeds the cap {TRIAL_CAP}")
     log_r = math.log(r)
     log_1r = math.log1p(-r)
     return np.array([
@@ -177,12 +179,14 @@ def exact_dtv(a: BinomialSpec, b: BinomialSpec) -> float:
 
     Up to c = 1000 this is ``dtv_from_tables`` on the coefficient row and
     the two rates' power tables; above, the half-L1 sum of the two
-    ``pmf_vector`` arrays, so a trial count above TRIAL_CAP raises
-    ``TooLarge`` before any work.
+    ``pmf_vector`` arrays.  A trial count above TRIAL_CAP raises
+    ``TooLarge`` before any work, whatever the rates.
     """
     if a.c != b.c:
         raise MismatchedSupport(f"trial counts differ: {a.c} vs {b.c}")
     c = a.c
+    if c > TRIAL_CAP:
+        raise TooLarge(f"trial count {c} exceeds the cap {TRIAL_CAP}")
     if c > _DIRECT_CAP:
         va, vb = pmf_vector(a).tolist(), pmf_vector(b).tolist()
         return 0.5 * math.fsum(abs(x - y) for x, y in zip(va, vb))
@@ -240,7 +244,8 @@ def product_dtv(pairs: Sequence[tuple[BinomialSpec, BinomialSpec]]) -> float:
     """Exact TV distance between the product of the first and of the second members.
 
     The joint support is the product of the per-coordinate supports and is
-    capped at JOINT_SUPPORT_CAP.
+    capped at JOINT_SUPPORT_CAP.  A pair above TRIAL_CAP trials at a rate
+    strictly inside (0, 1) raises ``TooLarge`` from ``pmf_vector``.
     """
     if not pairs:
         raise InvalidInput("need at least one pair")

@@ -7,7 +7,7 @@ Every random choice in the package flows through one of two mechanisms:
   64-bit digest of ``(seed, role, prefix + payload)``, or whether that
   digest falls below a threshold, so lazily evaluated objects re-derive
   any bit on demand without caching and pay the key schedule once per
-  state.  ``derive_u64`` and ``derive_bit`` are one-shot calls into it.
+  state.  ``derive_u64`` and ``derive_bit`` are its one-shot forms.
 * ``RandomStream``: a PCG64 generator whose state is derived from
   ``(seed, role)``.  Used for bulk sampling where a stateful stream is the
   natural fit (subset draws, Monte-Carlo trials).
@@ -41,14 +41,8 @@ class Seed:
             raise InvalidInput(f"seed must be a 64-bit unsigned integer, got {self.value!r}")
 
     def mix(self, index: int) -> "Seed":
-        """Derive the seed for trial number ``index`` of a Monte-Carlo run.
-
-        ``derive_u64(self, "mix", pack_ints(index))`` as one keyed blake2b call.
-        """
-        digest = hashlib.blake2b(
-            pack_ints(index), digest_size=8, key=self._key(), person=_MIX_PERSON
-        ).digest()
-        return Seed(int.from_bytes(digest, "big"))
+        """Derive the seed for trial number ``index`` of a Monte-Carlo run."""
+        return Seed(derive_u64(self, "mix", pack_ints(index)))
 
     def _key(self) -> bytes:
         return self.value.to_bytes(8, "little")
@@ -94,7 +88,9 @@ def _person(role: str) -> bytes:
     return hashlib.blake2b(raw, digest_size=hashlib.blake2b.PERSON_SIZE).digest()
 
 
-_MIX_PERSON = _person("mix")
+def _keyed(seed: Seed, role: str, data: bytes = b""):
+    """The 8-byte blake2b state keyed by ``seed``, personalized by ``role``, fed ``data``."""
+    return hashlib.blake2b(data, digest_size=8, key=seed._key(), person=_person(role))
 
 
 class KeyedDigest:
@@ -114,7 +110,7 @@ class KeyedDigest:
 
     @classmethod
     def of(cls, seed: Seed, role: str) -> "KeyedDigest":
-        return cls(hashlib.blake2b(digest_size=8, key=seed._key(), person=_person(role)))
+        return cls(_keyed(seed, role))
 
     def extend(self, data: bytes) -> "KeyedDigest":
         """The state with ``data`` appended to its prefix."""
@@ -163,8 +159,12 @@ def byte_limit(threshold: float) -> bytes:
 
 
 def derive_u64(seed: Seed, role: str, payload: bytes) -> int:
-    """Avalanche-mix ``(seed, role, payload)`` into a uniform 64-bit word."""
-    return KeyedDigest.of(seed, role).u64(payload)
+    """Avalanche-mix ``(seed, role, payload)`` into a uniform 64-bit word.
+
+    ``KeyedDigest.of(seed, role).u64(payload)`` as one blake2b call, with
+    no state to copy.
+    """
+    return int.from_bytes(_keyed(seed, role, payload).digest(), "big")
 
 
 def derive_bit(seed: Seed, role: str, payload: bytes, threshold: float) -> int:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from junta_lab.binom_stats import (
     BinomialSpec,
+    JOINT_SUPPORT_CAP,
     bin_hit_prob,
     dtv_from_tables,
     exact_dtv,
@@ -199,6 +200,11 @@ def test_trial_count_cap_refuses_before_any_work(monkeypatch):
         pmf_vector(over)
     with pytest.raises(TooLarge):
         exact_dtv(over, BinomialSpec(TRIAL_CAP + 1, 0.4))
+    with pytest.raises(TooLarge):
+        exact_dtv(BinomialSpec(TRIAL_CAP + 1, 0.0), BinomialSpec(TRIAL_CAP + 1, 1.0))
+    # rates 0 and 1 never start the recurrence, so their masses stay available
+    point = pmf_vector(BinomialSpec(TRIAL_CAP + 1, 1.0))
+    assert point[-1] == 1.0 and point[:-1].sum() == 0.0
 
 
 def test_subadditivity_caps():
@@ -209,6 +215,13 @@ def test_subadditivity_caps():
         product_dtv([])
     with pytest.raises(MismatchedSupport):
         product_dtv([(BinomialSpec(1, 0.5), BinomialSpec(2, 0.5))])
+    # one pair inside the joint support cap but above the trial-count cap
+    over = BinomialSpec(TRIAL_CAP + 1, 0.5)
+    assert TRIAL_CAP + 2 <= JOINT_SUPPORT_CAP
+    with pytest.raises(TooLarge):
+        product_dtv([(over, over)])
+    point_a, point_b = BinomialSpec(TRIAL_CAP + 1, 0.0), BinomialSpec(TRIAL_CAP + 1, 1.0)
+    assert product_dtv([(point_a, point_b)]) == 1.0
 
 
 def test_summary_distribution_degenerate():
