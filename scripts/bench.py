@@ -15,15 +15,16 @@ and one ``bincount`` over 2^n for each of the C(n,k) subsets, at k = n - 1
 ``bichromatic_edge_counts`` against n single-direction Hopcroft-Karp
 matchings, one per coordinate.
 
-Distance kernel: it times ``dist_to_k_junta`` (a junta test, then every
-size-k set a block at a time) against the generator walk it replaced,
-which yields the subsets one at a time in ``combinations`` order.  The
-cases are the inputs the benchmark jobs pass it (ten desk n = 10, k = 7
-yes and ten no instances, as ``verify_no`` draws them; ten D1 and ten D2
-tables at n = 12, k = 11, as ``verify_d1``/``verify_d2`` draw them; the
-D2 n = 14, k = 10 table of the CLI ``dist`` job) and three at the
-exact-distance frontier: D_no at n = 18, k = 13 and D_yes at n = 20,
-k = 15, both at epsilon = 1, and D2 at n = 18, k = 14.
+Distance kernel: it times ``dist_to_k_junta`` (a junta test, the
+k = n - 1 closed form, or every size-k set a block at a time) against the
+generator walk that yields the subsets one at a time in ``combinations``
+order.  The cases are the inputs the benchmark jobs pass it (ten desk
+n = 10, k = 7 yes and ten no instances, as ``verify_no`` draws them; ten
+D1 and ten D2 tables at n = 12, k = 11, as ``verify_d1``/``verify_d2``
+draw them, which take the closed form; the D2 n = 14, k = 10 table of the
+CLI ``dist`` job) and three at the exact-distance frontier: D_no at
+n = 18, k = 13 and D_yes at n = 20, k = 15, both at epsilon = 1, and D2
+at n = 18, k = 14.
 
 Games: it times the paths the ``games`` workload spends its time in
 against the per-call forms they replace.  ``exact_dtv`` over the 956 cells
@@ -62,16 +63,30 @@ pass for all n directions, against one compare-and-count pass over the
 table per direction (the ten ``verify_d2`` tables at n = 12 and the D2
 table at n = 16); ``dist_to_k_junta`` with its block adds made a machine
 word at a time against the same kernel adding one count at a time (the
-ten ``verify_d2`` tables at n = 12, k = 11 and the D2 table at n = 14,
+ten ``verify_d2`` tables at n = 12, k = 10 and the D2 table at n = 14,
 k = 10); and the per-call overhead of ``cli.main`` on a ``dtv`` call at
 c = 1, which does almost no work, with the parser built once per process
 against a parser built for every call.
 
+Distance at k = n - 1: ``dist_to_k_junta`` reads the disagreements off
+one ``bichromatic_edge_counts`` pass (the least count; the witness drops
+the largest coordinate attaining it) instead of walking every size-k set.
+It is timed against ``junta_distance._least_key``, the blocked walk it
+bypasses (the walk alone: the before numbers leave out the relevance
+pass that ran ahead of it), on the ten ``verify_d1`` and ten
+``verify_d2`` draws at n = 12 and on D1 and D2 tables at n = 16, 18 and
+20 (the same epsilons), and the two must give the same distance and
+witness.  One more row times
+``TruthTable.deserialize`` on the D2 n = 14 table of the CLI ``dist`` job,
+its table line checked with numpy on the encoded bytes, against the same
+parse checking the line as a set of characters.
+
 The references live in ``tests/references.py``, which the tests compare
 the library against too.
 
-Writes BENCH_12.json at the root of the checkout (BENCH_2, BENCH_3,
-BENCH_5, BENCH_6, BENCH_7, BENCH_10 and BENCH_11.json are earlier runs).
+Writes BENCH_14.json at the root of the checkout (BENCH_2, BENCH_3,
+BENCH_5, BENCH_6, BENCH_7, BENCH_10, BENCH_11 and BENCH_12.json are
+earlier runs).
 
 Usage: python scripts/bench.py
 """
@@ -129,15 +144,16 @@ from references import (  # noqa: E402
     general_encoding,
     per_direction_edge_counts,
     per_point_table,
+    set_checked_deserialize,
 )
 
-OUTPUT = ROOT / "BENCH_12.json"
+OUTPUT = ROOT / "BENCH_14.json"
 SEED = 1
 COMPARED = (10, 12, 14, 16)
 FAST_ONLY = (20, 24)
 REPEATS = {"per_point": 3, "to_table": 7, "per_subset": 3, "dist_to_k_junta": 7,
            "hopcroft_karp": 3, "edge_counts": 7, "games": 5, "kernel": 7, "frontier": 3,
-           "seed_derivation": 7, "explicit_tables": 21}
+           "seed_derivation": 7, "explicit_tables": 21, "tail": 7}
 GAME_TRIALS = 2000
 GOOD_M_DRAWS = 2000
 SAMPLERS = {"yes": sample_yes, "no": sample_no}
@@ -147,6 +163,8 @@ STRINGS_N, STRINGS_QUERIES, STRINGS_TRIALS = 12, 16, 500
 DIGEST_TABLE_N = (10, 14)
 CLI_CALLS = 100
 DTV_ARGV = ["dtv", "--c", "1", "--p", "0.5", "--q", "0.75", "--lambda", "1.0"]
+TAIL_SAMPLERS = {"verify_d1": ("D1", sample_d1, 0.05), "verify_d2": ("D2", sample_d2, 2.0**-7)}
+TAIL_N = (16, 18, 20)
 
 
 def per_subset_dist_to_k_junta(f: TruthTable, k: int) -> tuple[Fraction, tuple[int, ...]]:
@@ -317,6 +335,13 @@ def oracle_cases(n: int) -> tuple[list[dict], dict, list[str]]:
     return distance, matching, problems
 
 
+def tail_draws(which: str) -> list[TruthTable]:
+    """The ten n = 12 tables ``verify_d1`` or ``verify_d2`` draws at the benchmark's epsilon."""
+    _, sampler, epsilon = TAIL_SAMPLERS[which]
+    stream = RandomStream(Seed(SEED), which)
+    return [sampler(12, epsilon, stream.child(str(j))) for j in range(10)]
+
+
 def kernel_inputs() -> list[tuple[str, list[tuple[TruthTable, int]], str]]:
     """(name, [(table, k), ...], repeats key) for each distance kernel case."""
     p10 = desk_params(10)
@@ -324,10 +349,7 @@ def kernel_inputs() -> list[tuple[str, list[tuple[TruthTable, int]], str]]:
     # verify_no: the yes side reads base.mix(j), the no side base.mix(trials + j)
     yes10 = [(to_table(sample_yes(p10, base.mix(j))), p10.k) for j in range(10)]
     no10 = [(to_table(sample_no(p10, base.mix(10 + j))), p10.k) for j in range(10)]
-    tails = {}
-    for which, sampler, epsilon in (("verify_d1", sample_d1, 0.05), ("verify_d2", sample_d2, 2.0**-7)):
-        stream = RandomStream(Seed(SEED), which)
-        tails[which] = [(sampler(12, epsilon, stream.child(str(j))), 11) for j in range(10)]
+    tails = {which: [(g, 11) for g in tail_draws(which)] for which in TAIL_SAMPLERS}
     p18, p20 = desk_params(18, epsilon=1.0), desk_params(20, epsilon=1.0)
     return [
         (f"desk n = 10, k = {p10.k}: 10 yes instances", yes10, "kernel"),
@@ -351,16 +373,17 @@ def kernel_cases() -> tuple[list[dict], list[str]]:
     for name, tables, repeats in kernel_inputs():
         case = {"name": name, "seed": SEED}
         results = {}
-        for label, path in (("generator_walk", generator_walk), ("blocked", distance_and_witness)):
+        for label, path in (("generator_walk", generator_walk), ("dist_to_k_junta", distance_and_witness)):
             run = lambda _, path=path: [path(f, k) for f, k in tables]
             results[label] = run(None)
             case[label] = timed(run, None, REPEATS[repeats])
-        if results["generator_walk"] != results["blocked"]:
-            problems.append(f"{name}: blocked kernel differs from the generator walk")
-        case["equal"] = results["generator_walk"] == results["blocked"]
-        case["distances"] = [[d.numerator, d.denominator] for d, _ in results["blocked"]]
-        case["witnesses"] = [list(w) for _, w in results["blocked"]]
-        case["speedup"] = case["generator_walk"]["median_s"] / case["blocked"]["median_s"]
+        fast = results["dist_to_k_junta"]
+        if results["generator_walk"] != fast:
+            problems.append(f"{name}: dist_to_k_junta differs from the generator walk")
+        case["equal"] = results["generator_walk"] == fast
+        case["distances"] = [[d.numerator, d.denominator] for d, _ in fast]
+        case["witnesses"] = [list(w) for _, w in fast]
+        case["speedup"] = case["generator_walk"]["median_s"] / case["dist_to_k_junta"]["median_s"]
         cases.append(case)
     return cases, problems
 
@@ -590,7 +613,7 @@ def explicit_table_cases() -> tuple[list[dict], list[str]]:
     d2_12 = [sample_d2(12, 2.0**-7, stream.child(str(j))) for j in range(10)]
     d2_14 = sample_d2(14, D2_EPSILON, RandomStream(Seed(SEED), "d2"))
     d2_16 = sample_d2(16, D2_EPSILON, RandomStream(Seed(SEED), "d2"))
-    kernel_12 = [(g, 11) for g in d2_12]
+    kernel_12 = [(g, 10) for g in d2_12]
     pairs = [
         ("edge_counts n = 12", "10 verify_d2 tables, n = 12, epsilon = 2^-7, packed pass "
          "against one pass per direction",
@@ -599,7 +622,7 @@ def explicit_table_cases() -> tuple[list[dict], list[str]]:
         ("edge_counts n = 16", f"D2 table, n = 16, epsilon = {D2_EPSILON}",
          lambda: per_direction_edge_counts(d2_16),
          lambda: bichromatic_edge_counts(d2_16)),
-        ("dist_to_k_junta (12, 11)", "10 verify_d2 tables, n = 12, k = 11, word adds "
+        ("dist_to_k_junta (12, 10)", "10 verify_d2 tables, n = 12, k = 10, word adds "
          "against count adds",
          lambda: count_adds(kernel_12),
          lambda: [distance_and_witness(f, k) for f, k in kernel_12]),
@@ -612,6 +635,33 @@ def explicit_table_cases() -> tuple[list[dict], list[str]]:
          lambda: cli_calls(fresh_parser=False)),
     ]
     return compared(pairs, REPEATS["explicit_tables"])
+
+
+def least_key_walk(f: TruthTable) -> tuple[Fraction, tuple[int, ...]]:
+    """Distance and witness at k = n - 1 from ``_least_key``, the blocked walk over every size-k set."""
+    n = f.n
+    key = junta_distance._least_key(f, n - 1)
+    return Fraction(key >> n, 1 << n), tuple(i for i in range(1, n + 1) if not key >> (n - i) & 1)
+
+
+def tail_cases() -> tuple[list[dict], list[str]]:
+    """Distance at k = n - 1, closed form against the walk; the table parse, numpy against a set check."""
+    pairs = []
+    for which, (name, sampler, epsilon) in TAIL_SAMPLERS.items():
+        inputs = [tail_draws(which)]
+        labels = [f"10 {which} tables, n = 12, epsilon = {epsilon}"]
+        for n in TAIL_N:
+            inputs.append([sampler(n, epsilon, RandomStream(Seed(SEED), name.lower()))])
+            labels.append(f"{name} table, n = {n}, epsilon = {epsilon}")
+        for tables, label in zip(inputs, labels):
+            pairs.append((f"k = n - 1, {label}", f"{label}, closed form against the walk",
+                          lambda tables=tables: [least_key_walk(g) for g in tables],
+                          lambda tables=tables: [distance_and_witness(g, g.n - 1) for g in tables]))
+    text = sample_d2(14, D2_EPSILON, RandomStream(Seed(SEED), "d2")).serialize()
+    pairs.append(("deserialize n = 14", f"D2 table, n = 14, epsilon = {D2_EPSILON}, numpy "
+                  "check on the encoded bytes against a set of characters",
+                  lambda: set_checked_deserialize(text), lambda: TruthTable.deserialize(text)))
+    return compared(pairs, REPEATS["tail"])
 
 
 def main() -> int:
@@ -640,7 +690,7 @@ def main() -> int:
     kernel, found = kernel_cases()
     problems += found
     for case in kernel:
-        print(f"{case['name']}: blocked {case['blocked']['median_s']:.4f} s, generator walk "
+        print(f"{case['name']}: dist_to_k_junta {case['dist_to_k_junta']['median_s']:.4f} s, generator walk "
               f"{case['generator_walk']['median_s']:.4f} s, {case['speedup']:.1f}x", flush=True)
     games, found = game_cases()
     problems += found
@@ -656,6 +706,11 @@ def main() -> int:
     explicit_tables, found = explicit_table_cases()
     problems += found
     for case in explicit_tables:
+        print(f"{case['name']}: {case['fast']['median_s']:.5f} s, before "
+              f"{case['reference']['median_s']:.5f} s, {case['speedup']:.1f}x", flush=True)
+    tail, found = tail_cases()
+    problems += found
+    for case in tail:
         print(f"{case['name']}: {case['fast']['median_s']:.5f} s, before "
               f"{case['reference']['median_s']:.5f} s, {case['speedup']:.1f}x", flush=True)
     result = {
@@ -674,6 +729,7 @@ def main() -> int:
         "games": games,
         "seed_derivation": seed_derivation,
         "explicit_tables": explicit_tables,
+        "tail": tail,
         "problems": problems,
     }
     OUTPUT.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")

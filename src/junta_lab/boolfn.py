@@ -205,10 +205,12 @@ class TruthTable:
             raise InvalidInput(f"malformed dimension line {lines[0]!r}") from exc
         if n < 1 or n > TABLE_CAP:
             raise TooLarge(f"n = {n} outside [1, {TABLE_CAP}]")
-        bits = lines[1]
-        if len(bits) != 1 << n or set(bits) - {"0", "1"}:
+        # one "?" byte per non-ASCII character, which the 0/1 check rejects
+        raw = lines[1].encode("ascii", "replace")
+        bits = np.frombuffer(raw, dtype=np.uint8) - ord("0")
+        if len(raw) != 1 << n or bits.max(initial=0) > 1:
             raise InvalidInput("table line must be exactly 2^n characters of 0/1")
-        return cls(n, np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0"))
+        return cls(n, bits)
 
 
 _S_ROLE = "S-membership"

@@ -428,6 +428,9 @@ def _tail_experiment(config: ExperimentConfig, which: str) -> ExperimentReport:
     A sample is certified when every single direction has at least
     epsilon * 2^n bichromatic edges; edges of one direction share no
     vertex, so that count is the direction's maximum disjoint matching.
+    At k = n - 1 the exact distance is the same count: ``dist_to_k_junta``
+    returns the least direction count over 2^n, so a certified sample is
+    far by construction and ``certificate_soundness`` cannot fail.
     Runs at any n that ``dist_to_k_junta`` accepts (n <= DIST_CAP).
     """
     params = config.params

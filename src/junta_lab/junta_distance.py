@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .boolfn import BitString, IndexSet, TruthTable, relevant_variables
+from .boolfn import BitString, IndexSet, TruthTable, bichromatic_edge_counts
 from .errors import InvalidInput, TooLarge
 
 DIST_CAP = 20
@@ -193,14 +193,24 @@ def _least_key(f: TruthTable, k: int) -> int:
 def dist_to_k_junta(f: TruthTable, k: int, epsilon: float | None = None) -> DistanceReport:
     """Minimum of dist_to_junta_on over all size-k subsets, with a witness.
 
-    Ties resolve to the lexicographically smallest witness.  A table with
-    at most k coordinates in ``relevant_variables`` is a k-junta: its
-    distance is 0 and its witness the first size-k superset of those
-    coordinates, with no walk.
-    Otherwise ``_least_key`` scans every size-k subset, sharing partial
-    sums across the subset lattice.  A given ``epsilon`` must lie in
-    (0, 1], the parameter domain; the report is far when the distance
-    reaches it.
+    Ties resolve to the lexicographically smallest witness.  One
+    ``bichromatic_edge_counts`` pass decides which of three regimes
+    applies:
+
+    - *Junta test.*  The relevant coordinates are the directions with a
+      nonzero count.  With at most k of them the table is a k-junta: its
+      distance is 0 and its witness the first size-k superset of those
+      coordinates.
+    - *k = n - 1, closed form.*  Dropping coordinate i leaves fibers that
+      are single edges {x, flip(x, i)}, and the majority vote errs once
+      on each bichromatic one, so the disagreements are the least count.
+      The witness drops the largest i that attains it, the least key of
+      ``_least_key`` and the lexicographically first witness.
+    - *Blocked walk.*  Otherwise ``_least_key`` scans every size-k
+      subset, sharing partial sums across the subset lattice.
+
+    A given ``epsilon`` must lie in (0, 1], the parameter domain; the
+    report is far when the distance reaches it.
     """
     n = f.n
     if n > DIST_CAP:
@@ -209,10 +219,15 @@ def dist_to_k_junta(f: TruthTable, k: int, epsilon: float | None = None) -> Dist
         raise InvalidInput(f"k must be in [0, n], got {k}")
     if epsilon is not None and not 0.0 < epsilon <= 1.0:
         raise InvalidInput(f"epsilon must be in (0, 1], got {epsilon}")
-    relevant = list(relevant_variables(f).members)
+    counts = bichromatic_edge_counts(f)
+    relevant = [i for i, count in enumerate(counts, 1) if count]
     if len(relevant) <= k:
         others = [i for i in range(1, n + 1) if i not in relevant]
         disagreements, witness = 0, relevant + others[: k - len(relevant)]
+    elif k == n - 1:
+        disagreements = min(counts)
+        dropped = n - counts[::-1].index(disagreements)
+        witness = [i for i in range(1, n + 1) if i != dropped]
     else:
         key = _least_key(f, k)
         disagreements = key >> n

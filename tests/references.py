@@ -12,7 +12,8 @@ import math
 
 import numpy as np
 
-from junta_lab.boolfn import BitString, TruthTable
+from junta_lab.boolfn import TABLE_CAP, BitString, TruthTable
+from junta_lab.errors import InvalidInput, TooLarge
 
 
 def per_point_table(f) -> TruthTable:
@@ -28,6 +29,23 @@ def per_direction_edge_counts(f: TruthTable) -> tuple[int, ...]:
         halves = f.table.reshape(1 << i, 2, -1)
         counts.append(int(np.count_nonzero(halves[:, 0] != halves[:, 1])))
     return tuple(counts)
+
+
+def set_checked_deserialize(text: str) -> TruthTable:
+    """``TruthTable.deserialize`` with its table line checked as a set of characters."""
+    lines = text.splitlines()
+    if len(lines) < 2 or not lines[0].startswith("n="):
+        raise InvalidInput("expected 'n=<int>' then a 0/1 line")
+    try:
+        n = int(lines[0][2:])
+    except ValueError as exc:
+        raise InvalidInput(f"malformed dimension line {lines[0]!r}") from exc
+    if n < 1 or n > TABLE_CAP:
+        raise TooLarge(f"n = {n} outside [1, {TABLE_CAP}]")
+    bits = lines[1]
+    if len(bits) != 1 << n or set(bits) - {"0", "1"}:
+        raise InvalidInput("table line must be exactly 2^n characters of 0/1")
+    return TruthTable(n, np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0"))
 
 
 def count_words(dtype, run: int):

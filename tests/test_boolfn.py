@@ -35,6 +35,7 @@ from references import (
     reference_eval,
     reference_fiber_coords,
     reference_table,
+    set_checked_deserialize,
 )
 
 
@@ -138,10 +139,37 @@ def test_truth_table_serialization_round_trip():
     text = table.serialize()
     assert text.startswith("n=4\n") and text.endswith("\n")
     assert TruthTable.deserialize(text) == table
+    assert TruthTable.deserialize(text.replace("\n", "\r\n")) == table
     with pytest.raises(InvalidInput):
         TruthTable.deserialize("n=2\n011\n")
     with pytest.raises(InvalidInput):
         TruthTable.deserialize("m=2\n0110\n")
+
+
+TABLE_LINE_ERROR = r"^table line must be exactly 2\^n characters of 0/1$"
+BAD_TABLE_LINES = ["0120", "01\u00e9", "0\u00e9", "0110 ", "011", "01100", ""]
+
+
+@pytest.mark.parametrize("line", BAD_TABLE_LINES)
+def test_deserialize_rejects_a_bad_table_line(line):
+    # "01\u00e9" is 3 characters and 4 UTF-8 bytes: neither length may pass
+    with pytest.raises(InvalidInput, match=TABLE_LINE_ERROR):
+        TruthTable.deserialize(f"n=2\n{line}\n")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.text(alphabet="01 \r\n\t\x00/2\u00e9\ud800", max_size=10))
+@example(2, "01\u00e9")
+@example(2, "0110\r\n")
+def test_deserialize_accepts_and_rejects_as_the_set_check(n, line):
+    text = f"n={n}\n{line}"
+    outcomes = []
+    for parse in (TruthTable.deserialize, set_checked_deserialize):
+        try:
+            outcomes.append(parse(text))
+        except InvalidInput as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_serialize_equals_the_per_entry_join():

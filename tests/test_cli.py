@@ -39,6 +39,7 @@ def assert_usage_error(capsys, argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
 
 
 def test_gen_yes_and_dist(tmp_path, capsys, desk10_file):
@@ -453,6 +454,14 @@ def test_usage_errors_exit_2(tmp_path, capsys, desk10_file):
     table.write_text("n=2\n0110\n")
     for eps in ("nan", "inf", "-inf", "-1", "0", "1e-400", "1.5"):
         assert_usage_error(capsys, ["dist", "--table", str(table), "--k", "1", f"--eps={eps}"])
+    # a table line that is not exactly 2^n characters of 0/1, while CRLF lines load
+    for line in ("0120", "01\u00e9", "0110 ", "011", ""):
+        table.write_text(f"n=2\n{line}\n", encoding="utf-8")
+        error = assert_usage_error(capsys, ["dist", "--table", str(table), "--k", "1"])
+        assert error.endswith("table line must be exactly 2^n characters of 0/1")
+    table.write_bytes(b"n=2\r\n0110\r\n")
+    code, out = run_cli(capsys, "dist", "--table", str(table), "--k", "1")
+    assert code == 0 and json.loads(out)["numerator"] == 2
     # the shift bound needs q >= p: a negative shift has no bound to print
     assert_usage_error(capsys, ["dtv", "--c", "10", "--p", "0.6", "--q", "0.5", "--lambda", "0.5"])
     # a trial count above the cap is refused before its mass vectors start

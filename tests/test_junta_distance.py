@@ -1,5 +1,6 @@
 """Exact distance oracles against brute-force enumeration."""
 
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -153,17 +154,37 @@ def test_dist_k_is_first_minimum_over_subsets(case):
 D2_N14 = sample_d2(14, 0.1, RandomStream(Seed(1), "d2"))
 
 
+@contextmanager
+def blocks_counted():
+    """Count the ``_block_least`` calls made inside: 0 means the walk never ran."""
+    block_least = junta_distance._block_least
+    count = [0]
+
+    def counting(*args):
+        count[0] += 1
+        return block_least(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(junta_distance, "_block_least", counting)
+        yield count
+
+
 def test_dist_k_fixed_d2_case_at_n14():
     f = D2_N14
-    report = dist_to_k_junta(f, 10, epsilon=0.1)
+    with blocks_counted() as blocks:
+        report = dist_to_k_junta(f, 10, epsilon=0.1)
+    assert blocks[0] > 0
     assert report.distance == Fraction(1634, 1 << 14)
     assert report.witness.members == (1, 2, 4, 5, 6, 8, 9, 12, 13, 14)
     assert report.far is False
     assert (report.distance, report.witness.members) == first_minimum_over_subsets(f, 10)
+    tail = dist_to_k_junta(f, 13)
+    assert (tail.distance, tail.witness.members) == first_minimum_over_subsets(f, 13)
+    assert tail.distance * 2**14 == min(bichromatic_edge_counts(f))
 
 
 @settings(max_examples=60, deadline=None)
-@given(tables_and_k())
+@given(tables_and_k().filter(lambda case: case[1] <= case[0].n - 2))
 @example((D2_N14, 10))
 def test_dist_block_size_changes_nothing(case):
     # 1 makes every block a single leaf; 2^13 holds 8 leaves of 2^10 counts
@@ -176,20 +197,74 @@ def test_dist_block_size_changes_nothing(case):
     assert all(report == reports[-1] for report in reports)
 
 
+def swapped(codes, n, i, j):
+    """The codes with coordinates i and j exchanged."""
+    differ = ((codes >> (n - i)) ^ (codes >> (n - j))) & 1
+    return codes ^ (differ << (n - i)) ^ (differ << (n - j))
+
+
+@st.composite
+def tail_tables(draw):
+    """Tables at n = 1..10 for k = n - 1: random, parity, constant, near-junta, tie-rich.
+
+    Tie-rich tables make several directions share the least edge count:
+    a table symmetric under exchanging two coordinates ties those two, and
+    a function of the Hamming weight ties all n.
+    """
+    n = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    codes = np.arange(1 << n)
+    kind = draw(st.sampled_from(("random", "parity", "constant", "near-junta", "swap", "weight")))
+    if kind == "random":
+        table = (rng.random(1 << n) < draw(st.floats(0.0, 1.0))).astype(np.uint8)
+    elif kind == "parity":
+        J = rng.choice(n, size=draw(st.integers(1, n)), replace=False) + 1
+        table = np.zeros(1 << n, dtype=np.uint8)
+        for j in J:
+            table ^= ((codes >> (n - j)) & 1).astype(np.uint8)
+    elif kind == "constant":
+        table = np.full(1 << n, draw(st.integers(0, 1)), dtype=np.uint8)
+    elif kind == "near-junta":
+        J = sorted(rng.choice(n, size=draw(st.integers(0, n - 1)), replace=False) + 1)
+        table = junta_table(n, J, rng)
+        table[rng.choice(1 << n, size=min(draw(st.integers(1, 3)), 1 << n), replace=False)] ^= 1
+    elif kind == "swap" and n >= 2:
+        i, j = sorted(rng.choice(n, size=2, replace=False) + 1)
+        table = rng.integers(0, 2, size=1 << n, dtype=np.uint8)
+        partner = swapped(codes, n, i, j)
+        table = np.where(codes <= partner, table, table[partner]).astype(np.uint8)
+    else:
+        weights = np.array([bin(c).count("1") for c in codes])
+        table = rng.integers(0, 2, size=n + 1, dtype=np.uint8)[weights]
+    return TruthTable(n, table)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tail_tables())
+def test_dist_at_n_minus_1_is_the_least_direction_count(f):
+    # dropping coordinate i leaves one edge {x, flip(x, i)} per fiber, and
+    # the majority vote errs once on each bichromatic edge
+    n = f.n
+    report = dist_to_k_junta(f, n - 1)
+    assert (report.distance, report.witness.members) == first_minimum_over_subsets(f, n - 1)
+    assert report.distance * 2**n == min(bichromatic_edge_counts(f))
+
+
 def test_dist_k_on_a_strided_table():
     # TruthTable keeps a view of the caller's array, so its table may be strided
     rng = np.random.default_rng(7)
     f = TruthTable(8, rng.integers(0, 2, size=1 << 9, dtype=np.uint8)[::2])
     assert not f.table.flags.c_contiguous
-    for k in (3, 5):
+    for k in (3, 5, 7):
         report = dist_to_k_junta(f, k)
         assert (report.distance, report.witness.members) == first_minimum_over_subsets(f, k)
+    assert report.distance * 2**8 == min(bichromatic_edge_counts(f))
 
 
 @pytest.mark.parametrize(
     "n, k, dtype, strided",
     [
-        (12, 11, np.uint8, False),
+        (12, 10, np.uint8, False),
         (12, 5, np.uint8, True),
         (12, 4, np.uint16, False),
         (13, 3, np.uint16, True),
@@ -204,7 +279,9 @@ def test_dist_k_in_every_count_dtype(n, k, dtype, strided):
     bits = (rng.random(2 << n) < 0.3).astype(np.uint8)
     f = TruthTable(n, bits[::2] if strided else bits[: 1 << n])
     assert f.table.flags.c_contiguous != strided
-    report = dist_to_k_junta(f, k)
+    with blocks_counted() as blocks:
+        report = dist_to_k_junta(f, k)
+    assert blocks[0] > 0
     assert (report.distance, report.witness.members) == first_minimum_over_subsets(f, k)
 
 

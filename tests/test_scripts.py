@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from junta_lab import junta_distance
-from junta_lab.boolfn import to_table
+from junta_lab.boolfn import TruthTable, to_table
 from junta_lab.hardgen import sample_d2, sample_no
 from junta_lab.harness import desk_params, run_hidden_set_game
 from junta_lab.rng import RandomStream, Seed
@@ -80,10 +80,19 @@ def test_bench_before_forms_of_the_table_path_agree(monkeypatch):
     bench = load_script("bench.py")
     words = junta_distance._words
     g = sample_d2(12, 2.0**-7, RandomStream(Seed(2), "d2"))
-    cases = [(g, 11), (g, 6), (g, 3)]
+    cases = [(g, 10), (g, 6), (g, 3)]
     assert bench.count_adds(cases) == [bench.distance_and_witness(f, k) for f, k in cases]
     assert junta_distance._words is words
     monkeypatch.setattr(bench, "CLI_CALLS", 3)
     calls = bench.cli_calls(fresh_parser=True)
     assert calls == bench.cli_calls(fresh_parser=False)
     assert [code for code, _ in calls] == [0, 0, 0]
+
+
+def test_bench_walk_at_n_minus_1_agrees_with_the_closed_form():
+    bench = load_script("bench.py")
+    for which in bench.TAIL_SAMPLERS:
+        for g in bench.tail_draws(which):
+            assert bench.least_key_walk(g) == bench.distance_and_witness(g, g.n - 1)
+    text = sample_d2(10, 0.1, RandomStream(Seed(2), "d2")).serialize()
+    assert bench.set_checked_deserialize(text) == TruthTable.deserialize(text)
