@@ -81,12 +81,24 @@ witness.  One more row times
 its table line checked with numpy on the encoded bytes, against the same
 parse checking the line as a set of characters.
 
+Structured instances: at desk n = 10, 12 and 14 (epsilon = 0.1) and at
+n = 12 (epsilon = 1), on ten yes and ten no instances, it times
+per-instance sampling (``sample_yes``/``sample_no`` against
+``complement_sample``: ``IndexSet.of``, ``M.complement()`` and PCG64
+seeded from one integer), ``to_table`` (one fiber kernel and a
+transposed-view fill against ``fiberwise_table``) and a 16-query
+``eval_many`` (fibers batched per address against
+``fiberwise_eval_many``).  The two sides must give equal instances,
+tables and answers and derive the same number of digests.  The before
+sides share today's ``pack_ints``, so they run a little faster than the
+code they stand for.
+
 The references live in ``tests/references.py``, which the tests compare
 the library against too.
 
-Writes BENCH_14.json at the root of the checkout (BENCH_2, BENCH_3,
-BENCH_5, BENCH_6, BENCH_7, BENCH_10, BENCH_11 and BENCH_12.json are
-earlier runs).
+Writes BENCH_15.json at the root of the checkout (BENCH_2, BENCH_3,
+BENCH_5, BENCH_6, BENCH_7, BENCH_10, BENCH_11, BENCH_12 and BENCH_14.json
+are earlier runs).
 
 Usage: python scripts/bench.py
 """
@@ -140,20 +152,23 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))
 from references import (  # noqa: E402
     FreshDigest,
+    complement_sample,
     count_words,
+    fiberwise_eval_many,
+    fiberwise_table,
     general_encoding,
     per_direction_edge_counts,
     per_point_table,
     set_checked_deserialize,
 )
 
-OUTPUT = ROOT / "BENCH_14.json"
+OUTPUT = ROOT / "BENCH_15.json"
 SEED = 1
 COMPARED = (10, 12, 14, 16)
 FAST_ONLY = (20, 24)
 REPEATS = {"per_point": 3, "to_table": 7, "per_subset": 3, "dist_to_k_junta": 7,
            "hopcroft_karp": 3, "edge_counts": 7, "games": 5, "kernel": 7, "frontier": 3,
-           "seed_derivation": 7, "explicit_tables": 21, "tail": 7}
+           "seed_derivation": 7, "explicit_tables": 21, "tail": 7, "structured": 21}
 GAME_TRIALS = 2000
 GOOD_M_DRAWS = 2000
 SAMPLERS = {"yes": sample_yes, "no": sample_no}
@@ -165,6 +180,8 @@ CLI_CALLS = 100
 DTV_ARGV = ["dtv", "--c", "1", "--p", "0.5", "--q", "0.75", "--lambda", "1.0"]
 TAIL_SAMPLERS = {"verify_d1": ("D1", sample_d1, 0.05), "verify_d2": ("D2", sample_d2, 2.0**-7)}
 TAIL_N = (16, 18, 20)
+STRUCTURED_CASES = ((10, 0.1), (12, 0.1), (14, 0.1), (12, 1.0))
+STRUCTURED_PER_KIND, STRUCTURED_QUERIES = 10, 16
 
 
 def per_subset_dist_to_k_junta(f: TruthTable, k: int) -> tuple[Fraction, tuple[int, ...]]:
@@ -664,6 +681,54 @@ def tail_cases() -> tuple[list[dict], list[str]]:
     return compared(pairs, REPEATS["tail"])
 
 
+def structured_inputs(n: int, epsilon: float):
+    """(params, [(seed, sampler, inclusion, kind)], instances, queries) for one structured case."""
+    p = desk_params(n, epsilon=epsilon)
+    draws = []
+    for offset, (sampler, inclusion, kind) in enumerate(
+        ((sample_yes, p.p, boolfn.YES_STYLE), (sample_no, p.q, boolfn.NO_STYLE))
+    ):
+        for j in range(STRUCTURED_PER_KIND):
+            draws.append((Seed(SEED).mix(offset * STRUCTURED_PER_KIND + j), sampler, inclusion, kind))
+    instances = [sampler(p, seed) for seed, sampler, _, _ in draws]
+    draw = random.Random(SEED)
+    queries = [BitString(n, draw.getrandbits(n)) for _ in range(STRUCTURED_QUERIES)]
+    return p, draws, instances, queries
+
+
+def structured_cases() -> tuple[list[dict], list[str]]:
+    """Per-instance sampling, ``to_table`` and ``eval_many``, each against the form it replaced."""
+    pairs = []
+    for n, epsilon in STRUCTURED_CASES:
+        p, draws, instances, queries = structured_inputs(n, epsilon)
+        label = (f"desk n = {n}, epsilon = {epsilon}, {STRUCTURED_PER_KIND} yes and "
+                 f"{STRUCTURED_PER_KIND} no instances, seed {SEED}")
+        pairs += [
+            (f"sampling n = {n}, epsilon = {epsilon}", f"{label}, lean against complement form",
+             lambda draws=draws, p=p: [complement_sample(p, seed, inclusion, kind)
+                                       for seed, _, inclusion, kind in draws],
+             lambda draws=draws, p=p: [sampler(p, seed) for seed, sampler, _, _ in draws]),
+            (f"to_table n = {n}, epsilon = {epsilon}", f"{label}, view fill against fiberwise",
+             lambda fs=instances: [fiberwise_table(f) for f in fs],
+             lambda fs=instances: [to_table(f) for f in fs]),
+            (f"eval_many n = {n}, epsilon = {epsilon}",
+             f"{label}, {STRUCTURED_QUERIES} random queries, batched against fiberwise",
+             lambda fs=instances, xs=queries: [fiberwise_eval_many(f, xs) for f in fs],
+             lambda fs=instances, xs=queries: [f.eval_many(xs) for f in fs]),
+        ]
+    cases, problems = compared(pairs, REPEATS["structured"])
+    for case, (name, _, reference, fast) in zip(cases, pairs):
+        counts = []
+        for path in (reference, fast):
+            with counted_digests() as count:
+                path()
+            counts.append(count[0])
+        case["digests"] = {"reference": counts[0], "fast": counts[1]}
+        if counts[0] != counts[1]:
+            problems.append(f"{name}: {counts[1]} digests, the before form derives {counts[0]}")
+    return cases, problems
+
+
 def main() -> int:
     cases, problems = [], []
     for n in COMPARED + FAST_ONLY:
@@ -713,6 +778,11 @@ def main() -> int:
     for case in tail:
         print(f"{case['name']}: {case['fast']['median_s']:.5f} s, before "
               f"{case['reference']['median_s']:.5f} s, {case['speedup']:.1f}x", flush=True)
+    structured, found = structured_cases()
+    problems += found
+    for case in structured:
+        print(f"{case['name']}: {case['fast']['median_s'] * 1e3:.3f} ms, before "
+              f"{case['reference']['median_s'] * 1e3:.3f} ms, {case['speedup']:.2f}x", flush=True)
     result = {
         "machine": {
             "nproc": os.cpu_count(),
@@ -730,6 +800,7 @@ def main() -> int:
         "seed_derivation": seed_derivation,
         "explicit_tables": explicit_tables,
         "tail": tail,
+        "structured": structured,
         "problems": problems,
     }
     OUTPUT.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")

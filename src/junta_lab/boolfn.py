@@ -216,6 +216,7 @@ class TruthTable:
 _S_ROLE = "S-membership"
 _H_ROLE = "h-value"
 _HALF = byte_limit(0.5)
+_BIT_CODES = (pack_ints(0), pack_ints(1))
 
 
 @dataclass(frozen=True)
@@ -230,10 +231,11 @@ class StructuredFn:
     queries always agree and instances are safe to share across threads.
 
     Each instance keeps one keyed S-state and one keyed h-state, and the
-    encodings of A's members.  ``fiber_coords`` extends the S-state with
-    the address once per fiber, and a fiber's values extend the h-state
-    with (address, |S|, *S) once per fiber, so no digest pays the key
-    schedule again.  ``eval_many`` derives each address's S once per call.
+    encodings of A's members.  ``fiber`` is the one kernel that
+    ``eval_many``, ``to_table`` and ``fiber_coords`` share: it extends the
+    S-state with the address, reads S off |A| digests and extends the
+    h-state with (address, |S|, *S), so no digest pays the key schedule
+    again.  ``eval_many`` derives each address's fiber once per call.
     """
 
     params: Params
@@ -256,14 +258,11 @@ class StructuredFn:
             raise InvalidInput("M and A must be disjoint")
         if self.kind not in (YES_STYLE, NO_STYLE):
             raise InvalidInput(f"kind must be {YES_STYLE!r} or {NO_STYLE!r}")
-        derived = {
-            "_s_state": KeyedDigest.of(self.seed, _S_ROLE),
-            "_h_state": KeyedDigest.of(self.seed, _H_ROLE),
-            "_pool_codes": pack_each(self.A.members),
-            "_coin_limit": byte_limit(self.params.coin_prob),
-        }
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
+        derive = object.__setattr__
+        derive(self, "_s_state", KeyedDigest.of(self.seed, _S_ROLE))
+        derive(self, "_h_state", KeyedDigest.of(self.seed, _H_ROLE))
+        derive(self, "_pool_codes", pack_each(self.A.members))
+        derive(self, "_coin_limit", byte_limit(self.params.coin_prob))
 
     def __reduce__(self):
         # the keyed states cannot be pickled; they are rebuilt from the fields
@@ -273,14 +272,22 @@ class StructuredFn:
     def n(self) -> int:
         return self.params.n
 
+    def fiber(self, address: int) -> tuple[tuple[int, ...], KeyedDigest]:
+        """(S, the h-state extended with (address, |S|, *S)) for this address.
+
+        The one kernel every evaluation path shares: |A| membership digests,
+        then one extension of the h-state, after which each value of h on
+        the fiber costs one digest of the encoded bits of x on S.
+        """
+        head = pack_ints(address)
+        fired = self._s_state.extend(head).below(self._pool_codes, self._coin_limit)
+        coords = tuple(compress(self.A.members, fired))
+        prefix = b"".join((head, pack_ints(len(coords)), *compress(self._pool_codes, fired)))
+        return coords, self._h_state.extend(prefix)
+
     def fiber_coords(self, address: int) -> tuple[int, ...]:
         """The members of A that join the coordinate subset for this address."""
-        fired = self._s_state.extend(pack_ints(address)).below(self._pool_codes, self._coin_limit)
-        return tuple(compress(self.A.members, fired))
-
-    def _fiber_state(self, address: int, coords: tuple[int, ...]) -> KeyedDigest:
-        """The h-state extended with the fiber's prefix (address, |S|, *S)."""
-        return self._h_state.extend(pack_ints(address, len(coords), *coords))
+        return self.fiber(address)[0]
 
     def eval(self, x: BitString) -> int:
         if x.length != self.n:
@@ -288,14 +295,15 @@ class StructuredFn:
         return self.eval_many((x,))[0]
 
     def eval_many(self, xs: Sequence[BitString]) -> tuple[int, ...]:
-        """``tuple(self.eval(x) for x in xs)``, deriving each address's S once.
+        """``tuple(self.eval(x) for x in xs)``, deriving each address's fiber once.
 
-        The address and the bits on S are read by shifts on ``x.code``.
+        The address and the bits on S are read by shifts on ``x.code``; the
+        queries of one fiber share one ``below`` call.
         """
         n = self.n
         address_shifts = [n - i for i in self.M.members]
-        fibers: dict[int, tuple[KeyedDigest, list[int]]] = {}
-        out = []
+        codes = []
+        by_address: dict[int, list[int]] = {}
         for x in xs:
             if x.length != n:
                 raise DimensionMismatch(f"universe {n} does not match string length {x.length}")
@@ -303,15 +311,18 @@ class StructuredFn:
             address = 0
             for shift in address_shifts:
                 address = (address << 1) | ((code >> shift) & 1)
-            address += 1
-            fiber = fibers.get(address)
-            if fiber is None:
-                coords = self.fiber_coords(address)
-                fiber = (self._fiber_state(address, coords), [n - a for a in coords])
-                fibers[address] = fiber
-            state, shifts = fiber
-            bits = pack_ints(*[(code >> shift) & 1 for shift in shifts])
-            out.append(int(state.below((bits,), _HALF)[0]))
+            by_address.setdefault(address + 1, []).append(len(codes))
+            codes.append(code)
+        out = [0] * len(codes)
+        for address, positions in by_address.items():
+            coords, state = self.fiber(address)
+            shifts = [n - a for a in coords]
+            payloads = [
+                b"".join([_BIT_CODES[(codes[pos] >> shift) & 1] for shift in shifts])
+                for pos in positions
+            ]
+            for pos, bit in zip(positions, state.below(payloads, _HALF)):
+                out[pos] = int(bit)
         return tuple(out)
 
 
@@ -322,41 +333,38 @@ def to_table(f: StructuredFn) -> TruthTable:
     the digests: per-point evaluation costs |A| + 1 digests per point,
     2^n * (|A| + 1) in all, while this derives each fiber's S once and each
     of its 2^|S| values of h once, 2^t * |A| + sum over addresses of
-    2^|S_a|.  Each fiber extends the h-state with (address, |S|, *S) once;
-    its values then add only the encoded bits, built once per width.
+    2^|S_a|.  Each fiber is one ``StructuredFn.fiber`` call; its values
+    then add only the encoded bits, built once per width.
 
-    The fiber of an address is the sub-cube with the coordinates of M fixed
-    to the address bits.  On the (2,)*n view of the table it is a view over
-    the remaining axes, and the fiber's values, shaped with one axis per
-    member of S (in the same MSB-first order) and length-1 axes elsewhere,
-    broadcast onto it without any 2^n-sized temporary.
+    The table is written through one transposed view of the (2,)*n cube:
+    the axes of M first (so the address bits index a fiber), then the
+    coordinates in neither M nor A, then those of A.  A fiber with empty S
+    is one bit; otherwise its values, shaped with length 2 on the axes of
+    S (in the same MSB-first order) and length 1 on the rest of A,
+    broadcast onto the fiber's view.  No 2^n-sized temporary is made.
     """
     n, t = f.n, len(f.M)
     if n > TABLE_CAP:
         raise TooLarge(f"n = {n} exceeds the truth-table cap {TABLE_CAP}")
     out = np.empty(1 << n, dtype=np.uint8)
-    cube = out.reshape((2,) * n)
-    free = [i for i in range(1, n + 1) if i not in f.M]
+    pool = f.A.members
+    m_or_a = set(f.M.members) | set(pool)
+    order = [*f.M.members, *(i for i in range(1, n + 1) if i not in m_or_a), *pool]
+    view = out.reshape((2,) * n).transpose([i - 1 for i in order])
     # per width w, pack_ints of the w bits of y, MSB first, for y in range(2^w)
     assignments: dict[int, list[bytes]] = {}
-    for code in range(1 << t):
-        address = code + 1
-        coords = f.fiber_coords(address)
+    for address, address_bits in enumerate(product((0, 1), repeat=t), 1):
+        coords, state = f.fiber(address)
         width = len(coords)
         if width not in assignments:
-            assignments[width] = [pack_ints(*bits) for bits in product((0, 1), repeat=width)]
-        values = np.array(
-            f._fiber_state(address, coords).below(assignments[width], _HALF), dtype=np.uint8
-        )
-        address_bits = dict(zip(f.M.members, _bits(code, t)))
-        fiber = tuple(address_bits.get(i, slice(None)) for i in range(1, n + 1))
-        cube[fiber] = values.reshape([2 if i in coords else 1 for i in free])
+            assignments[width] = [b"".join(bits) for bits in product(_BIT_CODES, repeat=width)]
+        values = state.below(assignments[width], _HALF)
+        if width:
+            shape = [2 if a in coords else 1 for a in pool]
+            view[address_bits] = np.array(values, dtype=np.uint8).reshape(shape)
+        else:
+            view[address_bits] = values[0]
     return TruthTable(n, out)
-
-
-def _bits(value: int, width: int) -> tuple[int, ...]:
-    """The width-bit MSB-first expansion of value."""
-    return tuple((value >> (width - 1 - j)) & 1 for j in range(width))
 
 
 def bichromatic_edge_counts(f: TruthTable) -> tuple[int, ...]:

@@ -2,12 +2,13 @@
 
 Yes-style and no-style structured instances share everything except the
 inclusion rate of the coordinate pool A (p = 1/2 versus q > 1/2).  A
-sampler stores only M, A and the seed.  The per-fiber randomness (each
-fiber's subset S and its values of h) is defined point by point by
-``StructuredFn.eval``, which re-derives it from the seed, so an instance
-takes O(1) memory however many fibers it has.  ``boolfn.to_table``
-materializes the same values fiber by fiber, deriving each S and each
-value of h once.
+sampler stores only M, A and the seed: M from t draws of the stream
+``(seed, "M")``, A from one coin per coordinate outside M on the stream
+``(seed, "A")``.  The per-fiber randomness (each fiber's subset S and
+its values of h) is defined point by point by ``StructuredFn.eval``,
+which re-derives it from the seed, so an instance takes O(1) memory
+however many fibers it has.  ``boolfn.to_table`` materializes the same
+values fiber by fiber, deriving each S and each value of h once.
 
 The two tail distributions produce explicit truth tables: iid
 Bernoulli(3*epsilon) entries, or exactly round(2^n * epsilon) ones placed
@@ -18,6 +19,7 @@ without building it.
 from __future__ import annotations
 
 import math
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -46,13 +48,14 @@ def sample_addressing_set(params: Params, seed: Seed) -> IndexSet:
     for pos in range(t):
         j = stream.integers(pos, n)
         arr[pos], arr[j] = arr[j], arr[pos]
-    return IndexSet.of(n, arr[:t])
+    return IndexSet(n, tuple(sorted(arr[:t])))
 
 
 def _sample_pool(params: Params, seed: Seed, M: IndexSet, inclusion: float) -> IndexSet:
-    rest = M.complement().members
+    taken = set(M.members)
+    rest = [i for i in range(1, params.n + 1) if i not in taken]
     mask = RandomStream(seed, "A").bernoulli_mask(len(rest), inclusion)
-    return IndexSet.of(params.n, (c for c, hit in zip(rest, mask) if hit))
+    return IndexSet(params.n, tuple(compress(rest, mask.tolist())))
 
 
 def sample_conditioned(

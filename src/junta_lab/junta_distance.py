@@ -232,8 +232,12 @@ def dist_to_k_junta(f: TruthTable, k: int, epsilon: float | None = None) -> Dist
         key = _least_key(f, k)
         disagreements = key >> n
         witness = [i for i in range(1, n + 1) if not key >> (n - i) & 1]
+    far = None
+    if epsilon is not None:
+        # disagreements / 2^n >= num / den, in integers
+        num, den = epsilon.as_integer_ratio()
+        far = disagreements * den >= num << n
     distance = Fraction(disagreements, 1 << n)
-    far = None if epsilon is None else bool(distance >= Fraction(epsilon))
     return DistanceReport(
         distance=distance, witness=IndexSet.of(n, witness), epsilon=epsilon, far=far
     )

@@ -57,8 +57,10 @@ def pack_ints(*values: int) -> bytes:
 
     Unambiguous for arbitrary-precision values, so address indices larger
     than 64 bits are safe payloads.  It is the concatenation of
-    ``pack_each(values)``.
+    ``pack_each(values)``; one single-byte value is one table lookup.
     """
+    if len(values) == 1 and 0 <= values[0] < 256:
+        return _BYTE_CODES[values[0]]
     return b"".join(pack_each(values))
 
 
@@ -178,16 +180,31 @@ def derive_bit(seed: Seed, role: str, payload: bytes, threshold: float) -> int:
     return int(KeyedDigest.of(seed, role).below((payload,), byte_limit(threshold))[0])
 
 
+def _generator(entropy: bytes) -> np.random.Generator:
+    """PCG64 seeded with ``entropy`` read as one big-endian integer.
+
+    numpy's SeedSequence reads an integer seed as its 32-bit words, least
+    significant first, and mixes a missing high word in as a zero word, so
+    the entropy's bytes reversed and read as little-endian words give the
+    state of ``PCG64(int.from_bytes(entropy, "big"))`` without the
+    integer's word-by-word split.
+    """
+    return np.random.Generator(np.random.PCG64(np.frombuffer(entropy[::-1], dtype="<u4")))
+
+
 class RandomStream:
-    """A deterministic PCG64 stream tied to a seed and a role label."""
+    """A deterministic PCG64 stream tied to a seed and a role label.
+
+    The generator's seed is the 16-byte blake2b digest of ``b"stream"``
+    keyed by the seed and personalized by the role (see ``_generator``).
+    """
 
     def __init__(self, seed: Seed, role: str):
         self.seed = seed
         self.role = role
-        entropy = hashlib.blake2b(
-            b"stream", digest_size=16, key=seed._key(), person=_person(role)
-        ).digest()
-        self._gen = np.random.Generator(np.random.PCG64(int.from_bytes(entropy, "big")))
+        self._gen = _generator(
+            hashlib.blake2b(b"stream", digest_size=16, key=seed._key(), person=_person(role)).digest()
+        )
 
     def child(self, label: str) -> "RandomStream":
         """An independent stream scoped under this one."""

@@ -5,21 +5,113 @@ times the library against them.  The digest references build one fresh
 keyed ``hashlib.blake2b`` per digest and share no code with
 ``junta_lab.rng``; their layout (seed key, role personalization, payload)
 is the definition every digest of the package follows.
+
+``fiberwise_table`` and ``fiberwise_eval_many`` are ``to_table`` and
+``StructuredFn.eval_many`` as they were before one fiber kernel and a
+transposed-view fill replaced them; they read the instance's keyed
+states directly.
 """
 
 import hashlib
 import math
+from itertools import compress, product
 
 import numpy as np
 
-from junta_lab.boolfn import TABLE_CAP, BitString, TruthTable
-from junta_lab.errors import InvalidInput, TooLarge
+from junta_lab.boolfn import _HALF, TABLE_CAP, BitString, IndexSet, StructuredFn, TruthTable
+from junta_lab.errors import DimensionMismatch, InvalidInput, TooLarge
+from junta_lab.rng import RandomStream, pack_ints
 
 
 def per_point_table(f) -> TruthTable:
     """The truth table of ``f``, one ``f.eval`` per point."""
     n = f.n
     return TruthTable(n, np.array([f.eval(BitString(n, c)) for c in range(1 << n)]))
+
+
+def _fiber(f, address: int):
+    """(S, h-state extended with (address, |S|, *S)), each encoded by ``pack_ints`` afresh."""
+    fired = f._s_state.extend(pack_ints(address)).below(f._pool_codes, f._coin_limit)
+    coords = tuple(compress(f.A.members, fired))
+    return coords, f._h_state.extend(pack_ints(address, len(coords), *coords))
+
+
+def fiberwise_table(f) -> TruthTable:
+    """``to_table`` one fiber at a time through the (2,)*n cube.
+
+    Each fiber indexes the cube with an n-long tuple (an address bit on the
+    axes of M, a full slice elsewhere) and reshapes its values with one
+    axis per free coordinate.
+    """
+    n, t = f.n, len(f.M)
+    if n > TABLE_CAP:
+        raise TooLarge(f"n = {n} exceeds the truth-table cap {TABLE_CAP}")
+    out = np.empty(1 << n, dtype=np.uint8)
+    cube = out.reshape((2,) * n)
+    free = [i for i in range(1, n + 1) if i not in f.M]
+    assignments: dict[int, list[bytes]] = {}
+    for code in range(1 << t):
+        address = code + 1
+        coords, state = _fiber(f, address)
+        width = len(coords)
+        if width not in assignments:
+            assignments[width] = [pack_ints(*bits) for bits in product((0, 1), repeat=width)]
+        values = np.array(state.below(assignments[width], _HALF), dtype=np.uint8)
+        address_bits = dict(zip(f.M.members, ((code >> (t - 1 - j)) & 1 for j in range(t))))
+        fiber = tuple(address_bits.get(i, slice(None)) for i in range(1, n + 1))
+        cube[fiber] = values.reshape([2 if i in coords else 1 for i in free])
+    return TruthTable(n, out)
+
+
+def fiberwise_eval_many(f, xs) -> tuple[int, ...]:
+    """``f.eval_many(xs)`` one query at a time, each fiber derived at its first query."""
+    n = f.n
+    address_shifts = [n - i for i in f.M.members]
+    fibers = {}
+    out = []
+    for x in xs:
+        if x.length != n:
+            raise DimensionMismatch(f"universe {n} does not match string length {x.length}")
+        code = x.code
+        address = 0
+        for shift in address_shifts:
+            address = (address << 1) | ((code >> shift) & 1)
+        address += 1
+        fiber = fibers.get(address)
+        if fiber is None:
+            coords, state = _fiber(f, address)
+            fiber = fibers[address] = (state, [n - a for a in coords])
+        state, shifts = fiber
+        bits = pack_ints(*[(code >> shift) & 1 for shift in shifts])
+        out.append(int(state.below((bits,), _HALF)[0]))
+    return tuple(out)
+
+
+class IntegerSeededStream(RandomStream):
+    """``RandomStream`` with its PCG64 seeded from the entropy read as one integer."""
+
+    def __init__(self, seed, role: str):
+        self.seed, self.role = seed, role
+        self._gen = integer_seeded_generator(reference_stream_entropy(seed, role))
+
+
+def complement_sample(params, seed, inclusion: float, kind: str) -> StructuredFn:
+    """``sample_yes``/``sample_no`` as they drew M and A before they went lean.
+
+    M and A each go through ``IndexSet.of``, A's candidates come from
+    ``M.complement()``, and both streams seed PCG64 from one integer.
+    """
+    n, t = params.n, params.t
+    stream = IntegerSeededStream(seed, "M")
+    arr = list(range(1, n + 1))
+    for pos in range(t):
+        j = stream.integers(pos, n)
+        arr[pos], arr[j] = arr[j], arr[pos]
+    M = IndexSet.of(n, arr[:t])
+    rest = M.complement().members
+    mask = IntegerSeededStream(seed, "A").bernoulli_mask(len(rest), inclusion)
+    A = IndexSet.of(n, (c for c, hit in zip(rest, mask) if hit))
+    return StructuredFn(params=params, M=M, A=A, seed=seed, kind=kind)
 
 
 def per_direction_edge_counts(f: TruthTable) -> tuple[int, ...]:
@@ -73,6 +165,20 @@ def reference_digest(seed, role: str, payload: bytes) -> bytes:
         person = hashlib.blake2b(person, digest_size=hashlib.blake2b.PERSON_SIZE).digest()
     key = seed.value.to_bytes(8, "little")
     return hashlib.blake2b(payload, digest_size=8, key=key, person=person).digest()
+
+
+def reference_stream_entropy(seed, role: str) -> bytes:
+    """The 16-byte blake2b digest of b"stream" that seeds ``RandomStream(seed, role)``."""
+    person = role.encode("utf-8")
+    if len(person) > hashlib.blake2b.PERSON_SIZE:
+        person = hashlib.blake2b(person, digest_size=hashlib.blake2b.PERSON_SIZE).digest()
+    key = seed.value.to_bytes(8, "little")
+    return hashlib.blake2b(b"stream", digest_size=16, key=key, person=person).digest()
+
+
+def integer_seeded_generator(entropy: bytes) -> np.random.Generator:
+    """PCG64 seeded with the entropy read as one big-endian integer."""
+    return np.random.Generator(np.random.PCG64(int.from_bytes(entropy, "big")))
 
 
 def reference_bit(seed, role: str, payload: bytes, threshold: float) -> int:

@@ -1,6 +1,7 @@
 """Bit strings, truth tables, the addressing map, and structured instances."""
 
 import pickle
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from junta_lab.boolfn import (
     IndexSet,
     StructuredFn,
     TruthTable,
+    YES_STYLE,
     address_index,
     bichromatic_edge_counts,
     flip,
@@ -30,6 +32,8 @@ from junta_lab.hardgen import sample_no, sample_yes
 from junta_lab.params import DESK_SCALE, derive_params
 from junta_lab.rng import Seed
 from references import (
+    fiberwise_eval_many,
+    fiberwise_table,
     per_direction_edge_counts,
     per_point_table,
     reference_eval,
@@ -361,6 +365,62 @@ def test_keyed_paths_equal_the_fresh_blake2b_reference(n, sampler, epsilon, seed
         assert f.eval_many(xs) == tuple(reference_eval(f, x) for x in xs)
     if n <= 10 or data.draw(st.booleans()):
         assert to_table(f) == reference_table(f)
+
+
+def edge_instance(n, M, epsilon, seed_value, full_pool):
+    """An instance with the given M; A is every coordinate outside M, or every second one."""
+    params = replace(desk(max(n, 4), epsilon), n=n, m=n - len(M), t=len(M))
+    rest = [i for i in range(1, n + 1) if i not in M]
+    pool = rest if full_pool else rest[::2]
+    return StructuredFn(params=params, M=IndexSet.of(n, M), A=IndexSet.of(n, pool),
+                        seed=Seed(seed_value), kind=YES_STYLE)
+
+
+EDGE_SHAPES = [
+    # t = 1 at n = 4..6, the address bit first, last or inside
+    *[(n, M) for n in (4, 5, 6) for M in ([1], [n], [2])],
+    # M holds both ends of the string
+    (6, [1, 6]), (8, [1, 8]), (8, [1, 4, 8]),
+    # M is everything but one coordinate
+    (5, [1, 2, 3, 4]),
+]
+
+
+@pytest.mark.parametrize("full_pool", [True, False], ids=["full-pool", "half-pool"])
+@pytest.mark.parametrize("epsilon", [0.1, 1.0])
+@pytest.mark.parametrize("n, M", EDGE_SHAPES)
+def test_fiber_paths_equal_the_reference_on_edge_shapes(n, M, epsilon, full_pool):
+    # epsilon = 1 raises the coin to 1/sqrt(n) > 1/3, so fibers draw several coordinates
+    f = edge_instance(n, M, epsilon, 1000 + n, full_pool)
+    twin = pickle.loads(pickle.dumps(f))
+    xs = [BitString(n, c) for c in range(1 << n)]
+    xs += xs[::-3]
+    expected_table = reference_table(f)
+    expected = tuple(reference_eval(f, x) for x in xs)
+    for g in (f, twin):
+        assert to_table(g) == expected_table == fiberwise_table(g)
+        assert g.eval_many(xs) == expected == fiberwise_eval_many(g, xs)
+
+
+def test_to_table_of_an_instance_with_large_fibers_equals_the_reference():
+    f = edge_instance(9, [1, 9], 1.0, 7, full_pool=True)
+    assert max(len(f.fiber_coords(a)) for a in range(1, 5)) >= 3
+    assert to_table(f) == reference_table(f)
+
+
+@pytest.mark.parametrize("epsilon", [0.1, 1.0])
+def test_to_table_makes_no_table_sized_temporary(epsilon):
+    # the output is the one 2^16-byte allocation; a 2^n temporary would add at least 2^16 more
+    f = sample_no(desk(16, epsilon), Seed(16))
+    to_table(f)
+    tracemalloc.start()
+    try:
+        table = to_table(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.table.nbytes == 1 << 16
+    assert peak <= (1 << 16) + (1 << 14)
 
 
 def test_eval_many_length_mismatch():

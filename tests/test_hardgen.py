@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from junta_lab.boolfn import BitString, StructuredFn, TruthTable, to_table
+from junta_lab.boolfn import NO_STYLE, YES_STYLE, BitString, StructuredFn, TruthTable, to_table
 from junta_lab.errors import EpsilonOutOfRange, InvalidInput, TooLarge, WeightOutOfRange
 from junta_lab.hardgen import sample_d1, sample_d1_at, sample_d2, sample_no, sample_yes
 from junta_lab.params import DESK_SCALE, derive_params
 from junta_lab.rng import RandomStream, Seed, derive_bit, pack_ints
+from references import complement_sample
 
 
 def desk(n, epsilon=0.1):
@@ -54,6 +55,17 @@ def test_pool_size_concentration_no_and_gap():
         + params.p * (1 - params.p) * params.m / trials
     )
     assert abs(gap - expected_gap) <= 3 * pooled
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(4, 20), st.sampled_from([0.1, 1.0]), st.integers(0, 2**64 - 1))
+def test_samplers_equal_the_complement_form(n, epsilon, seed_value):
+    # A straight from the mask and word-seeded streams draw the instances of
+    # IndexSet.of, M.complement() and integer-seeded streams
+    params = desk(n, epsilon)
+    seed = Seed(seed_value)
+    assert sample_yes(params, seed) == complement_sample(params, seed, params.p, YES_STYLE)
+    assert sample_no(params, seed) == complement_sample(params, seed, params.q, NO_STYLE)
 
 
 def test_kind_flag_does_not_change_semantics():

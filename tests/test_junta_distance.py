@@ -94,6 +94,31 @@ def test_dist_k_farness_flag_is_exact():
     assert dist_to_k_junta(XOR2, 1).far is None
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, 1 << (n - 1)))),
+    st.floats(min_value=5e-324, max_value=1.0),
+)
+@example((4, 4), 0.25)
+@example((4, 3), 0.25)
+@example((10, 256), 0.25)
+@example((3, 4), 1.0)
+@example((1, 1), 1.0)
+@example((5, 0), 5e-324)
+@example((5, 1), 5e-324)
+@example((12, 2048), 0.5)
+@example((12, 2047), 0.5)
+def test_far_is_the_exact_rational_comparison(shape, epsilon):
+    """``far`` is ``Fraction(distance) >= Fraction(epsilon)``, decided in integers."""
+    # w ones of 2^n at k = 0: the nearest constant is 0, w disagreements
+    n, ones = shape
+    table = np.zeros(1 << n, dtype=np.uint8)
+    table[:ones] = 1
+    report = dist_to_k_junta(TruthTable(n, table), 0, epsilon)
+    assert report.distance == Fraction(ones, 1 << n)
+    assert report.far is (Fraction(ones, 1 << n) >= Fraction(epsilon))
+
+
 def test_dist_k_witness_is_lex_smallest():
     # constant function: every witness ties, so the first in lex order wins
     report = dist_to_k_junta(TruthTable.constant(4, 1), 2)

@@ -11,12 +11,19 @@ from junta_lab.rng import (
     KeyedDigest,
     RandomStream,
     Seed,
+    _generator,
     byte_limit,
     derive_bit,
     derive_u64,
     pack_ints,
 )
-from references import general_encoding, reference_bit, reference_digest
+from references import (
+    general_encoding,
+    integer_seeded_generator,
+    reference_bit,
+    reference_digest,
+    reference_stream_entropy,
+)
 
 
 def test_seed_validation():
@@ -182,6 +189,39 @@ def test_stream_determinism():
     assert s1.random() == s2.random()
     other = RandomStream(Seed(9), "demo2")
     assert s1.u64() != other.u64()
+
+
+def same_generator(a, b):
+    assert a.bit_generator.state == b.bit_generator.state
+    assert a.random(4).tolist() == b.random(4).tolist()
+    assert a.integers(0, 2**63, size=4).tolist() == b.integers(0, 2**63, size=4).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**64 - 1), role=st.text(max_size=40))
+def test_stream_generator_is_the_integer_seeded_pcg64(seed, role):
+    stream = RandomStream(Seed(seed), role)
+    same_generator(stream._gen, integer_seeded_generator(reference_stream_entropy(Seed(seed), role)))
+
+
+@pytest.mark.parametrize(
+    "entropy",
+    [
+        bytes(16),
+        bytes(4) + bytes(range(1, 13)),
+        bytes(8) + bytes(range(1, 9)),
+        bytes(12) + bytes(range(1, 5)),
+        bytes(12) + b"\x00\x00\x00\x01",
+        b"\x00\x00\x00\x01" + bytes(12),
+        b"\xff" * 4 + bytes(12),
+        b"\xff" * 16,
+    ],
+    ids=["zero", "one-zero-word", "two-zero-words", "three-zero-words", "one", "top-word-one",
+         "low-words-zero", "all-ones"],
+)
+def test_generator_seeding_agrees_on_zero_words(entropy):
+    # an integer seed drops its zero high words; the word array keeps them
+    same_generator(_generator(entropy), integer_seeded_generator(entropy))
 
 
 def test_stream_children_are_independent_and_reproducible():

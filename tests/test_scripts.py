@@ -96,3 +96,14 @@ def test_bench_walk_at_n_minus_1_agrees_with_the_closed_form():
             assert bench.least_key_walk(g) == bench.distance_and_witness(g, g.n - 1)
     text = sample_d2(10, 0.1, RandomStream(Seed(2), "d2")).serialize()
     assert bench.set_checked_deserialize(text) == TruthTable.deserialize(text)
+
+
+def test_bench_structured_forms_agree(monkeypatch):
+    bench = load_script("bench.py")
+    monkeypatch.setattr(bench, "STRUCTURED_CASES", ((8, 0.1), (8, 1.0)))
+    monkeypatch.setattr(bench, "STRUCTURED_PER_KIND", 3)
+    monkeypatch.setitem(bench.REPEATS, "structured", 1)
+    cases, problems = bench.structured_cases()
+    assert problems == []
+    assert len(cases) == 6 and all(case["equal"] for case in cases)
+    assert all(case["digests"]["fast"] > 0 for case in cases if "sampling" not in case["name"])
