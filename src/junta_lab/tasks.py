@@ -12,15 +12,19 @@ Three query models against a hidden set A inside [m]:
 The two reductions implemented here: string plans collapse to set plans
 through the addressing-set equivalence classes (with the per-class
 selected-coordinate simulation), and set plans collapse to element plans
-through per-element multiplicity counting (with an exact conditional
-lifting of the single response bit back to per-query bits).  The
+through per-element multiplicity counting (with the exact law of
+lifting the single response bit back to per-query bits).  The
 likelihood-threshold decider between the two inclusion rates,
 ``batch_bayes_decider`` (and ``bayes_decide`` on one response), is the
 only reader of the per-element log-likelihood tables.
 
 Outcome conventions: a set-query response is a tuple of per-query bit
 tuples aligned with the sorted members of each query; an element-query
-response is a length-m bit tuple.
+response is a length-m bit tuple.  An exact response law is a flat list
+of 2^width probabilities, one slot bit per outcome bit: a set plan's
+slots go element by element in increasing order, and within an element
+query by query; an element plan has one slot per element of positive
+count.  The first slot is the most significant bit of the index.
 """
 
 from __future__ import annotations
@@ -29,8 +33,7 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product as iter_product
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -210,81 +213,42 @@ def set_plan_to_element_counts(plan: SetQueryPlan) -> ElementQueryPlan:
     return ElementQueryPlan.of(counts)
 
 
-def _slots_by_element(plan: SetQueryPlan) -> dict[int, list[tuple[int, int]]]:
-    """element -> list of (query index, position within that query's tuple)."""
-    slots: dict[int, list[tuple[int, int]]] = {}
-    for i, T in enumerate(plan.queries):
-        for pos, j in enumerate(T.members):
-            slots.setdefault(j, []).append((i, pos))
-    return slots
-
-
-def _truncated_ones_count(r: int, theta: float, stream: RandomStream) -> int:
-    """Number of ones among r rate-theta coins, conditioned on at least one.
-
-    Inverse-CDF over k in [1, r]; exact for every theta, including theta
-    so small that rejection sampling would stall (the theta -> 0 limit is
-    a single one).
-    """
-    weights = []
-    for k in range(1, r + 1):
-        weights.append(math.comb(r, k) * theta**k * (1.0 - theta) ** (r - k))
-    total = math.fsum(weights)
-    if total <= 0.0:
-        return 1
-    u = stream.random() * total
-    acc = 0.0
-    for k, w in enumerate(weights, start=1):
-        acc += w
-        if u < acc:
-            return k
-    return r
-
-
-def lift_response(
-    b: Sequence[int],
-    plan: SetQueryPlan,
-    epsilon: float,
-    n: int,
-    stream: RandomStream,
-) -> SssqResponse:
-    """Expand an element-query response into per-query bits.
-
-    Elements that answered 0 stay 0 everywhere; an element that answered 1
-    with multiplicity r gets r coins of rate epsilon/sqrt(n) conditioned
-    on not being all zero, sampled exactly (truncated count, then uniform
-    placement).
-    """
-    if len(b) != plan.m:
-        raise DimensionMismatch(f"response length {len(b)} != plan universe {plan.m}")
-    theta = coin_rate(epsilon, n)
-    slots = _slots_by_element(plan)
-    out = [[0] * len(T) for T in plan.queries]
-    for j in range(1, plan.m + 1):
-        if not b[j - 1]:
-            continue
-        positions = slots.get(j, [])
-        r = len(positions)
-        if r == 0:
-            raise InconsistentInput(f"element {j} answered 1 but appears in no query")
-        ones = _truncated_ones_count(r, theta, stream)
-        chosen = stream.sample_without_replacement(r, ones)
-        for idx in chosen:
-            i, pos = positions[int(idx)]
-            out[i][pos] = 1
-    return tuple(tuple(row) for row in out)
-
-
 AnyPlan = Union[SetQueryPlan, ElementQueryPlan]
 
 
-def _check_outcome_space(plan: AnyPlan) -> None:
-    if isinstance(plan, ElementQueryPlan):
-        free = sum(1 for c in plan.counts if c > 0)
-    else:
-        free = plan.cost
-    if free > 20:
-        raise TooLarge(f"outcome space 2^{free} exceeds {OUTCOME_SPACE_CAP}")
+def _product_law(
+    A: IndexSet, plan: AnyPlan, local: Callable[[bool, int], list[float]]
+) -> list[float]:
+    """The response law of a plan as a flat list, the product of per-element laws.
+
+    The queried elements are taken in increasing order, each with its
+    count r from ``set_plan_to_element_counts``.  ``local(member, r)`` is
+    the element's law over its 2^s slot patterns: s = r slots for a set
+    plan, one per query holding the element in query order, and s = 1 for
+    an element plan, whose elements of count 0 take no slot.  Entry i of
+    the result is the outcome whose slot bits, element after element and
+    first slot most significant, spell i in binary.
+    """
+    element_plan = isinstance(plan, ElementQueryPlan)
+    counts = plan.counts if element_plan else set_plan_to_element_counts(plan).counts
+    width = sum(1 for c in counts if c > 0) if element_plan else sum(counts)
+    if 1 << width > OUTCOME_SPACE_CAP:
+        raise TooLarge(f"outcome space 2^{width} exceeds {OUTCOME_SPACE_CAP}")
+    if A.universe_size != plan.m:
+        raise DimensionMismatch(f"universe {A.universe_size} != plan universe {plan.m}")
+    members = set(A.members)
+    law = [1.0]
+    for j, r in enumerate(counts, start=1):
+        if r > 0:
+            vec = local(j in members, r)
+            law = [a * b for a in law for b in vec]
+    return law
+
+
+def _coin_patterns(r: int, theta: float) -> list[float]:
+    """theta^k (1 - theta)^(r - k) for every r-slot pattern with k ones."""
+    terms = [theta**k * (1.0 - theta) ** (r - k) for k in range(r + 1)]
+    return [terms[i.bit_count()] for i in range(1 << r)]
 
 
 def exact_response_distribution(
@@ -292,60 +256,24 @@ def exact_response_distribution(
     plan: AnyPlan,
     epsilon: float,
     n: int,
-) -> dict:
+) -> list[float]:
     """Exact law of the oracle response for a fixed hidden set.
 
-    Keys are response outcomes in the module's outcome convention; values
-    are probabilities summing to 1 (up to 1e-12).  Outcomes of probability
-    zero are omitted.
+    A flat list of probabilities summing to 1 (up to 1e-12), in
+    ``_product_law``'s outcome order.  A member answers each of its slots
+    with a rate-theta coin; any other element answers 0.
     """
-    _check_outcome_space(plan)
     theta = coin_rate(epsilon, n)
-    members = set(A.members)
-    if isinstance(plan, ElementQueryPlan):
-        if A.universe_size != plan.m:
-            raise DimensionMismatch(f"universe {A.universe_size} != plan length {plan.m}")
-        locals_: list[list[tuple[int, float]]] = []
-        for i in range(1, plan.m + 1):
-            lam = hit_prob(plan.counts[i - 1], epsilon, n)
-            if i in members and lam > 0.0:
-                locals_.append([(0, 1.0 - lam), (1, lam)])
-            else:
-                locals_.append([(0, 1.0)])
-        dist: dict = {}
-        for combo in iter_product(*locals_):
-            prob = math.prod(p for _, p in combo)
-            if prob > 0.0:
-                dist[tuple(bit for bit, _ in combo)] = prob
-        return dist
 
-    if A.universe_size != plan.m:
-        raise DimensionMismatch(f"universe {A.universe_size} != plan universe {plan.m}")
-    slots = _slots_by_element(plan)
-    elements = sorted(slots)
-    locals_sssq: list[list[tuple[tuple[int, ...], float]]] = []
-    for j in elements:
-        r = len(slots[j])
-        if j in members and theta > 0.0:
-            options = []
-            for pattern in iter_product((0, 1), repeat=r):
-                k = sum(pattern)
-                options.append((pattern, theta**k * (1.0 - theta) ** (r - k)))
-            locals_sssq.append(options)
-        else:
-            locals_sssq.append([((0,) * r, 1.0)])
-    dist = {}
-    for combo in iter_product(*locals_sssq):
-        prob = math.prod(p for _, p in combo)
-        if prob <= 0.0:
-            continue
-        out = [[0] * len(T) for T in plan.queries]
-        for j, (pattern, _) in zip(elements, combo):
-            for (i, pos), bit in zip(slots[j], pattern):
-                out[i][pos] = bit
-        key = tuple(tuple(row) for row in out)
-        dist[key] = dist.get(key, 0.0) + prob
-    return dist
+    def local(member: bool, r: int) -> list[float]:
+        if isinstance(plan, ElementQueryPlan):
+            lam = hit_prob(r, epsilon, n) if member else 0.0
+            return [1.0 - lam, lam]
+        if member:
+            return _coin_patterns(r, theta)
+        return [1.0] + [0.0] * ((1 << r) - 1)
+
+    return _product_law(A, plan, local)
 
 
 def lifted_response_distribution(
@@ -353,59 +281,36 @@ def lifted_response_distribution(
     plan: SetQueryPlan,
     epsilon: float,
     n: int,
-) -> dict:
-    """Exact law of lift_response applied to an element-query oracle round.
+) -> list[float]:
+    """Exact law of the lifted element-query oracle round, in ``_product_law``'s order.
 
-    Marginalizes the intermediate bit of every element explicitly: the
-    zero branch pins that element's slots to zero, the one branch carries
-    the truncated coin pattern.
+    The element-query oracle answers one bit per element, 1 for a member
+    with probability lambda = hit_prob(r); the lift keeps a 0 as r zero
+    slots and turns a 1 into r rate-theta coins conditioned on not all
+    being zero.  The one-branch is skipped when lambda = 0, where the
+    conditioning mass is 0 too.
     """
-    _check_outcome_space(plan)
-    if A.universe_size != plan.m:
-        raise DimensionMismatch(f"universe {A.universe_size} != plan universe {plan.m}")
+    if not isinstance(plan, SetQueryPlan):
+        raise InvalidInput("the lifted law is defined for set-query plans")
     theta = coin_rate(epsilon, n)
-    members = set(A.members)
-    slots = _slots_by_element(plan)
-    elements = sorted(slots)
-    locals_: list[list[tuple[tuple[int, ...], float]]] = []
-    for j in elements:
-        r = len(slots[j])
-        lam = hit_prob(r, epsilon, n)
-        options: dict[tuple[int, ...], float] = {}
-        for b_j, b_prob in ((0, (1.0 - lam) if j in members else 1.0),
-                            (1, lam if j in members else 0.0)):
-            if b_prob <= 0.0:
-                continue
-            if b_j == 0:
-                zero = (0,) * r
-                options[zero] = options.get(zero, 0.0) + b_prob
-                continue
+
+    def local(member: bool, r: int) -> list[float]:
+        lam = hit_prob(r, epsilon, n) if member else 0.0
+        vec = [1.0 - lam] + [0.0] * ((1 << r) - 1)
+        if lam > 0.0:
             norm = -math.expm1(r * math.log1p(-theta)) if theta < 1.0 else 1.0
-            for pattern in iter_product((0, 1), repeat=r):
-                k = sum(pattern)
-                if k == 0:
-                    continue
-                cond = theta**k * (1.0 - theta) ** (r - k) / norm
-                options[pattern] = options.get(pattern, 0.0) + b_prob * cond
-        locals_.append(sorted(options.items()))
-    dist: dict = {}
-    for combo in iter_product(*locals_):
-        prob = math.prod(p for _, p in combo)
-        if prob <= 0.0:
-            continue
-        out = [[0] * len(T) for T in plan.queries]
-        for j, (pattern, _) in zip(elements, combo):
-            for (i, pos), bit in zip(slots[j], pattern):
-                out[i][pos] = bit
-        key = tuple(tuple(row) for row in out)
-        dist[key] = dist.get(key, 0.0) + prob
-    return dist
+            patterns = _coin_patterns(r, theta)
+            vec[1:] = [lam * (p / norm) for p in patterns[1:]]
+        return vec
+
+    return _product_law(A, plan, local)
 
 
-def tv_distance(dist_a: Mapping, dist_b: Mapping) -> float:
-    """Half the L1 distance between two outcome laws given as dicts."""
-    keys = set(dist_a) | set(dist_b)
-    return 0.5 * math.fsum(abs(dist_a.get(k, 0.0) - dist_b.get(k, 0.0)) for k in keys)
+def tv_distance(law_a: Sequence[float], law_b: Sequence[float]) -> float:
+    """Half the L1 distance between two flat outcome laws over the same outcomes."""
+    if len(law_a) != len(law_b):
+        raise DimensionMismatch(f"laws over {len(law_a)} and {len(law_b)} outcomes")
+    return 0.5 * math.fsum(abs(a - b) for a, b in zip(law_a, law_b))
 
 
 def lift_equivalence_gap(A: IndexSet, plan: SetQueryPlan, epsilon: float, n: int) -> float:
@@ -650,8 +555,9 @@ def _log_likelihood_rows(
         return rows
     theta = coin_rate(epsilon, n)
     rows = []
-    for j, positions in sorted(_slots_by_element(plan).items()):
-        r = len(positions)
+    for r in set_plan_to_element_counts(plan).counts:
+        if r == 0:
+            continue
         hit = inclusion * hit_prob(r, epsilon, n)
         row = [math.log1p(-hit) if hit < 1.0 else -math.inf]
         for k in range(1, r + 1):

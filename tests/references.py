@@ -10,6 +10,11 @@ is the definition every digest of the package follows.
 ``StructuredFn.eval_many`` as they were before one fiber kernel and a
 transposed-view fill replaced them; they read the instance's keyed
 states directly.
+
+``dict_response_law`` and ``dict_lifted_law`` are the exact response laws
+as dicts keyed by response tuples, built outcome by outcome; the flat
+laws of ``tasks`` must equal them entry for entry.  ``lift_response`` is
+the lifting as a sampler, whose law ``dict_lifted_law`` writes down.
 """
 
 import hashlib
@@ -19,8 +24,11 @@ from itertools import compress, product
 import numpy as np
 
 from junta_lab.boolfn import _HALF, TABLE_CAP, BitString, IndexSet, StructuredFn, TruthTable
-from junta_lab.errors import DimensionMismatch, InvalidInput, TooLarge
+from junta_lab.binom_stats import hit_prob
+from junta_lab.errors import DimensionMismatch, InconsistentInput, InvalidInput, TooLarge
+from junta_lab.params import coin_rate
 from junta_lab.rng import RandomStream, pack_ints
+from junta_lab.tasks import ElementQueryPlan
 
 
 def per_point_table(f) -> TruthTable:
@@ -233,3 +241,154 @@ class FreshDigest:
 
     def below(self, payloads, limit: bytes) -> list[bool]:
         return [reference_digest(self.seed, self.role, self.prefix + p) < limit for p in payloads]
+
+
+def slots_by_element(plan) -> dict[int, list[tuple[int, int]]]:
+    """element -> list of (query index, position within that query's tuple)."""
+    slots: dict[int, list[tuple[int, int]]] = {}
+    for i, T in enumerate(plan.queries):
+        for pos, j in enumerate(T.members):
+            slots.setdefault(j, []).append((i, pos))
+    return slots
+
+
+def truncated_ones_count(r: int, theta: float, stream: RandomStream) -> int:
+    """Number of ones among r rate-theta coins, conditioned on at least one.
+
+    Inverse-CDF over k in [1, r]; exact for every theta, including theta
+    so small that rejection sampling would stall (the theta -> 0 limit is
+    a single one).
+    """
+    weights = []
+    for k in range(1, r + 1):
+        weights.append(math.comb(r, k) * theta**k * (1.0 - theta) ** (r - k))
+    total = math.fsum(weights)
+    if total <= 0.0:
+        return 1
+    u = stream.random() * total
+    acc = 0.0
+    for k, w in enumerate(weights, start=1):
+        acc += w
+        if u < acc:
+            return k
+    return r
+
+
+def lift_response(b, plan, epsilon: float, n: int, stream: RandomStream):
+    """Expand an element-query response into per-query bits.
+
+    Elements that answered 0 stay 0 everywhere; an element that answered 1
+    with multiplicity r gets r coins of rate epsilon/sqrt(n) conditioned
+    on not being all zero, sampled exactly (truncated count, then uniform
+    placement).
+    """
+    if len(b) != plan.m:
+        raise DimensionMismatch(f"response length {len(b)} != plan universe {plan.m}")
+    theta = coin_rate(epsilon, n)
+    slots = slots_by_element(plan)
+    out = [[0] * len(T) for T in plan.queries]
+    for j in range(1, plan.m + 1):
+        if not b[j - 1]:
+            continue
+        positions = slots.get(j, [])
+        r = len(positions)
+        if r == 0:
+            raise InconsistentInput(f"element {j} answered 1 but appears in no query")
+        ones = truncated_ones_count(r, theta, stream)
+        chosen = stream.sample_without_replacement(r, ones)
+        for idx in chosen:
+            i, pos = positions[int(idx)]
+            out[i][pos] = 1
+    return tuple(tuple(row) for row in out)
+
+
+def _slot_patterns_to_law(plan, elements, slots, locals_) -> dict:
+    """Combine per-element (pattern, probability) options into a law over response tuples."""
+    dist: dict = {}
+    for combo in product(*locals_):
+        prob = math.prod(p for _, p in combo)
+        if prob <= 0.0:
+            continue
+        out = [[0] * len(T) for T in plan.queries]
+        for j, (pattern, _) in zip(elements, combo):
+            for (i, pos), bit in zip(slots[j], pattern):
+                out[i][pos] = bit
+        key = tuple(tuple(row) for row in out)
+        dist[key] = dist.get(key, 0.0) + prob
+    return dist
+
+
+def dict_response_law(A, plan, epsilon: float, n: int) -> dict:
+    """``exact_response_distribution`` as a dict from response tuples to probabilities.
+
+    Outcomes of probability zero are omitted.
+    """
+    theta = coin_rate(epsilon, n)
+    members = set(A.members)
+    if A.universe_size != plan.m:
+        raise DimensionMismatch(f"universe {A.universe_size} != plan universe {plan.m}")
+    if isinstance(plan, ElementQueryPlan):
+        locals_: list[list[tuple[int, float]]] = []
+        for i in range(1, plan.m + 1):
+            lam = hit_prob(plan.counts[i - 1], epsilon, n)
+            if i in members and lam > 0.0:
+                locals_.append([(0, 1.0 - lam), (1, lam)])
+            else:
+                locals_.append([(0, 1.0)])
+        dist: dict = {}
+        for combo in product(*locals_):
+            prob = math.prod(p for _, p in combo)
+            if prob > 0.0:
+                dist[tuple(bit for bit, _ in combo)] = prob
+        return dist
+    slots = slots_by_element(plan)
+    elements = sorted(slots)
+    locals_sssq: list[list[tuple[tuple[int, ...], float]]] = []
+    for j in elements:
+        r = len(slots[j])
+        if j in members and theta > 0.0:
+            options = []
+            for pattern in product((0, 1), repeat=r):
+                k = sum(pattern)
+                options.append((pattern, theta**k * (1.0 - theta) ** (r - k)))
+            locals_sssq.append(options)
+        else:
+            locals_sssq.append([((0,) * r, 1.0)])
+    return _slot_patterns_to_law(plan, elements, slots, locals_sssq)
+
+
+def dict_lifted_law(A, plan, epsilon: float, n: int) -> dict:
+    """The law of ``lift_response`` applied to an element-query oracle round, as a dict.
+
+    Marginalizes the intermediate bit of every element explicitly: the
+    zero branch pins that element's slots to zero, the one branch carries
+    the truncated coin pattern.
+    """
+    if A.universe_size != plan.m:
+        raise DimensionMismatch(f"universe {A.universe_size} != plan universe {plan.m}")
+    theta = coin_rate(epsilon, n)
+    members = set(A.members)
+    slots = slots_by_element(plan)
+    elements = sorted(slots)
+    locals_: list[list[tuple[tuple[int, ...], float]]] = []
+    for j in elements:
+        r = len(slots[j])
+        lam = hit_prob(r, epsilon, n)
+        options: dict[tuple[int, ...], float] = {}
+        for b_j, b_prob in ((0, (1.0 - lam) if j in members else 1.0),
+                            (1, lam if j in members else 0.0)):
+            if b_prob <= 0.0:
+                continue
+            if b_j == 0:
+                zero = (0,) * r
+                options[zero] = options.get(zero, 0.0) + b_prob
+                continue
+            norm = -math.expm1(r * math.log1p(-theta)) if theta < 1.0 else 1.0
+            for pattern in product((0, 1), repeat=r):
+                k = sum(pattern)
+                if k == 0:
+                    continue
+                cond = theta**k * (1.0 - theta) ** (r - k) / norm
+                options[pattern] = options.get(pattern, 0.0) + b_prob * cond
+        locals_.append(sorted(options.items()))
+    return _slot_patterns_to_law(plan, elements, slots, locals_)

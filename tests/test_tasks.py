@@ -1,6 +1,7 @@
 """Oracle games, reductions, and exact response laws against brute force."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 from itertools import product
 
@@ -37,7 +38,6 @@ from junta_lab.tasks import (
     far_pair_codes,
     is_separating,
     lift_equivalence_gap,
-    lift_response,
     lifted_response_distribution,
     separates,
     sample_hidden,
@@ -48,6 +48,7 @@ from junta_lab.tasks import (
     tv_distance,
 )
 from junta_lab.binom_stats import BinomialSpec, exact_dtv, hit_prob
+from references import dict_lifted_law, dict_response_law, lift_response
 
 
 def desk(n=64, epsilon=0.1):
@@ -56,6 +57,20 @@ def desk(n=64, epsilon=0.1):
 
 PARAMS = desk()
 THETA = PARAMS.coin_prob
+
+
+def flat_index(response, plan):
+    """The index of a response tuple in its plan's flat law (see ``tasks._product_law``)."""
+    if isinstance(plan, ElementQueryPlan):
+        assert not any(b for b, c in zip(response, plan.counts) if c == 0)
+        bits = [b for b, c in zip(response, plan.counts) if c > 0]
+    else:
+        by_element = {}
+        for T, row in zip(plan.queries, response):
+            for j, bit in zip(T.members, row):
+                by_element.setdefault(j, []).append(bit)
+        bits = [bit for j in sorted(by_element) for bit in by_element[j]]
+    return int("".join(map(str, bits)) or "0", 2)
 
 
 def hidden_of(m, members):
@@ -196,24 +211,39 @@ def test_lift_conditional_pattern_frequencies():
 
 def test_exact_distribution_empty_set():
     plan = ElementQueryPlan.of([2, 3])
-    dist = exact_response_distribution(IndexSet.of(2, []), plan, 0.3, 4)
-    assert dist == {(0, 0): 1.0}
+    law = exact_response_distribution(IndexSet.of(2, []), plan, 0.3, 4)
+    assert law == [1.0, 0.0, 0.0, 0.0]
+    assert law[flat_index((0, 0), plan)] == 1.0
 
 
 def test_exact_distribution_single_coin():
     plan = ElementQueryPlan.of([1])
-    dist = exact_response_distribution(IndexSet.of(1, [1]), plan, 0.3, 4)
+    law = exact_response_distribution(IndexSet.of(1, [1]), plan, 0.3, 4)
     theta = 0.3 / 2
-    assert dist[(1,)] == pytest.approx(theta, rel=1e-15)
-    assert dist[(0,)] == pytest.approx(1 - theta, rel=1e-15)
+    assert len(law) == 2
+    assert law[flat_index((1,), plan)] == pytest.approx(theta, rel=1e-15)
+    assert law[flat_index((0,), plan)] == pytest.approx(1 - theta, rel=1e-15)
 
 
 def test_exact_distribution_two_fair_coins():
     plan = SetQueryPlan.of(1, [[1], [1]])
-    dist = exact_response_distribution(IndexSet.of(1, [1]), plan, 1.0, 4)
-    assert len(dist) == 4
-    for outcome, prob in dist.items():
+    law = exact_response_distribution(IndexSet.of(1, [1]), plan, 1.0, 4)
+    assert len(law) == 4
+    for prob in law:
         assert prob == pytest.approx(0.25, rel=1e-15)
+
+
+def test_flat_law_order_is_element_then_query():
+    # element 1 holds slots (q0, q2), element 2 holds slot q1; element 1's
+    # first slot is the most significant bit
+    plan = SetQueryPlan.of(2, [[1], [2], [1]])
+    assert flat_index(((1,), (0,), (0,)), plan) == 0b100
+    assert flat_index(((0,), (1,), (0,)), plan) == 0b001
+    assert flat_index(((0,), (0,), (1,)), plan) == 0b010
+    law = exact_response_distribution(IndexSet.of(2, [1]), plan, 1.2, 4)  # theta = 0.6
+    assert law[0b100] == pytest.approx(0.6 * 0.4, rel=1e-15)
+    assert law[0b001] == 0.0
+    assert law[0b110] == pytest.approx(0.36, rel=1e-15)
 
 
 def test_exact_distribution_sums_to_one():
@@ -229,23 +259,22 @@ def test_exact_distribution_sums_to_one():
             ]
             plan = SetQueryPlan.of(m, sets)
         members = [i + 1 for i in range(m) if rng.random() < 0.5]
-        dist = exact_response_distribution(IndexSet.of(m, members), plan, 0.4, 9)
-        assert abs(math.fsum(dist.values()) - 1.0) <= 1e-12
+        law = exact_response_distribution(IndexSet.of(m, members), plan, 0.4, 9)
+        assert abs(math.fsum(law) - 1.0) <= 1e-12
 
 
 def test_exact_distribution_matches_sampler():
     # Monte-Carlo bridge between the sampler and the analytic law
     plan = SetQueryPlan.of(2, [[1, 2], [2]])
     A = IndexSet.of(2, [1, 2])
-    dist = exact_response_distribution(A, plan, 1.2, 4)  # theta = 0.6
+    law = exact_response_distribution(A, plan, 1.2, 4)  # theta = 0.6
     trials = 40_000
     base = RandomStream(Seed(13), "mc")
-    counts: dict = {}
+    counts = [0] * len(law)
     for j in range(trials):
         out = sssq_respond(HiddenSet(2, A), plan, 1.2, 4, base.child(str(j)))
-        counts[out] = counts.get(out, 0) + 1
-    for outcome, prob in dist.items():
-        observed = counts.get(outcome, 0)
+        counts[flat_index(out, plan)] += 1
+    for observed, prob in zip(counts, law):
         sigma = math.sqrt(trials * prob * (1 - prob))
         assert abs(observed - trials * prob) <= 5 * sigma
 
@@ -257,14 +286,13 @@ def test_lifted_law_matches_lift_sampler():
     ell = set_plan_to_element_counts(plan)
     trials = 40_000
     base = RandomStream(Seed(14), "mc2")
-    counts: dict = {}
+    counts = [0] * len(law)
     for j in range(trials):
         b = sseq_respond(HiddenSet(2, A), ell, 1.2, 4, base.child(f"b{j}"))
         out = lift_response(b, plan, 1.2, 4, base.child(f"l{j}"))
-        counts[out] = counts.get(out, 0) + 1
-    assert abs(math.fsum(law.values()) - 1.0) <= 1e-12
-    for outcome, prob in law.items():
-        observed = counts.get(outcome, 0)
+        counts[flat_index(out, plan)] += 1
+    assert abs(math.fsum(law) - 1.0) <= 1e-12
+    for observed, prob in zip(counts, law):
         sigma = math.sqrt(trials * prob * (1 - prob)) + 1e-9
         assert abs(observed - trials * prob) <= 5 * sigma
 
@@ -285,6 +313,120 @@ def test_lift_equivalence_degenerate():
     plan = SetQueryPlan.of(2, [[1, 2]])
     assert lift_equivalence_gap(IndexSet.of(2, []), plan, 0.5, 4) == 0.0
     assert lift_equivalence_gap(IndexSet.of(2, [1, 2]), plan, 0.0, 4) == 0.0
+
+
+def claim53_pairs():
+    """Every (plan, hidden set) of the claim53 sweep: m <= 3, one or two queries."""
+    for m in (1, 2, 3):
+        subsets = [[i + 1 for i in range(m) if (mask >> i) & 1] for mask in range(1 << m)]
+        for sets in [(T,) for T in subsets] + [(a, b) for a in subsets for b in subsets]:
+            plan = SetQueryPlan.of(m, sets)
+            for amask in range(1 << m):
+                yield plan, IndexSet.of(m, (i + 1 for i in range(m) if (amask >> i) & 1))
+
+
+def assert_flat_equals_dict(law, reference, plan):
+    """Entry for entry, with ``==``: the reference omits outcomes of probability zero."""
+    by_index = {flat_index(outcome, plan): prob for outcome, prob in reference.items()}
+    assert len(by_index) == len(reference)
+    assert all(index < len(law) for index in by_index)
+    for index, prob in enumerate(law):
+        assert prob == by_index.get(index, 0.0), (plan, index)
+
+
+# (epsilon, n): the claim53 desk point, theta = 0 and theta = 1
+LAW_EDGES = [(0.1, 10), (0.0, 10), (2.0, 4)]
+
+
+@pytest.mark.parametrize("epsilon, n", LAW_EDGES)
+def test_flat_laws_equal_dict_references_on_set_plans(epsilon, n):
+    pairs = 0
+    for plan, A in claim53_pairs():
+        assert_flat_equals_dict(
+            exact_response_distribution(A, plan, epsilon, n),
+            dict_response_law(A, plan, epsilon, n),
+            plan,
+        )
+        assert_flat_equals_dict(
+            lifted_response_distribution(A, plan, epsilon, n),
+            dict_lifted_law(A, plan, epsilon, n),
+            plan,
+        )
+        pairs += 1
+    assert pairs == 668
+
+
+def test_flat_laws_equal_dict_references_on_random_plans():
+    # up to 4 elements in up to 3 queries, so an element holds up to 3 slots
+    rng = np.random.default_rng(53)
+    for _ in range(400):
+        m = int(rng.integers(1, 5))
+        epsilon, n = [(0.1, 10), (0.4, 9), (1.2, 4), (0.3, 64), (0.0, 4), (2.0, 4)][
+            int(rng.integers(0, 6))
+        ]
+        sets = [[j for j in range(1, m + 1) if rng.random() < 0.5]
+                for _ in range(int(rng.integers(1, 4)))]
+        plan = SetQueryPlan.of(m, sets)
+        A = IndexSet.of(m, (i + 1 for i in range(m) if rng.random() < 0.5))
+        assert_flat_equals_dict(
+            exact_response_distribution(A, plan, epsilon, n),
+            dict_response_law(A, plan, epsilon, n),
+            plan,
+        )
+        assert_flat_equals_dict(
+            lifted_response_distribution(A, plan, epsilon, n),
+            dict_lifted_law(A, plan, epsilon, n),
+            plan,
+        )
+
+
+@pytest.mark.parametrize("epsilon, n", LAW_EDGES)
+def test_flat_law_equals_dict_reference_on_element_plans(epsilon, n):
+    # counts 0 take no slot in the flat law, and pin the response bit to 0
+    for m in (1, 2, 3):
+        for counts in product(range(3), repeat=m):
+            plan = ElementQueryPlan.of(counts)
+            for amask in range(1 << m):
+                A = IndexSet.of(m, (i + 1 for i in range(m) if (amask >> i) & 1))
+                law = exact_response_distribution(A, plan, epsilon, n)
+                assert len(law) == 1 << sum(1 for c in counts if c > 0)
+                assert_flat_equals_dict(law, dict_response_law(A, plan, epsilon, n), plan)
+
+
+def test_tv_distance_rejects_laws_of_different_lengths():
+    assert tv_distance([0.5, 0.5], [1.0, 0.0]) == 0.5
+    with pytest.raises(DimensionMismatch):
+        tv_distance([1.0], [1.0, 0.0])
+
+
+def test_lifted_law_rejects_element_plans():
+    with pytest.raises(InvalidInput):
+        lifted_response_distribution(IndexSet.of(2, [1]), ElementQueryPlan.of([1, 2]), 0.1, 4)
+
+
+def test_outcome_cap_on_set_plans_raises_before_building():
+    # cost 21: one element in 21 queries
+    plan = SetQueryPlan.of(1, [[1]] * 21)
+    A = IndexSet.of(1, [1])
+    tracemalloc.start()
+    try:
+        for law in (exact_response_distribution, lifted_response_distribution, lift_equivalence_gap):
+            with pytest.raises(TooLarge):
+                law(A, plan, 1.0, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16, f"{peak} bytes allocated before the cap"
+
+
+def test_outcome_cap_counts_only_positive_counts_on_element_plans():
+    with pytest.raises(TooLarge):
+        exact_response_distribution(IndexSet.of(21, [1]), ElementQueryPlan.of([1] * 21), 0.1, 4)
+    # m = 25 with 3 positive counts: width 3, far under the cap
+    plan = ElementQueryPlan.of([0] * 22 + [1, 2, 3])
+    law = exact_response_distribution(IndexSet.of(25, [23, 25]), plan, 0.1, 4)
+    assert len(law) == 1 << 3
+    assert abs(math.fsum(law) - 1.0) <= 1e-12
 
 
 # ---------------------------------------------------------------- separation
@@ -485,12 +627,12 @@ def brute_force_advantage_sseq(plan, params, p, q):
     theta = params.epsilon / math.sqrt(params.n)
     dists = []
     for inclusion in (p, q):
-        law = {}
+        law = [0.0] * (1 << m)
         for amask in range(1 << m):
             weight = 1.0
             for i in range(m):
                 weight *= inclusion if (amask >> i) & 1 else 1.0 - inclusion
-            for outcome in product((0, 1), repeat=m):
+            for index, outcome in enumerate(product((0, 1), repeat=m)):
                 prob = weight
                 for i in range(m):
                     lam = 1.0 - (1.0 - theta) ** plan.counts[i]
@@ -499,8 +641,7 @@ def brute_force_advantage_sseq(plan, params, p, q):
                     elif outcome[i]:
                         prob = 0.0
                         break
-                if prob:
-                    law[outcome] = law.get(outcome, 0.0) + prob
+                law[index] += prob
         dists.append(law)
     return tv_distance(dists[0], dists[1])
 
@@ -633,17 +774,18 @@ def test_exact_advantage_caps():
 def test_log_likelihood_matches_law():
     plan = ElementQueryPlan.of([2, 0, 1])
     for inclusion in (PARAMS.p, PARAMS.q):
-        law = {}
+        law = [0.0] * 4
         for amask in range(1 << 3):
             weight = 1.0
             for i in range(3):
                 weight *= inclusion if (amask >> i) & 1 else 1.0 - inclusion
             A = IndexSet.of(3, (i + 1 for i in range(3) if (amask >> i) & 1))
-            for outcome, prob in exact_response_distribution(
-                A, plan, PARAMS.epsilon, PARAMS.n
-            ).items():
-                law[outcome] = law.get(outcome, 0.0) + weight * prob
-        for outcome, prob in law.items():
+            per_set = exact_response_distribution(A, plan, PARAMS.epsilon, PARAMS.n)
+            for index, prob in enumerate(per_set):
+                law[index] += weight * prob
+        # element 2 has count 0, so it answers 0
+        for outcome in product((0, 1), (0,), (0, 1)):
+            prob = law[flat_index(outcome, plan)]
             ll = summed_table_terms(outcome, plan, inclusion, PARAMS)
             assert math.exp(ll) == pytest.approx(prob, rel=1e-9)
 
