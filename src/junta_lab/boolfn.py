@@ -48,15 +48,6 @@ class BitString:
             raise InvalidInput(f"bit string text must be non-empty 0/1, got {text!r}")
         return cls(len(text), int(text, 2))
 
-    @classmethod
-    def from_bits(cls, bits: Sequence[int]) -> "BitString":
-        code = 0
-        for b in bits:
-            if b not in (0, 1):
-                raise InvalidInput(f"bits must be 0/1, got {b!r}")
-            code = (code << 1) | b
-        return cls(len(bits), code)
-
     def bit(self, i: int) -> int:
         if not 1 <= i <= self.length:
             raise IndexOutOfRange(f"coordinate {i} not in [1, {self.length}]")
@@ -64,10 +55,6 @@ class BitString:
 
     def bits(self) -> tuple[int, ...]:
         return tuple((self.code >> (self.length - i)) & 1 for i in range(1, self.length + 1))
-
-    def restrict(self, coords: Iterable[int]) -> tuple[int, ...]:
-        """Projection onto a sequence of coordinates, in the order given."""
-        return tuple(self.bit(i) for i in coords)
 
     def to_text(self) -> str:
         return format(self.code, f"0{self.length}b")
@@ -108,10 +95,6 @@ class IndexSet:
     @classmethod
     def of(cls, universe_size: int, members: Iterable[int]) -> "IndexSet":
         return cls(universe_size, tuple(sorted(set(int(i) for i in members))))
-
-    @classmethod
-    def full(cls, universe_size: int) -> "IndexSet":
-        return cls(universe_size, tuple(range(1, universe_size + 1)))
 
     def complement(self) -> "IndexSet":
         present = set(self.members)

@@ -576,28 +576,20 @@ def sseq_curve(config: ExperimentConfig) -> ExperimentReport:
     return report
 
 
-def dtv_sweep(config: ExperimentConfig) -> ExperimentReport:
-    """Shift-bound sweep plus the budget-scaled distance curve across scales.
+def bound_sweep_cells(params: Params):
+    """Each applicable cell of ``dtv_sweep``'s bound sweep as (c, r, r', bound, exact).
 
-    Sweep: every trial count up to 256 against a grid of hit rates, using
-    the configured p and q; every applicable cell must respect the bound.
-    The cells share their tables: c walks the Pascal rows in the outer
-    loop, and each grid rate's power tables are computed once, so a cell's
-    exact distance is ``binom_stats.dtv_from_tables``, equal to
-    ``exact_dtv`` of its two laws.
-    Curve: per-bin counts are fixed to the largest family valid at every
-    grid scale, then the L-scaled exact distance must fall as n grows.
+    c walks the Pascal rows 1..256 in the outer loop and the hit rate lam a
+    fixed grid in the inner one; r = p * lam and r' = min(r + (q - p) * lam, 1).
+    A cell applies when 0 < r < 1 and ``tv_shift_bound`` gives a bound.
+    Each grid rate's power tables are computed once, so a cell's exact
+    distance is ``binom_stats.dtv_from_tables``, equal to ``exact_dtv`` of
+    Bin(c, r) and Bin(c, r').
     """
-    params = config.params
-    report = ExperimentReport("dtv_sweep")
     p, q = params.p, params.q
-
     lam_grid = [0.001, 0.003, 0.01, 0.03, 0.1, 0.2, 0.4, 0.7, 1.0]
     top = 256
     powers = {}
-    violations = 0
-    applicable = 0
-    worst_margin = math.inf
     rows = binom_stats.pascal_rows(top)
     next(rows)  # c = 0 is not swept
     for c, whole in rows:
@@ -609,18 +601,32 @@ def dtv_sweep(config: ExperimentConfig) -> ExperimentReport:
             bound = binom_stats.tv_shift_bound(x, c, r)
             if bound is None:
                 continue
-            applicable += 1
+            shifted = min(r + x, 1.0)
             if lam not in powers:
-                powers[lam] = (
-                    binom_stats.rate_powers(r, top),
-                    binom_stats.rate_powers(min(r + x, 1.0), top),
-                )
-            exact = binom_stats.dtv_from_tables(whole, *powers[lam])
-            margin = bound - exact
-            if margin < worst_margin:
-                worst_margin = margin
-            if exact > bound:
-                violations += 1
+                powers[lam] = (binom_stats.rate_powers(r, top), binom_stats.rate_powers(shifted, top))
+            yield c, r, shifted, bound, binom_stats.dtv_from_tables(whole, *powers[lam])
+
+
+def dtv_sweep(config: ExperimentConfig) -> ExperimentReport:
+    """Shift-bound sweep plus the budget-scaled distance curve across scales.
+
+    Sweep: every cell of ``bound_sweep_cells`` (every trial count up to 256
+    against a grid of hit rates, at the configured p and q) must respect
+    the bound.
+    Curve: per-bin counts are fixed to the largest family valid at every
+    grid scale, then the L-scaled exact distance must fall as n grows.
+    """
+    params = config.params
+    report = ExperimentReport("dtv_sweep")
+    p, q = params.p, params.q
+    violations = 0
+    applicable = 0
+    worst_margin = math.inf
+    for _, _, _, bound, exact in bound_sweep_cells(params):
+        applicable += 1
+        worst_margin = min(worst_margin, bound - exact)
+        if exact > bound:
+            violations += 1
     report.rows.append(
         {
             "experiment": "dtv_sweep",
@@ -685,29 +691,33 @@ def dtv_sweep(config: ExperimentConfig) -> ExperimentReport:
     return report
 
 
-def lift_equivalence_sweep(config: ExperimentConfig) -> ExperimentReport:
-    """Exhaustive equivalence of direct and lifted response laws at tiny sizes."""
-    params = config.params
-    report = ExperimentReport("claim53")
-    overall_max = 0.0
-    combos = 0
+def claim53_pairs():
+    """Every (m, plan, hidden set) of the claim53 sweep, 668 in all.
+
+    For m = 1, 2, 3: every plan of one or two set queries over [m] (each
+    query any subset, the empty one included), against every hidden set A.
+    """
     for m in (1, 2, 3):
-        subsets = []
-        for mask in range(1 << m):
-            subsets.append([i + 1 for i in range(m) if (mask >> i) & 1])
-        plans = [(T,) for T in subsets] + [(a, b) for a in subsets for b in subsets]
-        local_max = 0.0
-        for sets in plans:
+        subsets = [[i + 1 for i in range(m) if (mask >> i) & 1] for mask in range(1 << m)]
+        for sets in [(T,) for T in subsets] + [(a, b) for a in subsets for b in subsets]:
             plan = SetQueryPlan.of(m, sets)
             for amask in range(1 << m):
-                A = IndexSet.of(m, (i + 1 for i in range(m) if (amask >> i) & 1))
-                gap = lift_equivalence_gap(A, plan, params.epsilon, params.n)
-                local_max = max(local_max, gap)
-                combos += 1
-        overall_max = max(overall_max, local_max)
-        report.rows.append(
-            {"experiment": "claim53", "m": m, "max_tv_gap": local_max}
-        )
+                yield m, plan, IndexSet.of(m, (i + 1 for i in range(m) if (amask >> i) & 1))
+
+
+def lift_equivalence_sweep(config: ExperimentConfig) -> ExperimentReport:
+    """Exhaustive equivalence of direct and lifted response laws on ``claim53_pairs``."""
+    params = config.params
+    report = ExperimentReport("claim53")
+    worst: dict[int, float] = {}
+    combos = 0
+    for m, plan, A in claim53_pairs():
+        gap = lift_equivalence_gap(A, plan, params.epsilon, params.n)
+        worst[m] = max(worst.get(m, 0.0), gap)
+        combos += 1
+    for m, local_max in worst.items():
+        report.rows.append({"experiment": "claim53", "m": m, "max_tv_gap": local_max})
+    overall_max = max(worst.values())
     report.checks.append(
         CheckResult(
             "lift_equivalence_exact",

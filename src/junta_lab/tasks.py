@@ -61,19 +61,16 @@ Decider = Callable[[tuple[int, ...]], str]
 
 @dataclass(frozen=True)
 class HiddenSet:
-    """The set a game oracle hides, with the distribution it came from."""
+    """The set a game oracle hides."""
 
     m: int
     A: IndexSet
-    origin: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.A.universe_size != self.m:
             raise DimensionMismatch(
                 f"hidden set universe {self.A.universe_size} != m = {self.m}"
             )
-        if self.origin not in (None, YES, NO):
-            raise InvalidInput(f"origin must be {YES!r}, {NO!r} or None")
 
 
 @dataclass(frozen=True)
@@ -149,9 +146,7 @@ class StringQueryPlan:
         return self.queries[0].length
 
 
-def sample_hidden(
-    m: int, prob: float, stream: RandomStream, origin: Optional[str] = None
-) -> HiddenSet:
+def sample_hidden(m: int, prob: float, stream: RandomStream) -> HiddenSet:
     """Include each element of [m] independently with the given probability."""
     if m < 1:
         raise InvalidInput(f"m must be positive, got {m}")
@@ -159,7 +154,7 @@ def sample_hidden(
         raise InvalidInput(f"prob must be in [0, 1], got {prob}")
     mask = stream.bernoulli_mask(m, prob)
     members = (i + 1 for i in range(m) if mask[i])
-    return HiddenSet(m=m, A=IndexSet.of(m, members), origin=origin)
+    return HiddenSet(m=m, A=IndexSet.of(m, members))
 
 
 def sssq_respond(
@@ -501,12 +496,7 @@ def simulate_distinguisher(
     return X.decider(tuple(bits))
 
 
-def exact_optimal_advantage(
-    plan: AnyPlan,
-    params: Params,
-    p: Optional[float] = None,
-    q: Optional[float] = None,
-) -> float:
+def exact_optimal_advantage(plan: AnyPlan, params: Params) -> float:
     """Best achievable advantage of any decider for this plan.
 
     That is the total variation distance between the response laws under
@@ -520,15 +510,13 @@ def exact_optimal_advantage(
     """
     if isinstance(plan, SetQueryPlan):
         plan = set_plan_to_element_counts(plan)
-    p_val = params.p if p is None else p
-    q_val = params.q if q is None else q
     multiplicity = Counter(c for c in plan.counts if c > 0)
     if not multiplicity:
         return 0.0
     pairs = []
     for c, mult in sorted(multiplicity.items()):
         lam = hit_prob(c, params.epsilon, params.n)
-        pairs.append((BinomialSpec(mult, p_val * lam), BinomialSpec(mult, q_val * lam)))
+        pairs.append((BinomialSpec(mult, params.p * lam), BinomialSpec(mult, params.q * lam)))
     return product_dtv(pairs)
 
 

@@ -1,10 +1,20 @@
 """Slow references that define what the fast paths compute.
 
-The tests compare the library against these, and ``scripts/bench.py``
-times the library against them.  The digest references build one fresh
-keyed ``hashlib.blake2b`` per digest and share no code with
-``junta_lab.rng``; their layout (seed key, role personalization, payload)
-is the definition every digest of the package follows.
+This is the one home of the references: the tests compare the library
+against them, and ``scripts/bench.py`` times the library against them and
+defines none of its own.  A reference either writes a quantity down by
+its definition (``first_minimum_over_subsets``, ``per_term_dtv``,
+``reference_is_separating``, the fresh-blake2b digests) or is a fast path
+as it was before a change replaced it (``generator_walk``,
+``fiberwise_table``, ``count_adds``, ...), so a speedup is always timed
+against the form it replaced.
+
+The digest references build one fresh keyed ``hashlib.blake2b`` per
+digest and share no code with ``junta_lab.rng``; their layout (seed key,
+role personalization, payload) is the definition every digest of the
+package follows.  ``counted_digests`` counts the digests the package's
+keyed states derive, and ``fresh_digests`` swaps those states for
+``FreshDigest``.
 
 ``fiberwise_table`` and ``fiberwise_eval_many`` are ``to_table`` and
 ``StructuredFn.eval_many`` as they were before one fiber kernel and a
@@ -15,19 +25,39 @@ states directly.
 as dicts keyed by response tuples, built outcome by outcome; the flat
 laws of ``tasks`` must equal them entry for entry.  ``lift_response`` is
 the lifting as a sampler, whose law ``dict_lifted_law`` writes down.
+
+Several references patch a module attribute for the length of one call
+(``count_adds``, ``full_table_budget_game``, ``fresh_digests``,
+``counted_digests``) and restore it on the way out.
 """
 
 import hashlib
+import io
 import math
-from itertools import compress, product
+from contextlib import contextmanager, redirect_stdout
+from fractions import Fraction
+from functools import partial
+from itertools import combinations, compress, product
 
 import numpy as np
 
-from junta_lab.boolfn import _HALF, TABLE_CAP, BitString, IndexSet, StructuredFn, TruthTable
+from junta_lab import boolfn, cli, harness, junta_distance, tasks
+from junta_lab.boolfn import (
+    _HALF,
+    TABLE_CAP,
+    BitString,
+    IndexSet,
+    StructuredFn,
+    TruthTable,
+    address_index,
+    hamming,
+)
 from junta_lab.binom_stats import hit_prob
 from junta_lab.errors import DimensionMismatch, InconsistentInput, InvalidInput, TooLarge
+from junta_lab.hardgen import sample_d1
+from junta_lab.junta_distance import dist_to_k_junta, max_disjoint_bichromatic_matching
 from junta_lab.params import coin_rate
-from junta_lab.rng import RandomStream, pack_ints
+from junta_lab.rng import KeyedDigest, RandomStream, Seed, pack_ints
 from junta_lab.tasks import ElementQueryPlan
 
 
@@ -131,6 +161,82 @@ def per_direction_edge_counts(f: TruthTable) -> tuple[int, ...]:
     return tuple(counts)
 
 
+def hopcroft_karp_per_direction(f: TruthTable) -> tuple[int, ...]:
+    return tuple(max_disjoint_bichromatic_matching(f, [i]).size for i in range(1, f.n + 1))
+
+
+def first_minimum_over_subsets(f: TruthTable, k: int) -> tuple[Fraction, tuple[int, ...]]:
+    """The per-subset definition: the lexicographically first size-k J of least distance.
+
+    For each J in ``combinations`` order it reads every code's projection
+    onto J as a fiber id, counts the ones per fiber with ``bincount``, and
+    takes the minority count of each fiber as its disagreements; the walk
+    stops at distance 0.  This is how ``dist_to_k_junta`` found distance
+    and witness before the lattice walk.
+    """
+    n = f.n
+    best, witness = None, ()
+    for J in combinations(range(1, n + 1), k):
+        codes = np.arange(1 << n, dtype=np.int64)
+        fibers = np.zeros(1 << n, dtype=np.int64)
+        for pos, j in enumerate(J):
+            fibers |= ((codes >> (n - j)) & 1) << (k - 1 - pos)
+        ones = np.bincount(fibers, weights=f.table, minlength=1 << k).astype(np.int64)
+        d = Fraction(int(np.minimum(ones, (1 << (n - k)) - ones).sum()), 1 << n)
+        if best is None or d < best:
+            best, witness = d, J
+            if best == 0:
+                break
+    return best, witness
+
+
+def distance_and_witness(f: TruthTable, k: int) -> tuple[Fraction, tuple[int, ...]]:
+    """``dist_to_k_junta``'s answer in the form the distance references return."""
+    report = dist_to_k_junta(f, k)
+    return report.distance, report.witness.members
+
+
+def generator_walk(f: TruthTable, k: int) -> tuple[Fraction, tuple[int, ...]]:
+    """Distance and witness as ``dist_to_k_junta`` found them before the blocked kernel.
+
+    A generator walks the subset lattice depth first over coordinates
+    1..n, keeping each coordinate before dropping it, so it yields every
+    size-k J in ``combinations`` order with its fiber counts; a child's
+    counts are its parent's summed over one axis.  The first J of least
+    distance wins, and the walk stops at the first exact k-junta.
+    """
+    n = f.n
+    dtype = np.min_scalar_type(1 << (n - k))
+
+    def walk(counts, kept, i):
+        # counts has one axis per kept coordinate, then one per coordinate i..n
+        if n - i + 1 == k - len(kept):
+            yield kept + tuple(range(i, n + 1)), counts
+        elif len(kept) == k:
+            yield kept, counts.reshape(1 << k, -1).sum(axis=1, dtype=dtype)
+        else:
+            yield from walk(counts, kept + (i,), i + 1)
+            halves = counts.reshape(1 << len(kept), 2, -1)
+            yield from walk(halves[:, 0] + halves[:, 1], kept, i + 1)
+
+    fiber_size = 1 << (n - k)
+    best, witness = None, ()
+    for J, ones in walk(f.table.astype(dtype, copy=False), (), 1):
+        d = int(np.minimum(ones, fiber_size - ones).sum())
+        if best is None or d < best:
+            best, witness = d, J
+            if best == 0:
+                break
+    return Fraction(best, 1 << n), witness
+
+
+def least_key_walk(f: TruthTable) -> tuple[Fraction, tuple[int, ...]]:
+    """Distance and witness at k = n - 1 from ``_least_key``, the blocked walk over every size-k set."""
+    n = f.n
+    key = junta_distance._least_key(f, n - 1)
+    return Fraction(key >> n, 1 << n), tuple(i for i in range(1, n + 1) if not key >> (n - i) & 1)
+
+
 def set_checked_deserialize(text: str) -> TruthTable:
     """``TruthTable.deserialize`` with its table line checked as a set of characters."""
     lines = text.splitlines()
@@ -148,9 +254,96 @@ def set_checked_deserialize(text: str) -> TruthTable:
     return TruthTable(n, np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0"))
 
 
+def per_term_dtv(a, b) -> float:
+    """exact_dtv for c <= 1000 by its definition: half the fsum of one scalar gap per k."""
+    c = a.c
+    ra, sa, rb, sb = a.r, 1.0 - a.r, b.r, 1.0 - b.r
+    gaps = []
+    for k in range(c + 1):
+        whole = float(math.comb(c, k))
+        gaps.append(abs(whole * ra**k * sa ** (c - k) - whole * rb**k * sb ** (c - k)))
+    return 0.5 * math.fsum(gaps)
+
+
+def reference_is_separating(M, X, tau: int) -> bool:
+    """No two queries at Hamming distance >= tau share an address, checked pair by pair."""
+    queries = X.queries
+    addresses = [address_index(M, x) for x in queries]
+    return not any(
+        hamming(queries[i], queries[j]) >= tau and addresses[i] == addresses[j]
+        for i in range(len(queries))
+        for j in range(i + 1, len(queries))
+    )
+
+
+def per_trial_game(plan, params, trials: int, seed: int, decide=None) -> float:
+    """The hidden-set game's advantage, one trial at a time on each side's stream.
+
+    Each trial calls ``sample_hidden``, answers with the oracle's respond
+    function on the side stream and decides the response with
+    ``decide(response)``: by default ``tasks.bayes_decide`` given the
+    plan's ``batch_bayes_decider``, built once.  This is the scalar loop
+    whose draws and answers ``run_hidden_set_game`` reproduces in blocks.
+    """
+    if isinstance(plan, tasks.ElementQueryPlan):
+        mode, respond = "sseq", tasks.sseq_respond
+    else:
+        mode, respond = "sssq", tasks.sssq_respond
+    if decide is None:
+        batch = tasks.batch_bayes_decider(plan, params)
+        decide = partial(tasks.bayes_decide, plan=plan, params=params, decide=batch)
+    base = RandomStream(Seed(seed), f"game-{mode}")
+    rates = {}
+    for side, inclusion, count in ((tasks.YES, params.p, trials // 2),
+                                   (tasks.NO, params.q, trials - trials // 2)):
+        stream, hits = base.child(side), 0
+        for _ in range(count):
+            hidden = tasks.sample_hidden(plan.m, inclusion, stream)
+            hits += decide(respond(hidden, plan, params.epsilon, params.n, stream)) == tasks.YES
+        rates[side] = hits / count
+    return rates[tasks.YES] - rates[tasks.NO]
+
+
+def full_table_budget_game(config) -> str:
+    """``budget_game``'s CSV with every no-side trial drawing its whole D1 table, as before point reads."""
+    point_reads = harness._D1Points
+    harness._D1Points = lambda n, epsilon, seed: sample_d1(n, epsilon, RandomStream(seed, "d1"))
+    try:
+        return harness.budget_game(config).csv_text()
+    finally:
+        harness._D1Points = point_reads
+
+
+def cli_calls(argv, calls: int, fresh_parser: bool) -> list[tuple[int, str]]:
+    """(exit code, stdout) of ``calls`` in-process ``cli.main(argv)`` calls.
+
+    With ``fresh_parser`` the parser is rebuilt for every call, as before
+    one parser served the whole process.
+    """
+    out = []
+    for _ in range(calls):
+        if fresh_parser:
+            cli.build_parser.cache_clear()
+        text = io.StringIO()
+        with redirect_stdout(text):
+            code = cli.main(argv)
+        out.append((code, text.getvalue()))
+    return out
+
+
 def count_words(dtype, run: int):
     """``junta_distance._words`` without the word views: each run is added one count at a time."""
     return dtype, run
+
+
+def count_adds(tables) -> list:
+    """``distance_and_witness`` of each (table, k), its block runs added one count at a time."""
+    words = junta_distance._words
+    junta_distance._words = count_words
+    try:
+        return [distance_and_witness(f, k) for f, k in tables]
+    finally:
+        junta_distance._words = words
 
 
 def general_encoding(*values: int) -> bytes:
@@ -241,6 +434,56 @@ class FreshDigest:
 
     def below(self, payloads, limit: bytes) -> list[bool]:
         return [reference_digest(self.seed, self.role, self.prefix + p) < limit for p in payloads]
+
+
+@contextmanager
+def counted_digests():
+    """Count the digests ``rng.KeyedDigest`` derives, which every digest-derived bit goes through."""
+    u64, below = KeyedDigest.u64, KeyedDigest.below
+    count = [0]
+
+    def counting_u64(self, payload):
+        count[0] += 1
+        return u64(self, payload)
+
+    def counting_below(self, payloads, limit):
+        count[0] += len(payloads)
+        return below(self, payloads, limit)
+
+    KeyedDigest.u64, KeyedDigest.below = counting_u64, counting_below
+    try:
+        yield count
+    finally:
+        KeyedDigest.u64, KeyedDigest.below = u64, below
+
+
+@contextmanager
+def fresh_digests():
+    """Structured instances built inside derive every digest from a fresh keyed blake2b."""
+    keyed = boolfn.KeyedDigest
+    boolfn.KeyedDigest = FreshDigest
+    try:
+        yield
+    finally:
+        boolfn.KeyedDigest = keyed
+
+
+def fresh_sample(sampler, params, seed) -> StructuredFn:
+    """``sampler(params, seed)`` with ``FreshDigest`` states, as instances were built before keyed states."""
+    with fresh_digests():
+        return sampler(params, seed)
+
+
+def digest_counts(f) -> tuple[int, int]:
+    """The digests ``per_point_table`` and ``to_table`` derive for structured ``f``.
+
+    Per point: one membership coin per member of A, then the value.  Per
+    fiber: one membership coin per member of A, then one value per
+    assignment of the fiber's coordinates S.
+    """
+    addresses = 1 << len(f.M)
+    fibers = sum(1 << len(f.fiber_coords(a)) for a in range(1, addresses + 1))
+    return (1 << f.n) * (len(f.A) + 1), addresses * len(f.A) + fibers
 
 
 def slots_by_element(plan) -> dict[int, list[tuple[int, int]]]:

@@ -26,6 +26,7 @@ from junta_lab.harness import (
     SET_GAME_ADVANTAGE,
     ExperimentConfig,
     all_equal_yes,
+    claim53_pairs,
     desk_params,
     run_experiment,
 )
@@ -34,7 +35,6 @@ from junta_lab.rng import RandomStream, Seed
 from junta_lab.tasks import (
     YES,
     ElementQueryPlan,
-    SetQueryPlan,
     SssqSession,
     StringQueryPlan,
     build_set_queries,
@@ -64,24 +64,12 @@ def test_lift_equivalence_exact_sweep():
     # all set-query plans with m <= 3, d <= 2, |T_i| <= 3, every hidden set
     with criterion("lift_equivalence_sweep", 10.0):
         params = desk_params(10)
-        worst = 0.0
-        combos = 0
-        for m in (1, 2, 3):
-            subsets = [
-                [i + 1 for i in range(m) if (mask >> i) & 1] for mask in range(1 << m)
-            ]
-            plans = [(T,) for T in subsets]
-            plans += [(a, b) for a in subsets for b in subsets]
-            for sets in plans:
-                plan = SetQueryPlan.of(m, sets)
-                for amask in range(1 << m):
-                    A = IndexSet.of(m, (i + 1 for i in range(m) if (amask >> i) & 1))
-                    worst = max(
-                        worst, lift_equivalence_gap(A, plan, params.epsilon, params.n)
-                    )
-                    combos += 1
-        assert combos == 668
-        assert worst <= 1e-9, f"max TV gap {worst}"
+        gaps = [
+            lift_equivalence_gap(A, plan, params.epsilon, params.n)
+            for _, plan, A in claim53_pairs()
+        ]
+        assert len(gaps) == 668
+        assert max(gaps) <= 1e-9, f"max TV gap {max(gaps)}"
 
 
 def test_advantage_monotone_in_query_counts():

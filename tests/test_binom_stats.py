@@ -33,10 +33,11 @@ from junta_lab.errors import (
     TooLarge,
 )
 from junta_lab import binom_stats
-from junta_lab.harness import ExperimentConfig, desk_params, dtv_sweep
+from junta_lab.harness import ExperimentConfig, bound_sweep_cells, desk_params, dtv_sweep
 from junta_lab.params import DESK_SCALE, derive_params
 from junta_lab.rng import RandomStream, Seed
 from junta_lab.tasks import ElementQueryPlan, HiddenSet, sseq_respond
+from references import per_term_dtv
 from junta_lab.boolfn import IndexSet
 
 
@@ -317,17 +318,6 @@ def test_mass_vectors_above_the_direct_cap():
         assert pmf_vector(spec).tolist() == [pmf(spec, k) for k in range(c + 1)]
 
 
-def per_term_dtv(a, b):
-    """exact_dtv for c <= 1000 as one scalar term per k: the reference the tables must equal."""
-    c = a.c
-    ra, sa, rb, sb = a.r, 1.0 - a.r, b.r, 1.0 - b.r
-    gaps = []
-    for k in range(c + 1):
-        whole = float(math.comb(c, k))
-        gaps.append(abs(whole * ra**k * sa ** (c - k) - whole * rb**k * sb ** (c - k)))
-    return 0.5 * math.fsum(gaps)
-
-
 def test_pascal_rows_are_the_rounded_coefficients():
     for c, row in pascal_rows(300):
         assert row.tolist() == [float(math.comb(c, k)) for k in range(c + 1)]
@@ -339,28 +329,15 @@ def test_dtv_sweep_cells_equal_the_per_term_form():
     # shared row and power tables, equals the per-term reference exactly,
     # and so do the sweep's cell count, violations and worst margin.
     params = desk_params(10)
-    p, q = params.p, params.q
-    lam_grid = (0.001, 0.003, 0.01, 0.03, 0.1, 0.2, 0.4, 0.7, 1.0)
-    powers = {}
-    for lam in lam_grid:
-        r, x = p * lam, (q - p) * lam
-        powers[lam] = (rate_powers(r, 256), rate_powers(min(r + x, 1.0), 256))
     cells, violations, worst = 0, 0, math.inf
-    for c, row in pascal_rows(256):
-        for lam in lam_grid:
-            r, x = p * lam, (q - p) * lam
-            if c == 0 or not 0.0 < r < 1.0:
-                continue
-            bound = tv_shift_bound(x, c, r)
-            if bound is None:
-                continue
-            a, b = BinomialSpec(c, r), BinomialSpec(c, min(r + x, 1.0))
-            reference = per_term_dtv(a, b)
-            assert dtv_from_tables(row, *powers[lam]) == reference, (c, lam)
-            assert exact_dtv(a, b) == reference
-            cells += 1
-            violations += reference > bound
-            worst = min(worst, bound - reference)
+    for c, r, shifted, bound, exact in bound_sweep_cells(params):
+        a, b = BinomialSpec(c, r), BinomialSpec(c, shifted)
+        reference = per_term_dtv(a, b)
+        assert exact == reference, (c, r)
+        assert exact_dtv(a, b) == reference
+        cells += 1
+        violations += reference > bound
+        worst = min(worst, bound - reference)
     assert cells == 956
     report = dtv_sweep(ExperimentConfig(params, "dtv_sweep", 1, 1))
     sweep = report.rows[0]

@@ -6,8 +6,7 @@ import pytest
 
 from junta_lab.boolfn import BitString, TruthTable
 from junta_lab.errors import InvalidInput, TooLarge
-from junta_lab import harness
-from junta_lab.hardgen import sample_d1, sample_yes
+from junta_lab.hardgen import sample_yes
 from junta_lab.harness import (
     DECIDERS,
     EXPERIMENTS,
@@ -28,6 +27,7 @@ from junta_lab.harness import (
 )
 from junta_lab.rng import RandomStream, Seed
 from junta_lab.tasks import NO, YES, StringQueryPlan
+from references import full_table_budget_game
 
 
 def test_decider_registry():
@@ -191,15 +191,12 @@ def budget_config(seed, trials=2000):
     )
 
 
-def test_budget_game_equals_full_table_game(monkeypatch):
+def test_budget_game_equals_full_table_game():
     # The no side reads D1 at the plan's queries only; the reference draws
     # each trial's whole 2^14 table with sample_d1, as the game did before.
-    fast = [run_experiment(budget_config(seed)).csv_text() for seed in range(4)]
-    monkeypatch.setattr(
-        harness, "_D1Points",
-        lambda n, epsilon, seed: sample_d1(n, epsilon, RandomStream(seed, "d1")),
-    )
-    assert fast == [run_experiment(budget_config(seed)).csv_text() for seed in range(4)]
+    for seed in range(4):
+        config = budget_config(seed)
+        assert run_experiment(config).csv_text() == full_table_budget_game(config)
 
 
 def test_budget_game_matches_exact_advantage():

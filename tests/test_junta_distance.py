@@ -19,6 +19,7 @@ from junta_lab.junta_distance import (
     max_disjoint_bichromatic_matching,
 )
 from junta_lab.rng import RandomStream, Seed
+from references import count_adds, distance_and_witness, first_minimum_over_subsets
 
 
 def table_from_fn(n, fn):
@@ -123,16 +124,6 @@ def test_dist_k_witness_is_lex_smallest():
     # constant function: every witness ties, so the first in lex order wins
     report = dist_to_k_junta(TruthTable.constant(4, 1), 2)
     assert report.witness.members == (1, 2)
-
-
-def first_minimum_over_subsets(f: TruthTable, k: int):
-    """The per-subset definition: lexicographically first J minimizing the distance."""
-    best, witness = None, None
-    for J in combinations(range(1, f.n + 1), k):
-        d = dist_to_junta_on(f, J)
-        if best is None or d < best:
-            best, witness = d, J
-    return best, witness
 
 
 def junta_table(n, J, rng):
@@ -328,6 +319,16 @@ def test_junta_test_witnesses():
     for f, k in ((middle, 2), (middle, 4), (last, 4), (last, 1)):
         report = dist_to_k_junta(f, k)
         assert (report.distance, report.witness.members) == first_minimum_over_subsets(f, k)
+
+
+def test_count_adds_equals_word_adds():
+    # adding a block's runs one count at a time changes no answer, in the
+    # uint8 counts of k = 10 and 6 and the uint16 counts of k = 3
+    words = junta_distance._words
+    g = sample_d2(12, 2.0**-7, RandomStream(Seed(2), "d2"))
+    cases = [(g, 10), (g, 6), (g, 3)]
+    assert count_adds(cases) == [distance_and_witness(f, k) for f, k in cases]
+    assert junta_distance._words is words
 
 
 def brute_force_matching(f: TruthTable, V) -> int:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from junta_lab.boolfn import BitString, IndexSet, address_index, flip, hamming
+from junta_lab.boolfn import BitString, IndexSet, flip
 from junta_lab.errors import (
     BadM,
     DimensionMismatch,
@@ -48,7 +48,13 @@ from junta_lab.tasks import (
     tv_distance,
 )
 from junta_lab.binom_stats import BinomialSpec, exact_dtv, hit_prob
-from references import dict_lifted_law, dict_response_law, lift_response
+from references import (
+    dict_lifted_law,
+    dict_response_law,
+    lift_response,
+    per_trial_game,
+    reference_is_separating,
+)
 
 
 def desk(n=64, epsilon=0.1):
@@ -95,8 +101,8 @@ def test_sample_hidden_mean():
 
 
 def test_sample_hidden_determinism():
-    a = sample_hidden(30, 0.5, RandomStream(Seed(3), "d"), origin=YES)
-    b = sample_hidden(30, 0.5, RandomStream(Seed(3), "d"), origin=YES)
+    a = sample_hidden(30, 0.5, RandomStream(Seed(3), "d"))
+    b = sample_hidden(30, 0.5, RandomStream(Seed(3), "d"))
     assert a == b
 
 
@@ -298,31 +304,15 @@ def test_lifted_law_matches_lift_sampler():
 
 
 def test_lift_equivalence_sweep_small():
-    for m in (1, 2, 3):
-        subsets = [
-            [i + 1 for i in range(m) if (mask >> i) & 1] for mask in range(1 << m)
-        ]
-        for T in subsets:
-            plan = SetQueryPlan.of(m, [T, subsets[-1]])
-            for amask in range(1 << m):
-                A = IndexSet.of(m, (i + 1 for i in range(m) if (amask >> i) & 1))
-                assert lift_equivalence_gap(A, plan, PARAMS.epsilon, PARAMS.n) <= 1e-9
+    # the claim53 pairs at n = 64, away from the desk point the experiment runs at
+    for _, plan, A in harness.claim53_pairs():
+        assert lift_equivalence_gap(A, plan, PARAMS.epsilon, PARAMS.n) <= 1e-9
 
 
 def test_lift_equivalence_degenerate():
     plan = SetQueryPlan.of(2, [[1, 2]])
     assert lift_equivalence_gap(IndexSet.of(2, []), plan, 0.5, 4) == 0.0
     assert lift_equivalence_gap(IndexSet.of(2, [1, 2]), plan, 0.0, 4) == 0.0
-
-
-def claim53_pairs():
-    """Every (plan, hidden set) of the claim53 sweep: m <= 3, one or two queries."""
-    for m in (1, 2, 3):
-        subsets = [[i + 1 for i in range(m) if (mask >> i) & 1] for mask in range(1 << m)]
-        for sets in [(T,) for T in subsets] + [(a, b) for a in subsets for b in subsets]:
-            plan = SetQueryPlan.of(m, sets)
-            for amask in range(1 << m):
-                yield plan, IndexSet.of(m, (i + 1 for i in range(m) if (amask >> i) & 1))
 
 
 def assert_flat_equals_dict(law, reference, plan):
@@ -341,7 +331,7 @@ LAW_EDGES = [(0.1, 10), (0.0, 10), (2.0, 4)]
 @pytest.mark.parametrize("epsilon, n", LAW_EDGES)
 def test_flat_laws_equal_dict_references_on_set_plans(epsilon, n):
     pairs = 0
-    for plan, A in claim53_pairs():
+    for _, plan, A in harness.claim53_pairs():
         assert_flat_equals_dict(
             exact_response_distribution(A, plan, epsilon, n),
             dict_response_law(A, plan, epsilon, n),
@@ -458,16 +448,6 @@ def test_is_separating_detects_hidden_far_pair():
     X = StringQueryPlan(queries=(BitString.from_text("000000"), y), decider=lambda b: YES)
     assert not is_separating(M, X, tau=4)
     assert is_separating(M, X, tau=5)
-
-
-def reference_is_separating(M, X, tau):
-    queries = X.queries
-    addresses = [address_index(M, x) for x in queries]
-    return not any(
-        hamming(queries[i], queries[j]) >= tau and addresses[i] == addresses[j]
-        for i in range(len(queries))
-        for j in range(i + 1, len(queries))
-    )
 
 
 @settings(max_examples=200, deadline=None)
@@ -696,7 +676,7 @@ rates = st.floats(0.0, 1.0)
 def test_exact_advantage_matches_kronecker_on_element_plans(counts, p, q):
     plan = ElementQueryPlan.of(counts)
     expected = kronecker_advantage(plan, PARAMS, p, q)
-    assert exact_optimal_advantage(plan, PARAMS, p=p, q=q) == pytest.approx(expected, abs=1e-12)
+    assert exact_optimal_advantage(plan, replace(PARAMS, p=p, q=q)) == pytest.approx(expected, abs=1e-12)
 
 
 @settings(max_examples=150, deadline=None)
@@ -713,14 +693,15 @@ def test_exact_advantage_matches_kronecker_on_set_plans(data, p, q):
     expected = kronecker_advantage(plan, PARAMS, p, q)
     # the reduction itself: per-query coin patterns carry nothing beyond the counts
     assert kronecker_advantage(counts, PARAMS, p, q) == pytest.approx(expected, abs=1e-12)
-    advantage = exact_optimal_advantage(plan, PARAMS, p=p, q=q)
+    rated = replace(PARAMS, p=p, q=q)
+    advantage = exact_optimal_advantage(plan, rated)
     assert advantage == pytest.approx(expected, abs=1e-12)
-    assert advantage == exact_optimal_advantage(counts, PARAMS, p=p, q=q)
+    assert advantage == exact_optimal_advantage(counts, rated)
 
 
 def test_exact_advantage_degenerate():
     assert exact_optimal_advantage(ElementQueryPlan.of([0, 0, 0]), PARAMS) == 0.0
-    assert exact_optimal_advantage(ElementQueryPlan.of([2, 1, 0]), PARAMS, p=0.4, q=0.4) == 0.0
+    assert exact_optimal_advantage(ElementQueryPlan.of([2, 1, 0]), replace(PARAMS, p=0.4, q=0.4)) == 0.0
 
 
 def test_exact_advantage_single_element_closed_form():
@@ -934,24 +915,15 @@ GAME_IDS = ["sseq-desk", "sseq-zero-counts", "sssq-desk", "sssq-empty-query"]
 def test_hidden_set_game_equals_per_trial_loop(plan, seed):
     """run_hidden_set_game plays the sample -> respond -> decide loop on each side's stream."""
     params, trials = GAME_PARAMS, 300
-    if isinstance(plan, ElementQueryPlan):
-        mode, respond = "sseq", sseq_respond
-    else:
-        mode, respond = "sssq", sssq_respond
-    base = RandomStream(Seed(seed), f"game-{mode}")
-    hits = {}
-    for side, inclusion, count in ((YES, params.p, trials // 2), (NO, params.q, trials - trials // 2)):
-        stream = base.child(side)
-        hits[side] = 0
-        for _ in range(count):
-            hidden = sample_hidden(plan.m, inclusion, stream, origin=side)
-            response = respond(hidden, plan, params.epsilon, params.n, stream)
-            decision = reference_decide(response, plan, params)
-            assert bayes_decide(response, plan, params) == decision
-            hits[side] += decision == YES
+
+    def checked_decide(response):
+        decision = reference_decide(response, plan, params)
+        assert bayes_decide(response, plan, params) == decision
+        return decision
+
     result = run_hidden_set_game(plan, params, trials, seed)
     assert (result.trials_yes, result.trials_no) == (trials // 2, trials - trials // 2)
-    assert result.advantage == hits[YES] / result.trials_yes - hits[NO] / result.trials_no
+    assert result.advantage == per_trial_game(plan, params, trials, seed, checked_decide)
 
 
 @pytest.mark.parametrize("seed", range(6))
