@@ -8,6 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from junta_lab.harness import desk_params, run_hidden_set_game
+from junta_lab.tasks import ElementQueryPlan, SetQueryPlan
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -43,6 +46,17 @@ def load_script(name):
 
 
 BENCH = load_script("bench.py")
+
+
+@pytest.mark.parametrize(
+    "plan",
+    [ElementQueryPlan.of([0, 3, 0, 1, 7, 0]), SetQueryPlan.of(6, [[1, 2, 3], [], [2, 4], [2], [2, 3]])],
+    ids=["sseq", "sssq"],
+)
+def test_bench_per_trial_game_equals_the_batched_game(plan):
+    params = desk_params(10)
+    batched = run_hidden_set_game(plan, params, 200, 3).advantage
+    assert BENCH.per_trial_game(plan, params, 200, 3) == batched
 
 # Every size constant of scripts/bench.py, shrunk so each section runs in well under a second.
 SMALL_BENCH = {
