@@ -31,13 +31,22 @@ Sections, in order:
   epsilon = 1 (``FRONTIER``) and a D2 table (``FRONTIER_D2``).
 - ``games``: ``exact_dtv`` over ``dtv_sweep``'s bound-sweep cells against
   ``per_term_dtv``; the cells from shared tables (``bound_sweep_cells``)
-  against one ``exact_dtv`` per cell; the budget game's D1 point reads
-  against full ``sample_d1`` tables; the batched sseq and sssq games
+  against one ``exact_dtv`` per cell; the batched sseq and sssq games
   against ``per_trial_game``; the goodM mask test against
   ``reference_is_separating``; ``pack_ints`` against ``general_encoding``.
-- ``seed_derivation``: the strings game and ``to_table`` with keyed digest
-  states against ``fresh_sample`` instances, which build one fresh keyed
-  blake2b per digest (and so derive no counted digest).
+- ``strings_game``: the string-query game in blocks (``run_game`` with
+  ``sample_block``) against ``per_trial_string_game`` with the per-seed
+  samplers, on the strings job's plan shape with ``parity_yes`` and
+  ``all_zero_yes``.
+- ``stream_seeding``: ``STREAMS`` streams from ``RandomStream.many``
+  against one ``RandomStream`` per seed.
+- ``budget_game``: ``budget_game`` against ``full_table_budget_game``
+  (one full ``sample_d1`` table per no-side trial) and against
+  ``point_read_budget_game`` (D1 point reads, one trial at a time).
+- ``seed_derivation``: the strings game one trial at a time and
+  ``to_table`` with keyed digest states against ``fresh_sample``
+  instances, which build one fresh keyed blake2b per digest (and so
+  derive no counted digest).
 - ``explicit_tables``: the packed edge counts against one pass per
   direction; ``dist_to_k_junta``'s word adds against ``count_adds``; the
   per-call cost of ``cli.main`` on a ``dtv`` call at c = 1, one parser per
@@ -48,14 +57,18 @@ Sections, in order:
 - ``structured``: at ``STRUCTURED_CASES``, on yes and no instances,
   sampling against ``complement_sample``, ``to_table`` against
   ``fiberwise_table`` and ``eval_many`` against ``fiberwise_eval_many``;
-  both sides derive the same digests.  The before sides share today's
+  sampling derives no digest, ``to_table`` the same digests on both sides,
+  and ``eval_many`` one value of h per distinct (address, bits of x on S)
+  where the fiberwise form derives one per query
+  (``eval_many_digest_counts``).  The before sides share today's
   ``pack_ints``, so they run a little faster than the code they stand for.
 
 The sizes each section runs at are the module constants below, so a test
 can run every section small.  The script exits 1 if any comparison
-fails, and writes BENCH_17.json at the root of the checkout (BENCH_2,
-BENCH_3, BENCH_5, BENCH_6, BENCH_7, BENCH_10, BENCH_11, BENCH_12, BENCH_14
-and BENCH_15.json are earlier runs, in the earlier per-section layout).
+fails, and writes BENCH_18.json at the root of the checkout (BENCH_17.json
+is the previous run; BENCH_2, BENCH_3, BENCH_5, BENCH_6, BENCH_7, BENCH_10,
+BENCH_11, BENCH_12, BENCH_14 and BENCH_15.json are earlier runs, in the
+earlier per-section layout).
 
 Usage: python scripts/bench.py
 """
@@ -82,7 +95,14 @@ from junta_lab.boolfn import (
     bichromatic_edge_counts,
     to_table,
 )
-from junta_lab.hardgen import sample_addressing_set, sample_d1, sample_d2, sample_no, sample_yes
+from junta_lab.hardgen import (
+    sample_addressing_set,
+    sample_block,
+    sample_d1,
+    sample_d2,
+    sample_no,
+    sample_yes,
+)
 from junta_lab.harness import (
     ExperimentConfig,
     always_yes,
@@ -103,6 +123,7 @@ from references import (  # noqa: E402
     counted_digests,
     digest_counts,
     distance_and_witness,
+    eval_many_digest_counts,
     fiberwise_eval_many,
     fiberwise_table,
     first_minimum_over_subsets,
@@ -116,14 +137,17 @@ from references import (  # noqa: E402
     per_point_table,
     per_term_dtv,
     per_trial_game,
+    per_trial_string_game,
+    point_read_budget_game,
     reference_is_separating,
     set_checked_deserialize,
 )
 
-OUTPUT = ROOT / "BENCH_17.json"
+OUTPUT = ROOT / "BENCH_18.json"
 SEED = 1
 REPEATS = {"to_table": 3, "distance": 3, "matching": 3, "kernel": 7, "frontier": 3, "games": 5,
-           "seed_derivation": 7, "explicit_tables": 21, "tail": 7, "structured": 21}
+           "strings_game": 11, "stream_seeding": 21, "budget_game": 11, "seed_derivation": 7,
+           "explicit_tables": 21, "tail": 7, "structured": 21}
 SAMPLERS = {"yes": sample_yes, "no": sample_no}
 D2_EPSILON = 0.1
 COMPARED, FAST_ONLY = (10, 12, 14, 16), (20, 24)
@@ -140,6 +164,7 @@ BUDGET_N = 14
 GOOD_M_N, GOOD_M_QUERIES, GOOD_M_DRAWS = 12, 20, 2000
 PAYLOADS = 20000
 STRINGS_N, STRINGS_QUERIES, STRINGS_TRIALS = 12, 16, 500
+STREAMS = 1000
 DIGEST_TABLE_N = (10, 14)
 EDGE_COUNTS_N = 16
 CLI_CALLS = 100
@@ -148,24 +173,20 @@ TAIL_N = (16, 18, 20)
 STRUCTURED_CASES = ((10, 0.1), (12, 0.1), (14, 0.1), (12, 1.0))
 STRUCTURED_PER_KIND, STRUCTURED_QUERIES = 10, 16
 
-# The digest hook that asks both sides for the same nonzero number of digests.
-SAME = "same"
-
 
 class Pair(NamedTuple):
     """One comparison.
 
     ``reference`` is None for a fast path timed alone.  ``digests`` is the
-    digest hook: None only records the counts, ``SAME`` asks both sides for
-    the same nonzero count, and a (reference, fast) tuple gives each
-    side's closed form, None where a side is not checked.
+    digest hook: None only records the counts, and a (reference, fast)
+    tuple gives each side's closed form, None where a side is not checked.
     """
 
     name: str
     inputs: str
     reference: Optional[Callable[[], object]]
     fast: Callable[[], object]
-    digests: object = None
+    digests: Optional[tuple] = None
 
 
 def timed(call, repeats: int) -> dict:
@@ -197,11 +218,8 @@ def compared(section: str, pairs) -> tuple[list[dict], list[str]]:
         case["speedup"] = None if timed_alone else case["reference"]["median_s"] / case["fast"]["median_s"]
         case["digests"] = counts
         got = (counts["reference"], counts["fast"])
-        if pair.digests == SAME:
-            digests_ok = got[0] == got[1] and got[1] > 0
-        else:
-            digests_ok = all(want is None or want == count
-                             for want, count in zip(pair.digests or (), got))
+        digests_ok = all(want is None or want == count
+                         for want, count in zip(pair.digests or (), got))
         if case["equal"] is False:
             problems.append(f"{section}: {pair.name}: fast path differs from its reference")
         if not digests_ok:
@@ -304,7 +322,6 @@ def game_pairs() -> list[Pair]:
                          *(draw.randint(0, 1) for _ in coords)))
     cells = [(BinomialSpec(c, r), BinomialSpec(c, shifted))
              for c, r, shifted, _, _ in bound_sweep_cells(p)]
-    budget = ExperimentConfig(desk_params(BUDGET_N, epsilon=0.01), "game", GAME_TRIALS, SEED)
     pairs = [
         Pair("exact_dtv", f"{len(cells)} dtv_sweep cells, desk n = {DESK_N}",
              lambda: [per_term_dtv(a, b) for a, b in cells],
@@ -313,9 +330,6 @@ def game_pairs() -> list[Pair]:
              "against one exact_dtv per cell",
              lambda: [exact_dtv(a, b) for a, b in cells],
              lambda: [cell[-1] for cell in bound_sweep_cells(p)]),
-        Pair("budget_game", f"desk n = {BUDGET_N}, epsilon = 0.01, {GAME_TRIALS} trials, seed {SEED}, "
-             "D1 point reads against full sample_d1 tables",
-             partial(full_table_budget_game, budget), lambda: budget_game(budget).csv_text()),
     ]
     for mode, (plan, label) in plans.items():
         pairs.append(Pair(f"game_{mode}", f"{label}, desk n = {DESK_N}, {GAME_TRIALS} trials, seed {SEED}",
@@ -334,19 +348,61 @@ def game_pairs() -> list[Pair]:
     return pairs
 
 
+def strings_plan(decider: str) -> tasks.StringQueryPlan:
+    """The strings job's plan shape: ``STRINGS_QUERIES`` random ``STRINGS_N``-bit queries."""
+    draw = random.Random(SEED)
+    return tasks.StringQueryPlan(
+        tuple(BitString(STRINGS_N, draw.getrandbits(STRINGS_N)) for _ in range(STRINGS_QUERIES)),
+        harness.DECIDERS[decider],
+    )
+
+
+def strings_game_pairs() -> list[Pair]:
+    params = desk_params(STRINGS_N)
+    per_seed = [partial(sampler, params) for sampler in SAMPLERS.values()]
+    blocks = [partial(sample_block, params, kind) for kind in (YES_STYLE, NO_STYLE)]
+    pairs = []
+    for decider in ("parity_yes", "all_zero_yes"):
+        plan = strings_plan(decider)
+        pairs.append(Pair(f"strings_game {decider}",
+                          f"desk n = {STRINGS_N}, {STRINGS_QUERIES} queries, {STRINGS_TRIALS} trials, "
+                          f"seed {SEED}, block game against one trial at a time",
+                          lambda plan=plan: per_trial_string_game(
+                              *per_seed, plan, STRINGS_TRIALS, SEED).as_json_dict(),
+                          lambda plan=plan: harness.run_game(
+                              *blocks, plan, STRINGS_TRIALS, SEED).as_json_dict()))
+    return pairs
+
+
+def stream_seeding_pairs() -> list[Pair]:
+    seeds = Seed(SEED).mixes(range(STREAMS))
+    return [Pair(f"{STREAMS} streams, role {role!r}",
+                 "RandomStream.many against one RandomStream per seed, first random() of each",
+                 lambda role=role: [RandomStream(seed, role).random() for seed in seeds],
+                 lambda role=role: [stream.random() for stream in RandomStream.many(seeds, role)])
+            for role in ("M", "d1")]
+
+
+def budget_game_pairs() -> list[Pair]:
+    budget = ExperimentConfig(desk_params(BUDGET_N, epsilon=0.01), "game", GAME_TRIALS, SEED)
+    inputs = f"desk n = {BUDGET_N}, epsilon = 0.01, {GAME_TRIALS} trials, seed {SEED}"
+    return [
+        Pair("full tables", f"{inputs}, block game against one full sample_d1 table per trial",
+             partial(full_table_budget_game, budget), lambda: budget_game(budget).csv_text()),
+        Pair("point reads", f"{inputs}, block game against one trial at a time",
+             partial(point_read_budget_game, budget), lambda: budget_game(budget).csv_text()),
+    ]
+
+
 def seed_derivation_pairs() -> list[Pair]:
     params = desk_params(STRINGS_N)
-    draw = random.Random(SEED)
-    plan = tasks.StringQueryPlan(
-        tuple(BitString(STRINGS_N, draw.getrandbits(STRINGS_N)) for _ in range(STRINGS_QUERIES)),
-        harness.DECIDERS["parity_yes"],
-    )
+    plan = strings_plan("parity_yes")
     keyed = [partial(sampler, params) for sampler in SAMPLERS.values()]
     fresh = [partial(fresh_sample, sampler, params) for sampler in SAMPLERS.values()]
     pairs = [Pair("strings_game", f"desk n = {STRINGS_N}, {STRINGS_QUERIES} queries, parity_yes, "
-                  f"{STRINGS_TRIALS} trials, seed {SEED}",
-                  lambda: harness.run_game(*fresh, plan, STRINGS_TRIALS, SEED).as_json_dict(),
-                  lambda: harness.run_game(*keyed, plan, STRINGS_TRIALS, SEED).as_json_dict())]
+                  f"{STRINGS_TRIALS} trials, seed {SEED}, one trial at a time",
+                  lambda: per_trial_string_game(*fresh, plan, STRINGS_TRIALS, SEED).as_json_dict(),
+                  lambda: per_trial_string_game(*keyed, plan, STRINGS_TRIALS, SEED).as_json_dict())]
     # epsilon = 0.1 is the structured workload's instances, whose fibers are
     # mostly empty; at epsilon = 1 every fiber draws several coordinates
     for n in DIGEST_TABLE_N:
@@ -431,7 +487,8 @@ def structured_pairs() -> list[Pair]:
             Pair(f"eval_many n = {n}, epsilon = {epsilon}",
                  f"{label}, {STRUCTURED_QUERIES} random queries, batched against fiberwise",
                  lambda fs=fs, xs=xs: [fiberwise_eval_many(f, xs) for f in fs],
-                 lambda fs=fs, xs=xs: [f.eval_many(xs) for f in fs], SAME),
+                 lambda fs=fs, xs=xs: [f.eval_many(xs) for f in fs],
+                 tuple(map(sum, zip(*(eval_many_digest_counts(f, xs) for f in fs))))),
         ]
     return pairs
 
@@ -443,6 +500,9 @@ SECTIONS = {
     "kernel": kernel_pairs,
     "frontier": frontier_pairs,
     "games": game_pairs,
+    "strings_game": strings_game_pairs,
+    "stream_seeding": stream_seeding_pairs,
+    "budget_game": budget_game_pairs,
     "seed_derivation": seed_derivation_pairs,
     "explicit_tables": explicit_table_pairs,
     "tail": tail_pairs,

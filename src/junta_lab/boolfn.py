@@ -200,6 +200,9 @@ _S_ROLE = "S-membership"
 _H_ROLE = "h-value"
 _HALF = byte_limit(0.5)
 _BIT_CODES = (pack_ints(0), pack_ints(1))
+# |S| = 0 in a fiber's prefix, and the encoded bits of x on an empty S
+_NO_COORDS = pack_ints(0)
+_NO_BITS = (b"",)
 
 
 @dataclass(frozen=True)
@@ -260,10 +263,14 @@ class StructuredFn:
 
         The one kernel every evaluation path shares: |A| membership digests,
         then one extension of the h-state, after which each value of h on
-        the fiber costs one digest of the encoded bits of x on S.
+        the fiber costs one digest of the encoded bits of x on S.  At desk
+        rates most fibers draw no coordinate, and their prefix is the
+        address and |S| = 0.
         """
         head = pack_ints(address)
         fired = self._s_state.extend(head).below(self._pool_codes, self._coin_limit)
+        if True not in fired:
+            return (), self._h_state.extend(head + _NO_COORDS)
         coords = tuple(compress(self.A.members, fired))
         prefix = b"".join((head, pack_ints(len(coords)), *compress(self._pool_codes, fired)))
         return coords, self._h_state.extend(prefix)
@@ -280,32 +287,40 @@ class StructuredFn:
     def eval_many(self, xs: Sequence[BitString]) -> tuple[int, ...]:
         """``tuple(self.eval(x) for x in xs)``, deriving each address's fiber once.
 
-        The address and the bits on S are read by shifts on ``x.code``; the
-        queries of one fiber share one ``below`` call.
+        The address and the bits on S are read by shifts on ``x.code``.
+        Queries of one fiber that agree on S share one value of h, so each
+        distinct (address, x on S) costs one digest: a fiber with empty S
+        answers all of its queries with one.
         """
         n = self.n
-        address_shifts = [n - i for i in self.M.members]
-        codes = []
+        codes = [x.code for x in xs if x.length == n]
+        if len(codes) != len(xs):
+            length = next(x.length for x in xs if x.length != n)
+            raise DimensionMismatch(f"universe {n} does not match string length {length}")
+        addresses = [0] * len(codes)
+        for shift in [n - i for i in self.M.members]:
+            addresses = [(address << 1) | ((code >> shift) & 1)
+                         for address, code in zip(addresses, codes)]
         by_address: dict[int, list[int]] = {}
-        for x in xs:
-            if x.length != n:
-                raise DimensionMismatch(f"universe {n} does not match string length {x.length}")
-            code = x.code
-            address = 0
-            for shift in address_shifts:
-                address = (address << 1) | ((code >> shift) & 1)
-            by_address.setdefault(address + 1, []).append(len(codes))
-            codes.append(code)
+        for pos, address in enumerate(addresses):
+            by_address.setdefault(address + 1, []).append(pos)
         out = [0] * len(codes)
         for address, positions in by_address.items():
             coords, state = self.fiber(address)
+            if not coords:
+                bit = int(state.below(_NO_BITS, _HALF)[0])
+                for pos in positions:
+                    out[pos] = bit
+                continue
             shifts = [n - a for a in coords]
-            payloads = [
-                b"".join([_BIT_CODES[(codes[pos] >> shift) & 1] for shift in shifts])
-                for pos in positions
-            ]
-            for pos, bit in zip(positions, state.below(payloads, _HALF)):
-                out[pos] = int(bit)
+            by_value: dict[bytes, list[int]] = {}
+            for pos in positions:
+                code = codes[pos]
+                value = b"".join([_BIT_CODES[(code >> shift) & 1] for shift in shifts])
+                by_value.setdefault(value, []).append(pos)
+            for bit, group in zip(state.below(list(by_value), _HALF), by_value.values()):
+                for pos in group:
+                    out[pos] = int(bit)
         return tuple(out)
 
 

@@ -18,9 +18,9 @@ import json
 import sys
 
 from . import harness, params as params_mod, tasks
-from .boolfn import BitString, TruthTable
+from .boolfn import NO_STYLE, YES_STYLE, BitString, TruthTable
 from .errors import DimensionMismatch, InvalidInput, JuntaLabError
-from .hardgen import sample_d1, sample_d2, sample_yes, sample_no
+from .hardgen import sample_block, sample_d1, sample_d2, sample_yes, sample_no
 from .junta_distance import dist_to_k_junta
 from .rng import RandomStream, Seed
 
@@ -194,8 +194,8 @@ def cmd_game(args: argparse.Namespace) -> int:
                 f"plan strings have length {plan.n}, but the params have n = {p.n}"
             )
         result = harness.run_game(
-            gen_yes=lambda seed: sample_yes(p, seed),
-            gen_no=lambda seed: sample_no(p, seed),
+            yes=functools.partial(sample_block, p, YES_STYLE),
+            no=functools.partial(sample_block, p, NO_STYLE),
             algorithm=plan,
             trials=args.trials,
             seed=args.seed,

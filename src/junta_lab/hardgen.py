@@ -9,6 +9,9 @@ its values of h) is defined point by point by ``StructuredFn.eval``,
 which re-derives it from the seed, so an instance takes O(1) memory
 however many fibers it has.  ``boolfn.to_table`` materializes the same
 values fiber by fiber, deriving each S and each value of h once.
+``sample_block`` draws the instances of a block of seeds, seeding the
+block's M and A streams together (``RandomStream.many``); each equals
+the one-seed sampler's.
 
 The two tail distributions produce explicit truth tables: iid
 Bernoulli(3*epsilon) entries, or exactly round(2^n * epsilon) ones placed
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import math
 from itertools import compress
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -32,6 +35,7 @@ from .rng import RandomStream, Seed
 __all__ = [
     "sample_yes",
     "sample_no",
+    "sample_block",
     "sample_conditioned",
     "sample_addressing_set",
     "sample_d1",
@@ -40,10 +44,9 @@ __all__ = [
 ]
 
 
-def sample_addressing_set(params: Params, seed: Seed) -> IndexSet:
-    """A uniform size-t subset of [n], via partial Fisher-Yates."""
+def _drawn_set(params: Params, stream: RandomStream) -> IndexSet:
+    """A uniform size-t subset of [n] from ``stream``, via partial Fisher-Yates."""
     n, t = params.n, params.t
-    stream = RandomStream(seed, "M")
     arr = list(range(1, n + 1))
     for pos in range(t):
         j = stream.integers(pos, n)
@@ -51,11 +54,20 @@ def sample_addressing_set(params: Params, seed: Seed) -> IndexSet:
     return IndexSet(n, tuple(sorted(arr[:t])))
 
 
-def _sample_pool(params: Params, seed: Seed, M: IndexSet, inclusion: float) -> IndexSet:
+def _drawn_instance(
+    params: Params, seed: Seed, M: IndexSet, stream: RandomStream, inclusion: float, kind: str
+) -> StructuredFn:
+    """The instance whose pool A takes one coin of ``stream`` per coordinate outside M."""
     taken = set(M.members)
     rest = [i for i in range(1, params.n + 1) if i not in taken]
-    mask = RandomStream(seed, "A").bernoulli_mask(len(rest), inclusion)
-    return IndexSet(params.n, tuple(compress(rest, mask.tolist())))
+    mask = stream.bernoulli_mask(len(rest), inclusion)
+    A = IndexSet(params.n, tuple(compress(rest, mask.tolist())))
+    return StructuredFn(params=params, M=M, A=A, seed=seed, kind=kind)
+
+
+def sample_addressing_set(params: Params, seed: Seed) -> IndexSet:
+    """A uniform size-t subset of [n], via partial Fisher-Yates on the stream ``(seed, "M")``."""
+    return _drawn_set(params, RandomStream(seed, "M"))
 
 
 def sample_conditioned(
@@ -66,8 +78,7 @@ def sample_conditioned(
     A includes each coordinate outside M independently with the given
     rate; all per-fiber randomness still derives lazily from the seed.
     """
-    A = _sample_pool(params, seed, M, inclusion)
-    return StructuredFn(params=params, M=M, A=A, seed=seed, kind=kind)
+    return _drawn_instance(params, seed, M, RandomStream(seed, "A"), inclusion, kind)
 
 
 def sample_yes(params: Params, seed: Seed) -> StructuredFn:
@@ -80,6 +91,20 @@ def sample_no(params: Params, seed: Seed) -> StructuredFn:
     """Draw a no-style instance: pool inclusion rate q."""
     M = sample_addressing_set(params, seed)
     return sample_conditioned(params, seed, M, params.q, NO_STYLE)
+
+
+def sample_block(params: Params, kind: str, seeds: Sequence[Seed]) -> Iterator[StructuredFn]:
+    """``sample_yes`` (kind ``YES_STYLE``) or ``sample_no`` (``NO_STYLE``) at each seed, in order.
+
+    The M and A streams of the whole block are seeded by
+    ``RandomStream.many``, which equals one ``RandomStream`` per seed draw
+    for draw, so each instance is the one the one-seed sampler returns.
+    Instances are made as the iteration reaches them.
+    """
+    inclusion = params.p if kind == YES_STYLE else params.q
+    streams = zip(RandomStream.many(seeds, "M"), RandomStream.many(seeds, "A"))
+    for seed, (m_stream, a_stream) in zip(seeds, streams):
+        yield _drawn_instance(params, seed, _drawn_set(params, m_stream), a_stream, inclusion, kind)
 
 
 def _check_d1(n: int, epsilon: float) -> None:

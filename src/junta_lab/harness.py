@@ -16,7 +16,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -200,7 +200,16 @@ class ExperimentConfig:
             raise InvalidInput(f"trials must be >= 1, got {self.trials}")
 
 
-InstanceSampler = Callable[[Seed], object]
+# A block sampler returns one instance per seed, in order; an instance is
+# any object with ``eval_many``.
+BlockSampler = Callable[[Sequence[Seed]], Iterable[object]]
+
+# Cells per block of a hidden-set game's uniform draws: 2^15 float64 cells
+# keep each float temporary at 256 KiB however many trials a game plays.
+# A string-query game seeds its trials in blocks of GAME_BLOCK_CELLS // 128
+# = 256 trials: a block holds each trial's seed and the entropy and state
+# words of its streams, about 330 bytes per trial, so under 100 KiB.
+GAME_BLOCK_CELLS = 1 << 15
 
 
 def _tally(trials: int, cost: int, count_yes: Callable[[str, int, int], int]) -> GameResult:
@@ -235,31 +244,38 @@ def _tally(trials: int, cost: int, count_yes: Callable[[str, int, int], int]) ->
 
 
 def run_game(
-    gen_yes: InstanceSampler,
-    gen_no: InstanceSampler,
+    yes: BlockSampler | object,
+    no: BlockSampler | object,
     algorithm: StringQueryPlan,
     trials: int,
     seed: int,
 ) -> GameResult:
-    """Empirical advantage of a string plan at distinguishing two samplers.
+    """Empirical advantage of a string plan at distinguishing two sides.
 
-    Trial number ``i`` of the game draws its instance from seed ``mix(i)``.
+    A side is a block sampler or one fixed instance.  Trial number ``i``
+    of the game draws its instance from seed ``Seed(seed).mix(i)``: each
+    side hands the seeds of its trials to its sampler in blocks of at most
+    ``GAME_BLOCK_CELLS // 128`` trials, and each instance is evaluated at
+    the plan's queries as the sampler yields it and then dropped.  A fixed
+    instance gives every trial the same answers, so its side is decided
+    once and derives no seed.
     """
     base = Seed(seed)
-    gens = {YES: gen_yes, NO: gen_no}
+    queries, decider = algorithm.queries, algorithm.decider
+    sides = {YES: yes, NO: no}
+    block = max(1, GAME_BLOCK_CELLS // 128)
 
     def count_yes(side: str, first: int, count: int) -> int:
-        return sum(
-            algorithm.decider(gens[side](base.mix(trial)).eval_many(algorithm.queries)) == YES
-            for trial in range(first, first + count)
-        )
+        sampler = sides[side]
+        if not callable(sampler):
+            return count * (decider(sampler.eval_many(queries)) == YES)
+        hits = 0
+        for start in range(first, first + count, block):
+            seeds = base.mixes(range(start, min(start + block, first + count)))
+            hits += sum(decider(f.eval_many(queries)) == YES for f in sampler(seeds))
+        return hits
 
     return _tally(trials, algorithm.q, count_yes)
-
-
-# Cells per block of a hidden-set game's uniform draws: 2^15 float64 cells
-# keep each float temporary at 256 KiB however many trials a game plays.
-GAME_BLOCK_CELLS = 1 << 15
 
 
 def run_hidden_set_game(plan: AnyPlan, params: Params, trials: int, seed: int) -> GameResult:
@@ -482,18 +498,18 @@ def verify_d2(config: ExperimentConfig) -> ExperimentReport:
 class _D1Points:
     """The D1 table of one trial, read only at the points queried.
 
-    ``eval_many`` answers as ``sample_d1(n, epsilon, RandomStream(seed,
-    "d1"))`` would, through ``sample_d1_at`` on a fresh stream, so a trial
-    draws one uniform per distinct query instead of 2^n.
+    ``eval_many`` answers as ``sample_d1(n, epsilon, stream)`` would,
+    through ``sample_d1_at``, so a trial draws one uniform per distinct
+    query instead of 2^n.  It reads the stream, so each trial calls it
+    once.
     """
 
     n: int
     epsilon: float
-    seed: Seed
+    stream: RandomStream
 
     def eval_many(self, xs: Sequence[BitString]) -> tuple[int, ...]:
-        stream = RandomStream(self.seed, "d1")
-        return sample_d1_at(self.n, self.epsilon, stream, [x.code for x in xs])
+        return sample_d1_at(self.n, self.epsilon, self.stream, [x.code for x in xs])
 
 
 def budget_game(config: ExperimentConfig) -> ExperimentReport:
@@ -504,8 +520,9 @@ def budget_game(config: ExperimentConfig) -> ExperimentReport:
     zero on both sides, so the advantage must sit below the set-game
     threshold.  No-side trial ``i`` reads the D1 table of
     ``RandomStream(Seed(seed).mix(i), "d1")`` at the plan's queries only
-    (``_D1Points``), so the result equals that of full ``sample_d1``
-    tables.
+    (``_D1Points``), its streams seeded a block at a time
+    (``RandomStream.many``), so the result equals that of full
+    ``sample_d1`` tables.
     """
     params = config.params
     n, epsilon = params.n, params.epsilon
@@ -515,10 +532,9 @@ def budget_game(config: ExperimentConfig) -> ExperimentReport:
     plan_stream = RandomStream(Seed(config.seed), "budget-game-plan")
     algorithm = random_string_plan(n, budget, plan_stream, all_zero_yes)
 
-    zero_fn = TruthTable.constant(n, 0)
     result = run_game(
-        gen_yes=lambda seed: zero_fn,
-        gen_no=lambda seed: _D1Points(n, epsilon, seed),
+        yes=TruthTable.constant(n, 0),
+        no=lambda seeds: (_D1Points(n, epsilon, s) for s in RandomStream.many(seeds, "d1")),
         algorithm=algorithm,
         trials=config.trials,
         seed=config.seed,

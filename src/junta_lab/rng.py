@@ -1,6 +1,7 @@
 """Seeded determinism: 64-bit seeds, labeled substreams, and digest-derived bits.
 
-Every random choice in the package flows through one of two mechanisms:
+Every random choice in the package derives from a seed and a role label
+through one of two mechanisms:
 
 * ``KeyedDigest``: a blake2b state keyed by the seed and personalized by
   a role, with a payload prefix absorbed.  For any payload it answers the
@@ -10,7 +11,10 @@ Every random choice in the package flows through one of two mechanisms:
   state.  ``derive_u64`` and ``derive_bit`` are its one-shot forms.
 * ``RandomStream``: a PCG64 generator whose state is derived from
   ``(seed, role)``.  Used for bulk sampling where a stateful stream is the
-  natural fit (subset draws, Monte-Carlo trials).
+  natural fit (subset draws, Monte-Carlo trials).  ``RandomStream(seed,
+  role)`` seeds one stream; ``RandomStream.many`` seeds a block of streams,
+  one per seed, with one pass of numpy's SeedSequence mixing over the whole
+  block, and each of its streams equals the one-seed stream draw for draw.
 
 Distinct role labels give computationally independent streams; the same
 seed and role always reproduce the same draws.
@@ -21,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -43,6 +47,11 @@ class Seed:
     def mix(self, index: int) -> "Seed":
         """Derive the seed for trial number ``index`` of a Monte-Carlo run."""
         return Seed(derive_u64(self, "mix", pack_ints(index)))
+
+    def mixes(self, indices: Sequence[int]) -> list["Seed"]:
+        """``[self.mix(i) for i in indices]``, paying the key schedule once."""
+        mix = KeyedDigest.of(self, "mix")
+        return [Seed(mix.u64(payload)) for payload in pack_each(indices)]
 
     def _key(self) -> bytes:
         return self.value.to_bytes(8, "little")
@@ -132,9 +141,10 @@ class KeyedDigest:
         ``limit`` comes from ``byte_limit``.  Digests are big-endian, so
         bytes order is numeric order.
         """
+        copy = self._state.copy
         out = []
         for payload in payloads:
-            state = self._state.copy()
+            state = copy()
             state.update(payload)
             out.append(state.digest() < limit)
         return out
@@ -192,6 +202,82 @@ def _generator(entropy: bytes) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.frombuffer(entropy[::-1], dtype="<u4")))
 
 
+def _stream_entropy(seed: Seed, person: bytes) -> bytes:
+    """The 16-byte blake2b digest of b"stream" keyed by the seed, personalized by ``person``."""
+    return hashlib.blake2b(b"stream", digest_size=16, key=seed._key(), person=person).digest()
+
+
+def _hash_steps(constant: int, multiplier: int, count: int) -> tuple:
+    """The (xor, multiplier) word pairs of SeedSequence's first ``count`` hash steps.
+
+    Its hash constant starts at ``constant`` and is multiplied by
+    ``multiplier`` (mod 2^32) at every step, whatever the data, so each
+    step's constants are fixed: step j XORs the value with the constant
+    before it and multiplies it by the constant after it.
+    """
+    steps = []
+    for _ in range(count):
+        after = constant * multiplier & 0xFFFFFFFF
+        steps.append((np.uint32(constant), np.uint32(after)))
+        constant = after
+    return tuple(steps)
+
+
+# numpy.random.SeedSequence with its default pool of 4 words, fed 4 words
+# of entropy: 4 hash steps fill the pool and 12 mix every pool word into
+# every other (constants INIT_A, MULT_A), then 8 steps draw PCG64's 4
+# state words from the pool (INIT_B, MULT_B).
+_POOL_STEPS = _hash_steps(0x43B0D7E5, 0x931E8875, 16)
+_STATE_STEPS = _hash_steps(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_LEFT, _MIX_RIGHT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hashed(words: np.ndarray, step: tuple) -> np.ndarray:
+    xor, multiplier = step
+    words = (words ^ xor) * multiplier
+    return words ^ (words >> 16)
+
+
+def _pcg64_states(entropy: np.ndarray) -> np.ndarray:
+    """PCG64's 4 state words for each row of 4 uint32 entropy words: shape (rows, 4), uint64.
+
+    Row i is what ``np.random.SeedSequence(entropy[i]).generate_state(4,
+    np.uint64)`` returns, the words ``PCG64(entropy[i])`` seeds itself
+    from, computed for every row at once in uint32 arithmetic, which wraps
+    mod 2^32 as SeedSequence's does.
+    """
+    steps = iter(_POOL_STEPS)
+    pool = [_hashed(entropy[:, i], next(steps)) for i in range(4)]
+    for source in range(4):
+        for target in range(4):
+            if source != target:
+                mixed = _MIX_LEFT * pool[target] - _MIX_RIGHT * _hashed(pool[source], next(steps))
+                pool[target] = mixed ^ (mixed >> 16)
+    state = np.empty((len(entropy), 8), dtype=np.uint32)
+    for i, step in enumerate(_STATE_STEPS):
+        state[:, i] = _hashed(pool[i % 4], step)
+    # pairs of 32-bit words, low word first, as SeedSequence reads them
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+class _StateWords:
+    """One row of ``_pcg64_states``, handed to PCG64 in place of a SeedSequence.
+
+    PCG64 asks its seed sequence for 4 uint64 words once, when it is built,
+    and takes any registered ``ISeedSequence``.  ``RandomStream.many``
+    registers this class on use, so importing the package does not load
+    numpy.random.
+    """
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        return self.words
+
+
 class RandomStream:
     """A deterministic PCG64 stream tied to a seed and a role label.
 
@@ -202,9 +288,29 @@ class RandomStream:
     def __init__(self, seed: Seed, role: str):
         self.seed = seed
         self.role = role
-        self._gen = _generator(
-            hashlib.blake2b(b"stream", digest_size=16, key=seed._key(), person=_person(role)).digest()
-        )
+        self._gen = _generator(_stream_entropy(seed, _person(role)))
+
+    @classmethod
+    def many(cls, seeds: Sequence[Seed], role: str) -> Iterator["RandomStream"]:
+        """``RandomStream(seed, role)`` for each seed in order, seeded as one block.
+
+        The block's entropy words go through SeedSequence's mixing once
+        (``_pcg64_states``), and each PCG64 is built from its row of state
+        words, which skips numpy's per-object SeedSequence.  Streams are
+        built as the iteration reaches them, so the block holds only its
+        state words, 32 bytes per seed, and each PCG64 lives as long as its
+        stream.  The block pass has a fixed cost of a few one-seed streams,
+        so short loops seed one stream at a time.
+        """
+        np.random.bit_generator.ISeedSequence.register(_StateWords)
+        person = _person(role)
+        entropy = b"".join([_stream_entropy(seed, person)[::-1] for seed in seeds])
+        states = _pcg64_states(np.frombuffer(entropy, dtype="<u4").reshape(-1, 4))
+        for seed, words in zip(seeds, states):
+            stream = cls.__new__(cls)
+            stream.seed, stream.role = seed, role
+            stream._gen = np.random.Generator(np.random.PCG64(_StateWords(words)))
+            yield stream
 
     def child(self, label: str) -> "RandomStream":
         """An independent stream scoped under this one."""

@@ -26,9 +26,13 @@ as dicts keyed by response tuples, built outcome by outcome; the flat
 laws of ``tasks`` must equal them entry for entry.  ``lift_response`` is
 the lifting as a sampler, whose law ``dict_lifted_law`` writes down.
 
+``per_trial_string_game`` is ``harness.run_game`` as one loop over the
+trials, each instance sampled from its own seed; the budget-game
+references play ``budget_game`` through it.
+
 Several references patch a module attribute for the length of one call
-(``count_adds``, ``full_table_budget_game``, ``fresh_digests``,
-``counted_digests``) and restore it on the way out.
+(``count_adds``, ``fresh_digests``, ``counted_digests``) and restore it
+on the way out.
 """
 
 import hashlib
@@ -304,14 +308,48 @@ def per_trial_game(plan, params, trials: int, seed: int, decide=None) -> float:
     return rates[tasks.YES] - rates[tasks.NO]
 
 
+def per_trial_string_game(yes, no, plan, trials: int, seed: int):
+    """``run_game``'s GameResult, one trial at a time: the loop the block game replaced.
+
+    ``yes`` and ``no`` map one seed to one instance.  Trial ``i`` draws
+    its instance from ``Seed(seed).mix(i)``, the first half of the trials
+    (rounded down) on the yes side, and the decider reads the instance's
+    answers at the plan's queries.
+    """
+    base = Seed(seed)
+    samplers = {tasks.YES: yes, tasks.NO: no}
+
+    def count_yes(side, first, count):
+        return sum(plan.decider(samplers[side](base.mix(trial)).eval_many(plan.queries)) == tasks.YES
+                   for trial in range(first, first + count))
+
+    return harness._tally(trials, plan.q, count_yes)
+
+
+def _per_trial_budget_game(config, d1) -> str:
+    """``budget_game``'s CSV one trial at a time; ``d1(n, epsilon, stream)`` is a no-side instance."""
+    params = config.params
+    n, epsilon = params.n, params.epsilon
+    budget = math.floor(1.0 / (30.0 * epsilon))
+    plan = harness.random_string_plan(
+        n, budget, RandomStream(Seed(config.seed), "budget-game-plan"), harness.all_zero_yes)
+    zero = TruthTable.constant(n, 0)
+    result = per_trial_string_game(lambda seed: zero,
+                                   lambda seed: d1(n, epsilon, RandomStream(seed, "d1")),
+                                   plan, config.trials, config.seed)
+    row = {"experiment": "game", "n": n, "epsilon": epsilon, "budget": budget,
+           **result.as_json_dict()}
+    return harness.ExperimentReport("game", rows=[row]).csv_text()
+
+
 def full_table_budget_game(config) -> str:
-    """``budget_game``'s CSV with every no-side trial drawing its whole D1 table, as before point reads."""
-    point_reads = harness._D1Points
-    harness._D1Points = lambda n, epsilon, seed: sample_d1(n, epsilon, RandomStream(seed, "d1"))
-    try:
-        return harness.budget_game(config).csv_text()
-    finally:
-        harness._D1Points = point_reads
+    """``budget_game``'s CSV, one trial at a time, each no-side trial drawing its whole D1 table."""
+    return _per_trial_budget_game(config, sample_d1)
+
+
+def point_read_budget_game(config) -> str:
+    """``budget_game``'s CSV, one trial at a time, each no-side trial reading D1 at the queries only."""
+    return _per_trial_budget_game(config, harness._D1Points)
 
 
 def cli_calls(argv, calls: int, fresh_parser: bool) -> list[tuple[int, str]]:
@@ -484,6 +522,21 @@ def digest_counts(f) -> tuple[int, int]:
     addresses = 1 << len(f.M)
     fibers = sum(1 << len(f.fiber_coords(a)) for a in range(1, addresses + 1))
     return (1 << f.n) * (len(f.A) + 1), addresses * len(f.A) + fibers
+
+
+def eval_many_digest_counts(f, xs) -> tuple[int, int]:
+    """The digests ``fiberwise_eval_many`` and ``f.eval_many`` derive at the queries ``xs``.
+
+    Both derive one membership coin per member of A for each distinct
+    address; then the fiberwise form derives one value of h per query and
+    ``eval_many`` one per distinct (address, bits of x on S).
+    """
+    values = set()
+    for x in xs:
+        address = address_index(f.M, x)
+        values.add((address, tuple(x.bit(a) for a in f.fiber_coords(address))))
+    membership = len({address for address, _ in values}) * len(f.A)
+    return membership + len(xs), membership + len(values)
 
 
 def slots_by_element(plan) -> dict[int, list[tuple[int, int]]]:

@@ -32,6 +32,8 @@ from junta_lab.hardgen import sample_no, sample_yes
 from junta_lab.params import DESK_SCALE, derive_params
 from junta_lab.rng import Seed
 from references import (
+    counted_digests,
+    eval_many_digest_counts,
     fiberwise_eval_many,
     fiberwise_table,
     per_direction_edge_counts,
@@ -364,6 +366,39 @@ def test_keyed_paths_equal_the_fresh_blake2b_reference(n, sampler, epsilon, seed
         assert f.eval_many(xs) == tuple(reference_eval(f, x) for x in xs)
     if n <= 10 or data.draw(st.booleans()):
         assert to_table(f) == reference_table(f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(4, 12),
+    st.sampled_from([sample_yes, sample_no]),
+    st.sampled_from([0.1, 1.0]),
+    st.integers(0, 2**64 - 1),
+    st.data(),
+)
+def test_eval_many_derives_one_digest_per_distinct_value(n, sampler, epsilon, seed_value, data):
+    """eval_many against per-point ``reference_eval``, and its digests in closed form.
+
+    Each distinct address costs |A| membership digests and each distinct
+    (address, x on S) one value of h, so a repeated query and a second
+    query in a fiber with empty S add none.
+    """
+    f = sampler(desk(n, epsilon), Seed(seed_value))
+    codes = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=20))
+    mask = sum(1 << (n - i) for i in f.M.members)
+    fiber = data.draw(st.integers(0, (1 << n) - 1)) & mask
+    # repeats; every query in one fiber; the fiber with the widest S
+    widest = max(range(1, (1 << len(f.M)) + 1), key=lambda a: len(f.fiber_coords(a)))
+    widest_bits = sum(((widest - 1) >> (len(f.M) - 1 - j) & 1) << (n - i)
+                      for j, i in enumerate(f.M.members))
+    batches = [codes + codes[::-1], [fiber | (c & ~mask) for c in codes],
+               [widest_bits | (c & ~mask) for c in codes]]
+    for batch in batches:
+        xs = [BitString(n, c) for c in batch]
+        with counted_digests() as count:
+            got = f.eval_many(xs)
+        assert got == tuple(reference_eval(f, x) for x in xs)
+        assert count[0] == eval_many_digest_counts(f, xs)[1]
 
 
 def edge_instance(n, M, epsilon, seed_value, full_pool):

@@ -4,6 +4,7 @@ import io
 import json
 import math
 from contextlib import redirect_stderr, redirect_stdout
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,10 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from junta_lab import params as params_mod
-from junta_lab.boolfn import TruthTable
+from junta_lab.boolfn import BitString, TruthTable
 from junta_lab.cli import build_parser, main
-from junta_lab.harness import desk_params
+from junta_lab.hardgen import sample_no, sample_yes
+from junta_lab.harness import DECIDERS, desk_params
 from junta_lab.params import derive_params
+from junta_lab.tasks import StringQueryPlan
+from references import per_trial_string_game
 
 
 @pytest.fixture()
@@ -118,6 +122,28 @@ def test_game_strings_mode(tmp_path, capsys, desk10_file):
     )
     assert code == 0
     assert json.loads(out)["cost"] == 2
+
+
+@pytest.mark.parametrize("decider", ["parity_yes", "all_zero_yes"])
+@pytest.mark.parametrize("seed, trials", [(0, 2), (5, 101), (2**64 - 1, 300)])
+def test_game_strings_mode_equals_the_per_trial_loop(tmp_path, capsys, decider, seed, trials):
+    params = desk_params(10, epsilon=1.0)
+    path = tmp_path / "p.cfg"
+    params_mod.save(params, str(path))
+    X = [format(code, "010b") for code in (0, 1, 517, 517, 1023, 300, 64, 2)]
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"X": X, "decider": decider}))
+    code, out = run_cli(
+        capsys,
+        "game", "--mode", "strings", "--plan", str(plan),
+        "--params", str(path), "--trials", str(trials), "--seed", str(seed),
+    )
+    assert code == 0
+    loop = per_trial_string_game(
+        partial(sample_yes, params), partial(sample_no, params),
+        StringQueryPlan(tuple(BitString.from_text(x) for x in X), DECIDERS[decider]), trials, seed,
+    )
+    assert out == json.dumps(loop.as_json_dict()) + "\n"
 
 
 def test_game_rejects_unknown_decider(tmp_path, capsys, desk10_file):

@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 
 from junta_lab.boolfn import NO_STYLE, YES_STYLE, BitString, StructuredFn, TruthTable, to_table
 from junta_lab.errors import EpsilonOutOfRange, InvalidInput, TooLarge, WeightOutOfRange
-from junta_lab.hardgen import sample_d1, sample_d1_at, sample_d2, sample_no, sample_yes
+from junta_lab.hardgen import (
+    sample_block,
+    sample_d1,
+    sample_d1_at,
+    sample_d2,
+    sample_no,
+    sample_yes,
+)
 from junta_lab.params import DESK_SCALE, derive_params
 from junta_lab.rng import RandomStream, Seed, derive_bit, pack_ints
 from references import complement_sample
@@ -66,6 +73,20 @@ def test_samplers_equal_the_complement_form(n, epsilon, seed_value):
     seed = Seed(seed_value)
     assert sample_yes(params, seed) == complement_sample(params, seed, params.p, YES_STYLE)
     assert sample_no(params, seed) == complement_sample(params, seed, params.q, NO_STYLE)
+
+
+@pytest.mark.parametrize("epsilon", [0.1, 1.0])
+@pytest.mark.parametrize("n", [6, 10, 12])
+def test_block_sampler_equals_the_per_seed_samplers(n, epsilon):
+    params = desk(n, epsilon)
+    seeds = [Seed(0), Seed(2**64 - 1), *Seed(n).mixes(range(30))]
+    for kind, sampler in ((YES_STYLE, sample_yes), (NO_STYLE, sample_no)):
+        block = list(sample_block(params, kind, seeds))
+        assert len(block) == len(seeds)
+        for seed, f in zip(seeds, block):
+            one = sampler(params, seed)
+            assert (f.M, f.A, f.kind, f.seed) == (one.M, one.A, one.kind, one.seed)
+            assert to_table(f) == to_table(one)
 
 
 def test_kind_flag_does_not_change_semantics():

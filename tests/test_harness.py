@@ -1,12 +1,17 @@
 """Experiment runners: games, verification suites, sweeps, and reporting."""
 
 import math
+import weakref
+from dataclasses import replace
+from functools import partial
 
+import numpy as np
 import pytest
 
-from junta_lab.boolfn import BitString, TruthTable
+from junta_lab import harness
+from junta_lab.boolfn import NO_STYLE, YES_STYLE, BitString, TruthTable
 from junta_lab.errors import InvalidInput, TooLarge
-from junta_lab.hardgen import sample_yes
+from junta_lab.hardgen import sample_block, sample_no, sample_yes
 from junta_lab.harness import (
     DECIDERS,
     EXPERIMENTS,
@@ -19,6 +24,7 @@ from junta_lab.harness import (
     all_zero_yes,
     always_yes,
     desk_params,
+    parity_yes,
     random_string_plan,
     run_all,
     run_experiment,
@@ -27,7 +33,7 @@ from junta_lab.harness import (
 )
 from junta_lab.rng import RandomStream, Seed
 from junta_lab.tasks import NO, YES, StringQueryPlan
-from references import full_table_budget_game
+from references import full_table_budget_game, per_trial_string_game, point_read_budget_game
 
 
 def test_decider_registry():
@@ -42,24 +48,39 @@ def test_decider_registry():
     assert all_equal_yes((1, 1, 1)) == YES and all_equal_yes((1, 0)) == NO
 
 
-def constant_sampler(n, bit):
-    table = TruthTable.constant(n, bit)
-    return lambda seed: table
-
-
 def test_run_game_constant_decider():
     plan = random_string_plan(4, 3, RandomStream(Seed(1), "p"), always_yes)
-    result = run_game(constant_sampler(4, 0), constant_sampler(4, 1), plan, 400, 7)
+    result = run_game(TruthTable.constant(4, 0), TruthTable.constant(4, 1), plan, 400, 7)
     assert result.advantage == 0.0
     assert result.ci_low <= 0.0 <= result.ci_high
     assert result.trials_yes + result.trials_no == 400
     assert result.cost == 3
 
 
+def test_run_game_fixed_instances_derive_no_seed(monkeypatch):
+    # each fixed side is decided once: no trial seed, one evaluation per side
+    def no_seeds(self, indices):
+        raise AssertionError("a fixed side derived trial seeds")
+
+    monkeypatch.setattr(Seed, "mixes", no_seeds)
+    evaluations = []
+
+    class Counted(TruthTable):
+        def eval_many(self, xs):
+            evaluations.append(self)
+            return super().eval_many(xs)
+
+    zero, one = Counted(4, np.zeros(16)), Counted(4, np.ones(16))
+    plan = random_string_plan(4, 3, RandomStream(Seed(1), "p"), all_zero_yes)
+    result = run_game(zero, one, plan, 401, 7)
+    assert (result.trials_yes, result.trials_no, result.advantage) == (200, 201, 1.0)
+    assert evaluations == [zero, one]
+
+
 def test_run_game_identical_samplers():
     params = desk_params(6)
     plan = random_string_plan(6, 2, RandomStream(Seed(2), "p"), all_equal_yes)
-    gen = lambda seed: sample_yes(params, seed)
+    gen = partial(sample_block, params, YES_STYLE)
     result = run_game(gen, gen, plan, 2000, 11)
     assert result.ci_low <= 0.0 <= result.ci_high
 
@@ -70,16 +91,72 @@ def test_run_game_single_query_bit_decider():
     params = desk_params(6)
     x = BitString.from_text("010101")
     plan = StringQueryPlan(queries=(x,), decider=lambda bits: YES if bits[0] else NO)
-    from junta_lab.hardgen import sample_no
-
     result = run_game(
-        lambda s: sample_yes(params, s),
-        lambda s: sample_no(params, s),
+        partial(sample_block, params, YES_STYLE),
+        partial(sample_block, params, NO_STYLE),
         plan,
         4000,
         13,
     )
     assert result.ci_low <= 0.0 <= result.ci_high
+
+
+STRINGS_PARAMS = desk_params(8, epsilon=1.0)
+
+
+def strings_plan(seed, decider):
+    return random_string_plan(8, 12, RandomStream(Seed(seed), "plan"), decider)
+
+
+@pytest.mark.parametrize("decider", [parity_yes, all_zero_yes])
+@pytest.mark.parametrize("trials, seed", [(2, 0), (3, 1), (301, 7)])
+def test_run_game_equals_the_per_trial_loop(decider, trials, seed):
+    plan = strings_plan(seed, decider)
+    blocked = run_game(partial(sample_block, STRINGS_PARAMS, YES_STYLE),
+                       partial(sample_block, STRINGS_PARAMS, NO_STYLE), plan, trials, seed)
+    loop = per_trial_string_game(partial(sample_yes, STRINGS_PARAMS),
+                                 partial(sample_no, STRINGS_PARAMS), plan, trials, seed)
+    assert replace(blocked, wall_time=0.0) == replace(loop, wall_time=0.0)
+
+
+def test_run_game_block_size_changes_nothing(monkeypatch):
+    """Blocks of 3 trials hand the samplers the seeds of one block of 256 in the same order."""
+    plan = strings_plan(5, parity_yes)
+    blocks = []
+
+    def sampler(kind):
+        def sample(seeds):
+            blocks.append(len(seeds))
+            return sample_block(STRINGS_PARAMS, kind, seeds)
+        return sample
+
+    whole = run_game(sampler(YES_STYLE), sampler(NO_STYLE), plan, 301, 7)
+    assert blocks == [150, 151]
+    blocks.clear()
+    monkeypatch.setattr(harness, "GAME_BLOCK_CELLS", 128 * 3 + 127)
+    blocked = run_game(sampler(YES_STYLE), sampler(NO_STYLE), plan, 301, 7)
+    assert blocks == [3] * 50 + [3] * 50 + [1]
+    assert replace(blocked, wall_time=0.0) == replace(whole, wall_time=0.0)
+
+
+def test_run_game_keeps_one_instance_alive_at_a_time():
+    alive, most = [0], [0]
+
+    def released():
+        alive[0] -= 1
+
+    def sampler(kind):
+        def sample(seeds):
+            for f in sample_block(STRINGS_PARAMS, kind, seeds):
+                alive[0] += 1
+                most[0] = max(most[0], alive[0])
+                weakref.finalize(f, released)
+                yield f
+        return sample
+
+    run_game(sampler(YES_STYLE), sampler(NO_STYLE), strings_plan(3, parity_yes), 400, 3)
+    # a loop variable holds the previous instance while the next one is drawn
+    assert alive[0] == 0 and most[0] <= 2
 
 
 def test_game_result_json_shape():
@@ -192,11 +269,13 @@ def budget_config(seed, trials=2000):
 
 
 def test_budget_game_equals_full_table_game():
-    # The no side reads D1 at the plan's queries only; the reference draws
-    # each trial's whole 2^14 table with sample_d1, as the game did before.
+    # The no side reads D1 at the plan's queries only, its streams seeded a
+    # block at a time; the references play one trial at a time, drawing each
+    # trial's whole 2^14 table with sample_d1 or reading it at the queries.
     for seed in range(4):
         config = budget_config(seed)
-        assert run_experiment(config).csv_text() == full_table_budget_game(config)
+        csv = run_experiment(config).csv_text()
+        assert csv == full_table_budget_game(config) == point_read_budget_game(config)
 
 
 def test_budget_game_matches_exact_advantage():

@@ -224,6 +224,45 @@ def test_generator_seeding_agrees_on_zero_words(entropy):
     same_generator(_generator(entropy), integer_seeded_generator(entropy))
 
 
+LONG_ROLE = "a-role-label-well-past-sixteen-bytes"
+MANY_SEEDS = [Seed(0), Seed(2**64 - 1), *Seed(3).mixes(range(250))]
+
+
+def first_draws(stream):
+    return (stream.random(), stream.integers(0, 1000), stream.bernoulli_mask(8, 0.5).tolist())
+
+
+@pytest.mark.parametrize("role", ["M", "d1", LONG_ROLE, ""])
+def test_many_streams_equal_the_per_seed_streams(role):
+    # the block's SeedSequence pass reproduces numpy's per-object seeding
+    assert len(MANY_SEEDS) >= 200
+    streams = list(RandomStream.many(MANY_SEEDS, role))
+    assert len(streams) == len(MANY_SEEDS)
+    for seed, stream in zip(MANY_SEEDS, streams):
+        assert (stream.seed, stream.role) == (seed, role)
+        one = RandomStream(seed, role)
+        reference = integer_seeded_generator(reference_stream_entropy(seed, role))
+        assert stream._gen.bit_generator.state == one._gen.bit_generator.state
+        assert stream._gen.bit_generator.state == reference.bit_generator.state
+        assert first_draws(stream) == first_draws(one)
+
+
+def test_many_streams_of_a_split_block_are_the_same_streams():
+    whole = [first_draws(s) for s in RandomStream.many(MANY_SEEDS, "A")]
+    split = [first_draws(s) for start in range(0, len(MANY_SEEDS), 7)
+             for s in RandomStream.many(MANY_SEEDS[start:start + 7], "A")]
+    assert split == whole
+    assert list(RandomStream.many([], "A")) == []
+
+
+def test_seed_mixes_equal_seed_mix():
+    for base in (Seed(0), Seed(42), Seed(2**64 - 1)):
+        indices = [0, 1, 255, 256, 2**40]
+        assert base.mixes(indices) == [base.mix(i) for i in indices]
+        assert base.mixes(range(300, 310)) == [base.mix(i) for i in range(300, 310)]
+    assert Seed(1).mixes([]) == []
+
+
 def test_stream_children_are_independent_and_reproducible():
     base = RandomStream(Seed(11), "root")
     a1 = base.child("a").u64()
