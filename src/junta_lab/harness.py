@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import os
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -61,18 +60,6 @@ Z_95 = 1.959963984540054
 
 DESK_ALPHA = 0.75
 DESK_EPSILON = 0.1
-
-EXPERIMENTS = (
-    "verify_yes",
-    "verify_no",
-    "verify_d1",
-    "verify_d2",
-    "game",
-    "sseq_curve",
-    "dtv_sweep",
-    "claim53",
-    "goodM",
-)
 
 
 def desk_params(
@@ -130,7 +117,6 @@ class GameResult:
     trials_yes: int
     trials_no: int
     cost: int
-    wall_time: float
 
     def as_json_dict(self) -> dict:
         return {
@@ -222,7 +208,6 @@ def _tally(trials: int, cost: int, count_yes: Callable[[str, int, int], int]) ->
     and returns how many of them the decider answered yes.  The 95%
     interval uses the normal approximation with pooled variance.
     """
-    start = time.perf_counter()
     trials_yes = trials // 2
     trials_no = trials - trials_yes
     if trials_yes < 1 or trials_no < 1:
@@ -239,7 +224,6 @@ def _tally(trials: int, cost: int, count_yes: Callable[[str, int, int], int]) ->
         trials_yes=trials_yes,
         trials_no=trials_no,
         cost=cost,
-        wall_time=time.perf_counter() - start,
     )
 
 
@@ -598,9 +582,9 @@ def bound_sweep_cells(params: Params):
     c walks the Pascal rows 1..256 in the outer loop and the hit rate lam a
     fixed grid in the inner one; r = p * lam and r' = min(r + (q - p) * lam, 1).
     A cell applies when 0 < r < 1 and ``tv_shift_bound`` gives a bound.
-    Each grid rate's power tables are computed once, so a cell's exact
-    distance is ``binom_stats.dtv_from_tables``, equal to ``exact_dtv`` of
-    Bin(c, r) and Bin(c, r').
+    Each grid rate's power tables are computed once, and a cell's exact
+    distance is ``tv_distance`` of the two ``masses`` rows, the same
+    floats as ``exact_dtv`` of Bin(c, r) and Bin(c, r').
     """
     p, q = params.p, params.q
     lam_grid = [0.001, 0.003, 0.01, 0.03, 0.1, 0.2, 0.4, 0.7, 1.0]
@@ -620,7 +604,11 @@ def bound_sweep_cells(params: Params):
             shifted = min(r + x, 1.0)
             if lam not in powers:
                 powers[lam] = (binom_stats.rate_powers(r, top), binom_stats.rate_powers(shifted, top))
-            yield c, r, shifted, bound, binom_stats.dtv_from_tables(whole, *powers[lam])
+            powers_r, powers_shifted = powers[lam]
+            exact = binom_stats.tv_distance(
+                binom_stats.masses(whole, powers_r), binom_stats.masses(whole, powers_shifted)
+            )
+            yield c, r, shifted, bound, exact
 
 
 def dtv_sweep(config: ExperimentConfig) -> ExperimentReport:
@@ -801,6 +789,8 @@ _DISPATCH: dict[str, Callable[[ExperimentConfig], ExperimentReport]] = {
     "claim53": lift_equivalence_sweep,
     "goodM": good_m,
 }
+
+EXPERIMENTS = tuple(_DISPATCH)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:

@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .binom_stats import BinomialSpec, hit_prob, product_dtv
+from .binom_stats import BinomialSpec, hit_prob, product_dtv, tv_distance
 from .boolfn import BitString, IndexSet, address_index
 from .errors import (
     BadM,
@@ -299,13 +299,6 @@ def lifted_response_distribution(
         return vec
 
     return _product_law(A, plan, local)
-
-
-def tv_distance(law_a: Sequence[float], law_b: Sequence[float]) -> float:
-    """Half the L1 distance between two flat outcome laws over the same outcomes."""
-    if len(law_a) != len(law_b):
-        raise DimensionMismatch(f"laws over {len(law_a)} and {len(law_b)} outcomes")
-    return 0.5 * math.fsum(abs(a - b) for a, b in zip(law_a, law_b))
 
 
 def lift_equivalence_gap(A: IndexSet, plan: SetQueryPlan, epsilon: float, n: int) -> float:

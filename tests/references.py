@@ -3,11 +3,15 @@
 This is the one home of the references: the tests compare the library
 against them, and ``scripts/bench.py`` times the library against them and
 defines none of its own.  A reference either writes a quantity down by
-its definition (``first_minimum_over_subsets``, ``per_term_dtv``,
+its definition (``first_minimum_over_subsets``, ``pmf``, ``per_term_dtv``,
 ``reference_is_separating``, the fresh-blake2b digests) or is a fast path
 as it was before a change replaced it (``generator_walk``,
 ``fiberwise_table``, ``count_adds``, ...), so a speedup is always timed
 against the form it replaced.
+
+``pmf`` and ``log_pmf`` are the binomial masses one entry at a time, in
+the two regimes of ``binom_stats.pmf_vector``; every entry of a mass
+vector must equal ``pmf`` exactly.
 
 The digest references build one fresh keyed ``hashlib.blake2b`` per
 digest and share no code with ``junta_lab.rng``; their layout (seed key,
@@ -56,8 +60,14 @@ from junta_lab.boolfn import (
     address_index,
     hamming,
 )
-from junta_lab.binom_stats import hit_prob
-from junta_lab.errors import DimensionMismatch, InconsistentInput, InvalidInput, TooLarge
+from junta_lab.binom_stats import _DIRECT_CAP, hit_prob
+from junta_lab.errors import (
+    DimensionMismatch,
+    InconsistentInput,
+    IndexOutOfRange,
+    InvalidInput,
+    TooLarge,
+)
 from junta_lab.hardgen import sample_d1
 from junta_lab.junta_distance import dist_to_k_junta, max_disjoint_bichromatic_matching
 from junta_lab.params import coin_rate
@@ -256,6 +266,36 @@ def set_checked_deserialize(text: str) -> TruthTable:
     if len(bits) != 1 << n or set(bits) - {"0", "1"}:
         raise InvalidInput("table line must be exactly 2^n characters of 0/1")
     return TruthTable(n, np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0"))
+
+
+def log_pmf(spec, k: int) -> float:
+    """log P[Bin(c, r) = k] from the exact coefficient's log; -inf off a degenerate rate's point."""
+    if not 0 <= k <= spec.c:
+        raise IndexOutOfRange(f"k = {k} outside [0, {spec.c}]")
+    c, r = spec.c, spec.r
+    if r == 0.0:
+        return 0.0 if k == 0 else -math.inf
+    if r == 1.0:
+        return 0.0 if k == c else -math.inf
+    return math.log(math.comb(c, k)) + k * math.log(r) + (c - k) * math.log1p(-r)
+
+
+def _pmf_direct(c: int, r: float, k: int) -> float:
+    return float(math.comb(c, k)) * r**k * (1.0 - r) ** (c - k)
+
+
+def pmf(spec, k: int) -> float:
+    """P[Bin(c, r) = k] one entry at a time: directly up to c = 1000, through ``log_pmf`` above."""
+    if not 0 <= k <= spec.c:
+        raise IndexOutOfRange(f"k = {k} outside [0, {spec.c}]")
+    c, r = spec.c, spec.r
+    if r == 0.0:
+        return 1.0 if k == 0 else 0.0
+    if r == 1.0:
+        return 1.0 if k == c else 0.0
+    if c <= _DIRECT_CAP:
+        return _pmf_direct(c, r, k)
+    return math.exp(log_pmf(spec, k))
 
 
 def per_term_dtv(a, b) -> float:

@@ -11,15 +11,14 @@ from junta_lab.binom_stats import (
     BinomialSpec,
     JOINT_SUPPORT_CAP,
     bin_hit_prob,
-    dtv_from_tables,
     exact_dtv,
     hit_prob,
-    log_pmf,
+    masses,
     pascal_rows,
-    pmf,
     pmf_vector,
     product_dtv,
     rate_powers,
+    tv_distance,
     tv_shift_bound,
     tv_shift_param,
     TRIAL_CAP,
@@ -27,6 +26,7 @@ from junta_lab.binom_stats import (
 )
 from junta_lab.errors import (
     DegenerateRate,
+    DimensionMismatch,
     IndexOutOfRange,
     InvalidInput,
     MismatchedSupport,
@@ -37,7 +37,7 @@ from junta_lab.harness import ExperimentConfig, bound_sweep_cells, desk_params, 
 from junta_lab.params import DESK_SCALE, derive_params
 from junta_lab.rng import RandomStream, Seed
 from junta_lab.tasks import ElementQueryPlan, HiddenSet, sseq_respond
-from references import per_term_dtv
+from references import log_pmf, per_term_dtv, pmf
 from junta_lab.boolfn import IndexSet
 
 
@@ -313,9 +313,17 @@ def test_mass_vectors_equal_per_entry_pmf(c, r, s):
 
 
 def test_mass_vectors_above_the_direct_cap():
-    for c, r in ((1001, 0.3), (1500, 0.0), (1500, 1.0), (2000, 1e-3)):
-        spec = BinomialSpec(c, r)
-        assert pmf_vector(spec).tolist() == [pmf(spec, k) for k in range(c + 1)]
+    # Above c = 1000 the masses come through logs, and exact_dtv is still
+    # exactly the fsum of the reference's per-entry gaps; at 0.3 against 0.5
+    # numpy's pairwise sum of the same gaps rounds differently.
+    pairs = [(1001, 0.3, 0.31), (1001, 0.3, 0.5), (1500, 0.0, 1.0), (1500, 1.0, 0.5), (2000, 1e-3, 0.0)]
+    for c, r, s in pairs:
+        a, b = BinomialSpec(c, r), BinomialSpec(c, s)
+        va = [pmf(a, k) for k in range(c + 1)]
+        vb = [pmf(b, k) for k in range(c + 1)]
+        assert pmf_vector(a).tolist() == va
+        assert pmf_vector(b).tolist() == vb
+        assert exact_dtv(a, b) == 0.5 * math.fsum(abs(x - y) for x, y in zip(va, vb))
 
 
 def test_pascal_rows_are_the_rounded_coefficients():
@@ -364,5 +372,11 @@ def test_dtv_tables_at_the_clipped_rates():
             assert exact_dtv(mid, b) == per_term_dtv(mid, b)
             assert exact_dtv(a, mid) == per_term_dtv(a, mid)
     rows = dict(pascal_rows(40))
-    assert dtv_from_tables(rows[40], rate_powers(0.25, 1000), one) == per_term_dtv(
-        BinomialSpec(40, 0.25), BinomialSpec(40, 1.0))
+    from_tables = tv_distance(masses(rows[40], rate_powers(0.25, 1000)), masses(rows[40], one))
+    assert from_tables == per_term_dtv(BinomialSpec(40, 0.25), BinomialSpec(40, 1.0))
+
+
+def test_tv_distance_rejects_laws_of_different_lengths():
+    assert tv_distance([0.5, 0.5], [1.0, 0.0]) == 0.5
+    with pytest.raises(DimensionMismatch):
+        tv_distance([1.0], [1.0, 0.0])

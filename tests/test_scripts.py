@@ -32,10 +32,19 @@ def test_advantage_vs_budget_at_m16():
     assert [line.split(",")[0] for line in lines[1:]] == ["0", "16", "32"]
 
 
+# The battery's CSVs at seed 1, byte for byte.  A change that alters an
+# output on purpose rewrites these files and says so in CHANGES.md.
+GOLDEN_DESK = ROOT / "tests" / "golden" / "desk_seed1"
+
+
 def test_desk_suite_writes_every_csv(tmp_path):
-    proc = run_script("run_desk_suite.py", "--out-dir", str(tmp_path))
+    proc = run_script("run_desk_suite.py", "--out-dir", str(tmp_path), "--seed", "1")
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert len(list(tmp_path.glob("*.csv"))) == 9
+    written = sorted(path.name for path in tmp_path.glob("*.csv"))
+    assert len(written) == 9
+    assert written == sorted(path.name for path in GOLDEN_DESK.glob("*.csv"))
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (GOLDEN_DESK / name).read_bytes(), name
 
 
 def load_script(name):
