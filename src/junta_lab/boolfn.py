@@ -218,10 +218,10 @@ class StructuredFn:
 
     Each instance keeps one keyed S-state and one keyed h-state, and the
     encodings of A's members.  ``fiber`` is the one kernel that
-    ``eval_many``, ``to_table`` and ``fiber_coords`` share: it extends the
-    S-state with the address, reads S off |A| digests and extends the
-    h-state with (address, |S|, *S), so no digest pays the key schedule
-    again.  ``eval_many`` derives each address's fiber once per call.
+    ``eval_many`` and ``to_table`` share: it extends the S-state with the
+    address, reads S off |A| digests and extends the h-state with
+    (address, |S|, *S), so no digest pays the key schedule again.
+    ``eval_many`` derives each address's fiber once per call.
     """
 
     params: Params
@@ -274,10 +274,6 @@ class StructuredFn:
         coords = tuple(compress(self.A.members, fired))
         prefix = b"".join((head, pack_ints(len(coords)), *compress(self._pool_codes, fired)))
         return coords, self._h_state.extend(prefix)
-
-    def fiber_coords(self, address: int) -> tuple[int, ...]:
-        """The members of A that join the coordinate subset for this address."""
-        return self.fiber(address)[0]
 
     def eval(self, x: BitString) -> int:
         if x.length != self.n:

@@ -79,21 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_text(path: str) -> str:
-    """The text of a UTF-8 input file; any other file is a usage error."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return fh.read()
-        except UnicodeDecodeError as exc:
-            raise InvalidInput(f"{path} is not UTF-8 text: {exc}") from exc
-
-
-def _load_params(path: str) -> params_mod.Params:
-    return params_mod.from_config_text(_read_text(path))
-
-
 def cmd_gen(args: argparse.Namespace) -> int:
-    p = _load_params(args.params)
+    p = params_mod.load(args.params)
     seed = Seed(args.seed)
     if args.dist in ("yes", "no"):
         sampler = sample_yes if args.dist == "yes" else sample_no
@@ -123,14 +110,14 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_dist(args: argparse.Namespace) -> int:
-    table = TruthTable.deserialize(_read_text(args.table))
+    table = TruthTable.deserialize(params_mod.read_text(args.table))
     report = dist_to_k_junta(table, args.k, args.eps)
     print(json.dumps(report.as_json_dict()))
     return 0
 
 
 def _plan_from_file(path: str, mode: str):
-    text = _read_text(path)
+    text = params_mod.read_text(path)
     try:
         raw = json.loads(text)
     except ValueError as exc:
@@ -154,6 +141,9 @@ def _int_list(value, what: str) -> list:
 
 
 def _plan_from_json(raw: dict, mode: str):
+    kinds = [key for key in ("T", "ell", "X") if key in raw]
+    if len(kinds) > 1:
+        raise InvalidInput(f"a plan file holds exactly one of 'T', 'ell' and 'X', got {kinds}")
     if mode == "sseq":
         if "ell" not in raw:
             raise JuntaLabError("sseq mode expects an 'ell' list in the plan file")
@@ -186,7 +176,7 @@ def _plan_from_json(raw: dict, mode: str):
 
 
 def cmd_game(args: argparse.Namespace) -> int:
-    p = _load_params(args.params)
+    p = params_mod.load(args.params)
     plan = _plan_from_file(args.plan, args.mode)
     if args.mode == "strings":
         if plan.n != p.n:
@@ -222,7 +212,7 @@ def cmd_dtv(args: argparse.Namespace) -> int:
 
 
 def _run_configured(args: argparse.Namespace, experiment: str) -> int:
-    p = _load_params(args.params)
+    p = params_mod.load(args.params)
     config = harness.ExperimentConfig(
         params=p,
         experiment=experiment,

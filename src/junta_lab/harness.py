@@ -62,14 +62,9 @@ DESK_ALPHA = 0.75
 DESK_EPSILON = 0.1
 
 
-def desk_params(
-    n: int,
-    alpha: float = DESK_ALPHA,
-    epsilon: float = DESK_EPSILON,
-    k_override: Optional[int] = None,
-) -> Params:
+def desk_params(n: int, alpha: float = DESK_ALPHA, epsilon: float = DESK_EPSILON) -> Params:
     """The canonical small-n parameter record used across experiments."""
-    return derive_params(n, alpha, epsilon, DESK_SCALE, k_override=k_override)
+    return derive_params(n, alpha, epsilon, DESK_SCALE)
 
 
 def always_yes(bits: tuple[int, ...]) -> str:

@@ -259,6 +259,14 @@ def save(params: Params, path: str) -> None:
         fh.write(to_config_text(params))
 
 
-def load(path: str) -> Params:
+def read_text(path: str) -> str:
+    """The text of a UTF-8 input file; any other file is InvalidInput."""
     with open(path, "r", encoding="utf-8") as fh:
-        return from_config_text(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise InvalidInput(f"{path} is not UTF-8 text: {exc}") from exc
+
+
+def load(path: str) -> Params:
+    return from_config_text(read_text(path))

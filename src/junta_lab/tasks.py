@@ -60,20 +60,6 @@ Decider = Callable[[tuple[int, ...]], str]
 
 
 @dataclass(frozen=True)
-class HiddenSet:
-    """The set a game oracle hides."""
-
-    m: int
-    A: IndexSet
-
-    def __post_init__(self) -> None:
-        if self.A.universe_size != self.m:
-            raise DimensionMismatch(
-                f"hidden set universe {self.A.universe_size} != m = {self.m}"
-            )
-
-
-@dataclass(frozen=True)
 class SetQueryPlan:
     """A non-adaptive list of set queries over [m]; cost is the total size."""
 
@@ -146,29 +132,29 @@ class StringQueryPlan:
         return self.queries[0].length
 
 
-def sample_hidden(m: int, prob: float, stream: RandomStream) -> HiddenSet:
-    """Include each element of [m] independently with the given probability."""
+def sample_hidden(m: int, prob: float, stream: RandomStream) -> IndexSet:
+    """The hidden set: each element of [m] joins independently with the given probability."""
     if m < 1:
         raise InvalidInput(f"m must be positive, got {m}")
     if not 0.0 <= prob <= 1.0:
         raise InvalidInput(f"prob must be in [0, 1], got {prob}")
     mask = stream.bernoulli_mask(m, prob)
     members = (i + 1 for i in range(m) if mask[i])
-    return HiddenSet(m=m, A=IndexSet.of(m, members))
+    return IndexSet.of(m, members)
 
 
 def sssq_respond(
-    hidden: HiddenSet,
+    A: IndexSet,
     plan: SetQueryPlan,
     epsilon: float,
     n: int,
     stream: RandomStream,
 ) -> SssqResponse:
     """One oracle round: per queried element, 0 off A, rate-theta coin on A."""
-    if plan.m != hidden.m:
-        raise DimensionMismatch(f"plan universe {plan.m} != hidden universe {hidden.m}")
+    if plan.m != A.universe_size:
+        raise DimensionMismatch(f"plan universe {plan.m} != hidden universe {A.universe_size}")
     theta = coin_rate(epsilon, n)
-    members = set(hidden.A.members)
+    members = set(A.members)
     response = []
     for T in plan.queries:
         draws = stream.random(len(T)) if len(T) else []
@@ -182,16 +168,16 @@ def sssq_respond(
 
 
 def sseq_respond(
-    hidden: HiddenSet,
+    A: IndexSet,
     plan: ElementQueryPlan,
     epsilon: float,
     n: int,
     stream: RandomStream,
 ) -> SseqResponse:
     """One oracle round: element i of A answers 1 with the compounded hit rate."""
-    if plan.m != hidden.m:
-        raise DimensionMismatch(f"plan length {plan.m} != hidden universe {hidden.m}")
-    members = set(hidden.A.members)
+    if plan.m != A.universe_size:
+        raise DimensionMismatch(f"plan length {plan.m} != hidden universe {A.universe_size}")
+    members = set(A.members)
     draws = stream.random(plan.m)
     return tuple(
         1 if (i + 1 in members and draws[i] < hit_prob(plan.counts[i], epsilon, n)) else 0
@@ -365,14 +351,12 @@ class ReductionPlan:
 
     Labels 1..m of the set-query universe correspond, in sorted order, to
     the coordinates outside M (``label_coords[label - 1]`` is the original
-    coordinate).  Query ``idx`` falls in class ``class_of[idx]``, whose
-    members are ``classes[class_of[idx]]`` and whose set query is
-    ``set_plan.queries[class_of[idx]]``.
+    coordinate).  String query ``idx`` falls in class ``class_of[idx]``: the
+    queries with one projection on M form a class, numbered by the first
+    query to show it, and class c's set query is ``set_plan.queries[c]``.
     """
 
-    M: IndexSet
     label_coords: tuple[int, ...]
-    classes: tuple[tuple[int, ...], ...]
     class_of: tuple[int, ...]
     set_plan: SetQueryPlan
 
@@ -395,79 +379,61 @@ def build_set_queries(
     m = len(label_coords)
     if m == 0:
         raise InvalidInput("M leaves no coordinates for set queries")
-    label_of = {c: i + 1 for i, c in enumerate(label_coords)}
 
+    # Per class, its first query's code and the coordinates where any of
+    # its queries differs from that one.
     class_index: dict[int, int] = {}
-    classes: list[list[int]] = []
+    bases: list[int] = []
+    diff_masks: list[int] = []
     class_of = []
-    for idx, x in enumerate(X.queries):
+    for x in X.queries:
         addr = address_index(M, x)
         if addr not in class_index:
-            class_index[addr] = len(classes)
-            classes.append([])
+            class_index[addr] = len(bases)
+            bases.append(x.code)
+            diff_masks.append(0)
         c = class_index[addr]
-        classes[c].append(idx)
+        diff_masks[c] |= bases[c] ^ x.code
         class_of.append(c)
 
-    sets = []
-    for group in classes:
-        base = X.queries[group[0]].code
-        diff_mask = 0
-        for idx in group[1:]:
-            diff_mask |= base ^ X.queries[idx].code
-        n = X.n
-        coords = [
-            label_of[c]
-            for c in label_coords
-            if (diff_mask >> (n - c)) & 1
-        ]
-        sets.append(IndexSet.of(m, coords))
-    set_plan = SetQueryPlan(m, tuple(sets))
+    n = X.n
+    set_plan = SetQueryPlan(m, tuple(
+        IndexSet.of(m, [
+            label for label, coord in enumerate(label_coords, start=1)
+            if (diff_mask >> (n - coord)) & 1
+        ])
+        for diff_mask in diff_masks
+    ))
 
     if not force and set_plan.cost > tau * X.q:
         raise InconsistentInput(
             f"cost {set_plan.cost} exceeds tau * q = {tau * X.q} despite a separating M"
         )
     return ReductionPlan(
-        M=M,
         label_coords=tuple(label_coords),
-        classes=tuple(tuple(g) for g in classes),
         class_of=tuple(class_of),
         set_plan=set_plan,
     )
-
-
-class SssqSession:
-    """One logical interrogation of a set-query oracle holding a hidden set."""
-
-    def __init__(self, hidden: HiddenSet, epsilon: float, n: int, stream: RandomStream):
-        self.hidden = hidden
-        self.epsilon = epsilon
-        self.n = n
-        self._stream = stream
-        self._used = False
-
-    def respond(self, plan: SetQueryPlan) -> SssqResponse:
-        if self._used:
-            raise InconsistentInput("a session answers exactly one query plan")
-        self._used = True
-        return sssq_respond(self.hidden, plan, self.epsilon, self.n, self._stream)
 
 
 def simulate_distinguisher(
     X: StringQueryPlan,
     M: IndexSet,
     params: Params,
-    session: SssqSession,
+    respond: Callable[[SetQueryPlan], SssqResponse],
     stream: RandomStream,
 ) -> str:
     """Play the string-query decider against a set-query oracle.
 
-    Submits the reduced set plan, keeps the positions that answered 1, and
-    feeds the decider one fresh uniform random function per class applied
-    to each query's restriction to those positions.  Plans larger than
-    (n/epsilon)^2 queries get a warning: nothing breaks mechanically, but
-    the separation guarantees behind the reduction assume fewer queries.
+    ``respond`` is the oracle: one call answers one set plan, as
+    ``functools.partial(sssq_respond, A, epsilon=..., n=..., stream=...)``
+    does for a hidden set A.  The reduction calls it once, with the reduced
+    set plan: that call is the oracle's one round.  It keeps the positions
+    that answered 1, and feeds the decider one fresh uniform random function
+    per class applied to each query's restriction to those positions.  Plans
+    larger than (n/epsilon)^2 queries get a warning: nothing breaks
+    mechanically, but the separation guarantees behind the reduction assume
+    fewer queries.
     """
     if X.q > (params.n / params.epsilon) ** 2:
         warnings.warn(
@@ -476,7 +442,7 @@ def simulate_distinguisher(
             stacklevel=2,
         )
     plan = build_set_queries(X, M, params.tau)
-    response = session.respond(plan.set_plan)
+    response = respond(plan.set_plan)
     fn_seed = Seed(stream.u64())
     bits = []
     for idx, x in enumerate(X.queries):

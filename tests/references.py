@@ -342,8 +342,8 @@ def per_trial_game(plan, params, trials: int, seed: int, decide=None) -> float:
                                    (tasks.NO, params.q, trials - trials // 2)):
         stream, hits = base.child(side), 0
         for _ in range(count):
-            hidden = tasks.sample_hidden(plan.m, inclusion, stream)
-            hits += decide(respond(hidden, plan, params.epsilon, params.n, stream)) == tasks.YES
+            A = tasks.sample_hidden(plan.m, inclusion, stream)
+            hits += decide(respond(A, plan, params.epsilon, params.n, stream)) == tasks.YES
         rates[side] = hits / count
     return rates[tasks.YES] - rates[tasks.NO]
 
@@ -560,7 +560,7 @@ def digest_counts(f) -> tuple[int, int]:
     assignment of the fiber's coordinates S.
     """
     addresses = 1 << len(f.M)
-    fibers = sum(1 << len(f.fiber_coords(a)) for a in range(1, addresses + 1))
+    fibers = sum(1 << len(f.fiber(a)[0]) for a in range(1, addresses + 1))
     return (1 << f.n) * (len(f.A) + 1), addresses * len(f.A) + fibers
 
 
@@ -574,7 +574,7 @@ def eval_many_digest_counts(f, xs) -> tuple[int, int]:
     values = set()
     for x in xs:
         address = address_index(f.M, x)
-        values.add((address, tuple(x.bit(a) for a in f.fiber_coords(address))))
+        values.add((address, tuple(x.bit(a) for a in f.fiber(address)[0])))
     membership = len({address for address, _ in values}) * len(f.A)
     return membership + len(xs), membership + len(values)
 

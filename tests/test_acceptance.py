@@ -9,6 +9,7 @@ deterministic.
 import math
 import time
 from contextlib import contextmanager
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -35,7 +36,6 @@ from junta_lab.rng import RandomStream, Seed
 from junta_lab.tasks import (
     YES,
     ElementQueryPlan,
-    SssqSession,
     StringQueryPlan,
     build_set_queries,
     exact_optimal_advantage,
@@ -44,6 +44,7 @@ from junta_lab.tasks import (
     sample_hidden,
     set_plan_to_element_counts,
     simulate_distinguisher,
+    sssq_respond,
 )
 
 
@@ -222,9 +223,11 @@ def test_pipeline_matches_direct_simulation():
         stream = RandomStream(Seed(5150), "pipeline")
         pipe_hits = 0
         for j in range(trials):
-            hidden = sample_hidden(params.m, params.p, stream.child(f"h{j}"))
-            session = SssqSession(hidden, params.epsilon, params.n, stream.child(f"s{j}"))
-            if simulate_distinguisher(X, M, params, session, stream.child(f"g{j}")) == YES:
+            A = sample_hidden(params.m, params.p, stream.child(f"h{j}"))
+            oracle = partial(
+                sssq_respond, A, epsilon=params.epsilon, n=params.n, stream=stream.child(f"s{j}")
+            )
+            if simulate_distinguisher(X, M, params, oracle, stream.child(f"g{j}")) == YES:
                 pipe_hits += 1
 
         base = Seed(6060)

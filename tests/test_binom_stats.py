@@ -36,7 +36,7 @@ from junta_lab import binom_stats
 from junta_lab.harness import ExperimentConfig, bound_sweep_cells, desk_params, dtv_sweep
 from junta_lab.params import DESK_SCALE, derive_params
 from junta_lab.rng import RandomStream, Seed
-from junta_lab.tasks import ElementQueryPlan, HiddenSet, sseq_respond
+from junta_lab.tasks import ElementQueryPlan, sseq_respond
 from references import log_pmf, per_term_dtv, pmf
 from junta_lab.boolfn import IndexSet
 
@@ -250,8 +250,8 @@ def test_summary_counts_match_binomial_law():
     for trial in range(rounds):
         stream = base.child(str(trial))
         mask = stream.bernoulli_mask(c_j, params.p)
-        hidden = HiddenSet(c_j, IndexSet.of(c_j, (i + 1 for i in range(c_j) if mask[i])))
-        b = sseq_respond(hidden, plan, params.epsilon, params.n, stream.child("resp"))
+        A = IndexSet.of(c_j, (i + 1 for i in range(c_j) if mask[i]))
+        b = sseq_respond(A, plan, params.epsilon, params.n, stream.child("resp"))
         counts[sum(b)] += 1
     expected = pmf_vector(spec) * rounds
     # merge tail cells with expectation below 5 for a stable statistic
@@ -275,8 +275,8 @@ def test_summary_mean_shift_between_rates():
         for trial in range(rounds):
             sub = stream.child(str(trial))
             mask = sub.bernoulli_mask(c_j, rate)
-            hidden = HiddenSet(c_j, IndexSet.of(c_j, (i + 1 for i in range(c_j) if mask[i])))
-            totals += sum(sseq_respond(hidden, plan, params.epsilon, params.n, sub.child("r")))
+            A = IndexSet.of(c_j, (i + 1 for i in range(c_j) if mask[i]))
+            totals += sum(sseq_respond(A, plan, params.epsilon, params.n, sub.child("r")))
         means[label] = totals / rounds
     lam = bin_hit_prob(j, params.epsilon, params.n)
     expected_shift = (params.q - params.p) * lam * c_j

@@ -5,6 +5,7 @@ import json
 import math
 from contextlib import redirect_stderr, redirect_stdout
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,10 +172,14 @@ def test_game_rejects_unknown_decider(tmp_path, capsys, desk10_file):
         ("strings", json.dumps({"X": "0101010101"})),
         ("strings", json.dumps({"X": {"0101010101": 1}})),
         ("strings", json.dumps({"X": ["0101", "0110"]})),
+        # a plan file holds exactly one plan kind, even where its mode's key is valid
+        ("sseq", json.dumps({"ell": [4] * 8, "X": ["01"]})),
+        ("sssq", json.dumps({"m": 8, "T": [[1, 2]], "ell": [1]})),
+        ("strings", json.dumps({"X": ["0" * 10], "T": [[1]], "ell": [1]})),
     ],
     ids=["not-json", "non-integer-count", "zero-m", "float-count", "string-count",
          "bool-count", "overflowing-count", "float-member", "string-X", "object-X",
-         "short-queries"],
+         "short-queries", "ell-and-X", "T-and-ell", "all-three-kinds"],
 )
 def test_game_rejects_malformed_plan(tmp_path, capsys, desk10_file, mode, text):
     plan = tmp_path / "plan.json"
@@ -253,13 +258,6 @@ def assert_clean_exit(code, out, err):
     else:
         lines = err.splitlines()
         assert code == 2 and len(lines) == 1 and lines[0].startswith("error: "), (code, lines)
-
-
-def run_captured(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
-    return code, out.getvalue(), err.getvalue()
 
 
 # Values a parameter-file field may be replaced with: malformed numbers,
@@ -473,7 +471,11 @@ def test_usage_errors_exit_2(tmp_path, capsys, desk10_file):
     binary = tmp_path / "binary"
     binary.write_bytes(b"\xff\xfe\x00")
     assert_usage_error(capsys, ["dist", "--table", str(binary), "--k", "1"])
-    assert_usage_error(capsys, ["gen", "--dist", "yes", "--params", str(binary)])
+    error = assert_usage_error(capsys, ["gen", "--dist", "yes", "--params", str(binary)])
+    assert error == (
+        f"error: {binary} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff "
+        "in position 0: invalid start byte"
+    )
     assert_usage_error(capsys, ["dist", "--table", str(tmp_path), "--k", "1"])
     # and so is a farness threshold outside (0, 1]
     table = tmp_path / "f.tbl"
@@ -552,3 +554,19 @@ def test_strict_params_file_round_trip(tmp_path, capsys):
     params_mod.save(derive_params(4096, 0.75, 0.1), str(path))
     loaded = params_mod.load(str(path))
     assert loaded.q == 0.6875
+
+
+# Every case's argv and stdout, recorded at a fixed source tree together with
+# the params, plan and table files its argv names (paths relative to the
+# directory).  A change that alters one on purpose rewrites the case and says
+# so in CHANGES.md.
+GOLDEN_CLI = Path(__file__).resolve().parent / "golden" / "cli"
+
+
+def test_cli_outputs_match_the_goldens(monkeypatch, capsys):
+    monkeypatch.chdir(GOLDEN_CLI)
+    cases = json.loads((GOLDEN_CLI / "cases.json").read_text(encoding="utf-8"))
+    assert len(cases) == 25
+    for case in cases:
+        code, out = run_cli(capsys, *case["argv"])
+        assert (code, out) == (0, case["stdout"]), case["argv"]

@@ -12,6 +12,7 @@ from junta_lab.params import (
     STRICT,
     derive_params,
     from_config_text,
+    load,
     to_config_text,
 )
 
@@ -164,3 +165,10 @@ def test_desk_invariants_hold_everywhere(n, alpha, epsilon):
     assert math.isfinite(p.s) and p.s > 0
     # round trip is identity
     assert from_config_text(to_config_text(p)) == p
+
+
+def test_load_rejects_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin.params"
+    path.write_bytes(b"n = \xff\xfe\n")
+    with pytest.raises(InvalidInput, match="is not UTF-8 text"):
+        load(str(path))

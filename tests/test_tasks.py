@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -26,9 +27,7 @@ from junta_lab.tasks import (
     NO,
     YES,
     ElementQueryPlan,
-    HiddenSet,
     SetQueryPlan,
-    SssqSession,
     StringQueryPlan,
     batch_bayes_decider,
     bayes_decide,
@@ -78,23 +77,19 @@ def flat_index(response, plan):
     return int("".join(map(str, bits)) or "0", 2)
 
 
-def hidden_of(m, members):
-    return HiddenSet(m, IndexSet.of(m, members))
-
-
 # ---------------------------------------------------------------- sampling
 
 
 def test_sample_hidden_degenerate():
     stream = RandomStream(Seed(1), "h")
-    assert sample_hidden(5, 0.0, stream).A.members == ()
-    assert sample_hidden(5, 1.0, stream).A.members == (1, 2, 3, 4, 5)
+    assert sample_hidden(5, 0.0, stream).members == ()
+    assert sample_hidden(5, 1.0, stream).members == (1, 2, 3, 4, 5)
 
 
 def test_sample_hidden_mean():
     m, trials = 200, 1000
     base = RandomStream(Seed(2), "hm")
-    sizes = [len(sample_hidden(m, 0.5, base.child(str(j))).A) for j in range(trials)]
+    sizes = [len(sample_hidden(m, 0.5, base.child(str(j)))) for j in range(trials)]
     sigma = math.sqrt(0.25 * m / trials)
     assert abs(float(np.mean(sizes)) - 100.0) <= 5 * sigma
 
@@ -111,8 +106,8 @@ def test_sample_hidden_determinism():
 def test_sssq_zero_cases():
     plan = SetQueryPlan.of(4, [[1, 2], [3]])
     stream = RandomStream(Seed(4), "s")
-    assert sssq_respond(hidden_of(4, []), plan, 0.1, 64, stream) == ((0, 0), (0,))
-    assert sssq_respond(hidden_of(4, [1, 2, 3, 4]), plan, 0.0, 64, stream) == ((0, 0), (0,))
+    assert sssq_respond(IndexSet.of(4, []), plan, 0.1, 64, stream) == ((0, 0), (0,))
+    assert sssq_respond(IndexSet.of(4, [1, 2, 3, 4]), plan, 0.0, 64, stream) == ((0, 0), (0,))
 
 
 def test_sssq_on_set_frequency():
@@ -120,7 +115,7 @@ def test_sssq_on_set_frequency():
     plan = SetQueryPlan.of(m, [range(1, m + 1)])
     # epsilon / sqrt(n) = 0.3
     resp = sssq_respond(
-        hidden_of(m, range(1, m + 1)), plan, 0.3, 1, RandomStream(Seed(5), "f")
+        IndexSet.of(m, range(1, m + 1)), plan, 0.3, 1, RandomStream(Seed(5), "f")
     )
     ones = sum(resp[0])
     sigma = math.sqrt(m * 0.3 * 0.7)
@@ -130,16 +125,16 @@ def test_sssq_on_set_frequency():
 def test_sssq_dimension_mismatch():
     plan = SetQueryPlan.of(5, [[1, 5]])
     with pytest.raises(DimensionMismatch):
-        sssq_respond(hidden_of(4, []), plan, 0.1, 64, RandomStream(Seed(6), "x"))
+        sssq_respond(IndexSet.of(4, []), plan, 0.1, 64, RandomStream(Seed(6), "x"))
 
 
 def test_sseq_zero_and_off_set():
     plan = ElementQueryPlan.of([0, 0, 0])
     stream = RandomStream(Seed(7), "e")
-    assert sseq_respond(hidden_of(3, [1, 2, 3]), plan, 0.9, 4, stream) == (0, 0, 0)
+    assert sseq_respond(IndexSet.of(3, [1, 2, 3]), plan, 0.9, 4, stream) == (0, 0, 0)
     big = ElementQueryPlan.of([50, 50, 50])
     for j in range(20):
-        resp = sseq_respond(hidden_of(3, [2]), big, 0.9, 4, RandomStream(Seed(j), "e2"))
+        resp = sseq_respond(IndexSet.of(3, [2]), big, 0.9, 4, RandomStream(Seed(j), "e2"))
         assert resp[0] == 0 and resp[2] == 0
 
 
@@ -147,7 +142,7 @@ def test_sseq_frequency():
     m = 10_000
     plan = ElementQueryPlan.uniform(m, 1)
     resp = sseq_respond(
-        hidden_of(m, range(1, m + 1)), plan, 0.25, 1, RandomStream(Seed(8), "e3")
+        IndexSet.of(m, range(1, m + 1)), plan, 0.25, 1, RandomStream(Seed(8), "e3")
     )
     ones = sum(resp)
     sigma = math.sqrt(m * 0.25 * 0.75)
@@ -277,7 +272,7 @@ def test_exact_distribution_matches_sampler():
     base = RandomStream(Seed(13), "mc")
     counts = [0] * len(law)
     for j in range(trials):
-        out = sssq_respond(HiddenSet(2, A), plan, 1.2, 4, base.child(str(j)))
+        out = sssq_respond(A, plan, 1.2, 4, base.child(str(j)))
         counts[flat_index(out, plan)] += 1
     for observed, prob in zip(counts, law):
         sigma = math.sqrt(trials * prob * (1 - prob))
@@ -293,7 +288,7 @@ def test_lifted_law_matches_lift_sampler():
     base = RandomStream(Seed(14), "mc2")
     counts = [0] * len(law)
     for j in range(trials):
-        b = sseq_respond(HiddenSet(2, A), ell, 1.2, 4, base.child(f"b{j}"))
+        b = sseq_respond(A, ell, 1.2, 4, base.child(f"b{j}"))
         out = lift_response(b, plan, 1.2, 4, base.child(f"l{j}"))
         counts[flat_index(out, plan)] += 1
     assert abs(math.fsum(law) - 1.0) <= 1e-12
@@ -484,7 +479,7 @@ def test_build_set_queries_single_flip():
     x = BitString.zeros(n)
     X = StringQueryPlan(queries=(x, flip(x, 3)), decider=lambda bits: YES)
     plan = build_set_queries(X, M, tau=20)
-    assert plan.classes == ((0, 1),)
+    assert plan.class_of == (0, 0)
     # coordinate 3 is the first label of the complement (3, 4, ..., 8)
     assert plan.set_plan.queries[0].members == (1,)
     assert plan.label_coords[0] == 3
@@ -496,14 +491,14 @@ def test_build_set_queries_identical_and_singletons():
     x = BitString.zeros(n)
     same = StringQueryPlan(queries=(x, x, x), decider=lambda bits: YES)
     plan = build_set_queries(same, M, tau=10)
-    assert plan.classes == ((0, 1, 2),)
+    assert plan.class_of == (0, 0, 0)
     assert plan.set_plan.queries[0].members == ()
 
     singles = StringQueryPlan(
         queries=(x, flip(x, 1)), decider=lambda bits: YES
     )
     plan = build_set_queries(singles, M, tau=10)
-    assert len(plan.classes) == 2
+    assert plan.class_of == (0, 1)
     assert plan.set_plan.cost == 0
 
 
@@ -536,23 +531,16 @@ def test_build_set_queries_cost_bound():
         assert counts.cost == plan.set_plan.cost
 
 
-def test_session_is_single_use():
-    hidden = hidden_of(3, [1])
-    session = SssqSession(hidden, 0.1, 64, RandomStream(Seed(15), "sess"))
-    plan = SetQueryPlan.of(3, [[1]])
-    session.respond(plan)
-    with pytest.raises(InconsistentInput):
-        session.respond(plan)
-
-
 def test_simulate_distinguisher_constant_decider():
     params = desk(8)
     M = IndexSet.of(8, sorted(range(1, params.t + 1)))
     x = BitString.zeros(8)
     X = StringQueryPlan(queries=(x, flip(x, 8)), decider=lambda bits: YES)
-    hidden = sample_hidden(params.m, params.p, RandomStream(Seed(16), "h"))
-    session = SssqSession(hidden, params.epsilon, params.n, RandomStream(Seed(16), "o"))
-    out = simulate_distinguisher(X, M, params, session, RandomStream(Seed(16), "g"))
+    A = sample_hidden(params.m, params.p, RandomStream(Seed(16), "h"))
+    oracle = partial(
+        sssq_respond, A, epsilon=params.epsilon, n=params.n, stream=RandomStream(Seed(16), "o")
+    )
+    out = simulate_distinguisher(X, M, params, oracle, RandomStream(Seed(16), "g"))
     assert out == YES
 
 
@@ -562,10 +550,12 @@ def test_simulate_distinguisher_warns_on_oversized_plans():
     M = IndexSet.of(6, [1])
     x = BitString.zeros(6)
     X = StringQueryPlan(queries=(x,) * 40, decider=lambda bits: YES)
-    hidden = sample_hidden(params.m, params.p, RandomStream(Seed(30), "h"))
-    session = SssqSession(hidden, params.epsilon, params.n, RandomStream(Seed(30), "o"))
+    A = sample_hidden(params.m, params.p, RandomStream(Seed(30), "h"))
+    oracle = partial(
+        sssq_respond, A, epsilon=params.epsilon, n=params.n, stream=RandomStream(Seed(30), "o")
+    )
     with pytest.warns(UserWarning, match="beyond"):
-        simulate_distinguisher(X, M, params, session, RandomStream(Seed(30), "g"))
+        simulate_distinguisher(X, M, params, oracle, RandomStream(Seed(30), "g"))
 
 
 def test_simulate_distinguisher_empty_live_sets_give_equal_bits():
@@ -584,9 +574,11 @@ def test_simulate_distinguisher_empty_live_sets_give_equal_bits():
         queries=(x, flip(x, outside[0]), flip(x, outside[1])), decider=capture
     )
     for j in range(20):
-        hidden = sample_hidden(params.m, params.p, RandomStream(Seed(j), "h"))
-        session = SssqSession(hidden, params.epsilon, params.n, RandomStream(Seed(j), "o"))
-        simulate_distinguisher(X, M, params, session, RandomStream(Seed(j), "g"))
+        A = sample_hidden(params.m, params.p, RandomStream(Seed(j), "h"))
+        oracle = partial(
+            sssq_respond, A, epsilon=params.epsilon, n=params.n, stream=RandomStream(Seed(j), "o")
+        )
+        simulate_distinguisher(X, M, params, oracle, RandomStream(Seed(j), "g"))
     for bits in seen:
         assert len(set(bits)) == 1
 
@@ -987,9 +979,11 @@ def test_reduction_preserves_the_advantage():
         stream = RandomStream(Seed(808), label)
         hits = 0
         for j in range(trials):
-            hidden = sample_hidden(params.m, inclusion, stream.child(f"h{j}"))
-            session = SssqSession(hidden, params.epsilon, params.n, stream.child(f"s{j}"))
-            if simulate_distinguisher(X, M, params, session, stream.child(f"g{j}")) == YES:
+            A = sample_hidden(params.m, inclusion, stream.child(f"h{j}"))
+            oracle = partial(
+                sssq_respond, A, epsilon=params.epsilon, n=params.n, stream=stream.child(f"s{j}")
+            )
+            if simulate_distinguisher(X, M, params, oracle, stream.child(f"g{j}")) == YES:
                 hits += 1
         return hits / trials
 
