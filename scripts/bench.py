@@ -38,11 +38,14 @@ Sections, in order:
   ``sample_block``) against ``per_trial_string_game`` with the per-seed
   samplers, on the strings job's plan shape with ``parity_yes`` and
   ``all_zero_yes``.
-- ``stream_seeding``: ``STREAMS`` streams from ``RandomStream.many``
-  against one ``RandomStream`` per seed.
+- ``stream_seeding``: the draws each block user makes (the M stream's
+  bounded draws and the A stream's coins as ``sample_block`` makes them
+  at desk n = ``STRINGS_N``, the D1 stream's point reads at three codes
+  as the budget game makes them) on ``STREAMS`` streams, one
+  ``StreamBlock`` against one ``RandomStream`` per seed.
 - ``budget_game``: ``budget_game`` against ``full_table_budget_game``
   (one full ``sample_d1`` table per no-side trial) and against
-  ``point_read_budget_game`` (D1 point reads, one trial at a time).
+  ``point_read_budget_game`` (D1 point reads, one stream per trial).
 - ``seed_derivation``: the strings game one trial at a time and
   ``to_table`` with keyed digest states against ``fresh_sample``
   instances, which build one fresh keyed blake2b per digest (and so
@@ -65,10 +68,10 @@ Sections, in order:
 
 The sizes each section runs at are the module constants below, so a test
 can run every section small.  The script exits 1 if any comparison
-fails, and writes BENCH_18.json at the root of the checkout (BENCH_17.json
-is the previous run; BENCH_2, BENCH_3, BENCH_5, BENCH_6, BENCH_7, BENCH_10,
-BENCH_11, BENCH_12, BENCH_14 and BENCH_15.json are earlier runs, in the
-earlier per-section layout).
+fails, and writes BENCH_21.json at the root of the checkout (BENCH_18.json
+and BENCH_17.json are earlier runs; BENCH_2, BENCH_3, BENCH_5, BENCH_6,
+BENCH_7, BENCH_10, BENCH_11, BENCH_12, BENCH_14 and BENCH_15.json are
+earlier runs, in the earlier per-section layout).
 
 Usage: python scripts/bench.py
 """
@@ -112,7 +115,7 @@ from junta_lab.harness import (
     random_string_plan,
     run_hidden_set_game,
 )
-from junta_lab.rng import RandomStream, Seed
+from junta_lab.rng import RandomStream, Seed, StreamBlock
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))
@@ -139,11 +142,12 @@ from references import (  # noqa: E402
     per_trial_game,
     per_trial_string_game,
     point_read_budget_game,
+    random_at,
     reference_is_separating,
     set_checked_deserialize,
 )
 
-OUTPUT = ROOT / "BENCH_18.json"
+OUTPUT = ROOT / "BENCH_21.json"
 SEED = 1
 REPEATS = {"to_table": 3, "distance": 3, "matching": 3, "kernel": 7, "frontier": 3, "games": 5,
            "strings_game": 11, "stream_seeding": 21, "budget_game": 11, "seed_derivation": 7,
@@ -375,12 +379,26 @@ def strings_game_pairs() -> list[Pair]:
 
 
 def stream_seeding_pairs() -> list[Pair]:
+    """Each block user's draws: M's bounded draws, A's coins and D1's point reads."""
     seeds = Seed(SEED).mixes(range(STREAMS))
+    params = desk_params(STRINGS_N)
+    ranges = list(range(params.n, params.n - params.t, -1))
+    count = params.n - params.t
+    codes = sorted(random.Random(SEED).sample(range(1 << BUDGET_N), 3))
+    cases = {
+        "M": (f"bounded draws over {ranges}",
+              lambda stream: [stream.integers(0, r) for r in ranges],
+              lambda block: block.bounded(ranges).tolist()),
+        "A": (f"random({count})", lambda stream: stream.random(count).tolist(),
+              lambda block: block.random(count).tolist()),
+        "d1": (f"random_at({codes})", lambda stream: random_at(stream, codes),
+               lambda block: block.random_at(codes).tolist()),
+    }
     return [Pair(f"{STREAMS} streams, role {role!r}",
-                 "RandomStream.many against one RandomStream per seed, first random() of each",
-                 lambda role=role: [RandomStream(seed, role).random() for seed in seeds],
-                 lambda role=role: [stream.random() for stream in RandomStream.many(seeds, role)])
-            for role in ("M", "d1")]
+                 f"{label}: StreamBlock against one RandomStream per seed",
+                 lambda role=role, one=one: [one(RandomStream(seed, role)) for seed in seeds],
+                 lambda role=role, block=block: block(StreamBlock(seeds, role)))
+            for role, (label, one, block) in cases.items()]
 
 
 def budget_game_pairs() -> list[Pair]:

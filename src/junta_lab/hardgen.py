@@ -9,14 +9,14 @@ its values of h) is defined point by point by ``StructuredFn.eval``,
 which re-derives it from the seed, so an instance takes O(1) memory
 however many fibers it has.  ``boolfn.to_table`` materializes the same
 values fiber by fiber, deriving each S and each value of h once.
-``sample_block`` draws the instances of a block of seeds, seeding the
-block's M and A streams together (``RandomStream.many``); each equals
-the one-seed sampler's.
+``sample_block`` draws the instances of a block of seeds from the
+block's M and A streams as arrays (``StreamBlock``), with no numpy
+generator per seed; each instance equals the one-seed sampler's.
 
 The two tail distributions produce explicit truth tables: iid
 Bernoulli(3*epsilon) entries, or exactly round(2^n * epsilon) ones placed
-uniformly at random.  ``sample_d1_at`` reads the D1 table at a few points
-without building it.
+uniformly at random.  ``sample_d1_block_at`` reads the D1 tables of a
+block of streams at a few points without building them.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 from .boolfn import NO_STYLE, YES_STYLE, IndexSet, StructuredFn, TruthTable, TABLE_CAP
 from .errors import EpsilonOutOfRange, InvalidInput, TooLarge, WeightOutOfRange
 from .params import Params
-from .rng import RandomStream, Seed
+from .rng import RandomStream, Seed, StreamBlock
 
 __all__ = [
     "sample_yes",
@@ -39,35 +39,20 @@ __all__ = [
     "sample_conditioned",
     "sample_addressing_set",
     "sample_d1",
-    "sample_d1_at",
+    "sample_d1_block_at",
     "sample_d2",
 ]
 
 
-def _drawn_set(params: Params, stream: RandomStream) -> IndexSet:
-    """A uniform size-t subset of [n] from ``stream``, via partial Fisher-Yates."""
+def sample_addressing_set(params: Params, seed: Seed) -> IndexSet:
+    """A uniform size-t subset of [n], via partial Fisher-Yates on the stream ``(seed, "M")``."""
     n, t = params.n, params.t
+    stream = RandomStream(seed, "M")
     arr = list(range(1, n + 1))
     for pos in range(t):
         j = stream.integers(pos, n)
         arr[pos], arr[j] = arr[j], arr[pos]
     return IndexSet(n, tuple(sorted(arr[:t])))
-
-
-def _drawn_instance(
-    params: Params, seed: Seed, M: IndexSet, stream: RandomStream, inclusion: float, kind: str
-) -> StructuredFn:
-    """The instance whose pool A takes one coin of ``stream`` per coordinate outside M."""
-    taken = set(M.members)
-    rest = [i for i in range(1, params.n + 1) if i not in taken]
-    mask = stream.bernoulli_mask(len(rest), inclusion)
-    A = IndexSet(params.n, tuple(compress(rest, mask.tolist())))
-    return StructuredFn(params=params, M=M, A=A, seed=seed, kind=kind)
-
-
-def sample_addressing_set(params: Params, seed: Seed) -> IndexSet:
-    """A uniform size-t subset of [n], via partial Fisher-Yates on the stream ``(seed, "M")``."""
-    return _drawn_set(params, RandomStream(seed, "M"))
 
 
 def sample_conditioned(
@@ -76,9 +61,15 @@ def sample_conditioned(
     """A structured instance with the addressing set held fixed.
 
     A includes each coordinate outside M independently with the given
-    rate; all per-fiber randomness still derives lazily from the seed.
+    rate, one coin of the stream ``(seed, "A")`` per coordinate in
+    increasing order; all per-fiber randomness still derives lazily from
+    the seed.
     """
-    return _drawn_instance(params, seed, M, RandomStream(seed, "A"), inclusion, kind)
+    taken = set(M.members)
+    rest = [i for i in range(1, params.n + 1) if i not in taken]
+    mask = RandomStream(seed, "A").bernoulli_mask(len(rest), inclusion)
+    A = IndexSet(params.n, tuple(compress(rest, mask.tolist())))
+    return StructuredFn(params=params, M=M, A=A, seed=seed, kind=kind)
 
 
 def sample_yes(params: Params, seed: Seed) -> StructuredFn:
@@ -96,15 +87,30 @@ def sample_no(params: Params, seed: Seed) -> StructuredFn:
 def sample_block(params: Params, kind: str, seeds: Sequence[Seed]) -> Iterator[StructuredFn]:
     """``sample_yes`` (kind ``YES_STYLE``) or ``sample_no`` (``NO_STYLE``) at each seed, in order.
 
-    The M and A streams of the whole block are seeded by
-    ``RandomStream.many``, which equals one ``RandomStream`` per seed draw
-    for draw, so each instance is the one the one-seed sampler returns.
-    Instances are made as the iteration reaches them.
+    The block's M and A streams are ``StreamBlock``s, whose rows equal one
+    ``RandomStream`` per seed draw for draw.  M is one Fisher-Yates over
+    the whole block, position ``pos`` swapping with ``pos`` plus each
+    stream's bounded draw over ``n - pos``, as ``sample_addressing_set``
+    draws it; A takes row i of one (seeds, n - t) array of uniforms as
+    seed i's coins, one per coordinate outside M in increasing order.  So
+    each instance is the one the one-seed sampler returns.  The draws are
+    made for the whole block at once, the instances as the iteration
+    reaches them.
     """
+    n, t = params.n, params.t
     inclusion = params.p if kind == YES_STYLE else params.q
-    streams = zip(RandomStream.many(seeds, "M"), RandomStream.many(seeds, "A"))
-    for seed, (m_stream, a_stream) in zip(seeds, streams):
-        yield _drawn_instance(params, seed, _drawn_set(params, m_stream), a_stream, inclusion, kind)
+    rows = np.arange(len(seeds))
+    order = np.tile(np.arange(1, n + 1), (len(seeds), 1))
+    for pos, offset in enumerate(StreamBlock(seeds, "M").bounded(range(n, n - t, -1)).T):
+        swap = pos + offset
+        order[:, pos], order[rows, swap] = order[rows, swap], order[:, pos].copy()
+    coins = StreamBlock(seeds, "A").random(n - t) < inclusion
+    for seed, drawn, mask in zip(seeds, order, coins):
+        # sorted in Python: numpy's sort would load kernels nothing else uses
+        drawn = drawn.tolist()
+        M = IndexSet(n, tuple(sorted(drawn[:t])))
+        A = IndexSet(n, tuple(compress(sorted(drawn[t:]), mask.tolist())))
+        yield StructuredFn(params=params, M=M, A=A, seed=seed, kind=kind)
 
 
 def _check_d1(n: int, epsilon: float) -> None:
@@ -120,28 +126,30 @@ def sample_d1(n: int, epsilon: float, stream: RandomStream) -> TruthTable:
     """Each of the 2^n table bits is independently 1 with probability 3*epsilon.
 
     Entry ``code`` is 1 when the stream's uniform number ``code`` is below
-    3*epsilon.  ``sample_d1_at`` reads the same entries one at a time.
+    3*epsilon.  ``sample_d1_block_at`` reads a few entries of a block of
+    such tables.
     """
     _check_d1(n, epsilon)
     bits = stream.bernoulli_mask(1 << n, 3.0 * epsilon)
     return TruthTable(n, bits.astype(np.uint8))
 
 
-def sample_d1_at(
-    n: int, epsilon: float, stream: RandomStream, codes: Sequence[int]
-) -> tuple[int, ...]:
-    """``sample_d1(n, epsilon, stream).table[codes]``, drawing only the entries read.
+def sample_d1_block_at(
+    n: int, epsilon: float, block: StreamBlock, codes: Sequence[int]
+) -> np.ndarray:
+    """Row i is ``sample_d1(n, epsilon, stream_i).table[codes]`` for stream i of ``block``.
 
     Codes may come in any order and repeat; each distinct code costs one
-    ``RandomStream.random_at`` draw instead of 2^n.
+    uniform per stream (``StreamBlock.random_at``) instead of 2^n.  Shape
+    (streams, codes), uint8.
     """
     _check_d1(n, epsilon)
     distinct = sorted(set(codes))
     if distinct and not 0 <= distinct[0] <= distinct[-1] < 1 << n:
         raise InvalidInput(f"codes must lie in [0, 2^{n}), got {distinct[0]}..{distinct[-1]}")
-    rate = 3.0 * epsilon
-    bit = {code: int(u < rate) for code, u in zip(distinct, stream.random_at(distinct))}
-    return tuple(bit[code] for code in codes)
+    column = {code: j for j, code in enumerate(distinct)}
+    bits = block.random_at(distinct) < 3.0 * epsilon
+    return bits[:, [column[code] for code in codes]].astype(np.uint8)
 
 
 def sample_d2(n: int, epsilon: float, stream: RandomStream) -> TruthTable:

@@ -33,14 +33,14 @@ from .errors import InvalidInput
 from .hardgen import (
     sample_addressing_set,
     sample_d1,
-    sample_d1_at,
+    sample_d1_block_at,
     sample_d2,
     sample_yes,
     sample_no,
 )
-from .junta_distance import dist_to_k_junta
+from .junta_distance import _distance_report, dist_to_k_junta
 from .params import DESK_SCALE, Params, coin_rate, derive_params
-from .rng import RandomStream, Seed
+from .rng import RandomStream, Seed, StreamBlock
 from .tasks import (
     NO,
     YES,
@@ -188,8 +188,9 @@ BlockSampler = Callable[[Sequence[Seed]], Iterable[object]]
 # Cells per block of a hidden-set game's uniform draws: 2^15 float64 cells
 # keep each float temporary at 256 KiB however many trials a game plays.
 # A string-query game seeds its trials in blocks of GAME_BLOCK_CELLS // 128
-# = 256 trials: a block holds each trial's seed and the entropy and state
-# words of its streams, about 330 bytes per trial, so under 100 KiB.
+# = 256 trials: a block holds each trial's seed, the state words of its
+# streams and the arrays drawn from them, about 200 KiB at its peak at
+# desk n = 12.
 GAME_BLOCK_CELLS = 1 << 15
 
 
@@ -235,9 +236,11 @@ def run_game(
     of the game draws its instance from seed ``Seed(seed).mix(i)``: each
     side hands the seeds of its trials to its sampler in blocks of at most
     ``GAME_BLOCK_CELLS // 128`` trials, and each instance is evaluated at
-    the plan's queries as the sampler yields it and then dropped.  A fixed
-    instance gives every trial the same answers, so its side is decided
-    once and derives no seed.
+    the plan's queries as the sampler yields it and then dropped.  The
+    block samplers (``hardgen.sample_block``, the budget game's D1 reads)
+    draw a block's streams as ``StreamBlock`` arrays, so no trial builds a
+    numpy generator.  A fixed instance gives every trial the same answers,
+    so its side is decided once and derives no seed.
     """
     base = Seed(seed)
     queries, decider = algorithm.queries, algorithm.decider
@@ -425,7 +428,9 @@ def _tail_experiment(config: ExperimentConfig, which: str) -> ExperimentReport:
     vertex, so that count is the direction's maximum disjoint matching.
     At k = n - 1 the exact distance is the same count: ``dist_to_k_junta``
     returns the least direction count over 2^n, so a certified sample is
-    far by construction and ``certificate_soundness`` cannot fail.
+    far by construction and ``certificate_soundness`` cannot fail.  The
+    distance reuses the certificate's counts, so each sample takes one
+    edge-count pass.
     Runs at any n that ``dist_to_k_junta`` accepts (n <= DIST_CAP).
     """
     params = config.params
@@ -438,8 +443,9 @@ def _tail_experiment(config: ExperimentConfig, which: str) -> ExperimentReport:
     sound = True
     for j in range(config.trials):
         g = sampler(n, epsilon, base.child(str(j)))
-        is_certified = min(bichromatic_edge_counts(g)) >= threshold
-        rep = dist_to_k_junta(g, n - 1, epsilon)
+        counts = bichromatic_edge_counts(g)
+        is_certified = min(counts) >= threshold
+        rep = _distance_report(g, n - 1, epsilon, counts)
         certified += int(is_certified)
         far += int(bool(rep.far))
         if is_certified and not rep.far:
@@ -473,22 +479,19 @@ def verify_d2(config: ExperimentConfig) -> ExperimentReport:
     return _tail_experiment(config, "verify_d2")
 
 
-@dataclass(frozen=True)
-class _D1Points:
-    """The D1 table of one trial, read only at the points queried.
+class _Answered:
+    """A trial's instance known only by its answers at the game's queries.
 
-    ``eval_many`` answers as ``sample_d1(n, epsilon, stream)`` would,
-    through ``sample_d1_at``, so a trial draws one uniform per distinct
-    query instead of 2^n.  It reads the stream, so each trial calls it
-    once.
+    ``eval_many`` returns those answers, so it serves only that game.
     """
 
-    n: int
-    epsilon: float
-    stream: RandomStream
+    __slots__ = ("answers",)
+
+    def __init__(self, answers: tuple[int, ...]):
+        self.answers = answers
 
     def eval_many(self, xs: Sequence[BitString]) -> tuple[int, ...]:
-        return sample_d1_at(self.n, self.epsilon, self.stream, [x.code for x in xs])
+        return self.answers
 
 
 def budget_game(config: ExperimentConfig) -> ExperimentReport:
@@ -498,10 +501,10 @@ def budget_game(config: ExperimentConfig) -> ExperimentReport:
     all-zero reply; with this few queries the reply is almost always all
     zero on both sides, so the advantage must sit below the set-game
     threshold.  No-side trial ``i`` reads the D1 table of
-    ``RandomStream(Seed(seed).mix(i), "d1")`` at the plan's queries only
-    (``_D1Points``), its streams seeded a block at a time
-    (``RandomStream.many``), so the result equals that of full
-    ``sample_d1`` tables.
+    ``RandomStream(Seed(seed).mix(i), "d1")`` at the plan's queries only:
+    each block of trials is one ``StreamBlock`` read at the plan's
+    distinct codes (``sample_d1_block_at``), so the result equals that of
+    full ``sample_d1`` tables.
     """
     params = config.params
     n, epsilon = params.n, params.epsilon
@@ -511,9 +514,15 @@ def budget_game(config: ExperimentConfig) -> ExperimentReport:
     plan_stream = RandomStream(Seed(config.seed), "budget-game-plan")
     algorithm = random_string_plan(n, budget, plan_stream, all_zero_yes)
 
+    codes = [x.code for x in algorithm.queries]
+
+    def no_side(seeds: Sequence[Seed]) -> Iterable[_Answered]:
+        bits = sample_d1_block_at(n, epsilon, StreamBlock(seeds, "d1"), codes)
+        return map(_Answered, map(tuple, bits.tolist()))
+
     result = run_game(
         yes=TruthTable.constant(n, 0),
-        no=lambda seeds: (_D1Points(n, epsilon, s) for s in RandomStream.many(seeds, "d1")),
+        no=no_side,
         algorithm=algorithm,
         trials=config.trials,
         seed=config.seed,
@@ -705,14 +714,25 @@ def claim53_pairs():
 
 
 def lift_equivalence_sweep(config: ExperimentConfig) -> ExperimentReport:
-    """Exhaustive equivalence of direct and lifted response laws on ``claim53_pairs``."""
+    """Exhaustive equivalence of direct and lifted response laws on ``claim53_pairs``.
+
+    Both laws are products over the queried elements, in element order,
+    of a local law fixed by whether the element is in A and by its count
+    r, so the gap depends only on that sequence of (member, r) pairs; each
+    distinct sequence (85 among the 668 pairs) is computed once.
+    """
     params = config.params
     report = ExperimentReport("claim53")
     worst: dict[int, float] = {}
+    gaps: dict[tuple, float] = {}
     combos = 0
     for m, plan, A in claim53_pairs():
-        gap = lift_equivalence_gap(A, plan, params.epsilon, params.n)
-        worst[m] = max(worst.get(m, 0.0), gap)
+        members = set(A.members)
+        counts = tasks.set_plan_to_element_counts(plan).counts
+        key = tuple((j in members, r) for j, r in enumerate(counts, 1) if r > 0)
+        if key not in gaps:
+            gaps[key] = lift_equivalence_gap(A, plan, params.epsilon, params.n)
+        worst[m] = max(worst.get(m, 0.0), gaps[key])
         combos += 1
     for m, local_max in worst.items():
         report.rows.append({"experiment": "claim53", "m": m, "max_tv_gap": local_max})

@@ -212,6 +212,13 @@ def dist_to_k_junta(f: TruthTable, k: int, epsilon: float | None = None) -> Dist
     A given ``epsilon`` must lie in (0, 1], the parameter domain; the
     report is far when the distance reaches it.
     """
+    return _distance_report(f, k, epsilon)
+
+
+def _distance_report(
+    f: TruthTable, k: int, epsilon: float | None, counts: Sequence[int] | None = None
+) -> DistanceReport:
+    """``dist_to_k_junta(f, k, epsilon)``, given ``bichromatic_edge_counts(f)`` when known."""
     n = f.n
     if n > DIST_CAP:
         raise TooLarge(f"n = {n} exceeds the exact-distance cap {DIST_CAP}")
@@ -219,7 +226,8 @@ def dist_to_k_junta(f: TruthTable, k: int, epsilon: float | None = None) -> Dist
         raise InvalidInput(f"k must be in [0, n], got {k}")
     if epsilon is not None and not 0.0 < epsilon <= 1.0:
         raise InvalidInput(f"epsilon must be in (0, 1], got {epsilon}")
-    counts = bichromatic_edge_counts(f)
+    if counts is None:
+        counts = bichromatic_edge_counts(f)
     relevant = [i for i, count in enumerate(counts, 1) if count]
     if len(relevant) <= k:
         others = [i for i in range(1, n + 1) if i not in relevant]

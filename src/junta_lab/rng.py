@@ -11,10 +11,12 @@ through one of two mechanisms:
   state.  ``derive_u64`` and ``derive_bit`` are its one-shot forms.
 * ``RandomStream``: a PCG64 generator whose state is derived from
   ``(seed, role)``.  Used for bulk sampling where a stateful stream is the
-  natural fit (subset draws, Monte-Carlo trials).  ``RandomStream(seed,
-  role)`` seeds one stream; ``RandomStream.many`` seeds a block of streams,
-  one per seed, with one pass of numpy's SeedSequence mixing over the whole
-  block, and each of its streams equals the one-seed stream draw for draw.
+  natural fit (subset draws, Monte-Carlo trials).  ``StreamBlock(seeds,
+  role)`` holds the streams of a block of seeds, one per seed, as uint64
+  arrays of PCG64 states: one pass of numpy's SeedSequence mixing seeds the
+  whole block, and its doubles, point reads and bounded integers are array
+  arithmetic over the block, each row equal to the one-seed stream's draws
+  with no numpy generator built.
 
 Distinct role labels give computationally independent streams; the same
 seed and role always reproduce the same draws.
@@ -25,7 +27,8 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -260,22 +263,167 @@ def _pcg64_states(entropy: np.ndarray) -> np.ndarray:
     return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
-class _StateWords:
-    """One row of ``_pcg64_states``, handed to PCG64 in place of a SeedSequence.
+# PCG64's 128-bit multiplier (numpy's PCG_DEFAULT_MULTIPLIER_128).
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_U128 = 1 << 128
+_M32 = np.uint64(0xFFFFFFFF)
 
-    PCG64 asks its seed sequence for 4 uint64 words once, when it is built,
-    and takes any registered ``ISeedSequence``.  ``RandomStream.many``
-    registers this class on use, so importing the package does not load
-    numpy.random.
+
+def _words(values: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """128-bit integers as a (high, low) pair of uint64 arrays."""
+    return (np.array([v >> 64 for v in values], dtype=np.uint64),
+            np.array([v & (_U64 - 1) for v in values], dtype=np.uint64))
+
+
+def _mul_hi(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The high 64 bits of each product x * y of uint64 words, from 32-bit halves."""
+    x0, x1, y0, y1 = x & _M32, x >> 32, y & _M32, y >> 32
+    # at most (2^32 - 1)^2 + 2 (2^32 - 1) = 2^64 - 1, so it cannot wrap
+    middle = x1 * y0 + (x0 * y0 >> 32) + (x0 * y1 & _M32)
+    return x1 * y1 + (x0 * y1 >> 32) + (middle >> 32)
+
+
+def _mul(a: tuple, b: tuple) -> tuple:
+    """a * b mod 2^128, each a (high, low) pair of uint64 arrays (broadcast together)."""
+    (a_hi, a_lo), (b_hi, b_lo) = a, b
+    return _mul_hi(a_lo, b_lo) + a_lo * b_hi + a_hi * b_lo, a_lo * b_lo
+
+
+def _add(a: tuple, b: tuple) -> tuple:
+    """a + b mod 2^128, each a (high, low) pair of uint64 arrays."""
+    low = a[1] + b[1]
+    return a[0] + b[0] + (low < b[1]), low
+
+
+def _output(state: tuple) -> np.ndarray:
+    """PCG64's XSL-RR output: the state's two words XORed, rotated right by its top 6 bits."""
+    high, low = state
+    turn = high >> 58
+    word = high ^ low
+    return (word >> turn) | (word << ((64 - turn) & 63))
+
+
+_MULT_WORDS = _words([_PCG_MULT])
+
+
+@lru_cache(maxsize=256)
+def _jump(steps: int) -> tuple[int, int]:
+    """(a^steps, 1 + a + ... + a^(steps - 1)) mod 2^128, a being PCG64's multiplier.
+
+    ``steps`` steps of s -> a s + inc take s to a^steps s + (the sum) inc.
+    The sum is (a^steps - 1) / (a - 1), and a^steps taken modulo
+    (a - 1) 2^128 keeps that division exact modulo 2^128.
+    """
+    power = pow(_PCG_MULT, steps, (_PCG_MULT - 1) << 128)
+    return power % _U128, (power - 1) // (_PCG_MULT - 1) % _U128
+
+
+class StreamBlock:
+    """``RandomStream(seed, role)`` for each seed of a block, drawn as arrays.
+
+    The block holds each stream's PCG64 state and increment as uint64
+    arrays, seeded as ``PCG64`` seeds itself: one pass of SeedSequence's
+    mixing over the block's entropy words (``_pcg64_states``), then
+    numpy's ``pcg64_set_seed``.  It also holds numpy's buffered 32-bit
+    word, the high half of an output a 32-bit draw has not read yet.  Every
+    draw is array arithmetic over the whole block, row i of each result
+    being what stream i returns draw for draw, so no numpy bit generator
+    is built.  Reads jump each stream to the positions they need, so they
+    suit short reads: a read of P values takes arrays of shape
+    (streams, P).
     """
 
-    __slots__ = ("words",)
+    def __init__(self, seeds: Sequence[Seed], role: str):
+        person = _person(role)
+        entropy = b"".join([_stream_entropy(seed, person)[::-1] for seed in seeds])
+        words = _pcg64_states(np.frombuffer(entropy, dtype="<u4").reshape(-1, 4))
+        # PCG64 takes words 0-1 as its initial state and 2-3 as its sequence,
+        # high word first; the increment is 2 * sequence + 1, and the state
+        # starts at (increment + initial state) * a + increment.
+        self._inc = ((words[:, 2] << 1) | (words[:, 3] >> 63), (words[:, 3] << 1) | 1)
+        self._state = _add(_mul(_add(self._inc, (words[:, 0], words[:, 1])), _MULT_WORDS),
+                           self._inc)
+        self._has_word = np.zeros(len(words), dtype=bool)
+        self._word = np.zeros(len(words), dtype=np.uint64)
 
-    def __init__(self, words: np.ndarray):
-        self.words = words
+    def __len__(self) -> int:
+        return len(self._word)
 
-    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
-        return self.words
+    def _states_at(self, positions: Sequence[int]) -> tuple:
+        """Each stream's state after ``positions[j] + 1`` outputs: a (streams, P) array pair."""
+        mult, add = zip(*[_jump(pos + 1) for pos in positions])
+        state, inc = [tuple(word[:, None] for word in pair) for pair in (self._state, self._inc)]
+        return _add(_mul(state, _words(mult)), _mul(inc, _words(add)))
+
+    def random_at(self, positions: Sequence[int]) -> np.ndarray:
+        """The doubles ``random(size)`` would put at the given strictly increasing positions.
+
+        Shape (streams, positions).  Each stream then stands just past the
+        last position; its buffered 32-bit word, which ``random`` leaves
+        alone, stays.
+        """
+        positions = list(positions)
+        for before, pos in zip([-1] + positions, positions):
+            if pos <= before:
+                raise InvalidInput(f"positions must be strictly increasing and >= 0, got {pos}")
+        if not positions:
+            return np.empty((len(self), 0))
+        state = self._states_at(positions)
+        self._state = (state[0][:, -1].copy(), state[1][:, -1].copy())
+        return (_output(state) >> 11) * 2.0**-53
+
+    def random(self, count: int) -> np.ndarray:
+        """The next ``count`` doubles of each stream: shape (streams, count)."""
+        if count < 0:
+            raise InvalidInput(f"count must be non-negative, got {count}")
+        return self.random_at(range(count))
+
+    def bounded(self, ranges: Sequence[int]) -> np.ndarray:
+        """Column j of row i is stream i's ``integers(0, ranges[j])``, the draws made in order.
+
+        numpy draws a range r in [1, 2^32] from 32-bit words, each output
+        giving its low half and then its high half, which it buffers.  A
+        range of 1 reads no word; otherwise Lemire's method takes the high
+        half of word * r, and rejects the word, reading the next, when the
+        low half falls below 2^32 mod r.  The words come from a buffer of
+        each stream's next outputs, extended when rejections run a stream
+        past it.  Shape (streams, ranges), int64.
+        """
+        for r in ranges:
+            if not 1 <= r <= 1 << 32:
+                raise InvalidInput(f"ranges must lie in [1, 2^32], got {r}")
+        rows = np.arange(len(self))
+        out = np.zeros((len(self), len(ranges)), dtype=np.int64)
+        # column 0 is the buffered word; column 2k + 1 (2k + 2) is the low
+        # (high) half of output k, whose state is column k of `states`
+        words = self._word[:, None]
+        states = (words[:, :0], words[:, :0])
+        cursor = np.where(self._has_word, 0, 1)
+        needed = sum(r > 1 for r in ranges)
+        for j, r in enumerate(ranges):
+            if r == 1:
+                continue
+            pending = rows
+            while len(pending):
+                if cursor[pending].max() >= words.shape[1]:
+                    start = states[0].shape[1]
+                    more = self._states_at(range(start, start + (needed + 1) // 2))
+                    halves = _output(more)[:, :, None] >> np.array([0, 32], dtype=np.uint64)
+                    words = np.hstack([words, (halves & _M32).reshape(len(self), -1)])
+                    states = (np.hstack([states[0], more[0]]), np.hstack([states[1], more[1]]))
+                scaled = words[pending, cursor[pending]] * np.uint64(r)
+                cursor[pending] += 1
+                taken = (scaled & _M32) >= (1 << 32) % r
+                out[pending[taken], j] = scaled[taken] >> 32
+                pending = pending[~taken]
+        read = cursor // 2
+        if states[0].shape[1]:
+            last = np.maximum(read - 1, 0)
+            self._state = tuple(np.where(read > 0, s[rows, last], old)
+                                for s, old in zip(states, self._state))
+        self._word = words[rows, 2 * read]
+        self._has_word = cursor % 2 == 0
+        return out
 
 
 class RandomStream:
@@ -283,6 +431,7 @@ class RandomStream:
 
     The generator's seed is the 16-byte blake2b digest of ``b"stream"``
     keyed by the seed and personalized by the role (see ``_generator``).
+    ``StreamBlock`` draws the same streams for a block of seeds.
     """
 
     def __init__(self, seed: Seed, role: str):
@@ -290,52 +439,12 @@ class RandomStream:
         self.role = role
         self._gen = _generator(_stream_entropy(seed, _person(role)))
 
-    @classmethod
-    def many(cls, seeds: Sequence[Seed], role: str) -> Iterator["RandomStream"]:
-        """``RandomStream(seed, role)`` for each seed in order, seeded as one block.
-
-        The block's entropy words go through SeedSequence's mixing once
-        (``_pcg64_states``), and each PCG64 is built from its row of state
-        words, which skips numpy's per-object SeedSequence.  Streams are
-        built as the iteration reaches them, so the block holds only its
-        state words, 32 bytes per seed, and each PCG64 lives as long as its
-        stream.  The block pass has a fixed cost of a few one-seed streams,
-        so short loops seed one stream at a time.
-        """
-        np.random.bit_generator.ISeedSequence.register(_StateWords)
-        person = _person(role)
-        entropy = b"".join([_stream_entropy(seed, person)[::-1] for seed in seeds])
-        states = _pcg64_states(np.frombuffer(entropy, dtype="<u4").reshape(-1, 4))
-        for seed, words in zip(seeds, states):
-            stream = cls.__new__(cls)
-            stream.seed, stream.role = seed, role
-            stream._gen = np.random.Generator(np.random.PCG64(_StateWords(words)))
-            yield stream
-
     def child(self, label: str) -> "RandomStream":
         """An independent stream scoped under this one."""
         return RandomStream(self.seed, f"{self.role}/{label}")
 
     def random(self, size: int | None = None):
         return self._gen.random(size)
-
-    def random_at(self, positions) -> list[float]:
-        """The doubles ``random(size)`` would put at the given strictly increasing positions.
-
-        Each double takes one step of PCG64, so the stream jumps over each
-        gap with ``advance`` and draws one value per position; the stream
-        then stands just past the last position.
-        """
-        bit_generator = self._gen.bit_generator
-        out = []
-        at = 0
-        for pos in positions:
-            if pos < at:
-                raise InvalidInput(f"positions must be strictly increasing and >= 0, got {pos}")
-            bit_generator.advance(pos - at)
-            out.append(self._gen.random())
-            at = pos + 1
-        return out
 
     def integers(self, low: int, high: int) -> int:
         """Uniform integer in [low, high)."""

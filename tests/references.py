@@ -32,7 +32,9 @@ the lifting as a sampler, whose law ``dict_lifted_law`` writes down.
 
 ``per_trial_string_game`` is ``harness.run_game`` as one loop over the
 trials, each instance sampled from its own seed; the budget-game
-references play ``budget_game`` through it.
+references play ``budget_game`` through it, each no-side trial on its
+own stream, drawing its whole D1 table or reading it at the queries
+(``sample_d1_at`` over the one-stream ``random_at``).
 
 Several references patch a module attribute for the length of one call
 (``count_adds``, ``fresh_digests``, ``counted_digests``) and restore it
@@ -387,9 +389,45 @@ def full_table_budget_game(config) -> str:
     return _per_trial_budget_game(config, sample_d1)
 
 
+def random_at(stream: RandomStream, positions) -> list[float]:
+    """The doubles ``stream.random(size)`` would put at the given strictly increasing positions.
+
+    One stream at a time: its bit generator ``advance``s over each gap and
+    draws one value per position, so the stream then stands just past the
+    last position.  ``StreamBlock.random_at`` reads a block of streams.
+    """
+    bit_generator = stream._gen.bit_generator
+    out, at = [], 0
+    for pos in positions:
+        bit_generator.advance(pos - at)
+        out.append(stream.random())
+        at = pos + 1
+    return out
+
+
+def sample_d1_at(n: int, epsilon: float, stream: RandomStream, codes) -> tuple[int, ...]:
+    """``sample_d1(n, epsilon, stream).table[codes]`` from one ``random_at`` per distinct code.
+
+    The one-stream point read that ``hardgen.sample_d1_block_at`` replaced.
+    """
+    distinct = sorted(set(codes))
+    bit = {code: int(u < 3.0 * epsilon) for code, u in zip(distinct, random_at(stream, distinct))}
+    return tuple(bit[code] for code in codes)
+
+
+class D1Points:
+    """One no-side trial's D1 table, read only at the points queried, through ``sample_d1_at``."""
+
+    def __init__(self, n: int, epsilon: float, stream: RandomStream):
+        self.n, self.epsilon, self.stream = n, epsilon, stream
+
+    def eval_many(self, xs) -> tuple[int, ...]:
+        return sample_d1_at(self.n, self.epsilon, self.stream, [x.code for x in xs])
+
+
 def point_read_budget_game(config) -> str:
     """``budget_game``'s CSV, one trial at a time, each no-side trial reading D1 at the queries only."""
-    return _per_trial_budget_game(config, harness._D1Points)
+    return _per_trial_budget_game(config, D1Points)
 
 
 def cli_calls(argv, calls: int, fresh_parser: bool) -> list[tuple[int, str]]:

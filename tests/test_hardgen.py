@@ -12,14 +12,14 @@ from junta_lab.errors import EpsilonOutOfRange, InvalidInput, TooLarge, WeightOu
 from junta_lab.hardgen import (
     sample_block,
     sample_d1,
-    sample_d1_at,
+    sample_d1_block_at,
     sample_d2,
     sample_no,
     sample_yes,
 )
 from junta_lab.params import DESK_SCALE, derive_params
-from junta_lab.rng import RandomStream, Seed, derive_bit, pack_ints
-from references import complement_sample
+from junta_lab.rng import RandomStream, Seed, StreamBlock, derive_bit, pack_ints
+from references import complement_sample, sample_d1_at
 
 
 def desk(n, epsilon=0.1):
@@ -187,9 +187,13 @@ def d1_reads(draw):
 @given(read=d1_reads(), seed=st.integers(min_value=0, max_value=2**64 - 1))
 def test_d1_point_reads_equal_the_full_table(read, seed):
     n, epsilon, codes = read
-    table = sample_d1(n, epsilon, RandomStream(Seed(seed), "d1")).table
-    points = sample_d1_at(n, epsilon, RandomStream(Seed(seed), "d1"), codes)
-    assert points == tuple(int(b) for b in table[codes])
+    seeds = [Seed(seed), Seed(seed ^ 1)]
+    points = sample_d1_block_at(n, epsilon, StreamBlock(seeds, "d1"), codes)
+    assert points.shape == (len(seeds), len(codes))
+    for s, row in zip(seeds, points.tolist()):
+        table = sample_d1(n, epsilon, RandomStream(s, "d1")).table
+        assert row == [int(b) for b in table[codes]]
+        assert tuple(row) == sample_d1_at(n, epsilon, RandomStream(s, "d1"), codes)
 
 
 def test_d1_point_reads_compare_strictly():
@@ -204,21 +208,21 @@ def test_d1_point_reads_compare_strictly():
             break
     epsilon = exact[0]
     assert sample_d1(n, epsilon, RandomStream(Seed(9), "d1")).table[code] == 0
-    assert sample_d1_at(n, epsilon, RandomStream(Seed(9), "d1"), [code]) == (0,)
+    assert sample_d1_block_at(n, epsilon, StreamBlock([Seed(9)], "d1"), [code]).tolist() == [[0]]
 
 
 def test_d1_point_reads_domain():
-    stream = RandomStream(Seed(5), "x")
-    assert sample_d1_at(8, 0.05, stream, []) == ()
+    block = StreamBlock([Seed(5), Seed(6)], "x")
+    assert sample_d1_block_at(8, 0.05, block, []).shape == (2, 0)
     with pytest.raises(EpsilonOutOfRange):
-        sample_d1_at(8, 0.25, stream, [1])
+        sample_d1_block_at(8, 0.25, block, [1])
     with pytest.raises(EpsilonOutOfRange):
-        sample_d1_at(8, 0.0, stream, [1])
+        sample_d1_block_at(8, 0.0, block, [1])
     with pytest.raises(TooLarge):
-        sample_d1_at(25, 0.05, stream, [1])
+        sample_d1_block_at(25, 0.05, block, [1])
     for n, codes in ((0, [0]), (8, [256]), (8, [3, -1])):
         with pytest.raises(InvalidInput):
-            sample_d1_at(n, 0.05, stream, codes)
+            sample_d1_block_at(n, 0.05, block, codes)
 
 
 def test_d2_exact_weight():

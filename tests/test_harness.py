@@ -158,6 +158,25 @@ def test_run_game_keeps_one_instance_alive_at_a_time():
     assert alive[0] == 0 and most[0] <= 2
 
 
+def test_block_games_build_no_bit_generator(monkeypatch):
+    # block streams are arrays: the strings game builds no PCG64 at all, and
+    # the budget game builds one, for its plan, however many trials it plays
+    plan = strings_plan(4, parity_yes)
+    built = []
+    numpy_pcg64 = np.random.PCG64
+
+    def counted(*args):
+        built.append(args)
+        return numpy_pcg64(*args)
+
+    monkeypatch.setattr(np.random, "PCG64", counted)
+    run_game(partial(sample_block, STRINGS_PARAMS, YES_STYLE),
+             partial(sample_block, STRINGS_PARAMS, NO_STYLE), plan, 600, 2)
+    assert built == []
+    run_experiment(budget_config(1, trials=600))
+    assert len(built) == 1
+
+
 def test_game_result_json_shape():
     result = GameResult(0.1, 0.0, 0.2, 10, 10, 3)
     assert result.as_json_dict() == {

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from junta_lab.rng import (
     KeyedDigest,
     RandomStream,
     Seed,
+    StreamBlock,
     _generator,
     byte_limit,
     derive_bit,
@@ -20,6 +22,7 @@ from junta_lab.rng import (
 from references import (
     general_encoding,
     integer_seeded_generator,
+    random_at,
     reference_bit,
     reference_digest,
     reference_stream_entropy,
@@ -232,27 +235,112 @@ def first_draws(stream):
     return (stream.random(), stream.integers(0, 1000), stream.bernoulli_mask(8, 0.5).tolist())
 
 
+def first_block_draws(block):
+    """``first_draws`` of each stream of a block, drawn as the block's arrays."""
+    first = block.random(1)[:, 0].tolist()
+    bounded = block.bounded([1000])[:, 0].tolist()
+    coins = (block.random(8) < 0.5).tolist()
+    return list(zip(first, bounded, coins))
+
+
+def block_states(block):
+    """Each stream's PCG64 (state, increment) as integers."""
+    (state_hi, state_lo), (inc_hi, inc_lo) = block._state, block._inc
+    return [(int(a) << 64 | int(b), int(c) << 64 | int(d))
+            for a, b, c, d in zip(state_hi, state_lo, inc_hi, inc_lo)]
+
+
+def numpy_state(generator):
+    state = generator.bit_generator.state["state"]
+    return state["state"], state["inc"]
+
+
 @pytest.mark.parametrize("role", ["M", "d1", LONG_ROLE, ""])
 def test_many_streams_equal_the_per_seed_streams(role):
-    # the block's SeedSequence pass reproduces numpy's per-object seeding
+    # the block's SeedSequence pass and 128-bit seeding reproduce numpy's
+    # per-object seeding
     assert len(MANY_SEEDS) >= 200
-    streams = list(RandomStream.many(MANY_SEEDS, role))
-    assert len(streams) == len(MANY_SEEDS)
-    for seed, stream in zip(MANY_SEEDS, streams):
-        assert (stream.seed, stream.role) == (seed, role)
+    block = StreamBlock(MANY_SEEDS, role)
+    assert len(block) == len(MANY_SEEDS)
+    for seed, state in zip(MANY_SEEDS, block_states(block)):
         one = RandomStream(seed, role)
         reference = integer_seeded_generator(reference_stream_entropy(seed, role))
-        assert stream._gen.bit_generator.state == one._gen.bit_generator.state
-        assert stream._gen.bit_generator.state == reference.bit_generator.state
-        assert first_draws(stream) == first_draws(one)
+        assert state == numpy_state(one._gen) == numpy_state(reference)
+    per_seed = [first_draws(RandomStream(seed, role)) for seed in MANY_SEEDS]
+    assert first_block_draws(block) == per_seed
 
 
 def test_many_streams_of_a_split_block_are_the_same_streams():
-    whole = [first_draws(s) for s in RandomStream.many(MANY_SEEDS, "A")]
-    split = [first_draws(s) for start in range(0, len(MANY_SEEDS), 7)
-             for s in RandomStream.many(MANY_SEEDS[start:start + 7], "A")]
+    whole = first_block_draws(StreamBlock(MANY_SEEDS, "A"))
+    split = [row for start in range(0, len(MANY_SEEDS), 7)
+             for row in first_block_draws(StreamBlock(MANY_SEEDS[start:start + 7], "A"))]
     assert split == whole
-    assert list(RandomStream.many([], "A")) == []
+    empty = StreamBlock([], "A")
+    assert len(empty) == 0
+    assert empty.random(3).shape == (0, 3)
+    assert empty.random_at([2, 5]).shape == (0, 2)
+    assert empty.bounded([5, 1]).shape == (0, 2)
+
+
+DRAWS = st.one_of(
+    st.tuples(st.just("random"), st.integers(0, 5)),
+    st.tuples(st.just("random_at"), st.sets(st.integers(0, 300), max_size=4).map(sorted)),
+    st.tuples(st.just("bounded"), st.lists(
+        st.one_of(st.integers(1, 40), st.integers(1, 2**32), st.sampled_from([2**31 + 1, 2**32])),
+        max_size=6)),
+)
+
+
+def stream_draws(stream, draws):
+    """The values ``draws`` gives on one ``RandomStream``, draw after draw."""
+    out = []
+    for kind, arg in draws:
+        if kind == "random":
+            out.append(stream.random(arg).tolist())
+        elif kind == "random_at":
+            # random(size), not the reference random_at: numpy's advance
+            # drops the buffered 32-bit word that random(size) keeps
+            full = stream.random(arg[-1] + 1) if arg else []
+            out.append([full[p] for p in arg])
+        else:
+            out.append([stream.integers(0, r) for r in arg])
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6),
+       draws=st.lists(DRAWS, max_size=6))
+def test_block_draws_equal_the_per_seed_streams(seeds, draws):
+    # random, random_at and bounded, interleaved in any order: a bounded
+    # draw's buffered high half must survive the doubles drawn after it
+    seeds = [Seed(v) for v in seeds]
+    block = StreamBlock(seeds, "r")
+    rows = [[] for _ in seeds]
+    for kind, arg in draws:
+        for row, values in zip(rows, getattr(block, kind)(arg).tolist()):
+            row.append(values)
+    assert rows == [stream_draws(RandomStream(seed, "r"), draws) for seed in seeds]
+
+
+@pytest.mark.parametrize("r", [2**31 + 1, 3 * 2**30, 2**32 - 1])
+def test_bounded_draw_rejects_as_numpy_does(r):
+    # 2^32 mod r words of 2^32 are rejected: about a half, a quarter and
+    # none of them for these ranges, which desk ranges never approach
+    seeds = Seed(7).mixes(range(64))
+    block = StreamBlock(seeds, "M")
+    drawn = np.hstack([block.bounded([r] * 25), block.bounded([5, r, 1, 2**32] * 5)])
+    for seed, row in zip(seeds, drawn.tolist()):
+        stream = RandomStream(seed, "M")
+        expected = stream.integers_array(0, r, 25).tolist()
+        expected += [stream.integers(0, high) for high in [5, r, 1, 2**32] * 5]
+        assert row == expected
+
+
+def test_bounded_draw_ranges_lie_in_1_to_2_32():
+    block = StreamBlock([Seed(1)], "M")
+    for r in (0, -3, 2**32 + 1):
+        with pytest.raises(InvalidInput):
+            block.bounded([4, r])
 
 
 def test_seed_mixes_equal_seed_mix():
@@ -297,20 +385,25 @@ def test_sample_without_replacement():
     positions=st.sets(st.integers(min_value=0, max_value=4095), max_size=12),
 )
 def test_random_at_equals_the_full_draw(seed, positions):
-    full = RandomStream(Seed(seed), "r").random(4096)
+    seeds = [Seed(seed), Seed(seed ^ 1)]
     ordered = sorted(positions)
-    assert RandomStream(Seed(seed), "r").random_at(ordered) == [full[p] for p in ordered]
+    got = StreamBlock(seeds, "r").random_at(ordered).tolist()
+    for s, row in zip(seeds, got):
+        full = RandomStream(s, "r").random(4096)
+        assert row == [full[p] for p in ordered] == random_at(RandomStream(s, "r"), ordered)
 
 
 def test_random_at_leaves_the_stream_past_the_last_position():
     full = RandomStream(Seed(2), "r").random(10)
-    stream = RandomStream(Seed(2), "r")
-    assert stream.random_at([0, 3]) == [full[0], full[3]]
-    assert stream.random(2).tolist() == full[4:6].tolist()
-    assert RandomStream(Seed(2), "r").random_at([]) == []
+    block = StreamBlock([Seed(2)], "r")
+    assert block.random_at([0, 3]).tolist() == [[full[0], full[3]]]
+    assert block.random(2).tolist() == [full[4:6].tolist()]
+    assert StreamBlock([Seed(2)], "r").random_at([]).shape == (1, 0)
 
 
 def test_random_at_rejects_unsorted_or_negative_positions():
     for positions in ([3, 1], [2, 2], [-1]):
         with pytest.raises(InvalidInput):
-            RandomStream(Seed(2), "r").random_at(positions)
+            StreamBlock([Seed(2)], "r").random_at(positions)
+    with pytest.raises(InvalidInput):
+        StreamBlock([Seed(2)], "r").random(-1)
