@@ -65,13 +65,17 @@ Sections, in order:
   where the fiberwise form derives one per query
   (``eval_many_digest_counts``).  The before sides share today's
   ``pack_ints``, so they run a little faster than the code they stand for.
+- ``verify_sampling``: the instances ``verify_yes`` and ``verify_no``
+  draw, yes and no at desk n = ``DESK_N`` on ``VERIFY_SEEDS`` seeds:
+  ``sample_block`` on the whole block against one ``sample_yes`` or
+  ``sample_no`` call per seed; sampling derives no digest.
 
 The sizes each section runs at are the module constants below, so a test
 can run every section small.  The script exits 1 if any comparison
-fails, and writes BENCH_21.json at the root of the checkout (BENCH_18.json
-and BENCH_17.json are earlier runs; BENCH_2, BENCH_3, BENCH_5, BENCH_6,
-BENCH_7, BENCH_10, BENCH_11, BENCH_12, BENCH_14 and BENCH_15.json are
-earlier runs, in the earlier per-section layout).
+fails, and writes BENCH_22.json at the root of the checkout (BENCH_21.json,
+BENCH_18.json and BENCH_17.json are earlier runs; BENCH_2, BENCH_3,
+BENCH_5, BENCH_6, BENCH_7, BENCH_10, BENCH_11, BENCH_12, BENCH_14 and
+BENCH_15.json are earlier runs, in the earlier per-section layout).
 
 Usage: python scripts/bench.py
 """
@@ -147,11 +151,11 @@ from references import (  # noqa: E402
     set_checked_deserialize,
 )
 
-OUTPUT = ROOT / "BENCH_21.json"
+OUTPUT = ROOT / "BENCH_22.json"
 SEED = 1
 REPEATS = {"to_table": 3, "distance": 3, "matching": 3, "kernel": 7, "frontier": 3, "games": 5,
            "strings_game": 11, "stream_seeding": 21, "budget_game": 11, "seed_derivation": 7,
-           "explicit_tables": 21, "tail": 7, "structured": 21}
+           "explicit_tables": 21, "tail": 7, "structured": 21, "verify_sampling": 21}
 SAMPLERS = {"yes": sample_yes, "no": sample_no}
 D2_EPSILON = 0.1
 COMPARED, FAST_ONLY = (10, 12, 14, 16), (20, 24)
@@ -176,6 +180,7 @@ DTV_ARGV = ["dtv", "--c", "1", "--p", "0.5", "--q", "0.75", "--lambda", "1.0"]
 TAIL_N = (16, 18, 20)
 STRUCTURED_CASES = ((10, 0.1), (12, 0.1), (14, 0.1), (12, 1.0))
 STRUCTURED_PER_KIND, STRUCTURED_QUERIES = 10, 16
+VERIFY_SEEDS = (10, 20, 256)
 
 
 class Pair(NamedTuple):
@@ -511,6 +516,22 @@ def structured_pairs() -> list[Pair]:
     return pairs
 
 
+def verify_sampling_pairs() -> list[Pair]:
+    p = desk_params(DESK_N)
+    pairs = []
+    for count in VERIFY_SEEDS:
+        seeds = Seed(SEED).mixes(range(count))
+        for kind, style in (("yes", YES_STYLE), ("no", NO_STYLE)):
+            pairs.append(Pair(
+                f"{kind}, {count} seeds",
+                f"desk n = {DESK_N}, seeds Seed({SEED}).mix(0..{count - 1}), one block "
+                "against one per-seed sampler call per seed",
+                lambda seeds=seeds, kind=kind: [SAMPLERS[kind](p, seed) for seed in seeds],
+                lambda seeds=seeds, style=style: list(sample_block(p, style, seeds)),
+                (0, 0)))
+    return pairs
+
+
 SECTIONS = {
     "to_table": to_table_pairs,
     "distance": distance_pairs,
@@ -525,6 +546,7 @@ SECTIONS = {
     "explicit_tables": explicit_table_pairs,
     "tail": tail_pairs,
     "structured": structured_pairs,
+    "verify_sampling": verify_sampling_pairs,
 }
 
 

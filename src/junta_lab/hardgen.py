@@ -12,6 +12,7 @@ values fiber by fiber, deriving each S and each value of h once.
 ``sample_block`` draws the instances of a block of seeds from the
 block's M and A streams as arrays (``StreamBlock``), with no numpy
 generator per seed; each instance equals the one-seed sampler's.
+``addressing_orders`` is its M half alone.
 
 The two tail distributions produce explicit truth tables: iid
 Bernoulli(3*epsilon) entries, or exactly round(2^n * epsilon) ones placed
@@ -36,6 +37,7 @@ __all__ = [
     "sample_yes",
     "sample_no",
     "sample_block",
+    "addressing_orders",
     "sample_conditioned",
     "sample_addressing_set",
     "sample_d1",
@@ -84,26 +86,38 @@ def sample_no(params: Params, seed: Seed) -> StructuredFn:
     return sample_conditioned(params, seed, M, params.q, NO_STYLE)
 
 
-def sample_block(params: Params, kind: str, seeds: Sequence[Seed]) -> Iterator[StructuredFn]:
-    """``sample_yes`` (kind ``YES_STYLE``) or ``sample_no`` (``NO_STYLE``) at each seed, in order.
+def addressing_orders(params: Params, seeds: Sequence[Seed]) -> np.ndarray:
+    """Row i is 1..n shuffled as ``sample_addressing_set(params, seeds[i])`` shuffles it.
 
-    The block's M and A streams are ``StreamBlock``s, whose rows equal one
-    ``RandomStream`` per seed draw for draw.  M is one Fisher-Yates over
-    the whole block, position ``pos`` swapping with ``pos`` plus each
-    stream's bounded draw over ``n - pos``, as ``sample_addressing_set``
-    draws it; A takes row i of one (seeds, n - t) array of uniforms as
-    seed i's coins, one per coordinate outside M in increasing order.  So
-    each instance is the one the one-seed sampler returns.  The draws are
-    made for the whole block at once, the instances as the iteration
-    reaches them.
+    One Fisher-Yates over the whole block: position ``pos`` swaps with
+    ``pos`` plus each seed's bounded draw over ``n - pos`` from the block
+    of ``"M"`` streams (a ``StreamBlock``, whose rows equal one
+    ``RandomStream`` per seed draw for draw), for pos < t.  So the first t
+    entries of row i are the members of seed i's M, unsorted, and the
+    rest are the coordinates outside it.  Shape (seeds, n), int64.
     """
     n, t = params.n, params.t
-    inclusion = params.p if kind == YES_STYLE else params.q
     rows = np.arange(len(seeds))
     order = np.tile(np.arange(1, n + 1), (len(seeds), 1))
     for pos, offset in enumerate(StreamBlock(seeds, "M").bounded(range(n, n - t, -1)).T):
         swap = pos + offset
         order[:, pos], order[rows, swap] = order[rows, swap], order[:, pos].copy()
+    return order
+
+
+def sample_block(params: Params, kind: str, seeds: Sequence[Seed]) -> Iterator[StructuredFn]:
+    """``sample_yes`` (kind ``YES_STYLE``) or ``sample_no`` (``NO_STYLE``) at each seed, in order.
+
+    M comes from ``addressing_orders``; A takes row i of one (seeds,
+    n - t) array of uniforms from the block of ``"A"`` streams as seed i's
+    coins, one per coordinate outside M in increasing order.  So each
+    instance is the one the one-seed sampler returns.  The draws are made
+    for the whole block at once, the instances as the iteration reaches
+    them.
+    """
+    n, t = params.n, params.t
+    inclusion = params.p if kind == YES_STYLE else params.q
+    order = addressing_orders(params, seeds)
     coins = StreamBlock(seeds, "A").random(n - t) < inclusion
     for seed, drawn, mask in zip(seeds, order, coins):
         # sorted in Python: numpy's sort would load kernels nothing else uses

@@ -15,12 +15,14 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import binom_stats, tasks
 from .boolfn import (
+    NO_STYLE,
+    YES_STYLE,
     BitString,
     IndexSet,
     StructuredFn,
@@ -30,14 +32,7 @@ from .boolfn import (
     to_table,
 )
 from .errors import InvalidInput
-from .hardgen import (
-    sample_addressing_set,
-    sample_d1,
-    sample_d1_block_at,
-    sample_d2,
-    sample_yes,
-    sample_no,
-)
+from .hardgen import addressing_orders, sample_block, sample_d1, sample_d1_block_at, sample_d2
 from .junta_distance import _distance_report, dist_to_k_junta
 from .params import DESK_SCALE, Params, coin_rate, derive_params
 from .rng import RandomStream, Seed, StreamBlock
@@ -187,11 +182,37 @@ BlockSampler = Callable[[Sequence[Seed]], Iterable[object]]
 
 # Cells per block of a hidden-set game's uniform draws: 2^15 float64 cells
 # keep each float temporary at 256 KiB however many trials a game plays.
-# A string-query game seeds its trials in blocks of GAME_BLOCK_CELLS // 128
-# = 256 trials: a block holds each trial's seed, the state words of its
-# streams and the arrays drawn from them, about 200 KiB at its peak at
-# desk n = 12.
+# Seeded trials (a string-query game, verify_yes, verify_no, goodM) come in
+# blocks of GAME_BLOCK_CELLS // 128 = 256 trials (``_seed_blocks``): a
+# block holds each trial's seed, the state words of its streams and the
+# arrays drawn from them, about 200 KiB at its peak at desk n = 12.
 GAME_BLOCK_CELLS = 1 << 15
+
+
+def _seed_blocks(seed: int, first: int, count: int) -> Iterator[list[Seed]]:
+    """The seeds ``Seed(seed).mix(j)`` of trials ``first`` to ``first + count - 1``, in blocks.
+
+    Each block holds at most ``GAME_BLOCK_CELLS // 128`` consecutive
+    trials, so memory does not grow with ``count``; the block size
+    changes no seed.
+    """
+    base = Seed(seed)
+    block = max(1, GAME_BLOCK_CELLS // 128)
+    for start in range(first, first + count, block):
+        yield base.mixes(range(start, min(start + block, first + count)))
+
+
+def _structured_trials(
+    params: Params, kind: str, seed: int, first: int, count: int
+) -> Iterator[StructuredFn]:
+    """``sample_block`` over ``_seed_blocks(seed, first, count)``: each trial's instance, in order.
+
+    Trial j's instance is ``sample_yes`` (kind ``YES_STYLE``) or
+    ``sample_no`` (``NO_STYLE``) at ``Seed(seed).mix(j)``; each is made as
+    the iteration reaches it.
+    """
+    for seeds in _seed_blocks(seed, first, count):
+        yield from sample_block(params, kind, seeds)
 
 
 def _tally(trials: int, cost: int, count_yes: Callable[[str, int, int], int]) -> GameResult:
@@ -234,28 +255,23 @@ def run_game(
 
     A side is a block sampler or one fixed instance.  Trial number ``i``
     of the game draws its instance from seed ``Seed(seed).mix(i)``: each
-    side hands the seeds of its trials to its sampler in blocks of at most
-    ``GAME_BLOCK_CELLS // 128`` trials, and each instance is evaluated at
-    the plan's queries as the sampler yields it and then dropped.  The
+    side hands the seeds of its trials to its sampler in the blocks of
+    ``_seed_blocks``, and each instance is evaluated at the plan's queries
+    as the sampler yields it and then dropped.  The
     block samplers (``hardgen.sample_block``, the budget game's D1 reads)
     draw a block's streams as ``StreamBlock`` arrays, so no trial builds a
     numpy generator.  A fixed instance gives every trial the same answers,
     so its side is decided once and derives no seed.
     """
-    base = Seed(seed)
     queries, decider = algorithm.queries, algorithm.decider
     sides = {YES: yes, NO: no}
-    block = max(1, GAME_BLOCK_CELLS // 128)
 
     def count_yes(side: str, first: int, count: int) -> int:
         sampler = sides[side]
         if not callable(sampler):
             return count * (decider(sampler.eval_many(queries)) == YES)
-        hits = 0
-        for start in range(first, first + count, block):
-            seeds = base.mixes(range(start, min(start + block, first + count)))
-            hits += sum(decider(f.eval_many(queries)) == YES for f in sampler(seeds))
-        return hits
+        return sum(decider(f.eval_many(queries)) == YES
+                   for seeds in _seed_blocks(seed, first, count) for f in sampler(seeds))
 
     return _tally(trials, algorithm.q, count_yes)
 
@@ -319,14 +335,16 @@ def _pool_size(f: StructuredFn) -> int:
 def verify_yes(config: ExperimentConfig) -> ExperimentReport:
     """Relevant-variable containment (exact, must be total) and junta frequency.
 
+    Sample j is ``sample_yes`` at ``Seed(config.seed).mix(j)``, drawn in
+    blocks by ``sample_block`` (``_structured_trials``), so no sample
+    builds a numpy generator; each is tabulated and dropped before the
+    next.
     Runs at any n that ``to_table`` accepts (n <= TABLE_CAP).
     """
     params = config.params
-    base = Seed(config.seed)
     contained = 0
     junta = 0
-    for j in range(config.trials):
-        f = sample_yes(params, base.mix(j))
+    for f in _structured_trials(params, YES_STYLE, config.seed, 0, config.trials):
         rel = relevant_variables(to_table(f))
         if set(rel.members) <= set(f.M.members) | set(f.A.members):
             contained += 1
@@ -359,24 +377,27 @@ def verify_yes(config: ExperimentConfig) -> ExperimentReport:
 def verify_no(config: ExperimentConfig) -> ExperimentReport:
     """Exact far-fractions under both samplers and the pool-size gap.
 
+    The yes side's sample j is ``sample_yes`` at ``Seed(config.seed).mix(j)``
+    and the no side's is ``sample_no`` at ``mix(trials + j)``, drawn in
+    blocks by ``sample_block`` (``_structured_trials``), so no sample
+    builds a numpy generator; each is tabulated and dropped before the
+    next.
     Runs at any n that ``dist_to_k_junta`` accepts (n <= DIST_CAP).
     """
     params = config.params
-    base = Seed(config.seed)
     trials = config.trials
 
-    def side(kind_sampler, offset: int) -> tuple[int, list[int]]:
+    def side(kind: str, offset: int) -> tuple[int, list[int]]:
         far = 0
         pool_sizes = []
-        for j in range(trials):
-            f = kind_sampler(params, base.mix(offset + j))
+        for f in _structured_trials(params, kind, config.seed, offset, trials):
             rep = dist_to_k_junta(to_table(f), params.k, params.epsilon)
             far += int(bool(rep.far))
             pool_sizes.append(_pool_size(f))
         return far, pool_sizes
 
-    far_yes, pools_yes = side(sample_yes, 0)
-    far_no, pools_no = side(sample_no, trials)
+    far_yes, pools_yes = side(YES_STYLE, 0)
+    far_no, pools_no = side(NO_STYLE, trials)
 
     gap = float(np.mean(pools_no) - np.mean(pools_yes))
     expected_gap = (params.q - params.p) * params.m
@@ -704,13 +725,17 @@ def claim53_pairs():
 
     For m = 1, 2, 3: every plan of one or two set queries over [m] (each
     query any subset, the empty one included), against every hidden set A.
+    Each m's subsets are built once, as ``IndexSet``s that serve as both
+    queries and hidden sets, and each plan once, so the sweep's 668 pairs
+    share 98 plans and 14 sets.
     """
     for m in (1, 2, 3):
-        subsets = [[i + 1 for i in range(m) if (mask >> i) & 1] for mask in range(1 << m)]
-        for sets in [(T,) for T in subsets] + [(a, b) for a in subsets for b in subsets]:
-            plan = SetQueryPlan.of(m, sets)
-            for amask in range(1 << m):
-                yield m, plan, IndexSet.of(m, (i + 1 for i in range(m) if (amask >> i) & 1))
+        subsets = [IndexSet(m, tuple(i + 1 for i in range(m) if (mask >> i) & 1))
+                   for mask in range(1 << m)]
+        for queries in [(T,) for T in subsets] + [(a, b) for a in subsets for b in subsets]:
+            plan = SetQueryPlan(m, queries)
+            for A in subsets:
+                yield m, plan, A
 
 
 def lift_equivalence_sweep(config: ExperimentConfig) -> ExperimentReport:
@@ -719,16 +744,19 @@ def lift_equivalence_sweep(config: ExperimentConfig) -> ExperimentReport:
     Both laws are products over the queried elements, in element order,
     of a local law fixed by whether the element is in A and by its count
     r, so the gap depends only on that sequence of (member, r) pairs; each
-    distinct sequence (85 among the 668 pairs) is computed once.
+    distinct sequence (85 among the 668 pairs) is computed once.  The
+    pairs come plan by plan, so each plan's counts are computed once.
     """
     params = config.params
     report = ExperimentReport("claim53")
     worst: dict[int, float] = {}
     gaps: dict[tuple, float] = {}
     combos = 0
+    counted_plan = None
     for m, plan, A in claim53_pairs():
+        if plan is not counted_plan:
+            counted_plan, counts = plan, tasks.set_plan_to_element_counts(plan).counts
         members = set(A.members)
-        counts = tasks.set_plan_to_element_counts(plan).counts
         key = tuple((j in members, r) for j, r in enumerate(counts, 1) if r > 0)
         if key not in gaps:
             gaps[key] = lift_equivalence_gap(A, plan, params.epsilon, params.n)
@@ -752,21 +780,23 @@ def good_m(config: ExperimentConfig) -> ExperimentReport:
 
     The plan X is fixed, so its far pairs (``tasks.far_pair_codes``) are
     listed once; each draw of M is then one mask test per far pair, the
-    same verdict as ``tasks.is_separating``.  When X has no far pair (at
-    desk scale tau exceeds n) every M separates, so no M is drawn and the
-    bad fraction is exactly 0.
+    same verdict as ``tasks.is_separating``.  Draw j's M is
+    ``sample_addressing_set`` at ``Seed(config.seed).mix(j)``, drawn in the
+    blocks of ``_seed_blocks`` by ``hardgen.addressing_orders``, so no draw
+    builds a numpy generator.  When X has no far pair (at desk scale tau
+    exceeds n) every M separates, so no M is drawn and the bad fraction is
+    exactly 0.
     """
     params = config.params
     q_queries = 20
     plan_stream = RandomStream(Seed(config.seed), "goodM-plan")
     X = random_string_plan(params.n, q_queries, plan_stream, always_yes)
     far_codes = tasks.far_pair_codes(X, params.tau)
-    base = Seed(config.seed)
     bad = 0
-    for j in range(config.trials if far_codes else 0):
-        M = sample_addressing_set(params, base.mix(j))
-        if not tasks.separates(M, far_codes):
-            bad += 1
+    for seeds in _seed_blocks(config.seed, 0, config.trials if far_codes else 0):
+        for drawn in addressing_orders(params, seeds).tolist():
+            M = IndexSet(params.n, tuple(sorted(drawn[:params.t])))
+            bad += not tasks.separates(M, far_codes)
     frac = bad / config.trials
     bound = q_queries**2 * (1.5 - params.alpha) ** params.tau
     sigma = math.sqrt(frac * (1.0 - frac) / config.trials)

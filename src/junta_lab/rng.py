@@ -210,35 +210,39 @@ def _stream_entropy(seed: Seed, person: bytes) -> bytes:
     return hashlib.blake2b(b"stream", digest_size=16, key=seed._key(), person=person).digest()
 
 
-def _hash_steps(constant: int, multiplier: int, count: int) -> tuple:
-    """The (xor, multiplier) word pairs of SeedSequence's first ``count`` hash steps.
+def _hash_steps(constant: int, multiplier: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The xor and multiplier words of SeedSequence's first ``count`` hash steps.
 
     Its hash constant starts at ``constant`` and is multiplied by
     ``multiplier`` (mod 2^32) at every step, whatever the data, so each
     step's constants are fixed: step j XORs the value with the constant
-    before it and multiplies it by the constant after it.
+    before it and multiplies it by the constant after it.  Both are
+    (count, 1) uint32 columns, step j in row j, to broadcast over the
+    words of a block laid out one row per word.
     """
-    steps = []
+    constants = [constant]
     for _ in range(count):
-        after = constant * multiplier & 0xFFFFFFFF
-        steps.append((np.uint32(constant), np.uint32(after)))
-        constant = after
-    return tuple(steps)
+        constants.append(constants[-1] * multiplier & 0xFFFFFFFF)
+    return (np.array(constants[:-1], dtype=np.uint32)[:, None],
+            np.array(constants[1:], dtype=np.uint32)[:, None])
 
 
 # numpy.random.SeedSequence with its default pool of 4 words, fed 4 words
 # of entropy: 4 hash steps fill the pool and 12 mix every pool word into
 # every other (constants INIT_A, MULT_A), then 8 steps draw PCG64's 4
 # state words from the pool (INIT_B, MULT_B).
-_POOL_STEPS = _hash_steps(0x43B0D7E5, 0x931E8875, 16)
-_STATE_STEPS = _hash_steps(0x8B51F9DD, 0x58F38DED, 8)
+_POOL_XOR, _POOL_MULT = _hash_steps(0x43B0D7E5, 0x931E8875, 16)
+_STATE_XOR, _STATE_MULT = _hash_steps(0x8B51F9DD, 0x58F38DED, 8)
 _MIX_LEFT, _MIX_RIGHT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_MIX_TARGETS = [[target for target in range(4) if target != source] for source in range(4)]
 
 
-def _hashed(words: np.ndarray, step: tuple) -> np.ndarray:
-    xor, multiplier = step
-    words = (words ^ xor) * multiplier
-    return words ^ (words >> 16)
+def _hashed(words: np.ndarray, xor: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
+    """Row j of ``words`` through the hash step of row j of ``xor`` and ``multiplier``."""
+    words = words ^ xor
+    words *= multiplier
+    words ^= words >> 16
+    return words
 
 
 def _pcg64_states(entropy: np.ndarray) -> np.ndarray:
@@ -247,20 +251,23 @@ def _pcg64_states(entropy: np.ndarray) -> np.ndarray:
     Row i is what ``np.random.SeedSequence(entropy[i]).generate_state(4,
     np.uint64)`` returns, the words ``PCG64(entropy[i])`` seeds itself
     from, computed for every row at once in uint32 arithmetic, which wraps
-    mod 2^32 as SeedSequence's does.
+    mod 2^32 as SeedSequence's does.  The pool is laid out one row per
+    word, and each stage is one array step over all its words: the 4
+    entropy words are hashed together; each source word, which its own
+    mixing leaves alone, is hashed with its 3 step constants at once and
+    mixed into the 3 other words together; and the 8 state words are
+    hashed from the pool, read twice over, in one step.
     """
-    steps = iter(_POOL_STEPS)
-    pool = [_hashed(entropy[:, i], next(steps)) for i in range(4)]
-    for source in range(4):
-        for target in range(4):
-            if source != target:
-                mixed = _MIX_LEFT * pool[target] - _MIX_RIGHT * _hashed(pool[source], next(steps))
-                pool[target] = mixed ^ (mixed >> 16)
-    state = np.empty((len(entropy), 8), dtype=np.uint32)
-    for i, step in enumerate(_STATE_STEPS):
-        state[:, i] = _hashed(pool[i % 4], step)
+    pool = _hashed(entropy.T, _POOL_XOR[:4], _POOL_MULT[:4])
+    for source, targets in enumerate(_MIX_TARGETS):
+        steps = slice(4 + 3 * source, 7 + 3 * source)
+        hashed = _hashed(pool[source], _POOL_XOR[steps], _POOL_MULT[steps])
+        mixed = _MIX_LEFT * pool[targets] - _MIX_RIGHT * hashed
+        mixed ^= mixed >> 16
+        pool[targets] = mixed
+    state = _hashed(np.vstack([pool, pool]), _STATE_XOR, _STATE_MULT)
     # pairs of 32-bit words, low word first, as SeedSequence reads them
-    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
 
 
 # PCG64's 128-bit multiplier (numpy's PCG_DEFAULT_MULTIPLIER_128).

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from junta_lab.boolfn import NO_STYLE, YES_STYLE, BitString, StructuredFn, TruthTable, to_table
 from junta_lab.errors import EpsilonOutOfRange, InvalidInput, TooLarge, WeightOutOfRange
 from junta_lab.hardgen import (
+    addressing_orders,
+    sample_addressing_set,
     sample_block,
     sample_d1,
     sample_d1_block_at,
@@ -87,6 +89,17 @@ def test_block_sampler_equals_the_per_seed_samplers(n, epsilon):
             one = sampler(params, seed)
             assert (f.M, f.A, f.kind, f.seed) == (one.M, one.A, one.kind, one.seed)
             assert to_table(f) == to_table(one)
+
+
+def test_addressing_orders_equal_the_per_seed_addressing_sets():
+    params = desk(12)
+    seeds = [Seed(0), Seed(2**64 - 1), *Seed(3).mixes(range(40))]
+    orders = addressing_orders(params, seeds)
+    assert orders.shape == (len(seeds), params.n)
+    for seed, order in zip(seeds, orders.tolist()):
+        M = sample_addressing_set(params, seed)
+        assert tuple(sorted(order[:params.t])) == M.members
+        assert sorted(order[params.t:]) == list(M.complement().members)
 
 
 def test_kind_flag_does_not_change_semantics():

@@ -1,16 +1,21 @@
 """Experiment runners: games, verification suites, sweeps, and reporting."""
 
+import dataclasses
 import math
+import os
+import subprocess
+import sys
 import weakref
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from junta_lab import harness
+from junta_lab import harness, tasks
 from junta_lab.boolfn import NO_STYLE, YES_STYLE, BitString, TruthTable
 from junta_lab.errors import InvalidInput, TooLarge
-from junta_lab.hardgen import sample_block, sample_no, sample_yes
+from junta_lab.hardgen import sample_addressing_set, sample_block, sample_no, sample_yes
 from junta_lab.harness import (
     DECIDERS,
     EXPERIMENTS,
@@ -175,6 +180,90 @@ def test_block_games_build_no_bit_generator(monkeypatch):
     assert built == []
     run_experiment(budget_config(1, trials=600))
     assert len(built) == 1
+
+
+VERIFY_CONFIGS = [
+    ExperimentConfig(params=desk_params(10), experiment="verify_yes", trials=20, seed=1),
+    ExperimentConfig(params=desk_params(10), experiment="verify_no", trials=10, seed=1),
+    ExperimentConfig(params=dataclasses.replace(desk_params(12), tau=8), experiment="goodM",
+                     trials=40, seed=2),
+]
+
+
+def test_verify_experiments_build_no_bit_generator(monkeypatch):
+    # the structured samples and goodM's M's come from block streams, and
+    # goodM's plan stream is its one PCG64
+    built = []
+    numpy_pcg64 = np.random.PCG64
+
+    def counted(*args):
+        built.append(args)
+        return numpy_pcg64(*args)
+
+    monkeypatch.setattr(np.random, "PCG64", counted)
+    for config in VERIFY_CONFIGS[:2]:
+        assert run_experiment(config).passed
+    assert built == []
+    run_experiment(VERIFY_CONFIGS[2])
+    assert len(built) == 1
+
+
+def test_verify_experiments_leave_numpy_random_unloaded():
+    code = (
+        "import sys\n"
+        "from junta_lab import harness\n"
+        "for experiment, trials in (('verify_yes', 20), ('verify_no', 10)):\n"
+        "    config = harness.ExperimentConfig(harness.desk_params(10), experiment, trials, 1)\n"
+        "    assert harness.run_experiment(config).passed\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    paths = [str(Path(harness.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("config", VERIFY_CONFIGS, ids=lambda c: c.experiment)
+def test_verify_block_size_changes_nothing(config, monkeypatch):
+    whole = run_experiment(config).csv_text()
+    # blocks of 3 seeds: every block boundary, and verify_no's offset, fall mid-run
+    monkeypatch.setattr(harness, "GAME_BLOCK_CELLS", 3 * 128)
+    assert run_experiment(config).csv_text() == whole
+
+
+@pytest.mark.parametrize("config", VERIFY_CONFIGS[:2], ids=lambda c: c.experiment)
+def test_verify_experiments_equal_the_per_seed_samplers(config, monkeypatch):
+    blocked = run_experiment(config).csv_text()
+    samplers = {YES_STYLE: sample_yes, NO_STYLE: sample_no}
+    monkeypatch.setattr(harness, "sample_block", lambda params, kind, seeds: (
+        samplers[kind](params, seed) for seed in seeds))
+    assert run_experiment(config).csv_text() == blocked
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_good_m_equals_the_per_seed_addressing_sets(seed):
+    # desk tau exceeds n, so no M would be drawn; at tau = 8 X has far pairs
+    params = dataclasses.replace(desk_params(12), tau=8)
+    trials = 300
+    report = run_experiment(ExperimentConfig(params=params, experiment="goodM", trials=trials,
+                                             seed=seed))
+    X = random_string_plan(12, 20, RandomStream(Seed(seed), "goodM-plan"), always_yes)
+    far = tasks.far_pair_codes(X, params.tau)
+    assert far
+    bad = sum(not tasks.separates(sample_addressing_set(params, Seed(seed).mix(j)), far)
+              for j in range(trials))
+    assert 0 < bad < trials
+    assert report.rows[0]["bad_fraction"] == bad / trials
+
+
+def test_claim53_shares_its_plans_and_sets():
+    pairs = list(harness.claim53_pairs())
+    assert len(pairs) == 668
+    assert len({id(plan) for _, plan, _ in pairs}) == 98
+    assert len({id(A) for _, _, A in pairs}) == 14
+    assert len({(plan, A) for _, plan, A in pairs}) == 668
 
 
 def test_game_result_json_shape():

@@ -14,6 +14,7 @@ from junta_lab.rng import (
     Seed,
     StreamBlock,
     _generator,
+    _pcg64_states,
     byte_limit,
     derive_bit,
     derive_u64,
@@ -253,6 +254,19 @@ def block_states(block):
 def numpy_state(generator):
     state = generator.bit_generator.state["state"]
     return state["state"], state["inc"]
+
+
+WORD = st.one_of(st.sampled_from([0, 0xFFFFFFFF]), st.integers(0, 0xFFFFFFFF))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(WORD, min_size=4, max_size=4), min_size=1, max_size=12))
+def test_pcg64_states_equal_seed_sequence(entropies):
+    # all-zero and all-ones words are drawn often, so whole rows of them occur
+    entropy = np.array(entropies + [[0] * 4, [0xFFFFFFFF] * 4], dtype=np.uint32)
+    expected = [np.random.SeedSequence(row).generate_state(4, np.uint64).tolist()
+                for row in entropy]
+    assert _pcg64_states(entropy).tolist() == expected
 
 
 @pytest.mark.parametrize("role", ["M", "d1", LONG_ROLE, ""])

@@ -75,7 +75,7 @@ SMALL_BENCH = {
     "GOOD_M_QUERIES": 6, "GOOD_M_DRAWS": 20, "PAYLOADS": 50, "STRINGS_N": 8,
     "STRINGS_QUERIES": 4, "STRINGS_TRIALS": 20, "STREAMS": 30, "DIGEST_TABLE_N": (8,),
     "EDGE_COUNTS_N": 8, "CLI_CALLS": 3, "TAIL_N": (8,), "STRUCTURED_CASES": ((8, 0.1), (8, 1.0)),
-    "STRUCTURED_PER_KIND": 3, "STRUCTURED_QUERIES": 4,
+    "STRUCTURED_PER_KIND": 3, "STRUCTURED_QUERIES": 4, "VERIFY_SEEDS": (3,),
 }
 
 
