@@ -35,9 +35,9 @@ Sections, in order:
   against ``per_trial_game``; the goodM mask test against
   ``reference_is_separating``; ``pack_ints`` against ``general_encoding``.
 - ``strings_game``: the string-query game in blocks (``run_game`` with
-  ``sample_block``) against ``per_trial_string_game`` with the per-seed
-  samplers, on the strings job's plan shape with ``parity_yes`` and
-  ``all_zero_yes``.
+  ``sample_block``) against ``per_trial_string_game`` drawing each
+  trial's instance by ``complement_sample``, on the strings job's plan
+  shape with ``parity_yes`` and ``all_zero_yes``.
 - ``stream_seeding``: the draws each block user makes (the M stream's
   bounded draws and the A stream's coins as ``sample_block`` makes them
   at desk n = ``STRINGS_N``, the D1 stream's point reads at three codes
@@ -46,10 +46,10 @@ Sections, in order:
 - ``budget_game``: ``budget_game`` against ``full_table_budget_game``
   (one full ``sample_d1`` table per no-side trial) and against
   ``point_read_budget_game`` (D1 point reads, one stream per trial).
-- ``seed_derivation``: the strings game one trial at a time and
-  ``to_table`` with keyed digest states against ``fresh_sample``
-  instances, which build one fresh keyed blake2b per digest (and so
-  derive no counted digest).
+- ``seed_derivation``: the strings game one trial at a time (instances
+  by ``complement_sample``) and ``to_table`` with keyed digest states
+  against ``fresh_sample`` instances, which build one fresh keyed blake2b
+  per digest (and so derive no counted digest).
 - ``explicit_tables``: the packed edge counts against one pass per
   direction; ``dist_to_k_junta``'s word adds against ``count_adds``; the
   per-call cost of ``cli.main`` on a ``dtv`` call at c = 1, one parser per
@@ -58,7 +58,8 @@ Sections, in order:
   ``verify_d1``/``verify_d2`` draws and on D1 and D2 tables at n in
   ``TAIL_N``; ``TruthTable.deserialize`` against ``set_checked_deserialize``.
 - ``structured``: at ``STRUCTURED_CASES``, on yes and no instances,
-  sampling against ``complement_sample``, ``to_table`` against
+  sampling (``sample_block``, one block per kind) against one
+  ``complement_sample`` call per seed, ``to_table`` against
   ``fiberwise_table`` and ``eval_many`` against ``fiberwise_eval_many``;
   sampling derives no digest, ``to_table`` the same digests on both sides,
   and ``eval_many`` one value of h per distinct (address, bits of x on S)
@@ -67,13 +68,13 @@ Sections, in order:
   ``pack_ints``, so they run a little faster than the code they stand for.
 - ``verify_sampling``: the instances ``verify_yes`` and ``verify_no``
   draw, yes and no at desk n = ``DESK_N`` on ``VERIFY_SEEDS`` seeds:
-  ``sample_block`` on the whole block against one ``sample_yes`` or
-  ``sample_no`` call per seed; sampling derives no digest.
+  ``sample_block`` on the whole block against one ``complement_sample``
+  call per seed; sampling derives no digest.
 
 The sizes each section runs at are the module constants below, so a test
 can run every section small.  The script exits 1 if any comparison
-fails, and writes BENCH_22.json at the root of the checkout (BENCH_21.json,
-BENCH_18.json and BENCH_17.json are earlier runs; BENCH_2, BENCH_3,
+fails, and writes BENCH_23.json at the root of the checkout (BENCH_22.json,
+BENCH_21.json, BENCH_18.json and BENCH_17.json are earlier runs; BENCH_2, BENCH_3,
 BENCH_5, BENCH_6, BENCH_7, BENCH_10, BENCH_11, BENCH_12, BENCH_14 and
 BENCH_15.json are earlier runs, in the earlier per-section layout).
 
@@ -102,14 +103,7 @@ from junta_lab.boolfn import (
     bichromatic_edge_counts,
     to_table,
 )
-from junta_lab.hardgen import (
-    sample_addressing_set,
-    sample_block,
-    sample_d1,
-    sample_d2,
-    sample_no,
-    sample_yes,
-)
+from junta_lab.hardgen import sample_block, sample_d1, sample_d2, sample_no, sample_yes
 from junta_lab.harness import (
     ExperimentConfig,
     always_yes,
@@ -151,7 +145,7 @@ from references import (  # noqa: E402
     set_checked_deserialize,
 )
 
-OUTPUT = ROOT / "BENCH_22.json"
+OUTPUT = ROOT / "BENCH_23.json"
 SEED = 1
 REPEATS = {"to_table": 3, "distance": 3, "matching": 3, "kernel": 7, "frontier": 3, "games": 5,
            "strings_game": 11, "stream_seeding": 21, "budget_game": 11, "seed_derivation": 7,
@@ -320,7 +314,7 @@ def game_pairs() -> list[Pair]:
     }
     good = desk_params(GOOD_M_N)
     X = random_string_plan(GOOD_M_N, GOOD_M_QUERIES, RandomStream(Seed(SEED), "goodM-plan"), always_yes)
-    Ms = [sample_addressing_set(good, Seed(SEED).mix(j)) for j in range(GOOD_M_DRAWS)]
+    Ms = [f.M for f in sample_block(good, YES_STYLE, Seed(SEED).mixes(range(GOOD_M_DRAWS)))]
     draw = random.Random(SEED)
     # to_table's payloads: address, |S|, the members of S, then their bits.
     payloads = []
@@ -368,7 +362,7 @@ def strings_plan(decider: str) -> tasks.StringQueryPlan:
 
 def strings_game_pairs() -> list[Pair]:
     params = desk_params(STRINGS_N)
-    per_seed = [partial(sampler, params) for sampler in SAMPLERS.values()]
+    per_seed = [partial(complement_sample, params, kind) for kind in (YES_STYLE, NO_STYLE)]
     blocks = [partial(sample_block, params, kind) for kind in (YES_STYLE, NO_STYLE)]
     pairs = []
     for decider in ("parity_yes", "all_zero_yes"):
@@ -420,8 +414,8 @@ def budget_game_pairs() -> list[Pair]:
 def seed_derivation_pairs() -> list[Pair]:
     params = desk_params(STRINGS_N)
     plan = strings_plan("parity_yes")
-    keyed = [partial(sampler, params) for sampler in SAMPLERS.values()]
-    fresh = [partial(fresh_sample, sampler, params) for sampler in SAMPLERS.values()]
+    keyed = [partial(complement_sample, params, kind) for kind in (YES_STYLE, NO_STYLE)]
+    fresh = [partial(fresh_sample, complement_sample, params, kind) for kind in (YES_STYLE, NO_STYLE)]
     pairs = [Pair("strings_game", f"desk n = {STRINGS_N}, {STRINGS_QUERIES} queries, parity_yes, "
                   f"{STRINGS_TRIALS} trials, seed {SEED}, one trial at a time",
                   lambda: per_trial_string_game(*fresh, plan, STRINGS_TRIALS, SEED).as_json_dict(),
@@ -488,21 +482,21 @@ def structured_pairs() -> list[Pair]:
     pairs = []
     for n, epsilon in STRUCTURED_CASES:
         p = desk_params(n, epsilon=epsilon)
-        draws = [(Seed(SEED).mix(offset * STRUCTURED_PER_KIND + j), sampler, inclusion, style)
-                 for offset, (sampler, inclusion, style) in enumerate(
-                     ((sample_yes, p.p, YES_STYLE), (sample_no, p.q, NO_STYLE)))
-                 for j in range(STRUCTURED_PER_KIND)]
-        fs = [sampler(p, seed) for seed, sampler, _, _ in draws]
+        seeds = Seed(SEED).mixes(range(2 * STRUCTURED_PER_KIND))
+        draws = [(YES_STYLE, seeds[:STRUCTURED_PER_KIND]), (NO_STYLE, seeds[STRUCTURED_PER_KIND:])]
+        fs = [f for kind, block in draws for f in sample_block(p, kind, block)]
         draw = random.Random(SEED)
         xs = [BitString(n, draw.getrandbits(n)) for _ in range(STRUCTURED_QUERIES)]
         tables = sum(digest_counts(f)[1] for f in fs)
         label = (f"desk n = {n}, epsilon = {epsilon}, {STRUCTURED_PER_KIND} yes and "
                  f"{STRUCTURED_PER_KIND} no instances, seed {SEED}")
         pairs += [
-            Pair(f"sampling n = {n}, epsilon = {epsilon}", f"{label}, lean against complement form",
-                 lambda draws=draws, p=p: [complement_sample(p, seed, inclusion, style)
-                                           for seed, _, inclusion, style in draws],
-                 lambda draws=draws, p=p: [sampler(p, seed) for seed, sampler, _, _ in draws],
+            Pair(f"sampling n = {n}, epsilon = {epsilon}",
+                 f"{label}, one block per kind against complement form per seed",
+                 lambda draws=draws, p=p: [complement_sample(p, kind, seed)
+                                           for kind, block in draws for seed in block],
+                 lambda draws=draws, p=p: [f for kind, block in draws
+                                           for f in sample_block(p, kind, block)],
                  (0, 0)),
             Pair(f"to_table n = {n}, epsilon = {epsilon}", f"{label}, view fill against fiberwise",
                  lambda fs=fs: [fiberwise_table(f) for f in fs],
@@ -525,8 +519,8 @@ def verify_sampling_pairs() -> list[Pair]:
             pairs.append(Pair(
                 f"{kind}, {count} seeds",
                 f"desk n = {DESK_N}, seeds Seed({SEED}).mix(0..{count - 1}), one block "
-                "against one per-seed sampler call per seed",
-                lambda seeds=seeds, kind=kind: [SAMPLERS[kind](p, seed) for seed in seeds],
+                "against one complement_sample call per seed",
+                lambda seeds=seeds, style=style: [complement_sample(p, style, seed) for seed in seeds],
                 lambda seeds=seeds, style=style: list(sample_block(p, style, seeds)),
                 (0, 0)))
     return pairs

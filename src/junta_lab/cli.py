@@ -17,8 +17,8 @@ import functools
 import json
 import sys
 
-from . import harness, params as params_mod, tasks
-from .boolfn import NO_STYLE, YES_STYLE, BitString, TruthTable
+from . import binom_stats, harness, params as params_mod, tasks
+from .boolfn import NO_STYLE, YES_STYLE, BitString, TruthTable, to_table
 from .errors import DimensionMismatch, InvalidInput, JuntaLabError
 from .hardgen import sample_block, sample_d1, sample_d2, sample_yes, sample_no
 from .junta_distance import dist_to_k_junta
@@ -94,8 +94,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
             "kind": f.kind,
         }
         if args.emit_table:
-            from .boolfn import to_table
-
             harness.write_atomic(args.emit_table, to_table(f).serialize())
             info["table"] = args.emit_table
     else:
@@ -197,8 +195,6 @@ def cmd_game(args: argparse.Namespace) -> int:
 
 
 def cmd_dtv(args: argparse.Namespace) -> int:
-    from . import binom_stats
-
     r = args.p * args.lam
     x = (args.q - args.p) * args.lam
     exact = binom_stats.exact_dtv(

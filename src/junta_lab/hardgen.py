@@ -2,17 +2,17 @@
 
 Yes-style and no-style structured instances share everything except the
 inclusion rate of the coordinate pool A (p = 1/2 versus q > 1/2).  A
-sampler stores only M, A and the seed: M from t draws of the stream
-``(seed, "M")``, A from one coin per coordinate outside M on the stream
-``(seed, "A")``.  The per-fiber randomness (each fiber's subset S and
-its values of h) is defined point by point by ``StructuredFn.eval``,
-which re-derives it from the seed, so an instance takes O(1) memory
-however many fibers it has.  ``boolfn.to_table`` materializes the same
-values fiber by fiber, deriving each S and each value of h once.
-``sample_block`` draws the instances of a block of seeds from the
-block's M and A streams as arrays (``StreamBlock``), with no numpy
-generator per seed; each instance equals the one-seed sampler's.
-``addressing_orders`` is its M half alone.
+sampler stores only M, A and the seed.  ``sample_block`` is the one
+sampler of structured instances: for a block of seeds it draws every M
+by one Fisher-Yates over the block of ``"M"`` streams
+(``addressing_orders``) and every A from one coin per coordinate outside
+M on the block of ``"A"`` streams, as arrays (``StreamBlock``), with no
+numpy generator per seed; ``sample_yes`` and ``sample_no`` are it at one
+seed.  The per-fiber randomness (each fiber's subset S and its values of
+h) is defined point by point by ``StructuredFn.eval``, which re-derives
+it from the seed, so an instance takes O(1) memory however many fibers
+it has.  ``boolfn.to_table`` materializes the same values fiber by
+fiber, deriving each S and each value of h once.
 
 The two tail distributions produce explicit truth tables: iid
 Bernoulli(3*epsilon) entries, or exactly round(2^n * epsilon) ones placed
@@ -38,63 +38,32 @@ __all__ = [
     "sample_no",
     "sample_block",
     "addressing_orders",
-    "sample_conditioned",
-    "sample_addressing_set",
     "sample_d1",
     "sample_d1_block_at",
     "sample_d2",
 ]
 
 
-def sample_addressing_set(params: Params, seed: Seed) -> IndexSet:
-    """A uniform size-t subset of [n], via partial Fisher-Yates on the stream ``(seed, "M")``."""
-    n, t = params.n, params.t
-    stream = RandomStream(seed, "M")
-    arr = list(range(1, n + 1))
-    for pos in range(t):
-        j = stream.integers(pos, n)
-        arr[pos], arr[j] = arr[j], arr[pos]
-    return IndexSet(n, tuple(sorted(arr[:t])))
-
-
-def sample_conditioned(
-    params: Params, seed: Seed, M: IndexSet, inclusion: float, kind: str
-) -> StructuredFn:
-    """A structured instance with the addressing set held fixed.
-
-    A includes each coordinate outside M independently with the given
-    rate, one coin of the stream ``(seed, "A")`` per coordinate in
-    increasing order; all per-fiber randomness still derives lazily from
-    the seed.
-    """
-    taken = set(M.members)
-    rest = [i for i in range(1, params.n + 1) if i not in taken]
-    mask = RandomStream(seed, "A").bernoulli_mask(len(rest), inclusion)
-    A = IndexSet(params.n, tuple(compress(rest, mask.tolist())))
-    return StructuredFn(params=params, M=M, A=A, seed=seed, kind=kind)
-
-
 def sample_yes(params: Params, seed: Seed) -> StructuredFn:
-    """Draw a yes-style instance: pool inclusion rate p."""
-    M = sample_addressing_set(params, seed)
-    return sample_conditioned(params, seed, M, params.p, YES_STYLE)
+    """A yes-style instance (pool inclusion rate p): ``sample_block`` at one seed."""
+    return next(sample_block(params, YES_STYLE, [seed]))
 
 
 def sample_no(params: Params, seed: Seed) -> StructuredFn:
-    """Draw a no-style instance: pool inclusion rate q."""
-    M = sample_addressing_set(params, seed)
-    return sample_conditioned(params, seed, M, params.q, NO_STYLE)
+    """A no-style instance (pool inclusion rate q): ``sample_block`` at one seed."""
+    return next(sample_block(params, NO_STYLE, [seed]))
 
 
 def addressing_orders(params: Params, seeds: Sequence[Seed]) -> np.ndarray:
-    """Row i is 1..n shuffled as ``sample_addressing_set(params, seeds[i])`` shuffles it.
+    """Row i is 1..n after the first t steps of a Fisher-Yates shuffle on seed i's ``"M"`` stream.
 
     One Fisher-Yates over the whole block: position ``pos`` swaps with
     ``pos`` plus each seed's bounded draw over ``n - pos`` from the block
     of ``"M"`` streams (a ``StreamBlock``, whose rows equal one
     ``RandomStream`` per seed draw for draw), for pos < t.  So the first t
-    entries of row i are the members of seed i's M, unsorted, and the
-    rest are the coordinates outside it.  Shape (seeds, n), int64.
+    entries of row i are the members of seed i's M, a uniform size-t
+    subset of [n], unsorted, and the rest are the coordinates outside it.
+    Shape (seeds, n), int64.
     """
     n, t = params.n, params.t
     rows = np.arange(len(seeds))
@@ -106,14 +75,16 @@ def addressing_orders(params: Params, seeds: Sequence[Seed]) -> np.ndarray:
 
 
 def sample_block(params: Params, kind: str, seeds: Sequence[Seed]) -> Iterator[StructuredFn]:
-    """``sample_yes`` (kind ``YES_STYLE``) or ``sample_no`` (``NO_STYLE``) at each seed, in order.
+    """A yes-style (kind ``YES_STYLE``) or no-style (``NO_STYLE``) instance per seed, in order.
 
     M comes from ``addressing_orders``; A takes row i of one (seeds,
     n - t) array of uniforms from the block of ``"A"`` streams as seed i's
-    coins, one per coordinate outside M in increasing order.  So each
-    instance is the one the one-seed sampler returns.  The draws are made
-    for the whole block at once, the instances as the iteration reaches
-    them.
+    coins, one per coordinate outside M in increasing order, and includes
+    the coordinate when its coin is below the inclusion rate (p or q).  A
+    block's rows are its seeds' one-seed streams draw for draw, so each
+    instance depends on its seed alone, not on the block around it.  The
+    draws are made for the whole block at once, the instances as the
+    iteration reaches them.
     """
     n, t = params.n, params.t
     inclusion = params.p if kind == YES_STYLE else params.q

@@ -33,7 +33,7 @@ from .boolfn import (
 )
 from .errors import InvalidInput
 from .hardgen import addressing_orders, sample_block, sample_d1, sample_d1_block_at, sample_d2
-from .junta_distance import _distance_report, dist_to_k_junta
+from .junta_distance import dist_to_k_junta
 from .params import DESK_SCALE, Params, coin_rate, derive_params
 from .rng import RandomStream, Seed, StreamBlock
 from .tasks import (
@@ -174,6 +174,7 @@ class ExperimentConfig:
             raise InvalidInput(f"unknown experiment {self.experiment!r}")
         if self.trials < 1:
             raise InvalidInput(f"trials must be >= 1, got {self.trials}")
+        Seed(self.seed)  # a seed outside [0, 2^64) raises InvalidInput
 
 
 # A block sampler returns one instance per seed, in order; an instance is
@@ -466,7 +467,7 @@ def _tail_experiment(config: ExperimentConfig, which: str) -> ExperimentReport:
         g = sampler(n, epsilon, base.child(str(j)))
         counts = bichromatic_edge_counts(g)
         is_certified = min(counts) >= threshold
-        rep = _distance_report(g, n - 1, epsilon, counts)
+        rep = dist_to_k_junta(g, n - 1, epsilon, counts)
         certified += int(is_certified)
         far += int(bool(rep.far))
         if is_certified and not rep.far:
@@ -780,8 +781,8 @@ def good_m(config: ExperimentConfig) -> ExperimentReport:
 
     The plan X is fixed, so its far pairs (``tasks.far_pair_codes``) are
     listed once; each draw of M is then one mask test per far pair, the
-    same verdict as ``tasks.is_separating``.  Draw j's M is
-    ``sample_addressing_set`` at ``Seed(config.seed).mix(j)``, drawn in the
+    same verdict as ``tasks.is_separating``.  Draw j's M is the addressing
+    set of ``sample_yes`` at ``Seed(config.seed).mix(j)``, drawn in the
     blocks of ``_seed_blocks`` by ``hardgen.addressing_orders``, so no draw
     builds a numpy generator.  When X has no far pair (at desk scale tau
     exceeds n) every M separates, so no M is drawn and the bad fraction is

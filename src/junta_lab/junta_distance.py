@@ -190,7 +190,9 @@ def _least_key(f: TruthTable, k: int) -> int:
     return walk(counts, 0, 0, 0)
 
 
-def dist_to_k_junta(f: TruthTable, k: int, epsilon: float | None = None) -> DistanceReport:
+def dist_to_k_junta(
+    f: TruthTable, k: int, epsilon: float | None = None, counts: Sequence[int] | None = None
+) -> DistanceReport:
     """Minimum of dist_to_junta_on over all size-k subsets, with a witness.
 
     Ties resolve to the lexicographically smallest witness.  One
@@ -210,15 +212,10 @@ def dist_to_k_junta(f: TruthTable, k: int, epsilon: float | None = None) -> Dist
       subset, sharing partial sums across the subset lattice.
 
     A given ``epsilon`` must lie in (0, 1], the parameter domain; the
-    report is far when the distance reaches it.
+    report is far when the distance reaches it.  A caller that already
+    holds ``bichromatic_edge_counts(f)`` may pass it as ``counts`` (one
+    count per direction) to skip the pass.
     """
-    return _distance_report(f, k, epsilon)
-
-
-def _distance_report(
-    f: TruthTable, k: int, epsilon: float | None, counts: Sequence[int] | None = None
-) -> DistanceReport:
-    """``dist_to_k_junta(f, k, epsilon)``, given ``bichromatic_edge_counts(f)`` when known."""
     n = f.n
     if n > DIST_CAP:
         raise TooLarge(f"n = {n} exceeds the exact-distance cap {DIST_CAP}")
@@ -228,6 +225,8 @@ def _distance_report(
         raise InvalidInput(f"epsilon must be in (0, 1], got {epsilon}")
     if counts is None:
         counts = bichromatic_edge_counts(f)
+    elif len(counts) != n:
+        raise InvalidInput(f"counts must hold n = {n} counts, one per direction, got {len(counts)}")
     relevant = [i for i, count in enumerate(counts, 1) if count]
     if len(relevant) <= k:
         others = [i for i in range(1, n + 1) if i not in relevant]

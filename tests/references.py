@@ -55,6 +55,7 @@ from junta_lab import boolfn, cli, harness, junta_distance, tasks
 from junta_lab.boolfn import (
     _HALF,
     TABLE_CAP,
+    YES_STYLE,
     BitString,
     IndexSet,
     StructuredFn,
@@ -149,20 +150,29 @@ class IntegerSeededStream(RandomStream):
         self._gen = integer_seeded_generator(reference_stream_entropy(seed, role))
 
 
-def complement_sample(params, seed, inclusion: float, kind: str) -> StructuredFn:
-    """``sample_yes``/``sample_no`` as they drew M and A before they went lean.
+def complement_sample(params, kind: str, seed, M: IndexSet | None = None) -> StructuredFn:
+    """The instance ``sample_block(params, kind, [seed])`` draws, one seed on its own streams.
 
-    M and A each go through ``IndexSet.of``, A's candidates come from
-    ``M.complement()``, and both streams seed PCG64 from one integer.
+    This defines D_yes (kind ``YES_STYLE``, inclusion rate p) and D_no
+    (``NO_STYLE``, rate q).  M is the first t places of a partial
+    Fisher-Yates shuffle of 1..n, one bounded draw of the stream
+    ``(seed, "M")`` per place; A takes each coordinate of
+    ``M.complement()``, in increasing order, when its coin on the stream
+    ``(seed, "A")`` falls below the rate.  Both go through ``IndexSet.of``,
+    and both streams seed PCG64 from one integer.  A given ``M`` is held
+    fixed and the ``"M"`` stream is not read: the instance conditioned on
+    its addressing set.
     """
     n, t = params.n, params.t
-    stream = IntegerSeededStream(seed, "M")
-    arr = list(range(1, n + 1))
-    for pos in range(t):
-        j = stream.integers(pos, n)
-        arr[pos], arr[j] = arr[j], arr[pos]
-    M = IndexSet.of(n, arr[:t])
+    if M is None:
+        stream = IntegerSeededStream(seed, "M")
+        arr = list(range(1, n + 1))
+        for pos in range(t):
+            j = stream.integers(pos, n)
+            arr[pos], arr[j] = arr[j], arr[pos]
+        M = IndexSet.of(n, arr[:t])
     rest = M.complement().members
+    inclusion = params.p if kind == YES_STYLE else params.q
     mask = IntegerSeededStream(seed, "A").bernoulli_mask(len(rest), inclusion)
     A = IndexSet.of(n, (c for c, hit in zip(rest, mask) if hit))
     return StructuredFn(params=params, M=M, A=A, seed=seed, kind=kind)
@@ -584,10 +594,10 @@ def fresh_digests():
         boolfn.KeyedDigest = keyed
 
 
-def fresh_sample(sampler, params, seed) -> StructuredFn:
-    """``sampler(params, seed)`` with ``FreshDigest`` states, as instances were built before keyed states."""
+def fresh_sample(sampler, *args) -> StructuredFn:
+    """``sampler(*args)`` with ``FreshDigest`` states, as instances were built before keyed states."""
     with fresh_digests():
-        return sampler(params, seed)
+        return sampler(*args)
 
 
 def digest_counts(f) -> tuple[int, int]:

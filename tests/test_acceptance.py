@@ -21,8 +21,16 @@ from junta_lab.binom_stats import (
     product_dtv,
     tv_shift_bound,
 )
-from junta_lab.boolfn import BitString, IndexSet, flip, relevant_variables, to_table
-from junta_lab.hardgen import sample_conditioned, sample_yes
+from junta_lab.boolfn import (
+    NO_STYLE,
+    YES_STYLE,
+    BitString,
+    IndexSet,
+    flip,
+    relevant_variables,
+    to_table,
+)
+from junta_lab.hardgen import sample_block
 from junta_lab.harness import (
     SET_GAME_ADVANTAGE,
     ExperimentConfig,
@@ -46,6 +54,7 @@ from junta_lab.tasks import (
     simulate_distinguisher,
     sssq_respond,
 )
+from references import complement_sample
 
 
 @contextmanager
@@ -96,8 +105,7 @@ def test_yes_instances_stay_inside_their_pool():
     with criterion("pool_containment", 60.0):
         params = desk_params(10)
         base = Seed(20260810)
-        for j in range(500):
-            f = sample_yes(params, base.mix(j))
+        for j, f in enumerate(sample_block(params, YES_STYLE, base.mixes(range(500)))):
             rel = relevant_variables(to_table(f))
             pool = set(f.M.members) | set(f.A.members)
             assert set(rel.members) <= pool, f"sample {j} escaped its pool"
@@ -110,11 +118,8 @@ def test_no_side_is_farther_and_pool_gap_matches():
         base = Seed(77001)
         far = {"yes": 0, "no": 0}
         pools = {"yes": [], "no": []}
-        from junta_lab.hardgen import sample_no
-
-        for side, sampler, offset in (("yes", sample_yes, 0), ("no", sample_no, trials)):
-            for j in range(trials):
-                f = sampler(params, base.mix(offset + j))
+        for side, kind, offset in (("yes", YES_STYLE, 0), ("no", NO_STYLE, trials)):
+            for f in sample_block(params, kind, base.mixes(range(offset, offset + trials))):
                 report = dist_to_k_junta(to_table(f), params.k, params.epsilon)
                 far[side] += int(bool(report.far))
                 pools[side].append(len(f.M) + len(f.A))
@@ -233,7 +238,7 @@ def test_pipeline_matches_direct_simulation():
         base = Seed(6060)
         direct_hits = 0
         for j in range(trials):
-            f = sample_conditioned(params, base.mix(j), M, params.p, "yes_style")
+            f = complement_sample(params, YES_STYLE, base.mix(j), M)
             bits = tuple(f.eval(xq) for xq in X.queries)
             if X.decider(bits) == YES:
                 direct_hits += 1

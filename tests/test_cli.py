@@ -13,13 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from junta_lab import params as params_mod
-from junta_lab.boolfn import BitString, TruthTable
+from junta_lab.boolfn import NO_STYLE, YES_STYLE, BitString, TruthTable
 from junta_lab.cli import build_parser, main
-from junta_lab.hardgen import sample_no, sample_yes
-from junta_lab.harness import DECIDERS, desk_params
+from junta_lab.harness import DECIDERS, EXPERIMENTS, desk_params
 from junta_lab.params import derive_params
 from junta_lab.tasks import StringQueryPlan
-from references import per_trial_string_game
+from references import complement_sample, per_trial_string_game
 
 
 @pytest.fixture()
@@ -141,7 +140,7 @@ def test_game_strings_mode_equals_the_per_trial_loop(tmp_path, capsys, decider, 
     )
     assert code == 0
     loop = per_trial_string_game(
-        partial(sample_yes, params), partial(sample_no, params),
+        partial(complement_sample, params, YES_STYLE), partial(complement_sample, params, NO_STYLE),
         StringQueryPlan(tuple(BitString.from_text(x) for x in X), DECIDERS[decider]), trials, seed,
     )
     assert out == json.dumps(loop.as_json_dict()) + "\n"
@@ -496,6 +495,16 @@ def test_usage_errors_exit_2(tmp_path, capsys, desk10_file):
     assert_usage_error(
         capsys, ["dtv", "--c", "100000000", "--p", "0.5", "--q", "0.6", "--lambda", "0.5"]
     )
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("command", [["verify", "--experiment", name] for name in EXPERIMENTS]
+                         + [["curve"]], ids=" ".join)
+def test_every_experiment_rejects_a_seed_outside_64_bits(capsys, desk10_file, command, seed):
+    # the seedless experiments (sseq_curve, dtv_sweep, claim53) refuse one too
+    error = assert_usage_error(capsys, [*command, "--params", desk10_file, "--trials", "2",
+                                        "--seed", str(seed)])
+    assert error == f"error: seed must be a 64-bit unsigned integer, got {seed}"
 
 
 def run_captured(argv):

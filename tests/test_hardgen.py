@@ -11,7 +11,6 @@ from junta_lab.boolfn import NO_STYLE, YES_STYLE, BitString, StructuredFn, Truth
 from junta_lab.errors import EpsilonOutOfRange, InvalidInput, TooLarge, WeightOutOfRange
 from junta_lab.hardgen import (
     addressing_orders,
-    sample_addressing_set,
     sample_block,
     sample_d1,
     sample_d1_block_at,
@@ -38,10 +37,15 @@ def test_same_seed_same_instance():
     assert (f.M, f.A) != (h.M, h.A) or to_table(f) != to_table(h)
 
 
+def pool_sizes(params, kind, seed, trials):
+    """|A| of the instances at ``Seed(seed).mix(0..trials - 1)``, drawn in one block."""
+    return [len(f.A) for f in sample_block(params, kind, Seed(seed).mixes(range(trials)))]
+
+
 def test_pool_size_concentration_yes():
     params = desk(8)
     trials = 500
-    sizes = [len(sample_yes(params, Seed(0).mix(j)).A) for j in range(trials)]
+    sizes = pool_sizes(params, YES_STYLE, 0, trials)
     mean = float(np.mean(sizes))
     expected = params.p * params.m
     sigma = math.sqrt(params.p * (1 - params.p) * params.m / trials)
@@ -51,8 +55,8 @@ def test_pool_size_concentration_yes():
 def test_pool_size_concentration_no_and_gap():
     params = desk(8)
     trials = 500
-    yes_sizes = [len(sample_yes(params, Seed(1).mix(j)).A) for j in range(trials)]
-    no_sizes = [len(sample_no(params, Seed(2).mix(j)).A) for j in range(trials)]
+    yes_sizes = pool_sizes(params, YES_STYLE, 1, trials)
+    no_sizes = pool_sizes(params, NO_STYLE, 2, trials)
     expected_no = params.q * params.m
     sigma_no = math.sqrt(params.q * (1 - params.q) * params.m / trials)
     assert abs(float(np.mean(no_sizes)) - expected_no) <= 3 * sigma_no
@@ -66,29 +70,27 @@ def test_pool_size_concentration_no_and_gap():
     assert abs(gap - expected_gap) <= 3 * pooled
 
 
+SEED_VALUES = st.integers(0, 2**64 - 1)
+
+
+@st.composite
+def seed_blocks(draw):
+    """One seed, or a block of 30 to 42 seeds in any order with 0 and 2^64 - 1 among them."""
+    if draw(st.booleans()):
+        return [Seed(draw(SEED_VALUES))]
+    trials = Seed(draw(SEED_VALUES)).mixes(range(draw(st.integers(28, 40))))
+    return draw(st.permutations([Seed(0), Seed(2**64 - 1), *trials]))
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(4, 20), st.sampled_from([0.1, 1.0]), st.integers(0, 2**64 - 1))
-def test_samplers_equal_the_complement_form(n, epsilon, seed_value):
-    # A straight from the mask and word-seeded streams draw the instances of
-    # IndexSet.of, M.complement() and integer-seeded streams
+@given(st.integers(4, 20), st.sampled_from([0.1, 1.0]), seed_blocks())
+def test_block_sampler_equals_the_complement_form(n, epsilon, seeds):
+    # a block's vectorized Fisher-Yates and array of coins draw, seed by
+    # seed, the instances of one integer-seeded stream pair per seed
     params = desk(n, epsilon)
-    seed = Seed(seed_value)
-    assert sample_yes(params, seed) == complement_sample(params, seed, params.p, YES_STYLE)
-    assert sample_no(params, seed) == complement_sample(params, seed, params.q, NO_STYLE)
-
-
-@pytest.mark.parametrize("epsilon", [0.1, 1.0])
-@pytest.mark.parametrize("n", [6, 10, 12])
-def test_block_sampler_equals_the_per_seed_samplers(n, epsilon):
-    params = desk(n, epsilon)
-    seeds = [Seed(0), Seed(2**64 - 1), *Seed(n).mixes(range(30))]
-    for kind, sampler in ((YES_STYLE, sample_yes), (NO_STYLE, sample_no)):
+    for kind in (YES_STYLE, NO_STYLE):
         block = list(sample_block(params, kind, seeds))
-        assert len(block) == len(seeds)
-        for seed, f in zip(seeds, block):
-            one = sampler(params, seed)
-            assert (f.M, f.A, f.kind, f.seed) == (one.M, one.A, one.kind, one.seed)
-            assert to_table(f) == to_table(one)
+        assert block == [complement_sample(params, kind, seed) for seed in seeds]
 
 
 def test_addressing_orders_equal_the_per_seed_addressing_sets():
@@ -97,7 +99,7 @@ def test_addressing_orders_equal_the_per_seed_addressing_sets():
     orders = addressing_orders(params, seeds)
     assert orders.shape == (len(seeds), params.n)
     for seed, order in zip(seeds, orders.tolist()):
-        M = sample_addressing_set(params, seed)
+        M = complement_sample(params, YES_STYLE, seed).M
         assert tuple(sorted(order[:params.t])) == M.members
         assert sorted(order[params.t:]) == list(M.complement().members)
 

@@ -12,10 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from junta_lab import harness, tasks
+from junta_lab import harness, params as params_mod, tasks
 from junta_lab.boolfn import NO_STYLE, YES_STYLE, BitString, TruthTable
 from junta_lab.errors import InvalidInput, TooLarge
-from junta_lab.hardgen import sample_addressing_set, sample_block, sample_no, sample_yes
+from junta_lab.hardgen import sample_block
 from junta_lab.harness import (
     DECIDERS,
     EXPERIMENTS,
@@ -37,7 +37,12 @@ from junta_lab.harness import (
 )
 from junta_lab.rng import RandomStream, Seed
 from junta_lab.tasks import NO, YES, StringQueryPlan
-from references import full_table_budget_game, per_trial_string_game, point_read_budget_game
+from references import (
+    complement_sample,
+    full_table_budget_game,
+    per_trial_string_game,
+    point_read_budget_game,
+)
 
 
 def test_decider_registry():
@@ -118,8 +123,9 @@ def test_run_game_equals_the_per_trial_loop(decider, trials, seed):
     plan = strings_plan(seed, decider)
     blocked = run_game(partial(sample_block, STRINGS_PARAMS, YES_STYLE),
                        partial(sample_block, STRINGS_PARAMS, NO_STYLE), plan, trials, seed)
-    loop = per_trial_string_game(partial(sample_yes, STRINGS_PARAMS),
-                                 partial(sample_no, STRINGS_PARAMS), plan, trials, seed)
+    loop = per_trial_string_game(partial(complement_sample, STRINGS_PARAMS, YES_STYLE),
+                                 partial(complement_sample, STRINGS_PARAMS, NO_STYLE),
+                                 plan, trials, seed)
     assert blocked == loop
 
 
@@ -208,13 +214,18 @@ def test_verify_experiments_build_no_bit_generator(monkeypatch):
     assert len(built) == 1
 
 
-def test_verify_experiments_leave_numpy_random_unloaded():
+def test_verify_experiments_leave_numpy_random_unloaded(tmp_path):
+    # gen --dist yes|no draws its one instance as a block of one seed, too
+    params_file = tmp_path / "desk10.cfg"
+    params_mod.save(desk_params(10), str(params_file))
     code = (
         "import sys\n"
-        "from junta_lab import harness\n"
+        "from junta_lab import cli, harness\n"
         "for experiment, trials in (('verify_yes', 20), ('verify_no', 10)):\n"
         "    config = harness.ExperimentConfig(harness.desk_params(10), experiment, trials, 1)\n"
         "    assert harness.run_experiment(config).passed\n"
+        "for dist in ('yes', 'no'):\n"
+        f"    assert cli.main(['gen', '--dist', dist, '--params', {str(params_file)!r}]) == 0\n"
         "print('numpy.random' in sys.modules)\n"
     )
     paths = [str(Path(harness.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
@@ -222,7 +233,8 @@ def test_verify_experiments_leave_numpy_random_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    # gen prints its instance first; the last line is the answer
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 @pytest.mark.parametrize("config", VERIFY_CONFIGS, ids=lambda c: c.experiment)
@@ -236,9 +248,8 @@ def test_verify_block_size_changes_nothing(config, monkeypatch):
 @pytest.mark.parametrize("config", VERIFY_CONFIGS[:2], ids=lambda c: c.experiment)
 def test_verify_experiments_equal_the_per_seed_samplers(config, monkeypatch):
     blocked = run_experiment(config).csv_text()
-    samplers = {YES_STYLE: sample_yes, NO_STYLE: sample_no}
     monkeypatch.setattr(harness, "sample_block", lambda params, kind, seeds: (
-        samplers[kind](params, seed) for seed in seeds))
+        complement_sample(params, kind, seed) for seed in seeds))
     assert run_experiment(config).csv_text() == blocked
 
 
@@ -252,7 +263,7 @@ def test_good_m_equals_the_per_seed_addressing_sets(seed):
     X = random_string_plan(12, 20, RandomStream(Seed(seed), "goodM-plan"), always_yes)
     far = tasks.far_pair_codes(X, params.tau)
     assert far
-    bad = sum(not tasks.separates(sample_addressing_set(params, Seed(seed).mix(j)), far)
+    bad = sum(not tasks.separates(complement_sample(params, YES_STYLE, Seed(seed).mix(j)).M, far)
               for j in range(trials))
     assert 0 < bad < trials
     assert report.rows[0]["bad_fraction"] == bad / trials

@@ -165,6 +165,10 @@ def test_dist_k_is_first_minimum_over_subsets(case):
     distance, witness = first_minimum_over_subsets(f, k)
     assert report.distance == distance
     assert report.witness.members == witness
+    # the edge counts a caller already holds give the same report
+    counts = bichromatic_edge_counts(f)
+    for epsilon in (None, 0.1):
+        assert dist_to_k_junta(f, k, epsilon, counts) == dist_to_k_junta(f, k, epsilon)
 
 
 D2_N14 = sample_d2(14, 0.1, RandomStream(Seed(1), "d2"))
@@ -482,6 +486,9 @@ def test_caps_and_validation():
         max_disjoint_bichromatic_matching(XOR2, [])
     with pytest.raises(InvalidInput):
         dist_to_k_junta(XOR2, 3)
+    for counts in ((), (2,), (2, 2, 2)):
+        with pytest.raises(InvalidInput):
+            dist_to_k_junta(XOR2, 1, counts=counts)
 
 
 def test_farness_threshold_outside_the_parameter_domain_is_rejected():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from junta_lab.boolfn import BitString, IndexSet, flip
+from junta_lab.boolfn import NO_STYLE, YES_STYLE, BitString, IndexSet, flip
 from junta_lab.errors import (
     BadM,
     DimensionMismatch,
@@ -47,6 +47,7 @@ from junta_lab.tasks import (
 )
 from junta_lab.binom_stats import BinomialSpec, exact_dtv, hit_prob, tv_distance
 from references import (
+    complement_sample,
     dict_lifted_law,
     dict_response_law,
     lift_response,
@@ -963,8 +964,6 @@ def test_bayes_decide_runs():
 def test_reduction_preserves_the_advantage():
     # full two-sided comparison: the advantage of the simulated pipeline
     # equals the advantage of direct structured-instance play within 3 sigma
-    from junta_lab.hardgen import sample_conditioned
-
     params = desk(6)
     n = params.n
     M = IndexSet.of(n, [2])
@@ -987,19 +986,17 @@ def test_reduction_preserves_the_advantage():
                 hits += 1
         return hits / trials
 
-    def direct_rate(inclusion, kind, offset):
+    def direct_rate(kind, offset):
         base = Seed(909)
         hits = 0
         for j in range(trials):
-            f = sample_conditioned(params, base.mix(offset + j), M, inclusion, kind)
+            f = complement_sample(params, kind, base.mix(offset + j), M)
             if X.decider(tuple(f.eval(xq) for xq in X.queries)) == YES:
                 hits += 1
         return hits / trials
 
     adv_pipeline = pipeline_rate(params.p, "yes") - pipeline_rate(params.q, "no")
-    adv_direct = direct_rate(params.p, "yes_style", 0) - direct_rate(
-        params.q, "no_style", trials
-    )
+    adv_direct = direct_rate(YES_STYLE, 0) - direct_rate(NO_STYLE, trials)
     # conservative sigma: four proportions, each at most 0.5 variance
     sigma = math.sqrt(4 * 0.25 / trials)
     assert abs(adv_pipeline - adv_direct) <= 3 * sigma
