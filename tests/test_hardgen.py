@@ -93,6 +93,32 @@ def test_block_sampler_equals_the_complement_form(n, epsilon, seeds):
         assert block == [complement_sample(params, kind, seed) for seed in seeds]
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(4, 20), st.sampled_from([0.1, 1.0]), SEED_VALUES)
+def test_samplers_equal_the_complement_form(n, epsilon, seed_value):
+    # the one-seed samplers draw the instances of IndexSet.of, M.complement()
+    # and integer-seeded streams
+    params = desk(n, epsilon)
+    seed = Seed(seed_value)
+    assert sample_yes(params, seed) == complement_sample(params, YES_STYLE, seed)
+    assert sample_no(params, seed) == complement_sample(params, NO_STYLE, seed)
+
+
+@pytest.mark.parametrize("epsilon", [0.1, 1.0])
+@pytest.mark.parametrize("n", [6, 10, 12])
+def test_block_sampler_equals_the_per_seed_samplers(n, epsilon):
+    # a seed draws the same instance in a block of 32 as in a block of its own
+    params = desk(n, epsilon)
+    seeds = [Seed(0), Seed(2**64 - 1), *Seed(n).mixes(range(30))]
+    for kind, sampler in ((YES_STYLE, sample_yes), (NO_STYLE, sample_no)):
+        block = list(sample_block(params, kind, seeds))
+        assert len(block) == len(seeds)
+        for seed, f in zip(seeds, block):
+            one = sampler(params, seed)
+            assert (f.M, f.A, f.kind, f.seed) == (one.M, one.A, one.kind, one.seed)
+            assert to_table(f) == to_table(one)
+
+
 def test_addressing_orders_equal_the_per_seed_addressing_sets():
     params = desk(12)
     seeds = [Seed(0), Seed(2**64 - 1), *Seed(3).mixes(range(40))]
