@@ -42,7 +42,11 @@ Sections, in order:
   bounded draws and the A stream's coins as ``sample_block`` makes them
   at desk n = ``STRINGS_N``, the D1 stream's point reads at three codes
   as the budget game makes them) on ``STREAMS`` streams, one
-  ``StreamBlock`` against one ``RandomStream`` per seed.
+  ``StreamBlock`` against one ``RandomStream`` per seed; one side's block
+  of a hidden-set game (``HIDDEN_BLOCK`` doubles) as a one-stream
+  ``StreamBlock`` read against ``RandomStream.random``; and goodM's plan
+  at each n in ``PLAN_N`` by ``random_string_plan`` against numpy's
+  integer draws (``integer_string_plan``).
 - ``budget_game``: ``budget_game`` against ``full_table_budget_game``
   (one full ``sample_d1`` table per no-side trial) and against
   ``point_read_budget_game`` (D1 point reads, one stream per trial).
@@ -73,8 +77,9 @@ Sections, in order:
 
 The sizes each section runs at are the module constants below, so a test
 can run every section small.  The script exits 1 if any comparison
-fails, and writes BENCH_23.json at the root of the checkout (BENCH_22.json,
-BENCH_21.json, BENCH_18.json and BENCH_17.json are earlier runs; BENCH_2, BENCH_3,
+fails, and writes BENCH_25.json at the root of the checkout (BENCH_23.json,
+BENCH_22.json, BENCH_21.json, BENCH_18.json and BENCH_17.json are earlier
+runs; BENCH_2, BENCH_3,
 BENCH_5, BENCH_6, BENCH_7, BENCH_10, BENCH_11, BENCH_12, BENCH_14 and
 BENCH_15.json are earlier runs, in the earlier per-section layout).
 
@@ -133,6 +138,8 @@ from references import (  # noqa: E402
     general_encoding,
     generator_walk,
     hopcroft_karp_per_direction,
+    integer_string_plan,
+    integers,
     least_key_walk,
     per_direction_edge_counts,
     per_point_table,
@@ -145,7 +152,7 @@ from references import (  # noqa: E402
     set_checked_deserialize,
 )
 
-OUTPUT = ROOT / "BENCH_23.json"
+OUTPUT = ROOT / "BENCH_25.json"
 SEED = 1
 REPEATS = {"to_table": 3, "distance": 3, "matching": 3, "kernel": 7, "frontier": 3, "games": 5,
            "strings_game": 11, "stream_seeding": 21, "budget_game": 11, "seed_derivation": 7,
@@ -167,6 +174,8 @@ GOOD_M_N, GOOD_M_QUERIES, GOOD_M_DRAWS = 12, 20, 2000
 PAYLOADS = 20000
 STRINGS_N, STRINGS_QUERIES, STRINGS_TRIALS = 12, 16, 500
 STREAMS = 1000
+HIDDEN_BLOCK = harness.GAME_BLOCK_CELLS
+PLAN_N = (12, 48)
 DIGEST_TABLE_N = (10, 14)
 EDGE_COUNTS_N = 16
 CLI_CALLS = 100
@@ -313,7 +322,7 @@ def game_pairs() -> list[Pair]:
         "sssq": (tasks.SetQueryPlan.of(m, [range(1, m + 1)] * 4), f"4 copies of [1..{m}]"),
     }
     good = desk_params(GOOD_M_N)
-    X = random_string_plan(GOOD_M_N, GOOD_M_QUERIES, RandomStream(Seed(SEED), "goodM-plan"), always_yes)
+    X = random_string_plan(GOOD_M_N, GOOD_M_QUERIES, Seed(SEED), "goodM-plan", always_yes)
     Ms = [f.M for f in sample_block(good, YES_STYLE, Seed(SEED).mixes(range(GOOD_M_DRAWS)))]
     draw = random.Random(SEED)
     # to_table's payloads: address, |S|, the members of S, then their bits.
@@ -386,18 +395,32 @@ def stream_seeding_pairs() -> list[Pair]:
     codes = sorted(random.Random(SEED).sample(range(1 << BUDGET_N), 3))
     cases = {
         "M": (f"bounded draws over {ranges}",
-              lambda stream: [stream.integers(0, r) for r in ranges],
+              lambda stream: [integers(stream, 0, r) for r in ranges],
               lambda block: block.bounded(ranges).tolist()),
         "A": (f"random({count})", lambda stream: stream.random(count).tolist(),
               lambda block: block.random(count).tolist()),
         "d1": (f"random_at({codes})", lambda stream: random_at(stream, codes),
                lambda block: block.random_at(codes).tolist()),
     }
-    return [Pair(f"{STREAMS} streams, role {role!r}",
-                 f"{label}: StreamBlock against one RandomStream per seed",
-                 lambda role=role, one=one: [one(RandomStream(seed, role)) for seed in seeds],
-                 lambda role=role, block=block: block(StreamBlock(seeds, role)))
-            for role, (label, one, block) in cases.items()]
+    pairs = [Pair(f"{STREAMS} streams, role {role!r}",
+                  f"{label}: StreamBlock against one RandomStream per seed",
+                  lambda role=role, one=one: [one(RandomStream(seed, role)) for seed in seeds],
+                  lambda role=role, block=block: block(StreamBlock(seeds, role)))
+             for role, (label, one, block) in cases.items()]
+    side = "game-sseq/yes"
+    pairs.append(Pair(f"one stream, {HIDDEN_BLOCK} doubles",
+                      f"one hidden-set game block, seed {SEED}, role {side!r}: a one-stream "
+                      "StreamBlock read against RandomStream.random",
+                      lambda: RandomStream(Seed(SEED), side).random(HIDDEN_BLOCK).tolist(),
+                      lambda: StreamBlock([Seed(SEED)], side).random(HIDDEN_BLOCK)[0].tolist()))
+    for n in PLAN_N:
+        args = (n, GOOD_M_QUERIES, Seed(SEED), "goodM-plan", always_yes)
+        pairs.append(Pair(f"goodM plan, n = {n}",
+                          f"{GOOD_M_QUERIES} queries, seed {SEED}: random_string_plan against "
+                          "numpy's integers(0, 2^n, size=q)",
+                          lambda args=args: integer_string_plan(*args),
+                          lambda args=args: random_string_plan(*args)))
+    return pairs
 
 
 def budget_game_pairs() -> list[Pair]:

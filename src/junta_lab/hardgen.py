@@ -40,6 +40,7 @@ __all__ = [
     "addressing_orders",
     "sample_d1",
     "sample_d1_block_at",
+    "check_d1",
     "sample_d2",
 ]
 
@@ -98,7 +99,8 @@ def sample_block(params: Params, kind: str, seeds: Sequence[Seed]) -> Iterator[S
         yield StructuredFn(params=params, M=M, A=A, seed=seed, kind=kind)
 
 
-def _check_d1(n: int, epsilon: float) -> None:
+def check_d1(n: int, epsilon: float) -> None:
+    """Raise unless ``sample_d1`` accepts n (a table within ``TABLE_CAP``) and epsilon."""
     if n < 1:
         raise InvalidInput(f"n must be positive, got {n}")
     if n > TABLE_CAP:
@@ -114,7 +116,7 @@ def sample_d1(n: int, epsilon: float, stream: RandomStream) -> TruthTable:
     3*epsilon.  ``sample_d1_block_at`` reads a few entries of a block of
     such tables.
     """
-    _check_d1(n, epsilon)
+    check_d1(n, epsilon)
     bits = stream.bernoulli_mask(1 << n, 3.0 * epsilon)
     return TruthTable(n, bits.astype(np.uint8))
 
@@ -128,7 +130,7 @@ def sample_d1_block_at(
     uniform per stream (``StreamBlock.random_at``) instead of 2^n.  Shape
     (streams, codes), uint8.
     """
-    _check_d1(n, epsilon)
+    check_d1(n, epsilon)
     distinct = sorted(set(codes))
     if distinct and not 0 <= distinct[0] <= distinct[-1] < 1 << n:
         raise InvalidInput(f"codes must lie in [0, 2^{n}), got {distinct[0]}..{distinct[-1]}")

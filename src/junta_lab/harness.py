@@ -32,7 +32,14 @@ from .boolfn import (
     to_table,
 )
 from .errors import InvalidInput
-from .hardgen import addressing_orders, sample_block, sample_d1, sample_d1_block_at, sample_d2
+from .hardgen import (
+    addressing_orders,
+    check_d1,
+    sample_block,
+    sample_d1,
+    sample_d1_block_at,
+    sample_d2,
+)
 from .junta_distance import dist_to_k_junta
 from .params import DESK_SCALE, Params, coin_rate, derive_params
 from .rng import RandomStream, Seed, StreamBlock
@@ -92,11 +99,31 @@ DECIDERS: dict[str, tasks.Decider] = {
 
 
 def random_string_plan(
-    n: int, q: int, stream: RandomStream, decider: tasks.Decider
+    n: int, q: int, seed: Seed, role: str, decider: tasks.Decider
 ) -> StringQueryPlan:
-    """q uniformly random n-bit queries with the given decider."""
-    queries = tuple(BitString(n, int(v)) for v in stream.integers_array(0, 1 << n, q))
-    return StringQueryPlan(queries=queries, decider=decider)
+    """q uniformly random n-bit queries from the stream ``(seed, role)``, with the given decider.
+
+    Each query keeps the top n bits of the stream's raw words
+    (``StreamBlock.raw``): for n <= 32 a word is a 32-bit half of an
+    output, the low half first; for larger n a query reads ceil(n / 64)
+    outputs as one big-endian number, the first most significant.  A
+    power-of-two range never rejects under numpy's Lemire draws, so for
+    n <= 62 the queries are ``RandomStream(seed, role)``'s
+    ``integers(0, 2^n, size=q)``; above that numpy's int64 draws have no
+    such range.
+    """
+    stream = StreamBlock([seed], role)
+    if n <= 32:
+        outputs = stream.raw((q + 1) // 2)[0]
+        halves = np.column_stack([outputs & 0xFFFFFFFF, outputs >> 32]).ravel()[:q]
+        values = (halves >> (32 - n)).tolist()
+    else:
+        per_query = -(-n // 64)
+        data = stream.raw(q * per_query)[0].astype(">u8").tobytes()
+        size = 8 * per_query
+        values = [int.from_bytes(data[at:at + size], "big") >> (64 * per_query - n)
+                  for at in range(0, len(data), size)]
+    return StringQueryPlan(queries=tuple(BitString(n, v) for v in values), decider=decider)
 
 
 @dataclass(frozen=True)
@@ -282,23 +309,24 @@ def run_hidden_set_game(plan: AnyPlan, params: Params, trials: int, seed: int) -
 
     Element plans play the sseq game and set plans the sssq game.  Each
     side of a game has one stream, ``RandomStream(Seed(seed),
-    f"game-{mode}").child(side)``, and every trial of the side reads the
-    next ``m + width`` uniforms from it: first the m coins of
-    ``sample_hidden`` (element i joins the hidden set when its coin is
-    below the side's inclusion rate, p or q), then the ``width`` response
-    draws of ``sseq_respond`` (width m, one per element, compared with the
-    element's ``hit_prob``) or ``sssq_respond`` (width ``plan.cost``, one
-    per query slot in query order, compared with theta).  That is the
-    sequence a loop of ``sample_hidden(m, inclusion, stream)`` then
-    ``respond(hidden, plan, epsilon, n, stream)`` consumes.
+    f"game-{mode}").child(side)``, read as the one-stream ``StreamBlock``
+    of role ``f"game-{mode}/{side}"``, so no game loads ``numpy.random``.
+    Every trial of the side reads the next ``m + width`` uniforms from it:
+    first the m coins of ``sample_hidden`` (element i joins the hidden set
+    when its coin is below the side's inclusion rate, p or q), then the
+    ``width`` response draws of ``sseq_respond`` (width m, one per
+    element, compared with the element's ``hit_prob``) or ``sssq_respond``
+    (width ``plan.cost``, one per query slot in query order, compared with
+    theta).  That is the sequence a loop of ``sample_hidden(m, inclusion,
+    stream)`` then ``respond(hidden, plan, epsilon, n, stream)`` consumes.
 
     The side draws its trials as C-order blocks of shape (rows, m + width),
-    each at most ``GAME_BLOCK_CELLS`` cells (at least one row), so memory
-    does not grow with ``trials``; consecutive blocks read the stream in
-    the same order, so the block size changes no output.  The rates are
-    computed once per game, and ``tasks.batch_bayes_decider`` decides
-    every trial of a block at once, exactly as ``tasks.bayes_decide``
-    would decide each on its own.
+    each at most ``GAME_BLOCK_CELLS`` cells (at least one row) read by one
+    ``StreamBlock.random``, so memory does not grow with ``trials``;
+    consecutive blocks read the stream in the same order, so the block
+    size changes no output.  The rates are computed once per game, and
+    ``tasks.batch_bayes_decider`` decides every trial of a block at once,
+    exactly as ``tasks.bayes_decide`` would decide each on its own.
     """
     m, epsilon, n = plan.m, params.epsilon, params.n
     if m < 1:
@@ -312,15 +340,16 @@ def run_hidden_set_game(plan: AnyPlan, params: Params, trials: int, seed: int) -
     element_of = tasks.response_elements(plan)
     width = len(element_of)
     rows_per_block = max(1, GAME_BLOCK_CELLS // (m + width))
-    base = RandomStream(Seed(seed), f"game-{mode}")
+    game_seed = Seed(seed)
     inclusions = {YES: params.p, NO: params.q}
     decide = tasks.batch_bayes_decider(plan, params)
 
     def count_yes(side: str, first: int, count: int) -> int:
-        stream = base.child(side)
+        stream = StreamBlock([game_seed], f"game-{mode}/{side}")
         yes = 0
         for done in range(0, count, rows_per_block):
-            draws = stream.random((min(rows_per_block, count - done), m + width))
+            rows = min(rows_per_block, count - done)
+            draws = stream.random(rows * (m + width)).reshape(rows, m + width)
             hidden = draws[:, :m] < inclusions[side]
             bits = hidden[:, element_of] & (draws[:, m:] < rates)
             yes += int(np.count_nonzero(decide(bits)))
@@ -522,19 +551,22 @@ def budget_game(config: ExperimentConfig) -> ExperimentReport:
     The plan queries uniformly random strings and answers yes on an
     all-zero reply; with this few queries the reply is almost always all
     zero on both sides, so the advantage must sit below the set-game
-    threshold.  No-side trial ``i`` reads the D1 table of
+    threshold.  The plan comes from ``random_string_plan`` on the stream
+    ``(seed, "budget-game-plan")``, drawn only once n and epsilon pass
+    ``check_d1``, so an n above the table cap fails as ``TooLarge``
+    however large.  No-side trial ``i`` reads the D1 table of
     ``RandomStream(Seed(seed).mix(i), "d1")`` at the plan's queries only:
     each block of trials is one ``StreamBlock`` read at the plan's
     distinct codes (``sample_d1_block_at``), so the result equals that of
-    full ``sample_d1`` tables.
+    full ``sample_d1`` tables and no trial builds a numpy generator.
     """
     params = config.params
     n, epsilon = params.n, params.epsilon
     budget = math.floor(1.0 / (30.0 * epsilon))
     if budget < 1:
         raise InvalidInput(f"budget floor(1/(30*{epsilon})) vanishes; lower epsilon")
-    plan_stream = RandomStream(Seed(config.seed), "budget-game-plan")
-    algorithm = random_string_plan(n, budget, plan_stream, all_zero_yes)
+    check_d1(n, epsilon)  # no plan for a table too large to read
+    algorithm = random_string_plan(n, budget, Seed(config.seed), "budget-game-plan", all_zero_yes)
 
     codes = [x.code for x in algorithm.queries]
 
@@ -779,19 +811,19 @@ def lift_equivalence_sweep(config: ExperimentConfig) -> ExperimentReport:
 def good_m(config: ExperimentConfig) -> ExperimentReport:
     """Monte-Carlo separation failure rate against the pairwise union bound.
 
-    The plan X is fixed, so its far pairs (``tasks.far_pair_codes``) are
-    listed once; each draw of M is then one mask test per far pair, the
-    same verdict as ``tasks.is_separating``.  Draw j's M is the addressing
-    set of ``sample_yes`` at ``Seed(config.seed).mix(j)``, drawn in the
-    blocks of ``_seed_blocks`` by ``hardgen.addressing_orders``, so no draw
-    builds a numpy generator.  When X has no far pair (at desk scale tau
-    exceeds n) every M separates, so no M is drawn and the bad fraction is
-    exactly 0.
+    The plan X is ``random_string_plan`` on the stream ``(seed,
+    "goodM-plan")``, at any n.  It is fixed, so its far pairs
+    (``tasks.far_pair_codes``) are listed once; each draw of M is then one
+    mask test per far pair, the same verdict as ``tasks.is_separating``.
+    Draw j's M is the addressing set of ``sample_yes`` at
+    ``Seed(config.seed).mix(j)``, drawn in the blocks of ``_seed_blocks``
+    by ``hardgen.addressing_orders``, so neither X nor any draw builds a
+    numpy generator.  When X has no far pair (at desk scale tau exceeds n)
+    every M separates, so no M is drawn and the bad fraction is exactly 0.
     """
     params = config.params
     q_queries = 20
-    plan_stream = RandomStream(Seed(config.seed), "goodM-plan")
-    X = random_string_plan(params.n, q_queries, plan_stream, always_yes)
+    X = random_string_plan(params.n, q_queries, Seed(config.seed), "goodM-plan", always_yes)
     far_codes = tasks.far_pair_codes(X, params.tau)
     bad = 0
     for seeds in _seed_blocks(config.seed, 0, config.trials if far_codes else 0):

@@ -10,13 +10,17 @@ through one of two mechanisms:
   any bit on demand without caching and pay the key schedule once per
   state.  ``derive_u64`` and ``derive_bit`` are its one-shot forms.
 * ``RandomStream``: a PCG64 generator whose state is derived from
-  ``(seed, role)``.  Used for bulk sampling where a stateful stream is the
-  natural fit (subset draws, Monte-Carlo trials).  ``StreamBlock(seeds,
-  role)`` holds the streams of a block of seeds, one per seed, as uint64
-  arrays of PCG64 states: one pass of numpy's SeedSequence mixing seeds the
-  whole block, and its doubles, point reads and bounded integers are array
-  arithmetic over the block, each row equal to the one-seed stream's draws
-  with no numpy generator built.
+  ``(seed, role)``, built by numpy.  Of the experiments and commands,
+  only the whole-table samplers ``sample_d1`` and ``sample_d2`` still draw
+  from one; the one-trial functions of ``tasks`` take one as an argument.
+  ``StreamBlock(seeds, role)`` holds the same streams for a block of
+  seeds, one per seed, as uint64 arrays of PCG64 states: one pass of
+  numpy's SeedSequence mixing seeds the whole block, and its raw outputs,
+  doubles, point reads and bounded integers are array arithmetic over the
+  block, each row equal to the one-seed stream's draws with no numpy
+  generator built, so its users never load ``numpy.random``.  Long reads
+  go in chunks of ``RAW_CHUNK`` positions, so a one-stream block serves a
+  whole Monte-Carlo game.
 
 Distinct role labels give computationally independent streams; the same
 seed and role always reproduce the same draws.
@@ -313,6 +317,30 @@ def _output(state: tuple) -> np.ndarray:
 _MULT_WORDS = _words([_PCG_MULT])
 
 
+# Positions one chunk of ``StreamBlock.raw`` reads per stream, so a read's
+# temporaries hold at most streams x RAW_CHUNK words however long it is.
+RAW_CHUNK = 8192
+_MULT_LESS_ONE_WORDS = _words([_PCG_MULT - 1])
+_CHUNK_POWER_WORDS = _words([pow(_PCG_MULT, RAW_CHUNK, _U128)])
+
+
+@lru_cache(maxsize=1)
+def _sum_table() -> tuple[np.ndarray, ...]:
+    """1 + a + ... + a^(k - 1) mod 2^128 for k = 1..RAW_CHUNK: high words, low words, low halves.
+
+    Built by doubling, sum(k + j) = sum(k) + a^k sum(j), and kept for the
+    life of the process once a read first needs it.  The low words also
+    come split into their low and high 32-bit halves.
+    """
+    high, low = _words([1])
+    while len(low) < RAW_CHUNK:
+        more = _add(_mul((high, low), _words([pow(_PCG_MULT, len(low), _U128)])),
+                    (high[-1:], low[-1:]))
+        high, low = np.concatenate([high, more[0]]), np.concatenate([low, more[1]])
+    high, low = high[:RAW_CHUNK], low[:RAW_CHUNK]
+    return high, low, low & _M32, low >> 32
+
+
 @lru_cache(maxsize=256)
 def _jump(steps: int) -> tuple[int, int]:
     """(a^steps, 1 + a + ... + a^(steps - 1)) mod 2^128, a being PCG64's multiplier.
@@ -325,6 +353,11 @@ def _jump(steps: int) -> tuple[int, int]:
     return power % _U128, (power - 1) // (_PCG_MULT - 1) % _U128
 
 
+def _to_doubles(target: np.ndarray, words: np.ndarray) -> None:
+    """Write numpy's ``next_double`` of each output into ``target``: its top 53 bits times 2^-53."""
+    np.multiply(np.right_shift(words, 11, out=words), 2.0**-53, out=target)
+
+
 class StreamBlock:
     """``RandomStream(seed, role)`` for each seed of a block, drawn as arrays.
 
@@ -335,9 +368,11 @@ class StreamBlock:
     word, the high half of an output a 32-bit draw has not read yet.  Every
     draw is array arithmetic over the whole block, row i of each result
     being what stream i returns draw for draw, so no numpy bit generator
-    is built.  Reads jump each stream to the positions they need, so they
-    suit short reads: a read of P values takes arrays of shape
-    (streams, P).
+    is built.  ``raw`` and ``random`` read consecutive outputs in chunks
+    of at most ``RAW_CHUNK`` positions, so their temporaries stay at
+    streams x RAW_CHUNK words however long the read; ``random_at`` jumps
+    each stream to the sparse positions it needs, and ``bounded`` to the
+    outputs its draws consume.
     """
 
     def __init__(self, seeds: Sequence[Seed], role: str):
@@ -379,11 +414,75 @@ class StreamBlock:
         self._state = (state[0][:, -1].copy(), state[1][:, -1].copy())
         return (_output(state) >> 11) * 2.0**-53
 
-    def random(self, count: int) -> np.ndarray:
-        """The next ``count`` doubles of each stream: shape (streams, count)."""
+    def _read(self, count: int, dtype, convert) -> np.ndarray:
+        """Each stream's next ``count`` outputs through ``convert``: shape (streams, count).
+
+        k steps of s -> a s + inc take s to a^k s + sum(k) inc, and a^k =
+        (a - 1) sum(k) + 1, so they take it to s + sum(k) d with d = (a - 1)
+        s + inc.  A read goes chunk by chunk of at most ``RAW_CHUNK``
+        positions, each one product of the cached sums (``_sum_table``) by
+        the chunk's d, in place in four (streams, chunk) buffers; the chunk
+        after a full one starts a^RAW_CHUNK steps on, so its d is
+        a^RAW_CHUNK d.  ``convert(target, words)`` writes a chunk's outputs
+        into its columns of the result, of the given dtype.  Each stream
+        then stands at its last state; the buffered 32-bit word stays.
+        """
         if count < 0:
             raise InvalidInput(f"count must be non-negative, got {count}")
-        return self.random_at(range(count))
+        out = np.empty((len(self), count), dtype=dtype)
+        sum_hi, sum_lo, sum0, sum1 = _sum_table()
+        d = _add(_mul(self._state, _MULT_LESS_ONE_WORDS), self._inc)
+        width = min(count, RAW_CHUNK)
+        hi_buf, lo_buf, mid_buf, tmp_buf = (np.empty((len(self), width), dtype=np.uint64)
+                                            for _ in range(4))
+        mul, add, shr = np.multiply, np.add, np.right_shift
+        for start in range(0, count, RAW_CHUNK):
+            size = min(RAW_CHUNK, count - start)
+            if start:
+                d = _mul(d, _CHUNK_POWER_WORDS)
+            hi, lo, mid, tmp = (buf[:, :size] for buf in (hi_buf, lo_buf, mid_buf, tmp_buf))
+            d_hi, d_lo = (word[:, None] for word in d)
+            d0, d1 = d_lo & _M32, d_lo >> 32
+            s_lo, s0, s1 = sum_lo[:size], sum0[:size], sum1[:size]
+            # hi:lo = sum(k) d, the high word of s_lo * d_lo from 32-bit halves as in _mul_hi
+            shr(mul(s0, d0, out=tmp), 32, out=tmp)
+            add(mul(s1, d0, out=mid), tmp, out=mid)
+            mul(s0, d1, out=tmp)
+            add(mul(s1, d1, out=hi), shr(tmp, 32, out=lo), out=hi)
+            add(mid, np.bitwise_and(tmp, _M32, out=tmp), out=mid)
+            add(hi, shr(mid, 32, out=mid), out=hi)
+            add(hi, mul(s_lo, d_hi, out=tmp), out=hi)
+            add(hi, mul(sum_hi[:size], d_lo, out=tmp), out=hi)
+            mul(s_lo, d_lo, out=lo)
+            # plus s, carrying out of the low word
+            x_hi, x_lo = (word[:, None] for word in self._state)
+            add(lo, x_lo, out=lo)
+            add(hi, x_hi, out=hi)
+            add(hi, lo < x_lo, out=hi)
+            self._state = (hi[:, -1].copy(), lo[:, -1].copy())
+            # PCG64's XSL-RR output as in _output; numpy shifts a word by 64 to 0
+            shr(hi, 58, out=tmp)
+            np.bitwise_xor(hi, lo, out=hi)
+            shr(hi, tmp, out=lo)
+            np.left_shift(hi, np.subtract(64, tmp, out=tmp), out=hi)
+            convert(out[:, start:start + size], np.bitwise_or(hi, lo, out=hi))
+        return out
+
+    def raw(self, count: int) -> np.ndarray:
+        """The next ``count`` 64-bit outputs of each stream: shape (streams, count), uint64.
+
+        numpy's ``next_uint64``; like numpy's, it leaves the buffered
+        32-bit word alone.
+        """
+        return self._read(count, np.uint64, np.copyto)
+
+    def random(self, count: int) -> np.ndarray:
+        """The next ``count`` doubles of each stream: shape (streams, count).
+
+        The double of an output is its top 53 bits times 2^-53, numpy's
+        ``next_double``.
+        """
+        return self._read(count, np.float64, _to_doubles)
 
     def bounded(self, ranges: Sequence[int]) -> np.ndarray:
         """Column j of row i is stream i's ``integers(0, ranges[j])``, the draws made in order.
@@ -452,14 +551,6 @@ class RandomStream:
 
     def random(self, size: int | None = None):
         return self._gen.random(size)
-
-    def integers(self, low: int, high: int) -> int:
-        """Uniform integer in [low, high)."""
-        return int(self._gen.integers(low, high))
-
-    def integers_array(self, low: int, high: int, size: int) -> np.ndarray:
-        """Array of independent uniform integers in [low, high)."""
-        return self._gen.integers(low, high, size=size)
 
     def u64(self) -> int:
         return int(self._gen.integers(0, _U64, dtype=np.uint64))

@@ -32,9 +32,13 @@ the lifting as a sampler, whose law ``dict_lifted_law`` writes down.
 
 ``per_trial_string_game`` is ``harness.run_game`` as one loop over the
 trials, each instance sampled from its own seed; the budget-game
-references play ``budget_game`` through it, each no-side trial on its
-own stream, drawing its whole D1 table or reading it at the queries
-(``sample_d1_at`` over the one-stream ``random_at``).
+references play ``budget_game`` through it, on the plan numpy draws
+(``integer_string_plan``), each no-side trial on its own stream, drawing
+its whole D1 table or reading it at the queries (``sample_d1_at`` over
+the one-stream ``random_at``).  ``integers``, ``integers_array`` and
+``raw_outputs`` are numpy's draws on a ``RandomStream``, which
+``StreamBlock`` and ``random_string_plan`` reproduce without numpy's
+generator.
 
 Several references patch a module attribute for the length of one call
 (``count_adds``, ``fresh_digests``, ``counted_digests``) and restore it
@@ -150,6 +154,34 @@ class IntegerSeededStream(RandomStream):
         self._gen = integer_seeded_generator(reference_stream_entropy(seed, role))
 
 
+def integers(stream: RandomStream, low: int, high: int) -> int:
+    """A uniform integer in [low, high) from numpy's ``Generator.integers`` on ``stream``.
+
+    The draw ``StreamBlock.bounded`` makes without numpy's generator.
+    """
+    return int(stream._gen.integers(low, high))
+
+
+def integers_array(stream: RandomStream, low: int, high: int, size: int) -> np.ndarray:
+    """``size`` uniform integers in [low, high), as int64, from numpy's ``Generator.integers``."""
+    return stream._gen.integers(low, high, size=size)
+
+
+def raw_outputs(stream: RandomStream, count: int) -> list[int]:
+    """The next ``count`` 64-bit outputs of ``stream``'s bit generator: what ``StreamBlock.raw`` reads."""
+    return stream._gen.bit_generator.random_raw(count).tolist()
+
+
+def integer_string_plan(n: int, q: int, seed, role: str, decider) -> tasks.StringQueryPlan:
+    """``harness.random_string_plan`` as numpy draws it: ``integers_array(0, 2^n, q)``.
+
+    One numpy generator on ``RandomStream(seed, role)``; numpy's int64
+    draws take n <= 62 only.
+    """
+    codes = integers_array(RandomStream(seed, role), 0, 1 << n, q)
+    return tasks.StringQueryPlan(tuple(BitString(n, int(v)) for v in codes), decider)
+
+
 def complement_sample(params, kind: str, seed, M: IndexSet | None = None) -> StructuredFn:
     """The instance ``sample_block(params, kind, [seed])`` draws, one seed on its own streams.
 
@@ -168,7 +200,7 @@ def complement_sample(params, kind: str, seed, M: IndexSet | None = None) -> Str
         stream = IntegerSeededStream(seed, "M")
         arr = list(range(1, n + 1))
         for pos in range(t):
-            j = stream.integers(pos, n)
+            j = integers(stream, pos, n)
             arr[pos], arr[j] = arr[j], arr[pos]
         M = IndexSet.of(n, arr[:t])
     rest = M.complement().members
@@ -383,8 +415,8 @@ def _per_trial_budget_game(config, d1) -> str:
     params = config.params
     n, epsilon = params.n, params.epsilon
     budget = math.floor(1.0 / (30.0 * epsilon))
-    plan = harness.random_string_plan(
-        n, budget, RandomStream(Seed(config.seed), "budget-game-plan"), harness.all_zero_yes)
+    plan = integer_string_plan(n, budget, Seed(config.seed), "budget-game-plan",
+                               harness.all_zero_yes)
     zero = TruthTable.constant(n, 0)
     result = per_trial_string_game(lambda seed: zero,
                                    lambda seed: d1(n, epsilon, RandomStream(seed, "d1")),

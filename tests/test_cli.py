@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from junta_lab import params as params_mod
-from junta_lab.boolfn import NO_STYLE, YES_STYLE, BitString, TruthTable
+from junta_lab.boolfn import NO_STYLE, TABLE_CAP, YES_STYLE, BitString, TruthTable
 from junta_lab.cli import build_parser, main
 from junta_lab.harness import DECIDERS, EXPERIMENTS, desk_params
 from junta_lab.params import derive_params
@@ -505,6 +505,27 @@ def test_every_experiment_rejects_a_seed_outside_64_bits(capsys, desk10_file, co
     error = assert_usage_error(capsys, [*command, "--params", desk10_file, "--trials", "2",
                                         "--seed", str(seed)])
     assert error == f"error: seed must be a 64-bit unsigned integer, got {seed}"
+
+
+@pytest.mark.parametrize("n", [30, 63, 64, 70])
+def test_budget_game_past_the_table_cap_is_a_usage_error(tmp_path, capsys, n):
+    # the cap is checked before the plan is drawn, so every n past it fails alike
+    path = tmp_path / "desk.cfg"
+    params_mod.save(desk_params(n, epsilon=0.01), str(path))
+    error = assert_usage_error(capsys, ["verify", "--experiment", "game", "--params", str(path),
+                                        "--trials", "50"])
+    assert error == f"error: n = {n} exceeds the truth-table cap {TABLE_CAP}"
+
+
+@pytest.mark.parametrize("n", [33, 48, 62, 63, 64, 70])
+def test_good_m_draws_its_plan_at_any_n(tmp_path, capsys, n):
+    # plans past 32 bits read whole outputs, and past 64 bits several per query
+    path = tmp_path / "desk.cfg"
+    params_mod.save(desk_params(n), str(path))
+    code, out = run_cli(capsys, "verify", "--experiment", "goodM", "--params", str(path),
+                        "--trials", "50", "--seed", "3")
+    assert code == 0
+    assert out.startswith("PASS bad_fraction_within_union_bound: ")
 
 
 def run_captured(argv):

@@ -1,6 +1,7 @@
 """Experiment runners: games, verification suites, sweeps, and reporting."""
 
 import dataclasses
+import json
 import math
 import os
 import subprocess
@@ -35,7 +36,7 @@ from junta_lab.harness import (
     run_game,
     write_atomic,
 )
-from junta_lab.rng import RandomStream, Seed
+from junta_lab.rng import Seed
 from junta_lab.tasks import NO, YES, StringQueryPlan
 from references import (
     complement_sample,
@@ -58,7 +59,7 @@ def test_decider_registry():
 
 
 def test_run_game_constant_decider():
-    plan = random_string_plan(4, 3, RandomStream(Seed(1), "p"), always_yes)
+    plan = random_string_plan(4, 3, Seed(1), "p", always_yes)
     result = run_game(TruthTable.constant(4, 0), TruthTable.constant(4, 1), plan, 400, 7)
     assert result.advantage == 0.0
     assert result.ci_low <= 0.0 <= result.ci_high
@@ -80,7 +81,7 @@ def test_run_game_fixed_instances_derive_no_seed(monkeypatch):
             return super().eval_many(xs)
 
     zero, one = Counted(4, np.zeros(16)), Counted(4, np.ones(16))
-    plan = random_string_plan(4, 3, RandomStream(Seed(1), "p"), all_zero_yes)
+    plan = random_string_plan(4, 3, Seed(1), "p", all_zero_yes)
     result = run_game(zero, one, plan, 401, 7)
     assert (result.trials_yes, result.trials_no, result.advantage) == (200, 201, 1.0)
     assert evaluations == [zero, one]
@@ -88,7 +89,7 @@ def test_run_game_fixed_instances_derive_no_seed(monkeypatch):
 
 def test_run_game_identical_samplers():
     params = desk_params(6)
-    plan = random_string_plan(6, 2, RandomStream(Seed(2), "p"), all_equal_yes)
+    plan = random_string_plan(6, 2, Seed(2), "p", all_equal_yes)
     gen = partial(sample_block, params, YES_STYLE)
     result = run_game(gen, gen, plan, 2000, 11)
     assert result.ci_low <= 0.0 <= result.ci_high
@@ -114,7 +115,7 @@ STRINGS_PARAMS = desk_params(8, epsilon=1.0)
 
 
 def strings_plan(seed, decider):
-    return random_string_plan(8, 12, RandomStream(Seed(seed), "plan"), decider)
+    return random_string_plan(8, 12, Seed(seed), "plan", decider)
 
 
 @pytest.mark.parametrize("decider", [parity_yes, all_zero_yes])
@@ -170,8 +171,8 @@ def test_run_game_keeps_one_instance_alive_at_a_time():
 
 
 def test_block_games_build_no_bit_generator(monkeypatch):
-    # block streams are arrays: the strings game builds no PCG64 at all, and
-    # the budget game builds one, for its plan, however many trials it plays
+    # block streams are arrays: neither the strings game nor the budget game,
+    # plan included, builds a PCG64, however many trials it plays
     plan = strings_plan(4, parity_yes)
     built = []
     numpy_pcg64 = np.random.PCG64
@@ -185,7 +186,7 @@ def test_block_games_build_no_bit_generator(monkeypatch):
              partial(sample_block, STRINGS_PARAMS, NO_STYLE), plan, 600, 2)
     assert built == []
     run_experiment(budget_config(1, trials=600))
-    assert len(built) == 1
+    assert built == []
 
 
 VERIFY_CONFIGS = [
@@ -197,8 +198,7 @@ VERIFY_CONFIGS = [
 
 
 def test_verify_experiments_build_no_bit_generator(monkeypatch):
-    # the structured samples and goodM's M's come from block streams, and
-    # goodM's plan stream is its one PCG64
+    # the structured samples, goodM's M's and goodM's plan all come from block streams
     built = []
     numpy_pcg64 = np.random.PCG64
 
@@ -207,34 +207,65 @@ def test_verify_experiments_build_no_bit_generator(monkeypatch):
         return numpy_pcg64(*args)
 
     monkeypatch.setattr(np.random, "PCG64", counted)
-    for config in VERIFY_CONFIGS[:2]:
+    for config in VERIFY_CONFIGS:
         assert run_experiment(config).passed
     assert built == []
-    run_experiment(VERIFY_CONFIGS[2])
-    assert len(built) == 1
+
+
+def loads_numpy_random(code: str) -> bool:
+    """Whether a fresh interpreter that runs ``code`` has ``numpy.random`` loaded at its end."""
+    code += "\nimport sys\nprint('numpy.random' in sys.modules)\n"
+    paths = [str(Path(harness.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # the commands print their results first; the last line is the answer
+    return {"True": True, "False": False}[proc.stdout.splitlines()[-1]]
 
 
 def test_verify_experiments_leave_numpy_random_unloaded(tmp_path):
     # gen --dist yes|no draws its one instance as a block of one seed, too
     params_file = tmp_path / "desk10.cfg"
     params_mod.save(desk_params(10), str(params_file))
-    code = (
-        "import sys\n"
+    assert not loads_numpy_random(
         "from junta_lab import cli, harness\n"
         "for experiment, trials in (('verify_yes', 20), ('verify_no', 10)):\n"
         "    config = harness.ExperimentConfig(harness.desk_params(10), experiment, trials, 1)\n"
         "    assert harness.run_experiment(config).passed\n"
         "for dist in ('yes', 'no'):\n"
         f"    assert cli.main(['gen', '--dist', dist, '--params', {str(params_file)!r}]) == 0\n"
-        "print('numpy.random' in sys.modules)\n"
     )
-    paths = [str(Path(harness.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    # gen prints its instance first; the last line is the answer
-    assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_games_leave_numpy_random_unloaded(tmp_path):
+    # the hidden-set games read one-stream blocks, and the string plans raw block words
+    params10, params12 = tmp_path / "desk10.cfg", tmp_path / "desk12.cfg"
+    params_mod.save(desk_params(10), str(params10))
+    params_mod.save(desk_params(12), str(params12))
+    m = desk_params(10).m
+    plans = {"sseq": {"ell": [4] * m}, "sssq": {"m": m, "T": [list(range(1, m + 1))] * 4},
+             "strings": {"X": ["010011001110", "111000111000"], "decider": "parity_yes"}}
+    games = []
+    for mode, plan in plans.items():
+        path = tmp_path / f"{mode}.json"
+        path.write_text(json.dumps(plan), encoding="utf-8")
+        params = params12 if mode == "strings" else params10
+        games.append(["game", "--mode", mode, "--plan", str(path), "--params", str(params),
+                      "--trials", "300", "--seed", "21"])
+    assert not loads_numpy_random(
+        "import dataclasses\n"
+        "from junta_lab import cli, harness\n"
+        f"for argv in {games!r}:\n"
+        "    assert cli.main(argv) == 0\n"
+        "configs = [harness.ExperimentConfig(harness.desk_params(14, epsilon=0.01), 'game', 300, 21),\n"
+        "           harness.ExperimentConfig(dataclasses.replace(harness.desk_params(12), tau=8),\n"
+        "                                    'goodM', 300, 21)]\n"
+        "configs += [harness.ExperimentConfig(harness.desk_params(10), name, 1, 21)\n"
+        "            for name in ('sseq_curve', 'dtv_sweep', 'claim53')]\n"
+        "for config in configs:\n"
+        "    assert harness.run_experiment(config).passed, config.experiment\n"
+    )
 
 
 @pytest.mark.parametrize("config", VERIFY_CONFIGS, ids=lambda c: c.experiment)
@@ -260,7 +291,7 @@ def test_good_m_equals_the_per_seed_addressing_sets(seed):
     trials = 300
     report = run_experiment(ExperimentConfig(params=params, experiment="goodM", trials=trials,
                                              seed=seed))
-    X = random_string_plan(12, 20, RandomStream(Seed(seed), "goodM-plan"), always_yes)
+    X = random_string_plan(12, 20, Seed(seed), "goodM-plan", always_yes)
     far = tasks.far_pair_codes(X, params.tau)
     assert far
     bad = sum(not tasks.separates(complement_sample(params, YES_STYLE, Seed(seed).mix(j)).M, far)
@@ -402,9 +433,7 @@ def test_budget_game_matches_exact_advantage():
     # all-zero decider's exact advantage is 1 - (1 - 3 eps)^d.
     epsilon, trials = 0.01, 2000
     for seed in range(6):
-        plan = random_string_plan(
-            14, 3, RandomStream(Seed(seed), "budget-game-plan"), all_zero_yes
-        )
+        plan = random_string_plan(14, 3, Seed(seed), "budget-game-plan", all_zero_yes)
         distinct = len({x.code for x in plan.queries})
         all_zero = (1.0 - 3.0 * epsilon) ** distinct
         exact = 1.0 - all_zero

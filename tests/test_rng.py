@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from junta_lab.errors import InvalidInput
+from junta_lab.harness import always_yes, random_string_plan
 from junta_lab.rng import (
+    RAW_CHUNK,
     KeyedDigest,
     RandomStream,
     Seed,
@@ -23,7 +25,11 @@ from junta_lab.rng import (
 from references import (
     general_encoding,
     integer_seeded_generator,
+    integer_string_plan,
+    integers,
+    integers_array,
     random_at,
+    raw_outputs,
     reference_bit,
     reference_digest,
     reference_stream_entropy,
@@ -233,7 +239,7 @@ MANY_SEEDS = [Seed(0), Seed(2**64 - 1), *Seed(3).mixes(range(250))]
 
 
 def first_draws(stream):
-    return (stream.random(), stream.integers(0, 1000), stream.bernoulli_mask(8, 0.5).tolist())
+    return (stream.random(), integers(stream, 0, 1000), stream.bernoulli_mask(8, 0.5).tolist())
 
 
 def first_block_draws(block):
@@ -298,6 +304,7 @@ def test_many_streams_of_a_split_block_are_the_same_streams():
 
 DRAWS = st.one_of(
     st.tuples(st.just("random"), st.integers(0, 5)),
+    st.tuples(st.just("raw"), st.integers(0, 5)),
     st.tuples(st.just("random_at"), st.sets(st.integers(0, 300), max_size=4).map(sorted)),
     st.tuples(st.just("bounded"), st.lists(
         st.one_of(st.integers(1, 40), st.integers(1, 2**32), st.sampled_from([2**31 + 1, 2**32])),
@@ -311,13 +318,15 @@ def stream_draws(stream, draws):
     for kind, arg in draws:
         if kind == "random":
             out.append(stream.random(arg).tolist())
+        elif kind == "raw":
+            out.append(raw_outputs(stream, arg))
         elif kind == "random_at":
             # random(size), not the reference random_at: numpy's advance
             # drops the buffered 32-bit word that random(size) keeps
             full = stream.random(arg[-1] + 1) if arg else []
             out.append([full[p] for p in arg])
         else:
-            out.append([stream.integers(0, r) for r in arg])
+            out.append([integers(stream, 0, r) for r in arg])
     return out
 
 
@@ -325,7 +334,7 @@ def stream_draws(stream, draws):
 @given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6),
        draws=st.lists(DRAWS, max_size=6))
 def test_block_draws_equal_the_per_seed_streams(seeds, draws):
-    # random, random_at and bounded, interleaved in any order: a bounded
+    # random, raw, random_at and bounded, interleaved in any order: a bounded
     # draw's buffered high half must survive the doubles drawn after it
     seeds = [Seed(v) for v in seeds]
     block = StreamBlock(seeds, "r")
@@ -345,9 +354,62 @@ def test_bounded_draw_rejects_as_numpy_does(r):
     drawn = np.hstack([block.bounded([r] * 25), block.bounded([5, r, 1, 2**32] * 5)])
     for seed, row in zip(seeds, drawn.tolist()):
         stream = RandomStream(seed, "M")
-        expected = stream.integers_array(0, r, 25).tolist()
-        expected += [stream.integers(0, high) for high in [5, r, 1, 2**32] * 5]
+        expected = integers_array(stream, 0, r, 25).tolist()
+        expected += [integers(stream, 0, high) for high in [5, r, 1, 2**32] * 5]
         assert row == expected
+
+
+LONG_READS = [RAW_CHUNK - 1, RAW_CHUNK, RAW_CHUNK + 1, 3 * RAW_CHUNK + 5]
+EDGE_SEEDS = [[Seed(0)], [Seed(2**64 - 1)], [Seed(0), Seed(2**64 - 1), Seed(5)]]
+
+
+@pytest.mark.parametrize("count", LONG_READS)
+@pytest.mark.parametrize("seeds", EDGE_SEEDS, ids=["0", "2^64-1", "three"])
+def test_long_reads_equal_the_per_seed_streams(seeds, count):
+    # a read runs in chunks of RAW_CHUNK positions; every chunk boundary must join up
+    doubles, words = StreamBlock(seeds, "r").random(count), StreamBlock(seeds, "r").raw(count)
+    assert doubles.shape == words.shape == (len(seeds), count) and words.dtype == np.uint64
+    for seed, row, raw_row in zip(seeds, doubles.tolist(), words.tolist()):
+        assert row == RandomStream(seed, "r").random(count).tolist()
+        assert raw_row == raw_outputs(RandomStream(seed, "r"), count)
+
+
+@pytest.mark.parametrize("seeds", EDGE_SEEDS, ids=["0", "2^64-1", "three"])
+def test_successive_long_reads_continue_one_stream(seeds):
+    # each read starts where the last one stopped, mid-chunk or on a boundary,
+    # and a bounded draw's buffered high half survives the long reads after it
+    block = StreamBlock(seeds, "r")
+    rows = [[] for _ in seeds]
+    reads = [("bounded", [7]), ("random", RAW_CHUNK + 1), ("raw", RAW_CHUNK - 1),
+             ("bounded", [5, 2**32]), ("random", 2 * RAW_CHUNK), ("bounded", [9]),
+             ("raw", 3), ("random", 3 * RAW_CHUNK + 5), ("bounded", [2**31 + 1, 3])]
+    for kind, arg in reads:
+        for row, values in zip(rows, getattr(block, kind)(arg).tolist()):
+            row.append(values)
+    assert rows == [stream_draws(RandomStream(seed, "r"), reads) for seed in seeds]
+
+
+@pytest.mark.parametrize("n", [1, 12, 31, 32, 33, 48, 62])
+def test_string_plans_equal_numpy_integer_draws(n):
+    # top bits of 32-bit halves up to n = 32, of whole outputs above
+    for seed in (Seed(0), Seed(7), Seed(2**64 - 1)):
+        for q in (1, 2, 3, 20):
+            plan = random_string_plan(n, q, seed, "goodM-plan", always_yes)
+            assert plan == integer_string_plan(n, q, seed, "goodM-plan", always_yes)
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 128, 129])
+def test_wide_string_plans_read_whole_outputs_most_significant_first(n):
+    per_query = -(-n // 64)
+    words = raw_outputs(RandomStream(Seed(3), "p"), 3 * per_query)
+    expected = []
+    for start in range(0, len(words), per_query):
+        value = 0
+        for word in words[start:start + per_query]:
+            value = value << 64 | word
+        expected.append(value >> (64 * per_query - n))
+    plan = random_string_plan(n, 3, Seed(3), "p", always_yes)
+    assert [x.code for x in plan.queries] == expected
 
 
 def test_bounded_draw_ranges_lie_in_1_to_2_32():
@@ -421,3 +483,5 @@ def test_random_at_rejects_unsorted_or_negative_positions():
             StreamBlock([Seed(2)], "r").random_at(positions)
     with pytest.raises(InvalidInput):
         StreamBlock([Seed(2)], "r").random(-1)
+    with pytest.raises(InvalidInput):
+        StreamBlock([Seed(2)], "r").raw(-1)

@@ -73,7 +73,8 @@ SMALL_BENCH = {
     "TAIL_DRAW_N": 8, "DIST_JOB": (8, 5), "FRONTIER": (("no", 8), ("yes", 9)),
     "FRONTIER_D2": (8, 5), "GAME_TRIALS": 40, "BUDGET_N": 8, "GOOD_M_N": 8,
     "GOOD_M_QUERIES": 6, "GOOD_M_DRAWS": 20, "PAYLOADS": 50, "STRINGS_N": 8,
-    "STRINGS_QUERIES": 4, "STRINGS_TRIALS": 20, "STREAMS": 30, "DIGEST_TABLE_N": (8,),
+    "STRINGS_QUERIES": 4, "STRINGS_TRIALS": 20, "STREAMS": 30, "HIDDEN_BLOCK": 9000,
+    "PLAN_N": (8, 40), "DIGEST_TABLE_N": (8,),
     "EDGE_COUNTS_N": 8, "CLI_CALLS": 3, "TAIL_N": (8,), "STRUCTURED_CASES": ((8, 0.1), (8, 1.0)),
     "STRUCTURED_PER_KIND": 3, "STRUCTURED_QUERIES": 4, "VERIFY_SEEDS": (3,),
 }
