@@ -41,12 +41,12 @@ Sections, in order:
 - ``stream_seeding``: the draws each block user makes (the M stream's
   bounded draws and the A stream's coins as ``sample_block`` makes them
   at desk n = ``STRINGS_N``, the D1 stream's point reads at three codes
-  as the budget game makes them) on ``STREAMS`` streams, one
-  ``StreamBlock`` against one ``RandomStream`` per seed; one side's block
-  of a hidden-set game (``HIDDEN_BLOCK`` doubles) as a one-stream
-  ``StreamBlock`` read against ``RandomStream.random``; and goodM's plan
-  at each n in ``PLAN_N`` by ``random_string_plan`` against numpy's
-  integer draws (``integer_string_plan``).
+  as the budget game makes them) on ``STREAMS`` streams, one block of
+  ``STREAMS`` rows against ``STREAMS`` one-row ``RandomStream``s; one
+  side's block of a hidden-set game (``HIDDEN_BLOCK`` doubles) as a
+  one-row read against the scalar ``ScalarStream``; and goodM's plan
+  at each n in ``PLAN_N`` by ``random_string_plan`` against
+  ``reference_string_plan``.
 - ``budget_game``: ``budget_game`` against ``full_table_budget_game``
   (one full ``sample_d1`` table per no-side trial) and against
   ``point_read_budget_game`` (D1 point reads, one stream per trial).
@@ -74,12 +74,19 @@ Sections, in order:
   draw, yes and no at desk n = ``DESK_N`` on ``VERIFY_SEEDS`` seeds:
   ``sample_block`` on the whole block against one ``complement_sample``
   call per seed; sampling derives no digest.
+- ``table_draws``: the D1 and D2 tables the ``tables`` benchmark workload
+  draws, ``TABLE_D1`` (tables, n) D1 tables of one-row streams and one D2
+  table at each (n, weight) of ``TABLE_D2``, against the numpy PCG64
+  draws they replaced (``numpy_d1_table``, ``numpy_d2_table``), stream
+  builds included.  The draws differ on purpose, so the results compared
+  are the table sizes and the D2 weights; the timings are reported, not
+  claimed.
 
 The sizes each section runs at are the module constants below, so a test
 can run every section small.  The script exits 1 if any comparison
-fails, and writes BENCH_25.json at the root of the checkout (BENCH_23.json,
-BENCH_22.json, BENCH_21.json, BENCH_18.json and BENCH_17.json are earlier
-runs; BENCH_2, BENCH_3,
+fails, and writes BENCH_30.json at the root of the checkout (BENCH_25.json,
+BENCH_23.json, BENCH_22.json, BENCH_21.json, BENCH_18.json and
+BENCH_17.json are earlier runs; BENCH_2, BENCH_3,
 BENCH_5, BENCH_6, BENCH_7, BENCH_10, BENCH_11, BENCH_12, BENCH_14 and
 BENCH_15.json are earlier runs, in the earlier per-section layout).
 
@@ -118,11 +125,12 @@ from junta_lab.harness import (
     random_string_plan,
     run_hidden_set_game,
 )
-from junta_lab.rng import RandomStream, Seed, StreamBlock
+from junta_lab.rng import RandomStream, Seed
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))
 from references import (  # noqa: E402
+    ScalarStream,
     cli_calls,
     complement_sample,
     count_adds,
@@ -138,25 +146,26 @@ from references import (  # noqa: E402
     general_encoding,
     generator_walk,
     hopcroft_karp_per_direction,
-    integer_string_plan,
-    integers,
     least_key_walk,
+    numpy_d1_table,
+    numpy_d2_table,
     per_direction_edge_counts,
     per_point_table,
     per_term_dtv,
     per_trial_game,
     per_trial_string_game,
     point_read_budget_game,
-    random_at,
     reference_is_separating,
+    reference_string_plan,
     set_checked_deserialize,
 )
 
-OUTPUT = ROOT / "BENCH_25.json"
+OUTPUT = ROOT / "BENCH_30.json"
 SEED = 1
 REPEATS = {"to_table": 3, "distance": 3, "matching": 3, "kernel": 7, "frontier": 3, "games": 5,
            "strings_game": 11, "stream_seeding": 21, "budget_game": 11, "seed_derivation": 7,
-           "explicit_tables": 21, "tail": 7, "structured": 21, "verify_sampling": 21}
+           "explicit_tables": 21, "tail": 7, "structured": 21, "verify_sampling": 21,
+           "table_draws": 21}
 SAMPLERS = {"yes": sample_yes, "no": sample_no}
 D2_EPSILON = 0.1
 COMPARED, FAST_ONLY = (10, 12, 14, 16), (20, 24)
@@ -184,6 +193,8 @@ TAIL_N = (16, 18, 20)
 STRUCTURED_CASES = ((10, 0.1), (12, 0.1), (14, 0.1), (12, 1.0))
 STRUCTURED_PER_KIND, STRUCTURED_QUERIES = 10, 16
 VERIFY_SEEDS = (10, 20, 256)
+TABLE_D1 = (10, 12)
+TABLE_D2 = ((12, 32), (14, 1638))
 
 
 class Pair(NamedTuple):
@@ -241,14 +252,14 @@ def compared(section: str, pairs) -> tuple[list[dict], list[str]]:
 
 
 def d2(n: int) -> TruthTable:
-    return sample_d2(n, D2_EPSILON, RandomStream(Seed(SEED), "d2"))
+    return sample_d2(n, D2_EPSILON, RandomStream([Seed(SEED)], "d2"))
 
 
 def tail_draws(which: str) -> list[TruthTable]:
     """The ``DRAWS`` tables ``verify_d1`` or ``verify_d2`` draws at the benchmark's epsilon."""
     _, sampler, epsilon = TAIL_SAMPLERS[which]
-    stream = RandomStream(Seed(SEED), which)
-    return [sampler(TAIL_DRAW_N, epsilon, stream.child(str(j))) for j in range(DRAWS)]
+    return [sampler(TAIL_DRAW_N, epsilon, RandomStream([seed], which))
+            for seed in Seed(SEED).mixes(range(DRAWS))]
 
 
 def to_table_pairs() -> list[Pair]:
@@ -394,31 +405,28 @@ def stream_seeding_pairs() -> list[Pair]:
     count = params.n - params.t
     codes = sorted(random.Random(SEED).sample(range(1 << BUDGET_N), 3))
     cases = {
-        "M": (f"bounded draws over {ranges}",
-              lambda stream: [integers(stream, 0, r) for r in ranges],
-              lambda block: block.bounded(ranges).tolist()),
-        "A": (f"random({count})", lambda stream: stream.random(count).tolist(),
-              lambda block: block.random(count).tolist()),
-        "d1": (f"random_at({codes})", lambda stream: random_at(stream, codes),
-               lambda block: block.random_at(codes).tolist()),
+        "M": (f"bounded draws over {ranges}", lambda stream: stream.bounded(ranges).tolist()),
+        "A": (f"random({count})", lambda stream: stream.random(count).tolist()),
+        "d1": (f"random_at({codes})", lambda stream: stream.random_at(codes).tolist()),
     }
     pairs = [Pair(f"{STREAMS} streams, role {role!r}",
-                  f"{label}: StreamBlock against one RandomStream per seed",
-                  lambda role=role, one=one: [one(RandomStream(seed, role)) for seed in seeds],
-                  lambda role=role, block=block: block(StreamBlock(seeds, role)))
-             for role, (label, one, block) in cases.items()]
+                  f"{label}: one block against one one-row stream per seed",
+                  lambda role=role, draw=draw: [row for seed in seeds
+                                                for row in draw(RandomStream([seed], role))],
+                  lambda role=role, draw=draw: draw(RandomStream(seeds, role)))
+             for role, (label, draw) in cases.items()]
     side = "game-sseq/yes"
     pairs.append(Pair(f"one stream, {HIDDEN_BLOCK} doubles",
-                      f"one hidden-set game block, seed {SEED}, role {side!r}: a one-stream "
-                      "StreamBlock read against RandomStream.random",
-                      lambda: RandomStream(Seed(SEED), side).random(HIDDEN_BLOCK).tolist(),
-                      lambda: StreamBlock([Seed(SEED)], side).random(HIDDEN_BLOCK)[0].tolist()))
+                      f"one hidden-set game block, seed {SEED}, role {side!r}: a one-row "
+                      "read against the scalar reference stream",
+                      lambda: ScalarStream(Seed(SEED), side).random(HIDDEN_BLOCK)[0].tolist(),
+                      lambda: RandomStream([Seed(SEED)], side).random(HIDDEN_BLOCK)[0].tolist()))
     for n in PLAN_N:
         args = (n, GOOD_M_QUERIES, Seed(SEED), "goodM-plan", always_yes)
         pairs.append(Pair(f"goodM plan, n = {n}",
                           f"{GOOD_M_QUERIES} queries, seed {SEED}: random_string_plan against "
-                          "numpy's integers(0, 2^n, size=q)",
-                          lambda args=args: integer_string_plan(*args),
+                          "the reference stream's words",
+                          lambda args=args: reference_string_plan(*args),
                           lambda args=args: random_string_plan(*args)))
     return pairs
 
@@ -488,7 +496,7 @@ def tail_pairs() -> list[Pair]:
     for which, (name, sampler, epsilon) in TAIL_SAMPLERS.items():
         inputs = [(f"{DRAWS} {which} tables, n = {TAIL_DRAW_N}, epsilon = {epsilon}", tail_draws(which))]
         inputs += [(f"{name} table, n = {n}, epsilon = {epsilon}",
-                    [sampler(n, epsilon, RandomStream(Seed(SEED), name.lower()))]) for n in TAIL_N]
+                    [sampler(n, epsilon, RandomStream([Seed(SEED)], name.lower()))]) for n in TAIL_N]
         pairs += [Pair(f"k = n - 1, {label}", f"{label}, closed form against the walk",
                        lambda tables=tables: [least_key_walk(g) for g in tables],
                        lambda tables=tables: [distance_and_witness(g, g.n - 1) for g in tables])
@@ -549,6 +557,26 @@ def verify_sampling_pairs() -> list[Pair]:
     return pairs
 
 
+def table_draw_pairs() -> list[Pair]:
+    """The counter draws of the tables workload against the numpy draws they replaced."""
+    tables, n = TABLE_D1
+    seeds = Seed(SEED).mixes(range(tables))
+    pairs = [Pair(f"D1 {tables} x 2^{n}", f"{tables} D1 tables, n = {n}, epsilon = 0.05, one "
+                  f"stream per table, seeds Seed({SEED}).mix(0..{tables - 1}); table sizes compared",
+                  lambda: [len(numpy_d1_table(n, 0.05, seed, "verify_d1").table) for seed in seeds],
+                  lambda: [len(sample_d1(n, 0.05, RandomStream([seed], "verify_d1")).table)
+                           for seed in seeds])]
+    for n, weight in TABLE_D2:
+        epsilon = weight / (1 << n)
+        pairs.append(Pair(f"D2 n = {n}, weight = {weight}",
+                          f"one D2 table, seed {SEED}; weights compared",
+                          lambda n=n, epsilon=epsilon: int(
+                              numpy_d2_table(n, epsilon, Seed(SEED), "d2").table.sum()),
+                          lambda n=n, epsilon=epsilon: int(
+                              sample_d2(n, epsilon, RandomStream([Seed(SEED)], "d2")).table.sum())))
+    return pairs
+
+
 SECTIONS = {
     "to_table": to_table_pairs,
     "distance": distance_pairs,
@@ -564,6 +592,7 @@ SECTIONS = {
     "tail": tail_pairs,
     "structured": structured_pairs,
     "verify_sampling": verify_sampling_pairs,
+    "table_draws": table_draw_pairs,
 }
 
 
@@ -587,7 +616,7 @@ def main() -> int:
         },
         "seed": SEED,
         "params": "desk_params(n): alpha 0.75, epsilon 0.1; D2 tables: sample_d2(n, 0.1, "
-                  "RandomStream(Seed(1), 'd2'))",
+                  "RandomStream([Seed(1)], 'd2'))",
         "cases": cases,
         "problems": problems,
     }

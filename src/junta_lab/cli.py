@@ -98,7 +98,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
             info["table"] = args.emit_table
     else:
         sampler2 = sample_d1 if args.dist == "d1" else sample_d2
-        table = sampler2(p.n, p.epsilon, RandomStream(seed, args.dist))
+        table = sampler2(p.n, p.epsilon, RandomStream([seed], args.dist))
         info = {"dist": args.dist, "n": p.n, "seed": args.seed, "ones": int(table.table.sum())}
         if args.emit_table:
             harness.write_atomic(args.emit_table, table.serialize())

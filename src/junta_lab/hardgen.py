@@ -6,18 +6,19 @@ sampler stores only M, A and the seed.  ``sample_block`` is the one
 sampler of structured instances: for a block of seeds it draws every M
 by one Fisher-Yates over the block of ``"M"`` streams
 (``addressing_orders``) and every A from one coin per coordinate outside
-M on the block of ``"A"`` streams, as arrays (``StreamBlock``), with no
-numpy generator per seed; ``sample_yes`` and ``sample_no`` are it at one
-seed.  The per-fiber randomness (each fiber's subset S and its values of
-h) is defined point by point by ``StructuredFn.eval``, which re-derives
+M on the block of ``"A"`` streams, as arrays (``RandomStream``);
+``sample_yes`` and ``sample_no`` are it at one seed.  The per-fiber
+randomness (each fiber's subset S and its values of h) is defined point
+by point by ``StructuredFn.eval``, which re-derives
 it from the seed, so an instance takes O(1) memory however many fibers
 it has.  ``boolfn.to_table`` materializes the same values fiber by
 fiber, deriving each S and each value of h once.
 
-The two tail distributions produce explicit truth tables: iid
-Bernoulli(3*epsilon) entries, or exactly round(2^n * epsilon) ones placed
-uniformly at random.  ``sample_d1_block_at`` reads the D1 tables of a
-block of streams at a few points without building them.
+The two tail distributions produce explicit truth tables from a
+one-row stream: iid Bernoulli(3*epsilon) entries, or exactly
+round(2^n * epsilon) ones placed uniformly at random.
+``sample_d1_block_at`` reads the D1 tables of a block of streams at a
+few points without building them.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from .boolfn import NO_STYLE, YES_STYLE, IndexSet, StructuredFn, TruthTable, TABLE_CAP
 from .errors import EpsilonOutOfRange, InvalidInput, TooLarge, WeightOutOfRange
 from .params import Params
-from .rng import RandomStream, Seed, StreamBlock
+from .rng import RandomStream, Seed
 
 __all__ = [
     "sample_yes",
@@ -60,16 +61,15 @@ def addressing_orders(params: Params, seeds: Sequence[Seed]) -> np.ndarray:
 
     One Fisher-Yates over the whole block: position ``pos`` swaps with
     ``pos`` plus each seed's bounded draw over ``n - pos`` from the block
-    of ``"M"`` streams (a ``StreamBlock``, whose rows equal one
-    ``RandomStream`` per seed draw for draw), for pos < t.  So the first t
-    entries of row i are the members of seed i's M, a uniform size-t
-    subset of [n], unsorted, and the rest are the coordinates outside it.
+    of ``"M"`` streams, for pos < t.  So the first t entries of row i
+    are the members of seed i's M, a uniform size-t subset of [n],
+    unsorted, and the rest are the coordinates outside it.
     Shape (seeds, n), int64.
     """
     n, t = params.n, params.t
     rows = np.arange(len(seeds))
     order = np.tile(np.arange(1, n + 1), (len(seeds), 1))
-    for pos, offset in enumerate(StreamBlock(seeds, "M").bounded(range(n, n - t, -1)).T):
+    for pos, offset in enumerate(RandomStream(seeds, "M").bounded(range(n, n - t, -1)).T):
         swap = pos + offset
         order[:, pos], order[rows, swap] = order[rows, swap], order[:, pos].copy()
     return order
@@ -90,7 +90,7 @@ def sample_block(params: Params, kind: str, seeds: Sequence[Seed]) -> Iterator[S
     n, t = params.n, params.t
     inclusion = params.p if kind == YES_STYLE else params.q
     order = addressing_orders(params, seeds)
-    coins = StreamBlock(seeds, "A").random(n - t) < inclusion
+    coins = RandomStream(seeds, "A").random(n - t) < inclusion
     for seed, drawn, mask in zip(seeds, order, coins):
         # sorted in Python: numpy's sort would load kernels nothing else uses
         drawn = drawn.tolist()
@@ -112,23 +112,23 @@ def check_d1(n: int, epsilon: float) -> None:
 def sample_d1(n: int, epsilon: float, stream: RandomStream) -> TruthTable:
     """Each of the 2^n table bits is independently 1 with probability 3*epsilon.
 
-    Entry ``code`` is 1 when the stream's uniform number ``code`` is below
-    3*epsilon.  ``sample_d1_block_at`` reads a few entries of a block of
-    such tables.
+    Entry ``code`` is 1 when the one-row stream's uniform number ``code``
+    is below 3*epsilon.  ``sample_d1_block_at`` reads a few entries of a
+    block of such tables.
     """
     check_d1(n, epsilon)
-    bits = stream.bernoulli_mask(1 << n, 3.0 * epsilon)
-    return TruthTable(n, bits.astype(np.uint8))
+    bits = stream.random(1 << n)[0] < 3.0 * epsilon
+    return TruthTable(n, bits.view(np.uint8))
 
 
 def sample_d1_block_at(
-    n: int, epsilon: float, block: StreamBlock, codes: Sequence[int]
+    n: int, epsilon: float, block: RandomStream, codes: Sequence[int]
 ) -> np.ndarray:
-    """Row i is ``sample_d1(n, epsilon, stream_i).table[codes]`` for stream i of ``block``.
+    """Row i is ``sample_d1(n, epsilon, stream_i).table[codes]`` for row i of ``block``.
 
     Codes may come in any order and repeat; each distinct code costs one
-    uniform per stream (``StreamBlock.random_at``) instead of 2^n.  Shape
-    (streams, codes), uint8.
+    uniform per row (``RandomStream.random_at``) instead of 2^n.  Shape
+    (rows, codes), uint8.
     """
     check_d1(n, epsilon)
     distinct = sorted(set(codes))
@@ -140,7 +140,16 @@ def sample_d1_block_at(
 
 
 def sample_d2(n: int, epsilon: float, stream: RandomStream) -> TruthTable:
-    """Exactly round(2^n * epsilon) ones at uniform positions without replacement."""
+    """Exactly round(2^n * epsilon) ones at uniform positions without replacement.
+
+    The ones sit where the one-row stream's next 2^n raw words are the
+    weight smallest, the words below the (weight + 1)-th smallest.  When
+    that word ties with the weight-th smallest fewer words lie below it,
+    and the table is drawn again from the next 2^n words.  A tie does not
+    depend on the words' order, so given that none happens every
+    weight-subset of positions is equally likely: the table is exactly
+    uniform.
+    """
     if n < 1:
         raise InvalidInput(f"n must be positive, got {n}")
     if n > TABLE_CAP:
@@ -153,6 +162,10 @@ def sample_d2(n: int, epsilon: float, stream: RandomStream) -> TruthTable:
         raise WeightOutOfRange(
             f"round(2^{n} * {epsilon}) = {weight} outside [1, 2^{n}]"
         )
-    table = np.zeros(size, dtype=np.uint8)
-    table[stream.sample_without_replacement(size, weight)] = 1
-    return TruthTable(n, table)
+    if weight == size:
+        return TruthTable.constant(n, 1)
+    while True:
+        words = stream.raw(size)[0]
+        ones = words < np.partition(words, weight)[weight]
+        if np.count_nonzero(ones) == weight:
+            return TruthTable(n, ones.view(np.uint8))

@@ -42,7 +42,7 @@ from .hardgen import (
 )
 from .junta_distance import dist_to_k_junta
 from .params import DESK_SCALE, Params, coin_rate, derive_params
-from .rng import RandomStream, Seed, StreamBlock
+from .rng import RandomStream, Seed
 from .tasks import (
     NO,
     YES,
@@ -103,26 +103,15 @@ def random_string_plan(
 ) -> StringQueryPlan:
     """q uniformly random n-bit queries from the stream ``(seed, role)``, with the given decider.
 
-    Each query keeps the top n bits of the stream's raw words
-    (``StreamBlock.raw``): for n <= 32 a word is a 32-bit half of an
-    output, the low half first; for larger n a query reads ceil(n / 64)
-    outputs as one big-endian number, the first most significant.  A
-    power-of-two range never rejects under numpy's Lemire draws, so for
-    n <= 62 the queries are ``RandomStream(seed, role)``'s
-    ``integers(0, 2^n, size=q)``; above that numpy's int64 draws have no
-    such range.
+    A query reads ceil(n / 64) raw words of the stream as one big-endian
+    number, the first most significant, and keeps its top n bits: for
+    n <= 64 the top n bits of one word.
     """
-    stream = StreamBlock([seed], role)
-    if n <= 32:
-        outputs = stream.raw((q + 1) // 2)[0]
-        halves = np.column_stack([outputs & 0xFFFFFFFF, outputs >> 32]).ravel()[:q]
-        values = (halves >> (32 - n)).tolist()
-    else:
-        per_query = -(-n // 64)
-        data = stream.raw(q * per_query)[0].astype(">u8").tobytes()
-        size = 8 * per_query
-        values = [int.from_bytes(data[at:at + size], "big") >> (64 * per_query - n)
-                  for at in range(0, len(data), size)]
+    per_query = -(-n // 64)
+    data = RandomStream([seed], role).raw(q * per_query)[0].astype(">u8").tobytes()
+    size = 8 * per_query
+    values = [int.from_bytes(data[at:at + size], "big") >> (64 * per_query - n)
+              for at in range(0, len(data), size)]
     return StringQueryPlan(queries=tuple(BitString(n, v) for v in values), decider=decider)
 
 
@@ -287,9 +276,9 @@ def run_game(
     ``_seed_blocks``, and each instance is evaluated at the plan's queries
     as the sampler yields it and then dropped.  The
     block samplers (``hardgen.sample_block``, the budget game's D1 reads)
-    draw a block's streams as ``StreamBlock`` arrays, so no trial builds a
-    numpy generator.  A fixed instance gives every trial the same answers,
-    so its side is decided once and derives no seed.
+    draw a block's streams as one ``RandomStream``.  A fixed instance
+    gives every trial the same answers, so its side is decided once and
+    derives no seed.
     """
     queries, decider = algorithm.queries, algorithm.decider
     sides = {YES: yes, NO: no}
@@ -308,21 +297,20 @@ def run_hidden_set_game(plan: AnyPlan, params: Params, trials: int, seed: int) -
     """Empirical advantage of the likelihood-threshold decider for a set or element plan.
 
     Element plans play the sseq game and set plans the sssq game.  Each
-    side of a game has one stream, ``RandomStream(Seed(seed),
-    f"game-{mode}").child(side)``, read as the one-stream ``StreamBlock``
-    of role ``f"game-{mode}/{side}"``, so no game loads ``numpy.random``.
-    Every trial of the side reads the next ``m + width`` uniforms from it:
-    first the m coins of ``sample_hidden`` (element i joins the hidden set
-    when its coin is below the side's inclusion rate, p or q), then the
-    ``width`` response draws of ``sseq_respond`` (width m, one per
-    element, compared with the element's ``hit_prob``) or ``sssq_respond``
-    (width ``plan.cost``, one per query slot in query order, compared with
-    theta).  That is the sequence a loop of ``sample_hidden(m, inclusion,
-    stream)`` then ``respond(hidden, plan, epsilon, n, stream)`` consumes.
+    side of a game has one stream, ``RandomStream([Seed(seed)],
+    f"game-{mode}/{side}")``.  Every trial of the side reads the next
+    ``m + width`` uniforms from it: first the m coins of ``sample_hidden``
+    (element i joins the hidden set when its coin is below the side's
+    inclusion rate, p or q), then the ``width`` response draws of
+    ``sseq_respond`` (width m, one per element, compared with the
+    element's ``hit_prob``) or ``sssq_respond`` (width ``plan.cost``, one
+    per query slot in query order, compared with theta).  That is the
+    sequence a loop of ``sample_hidden(m, inclusion, stream)`` then
+    ``respond(hidden, plan, epsilon, n, stream)`` consumes.
 
     The side draws its trials as C-order blocks of shape (rows, m + width),
     each at most ``GAME_BLOCK_CELLS`` cells (at least one row) read by one
-    ``StreamBlock.random``, so memory does not grow with ``trials``;
+    ``RandomStream.random``, so memory does not grow with ``trials``;
     consecutive blocks read the stream in the same order, so the block
     size changes no output.  The rates are computed once per game, and
     ``tasks.batch_bayes_decider`` decides every trial of a block at once,
@@ -345,7 +333,7 @@ def run_hidden_set_game(plan: AnyPlan, params: Params, trials: int, seed: int) -
     decide = tasks.batch_bayes_decider(plan, params)
 
     def count_yes(side: str, first: int, count: int) -> int:
-        stream = StreamBlock([game_seed], f"game-{mode}/{side}")
+        stream = RandomStream([game_seed], f"game-{mode}/{side}")
         yes = 0
         for done in range(0, count, rows_per_block):
             rows = min(rows_per_block, count - done)
@@ -366,9 +354,8 @@ def verify_yes(config: ExperimentConfig) -> ExperimentReport:
     """Relevant-variable containment (exact, must be total) and junta frequency.
 
     Sample j is ``sample_yes`` at ``Seed(config.seed).mix(j)``, drawn in
-    blocks by ``sample_block`` (``_structured_trials``), so no sample
-    builds a numpy generator; each is tabulated and dropped before the
-    next.
+    blocks by ``sample_block`` (``_structured_trials``); each is
+    tabulated and dropped before the next.
     Runs at any n that ``to_table`` accepts (n <= TABLE_CAP).
     """
     params = config.params
@@ -409,9 +396,8 @@ def verify_no(config: ExperimentConfig) -> ExperimentReport:
 
     The yes side's sample j is ``sample_yes`` at ``Seed(config.seed).mix(j)``
     and the no side's is ``sample_no`` at ``mix(trials + j)``, drawn in
-    blocks by ``sample_block`` (``_structured_trials``), so no sample
-    builds a numpy generator; each is tabulated and dropped before the
-    next.
+    blocks by ``sample_block`` (``_structured_trials``); each is
+    tabulated and dropped before the next.
     Runs at any n that ``dist_to_k_junta`` accepts (n <= DIST_CAP).
     """
     params = config.params
@@ -481,19 +467,19 @@ def _tail_experiment(config: ExperimentConfig, which: str) -> ExperimentReport:
     returns the least direction count over 2^n, so a certified sample is
     far by construction and ``certificate_soundness`` cannot fail.  The
     distance reuses the certificate's counts, so each sample takes one
-    edge-count pass.
+    edge-count pass.  Sample j is drawn from the one-row stream
+    ``RandomStream([Seed(config.seed).mix(j)], which)``.
     Runs at any n that ``dist_to_k_junta`` accepts (n <= DIST_CAP).
     """
     params = config.params
     n, epsilon = params.n, params.epsilon
-    base = RandomStream(Seed(config.seed), which)
     sampler = sample_d1 if which == "verify_d1" else sample_d2
     threshold = epsilon * (1 << n)
     certified = 0
     far = 0
     sound = True
-    for j in range(config.trials):
-        g = sampler(n, epsilon, base.child(str(j)))
+    for seed in Seed(config.seed).mixes(range(config.trials)):
+        g = sampler(n, epsilon, RandomStream([seed], which))
         counts = bichromatic_edge_counts(g)
         is_certified = min(counts) >= threshold
         rep = dist_to_k_junta(g, n - 1, epsilon, counts)
@@ -555,10 +541,10 @@ def budget_game(config: ExperimentConfig) -> ExperimentReport:
     ``(seed, "budget-game-plan")``, drawn only once n and epsilon pass
     ``check_d1``, so an n above the table cap fails as ``TooLarge``
     however large.  No-side trial ``i`` reads the D1 table of
-    ``RandomStream(Seed(seed).mix(i), "d1")`` at the plan's queries only:
-    each block of trials is one ``StreamBlock`` read at the plan's
+    ``RandomStream([Seed(seed).mix(i)], "d1")`` at the plan's queries
+    only: each block of trials is one ``RandomStream`` read at the plan's
     distinct codes (``sample_d1_block_at``), so the result equals that of
-    full ``sample_d1`` tables and no trial builds a numpy generator.
+    full ``sample_d1`` tables.
     """
     params = config.params
     n, epsilon = params.n, params.epsilon
@@ -571,7 +557,7 @@ def budget_game(config: ExperimentConfig) -> ExperimentReport:
     codes = [x.code for x in algorithm.queries]
 
     def no_side(seeds: Sequence[Seed]) -> Iterable[_Answered]:
-        bits = sample_d1_block_at(n, epsilon, StreamBlock(seeds, "d1"), codes)
+        bits = sample_d1_block_at(n, epsilon, RandomStream(seeds, "d1"), codes)
         return map(_Answered, map(tuple, bits.tolist()))
 
     result = run_game(
@@ -817,9 +803,9 @@ def good_m(config: ExperimentConfig) -> ExperimentReport:
     mask test per far pair, the same verdict as ``tasks.is_separating``.
     Draw j's M is the addressing set of ``sample_yes`` at
     ``Seed(config.seed).mix(j)``, drawn in the blocks of ``_seed_blocks``
-    by ``hardgen.addressing_orders``, so neither X nor any draw builds a
-    numpy generator.  When X has no far pair (at desk scale tau exceeds n)
-    every M separates, so no M is drawn and the bad fraction is exactly 0.
+    by ``hardgen.addressing_orders``.  When X has no far pair (at desk
+    scale tau exceeds n) every M separates, so no M is drawn and the bad
+    fraction is exactly 0.
     """
     params = config.params
     q_queries = 20

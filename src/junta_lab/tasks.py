@@ -133,12 +133,16 @@ class StringQueryPlan:
 
 
 def sample_hidden(m: int, prob: float, stream: RandomStream) -> IndexSet:
-    """The hidden set: each element of [m] joins independently with the given probability."""
+    """The hidden set: each element of [m] joins independently with the given probability.
+
+    Element i joins when the i-th of the one-row stream's next m doubles
+    is below ``prob``.
+    """
     if m < 1:
         raise InvalidInput(f"m must be positive, got {m}")
     if not 0.0 <= prob <= 1.0:
         raise InvalidInput(f"prob must be in [0, 1], got {prob}")
-    mask = stream.bernoulli_mask(m, prob)
+    mask = stream.random(m)[0] < prob
     members = (i + 1 for i in range(m) if mask[i])
     return IndexSet.of(m, members)
 
@@ -157,7 +161,7 @@ def sssq_respond(
     members = set(A.members)
     response = []
     for T in plan.queries:
-        draws = stream.random(len(T)) if len(T) else []
+        draws = stream.random(len(T))[0]
         response.append(
             tuple(
                 1 if (j in members and draws[pos] < theta) else 0
@@ -178,7 +182,7 @@ def sseq_respond(
     if plan.m != A.universe_size:
         raise DimensionMismatch(f"plan length {plan.m} != hidden universe {A.universe_size}")
     members = set(A.members)
-    draws = stream.random(plan.m)
+    draws = stream.random(plan.m)[0]
     return tuple(
         1 if (i + 1 in members and draws[i] < hit_prob(plan.counts[i], epsilon, n)) else 0
         for i in range(plan.m)
@@ -443,7 +447,7 @@ def simulate_distinguisher(
         )
     plan = build_set_queries(X, M, params.tau)
     response = respond(plan.set_plan)
-    fn_seed = Seed(stream.u64())
+    fn_seed = Seed(int(stream.raw(1)[0, 0]))
     bits = []
     for idx, x in enumerate(X.queries):
         c = plan.class_of[idx]

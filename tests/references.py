@@ -30,15 +30,24 @@ as dicts keyed by response tuples, built outcome by outcome; the flat
 laws of ``tasks`` must equal them entry for entry.  ``lift_response`` is
 the lifting as a sampler, whose law ``dict_lifted_law`` writes down.
 
+``reference_stream`` defines the random streams: the words of the
+stream of (seed, role), one Python int at a time, SplitMix64's output
+sequence from the key mix64(seed ^ blake2b(role)).  It shares no code
+with ``junta_lab.rng``.  ``reference_double``, ``reference_bounded`` and
+``reference_random_at`` are the draws ``RandomStream`` makes from those
+words, ``ScalarStream`` is a one-row ``RandomStream`` built on them for
+the one-trial ``tasks`` functions, and ``reference_string_plan`` is
+``harness.random_string_plan`` word by word.  ``numpy_generator`` and the
+``numpy_*`` tables are the numpy PCG64 draws the D1/D2 tables came from
+before the counter stream replaced them, kept so that the new draws are
+timed against the path they replaced.
+
 ``per_trial_string_game`` is ``harness.run_game`` as one loop over the
 trials, each instance sampled from its own seed; the budget-game
-references play ``budget_game`` through it, on the plan numpy draws
-(``integer_string_plan``), each no-side trial on its own stream, drawing
-its whole D1 table or reading it at the queries (``sample_d1_at`` over
-the one-stream ``random_at``).  ``integers``, ``integers_array`` and
-``raw_outputs`` are numpy's draws on a ``RandomStream``, which
-``StreamBlock`` and ``random_string_plan`` reproduce without numpy's
-generator.
+references play ``budget_game`` through it, on ``reference_string_plan``,
+each no-side trial on its own stream, drawing its whole D1 table or
+reading it at the queries (``sample_d1_at`` over
+``reference_random_at``).
 
 Several references patch a module attribute for the length of one call
 (``count_adds``, ``fresh_digests``, ``counted_digests``) and restore it
@@ -146,40 +155,119 @@ def fiberwise_eval_many(f, xs) -> tuple[int, ...]:
     return tuple(out)
 
 
-class IntegerSeededStream(RandomStream):
-    """``RandomStream`` with its PCG64 seeded from the entropy read as one integer."""
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): its Weyl increment and
+# finalizer, on Python ints.
+GAMMA = 0x9E3779B97F4A7C15
+MASK64 = (1 << 64) - 1
+
+
+def mix64(z: int) -> int:
+    """SplitMix64's finalizer of a 64-bit word."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & MASK64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & MASK64
+    return z ^ (z >> 31)
+
+
+def reference_key(seed, role: str) -> int:
+    """mix64(seed ^ the big-endian 8-byte blake2b of the role's UTF-8 bytes)."""
+    role_hash = hashlib.blake2b(role.encode("utf-8"), digest_size=8)
+    return mix64(seed.value ^ int.from_bytes(role_hash.digest(), "big"))
+
+
+def reference_word(key: int, position: int) -> int:
+    """Output ``position`` of the stream with this key: mix64(key + (position + 1) * GAMMA)."""
+    return mix64((key + (position + 1) * GAMMA) & MASK64)
+
+
+def reference_stream(seed, role: str):
+    """The 64-bit words of the stream of (seed, role), in order, one Python int each.
+
+    SplitMix64 started from the key: the state adds GAMMA and the output
+    is mix64 of the state, so the stream with key 0 is SplitMix64 from 0.
+    """
+    state = reference_key(seed, role)
+    while True:
+        state = (state + GAMMA) & MASK64
+        yield mix64(state)
+
+
+def reference_double(words) -> float:
+    """The next word's top 53 bits times 2^-53."""
+    return (next(words) >> 11) * 2.0**-53
+
+
+def reference_bounded(words, r: int) -> int:
+    """A uniform integer in [0, r) by Lemire's method on the next words' low 32 bits.
+
+    The low 32 bits times r split into a high half, the draw, and a low
+    half; the word is rejected, and the next one read, when the low half
+    is below 2^32 mod r.
+    """
+    while True:
+        scaled = (next(words) & 0xFFFFFFFF) * r
+        if scaled & 0xFFFFFFFF >= (1 << 32) % r:
+            return scaled >> 32
+
+
+def reference_random_at(seed, role: str, positions) -> list[float]:
+    """The doubles at the given positions of the stream of (seed, role), each read directly."""
+    key = reference_key(seed, role)
+    return [(reference_word(key, pos) >> 11) * 2.0**-53 for pos in positions]
+
+
+class ScalarStream:
+    """``RandomStream([seed], role)``'s ``random``, drawn one word at a time.
+
+    The one-trial ``tasks`` functions take it as their stream.
+    """
 
     def __init__(self, seed, role: str):
-        self.seed, self.role = seed, role
-        self._gen = integer_seeded_generator(reference_stream_entropy(seed, role))
+        self.words = reference_stream(seed, role)
+
+    def random(self, count: int) -> np.ndarray:
+        return np.array([[reference_double(self.words) for _ in range(count)]])
 
 
-def integers(stream: RandomStream, low: int, high: int) -> int:
-    """A uniform integer in [low, high) from numpy's ``Generator.integers`` on ``stream``.
+def reference_string_plan(n: int, q: int, seed, role: str, decider) -> tasks.StringQueryPlan:
+    """``harness.random_string_plan``: each query the top n bits of ceil(n / 64) words."""
+    words = reference_stream(seed, role)
+    per_query = -(-n // 64)
+    codes = []
+    for _ in range(q):
+        value = 0
+        for _ in range(per_query):
+            value = value << 64 | next(words)
+        codes.append(value >> (64 * per_query - n))
+    return tasks.StringQueryPlan(tuple(BitString(n, v) for v in codes), decider)
 
-    The draw ``StreamBlock.bounded`` makes without numpy's generator.
+
+def numpy_generator(seed, role: str) -> np.random.Generator:
+    """The numpy PCG64 generator the stream of (seed, role) was before the counter stream.
+
+    Seeded with the 16-byte blake2b digest of b"stream", keyed by the
+    seed and personalized by the role, read as one big-endian integer.
     """
-    return int(stream._gen.integers(low, high))
+    person = role.encode("utf-8")
+    if len(person) > hashlib.blake2b.PERSON_SIZE:
+        person = hashlib.blake2b(person, digest_size=hashlib.blake2b.PERSON_SIZE).digest()
+    key = seed.value.to_bytes(8, "little")
+    entropy = hashlib.blake2b(b"stream", digest_size=16, key=key, person=person).digest()
+    return np.random.Generator(np.random.PCG64(int.from_bytes(entropy, "big")))
 
 
-def integers_array(stream: RandomStream, low: int, high: int, size: int) -> np.ndarray:
-    """``size`` uniform integers in [low, high), as int64, from numpy's ``Generator.integers``."""
-    return stream._gen.integers(low, high, size=size)
+def numpy_d1_table(n: int, epsilon: float, seed, role: str) -> TruthTable:
+    """A D1 table as numpy drew it: one generator, 2^n doubles, each entry 1 below 3 epsilon."""
+    bits = numpy_generator(seed, role).random(1 << n) < 3.0 * epsilon
+    return TruthTable(n, bits.astype(np.uint8))
 
 
-def raw_outputs(stream: RandomStream, count: int) -> list[int]:
-    """The next ``count`` 64-bit outputs of ``stream``'s bit generator: what ``StreamBlock.raw`` reads."""
-    return stream._gen.bit_generator.random_raw(count).tolist()
-
-
-def integer_string_plan(n: int, q: int, seed, role: str, decider) -> tasks.StringQueryPlan:
-    """``harness.random_string_plan`` as numpy draws it: ``integers_array(0, 2^n, q)``.
-
-    One numpy generator on ``RandomStream(seed, role)``; numpy's int64
-    draws take n <= 62 only.
-    """
-    codes = integers_array(RandomStream(seed, role), 0, 1 << n, q)
-    return tasks.StringQueryPlan(tuple(BitString(n, int(v)) for v in codes), decider)
+def numpy_d2_table(n: int, epsilon: float, seed, role: str) -> TruthTable:
+    """A D2 table as numpy drew it: ``Generator.choice`` of the weight positions, no replacement."""
+    size = 1 << n
+    ones = numpy_generator(seed, role).choice(size, size=round(size * epsilon), replace=False)
+    table = np.zeros(size, dtype=np.uint8)
+    table[ones] = 1
+    return TruthTable(n, table)
 
 
 def complement_sample(params, kind: str, seed, M: IndexSet | None = None) -> StructuredFn:
@@ -191,22 +279,22 @@ def complement_sample(params, kind: str, seed, M: IndexSet | None = None) -> Str
     ``(seed, "M")`` per place; A takes each coordinate of
     ``M.complement()``, in increasing order, when its coin on the stream
     ``(seed, "A")`` falls below the rate.  Both go through ``IndexSet.of``,
-    and both streams seed PCG64 from one integer.  A given ``M`` is held
+    and both streams are ``reference_stream``.  A given ``M`` is held
     fixed and the ``"M"`` stream is not read: the instance conditioned on
     its addressing set.
     """
     n, t = params.n, params.t
     if M is None:
-        stream = IntegerSeededStream(seed, "M")
+        words = reference_stream(seed, "M")
         arr = list(range(1, n + 1))
         for pos in range(t):
-            j = integers(stream, pos, n)
+            j = pos + reference_bounded(words, n - pos)
             arr[pos], arr[j] = arr[j], arr[pos]
         M = IndexSet.of(n, arr[:t])
     rest = M.complement().members
     inclusion = params.p if kind == YES_STYLE else params.q
-    mask = IntegerSeededStream(seed, "A").bernoulli_mask(len(rest), inclusion)
-    A = IndexSet.of(n, (c for c, hit in zip(rest, mask) if hit))
+    words = reference_stream(seed, "A")
+    A = IndexSet.of(n, [c for c in rest if reference_double(words) < inclusion])
     return StructuredFn(params=params, M=M, A=A, seed=seed, kind=kind)
 
 
@@ -365,7 +453,7 @@ def reference_is_separating(M, X, tau: int) -> bool:
 
 
 def per_trial_game(plan, params, trials: int, seed: int, decide=None) -> float:
-    """The hidden-set game's advantage, one trial at a time on each side's stream.
+    """The hidden-set game's advantage, one trial at a time on each side's ``ScalarStream``.
 
     Each trial calls ``sample_hidden``, answers with the oracle's respond
     function on the side stream and decides the response with
@@ -380,11 +468,10 @@ def per_trial_game(plan, params, trials: int, seed: int, decide=None) -> float:
     if decide is None:
         batch = tasks.batch_bayes_decider(plan, params)
         decide = partial(tasks.bayes_decide, plan=plan, params=params, decide=batch)
-    base = RandomStream(Seed(seed), f"game-{mode}")
     rates = {}
     for side, inclusion, count in ((tasks.YES, params.p, trials // 2),
                                    (tasks.NO, params.q, trials - trials // 2)):
-        stream, hits = base.child(side), 0
+        stream, hits = ScalarStream(Seed(seed), f"game-{mode}/{side}"), 0
         for _ in range(count):
             A = tasks.sample_hidden(plan.m, inclusion, stream)
             hits += decide(respond(A, plan, params.epsilon, params.n, stream)) == tasks.YES
@@ -411,15 +498,14 @@ def per_trial_string_game(yes, no, plan, trials: int, seed: int):
 
 
 def _per_trial_budget_game(config, d1) -> str:
-    """``budget_game``'s CSV one trial at a time; ``d1(n, epsilon, stream)`` is a no-side instance."""
+    """``budget_game``'s CSV one trial at a time; ``d1(n, epsilon, seed)`` is a no-side instance."""
     params = config.params
     n, epsilon = params.n, params.epsilon
     budget = math.floor(1.0 / (30.0 * epsilon))
-    plan = integer_string_plan(n, budget, Seed(config.seed), "budget-game-plan",
-                               harness.all_zero_yes)
+    plan = reference_string_plan(n, budget, Seed(config.seed), "budget-game-plan",
+                                 harness.all_zero_yes)
     zero = TruthTable.constant(n, 0)
-    result = per_trial_string_game(lambda seed: zero,
-                                   lambda seed: d1(n, epsilon, RandomStream(seed, "d1")),
+    result = per_trial_string_game(lambda seed: zero, lambda seed: d1(n, epsilon, seed),
                                    plan, config.trials, config.seed)
     row = {"experiment": "game", "n": n, "epsilon": epsilon, "budget": budget,
            **result.as_json_dict()}
@@ -428,43 +514,29 @@ def _per_trial_budget_game(config, d1) -> str:
 
 def full_table_budget_game(config) -> str:
     """``budget_game``'s CSV, one trial at a time, each no-side trial drawing its whole D1 table."""
-    return _per_trial_budget_game(config, sample_d1)
+    return _per_trial_budget_game(
+        config, lambda n, epsilon, seed: sample_d1(n, epsilon, RandomStream([seed], "d1")))
 
 
-def random_at(stream: RandomStream, positions) -> list[float]:
-    """The doubles ``stream.random(size)`` would put at the given strictly increasing positions.
+def sample_d1_at(n: int, epsilon: float, seed, role: str, codes) -> tuple[int, ...]:
+    """``sample_d1(n, epsilon, RandomStream([seed], role)).table[codes]``, a word per distinct code.
 
-    One stream at a time: its bit generator ``advance``s over each gap and
-    draws one value per position, so the stream then stands just past the
-    last position.  ``StreamBlock.random_at`` reads a block of streams.
-    """
-    bit_generator = stream._gen.bit_generator
-    out, at = [], 0
-    for pos in positions:
-        bit_generator.advance(pos - at)
-        out.append(stream.random())
-        at = pos + 1
-    return out
-
-
-def sample_d1_at(n: int, epsilon: float, stream: RandomStream, codes) -> tuple[int, ...]:
-    """``sample_d1(n, epsilon, stream).table[codes]`` from one ``random_at`` per distinct code.
-
-    The one-stream point read that ``hardgen.sample_d1_block_at`` replaced.
+    The one-stream point read that ``hardgen.sample_d1_block_at`` reads in blocks.
     """
     distinct = sorted(set(codes))
-    bit = {code: int(u < 3.0 * epsilon) for code, u in zip(distinct, random_at(stream, distinct))}
+    doubles = reference_random_at(seed, role, distinct)
+    bit = {code: int(u < 3.0 * epsilon) for code, u in zip(distinct, doubles)}
     return tuple(bit[code] for code in codes)
 
 
 class D1Points:
     """One no-side trial's D1 table, read only at the points queried, through ``sample_d1_at``."""
 
-    def __init__(self, n: int, epsilon: float, stream: RandomStream):
-        self.n, self.epsilon, self.stream = n, epsilon, stream
+    def __init__(self, n: int, epsilon: float, seed):
+        self.n, self.epsilon, self.seed = n, epsilon, seed
 
     def eval_many(self, xs) -> tuple[int, ...]:
-        return sample_d1_at(self.n, self.epsilon, self.stream, [x.code for x in xs])
+        return sample_d1_at(self.n, self.epsilon, self.seed, "d1", [x.code for x in xs])
 
 
 def point_read_budget_game(config) -> str:
@@ -524,20 +596,6 @@ def reference_digest(seed, role: str, payload: bytes) -> bytes:
         person = hashlib.blake2b(person, digest_size=hashlib.blake2b.PERSON_SIZE).digest()
     key = seed.value.to_bytes(8, "little")
     return hashlib.blake2b(payload, digest_size=8, key=key, person=person).digest()
-
-
-def reference_stream_entropy(seed, role: str) -> bytes:
-    """The 16-byte blake2b digest of b"stream" that seeds ``RandomStream(seed, role)``."""
-    person = role.encode("utf-8")
-    if len(person) > hashlib.blake2b.PERSON_SIZE:
-        person = hashlib.blake2b(person, digest_size=hashlib.blake2b.PERSON_SIZE).digest()
-    key = seed.value.to_bytes(8, "little")
-    return hashlib.blake2b(b"stream", digest_size=16, key=key, person=person).digest()
-
-
-def integer_seeded_generator(entropy: bytes) -> np.random.Generator:
-    """PCG64 seeded with the entropy read as one big-endian integer."""
-    return np.random.Generator(np.random.PCG64(int.from_bytes(entropy, "big")))
 
 
 def reference_bit(seed, role: str, payload: bytes, threshold: float) -> int:
@@ -668,12 +726,12 @@ def slots_by_element(plan) -> dict[int, list[tuple[int, int]]]:
     return slots
 
 
-def truncated_ones_count(r: int, theta: float, stream: RandomStream) -> int:
+def truncated_ones_count(r: int, theta: float, words) -> int:
     """Number of ones among r rate-theta coins, conditioned on at least one.
 
     Inverse-CDF over k in [1, r]; exact for every theta, including theta
     so small that rejection sampling would stall (the theta -> 0 limit is
-    a single one).
+    a single one).  The uniform is ``reference_double`` of ``words``.
     """
     weights = []
     for k in range(1, r + 1):
@@ -681,7 +739,7 @@ def truncated_ones_count(r: int, theta: float, stream: RandomStream) -> int:
     total = math.fsum(weights)
     if total <= 0.0:
         return 1
-    u = stream.random() * total
+    u = reference_double(words) * total
     acc = 0.0
     for k, w in enumerate(weights, start=1):
         acc += w
@@ -690,13 +748,13 @@ def truncated_ones_count(r: int, theta: float, stream: RandomStream) -> int:
     return r
 
 
-def lift_response(b, plan, epsilon: float, n: int, stream: RandomStream):
+def lift_response(b, plan, epsilon: float, n: int, words):
     """Expand an element-query response into per-query bits.
 
     Elements that answered 0 stay 0 everywhere; an element that answered 1
     with multiplicity r gets r coins of rate epsilon/sqrt(n) conditioned
     on not being all zero, sampled exactly (truncated count, then uniform
-    placement).
+    placement by a partial Fisher-Yates shuffle), from the stream ``words``.
     """
     if len(b) != plan.m:
         raise DimensionMismatch(f"response length {len(b)} != plan universe {plan.m}")
@@ -710,10 +768,13 @@ def lift_response(b, plan, epsilon: float, n: int, stream: RandomStream):
         r = len(positions)
         if r == 0:
             raise InconsistentInput(f"element {j} answered 1 but appears in no query")
-        ones = truncated_ones_count(r, theta, stream)
-        chosen = stream.sample_without_replacement(r, ones)
-        for idx in chosen:
-            i, pos = positions[int(idx)]
+        ones = truncated_ones_count(r, theta, words)
+        order = list(range(r))
+        for k in range(ones):
+            swap = k + reference_bounded(words, r - k)
+            order[k], order[swap] = order[swap], order[k]
+        for idx in order[:ones]:
+            i, pos = positions[idx]
             out[i][pos] = 1
     return tuple(tuple(row) for row in out)
 

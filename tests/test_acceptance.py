@@ -225,14 +225,15 @@ def test_pipeline_matches_direct_simulation():
         )
 
         trials = 10_000
-        stream = RandomStream(Seed(5150), "pipeline")
+        hidden, oracle_stream, fn_stream = (RandomStream([Seed(5150)], f"pipeline/{part}")
+                                            for part in ("h", "s", "g"))
         pipe_hits = 0
-        for j in range(trials):
-            A = sample_hidden(params.m, params.p, stream.child(f"h{j}"))
+        for _ in range(trials):
+            A = sample_hidden(params.m, params.p, hidden)
             oracle = partial(
-                sssq_respond, A, epsilon=params.epsilon, n=params.n, stream=stream.child(f"s{j}")
+                sssq_respond, A, epsilon=params.epsilon, n=params.n, stream=oracle_stream
             )
-            if simulate_distinguisher(X, M, params, oracle, stream.child(f"g{j}")) == YES:
+            if simulate_distinguisher(X, M, params, oracle, fn_stream) == YES:
                 pipe_hits += 1
 
         base = Seed(6060)

@@ -245,13 +245,13 @@ def test_summary_counts_match_binomial_law():
     plan = ElementQueryPlan.uniform(c_j, 1 << j)
     spec = BinomialSpec(c_j, params.p * bin_hit_prob(j, params.epsilon, params.n))
     rounds = 10_000
-    base = RandomStream(Seed(77), "summary-law")
+    hidden = RandomStream([Seed(77)], "summary-law")
+    responses = RandomStream([Seed(77)], "summary-law/resp")
     counts = np.zeros(c_j + 1, dtype=np.int64)
-    for trial in range(rounds):
-        stream = base.child(str(trial))
-        mask = stream.bernoulli_mask(c_j, params.p)
+    for _ in range(rounds):
+        mask = hidden.random(c_j)[0] < params.p
         A = IndexSet.of(c_j, (i + 1 for i in range(c_j) if mask[i]))
-        b = sseq_respond(A, plan, params.epsilon, params.n, stream.child("resp"))
+        b = sseq_respond(A, plan, params.epsilon, params.n, responses)
         counts[sum(b)] += 1
     expected = pmf_vector(spec) * rounds
     # merge tail cells with expectation below 5 for a stable statistic
@@ -267,16 +267,15 @@ def test_summary_mean_shift_between_rates():
     j, c_j = 0, 8
     plan = ElementQueryPlan.uniform(c_j, 1)
     rounds = 4000
-    base = RandomStream(Seed(78), "summary-shift")
     means = {}
     for label, rate in (("yes", params.p), ("no", params.q)):
         totals = 0
-        stream = base.child(label)
-        for trial in range(rounds):
-            sub = stream.child(str(trial))
-            mask = sub.bernoulli_mask(c_j, rate)
+        hidden = RandomStream([Seed(78)], f"summary-shift/{label}")
+        responses = RandomStream([Seed(78)], f"summary-shift/{label}/r")
+        for _ in range(rounds):
+            mask = hidden.random(c_j)[0] < rate
             A = IndexSet.of(c_j, (i + 1 for i in range(c_j) if mask[i]))
-            totals += sum(sseq_respond(A, plan, params.epsilon, params.n, sub.child("r")))
+            totals += sum(sseq_respond(A, plan, params.epsilon, params.n, responses))
         means[label] = totals / rounds
     lam = bin_hit_prob(j, params.epsilon, params.n)
     expected_shift = (params.q - params.p) * lam * c_j

@@ -1,6 +1,7 @@
 """Distribution samplers: concentration, determinism, and lazy/eager agreement."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from junta_lab.hardgen import (
     sample_yes,
 )
 from junta_lab.params import DESK_SCALE, derive_params
-from junta_lab.rng import RandomStream, Seed, StreamBlock, derive_bit, pack_ints
+from junta_lab.rng import RandomStream, Seed, derive_bit, pack_ints
 from references import complement_sample, sample_d1_at
 
 
@@ -86,7 +87,7 @@ def seed_blocks(draw):
 @given(st.integers(4, 20), st.sampled_from([0.1, 1.0]), seed_blocks())
 def test_block_sampler_equals_the_complement_form(n, epsilon, seeds):
     # a block's vectorized Fisher-Yates and array of coins draw, seed by
-    # seed, the instances of one integer-seeded stream pair per seed
+    # seed, the instances of one reference stream pair per seed
     params = desk(n, epsilon)
     for kind in (YES_STYLE, NO_STYLE):
         block = list(sample_block(params, kind, seeds))
@@ -97,7 +98,7 @@ def test_block_sampler_equals_the_complement_form(n, epsilon, seeds):
 @given(st.integers(4, 20), st.sampled_from([0.1, 1.0]), SEED_VALUES)
 def test_samplers_equal_the_complement_form(n, epsilon, seed_value):
     # the one-seed samplers draw the instances of IndexSet.of, M.complement()
-    # and integer-seeded streams
+    # and the reference streams
     params = desk(n, epsilon)
     seed = Seed(seed_value)
     assert sample_yes(params, seed) == complement_sample(params, YES_STYLE, seed)
@@ -175,7 +176,7 @@ def test_lazy_matches_eager_materialization():
 
 
 def test_d1_frequency_at_eps_one_fifth():
-    stream = RandomStream(Seed(3), "d1")
+    stream = RandomStream([Seed(3)], "d1")
     table = sample_d1(16, 0.2, stream)
     ones = int(table.table.sum())
     total = 1 << 16
@@ -190,27 +191,26 @@ def test_d1_all_zero_rate_in_sparse_limit():
     target = (1.0 - 3.0 * epsilon) ** (1 << n)
     assert abs(target - math.exp(-3.0 / 16.0)) < 5e-3
     draws = 1000
-    base = RandomStream(Seed(4), "d1-sparse")
     zero = sum(
         1 for j in range(draws)
-        if int(sample_d1(n, epsilon, base.child(str(j))).table.sum()) == 0
+        if int(sample_d1(n, epsilon, RandomStream([Seed(4)], f"d1-sparse/{j}")).table.sum()) == 0
     )
     sigma = math.sqrt(draws * target * (1 - target))
     assert abs(zero - draws * target) <= 5 * sigma
 
 
 def test_d1_determinism_and_domain():
-    a = sample_d1(8, 0.05, RandomStream(Seed(5), "x"))
-    b = sample_d1(8, 0.05, RandomStream(Seed(5), "x"))
+    a = sample_d1(8, 0.05, RandomStream([Seed(5)], "x"))
+    b = sample_d1(8, 0.05, RandomStream([Seed(5)], "x"))
     assert a == b
     with pytest.raises(EpsilonOutOfRange):
-        sample_d1(8, 0.25, RandomStream(Seed(5), "x"))
+        sample_d1(8, 0.25, RandomStream([Seed(5)], "x"))
     with pytest.raises(EpsilonOutOfRange):
-        sample_d1(8, 0.0, RandomStream(Seed(5), "x"))
+        sample_d1(8, 0.0, RandomStream([Seed(5)], "x"))
     with pytest.raises(TooLarge):
-        sample_d1(25, 0.05, RandomStream(Seed(5), "x"))
+        sample_d1(25, 0.05, RandomStream([Seed(5)], "x"))
     with pytest.raises(InvalidInput):
-        sample_d1(-1, 0.05, RandomStream(Seed(5), "x"))
+        sample_d1(-1, 0.05, RandomStream([Seed(5)], "x"))
 
 
 @st.composite
@@ -229,18 +229,18 @@ def d1_reads(draw):
 def test_d1_point_reads_equal_the_full_table(read, seed):
     n, epsilon, codes = read
     seeds = [Seed(seed), Seed(seed ^ 1)]
-    points = sample_d1_block_at(n, epsilon, StreamBlock(seeds, "d1"), codes)
+    points = sample_d1_block_at(n, epsilon, RandomStream(seeds, "d1"), codes)
     assert points.shape == (len(seeds), len(codes))
     for s, row in zip(seeds, points.tolist()):
-        table = sample_d1(n, epsilon, RandomStream(s, "d1")).table
+        table = sample_d1(n, epsilon, RandomStream([s], "d1")).table
         assert row == [int(b) for b in table[codes]]
-        assert tuple(row) == sample_d1_at(n, epsilon, RandomStream(s, "d1"), codes)
+        assert tuple(row) == sample_d1_at(n, epsilon, s, "d1", codes)
 
 
 def test_d1_point_reads_compare_strictly():
     # An entry whose uniform equals 3 * epsilon exactly is 0 in both forms.
     n = 6
-    full = RandomStream(Seed(9), "d1").random(1 << n).tolist()
+    full = RandomStream([Seed(9)], "d1").random(1 << n)[0].tolist()
     for code, u in enumerate(full):
         third = u / 3.0
         exact = [e for e in (third, math.nextafter(third, 0.0), math.nextafter(third, 1.0))
@@ -248,12 +248,12 @@ def test_d1_point_reads_compare_strictly():
         if exact:
             break
     epsilon = exact[0]
-    assert sample_d1(n, epsilon, RandomStream(Seed(9), "d1")).table[code] == 0
-    assert sample_d1_block_at(n, epsilon, StreamBlock([Seed(9)], "d1"), [code]).tolist() == [[0]]
+    assert sample_d1(n, epsilon, RandomStream([Seed(9)], "d1")).table[code] == 0
+    assert sample_d1_block_at(n, epsilon, RandomStream([Seed(9)], "d1"), [code]).tolist() == [[0]]
 
 
 def test_d1_point_reads_domain():
-    block = StreamBlock([Seed(5), Seed(6)], "x")
+    block = RandomStream([Seed(5), Seed(6)], "x")
     assert sample_d1_block_at(8, 0.05, block, []).shape == (2, 0)
     with pytest.raises(EpsilonOutOfRange):
         sample_d1_block_at(8, 0.25, block, [1])
@@ -268,7 +268,7 @@ def test_d1_point_reads_domain():
 
 def test_d2_exact_weight():
     for eps in (0.5, 0.25, 3 / 1024):
-        table = sample_d2(10, eps, RandomStream(Seed(6), f"d2-{eps}"))
+        table = sample_d2(10, eps, RandomStream([Seed(6)], f"d2-{eps}"))
         assert int(table.table.sum()) == round(1024 * eps)
 
 
@@ -276,10 +276,9 @@ def test_d2_single_one_uniformity():
     n = 10
     epsilon = 2.0**-10
     draws = 10_000
-    base = RandomStream(Seed(7), "d2-uniform")
     counts = np.zeros(1 << n)
     for j in range(draws):
-        table = sample_d2(n, epsilon, base.child(str(j)))
+        table = sample_d2(n, epsilon, RandomStream([Seed(7)], f"d2-uniform/{j}"))
         assert int(table.table.sum()) == 1
         counts[int(np.argmax(table.table))] += 1
     expected = draws / (1 << n)
@@ -287,16 +286,31 @@ def test_d2_single_one_uniformity():
     assert np.all(np.abs(counts - expected) <= 5 * sigma)
 
 
+def test_d2_subset_frequencies_at_n_3():
+    # each of the C(8, 3) = 56 weight-3 subsets of the 8 positions comes up
+    # about draws / 56 times, every count within 4 sigma
+    n, weight, draws = 3, 3, 20_000
+    counts = Counter()
+    for seed in Seed(31).mixes(range(draws)):
+        table = sample_d2(n, weight / 8, RandomStream([seed], "d2")).table
+        assert int(table.sum()) == weight
+        counts[tuple(np.flatnonzero(table).tolist())] += 1
+    subsets = math.comb(1 << n, weight)
+    assert len(counts) == subsets
+    sigma = math.sqrt(draws * (1 / subsets) * (1 - 1 / subsets))
+    assert all(abs(count - draws / subsets) <= 4 * sigma for count in counts.values())
+
+
 def test_d2_weight_out_of_range():
     with pytest.raises(WeightOutOfRange):
-        sample_d2(10, 2.0**-12, RandomStream(Seed(8), "d2"))  # rounds to 0
+        sample_d2(10, 2.0**-12, RandomStream([Seed(8)], "d2"))  # rounds to 0
     with pytest.raises(WeightOutOfRange):
-        sample_d2(4, 1.5, RandomStream(Seed(8), "d2"))  # rounds above 2^n
+        sample_d2(4, 1.5, RandomStream([Seed(8)], "d2"))  # rounds above 2^n
 
 
 def test_d2_domain():
     # the same n check as sample_d1, and a package error for a non-finite epsilon
-    stream = RandomStream(Seed(8), "d2")
+    stream = RandomStream([Seed(8)], "d2")
     for n in (-1, 0):
         with pytest.raises(InvalidInput):
             sample_d2(n, 0.1, stream)

@@ -225,16 +225,20 @@ def loads_numpy_random(code: str) -> bool:
 
 
 def test_verify_experiments_leave_numpy_random_unloaded(tmp_path):
-    # gen --dist yes|no draws its one instance as a block of one seed, too
-    params_file = tmp_path / "desk10.cfg"
+    # the structured samples and the D1/D2 tables, in the experiments and
+    # in gen, all come from counter streams; dist reads a gen table
+    params_file, table_file = tmp_path / "desk10.cfg", tmp_path / "d2.table"
     params_mod.save(desk_params(10), str(params_file))
     assert not loads_numpy_random(
         "from junta_lab import cli, harness\n"
-        "for experiment, trials in (('verify_yes', 20), ('verify_no', 10)):\n"
+        "for experiment, trials in (('verify_yes', 20), ('verify_no', 10), ('verify_d1', 5),\n"
+        "                           ('verify_d2', 5)):\n"
         "    config = harness.ExperimentConfig(harness.desk_params(10), experiment, trials, 1)\n"
         "    assert harness.run_experiment(config).passed\n"
-        "for dist in ('yes', 'no'):\n"
-        f"    assert cli.main(['gen', '--dist', dist, '--params', {str(params_file)!r}]) == 0\n"
+        "for dist in ('yes', 'no', 'd1', 'd2'):\n"
+        f"    assert cli.main(['gen', '--dist', dist, '--params', {str(params_file)!r},\n"
+        f"                     '--emit-table', {str(table_file)!r}]) == 0\n"
+        f"assert cli.main(['dist', '--table', {str(table_file)!r}, '--k', '8', '--eps', '0.1']) == 0\n"
     )
 
 

@@ -1,5 +1,6 @@
 """Determinism and statistical sanity of the seeded randomness layer."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -10,29 +11,26 @@ from hypothesis import strategies as st
 from junta_lab.errors import InvalidInput
 from junta_lab.harness import always_yes, random_string_plan
 from junta_lab.rng import (
-    RAW_CHUNK,
+    _CHUNK,
     KeyedDigest,
     RandomStream,
     Seed,
-    StreamBlock,
-    _generator,
-    _pcg64_states,
     byte_limit,
     derive_bit,
     derive_u64,
+    pack_each,
     pack_ints,
 )
 from references import (
     general_encoding,
-    integer_seeded_generator,
-    integer_string_plan,
-    integers,
-    integers_array,
-    random_at,
-    raw_outputs,
     reference_bit,
+    reference_bounded,
     reference_digest,
-    reference_stream_entropy,
+    reference_double,
+    reference_key,
+    reference_random_at,
+    reference_stream,
+    reference_string_plan,
 )
 
 
@@ -181,8 +179,13 @@ def test_pack_ints_boundaries():
     assert pack_ints() == b""
     assert pack_ints(255) == b"\x00\x00\x00\x01\xff"
     assert pack_ints(256) == b"\x00\x00\x00\x02\x01\x00"
+    assert pack_ints(65535) == b"\x00\x00\x00\x02\xff\xff"
+    assert pack_ints(65536) == b"\x00\x00\x00\x03\x01\x00\x00"
     assert pack_ints(0, 255, 256) == general_encoding(0, 255, 256)
     assert pack_ints(2**64, 3) == b"\x00\x00\x00\x09\x01" + bytes(8) + b"\x00\x00\x00\x01\x03"
+    # one block per fast path: single bytes, up to two bytes, and past them
+    for values in ([0, 255], [0, 255, 256, 65535], [255, 256, 65535, 65536], [65536, 0]):
+        assert pack_each(values) == tuple(general_encoding(v) for v in values)
 
 
 def test_long_role_labels_are_supported():
@@ -193,25 +196,34 @@ def test_long_role_labels_are_supported():
 
 
 def test_stream_determinism():
-    s1 = RandomStream(Seed(9), "demo")
-    s2 = RandomStream(Seed(9), "demo")
-    assert [s1.u64() for _ in range(10)] == [s2.u64() for _ in range(10)]
-    assert s1.random() == s2.random()
-    other = RandomStream(Seed(9), "demo2")
-    assert s1.u64() != other.u64()
+    s1 = RandomStream([Seed(9)], "demo")
+    s2 = RandomStream([Seed(9)], "demo")
+    assert s1.raw(10).tolist() == s2.raw(10).tolist()
+    assert s1.random(1).tolist() == s2.random(1).tolist()
+    other = RandomStream([Seed(9)], "demo2")
+    assert s1.raw(1).tolist() != other.raw(1).tolist()
 
 
-def same_generator(a, b):
-    assert a.bit_generator.state == b.bit_generator.state
-    assert a.random(4).tolist() == b.random(4).tolist()
-    assert a.integers(0, 2**63, size=4).tolist() == b.integers(0, 2**63, size=4).tolist()
+def take(words, count):
+    return [next(words) for _ in range(count)]
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**64 - 1), role=st.text(max_size=40))
-def test_stream_generator_is_the_integer_seeded_pcg64(seed, role):
-    stream = RandomStream(Seed(seed), role)
-    same_generator(stream._gen, integer_seeded_generator(reference_stream_entropy(Seed(seed), role)))
+def test_stream_equals_the_reference_stream(seed, role):
+    stream = RandomStream([Seed(seed)], role)
+    assert stream.raw(9).tolist() == [take(reference_stream(Seed(seed), role), 9)]
+
+
+def test_key_zero_is_splitmix64_from_zero():
+    # seed ^ blake2b(role) = 0 gives key mix64(0) = 0, and SplitMix64 seeded
+    # with 0 starts with these three words
+    role = "known-answer"
+    seed = Seed(int.from_bytes(hashlib.blake2b(role.encode(), digest_size=8).digest(), "big"))
+    assert reference_key(seed, role) == 0
+    expected = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    assert RandomStream([seed], role).raw(3).tolist() == [expected]
+    assert take(reference_stream(seed, role), 3) == expected
 
 
 @pytest.mark.parametrize(
@@ -230,72 +242,60 @@ def test_stream_generator_is_the_integer_seeded_pcg64(seed, role):
          "low-words-zero", "all-ones"],
 )
 def test_generator_seeding_agrees_on_zero_words(entropy):
-    # an integer seed drops its zero high words; the word array keeps them
-    same_generator(_generator(entropy), integer_seeded_generator(entropy))
+    # the two seeds of each 16 bytes have zero (or all-ones) 32-bit words
+    seeds = [Seed(int.from_bytes(entropy[:8], "big")), Seed(int.from_bytes(entropy[8:], "big"))]
+    for role in ("", "r"):
+        stream = RandomStream(seeds, role)
+        assert stream._state.tolist() == [reference_key(seed, role) for seed in seeds]
+        assert stream.raw(4).tolist() == [take(reference_stream(seed, role), 4) for seed in seeds]
 
 
 LONG_ROLE = "a-role-label-well-past-sixteen-bytes"
 MANY_SEEDS = [Seed(0), Seed(2**64 - 1), *Seed(3).mixes(range(250))]
-
-
-def first_draws(stream):
-    return (stream.random(), integers(stream, 0, 1000), stream.bernoulli_mask(8, 0.5).tolist())
-
-
-def first_block_draws(block):
-    """``first_draws`` of each stream of a block, drawn as the block's arrays."""
-    first = block.random(1)[:, 0].tolist()
-    bounded = block.bounded([1000])[:, 0].tolist()
-    coins = (block.random(8) < 0.5).tolist()
-    return list(zip(first, bounded, coins))
-
-
-def block_states(block):
-    """Each stream's PCG64 (state, increment) as integers."""
-    (state_hi, state_lo), (inc_hi, inc_lo) = block._state, block._inc
-    return [(int(a) << 64 | int(b), int(c) << 64 | int(d))
-            for a, b, c, d in zip(state_hi, state_lo, inc_hi, inc_lo)]
-
-
-def numpy_state(generator):
-    state = generator.bit_generator.state["state"]
-    return state["state"], state["inc"]
-
-
-WORD = st.one_of(st.sampled_from([0, 0xFFFFFFFF]), st.integers(0, 0xFFFFFFFF))
+SEED_VALUES = st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]) | st.integers(0, 2**64 - 1)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.lists(WORD, min_size=4, max_size=4), min_size=1, max_size=12))
-def test_pcg64_states_equal_seed_sequence(entropies):
-    # all-zero and all-ones words are drawn often, so whole rows of them occur
-    entropy = np.array(entropies + [[0] * 4, [0xFFFFFFFF] * 4], dtype=np.uint32)
-    expected = [np.random.SeedSequence(row).generate_state(4, np.uint64).tolist()
-                for row in entropy]
-    assert _pcg64_states(entropy).tolist() == expected
+@given(st.lists(SEED_VALUES, max_size=12), st.sampled_from(["M", "A", "", LONG_ROLE]))
+def test_stream_keys_equal_the_reference_keys(values, role):
+    seeds = [Seed(v) for v in values]
+    assert RandomStream(seeds, role)._state.tolist() == [reference_key(s, role) for s in seeds]
+
+
+def first_draws(stream):
+    """A double, a bounded draw and 8 coins from each row of ``stream``, as one tuple per row."""
+    first = stream.random(1)[:, 0].tolist()
+    bounded = stream.bounded([1000])[:, 0].tolist()
+    coins = (stream.random(8) < 0.5).tolist()
+    return list(zip(first, bounded, coins))
+
+
+def reference_first_draws(seed, role):
+    """``first_draws`` of the one stream of (seed, role), from ``reference_stream``."""
+    words = reference_stream(seed, role)
+    first = reference_double(words)
+    bounded = reference_bounded(words, 1000)
+    return first, bounded, [reference_double(words) < 0.5 for _ in range(8)]
 
 
 @pytest.mark.parametrize("role", ["M", "d1", LONG_ROLE, ""])
 def test_many_streams_equal_the_per_seed_streams(role):
-    # the block's SeedSequence pass and 128-bit seeding reproduce numpy's
-    # per-object seeding
+    # a row of a block is the one-row stream of its seed, draw for draw
     assert len(MANY_SEEDS) >= 200
-    block = StreamBlock(MANY_SEEDS, role)
+    block = RandomStream(MANY_SEEDS, role)
     assert len(block) == len(MANY_SEEDS)
-    for seed, state in zip(MANY_SEEDS, block_states(block)):
-        one = RandomStream(seed, role)
-        reference = integer_seeded_generator(reference_stream_entropy(seed, role))
-        assert state == numpy_state(one._gen) == numpy_state(reference)
-    per_seed = [first_draws(RandomStream(seed, role)) for seed in MANY_SEEDS]
-    assert first_block_draws(block) == per_seed
+    assert block._state.tolist() == [reference_key(seed, role) for seed in MANY_SEEDS]
+    per_seed = [row for seed in MANY_SEEDS for row in first_draws(RandomStream([seed], role))]
+    assert first_draws(block) == per_seed
+    assert per_seed[:20] == [reference_first_draws(seed, role) for seed in MANY_SEEDS[:20]]
 
 
 def test_many_streams_of_a_split_block_are_the_same_streams():
-    whole = first_block_draws(StreamBlock(MANY_SEEDS, "A"))
+    whole = first_draws(RandomStream(MANY_SEEDS, "A"))
     split = [row for start in range(0, len(MANY_SEEDS), 7)
-             for row in first_block_draws(StreamBlock(MANY_SEEDS[start:start + 7], "A"))]
+             for row in first_draws(RandomStream(MANY_SEEDS[start:start + 7], "A"))]
     assert split == whole
-    empty = StreamBlock([], "A")
+    empty = RandomStream([], "A")
     assert len(empty) == 0
     assert empty.random(3).shape == (0, 3)
     assert empty.random_at([2, 5]).shape == (0, 2)
@@ -312,96 +312,104 @@ DRAWS = st.one_of(
 )
 
 
-def stream_draws(stream, draws):
-    """The values ``draws`` gives on one ``RandomStream``, draw after draw."""
+def stream_draws(words, draws):
+    """The values ``draws`` gives on one stream's ``words``, draw after draw."""
     out = []
     for kind, arg in draws:
         if kind == "random":
-            out.append(stream.random(arg).tolist())
+            out.append([reference_double(words) for _ in range(arg)])
         elif kind == "raw":
-            out.append(raw_outputs(stream, arg))
+            out.append(take(words, arg))
         elif kind == "random_at":
-            # random(size), not the reference random_at: numpy's advance
-            # drops the buffered 32-bit word that random(size) keeps
-            full = stream.random(arg[-1] + 1) if arg else []
+            full = [reference_double(words) for _ in range(arg[-1] + 1)] if arg else []
             out.append([full[p] for p in arg])
         else:
-            out.append([integers(stream, 0, r) for r in arg])
+            out.append([reference_bounded(words, r) for r in arg])
     return out
+
+
+def block_draws(stream, draws):
+    """Each row's values for ``draws`` on ``stream``, draw after draw."""
+    rows = [[] for _ in range(len(stream))]
+    for kind, arg in draws:
+        for row, values in zip(rows, getattr(stream, kind)(arg).tolist()):
+            row.append(values)
+    return rows
 
 
 @settings(max_examples=40, deadline=None)
 @given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6),
        draws=st.lists(DRAWS, max_size=6))
 def test_block_draws_equal_the_per_seed_streams(seeds, draws):
-    # random, raw, random_at and bounded, interleaved in any order: a bounded
-    # draw's buffered high half must survive the doubles drawn after it
+    # random, raw, random_at and bounded, interleaved in any order: each row
+    # moves past exactly the words its draws read, rejected words included
     seeds = [Seed(v) for v in seeds]
-    block = StreamBlock(seeds, "r")
-    rows = [[] for _ in seeds]
-    for kind, arg in draws:
-        for row, values in zip(rows, getattr(block, kind)(arg).tolist()):
-            row.append(values)
-    assert rows == [stream_draws(RandomStream(seed, "r"), draws) for seed in seeds]
+    rows = block_draws(RandomStream(seeds, "r"), draws)
+    assert rows == [stream_draws(reference_stream(seed, "r"), draws) for seed in seeds]
+    assert rows == [block_draws(RandomStream([seed], "r"), draws)[0] for seed in seeds]
 
 
 @pytest.mark.parametrize("r", [2**31 + 1, 3 * 2**30, 2**32 - 1])
-def test_bounded_draw_rejects_as_numpy_does(r):
+def test_bounded_draw_rejects_as_the_reference_does(r):
     # 2^32 mod r words of 2^32 are rejected: about a half, a quarter and
     # none of them for these ranges, which desk ranges never approach
     seeds = Seed(7).mixes(range(64))
-    block = StreamBlock(seeds, "M")
+    block = RandomStream(seeds, "M")
     drawn = np.hstack([block.bounded([r] * 25), block.bounded([5, r, 1, 2**32] * 5)])
     for seed, row in zip(seeds, drawn.tolist()):
-        stream = RandomStream(seed, "M")
-        expected = integers_array(stream, 0, r, 25).tolist()
-        expected += [integers(stream, 0, high) for high in [5, r, 1, 2**32] * 5]
-        assert row == expected
+        words = reference_stream(seed, "M")
+        assert row == [reference_bounded(words, high) for high in [r] * 25 + [5, r, 1, 2**32] * 5]
 
 
-LONG_READS = [RAW_CHUNK - 1, RAW_CHUNK, RAW_CHUNK + 1, 3 * RAW_CHUNK + 5]
+def test_bounded_draw_frequencies_of_7():
+    # 21 000 draws over 7 values: each count within 4 sigma of 3000
+    draws = 21_000
+    counts = np.bincount(RandomStream([Seed(12)], "M").bounded([7] * draws)[0], minlength=7)
+    assert counts.sum() == draws and len(counts) == 7
+    sigma = math.sqrt(draws * (1 / 7) * (6 / 7))
+    assert np.all(np.abs(counts - draws / 7) <= 4 * sigma)
+
+
+LONG_READS = [_CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5]
 EDGE_SEEDS = [[Seed(0)], [Seed(2**64 - 1)], [Seed(0), Seed(2**64 - 1), Seed(5)]]
 
 
 @pytest.mark.parametrize("count", LONG_READS)
 @pytest.mark.parametrize("seeds", EDGE_SEEDS, ids=["0", "2^64-1", "three"])
 def test_long_reads_equal_the_per_seed_streams(seeds, count):
-    # a read runs in chunks of RAW_CHUNK positions; every chunk boundary must join up
-    doubles, words = StreamBlock(seeds, "r").random(count), StreamBlock(seeds, "r").raw(count)
+    # a read runs in chunks of _CHUNK positions; every chunk boundary must join up
+    doubles, words = RandomStream(seeds, "r").random(count), RandomStream(seeds, "r").raw(count)
     assert doubles.shape == words.shape == (len(seeds), count) and words.dtype == np.uint64
     for seed, row, raw_row in zip(seeds, doubles.tolist(), words.tolist()):
-        assert row == RandomStream(seed, "r").random(count).tolist()
-        assert raw_row == raw_outputs(RandomStream(seed, "r"), count)
+        assert row == RandomStream([seed], "r").random(count)[0].tolist()
+        assert raw_row == take(reference_stream(seed, "r"), count)
 
 
 @pytest.mark.parametrize("seeds", EDGE_SEEDS, ids=["0", "2^64-1", "three"])
 def test_successive_long_reads_continue_one_stream(seeds):
     # each read starts where the last one stopped, mid-chunk or on a boundary,
-    # and a bounded draw's buffered high half survives the long reads after it
-    block = StreamBlock(seeds, "r")
-    rows = [[] for _ in seeds]
-    reads = [("bounded", [7]), ("random", RAW_CHUNK + 1), ("raw", RAW_CHUNK - 1),
-             ("bounded", [5, 2**32]), ("random", 2 * RAW_CHUNK), ("bounded", [9]),
-             ("raw", 3), ("random", 3 * RAW_CHUNK + 5), ("bounded", [2**31 + 1, 3])]
-    for kind, arg in reads:
-        for row, values in zip(rows, getattr(block, kind)(arg).tolist()):
-            row.append(values)
-    assert rows == [stream_draws(RandomStream(seed, "r"), reads) for seed in seeds]
+    # and bounded draws between long reads move each row by the words they read
+    reads = [("bounded", [7]), ("random", _CHUNK + 1), ("raw", _CHUNK - 1),
+             ("bounded", [5, 2**32]), ("random", 2 * _CHUNK), ("bounded", [9]),
+             ("raw", 3), ("random", 3 * _CHUNK + 5), ("bounded", [2**31 + 1, 3])]
+    rows = block_draws(RandomStream(seeds, "r"), reads)
+    assert rows == [stream_draws(reference_stream(seed, "r"), reads) for seed in seeds]
 
 
 @pytest.mark.parametrize("n", [1, 12, 31, 32, 33, 48, 62])
-def test_string_plans_equal_numpy_integer_draws(n):
-    # top bits of 32-bit halves up to n = 32, of whole outputs above
+def test_string_plans_keep_the_top_bits_of_one_word(n):
     for seed in (Seed(0), Seed(7), Seed(2**64 - 1)):
         for q in (1, 2, 3, 20):
             plan = random_string_plan(n, q, seed, "goodM-plan", always_yes)
-            assert plan == integer_string_plan(n, q, seed, "goodM-plan", always_yes)
+            assert plan == reference_string_plan(n, q, seed, "goodM-plan", always_yes)
+            words = take(reference_stream(seed, "goodM-plan"), q)
+            assert [x.code for x in plan.queries] == [word >> (64 - n) for word in words]
 
 
 @pytest.mark.parametrize("n", [63, 64, 65, 128, 129])
 def test_wide_string_plans_read_whole_outputs_most_significant_first(n):
     per_query = -(-n // 64)
-    words = raw_outputs(RandomStream(Seed(3), "p"), 3 * per_query)
+    words = take(reference_stream(Seed(3), "p"), 3 * per_query)
     expected = []
     for start in range(0, len(words), per_query):
         value = 0
@@ -413,7 +421,7 @@ def test_wide_string_plans_read_whole_outputs_most_significant_first(n):
 
 
 def test_bounded_draw_ranges_lie_in_1_to_2_32():
-    block = StreamBlock([Seed(1)], "M")
+    block = RandomStream([Seed(1)], "M")
     for r in (0, -3, 2**32 + 1):
         with pytest.raises(InvalidInput):
             block.bounded([4, r])
@@ -428,10 +436,10 @@ def test_seed_mixes_equal_seed_mix():
 
 
 def test_stream_children_are_independent_and_reproducible():
-    base = RandomStream(Seed(11), "root")
-    a1 = base.child("a").u64()
-    a2 = RandomStream(Seed(11), "root").child("a").u64()
-    b = base.child("b").u64()
+    # a child stream is one with a role scoped under its parent's
+    a1 = RandomStream([Seed(11)], "root/a").raw(4).tolist()
+    a2 = RandomStream([Seed(11)], "root/a").raw(4).tolist()
+    b = RandomStream([Seed(11)], "root/b").raw(4).tolist()
     assert a1 == a2
     assert a1 != b
 
@@ -448,13 +456,6 @@ def test_seed_mix_is_the_mix_digest_of_the_packed_index(index):
         assert base.mix(index).value == derive_u64(base, "mix", pack_ints(index))
 
 
-def test_sample_without_replacement():
-    stream = RandomStream(Seed(2), "swr")
-    picked = stream.sample_without_replacement(10, 4)
-    assert len(set(int(v) for v in picked)) == 4
-    assert all(0 <= v < 10 for v in picked)
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**64 - 1),
@@ -463,25 +464,26 @@ def test_sample_without_replacement():
 def test_random_at_equals_the_full_draw(seed, positions):
     seeds = [Seed(seed), Seed(seed ^ 1)]
     ordered = sorted(positions)
-    got = StreamBlock(seeds, "r").random_at(ordered).tolist()
+    got = RandomStream(seeds, "r").random_at(ordered).tolist()
     for s, row in zip(seeds, got):
-        full = RandomStream(s, "r").random(4096)
-        assert row == [full[p] for p in ordered] == random_at(RandomStream(s, "r"), ordered)
+        full = RandomStream([s], "r").random(4096)[0]
+        assert row == [full[p] for p in ordered] == reference_random_at(s, "r", ordered)
 
 
 def test_random_at_leaves_the_stream_past_the_last_position():
-    full = RandomStream(Seed(2), "r").random(10)
-    block = StreamBlock([Seed(2)], "r")
+    full = RandomStream([Seed(2)], "r").random(10)[0]
+    block = RandomStream([Seed(2)], "r")
     assert block.random_at([0, 3]).tolist() == [[full[0], full[3]]]
     assert block.random(2).tolist() == [full[4:6].tolist()]
-    assert StreamBlock([Seed(2)], "r").random_at([]).shape == (1, 0)
+    assert block.random_at([1]).tolist() == [[full[7]]]
+    assert RandomStream([Seed(2)], "r").random_at([]).shape == (1, 0)
 
 
 def test_random_at_rejects_unsorted_or_negative_positions():
     for positions in ([3, 1], [2, 2], [-1]):
         with pytest.raises(InvalidInput):
-            StreamBlock([Seed(2)], "r").random_at(positions)
+            RandomStream([Seed(2)], "r").random_at(positions)
     with pytest.raises(InvalidInput):
-        StreamBlock([Seed(2)], "r").random(-1)
+        RandomStream([Seed(2)], "r").random(-1)
     with pytest.raises(InvalidInput):
-        StreamBlock([Seed(2)], "r").raw(-1)
+        RandomStream([Seed(2)], "r").raw(-1)

@@ -53,6 +53,7 @@ from references import (
     lift_response,
     per_trial_game,
     reference_is_separating,
+    reference_stream,
 )
 
 
@@ -82,22 +83,22 @@ def flat_index(response, plan):
 
 
 def test_sample_hidden_degenerate():
-    stream = RandomStream(Seed(1), "h")
+    stream = RandomStream([Seed(1)], "h")
     assert sample_hidden(5, 0.0, stream).members == ()
     assert sample_hidden(5, 1.0, stream).members == (1, 2, 3, 4, 5)
 
 
 def test_sample_hidden_mean():
     m, trials = 200, 1000
-    base = RandomStream(Seed(2), "hm")
-    sizes = [len(sample_hidden(m, 0.5, base.child(str(j)))) for j in range(trials)]
+    stream = RandomStream([Seed(2)], "hm")
+    sizes = [len(sample_hidden(m, 0.5, stream)) for _ in range(trials)]
     sigma = math.sqrt(0.25 * m / trials)
     assert abs(float(np.mean(sizes)) - 100.0) <= 5 * sigma
 
 
 def test_sample_hidden_determinism():
-    a = sample_hidden(30, 0.5, RandomStream(Seed(3), "d"))
-    b = sample_hidden(30, 0.5, RandomStream(Seed(3), "d"))
+    a = sample_hidden(30, 0.5, RandomStream([Seed(3)], "d"))
+    b = sample_hidden(30, 0.5, RandomStream([Seed(3)], "d"))
     assert a == b
 
 
@@ -106,7 +107,7 @@ def test_sample_hidden_determinism():
 
 def test_sssq_zero_cases():
     plan = SetQueryPlan.of(4, [[1, 2], [3]])
-    stream = RandomStream(Seed(4), "s")
+    stream = RandomStream([Seed(4)], "s")
     assert sssq_respond(IndexSet.of(4, []), plan, 0.1, 64, stream) == ((0, 0), (0,))
     assert sssq_respond(IndexSet.of(4, [1, 2, 3, 4]), plan, 0.0, 64, stream) == ((0, 0), (0,))
 
@@ -116,7 +117,7 @@ def test_sssq_on_set_frequency():
     plan = SetQueryPlan.of(m, [range(1, m + 1)])
     # epsilon / sqrt(n) = 0.3
     resp = sssq_respond(
-        IndexSet.of(m, range(1, m + 1)), plan, 0.3, 1, RandomStream(Seed(5), "f")
+        IndexSet.of(m, range(1, m + 1)), plan, 0.3, 1, RandomStream([Seed(5)], "f")
     )
     ones = sum(resp[0])
     sigma = math.sqrt(m * 0.3 * 0.7)
@@ -126,16 +127,16 @@ def test_sssq_on_set_frequency():
 def test_sssq_dimension_mismatch():
     plan = SetQueryPlan.of(5, [[1, 5]])
     with pytest.raises(DimensionMismatch):
-        sssq_respond(IndexSet.of(4, []), plan, 0.1, 64, RandomStream(Seed(6), "x"))
+        sssq_respond(IndexSet.of(4, []), plan, 0.1, 64, RandomStream([Seed(6)], "x"))
 
 
 def test_sseq_zero_and_off_set():
     plan = ElementQueryPlan.of([0, 0, 0])
-    stream = RandomStream(Seed(7), "e")
+    stream = RandomStream([Seed(7)], "e")
     assert sseq_respond(IndexSet.of(3, [1, 2, 3]), plan, 0.9, 4, stream) == (0, 0, 0)
     big = ElementQueryPlan.of([50, 50, 50])
     for j in range(20):
-        resp = sseq_respond(IndexSet.of(3, [2]), big, 0.9, 4, RandomStream(Seed(j), "e2"))
+        resp = sseq_respond(IndexSet.of(3, [2]), big, 0.9, 4, RandomStream([Seed(j)], "e2"))
         assert resp[0] == 0 and resp[2] == 0
 
 
@@ -143,7 +144,7 @@ def test_sseq_frequency():
     m = 10_000
     plan = ElementQueryPlan.uniform(m, 1)
     resp = sseq_respond(
-        IndexSet.of(m, range(1, m + 1)), plan, 0.25, 1, RandomStream(Seed(8), "e3")
+        IndexSet.of(m, range(1, m + 1)), plan, 0.25, 1, RandomStream([Seed(8)], "e3")
     )
     ones = sum(resp)
     sigma = math.sqrt(m * 0.25 * 0.75)
@@ -176,31 +177,31 @@ def test_element_counts_preserve_cost(data):
 
 def test_lift_zero_response():
     plan = SetQueryPlan.of(3, [[1, 2], [2, 3]])
-    out = lift_response((0, 0, 0), plan, 0.1, 64, RandomStream(Seed(9), "l"))
+    out = lift_response((0, 0, 0), plan, 0.1, 64, reference_stream(Seed(9), "l"))
     assert out == ((0, 0), (0, 0))
 
 
 def test_lift_single_slot_forced():
     plan = SetQueryPlan.of(2, [[1]])
-    out = lift_response((1, 0), plan, 0.0001, 64, RandomStream(Seed(10), "l2"))
+    out = lift_response((1, 0), plan, 0.0001, 64, reference_stream(Seed(10), "l2"))
     assert out == ((1,),)
 
 
 def test_lift_inconsistent_input():
     plan = SetQueryPlan.of(3, [[1, 2]])
     with pytest.raises(InconsistentInput):
-        lift_response((0, 0, 1), plan, 0.1, 64, RandomStream(Seed(11), "l3"))
+        lift_response((0, 0, 1), plan, 0.1, 64, reference_stream(Seed(11), "l3"))
 
 
 def test_lift_conditional_pattern_frequencies():
     # one element with multiplicity 2 at theta = 1/2: patterns 01, 10, 11
     # each carry conditional mass 1/3
     plan = SetQueryPlan.of(1, [[1], [1]])
-    base = RandomStream(Seed(12), "l4")
+    words = reference_stream(Seed(12), "l4")
     counts = {(0, 1): 0, (1, 0): 0, (1, 1): 0}
     trials = 100_000
-    for j in range(trials):
-        out = lift_response((1,), plan, 1.0, 4, base.child(str(j)))
+    for _ in range(trials):
+        out = lift_response((1,), plan, 1.0, 4, words)
         counts[(out[0][0], out[1][0])] += 1
     sigma = math.sqrt(trials * (1 / 3) * (2 / 3))
     for pattern, count in counts.items():
@@ -270,10 +271,10 @@ def test_exact_distribution_matches_sampler():
     A = IndexSet.of(2, [1, 2])
     law = exact_response_distribution(A, plan, 1.2, 4)  # theta = 0.6
     trials = 40_000
-    base = RandomStream(Seed(13), "mc")
+    stream = RandomStream([Seed(13)], "mc")
     counts = [0] * len(law)
-    for j in range(trials):
-        out = sssq_respond(A, plan, 1.2, 4, base.child(str(j)))
+    for _ in range(trials):
+        out = sssq_respond(A, plan, 1.2, 4, stream)
         counts[flat_index(out, plan)] += 1
     for observed, prob in zip(counts, law):
         sigma = math.sqrt(trials * prob * (1 - prob))
@@ -286,11 +287,11 @@ def test_lifted_law_matches_lift_sampler():
     law = lifted_response_distribution(A, plan, 1.2, 4)
     ell = set_plan_to_element_counts(plan)
     trials = 40_000
-    base = RandomStream(Seed(14), "mc2")
+    stream, words = RandomStream([Seed(14)], "mc2/b"), reference_stream(Seed(14), "mc2/l")
     counts = [0] * len(law)
-    for j in range(trials):
-        b = sseq_respond(A, ell, 1.2, 4, base.child(f"b{j}"))
-        out = lift_response(b, plan, 1.2, 4, base.child(f"l{j}"))
+    for _ in range(trials):
+        b = sseq_respond(A, ell, 1.2, 4, stream)
+        out = lift_response(b, plan, 1.2, 4, words)
         counts[flat_index(out, plan)] += 1
     assert abs(math.fsum(law) - 1.0) <= 1e-12
     for observed, prob in zip(counts, law):
@@ -537,11 +538,11 @@ def test_simulate_distinguisher_constant_decider():
     M = IndexSet.of(8, sorted(range(1, params.t + 1)))
     x = BitString.zeros(8)
     X = StringQueryPlan(queries=(x, flip(x, 8)), decider=lambda bits: YES)
-    A = sample_hidden(params.m, params.p, RandomStream(Seed(16), "h"))
+    A = sample_hidden(params.m, params.p, RandomStream([Seed(16)], "h"))
     oracle = partial(
-        sssq_respond, A, epsilon=params.epsilon, n=params.n, stream=RandomStream(Seed(16), "o")
+        sssq_respond, A, epsilon=params.epsilon, n=params.n, stream=RandomStream([Seed(16)], "o")
     )
-    out = simulate_distinguisher(X, M, params, oracle, RandomStream(Seed(16), "g"))
+    out = simulate_distinguisher(X, M, params, oracle, RandomStream([Seed(16)], "g"))
     assert out == YES
 
 
@@ -551,12 +552,12 @@ def test_simulate_distinguisher_warns_on_oversized_plans():
     M = IndexSet.of(6, [1])
     x = BitString.zeros(6)
     X = StringQueryPlan(queries=(x,) * 40, decider=lambda bits: YES)
-    A = sample_hidden(params.m, params.p, RandomStream(Seed(30), "h"))
+    A = sample_hidden(params.m, params.p, RandomStream([Seed(30)], "h"))
     oracle = partial(
-        sssq_respond, A, epsilon=params.epsilon, n=params.n, stream=RandomStream(Seed(30), "o")
+        sssq_respond, A, epsilon=params.epsilon, n=params.n, stream=RandomStream([Seed(30)], "o")
     )
     with pytest.warns(UserWarning, match="beyond"):
-        simulate_distinguisher(X, M, params, oracle, RandomStream(Seed(30), "g"))
+        simulate_distinguisher(X, M, params, oracle, RandomStream([Seed(30)], "g"))
 
 
 def test_simulate_distinguisher_empty_live_sets_give_equal_bits():
@@ -575,11 +576,11 @@ def test_simulate_distinguisher_empty_live_sets_give_equal_bits():
         queries=(x, flip(x, outside[0]), flip(x, outside[1])), decider=capture
     )
     for j in range(20):
-        A = sample_hidden(params.m, params.p, RandomStream(Seed(j), "h"))
+        A = sample_hidden(params.m, params.p, RandomStream([Seed(j)], "h"))
         oracle = partial(
-            sssq_respond, A, epsilon=params.epsilon, n=params.n, stream=RandomStream(Seed(j), "o")
+            sssq_respond, A, epsilon=params.epsilon, n=params.n, stream=RandomStream([Seed(j)], "o")
         )
-        simulate_distinguisher(X, M, params, oracle, RandomStream(Seed(j), "g"))
+        simulate_distinguisher(X, M, params, oracle, RandomStream([Seed(j)], "g"))
     for bits in seen:
         assert len(set(bits)) == 1
 
@@ -975,14 +976,15 @@ def test_reduction_preserves_the_advantage():
     trials = 4000
 
     def pipeline_rate(inclusion, label):
-        stream = RandomStream(Seed(808), label)
+        hidden, oracle_stream, fn_stream = (RandomStream([Seed(808)], f"{label}/{part}")
+                                            for part in ("h", "s", "g"))
         hits = 0
-        for j in range(trials):
-            A = sample_hidden(params.m, inclusion, stream.child(f"h{j}"))
+        for _ in range(trials):
+            A = sample_hidden(params.m, inclusion, hidden)
             oracle = partial(
-                sssq_respond, A, epsilon=params.epsilon, n=params.n, stream=stream.child(f"s{j}")
+                sssq_respond, A, epsilon=params.epsilon, n=params.n, stream=oracle_stream
             )
-            if simulate_distinguisher(X, M, params, oracle, stream.child(f"g{j}")) == YES:
+            if simulate_distinguisher(X, M, params, oracle, fn_stream) == YES:
                 hits += 1
         return hits / trials
 

@@ -1,6 +1,11 @@
-"""Every name a module imports under src/, tests/ or scripts/ is used in that module."""
+"""Every name a module imports under src/, tests/ or scripts/ is used in that module.
+
+No module under src/ names ``numpy.random``: every random draw comes from
+``rng.RandomStream`` or a keyed digest.
+"""
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -50,6 +55,14 @@ def test_no_unused_imports():
             found += [f"{path.relative_to(ROOT)}:{line}: {name}"
                       for line, name in unused_imports(path)]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def test_src_never_names_numpy_random():
+    named = [f"{path.relative_to(ROOT)}:{number}: {line.strip()}"
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if re.search(r"\b(numpy|np)\.random\b", line)]
+    assert not named, "numpy.random named under src/:\n" + "\n".join(named)
 
 
 def test_the_scan_sees_an_unused_import(tmp_path):
