@@ -30,14 +30,19 @@ Sections, in order:
 - ``frontier``: the same at the exact-distance frontier: D_no and D_yes at
   epsilon = 1 (``FRONTIER``) and a D2 table (``FRONTIER_D2``).
 - ``games``: ``exact_dtv`` over ``dtv_sweep``'s bound-sweep cells against
-  ``per_term_dtv``; the cells from shared tables (``bound_sweep_cells``)
-  against one ``exact_dtv`` per cell; the batched sseq and sssq games
-  against ``per_trial_game``; the goodM mask test against
-  ``reference_is_separating``; ``pack_ints`` against ``general_encoding``.
-- ``strings_game``: the string-query game in blocks (``run_game`` with
-  ``sample_block``) against ``per_trial_string_game`` drawing each
-  trial's instance by ``complement_sample``, on the strings job's plan
-  shape with ``parity_yes`` and ``all_zero_yes``.
+  ``per_term_dtv``; the per-cell oracle's shared tables
+  (``bound_sweep_cells``) against one ``exact_dtv`` per cell; the
+  certified sweep (``shift_bound_sweep``) against the per-cell exact
+  sweep, both reduced to (cells, violations, worst margin); the batched
+  sseq and sssq games against ``per_trial_game``; the goodM mask test
+  against ``reference_is_separating``; ``pack_ints`` against
+  ``general_encoding``.
+- ``strings_game``: the string-query game answered a block at a time
+  (``run_game`` with ``sample_block_at``) against
+  ``per_trial_string_game`` drawing each trial's instance by
+  ``complement_sample``, and against the same game building and
+  evaluating one instance per trial (``instance_answers``), on the
+  strings job's plan shape with ``parity_yes`` and ``all_zero_yes``.
 - ``stream_seeding``: the draws each block user makes (the M stream's
   bounded draws and the A stream's coins as ``sample_block`` makes them
   at desk n = ``STRINGS_N``, the D1 stream's point reads at three codes
@@ -84,8 +89,8 @@ Sections, in order:
 
 The sizes each section runs at are the module constants below, so a test
 can run every section small.  The script exits 1 if any comparison
-fails, and writes BENCH_30.json at the root of the checkout (BENCH_25.json,
-BENCH_23.json, BENCH_22.json, BENCH_21.json, BENCH_18.json and
+fails, and writes BENCH_34.json at the root of the checkout (BENCH_30.json,
+BENCH_25.json, BENCH_23.json, BENCH_22.json, BENCH_21.json, BENCH_18.json and
 BENCH_17.json are earlier runs; BENCH_2, BENCH_3,
 BENCH_5, BENCH_6, BENCH_7, BENCH_10, BENCH_11, BENCH_12, BENCH_14 and
 BENCH_15.json are earlier runs, in the earlier per-section layout).
@@ -94,6 +99,7 @@ Usage: python scripts/bench.py
 """
 
 import json
+import math
 import os
 import platform
 import random
@@ -106,7 +112,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from junta_lab import harness, rng, tasks
-from junta_lab.binom_stats import BinomialSpec, exact_dtv
+from junta_lab.binom_stats import BinomialSpec, exact_dtv, shift_bound_sweep
 from junta_lab.boolfn import (
     NO_STYLE,
     YES_STYLE,
@@ -115,11 +121,19 @@ from junta_lab.boolfn import (
     bichromatic_edge_counts,
     to_table,
 )
-from junta_lab.hardgen import sample_block, sample_d1, sample_d2, sample_no, sample_yes
+from junta_lab.hardgen import (
+    sample_block,
+    sample_block_at,
+    sample_d1,
+    sample_d2,
+    sample_no,
+    sample_yes,
+)
 from junta_lab.harness import (
+    _BOUND_SWEEP_RATES,
+    _BOUND_SWEEP_TOP,
     ExperimentConfig,
     always_yes,
-    bound_sweep_cells,
     budget_game,
     desk_params,
     random_string_plan,
@@ -131,6 +145,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))
 from references import (  # noqa: E402
     ScalarStream,
+    bound_sweep_cells,
     cli_calls,
     complement_sample,
     count_adds,
@@ -146,6 +161,7 @@ from references import (  # noqa: E402
     general_encoding,
     generator_walk,
     hopcroft_karp_per_direction,
+    instance_answers,
     least_key_walk,
     numpy_d1_table,
     numpy_d2_table,
@@ -160,7 +176,7 @@ from references import (  # noqa: E402
     set_checked_deserialize,
 )
 
-OUTPUT = ROOT / "BENCH_30.json"
+OUTPUT = ROOT / "BENCH_34.json"
 SEED = 1
 REPEATS = {"to_table": 3, "distance": 3, "matching": 3, "kernel": 7, "frontier": 3, "games": 5,
            "strings_game": 11, "stream_seeding": 21, "budget_game": 11, "seed_derivation": 7,
@@ -353,6 +369,11 @@ def game_pairs() -> list[Pair]:
              "against one exact_dtv per cell",
              lambda: [exact_dtv(a, b) for a, b in cells],
              lambda: [cell[-1] for cell in bound_sweep_cells(p)]),
+        Pair("dtv_sweep_certified", f"{len(cells)} dtv_sweep cells, desk n = {DESK_N}, certified "
+             "sweep against the per-cell exact sweep",
+             lambda: per_cell_sweep(p),
+             lambda: shift_bound_sweep(
+                 [(p.p * lam, (p.q - p.p) * lam) for lam in _BOUND_SWEEP_RATES], _BOUND_SWEEP_TOP)),
     ]
     for mode, (plan, label) in plans.items():
         pairs.append(Pair(f"game_{mode}", f"{label}, desk n = {DESK_N}, {GAME_TRIALS} trials, seed {SEED}",
@@ -371,6 +392,16 @@ def game_pairs() -> list[Pair]:
     return pairs
 
 
+def per_cell_sweep(params) -> tuple:
+    """(cells, violations, worst margin) of ``bound_sweep_cells``, every cell exact."""
+    cells, violations, worst = 0, 0, math.inf
+    for *_, bound, exact in bound_sweep_cells(params):
+        cells += 1
+        violations += exact > bound
+        worst = min(worst, bound - exact)
+    return cells, violations, worst
+
+
 def strings_plan(decider: str) -> tasks.StringQueryPlan:
     """The strings job's plan shape: ``STRINGS_QUERIES`` random ``STRINGS_N``-bit queries."""
     draw = random.Random(SEED)
@@ -383,15 +414,22 @@ def strings_plan(decider: str) -> tasks.StringQueryPlan:
 def strings_game_pairs() -> list[Pair]:
     params = desk_params(STRINGS_N)
     per_seed = [partial(complement_sample, params, kind) for kind in (YES_STYLE, NO_STYLE)]
-    blocks = [partial(sample_block, params, kind) for kind in (YES_STYLE, NO_STYLE)]
+    instances = [partial(instance_answers, params, kind) for kind in (YES_STYLE, NO_STYLE)]
+    blocks = [partial(sample_block_at, params, kind) for kind in (YES_STYLE, NO_STYLE)]
     pairs = []
     for decider in ("parity_yes", "all_zero_yes"):
         plan = strings_plan(decider)
+        inputs = f"desk n = {STRINGS_N}, {STRINGS_QUERIES} queries, {STRINGS_TRIALS} trials, seed {SEED}"
         pairs.append(Pair(f"strings_game {decider}",
-                          f"desk n = {STRINGS_N}, {STRINGS_QUERIES} queries, {STRINGS_TRIALS} trials, "
-                          f"seed {SEED}, block game against one trial at a time",
+                          f"{inputs}, block answers against one trial at a time",
                           lambda plan=plan: per_trial_string_game(
                               *per_seed, plan, STRINGS_TRIALS, SEED).as_json_dict(),
+                          lambda plan=plan: harness.run_game(
+                              *blocks, plan, STRINGS_TRIALS, SEED).as_json_dict()))
+        pairs.append(Pair(f"strings_game {decider}, instances",
+                          f"{inputs}, block answers against one instance per trial",
+                          lambda plan=plan: harness.run_game(
+                              *instances, plan, STRINGS_TRIALS, SEED).as_json_dict(),
                           lambda plan=plan: harness.run_game(
                               *blocks, plan, STRINGS_TRIALS, SEED).as_json_dict()))
     return pairs

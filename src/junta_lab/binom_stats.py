@@ -6,10 +6,12 @@ combining it with the rate powers: up to c = 1000 as one float64 product
 of a coefficient row and two power tables, above through logs.  Its
 normalization stays within 1e-12 up to c = 10^4.  ``tv_distance``, half
 the L1 distance of two laws, is the one exactly rounded total variation:
-``exact_dtv`` applies it to two mass vectors, and a sweep that shares
-coefficient rows and power tables (``pascal_rows``, ``rate_powers``,
-``masses``) applies it to the same floats.  Hit probabilities use exact
-compounding via log1p/expm1 rather than any exponential approximation.
+``exact_dtv`` applies it to two mass vectors.  ``shift_bound_sweep``
+checks the shift bound over a grid of cells: a float pass certifies
+every cell, and only the cells it cannot decide take the exact path
+(``rate_powers``, ``masses``, ``tv_distance``), so its result is that of
+the exact per-cell sweep.  Hit probabilities use exact compounding via
+log1p/expm1 rather than any exponential approximation.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     DegenerateRate,
@@ -75,18 +78,6 @@ def _coefficients(c: int):
 
 def _coefficient_row(c: int) -> np.ndarray:
     return np.array([float(v) for v in _coefficients(c)])
-
-
-def pascal_rows(top: int):
-    """Yield ``(c, float(C(c, 0..c)))`` for c = 0..top, one row at a time.
-
-    Each row comes from the previous one by exact integer additions and
-    is rounded to float64 once; only the current row is held.
-    """
-    row = [1]
-    for c in range(top + 1):
-        yield c, np.array([float(v) for v in row])
-        row = [1, *[x + y for x, y in zip(row, row[1:])], 1]
 
 
 def rate_powers(r: float, top: int) -> tuple[np.ndarray, np.ndarray]:
@@ -205,6 +196,165 @@ def tv_shift_bound(x: float, c: int, r: float) -> Optional[float]:
     if t >= 1.0:
         return None
     return TV_BOUND_CONSTANT * t / (1.0 - t) ** 2
+
+
+# Float64 cells per temporary of ``shift_bound_sweep``'s approximate pass:
+# 2^11 cells keep each at 16 KiB however many trial counts the sweep covers.
+_SWEEP_CELLS = 1 << 11
+
+
+def _exact_margin(c: int, r: float, x: float) -> tuple[float, float]:
+    """(bound, distance) of one sweep cell on the exact path.
+
+    The coefficient recurrence, ``masses`` and the ``math.fsum`` of
+    ``tv_distance``: the floats of ``exact_dtv`` of Bin(c, r) and
+    Bin(c, min(r + x, 1)).
+    """
+    whole = _coefficient_row(c)
+    exact = tv_distance(masses(whole, rate_powers(r, c)),
+                        masses(whole, rate_powers(min(r + x, 1.0), c)))
+    return tv_shift_bound(x, c, r), exact
+
+
+def refine_mask(margins: np.ndarray, slacks: np.ndarray) -> np.ndarray:
+    """The cells whose exact margin may be negative or the least, given approximations.
+
+    Each exact margin lies within its cell's slack of ``margins``.  A cell
+    can violate only if its approximate margin is at most its slack, and
+    can hold the least exact margin only if its approximate margin minus
+    its slack reaches the least approximate margin plus slack.
+    """
+    if not len(margins):
+        return np.zeros(0, dtype=bool)
+    return (margins <= slacks) | (margins - slacks <= np.min(margins + slacks))
+
+
+def approximate_shift_cells(
+    rates: Sequence[tuple[float, float]], top: int
+) -> tuple[np.ndarray, ...]:
+    """(r, x, c, D', B', slack) of each applicable cell of ``shift_bound_sweep``, as arrays.
+
+    Rate by rate in the order given, each rate's cells in increasing c.
+    D' and B' are the approximate pass's distance and bound, and each
+    cell's exact margin B - D lies within its slack of B' - D' (see
+    ``shift_bound_sweep``).
+    """
+    if top > _DIRECT_CAP:
+        raise TooLarge(f"trial count {top} exceeds the float coefficient cap {_DIRECT_CAP}")
+    spans = []  # (r, x, t for c = 1..c_r)
+    for r, x in rates:
+        if not 0.0 < r < 1.0:
+            continue
+        tv_shift_param(x, 0, r)  # rejects a shift tv_shift_bound would reject
+        t = x * np.sqrt((np.arange(1, top + 1) + 2) / (2.0 * r * (1.0 - r)))
+        applies = t < 1.0
+        last = top if applies.all() else int(applies.argmin())
+        if last:
+            spans.append((r, x, t[:last]))
+    if not spans:
+        return tuple(np.zeros(0) for _ in range(6))
+    c_top = max(len(t) for _, _, t in spans)
+    # Per span and side: r^k for k = 0..c_r, and a (c_r, c_r + 1) view whose
+    # row c - 1 holds (1 - r)^(c - k) at k <= c and 0 beyond: the window at
+    # c_r - c of (1 - r)^j for j = c_r..0 followed by c_r zeros.
+    tables = []
+    for r, x, t in spans:
+        last = len(t)
+        sides = []
+        for rate in (r, min(r + x, 1.0)):
+            rk, sk = rate_powers(rate, last)
+            down = np.concatenate((sk[::-1], np.zeros(last)))
+            step = down.strides[0]
+            sides.append((rk, as_strided(down, (last, last + 1), (step, step))[::-1]))
+        tables.append(sides)
+    distances = [np.empty(len(t)) for _, _, t in spans]
+    rows = max(1, _SWEEP_CELLS // (c_top + 1))
+    row = np.ones(1)
+    for start in range(1, c_top + 1, rows):
+        end = min(start + rows - 1, c_top)
+        triangle = np.zeros((end - start + 1, end + 1))
+        for i, c in enumerate(range(start, end + 1)):
+            nxt = np.empty(c + 1)
+            nxt[0] = nxt[c] = 1.0
+            np.add(row[:-1], row[1:], out=nxt[1:c])
+            triangle[i, :c + 1] = row = nxt
+        for (_, _, t), sides, out in zip(spans, tables, distances):
+            count = min(end, len(t)) - start + 1
+            if count <= 0:
+                continue
+            width = start + count
+            laws = []
+            for rk, falls in sides:
+                law = triangle[:count, :width] * rk[:width]
+                law *= falls[start - 1:start - 1 + count, :width]
+                laws.append(law)
+            law, other = laws
+            law -= other
+            np.abs(law, out=law)
+            out[start - 1:start - 1 + count] = 0.5 * law.sum(axis=1)
+    r, x, c, distance, bound = [], [], [], [], []
+    for (rate, shift, t), out in zip(spans, distances):
+        r.append(np.full(len(t), rate))
+        x.append(np.full(len(t), shift))
+        c.append(np.arange(1, len(t) + 1))
+        distance.append(out)
+        bound.append(TV_BOUND_CONSTANT * t / ((1.0 - t) * (1.0 - t)))
+    r, x, c, distance, bound = map(np.concatenate, (r, x, c, distance, bound))
+    return r, x, c, distance, bound, 2.0**-40 * (c + bound)
+
+
+def shift_bound_sweep(rates: Sequence[tuple[float, float]], top: int) -> tuple[int, int, float]:
+    """(applicable cells, violations, worst margin) of the shift bound on a grid of cells.
+
+    A cell is a trial count c in 1..top and a pair (r, x) of ``rates``
+    with 0 < r < 1 where ``tv_shift_bound(x, c, r)`` gives a bound B.  Its
+    distance D is ``exact_dtv`` of Bin(c, r) and Bin(c, min(r + x, 1)), its
+    margin B - D, and it violates the bound when D > B.  The result is
+    that of computing every cell exactly, read off a float pass that
+    certifies which cells need the exact path.
+
+    Applicability: t = x * sqrt((c + 2) / (2 r (1 - r))) is computed by the
+    float operations of ``tv_shift_param``, so it is the same number, and
+    each of them is monotone in c: a rate's cells are c = 1..c_r, and its
+    rows and ``rate_powers`` tables stop at c_r.
+
+    Approximate pass: masses from a float Pascal triangle built by float
+    additions times the power tables, D' by a numpy sum, and
+    B' = K t / ((1 - t) (1 - t)) with K = ``TV_BOUND_CONSTANT``, in chunks
+    of at most ``_SWEEP_CELLS`` cells per temporary.
+
+    Slack.  Let u = 2^-53 and g_k = k u / (1 - k u).  Every term is
+    positive, so an entry of row c of the float triangle, c - 1 additions
+    deep, is within g_c of C(c, k) relatively, and a mass, after two
+    rounded products, within g_{c+2} of the real product of the tables;
+    the exact path's masses are within g_3 of it.  The tables' masses sum
+    to at most (1 + 2u)^2 (1 + u)^c, since each power is within an ulp and
+    1 - r within u.  So the per-term gaps, each differenced with one
+    rounding on both paths, differ in sum by at most 2 (g_{c+2} + g_3 + 2u)
+    (1 + 10^-12) for c <= 1000, the largest top accepted (above it float
+    coefficients overflow); a sum of c + 1 non-negative terms in any
+    order is within g_c of its value, and ``math.fsum`` within u.  Halving,
+    |D' - D| <= (g_c + g_{c+2} + g_3 + 3u)(1 + 10^-12) < (2c + 8) u.  B
+    divides K t by ``pow(1 - t, 2)`` and B' by the rounded square; with
+    ``pow`` within an ulp, |B' - B| <= 8 u B'.  The margins, each rounded
+    once, then differ by at most (2c + 8) u + 8 u B' + 2 u (B' + c + 1).
+    The slack 2^-40 (c + B') is 8192 u (c + B'), above that bound by a
+    factor of at least 500 for every c >= 1.
+
+    Only the cells of ``refine_mask`` are recomputed on the exact path
+    (``_exact_margin``: the coefficient recurrence, ``masses``, and the
+    ``math.fsum`` of ``tv_distance``), and those exact values alone decide
+    the violations and the worst margin: a cell outside the mask has a
+    positive exact margin above the least.
+    """
+    r, x, c, distance, bound, slack = approximate_shift_cells(rates, top)
+    refine = refine_mask(bound - distance, slack)
+    violations, worst = 0, math.inf
+    for cell_r, cell_x, cell_c in zip(r[refine].tolist(), x[refine].tolist(), c[refine].tolist()):
+        cell_bound, exact = _exact_margin(cell_c, cell_r, cell_x)
+        violations += exact > cell_bound
+        worst = min(worst, cell_bound - exact)
+    return len(c), violations, worst
 
 
 def product_dtv(pairs: Sequence[tuple[BinomialSpec, BinomialSpec]]) -> float:

@@ -5,6 +5,13 @@ string is encoded as the integer whose binary expansion, most significant
 bit first, reads x_1 x_2 ... x_n; truth tables are indexed by that code.
 The addressing map uses the same convention: the smallest index of the
 addressing set contributes the most significant bit.
+
+A structured instance's values come from two kernels that every
+evaluation path shares: ``_fiber`` (a fiber's coordinate subset S and
+h-prefix) and ``_answers`` (values at given queries, one digest per
+distinct (address, bits of x on S)).  ``StructuredFn.eval_many`` is
+``_answers`` on the instance's keyed states; ``structured_answers``
+runs it for a block of seeds without building instances.
 """
 
 from __future__ import annotations
@@ -205,6 +212,71 @@ _NO_COORDS = pack_ints(0)
 _NO_BITS = (b"",)
 
 
+def _keyed_states(seed: Seed) -> tuple[KeyedDigest, KeyedDigest]:
+    """The S-membership and h-value keyed states of the instance with this seed."""
+    return KeyedDigest.of(seed, _S_ROLE), KeyedDigest.of(seed, _H_ROLE)
+
+
+def _fiber(s_state: KeyedDigest, pool, pool_codes, coin_limit: bytes, address: int):
+    """(S, the h-prefix ``pack_ints(address, |S|, *S)``) of the address's fiber.
+
+    The one membership kernel: member a of the pool joins S when the
+    digest of ``pack_ints(address, a)`` fires at the coin rate, |pool|
+    digests in one S-state call.  At desk rates most fibers draw no
+    coordinate, and their prefix is the address and |S| = 0.
+    """
+    head = pack_ints(address)
+    fired = s_state.below_after(head, pool_codes, coin_limit)
+    if True not in fired:
+        return (), head + _NO_COORDS
+    coords = tuple(compress(pool, fired))
+    return coords, b"".join((head, pack_ints(len(coords)), *compress(pool_codes, fired)))
+
+
+def _answers(states, pool, pool_codes, coin_limit: bytes, n: int, codes, addresses) -> list[bool]:
+    """The instance's values at the n-bit ``codes``, given each code's address.
+
+    The one evaluation kernel, which ``StructuredFn.eval_many`` and
+    ``structured_answers`` share.  Each distinct address derives its
+    fiber once (``_fiber``); then each distinct (address, bits of x on S)
+    costs one value of h, the digest of the bits packed MSB first after
+    the fiber's prefix, so a fiber with empty S answers all of its queries
+    with one digest.
+    """
+    s_state, h_state = states
+    by_address: dict[int, list[int]] = {}
+    for pos, address in enumerate(addresses):
+        by_address.setdefault(address, []).append(pos)
+    out = [False] * len(codes)
+    for address, positions in by_address.items():
+        coords, prefix = _fiber(s_state, pool, pool_codes, coin_limit, address)
+        if not coords:
+            (bit,) = h_state.below_after(prefix, _NO_BITS, _HALF)
+            for pos in positions:
+                out[pos] = bit
+            continue
+        shifts = [n - a for a in coords]
+        by_value: dict[bytes, list[int]] = {}
+        for pos in positions:
+            code = codes[pos]
+            value = b"".join([_BIT_CODES[(code >> shift) & 1] for shift in shifts])
+            by_value.setdefault(value, []).append(pos)
+        bits = h_state.below_after(prefix, list(by_value), _HALF)
+        for bit, group in zip(bits, by_value.values()):
+            for pos in group:
+                out[pos] = bit
+    return out
+
+
+def _query_codes(n: int, xs: Sequence[BitString]) -> list[int]:
+    """The codes of the queries ``xs``; raises unless every one has length n."""
+    codes = [x.code for x in xs if x.length == n]
+    if len(codes) != len(xs):
+        length = next(x.length for x in xs if x.length != n)
+        raise DimensionMismatch(f"universe {n} does not match string length {length}")
+    return codes
+
+
 @dataclass(frozen=True)
 class StructuredFn:
     """A lazily evaluated instance f(x) = h_{address(x)}(x restricted to S).
@@ -217,11 +289,13 @@ class StructuredFn:
     queries always agree and instances are safe to share across threads.
 
     Each instance keeps one keyed S-state and one keyed h-state, and the
-    encodings of A's members.  ``fiber`` is the one kernel that
-    ``eval_many`` and ``to_table`` share: it extends the S-state with the
-    address, reads S off |A| digests and extends the h-state with
-    (address, |S|, *S), so no digest pays the key schedule again.
-    ``eval_many`` derives each address's fiber once per call.
+    encodings of A's members.  ``fiber``, ``eval_many`` and ``to_table``
+    share one membership kernel (``_fiber``), which extends the S-state
+    with the address and reads S off |A| digests; the value of h then
+    extends the h-state with (address, |S|, *S), so no digest pays the key
+    schedule again.  ``eval_many`` is the evaluation kernel ``_answers``,
+    which ``structured_answers`` runs for a block of instances without
+    building them.
     """
 
     params: Params
@@ -245,8 +319,9 @@ class StructuredFn:
         if self.kind not in (YES_STYLE, NO_STYLE):
             raise InvalidInput(f"kind must be {YES_STYLE!r} or {NO_STYLE!r}")
         derive = object.__setattr__
-        derive(self, "_s_state", KeyedDigest.of(self.seed, _S_ROLE))
-        derive(self, "_h_state", KeyedDigest.of(self.seed, _H_ROLE))
+        s_state, h_state = _keyed_states(self.seed)
+        derive(self, "_s_state", s_state)
+        derive(self, "_h_state", h_state)
         derive(self, "_pool_codes", pack_each(self.A.members))
         derive(self, "_coin_limit", byte_limit(self.params.coin_prob))
 
@@ -261,18 +336,11 @@ class StructuredFn:
     def fiber(self, address: int) -> tuple[tuple[int, ...], KeyedDigest]:
         """(S, the h-state extended with (address, |S|, *S)) for this address.
 
-        The one kernel every evaluation path shares: |A| membership digests,
-        then one extension of the h-state, after which each value of h on
-        the fiber costs one digest of the encoded bits of x on S.  At desk
-        rates most fibers draw no coordinate, and their prefix is the
-        address and |S| = 0.
+        |A| membership digests, after which each value of h on the fiber
+        costs one digest of the encoded bits of x on S.
         """
-        head = pack_ints(address)
-        fired = self._s_state.extend(head).below(self._pool_codes, self._coin_limit)
-        if True not in fired:
-            return (), self._h_state.extend(head + _NO_COORDS)
-        coords = tuple(compress(self.A.members, fired))
-        prefix = b"".join((head, pack_ints(len(coords)), *compress(self._pool_codes, fired)))
+        coords, prefix = _fiber(self._s_state, self.A.members, self._pool_codes,
+                                self._coin_limit, address)
         return coords, self._h_state.extend(prefix)
 
     def eval(self, x: BitString) -> int:
@@ -283,41 +351,59 @@ class StructuredFn:
     def eval_many(self, xs: Sequence[BitString]) -> tuple[int, ...]:
         """``tuple(self.eval(x) for x in xs)``, deriving each address's fiber once.
 
-        The address and the bits on S are read by shifts on ``x.code``.
-        Queries of one fiber that agree on S share one value of h, so each
-        distinct (address, x on S) costs one digest: a fiber with empty S
-        answers all of its queries with one.
+        The address is read by shifts on ``x.code``.  Queries of one fiber
+        that agree on S share one value of h, so each distinct (address, x
+        on S) costs one digest: a fiber with empty S answers all of its
+        queries with one.
         """
         n = self.n
-        codes = [x.code for x in xs if x.length == n]
-        if len(codes) != len(xs):
-            length = next(x.length for x in xs if x.length != n)
-            raise DimensionMismatch(f"universe {n} does not match string length {length}")
+        codes = _query_codes(n, xs)
         addresses = [0] * len(codes)
         for shift in [n - i for i in self.M.members]:
             addresses = [(address << 1) | ((code >> shift) & 1)
                          for address, code in zip(addresses, codes)]
-        by_address: dict[int, list[int]] = {}
-        for pos, address in enumerate(addresses):
-            by_address.setdefault(address + 1, []).append(pos)
-        out = [0] * len(codes)
-        for address, positions in by_address.items():
-            coords, state = self.fiber(address)
-            if not coords:
-                bit = int(state.below(_NO_BITS, _HALF)[0])
-                for pos in positions:
-                    out[pos] = bit
-                continue
-            shifts = [n - a for a in coords]
-            by_value: dict[bytes, list[int]] = {}
-            for pos in positions:
-                code = codes[pos]
-                value = b"".join([_BIT_CODES[(code >> shift) & 1] for shift in shifts])
-                by_value.setdefault(value, []).append(pos)
-            for bit, group in zip(state.below(list(by_value), _HALF), by_value.values()):
-                for pos in group:
-                    out[pos] = int(bit)
-        return tuple(out)
+        states = (self._s_state, self._h_state)
+        bits = _answers(states, self.A.members, self._pool_codes, self._coin_limit, n, codes,
+                        [address + 1 for address in addresses])
+        return tuple([int(bit) for bit in bits])
+
+
+def structured_answers(
+    params: Params, seeds: Sequence[Seed], in_m: np.ndarray, in_a: np.ndarray,
+    xs: Sequence[BitString],
+) -> np.ndarray:
+    """Row i is ``StructuredFn(params, M_i, A_i, seeds[i], kind).eval_many(xs)``, no instance built.
+
+    M_i and A_i are the coordinates (1-based) where row i of the boolean
+    (seeds, n) masks ``in_m`` and ``in_a`` is set; the kind only chooses
+    how A was drawn.  The addresses of every query for the whole block are
+    array steps: one shift-and-or per member of M, in increasing order, of
+    the queries' bits at that member, in the narrowest unsigned type that
+    holds 2^t (Python integers when t > 63).  Each row then runs
+    ``_answers`` on its seed's keyed states, so a trial builds no
+    instance, index set or extended state.  Shape (seeds, xs), uint8.
+    """
+    n, t = params.n, params.t
+    codes = _query_codes(n, xs)
+    width = -(-n // 8)
+    # bits[i - 1, j] is bit i of query j
+    bits = np.array([np.unpackbits(np.frombuffer(code.to_bytes(width, "big"), np.uint8))[-n:]
+                     for code in codes], dtype=np.uint8).reshape(len(codes), n).T
+    members = np.nonzero(in_m)[1].reshape(len(seeds), t)
+    addresses = np.zeros((len(seeds), len(codes)), dtype=np.min_scalar_type(1 << t))
+    for column in members.T:
+        addresses <<= 1
+        addresses |= bits[column]
+    addresses += 1
+    coords = range(1, n + 1)
+    coord_codes = pack_each(coords)
+    coin_limit = byte_limit(params.coin_prob)
+    out = bytearray()
+    for seed, pool, row in zip(seeds, in_a, addresses):
+        pool = pool.tolist()
+        out.extend(_answers(_keyed_states(seed), list(compress(coords, pool)),
+                            list(compress(coord_codes, pool)), coin_limit, n, codes, row.tolist()))
+    return np.frombuffer(out, dtype=np.uint8).reshape(len(seeds), len(codes))
 
 
 def to_table(f: StructuredFn) -> TruthTable:
@@ -327,8 +413,8 @@ def to_table(f: StructuredFn) -> TruthTable:
     the digests: per-point evaluation costs |A| + 1 digests per point,
     2^n * (|A| + 1) in all, while this derives each fiber's S once and each
     of its 2^|S| values of h once, 2^t * |A| + sum over addresses of
-    2^|S_a|.  Each fiber is one ``StructuredFn.fiber`` call; its values
-    then add only the encoded bits, built once per width.
+    2^|S_a|.  Each fiber is one ``_fiber`` call; its values then add only
+    the encoded bits, built once per width.
 
     The table is written through one transposed view of the (2,)*n cube:
     the axes of M first (so the address bits index a fiber), then the
@@ -348,11 +434,11 @@ def to_table(f: StructuredFn) -> TruthTable:
     # per width w, pack_ints of the w bits of y, MSB first, for y in range(2^w)
     assignments: dict[int, list[bytes]] = {}
     for address, address_bits in enumerate(product((0, 1), repeat=t), 1):
-        coords, state = f.fiber(address)
+        coords, prefix = _fiber(f._s_state, pool, f._pool_codes, f._coin_limit, address)
         width = len(coords)
         if width not in assignments:
             assignments[width] = [b"".join(bits) for bits in product(_BIT_CODES, repeat=width)]
-        values = state.below(assignments[width], _HALF)
+        values = f._h_state.below_after(prefix, assignments[width], _HALF)
         if width:
             shape = [2 if a in coords else 1 for a in pool]
             view[address_bits] = np.array(values, dtype=np.uint8).reshape(shape)

@@ -20,7 +20,7 @@ import sys
 from . import binom_stats, harness, params as params_mod, tasks
 from .boolfn import NO_STYLE, YES_STYLE, BitString, TruthTable, to_table
 from .errors import DimensionMismatch, InvalidInput, JuntaLabError
-from .hardgen import sample_block, sample_d1, sample_d2, sample_yes, sample_no
+from .hardgen import sample_block_at, sample_d1, sample_d2, sample_yes, sample_no
 from .junta_distance import dist_to_k_junta
 from .rng import RandomStream, Seed
 
@@ -182,8 +182,8 @@ def cmd_game(args: argparse.Namespace) -> int:
                 f"plan strings have length {plan.n}, but the params have n = {p.n}"
             )
         result = harness.run_game(
-            yes=functools.partial(sample_block, p, YES_STYLE),
-            no=functools.partial(sample_block, p, NO_STYLE),
+            yes=functools.partial(sample_block_at, p, YES_STYLE),
+            no=functools.partial(sample_block_at, p, NO_STYLE),
             algorithm=plan,
             trials=args.trials,
             seed=args.seed,

@@ -2,12 +2,15 @@
 
 Yes-style and no-style structured instances share everything except the
 inclusion rate of the coordinate pool A (p = 1/2 versus q > 1/2).  A
-sampler stores only M, A and the seed.  ``sample_block`` is the one
-sampler of structured instances: for a block of seeds it draws every M
-by one Fisher-Yates over the block of ``"M"`` streams
-(``addressing_orders``) and every A from one coin per coordinate outside
-M on the block of ``"A"`` streams, as arrays (``RandomStream``);
-``sample_yes`` and ``sample_no`` are it at one seed.  The per-fiber
+sampler stores only M, A and the seed.  For a block of seeds one draw
+(``_pool_masks``) makes every M by one Fisher-Yates over the block of
+``"M"`` streams (``addressing_orders``) and every A from one coin per
+coordinate outside M on the block of ``"A"`` streams, as arrays
+(``RandomStream``).  ``sample_block`` is the one sampler of structured
+instances built from that draw, and ``sample_yes`` and ``sample_no``
+are it at one seed; ``sample_block_at`` answers the same instances at
+given queries without building them (``boolfn.structured_answers``),
+as the string-query game needs.  The per-fiber
 randomness (each fiber's subset S and its values of h) is defined point
 by point by ``StructuredFn.eval``, which re-derives
 it from the seed, so an instance takes O(1) memory however many fibers
@@ -29,7 +32,16 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .boolfn import NO_STYLE, YES_STYLE, IndexSet, StructuredFn, TruthTable, TABLE_CAP
+from .boolfn import (
+    NO_STYLE,
+    TABLE_CAP,
+    YES_STYLE,
+    BitString,
+    IndexSet,
+    StructuredFn,
+    TruthTable,
+    structured_answers,
+)
 from .errors import EpsilonOutOfRange, InvalidInput, TooLarge, WeightOutOfRange
 from .params import Params
 from .rng import RandomStream, Seed
@@ -38,6 +50,7 @@ __all__ = [
     "sample_yes",
     "sample_no",
     "sample_block",
+    "sample_block_at",
     "addressing_orders",
     "sample_d1",
     "sample_d1_block_at",
@@ -75,28 +88,55 @@ def addressing_orders(params: Params, seeds: Sequence[Seed]) -> np.ndarray:
     return order
 
 
-def sample_block(params: Params, kind: str, seeds: Sequence[Seed]) -> Iterator[StructuredFn]:
-    """A yes-style (kind ``YES_STYLE``) or no-style (``NO_STYLE``) instance per seed, in order.
+def _pool_masks(
+    params: Params, kind: str, seeds: Sequence[Seed]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each coordinate lies in M and in A, per seed: two (seeds, n) boolean arrays.
 
     M comes from ``addressing_orders``; A takes row i of one (seeds,
     n - t) array of uniforms from the block of ``"A"`` streams as seed i's
     coins, one per coordinate outside M in increasing order, and includes
-    the coordinate when its coin is below the inclusion rate (p or q).  A
-    block's rows are its seeds' one-seed streams draw for draw, so each
-    instance depends on its seed alone, not on the block around it.  The
-    draws are made for the whole block at once, the instances as the
-    iteration reaches them.
+    the coordinate when its coin is below the inclusion rate (p for
+    ``YES_STYLE``, q for ``NO_STYLE``).  Every row has n - t coordinates
+    outside M, so a boolean fill in row-major order hands each row its
+    own coins in order.
     """
     n, t = params.n, params.t
     inclusion = params.p if kind == YES_STYLE else params.q
-    order = addressing_orders(params, seeds)
+    in_m = np.zeros((len(seeds), n), dtype=bool)
+    in_m[np.arange(len(seeds))[:, None], addressing_orders(params, seeds)[:, :t] - 1] = True
     coins = RandomStream(seeds, "A").random(n - t) < inclusion
-    for seed, drawn, mask in zip(seeds, order, coins):
-        # sorted in Python: numpy's sort would load kernels nothing else uses
-        drawn = drawn.tolist()
-        M = IndexSet(n, tuple(sorted(drawn[:t])))
-        A = IndexSet(n, tuple(compress(sorted(drawn[t:]), mask.tolist())))
+    in_a = np.zeros_like(in_m)
+    in_a[~in_m] = coins.ravel()
+    return in_m, in_a
+
+
+def sample_block(params: Params, kind: str, seeds: Sequence[Seed]) -> Iterator[StructuredFn]:
+    """A yes-style (kind ``YES_STYLE``) or no-style (``NO_STYLE``) instance per seed, in order.
+
+    M and A are row i of ``_pool_masks``.  A block's rows are its seeds'
+    one-seed streams draw for draw, so each instance depends on its seed
+    alone, not on the block around it.  The draws are made for the whole
+    block at once, the instances as the iteration reaches them.
+    """
+    n = params.n
+    coords = range(1, n + 1)
+    in_m, in_a = _pool_masks(params, kind, seeds)
+    for seed, m_row, a_row in zip(seeds, in_m.tolist(), in_a.tolist()):
+        M = IndexSet(n, tuple(compress(coords, m_row)))
+        A = IndexSet(n, tuple(compress(coords, a_row)))
         yield StructuredFn(params=params, M=M, A=A, seed=seed, kind=kind)
+
+
+def sample_block_at(
+    params: Params, kind: str, seeds: Sequence[Seed], xs: Sequence[BitString]
+) -> np.ndarray:
+    """Row i is ``sample_block(params, kind, seeds)``'s instance i at xs (``eval_many``).
+
+    The same draws (``_pool_masks``) answered by ``boolfn.structured_answers``
+    for the whole block, with no instance built.  Shape (seeds, xs), uint8.
+    """
+    return structured_answers(params, seeds, *_pool_masks(params, kind, seeds), xs)
 
 
 def check_d1(n: int, epsilon: float) -> None:
@@ -113,11 +153,15 @@ def sample_d1(n: int, epsilon: float, stream: RandomStream) -> TruthTable:
     """Each of the 2^n table bits is independently 1 with probability 3*epsilon.
 
     Entry ``code`` is 1 when the one-row stream's uniform number ``code``
-    is below 3*epsilon.  ``sample_d1_block_at`` reads a few entries of a
-    block of such tables.
+    is below 3*epsilon.  The comparison is made on the raw words: the
+    double of word w is (w >> 11) * 2^-53, which is below the double
+    3*epsilon exactly when w >> 11 is below L = ceil(3*epsilon * 2^53),
+    that is when w < L * 2^11, a word for every epsilon <= 1/5.
+    ``sample_d1_block_at`` reads a few entries of a block of such tables.
     """
     check_d1(n, epsilon)
-    bits = stream.random(1 << n)[0] < 3.0 * epsilon
+    limit = math.ceil(3.0 * epsilon * 2.0**53) << 11
+    bits = stream.raw(1 << n)[0] < np.uint64(limit)
     return TruthTable(n, bits.view(np.uint8))
 
 

@@ -8,6 +8,11 @@ seeds always serialize to byte-identical CSV.
 ``trials`` means: sample count for verify_yes, per-side sample count for
 verify_no, total game trials for game, and the number of addressing-set
 draws for goodM; sseq_curve, dtv_sweep and claim53 are exact and ignore it.
+
+A string-query game (``run_game``) hands each side the seeds of a block
+of trials and the plan's queries, and gets one row of answers per trial
+back: ``hardgen.sample_block_at`` for the structured instances, the D1
+point reads for the budget game.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -193,16 +198,17 @@ class ExperimentConfig:
         Seed(self.seed)  # a seed outside [0, 2^64) raises InvalidInput
 
 
-# A block sampler returns one instance per seed, in order; an instance is
-# any object with ``eval_many``.
-BlockSampler = Callable[[Sequence[Seed]], Iterable[object]]
+# A block answerer maps the seeds of a block of trials and a plan's queries
+# to an array with one row of answers per seed.
+BlockAnswerer = Callable[[Sequence[Seed], Sequence[BitString]], np.ndarray]
 
 # Cells per block of a hidden-set game's uniform draws: 2^15 float64 cells
 # keep each float temporary at 256 KiB however many trials a game plays.
 # Seeded trials (a string-query game, verify_yes, verify_no, goodM) come in
 # blocks of GAME_BLOCK_CELLS // 128 = 256 trials (``_seed_blocks``): a
 # block holds each trial's seed, the state words of its streams and the
-# arrays drawn from them, about 200 KiB at its peak at desk n = 12.
+# arrays drawn from them, about 80 KiB at its peak (``tracemalloc``) for a
+# strings-game block at desk n = 12.
 GAME_BLOCK_CELLS = 1 << 15
 
 
@@ -262,33 +268,33 @@ def _tally(trials: int, cost: int, count_yes: Callable[[str, int, int], int]) ->
 
 
 def run_game(
-    yes: BlockSampler | object,
-    no: BlockSampler | object,
+    yes: BlockAnswerer | object,
+    no: BlockAnswerer | object,
     algorithm: StringQueryPlan,
     trials: int,
     seed: int,
 ) -> GameResult:
     """Empirical advantage of a string plan at distinguishing two sides.
 
-    A side is a block sampler or one fixed instance.  Trial number ``i``
+    A side is a block answerer or one fixed instance.  Trial number ``i``
     of the game draws its instance from seed ``Seed(seed).mix(i)``: each
-    side hands the seeds of its trials to its sampler in the blocks of
-    ``_seed_blocks``, and each instance is evaluated at the plan's queries
-    as the sampler yields it and then dropped.  The
-    block samplers (``hardgen.sample_block``, the budget game's D1 reads)
-    draw a block's streams as one ``RandomStream``.  A fixed instance
-    gives every trial the same answers, so its side is decided once and
-    derives no seed.
+    side hands the seeds of its trials, in the blocks of ``_seed_blocks``,
+    and the plan's queries to its answerer, and the decider reads each
+    row of answers as a tuple.  The answerers
+    (``hardgen.sample_block_at``, the budget game's D1 reads) draw a
+    block's streams as one ``RandomStream`` and build no instance.  A
+    fixed instance gives every trial the same answers, so its side is
+    decided once and derives no seed.
     """
     queries, decider = algorithm.queries, algorithm.decider
     sides = {YES: yes, NO: no}
 
     def count_yes(side: str, first: int, count: int) -> int:
-        sampler = sides[side]
-        if not callable(sampler):
-            return count * (decider(sampler.eval_many(queries)) == YES)
-        return sum(decider(f.eval_many(queries)) == YES
-                   for seeds in _seed_blocks(seed, first, count) for f in sampler(seeds))
+        answerer = sides[side]
+        if not callable(answerer):
+            return count * (decider(answerer.eval_many(queries)) == YES)
+        return sum(decider(tuple(row)) == YES for seeds in _seed_blocks(seed, first, count)
+                   for row in answerer(seeds, queries).tolist())
 
     return _tally(trials, algorithm.q, count_yes)
 
@@ -516,21 +522,6 @@ def verify_d2(config: ExperimentConfig) -> ExperimentReport:
     return _tail_experiment(config, "verify_d2")
 
 
-class _Answered:
-    """A trial's instance known only by its answers at the game's queries.
-
-    ``eval_many`` returns those answers, so it serves only that game.
-    """
-
-    __slots__ = ("answers",)
-
-    def __init__(self, answers: tuple[int, ...]):
-        self.answers = answers
-
-    def eval_many(self, xs: Sequence[BitString]) -> tuple[int, ...]:
-        return self.answers
-
-
 def budget_game(config: ExperimentConfig) -> ExperimentReport:
     """All-zero function versus the Bernoulli tail sampler at budget floor(1/(30 eps)).
 
@@ -554,11 +545,8 @@ def budget_game(config: ExperimentConfig) -> ExperimentReport:
     check_d1(n, epsilon)  # no plan for a table too large to read
     algorithm = random_string_plan(n, budget, Seed(config.seed), "budget-game-plan", all_zero_yes)
 
-    codes = [x.code for x in algorithm.queries]
-
-    def no_side(seeds: Sequence[Seed]) -> Iterable[_Answered]:
-        bits = sample_d1_block_at(n, epsilon, RandomStream(seeds, "d1"), codes)
-        return map(_Answered, map(tuple, bits.tolist()))
+    def no_side(seeds: Sequence[Seed], queries: Sequence[BitString]) -> np.ndarray:
+        return sample_d1_block_at(n, epsilon, RandomStream(seeds, "d1"), [x.code for x in queries])
 
     result = run_game(
         yes=TruthTable.constant(n, 0),
@@ -620,61 +608,25 @@ def sseq_curve(config: ExperimentConfig) -> ExperimentReport:
     return report
 
 
-def bound_sweep_cells(params: Params):
-    """Each applicable cell of ``dtv_sweep``'s bound sweep as (c, r, r', bound, exact).
-
-    c walks the Pascal rows 1..256 in the outer loop and the hit rate lam a
-    fixed grid in the inner one; r = p * lam and r' = min(r + (q - p) * lam, 1).
-    A cell applies when 0 < r < 1 and ``tv_shift_bound`` gives a bound.
-    Each grid rate's power tables are computed once, and a cell's exact
-    distance is ``tv_distance`` of the two ``masses`` rows, the same
-    floats as ``exact_dtv`` of Bin(c, r) and Bin(c, r').
-    """
-    p, q = params.p, params.q
-    lam_grid = [0.001, 0.003, 0.01, 0.03, 0.1, 0.2, 0.4, 0.7, 1.0]
-    top = 256
-    powers = {}
-    rows = binom_stats.pascal_rows(top)
-    next(rows)  # c = 0 is not swept
-    for c, whole in rows:
-        for lam in lam_grid:
-            r = p * lam
-            x = (q - p) * lam
-            if not 0.0 < r < 1.0:
-                continue
-            bound = binom_stats.tv_shift_bound(x, c, r)
-            if bound is None:
-                continue
-            shifted = min(r + x, 1.0)
-            if lam not in powers:
-                powers[lam] = (binom_stats.rate_powers(r, top), binom_stats.rate_powers(shifted, top))
-            powers_r, powers_shifted = powers[lam]
-            exact = binom_stats.tv_distance(
-                binom_stats.masses(whole, powers_r), binom_stats.masses(whole, powers_shifted)
-            )
-            yield c, r, shifted, bound, exact
+# The hit rates and the largest trial count of ``dtv_sweep``'s bound sweep.
+_BOUND_SWEEP_RATES = (0.001, 0.003, 0.01, 0.03, 0.1, 0.2, 0.4, 0.7, 1.0)
+_BOUND_SWEEP_TOP = 256
 
 
 def dtv_sweep(config: ExperimentConfig) -> ExperimentReport:
     """Shift-bound sweep plus the budget-scaled distance curve across scales.
 
-    Sweep: every cell of ``bound_sweep_cells`` (every trial count up to 256
-    against a grid of hit rates, at the configured p and q) must respect
-    the bound.
+    Sweep: every trial count c = 1..256 against a grid of hit rates lam,
+    at r = p * lam and r' = min(r + (q - p) * lam, 1), must respect the
+    shift bound wherever it applies (``binom_stats.shift_bound_sweep``).
     Curve: per-bin counts are fixed to the largest family valid at every
     grid scale, then the L-scaled exact distance must fall as n grows.
     """
     params = config.params
     report = ExperimentReport("dtv_sweep")
     p, q = params.p, params.q
-    violations = 0
-    applicable = 0
-    worst_margin = math.inf
-    for _, _, _, bound, exact in bound_sweep_cells(params):
-        applicable += 1
-        worst_margin = min(worst_margin, bound - exact)
-        if exact > bound:
-            violations += 1
+    applicable, violations, worst_margin = binom_stats.shift_bound_sweep(
+        [(p * lam, (q - p) * lam) for lam in _BOUND_SWEEP_RATES], _BOUND_SWEEP_TOP)
     report.rows.append(
         {
             "experiment": "dtv_sweep",

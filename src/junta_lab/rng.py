@@ -149,13 +149,23 @@ class KeyedDigest:
         ``limit`` comes from ``byte_limit``.  Digests are big-endian, so
         bytes order is numeric order.
         """
-        copy = self._state.copy
-        out = []
+        return self.below_after(b"", payloads, limit)
+
+    def below_after(self, head: bytes, payloads: Sequence[bytes], limit: bytes) -> list[bool]:
+        """``self.extend(head).below(payloads, limit)``, building no extended state object.
+
+        A structured instance asks this once per fiber, with the fiber's
+        address or prefix as the head.
+        """
+        state = self._state.copy()
+        state.update(head)
+        copy = state.copy
+        fired = []
         for payload in payloads:
             state = copy()
             state.update(payload)
-            out.append(state.digest() < limit)
-        return out
+            fired.append(state.digest() < limit)
+        return fired
 
 
 # Sorts after every 8-byte digest: an 8-byte string is a prefix of it or

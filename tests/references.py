@@ -11,7 +11,10 @@ against the form it replaced.
 
 ``pmf`` and ``log_pmf`` are the binomial masses one entry at a time, in
 the two regimes of ``binom_stats.pmf_vector``; every entry of a mass
-vector must equal ``pmf`` exactly.
+vector must equal ``pmf`` exactly.  ``bound_sweep_cells`` is
+``dtv_sweep``'s bound sweep cell by cell, every distance exact from the
+rounded rows of ``pascal_rows``, as the sweep ran before
+``binom_stats.shift_bound_sweep`` certified it.
 
 The digest references build one fresh keyed ``hashlib.blake2b`` per
 digest and share no code with ``junta_lab.rng``; their layout (seed key,
@@ -43,7 +46,8 @@ before the counter stream replaced them, kept so that the new draws are
 timed against the path they replaced.
 
 ``per_trial_string_game`` is ``harness.run_game`` as one loop over the
-trials, each instance sampled from its own seed; the budget-game
+trials, each instance sampled from its own seed, and ``instance_answers``
+a block answerer that builds and evaluates each trial's instance; the budget-game
 references play ``budget_game`` through it, on ``reference_string_plan``,
 each no-side trial on its own stream, drawing its whole D1 table or
 reading it at the queries (``sample_d1_at`` over
@@ -64,7 +68,7 @@ from itertools import combinations, compress, product
 
 import numpy as np
 
-from junta_lab import boolfn, cli, harness, junta_distance, tasks
+from junta_lab import boolfn, cli, hardgen, harness, junta_distance, tasks
 from junta_lab.boolfn import (
     _HALF,
     TABLE_CAP,
@@ -76,7 +80,14 @@ from junta_lab.boolfn import (
     address_index,
     hamming,
 )
-from junta_lab.binom_stats import _DIRECT_CAP, hit_prob
+from junta_lab.binom_stats import (
+    _DIRECT_CAP,
+    hit_prob,
+    masses,
+    rate_powers,
+    tv_distance,
+    tv_shift_bound,
+)
 from junta_lab.errors import (
     DimensionMismatch,
     InconsistentInput,
@@ -441,6 +452,52 @@ def per_term_dtv(a, b) -> float:
     return 0.5 * math.fsum(gaps)
 
 
+def pascal_rows(top: int):
+    """Yield ``(c, float(C(c, 0..c)))`` for c = 0..top, one row at a time.
+
+    Each row comes from the previous one by exact integer additions and
+    is rounded to float64 once; only the current row is held.
+    """
+    row = [1]
+    for c in range(top + 1):
+        yield c, np.array([float(v) for v in row])
+        row = [1, *[x + y for x, y in zip(row, row[1:])], 1]
+
+
+def bound_sweep_cells(params):
+    """Each applicable cell of ``dtv_sweep``'s bound sweep as (c, r, r', bound, exact), exactly.
+
+    The per-cell oracle of ``binom_stats.shift_bound_sweep``: c walks the
+    Pascal rows 1..``_BOUND_SWEEP_TOP`` in the outer loop and the hit rate
+    lam ``_BOUND_SWEEP_RATES`` in the inner one; r = p * lam and r' =
+    min(r + (q - p) * lam, 1).  A cell applies when 0 < r < 1 and
+    ``tv_shift_bound`` gives a bound.  Each grid rate's power tables are
+    computed once, and a cell's exact distance is ``tv_distance`` of the
+    two ``masses`` rows, the same floats as ``exact_dtv`` of Bin(c, r) and
+    Bin(c, r').
+    """
+    p, q = params.p, params.q
+    top = harness._BOUND_SWEEP_TOP
+    powers = {}
+    rows = pascal_rows(top)
+    next(rows)  # c = 0 is not swept
+    for c, whole in rows:
+        for lam in harness._BOUND_SWEEP_RATES:
+            r = p * lam
+            x = (q - p) * lam
+            if not 0.0 < r < 1.0:
+                continue
+            bound = tv_shift_bound(x, c, r)
+            if bound is None:
+                continue
+            shifted = min(r + x, 1.0)
+            if lam not in powers:
+                powers[lam] = (rate_powers(r, top), rate_powers(shifted, top))
+            powers_r, powers_shifted = powers[lam]
+            exact = tv_distance(masses(whole, powers_r), masses(whole, powers_shifted))
+            yield c, r, shifted, bound, exact
+
+
 def reference_is_separating(M, X, tau: int) -> bool:
     """No two queries at Hamming distance >= tau share an address, checked pair by pair."""
     queries = X.queries
@@ -477,6 +534,16 @@ def per_trial_game(plan, params, trials: int, seed: int, decide=None) -> float:
             hits += decide(respond(A, plan, params.epsilon, params.n, stream)) == tasks.YES
         rates[side] = hits / count
     return rates[tasks.YES] - rates[tasks.NO]
+
+
+def instance_answers(params, kind: str, seeds, xs) -> np.ndarray:
+    """``hardgen.sample_block_at`` as the strings game answered before it: one instance per seed.
+
+    Each instance of ``sample_block`` is built and evaluated by its own
+    ``eval_many``, then dropped.
+    """
+    rows = [f.eval_many(xs) for f in hardgen.sample_block(params, kind, seeds)]
+    return np.array(rows, dtype=np.uint8).reshape(len(seeds), len(xs))
 
 
 def per_trial_string_game(yes, no, plan, trials: int, seed: int):
@@ -649,28 +716,36 @@ class FreshDigest:
         return int.from_bytes(reference_digest(self.seed, self.role, self.prefix + payload), "big")
 
     def below(self, payloads, limit: bytes) -> list[bool]:
-        return [reference_digest(self.seed, self.role, self.prefix + p) < limit for p in payloads]
+        return self.below_after(b"", payloads, limit)
+
+    def below_after(self, head: bytes, payloads, limit: bytes) -> list[bool]:
+        return [reference_digest(self.seed, self.role, self.prefix + head + p) < limit
+                for p in payloads]
 
 
 @contextmanager
 def counted_digests():
-    """Count the digests ``rng.KeyedDigest`` derives, which every digest-derived bit goes through."""
-    u64, below = KeyedDigest.u64, KeyedDigest.below
+    """Count the digests ``rng.KeyedDigest`` derives, which every digest-derived bit goes through.
+
+    ``below`` answers through ``below_after``, so ``u64`` and ``below_after``
+    see every digest.
+    """
+    u64, below_after = KeyedDigest.u64, KeyedDigest.below_after
     count = [0]
 
     def counting_u64(self, payload):
         count[0] += 1
         return u64(self, payload)
 
-    def counting_below(self, payloads, limit):
+    def counting_below_after(self, head, payloads, limit):
         count[0] += len(payloads)
-        return below(self, payloads, limit)
+        return below_after(self, head, payloads, limit)
 
-    KeyedDigest.u64, KeyedDigest.below = counting_u64, counting_below
+    KeyedDigest.u64, KeyedDigest.below_after = counting_u64, counting_below_after
     try:
         yield count
     finally:
-        KeyedDigest.u64, KeyedDigest.below = u64, below
+        KeyedDigest.u64, KeyedDigest.below_after = u64, below_after
 
 
 @contextmanager

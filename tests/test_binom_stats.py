@@ -1,6 +1,7 @@
 """Binomial mass functions, exact TV distances, and the shift bound."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,11 +14,13 @@ from junta_lab.binom_stats import (
     bin_hit_prob,
     exact_dtv,
     hit_prob,
+    approximate_shift_cells,
     masses,
-    pascal_rows,
     pmf_vector,
     product_dtv,
     rate_powers,
+    refine_mask,
+    shift_bound_sweep,
     tv_distance,
     tv_shift_bound,
     tv_shift_param,
@@ -33,11 +36,17 @@ from junta_lab.errors import (
     TooLarge,
 )
 from junta_lab import binom_stats
-from junta_lab.harness import ExperimentConfig, bound_sweep_cells, desk_params, dtv_sweep
+from junta_lab.harness import (
+    _BOUND_SWEEP_RATES,
+    _BOUND_SWEEP_TOP,
+    ExperimentConfig,
+    desk_params,
+    dtv_sweep,
+)
 from junta_lab.params import DESK_SCALE, derive_params
 from junta_lab.rng import RandomStream, Seed
 from junta_lab.tasks import ElementQueryPlan, sseq_respond
-from references import log_pmf, per_term_dtv, pmf
+from references import bound_sweep_cells, log_pmf, pascal_rows, per_term_dtv, pmf
 from junta_lab.boolfn import IndexSet
 
 
@@ -349,6 +358,97 @@ def test_dtv_sweep_cells_equal_the_per_term_form():
     report = dtv_sweep(ExperimentConfig(params, "dtv_sweep", 1, 1))
     sweep = report.rows[0]
     assert (sweep["cells"], sweep["violations"], sweep["worst_margin"]) == (cells, violations, worst)
+
+
+# The bound sweep's parameters: desk n = 10 (956 cells) and 20, whose p and
+# q the desk clamp makes equal, and n = 1024 (1191 cells), where q < 1.
+SWEEP_PARAMS = [desk_params(10), desk_params(20), derive_params(1024, 0.75, 0.1, DESK_SCALE)]
+
+
+def sweep_rates(params):
+    return [(params.p * lam, (params.q - params.p) * lam) for lam in _BOUND_SWEEP_RATES]
+
+
+@pytest.mark.parametrize("params", SWEEP_PARAMS, ids=lambda p: f"n{p.n}")
+def test_approximate_sweep_lies_well_within_its_slack(params):
+    # the approximate distance of every applicable cell is within a
+    # hundredth of its slack of the exact one (the largest gap is 1.1e-16),
+    # and the cells come rate by rate, c = 1..c_r, as the oracle lists them
+    r, x, c, distance, bound, slack = approximate_shift_cells(sweep_rates(params), _BOUND_SWEEP_TOP)
+    exact = {(cell[0], cell[1]): cell for cell in bound_sweep_cells(params)}
+    assert len(c) == len(exact) == (1191 if params.n == 1024 else 956)
+    for cell_r, cell_c, cell_d, cell_b, cell_slack in zip(r.tolist(), c.tolist(), distance.tolist(),
+                                                          bound.tolist(), slack.tolist()):
+        _, _, _, reference_bound, reference = exact[cell_c, cell_r]
+        assert abs(cell_d - reference) <= cell_slack / 100
+        assert abs((cell_b - cell_d) - (reference_bound - reference)) <= cell_slack / 100
+
+
+@pytest.mark.parametrize("params", SWEEP_PARAMS, ids=lambda p: f"n{p.n}")
+def test_dtv_sweep_row_equals_the_per_cell_oracle(params):
+    cells = list(bound_sweep_cells(params))
+    expected = (len(cells), sum(exact > bound for *_, bound, exact in cells),
+                min(bound - exact for *_, bound, exact in cells))
+    assert shift_bound_sweep(sweep_rates(params), _BOUND_SWEEP_TOP) == expected
+    sweep = dtv_sweep(ExperimentConfig(params, "dtv_sweep", 1, 1)).rows[0]
+    assert (sweep["cells"], sweep["violations"], sweep["worst_margin"]) == expected
+
+
+def test_refine_mask_keeps_near_zero_and_near_least_margins():
+    margins = np.array([0.5, 1e-13, -1e-13, 0.2, 0.2 + 1e-13, 0.2, 0.3, 3e-12])
+    slacks = np.full(len(margins), 2e-12)
+    # within the slack of zero: cells 1, 2 and 7, where 7 also sits only
+    # 3e-12 above, so whether it is the least needs its exact value
+    assert refine_mask(margins, slacks).tolist() == [
+        False, True, True, False, False, False, False, True]
+    # no margin near zero: the least ones, tied or within twice the slack
+    positive = np.array([0.5, 0.2, 0.2 + 3e-12, 0.2, 0.2 + 5e-12, 0.7])
+    assert refine_mask(positive, np.full(6, 2e-12)).tolist() == [
+        False, True, True, True, False, False]
+    assert refine_mask(np.zeros(0), np.zeros(0)).tolist() == []
+
+
+def test_shift_bound_sweep_recomputes_the_refined_cells_exactly(monkeypatch):
+    # approximate distances off by up to 1e-2, with slacks that cover it:
+    # only the refined cells take the exact path, and the result stays exact
+    params = desk_params(10)
+    rates = sweep_rates(params)
+    expected = shift_bound_sweep(rates, _BOUND_SWEEP_TOP)
+    approximate = binom_stats.approximate_shift_cells
+
+    def skewed(rates, top):
+        r, x, c, distance, bound, slack = approximate(rates, top)
+        return r, x, c, distance + 1e-2 * np.sin(c), bound, np.full(len(c), 1e-2)
+
+    monkeypatch.setattr(binom_stats, "approximate_shift_cells", skewed)
+    calls = []
+    exact_margin = binom_stats._exact_margin
+    monkeypatch.setattr(binom_stats, "_exact_margin",
+                        lambda c, r, x: calls.append(c) or exact_margin(c, r, x))
+    assert shift_bound_sweep(rates, _BOUND_SWEEP_TOP) == expected
+    r, x, c, distance, bound, slack = skewed(rates, _BOUND_SWEEP_TOP)
+    assert 1 < len(calls) == refine_mask(bound - distance, slack).sum() < expected[0] // 2
+
+
+def test_dtv_sweep_memory_stays_small():
+    # the approximate pass works in chunks of _SWEEP_CELLS cells
+    config = ExperimentConfig(desk_params(10), "dtv_sweep", 1, 1)
+    dtv_sweep(config)
+    tracemalloc.start()
+    try:
+        dtv_sweep(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 256 * 1024
+
+
+def test_shift_bound_sweep_rejects_a_negative_shift_and_a_top_above_the_cap():
+    with pytest.raises(InvalidInput):
+        shift_bound_sweep([(0.5, -0.1)], 10)
+    with pytest.raises(TooLarge):
+        shift_bound_sweep([(0.5, 0.1)], 1001)
+    assert shift_bound_sweep([(0.0, 0.1), (1.0, 0.0)], 10) == (0, 0, math.inf)
 
 
 @settings(max_examples=80, deadline=None)

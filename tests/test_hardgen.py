@@ -1,7 +1,10 @@
 """Distribution samplers: concentration, determinism, and lazy/eager agreement."""
 
 import math
+import random
+import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,10 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from junta_lab.boolfn import NO_STYLE, YES_STYLE, BitString, StructuredFn, TruthTable, to_table
-from junta_lab.errors import EpsilonOutOfRange, InvalidInput, TooLarge, WeightOutOfRange
+from junta_lab.errors import (
+    DimensionMismatch,
+    EpsilonOutOfRange,
+    InvalidInput,
+    TooLarge,
+    WeightOutOfRange,
+)
 from junta_lab.hardgen import (
     addressing_orders,
     sample_block,
+    sample_block_at,
     sample_d1,
     sample_d1_block_at,
     sample_d2,
@@ -21,7 +31,7 @@ from junta_lab.hardgen import (
 )
 from junta_lab.params import DESK_SCALE, derive_params
 from junta_lab.rng import RandomStream, Seed, derive_bit, pack_ints
-from references import complement_sample, sample_d1_at
+from references import complement_sample, instance_answers, sample_d1_at
 
 
 def desk(n, epsilon=0.1):
@@ -120,6 +130,65 @@ def test_block_sampler_equals_the_per_seed_samplers(n, epsilon):
             assert to_table(f) == to_table(one)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(4, 16), st.sampled_from([0.1, 1.0]), seed_blocks(), st.data())
+def test_block_answers_equal_eval_many(n, epsilon, seeds, data):
+    # the block kernel answers each seed's instance without building it;
+    # queries repeat, and a run of them shares one fiber
+    params = desk(n, epsilon)
+    codes = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=20))
+    codes += codes[:3] + [0, (1 << n) - 1] * 2
+    xs = [BitString(n, code) for code in codes]
+    for kind in (YES_STYLE, NO_STYLE):
+        answers = sample_block_at(params, kind, seeds, xs)
+        assert answers.shape == (len(seeds), len(xs)) and answers.dtype == np.uint8
+        mask = sum(1 << (n - i) for i in complement_sample(params, kind, seeds[0]).M.members)
+        one_fiber = [BitString(n, code & ~mask) for code in codes]
+        assert sample_block_at(params, kind, seeds[:1], one_fiber).tolist()[0] == list(
+            complement_sample(params, kind, seeds[0]).eval_many(one_fiber))
+        assert answers.tolist() == instance_answers(params, kind, seeds, xs).tolist()
+
+
+@pytest.mark.parametrize("t", [8, 9, 40, 63, 64])
+def test_block_answers_at_long_addresses_and_their_domain(t):
+    # addresses up to 2^t take the narrowest unsigned type that holds them,
+    # Python integers from t = 64; empty blocks and plans answer nothing
+    n = t + 6
+    params = replace(desk(n), m=6, t=t)
+    seeds = Seed(t).mixes(range(3))
+    draw = random.Random(t)
+    xs = [BitString(n, draw.getrandbits(n)) for _ in range(5)]
+    xs += [BitString(n, (1 << n) - 1), BitString(n, 0), xs[0]]
+    rows = sample_block_at(params, NO_STYLE, seeds, xs).tolist()
+    assert rows == instance_answers(params, NO_STYLE, seeds, xs).tolist()
+    assert sample_block_at(params, YES_STYLE, seeds, []).shape == (3, 0)
+    assert sample_block_at(params, YES_STYLE, [], xs).shape == (0, len(xs))
+    with pytest.raises(DimensionMismatch, match=f"^universe {n} does not match string length 5$"):
+        sample_block_at(params, YES_STYLE, seeds, [*xs, BitString(5, 1)])
+
+
+# tracemalloc's peak for one 256-trial block of the strings game job (desk
+# n = 12, 16 queries) drawn as instances evaluated one at a time by
+# eval_many; the block kernel answers it in less
+INSTANCE_BLOCK_PEAK = 103_144
+
+
+def test_block_answers_memory_stays_below_the_instance_path():
+    params = desk(12)
+    draw = random.Random(1)
+    xs = [BitString(12, draw.getrandbits(12)) for _ in range(16)]
+    seeds = Seed(3).mixes(range(256))
+    for kind in (YES_STYLE, NO_STYLE):
+        sample_block_at(params, kind, seeds, xs)
+        tracemalloc.start()
+        try:
+            sample_block_at(params, kind, seeds, xs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= INSTANCE_BLOCK_PEAK
+
+
 def test_addressing_orders_equal_the_per_seed_addressing_sets():
     params = desk(12)
     seeds = [Seed(0), Seed(2**64 - 1), *Seed(3).mixes(range(40))]
@@ -211,6 +280,40 @@ def test_d1_determinism_and_domain():
         sample_d1(25, 0.05, RandomStream([Seed(5)], "x"))
     with pytest.raises(InvalidInput):
         sample_d1(-1, 0.05, RandomStream([Seed(5)], "x"))
+
+
+class FixedWords:
+    """A one-row stream whose raw words are given."""
+
+    def __init__(self, words):
+        self.words = np.array(words, dtype=np.uint64)
+
+    def raw(self, count):
+        assert count == len(self.words)
+        return self.words[None, :]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(2.0**-1074, 0.2) | st.sampled_from([0.2, 2.0**-1074, 2.0**-1022, 1e-300, 0.1]),
+    st.lists(st.integers(0, 2**64 - 1), min_size=8, max_size=8),
+)
+def test_d1_raw_word_comparison_equals_the_double_comparison(epsilon, words):
+    # words at and around the limit L * 2^11, L = ceil(3 epsilon 2^53), and
+    # at the doubles just below and at 3 epsilon, all read as (w >> 11) 2^-53
+    limit = math.ceil(3.0 * epsilon * 2.0**53)
+    edges = [(limit << 11) - 1, limit << 11, (limit - 1) << 11, ((limit + 1) << 11) - 1]
+    words = (words + [w for w in edges if 0 <= w < 2**64])[:16]
+    words += [0] * (16 - len(words))
+    table = sample_d1(4, epsilon, FixedWords(words)).table.tolist()
+    assert table == [int((w >> 11) * 2.0**-53 < 3.0 * epsilon) for w in words]
+
+
+def test_d1_raw_words_equal_the_stream_doubles():
+    for seed, epsilon in ((1, 0.2), (2, 0.05), (3, 2.0**-30)):
+        table = sample_d1(12, epsilon, RandomStream([Seed(seed)], "d1")).table
+        doubles = RandomStream([Seed(seed)], "d1").random(1 << 12)[0]
+        assert table.tolist() == (doubles < 3.0 * epsilon).astype(np.uint8).tolist()
 
 
 @st.composite

@@ -16,7 +16,7 @@ import pytest
 from junta_lab import harness, params as params_mod, tasks
 from junta_lab.boolfn import NO_STYLE, YES_STYLE, BitString, TruthTable
 from junta_lab.errors import InvalidInput, TooLarge
-from junta_lab.hardgen import sample_block
+from junta_lab.hardgen import sample_block_at
 from junta_lab.harness import (
     DECIDERS,
     EXPERIMENTS,
@@ -90,7 +90,7 @@ def test_run_game_fixed_instances_derive_no_seed(monkeypatch):
 def test_run_game_identical_samplers():
     params = desk_params(6)
     plan = random_string_plan(6, 2, Seed(2), "p", all_equal_yes)
-    gen = partial(sample_block, params, YES_STYLE)
+    gen = partial(sample_block_at, params, YES_STYLE)
     result = run_game(gen, gen, plan, 2000, 11)
     assert result.ci_low <= 0.0 <= result.ci_high
 
@@ -102,8 +102,8 @@ def test_run_game_single_query_bit_decider():
     x = BitString.from_text("010101")
     plan = StringQueryPlan(queries=(x,), decider=lambda bits: YES if bits[0] else NO)
     result = run_game(
-        partial(sample_block, params, YES_STYLE),
-        partial(sample_block, params, NO_STYLE),
+        partial(sample_block_at, params, YES_STYLE),
+        partial(sample_block_at, params, NO_STYLE),
         plan,
         4000,
         13,
@@ -122,8 +122,8 @@ def strings_plan(seed, decider):
 @pytest.mark.parametrize("trials, seed", [(2, 0), (3, 1), (301, 7)])
 def test_run_game_equals_the_per_trial_loop(decider, trials, seed):
     plan = strings_plan(seed, decider)
-    blocked = run_game(partial(sample_block, STRINGS_PARAMS, YES_STYLE),
-                       partial(sample_block, STRINGS_PARAMS, NO_STYLE), plan, trials, seed)
+    blocked = run_game(partial(sample_block_at, STRINGS_PARAMS, YES_STYLE),
+                       partial(sample_block_at, STRINGS_PARAMS, NO_STYLE), plan, trials, seed)
     loop = per_trial_string_game(partial(complement_sample, STRINGS_PARAMS, YES_STYLE),
                                  partial(complement_sample, STRINGS_PARAMS, NO_STYLE),
                                  plan, trials, seed)
@@ -131,43 +131,45 @@ def test_run_game_equals_the_per_trial_loop(decider, trials, seed):
 
 
 def test_run_game_block_size_changes_nothing(monkeypatch):
-    """Blocks of 3 trials hand the samplers the seeds of one block of 256 in the same order."""
+    """Blocks of 3 trials hand the answerers the seeds of one block of 256 in the same order."""
     plan = strings_plan(5, parity_yes)
     blocks = []
 
-    def sampler(kind):
-        def sample(seeds):
+    def answerer(kind):
+        def answer(seeds, queries):
+            assert queries == plan.queries
             blocks.append(len(seeds))
-            return sample_block(STRINGS_PARAMS, kind, seeds)
-        return sample
+            return sample_block_at(STRINGS_PARAMS, kind, seeds, queries)
+        return answer
 
-    whole = run_game(sampler(YES_STYLE), sampler(NO_STYLE), plan, 301, 7)
+    whole = run_game(answerer(YES_STYLE), answerer(NO_STYLE), plan, 301, 7)
     assert blocks == [150, 151]
     blocks.clear()
     monkeypatch.setattr(harness, "GAME_BLOCK_CELLS", 128 * 3 + 127)
-    blocked = run_game(sampler(YES_STYLE), sampler(NO_STYLE), plan, 301, 7)
+    blocked = run_game(answerer(YES_STYLE), answerer(NO_STYLE), plan, 301, 7)
     assert blocks == [3] * 50 + [3] * 50 + [1]
     assert blocked == whole
 
 
-def test_run_game_keeps_one_instance_alive_at_a_time():
+def test_run_game_holds_one_block_of_answers_at_a_time(monkeypatch):
     alive, most = [0], [0]
 
     def released():
         alive[0] -= 1
 
-    def sampler(kind):
-        def sample(seeds):
-            for f in sample_block(STRINGS_PARAMS, kind, seeds):
-                alive[0] += 1
-                most[0] = max(most[0], alive[0])
-                weakref.finalize(f, released)
-                yield f
-        return sample
+    def answerer(kind):
+        def answer(seeds, queries):
+            rows = sample_block_at(STRINGS_PARAMS, kind, seeds, queries)
+            alive[0] += 1
+            most[0] = max(most[0], alive[0])
+            weakref.finalize(rows, released)
+            return rows
+        return answer
 
-    run_game(sampler(YES_STYLE), sampler(NO_STYLE), strings_plan(3, parity_yes), 400, 3)
-    # a loop variable holds the previous instance while the next one is drawn
-    assert alive[0] == 0 and most[0] <= 2
+    monkeypatch.setattr(harness, "GAME_BLOCK_CELLS", 128 * 16)
+    run_game(answerer(YES_STYLE), answerer(NO_STYLE), strings_plan(3, parity_yes), 400, 3)
+    # 26 blocks of at most 16 trials; each is dropped before the next is drawn
+    assert alive[0] == 0 and most[0] == 1
 
 
 def test_block_games_build_no_bit_generator(monkeypatch):
@@ -182,8 +184,8 @@ def test_block_games_build_no_bit_generator(monkeypatch):
         return numpy_pcg64(*args)
 
     monkeypatch.setattr(np.random, "PCG64", counted)
-    run_game(partial(sample_block, STRINGS_PARAMS, YES_STYLE),
-             partial(sample_block, STRINGS_PARAMS, NO_STYLE), plan, 600, 2)
+    run_game(partial(sample_block_at, STRINGS_PARAMS, YES_STYLE),
+             partial(sample_block_at, STRINGS_PARAMS, NO_STYLE), plan, 600, 2)
     assert built == []
     run_experiment(budget_config(1, trials=600))
     assert built == []

@@ -123,6 +123,15 @@ def test_keyed_digest_equals_the_fresh_blake2b_reference(seed_value, role, prefi
     assert keyed.below([payload, payload], byte_limit(threshold)) == [
         bool(reference_bit(seed, role, whole, threshold))
     ] * 2
+    # the prefix split anywhere between the state and the head
+    for cut in (0, len(prefix) // 2, len(prefix)):
+        head = prefix[cut:]
+        split = KeyedDigest.of(seed, role).extend(prefix[:cut])
+        assert split.below_after(head, [payload, b"", payload], byte_limit(threshold)) == [
+            bool(reference_bit(seed, role, whole, threshold)),
+            bool(reference_bit(seed, role, prefix, threshold)),
+            bool(reference_bit(seed, role, whole, threshold)),
+        ]
 
 
 def test_fair_coin_frequency():
