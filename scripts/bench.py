@@ -45,10 +45,10 @@ Sections, in order:
   strings job's plan shape with ``parity_yes`` and ``all_zero_yes``.
 - ``stream_seeding``: the draws each block user makes (the M stream's
   bounded draws and the A stream's coins as ``sample_block`` makes them
-  at desk n = ``STRINGS_N``, the D1 stream's point reads at three codes
+  at desk n = ``STRINGS_N``, the D1 stream's point coins at three codes
   as the budget game makes them) on ``STREAMS`` streams, one block of
   ``STREAMS`` rows against ``STREAMS`` one-row ``RandomStream``s; one
-  side's block of a hidden-set game (``HIDDEN_BLOCK`` doubles) as a
+  side's block of a hidden-set game (``HIDDEN_BLOCK`` coins) as a
   one-row read against the scalar ``ScalarStream``; and goodM's plan
   at each n in ``PLAN_N`` by ``random_string_plan`` against
   ``reference_string_plan``.
@@ -79,13 +79,6 @@ Sections, in order:
   draw, yes and no at desk n = ``DESK_N`` on ``VERIFY_SEEDS`` seeds:
   ``sample_block`` on the whole block against one ``complement_sample``
   call per seed; sampling derives no digest.
-- ``table_draws``: the D1 and D2 tables the ``tables`` benchmark workload
-  draws, ``TABLE_D1`` (tables, n) D1 tables of one-row streams and one D2
-  table at each (n, weight) of ``TABLE_D2``, against the numpy PCG64
-  draws they replaced (``numpy_d1_table``, ``numpy_d2_table``), stream
-  builds included.  The draws differ on purpose, so the results compared
-  are the table sizes and the D2 weights; the timings are reported, not
-  claimed.
 
 The sizes each section runs at are the module constants below, so a test
 can run every section small.  The script exits 1 if any comparison
@@ -163,8 +156,6 @@ from references import (  # noqa: E402
     hopcroft_karp_per_direction,
     instance_answers,
     least_key_walk,
-    numpy_d1_table,
-    numpy_d2_table,
     per_direction_edge_counts,
     per_point_table,
     per_term_dtv,
@@ -180,8 +171,7 @@ OUTPUT = ROOT / "BENCH_34.json"
 SEED = 1
 REPEATS = {"to_table": 3, "distance": 3, "matching": 3, "kernel": 7, "frontier": 3, "games": 5,
            "strings_game": 11, "stream_seeding": 21, "budget_game": 11, "seed_derivation": 7,
-           "explicit_tables": 21, "tail": 7, "structured": 21, "verify_sampling": 21,
-           "table_draws": 21}
+           "explicit_tables": 21, "tail": 7, "structured": 21, "verify_sampling": 21}
 SAMPLERS = {"yes": sample_yes, "no": sample_no}
 D2_EPSILON = 0.1
 COMPARED, FAST_ONLY = (10, 12, 14, 16), (20, 24)
@@ -209,8 +199,6 @@ TAIL_N = (16, 18, 20)
 STRUCTURED_CASES = ((10, 0.1), (12, 0.1), (14, 0.1), (12, 1.0))
 STRUCTURED_PER_KIND, STRUCTURED_QUERIES = 10, 16
 VERIFY_SEEDS = (10, 20, 256)
-TABLE_D1 = (10, 12)
-TABLE_D2 = ((12, 32), (14, 1638))
 
 
 class Pair(NamedTuple):
@@ -436,7 +424,7 @@ def strings_game_pairs() -> list[Pair]:
 
 
 def stream_seeding_pairs() -> list[Pair]:
-    """Each block user's draws: M's bounded draws, A's coins and D1's point reads."""
+    """Each block user's draws: M's bounded draws, A's coins and D1's point coins."""
     seeds = Seed(SEED).mixes(range(STREAMS))
     params = desk_params(STRINGS_N)
     ranges = list(range(params.n, params.n - params.t, -1))
@@ -444,8 +432,8 @@ def stream_seeding_pairs() -> list[Pair]:
     codes = sorted(random.Random(SEED).sample(range(1 << BUDGET_N), 3))
     cases = {
         "M": (f"bounded draws over {ranges}", lambda stream: stream.bounded(ranges).tolist()),
-        "A": (f"random({count})", lambda stream: stream.random(count).tolist()),
-        "d1": (f"random_at({codes})", lambda stream: stream.random_at(codes).tolist()),
+        "A": (f"below({count}, {params.q})", lambda stream: stream.below(count, params.q).tolist()),
+        "d1": (f"below_at({codes}, 0.3)", lambda stream: stream.below_at(codes, 0.3).tolist()),
     }
     pairs = [Pair(f"{STREAMS} streams, role {role!r}",
                   f"{label}: one block against one one-row stream per seed",
@@ -454,11 +442,12 @@ def stream_seeding_pairs() -> list[Pair]:
                   lambda role=role, draw=draw: draw(RandomStream(seeds, role)))
              for role, (label, draw) in cases.items()]
     side = "game-sseq/yes"
-    pairs.append(Pair(f"one stream, {HIDDEN_BLOCK} doubles",
-                      f"one hidden-set game block, seed {SEED}, role {side!r}: a one-row "
-                      "read against the scalar reference stream",
-                      lambda: ScalarStream(Seed(SEED), side).random(HIDDEN_BLOCK)[0].tolist(),
-                      lambda: RandomStream([Seed(SEED)], side).random(HIDDEN_BLOCK)[0].tolist()))
+    rate = params.p
+    pairs.append(Pair(f"one stream, {HIDDEN_BLOCK} coins",
+                      f"one hidden-set game block at rate {rate}, seed {SEED}, role {side!r}: a "
+                      "one-row read against the scalar reference stream",
+                      lambda: ScalarStream(Seed(SEED), side).below(HIDDEN_BLOCK, rate)[0].tolist(),
+                      lambda: RandomStream([Seed(SEED)], side).below(HIDDEN_BLOCK, rate)[0].tolist()))
     for n in PLAN_N:
         args = (n, GOOD_M_QUERIES, Seed(SEED), "goodM-plan", always_yes)
         pairs.append(Pair(f"goodM plan, n = {n}",
@@ -595,26 +584,6 @@ def verify_sampling_pairs() -> list[Pair]:
     return pairs
 
 
-def table_draw_pairs() -> list[Pair]:
-    """The counter draws of the tables workload against the numpy draws they replaced."""
-    tables, n = TABLE_D1
-    seeds = Seed(SEED).mixes(range(tables))
-    pairs = [Pair(f"D1 {tables} x 2^{n}", f"{tables} D1 tables, n = {n}, epsilon = 0.05, one "
-                  f"stream per table, seeds Seed({SEED}).mix(0..{tables - 1}); table sizes compared",
-                  lambda: [len(numpy_d1_table(n, 0.05, seed, "verify_d1").table) for seed in seeds],
-                  lambda: [len(sample_d1(n, 0.05, RandomStream([seed], "verify_d1")).table)
-                           for seed in seeds])]
-    for n, weight in TABLE_D2:
-        epsilon = weight / (1 << n)
-        pairs.append(Pair(f"D2 n = {n}, weight = {weight}",
-                          f"one D2 table, seed {SEED}; weights compared",
-                          lambda n=n, epsilon=epsilon: int(
-                              numpy_d2_table(n, epsilon, Seed(SEED), "d2").table.sum()),
-                          lambda n=n, epsilon=epsilon: int(
-                              sample_d2(n, epsilon, RandomStream([Seed(SEED)], "d2")).table.sum())))
-    return pairs
-
-
 SECTIONS = {
     "to_table": to_table_pairs,
     "distance": distance_pairs,
@@ -630,7 +599,6 @@ SECTIONS = {
     "tail": tail_pairs,
     "structured": structured_pairs,
     "verify_sampling": verify_sampling_pairs,
-    "table_draws": table_draw_pairs,
 }
 
 

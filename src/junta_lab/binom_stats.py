@@ -203,19 +203,6 @@ def tv_shift_bound(x: float, c: int, r: float) -> Optional[float]:
 _SWEEP_CELLS = 1 << 11
 
 
-def _exact_margin(c: int, r: float, x: float) -> tuple[float, float]:
-    """(bound, distance) of one sweep cell on the exact path.
-
-    The coefficient recurrence, ``masses`` and the ``math.fsum`` of
-    ``tv_distance``: the floats of ``exact_dtv`` of Bin(c, r) and
-    Bin(c, min(r + x, 1)).
-    """
-    whole = _coefficient_row(c)
-    exact = tv_distance(masses(whole, rate_powers(r, c)),
-                        masses(whole, rate_powers(min(r + x, 1.0), c)))
-    return tv_shift_bound(x, c, r), exact
-
-
 def refine_mask(margins: np.ndarray, slacks: np.ndarray) -> np.ndarray:
     """The cells whose exact margin may be negative or the least, given approximations.
 
@@ -342,16 +329,18 @@ def shift_bound_sweep(rates: Sequence[tuple[float, float]], top: int) -> tuple[i
     factor of at least 500 for every c >= 1.
 
     Only the cells of ``refine_mask`` are recomputed on the exact path
-    (``_exact_margin``: the coefficient recurrence, ``masses``, and the
-    ``math.fsum`` of ``tv_distance``), and those exact values alone decide
-    the violations and the worst margin: a cell outside the mask has a
-    positive exact margin above the least.
+    (``exact_dtv``: for c <= 1000 the coefficient recurrence, ``masses``,
+    and the ``math.fsum`` of ``tv_distance``), and those exact values alone
+    decide the violations and the worst margin: a cell outside the mask
+    has a positive exact margin above the least.
     """
     r, x, c, distance, bound, slack = approximate_shift_cells(rates, top)
     refine = refine_mask(bound - distance, slack)
     violations, worst = 0, math.inf
     for cell_r, cell_x, cell_c in zip(r[refine].tolist(), x[refine].tolist(), c[refine].tolist()):
-        cell_bound, exact = _exact_margin(cell_c, cell_r, cell_x)
+        cell_bound = tv_shift_bound(cell_x, cell_c, cell_r)
+        exact = exact_dtv(BinomialSpec(cell_c, cell_r),
+                          BinomialSpec(cell_c, min(cell_r + cell_x, 1.0)))
         violations += exact > cell_bound
         worst = min(worst, cell_bound - exact)
     return len(c), violations, worst

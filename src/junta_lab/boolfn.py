@@ -289,13 +289,13 @@ class StructuredFn:
     queries always agree and instances are safe to share across threads.
 
     Each instance keeps one keyed S-state and one keyed h-state, and the
-    encodings of A's members.  ``fiber``, ``eval_many`` and ``to_table``
-    share one membership kernel (``_fiber``), which extends the S-state
-    with the address and reads S off |A| digests; the value of h then
-    extends the h-state with (address, |S|, *S), so no digest pays the key
-    schedule again.  ``eval_many`` is the evaluation kernel ``_answers``,
-    which ``structured_answers`` runs for a block of instances without
-    building them.
+    encodings of A's members.  ``eval_many`` and ``to_table`` share one
+    membership kernel (``_fiber``), which reads S off |A| digests of the
+    address and a member after the S-state; the value of h is then a
+    digest of the bits of x on S after (address, |S|, *S) and the h-state,
+    so no digest pays the key schedule again.  ``eval_many`` is the
+    evaluation kernel ``_answers``, which ``structured_answers`` runs for a
+    block of instances without building them.
     """
 
     params: Params
@@ -332,16 +332,6 @@ class StructuredFn:
     @property
     def n(self) -> int:
         return self.params.n
-
-    def fiber(self, address: int) -> tuple[tuple[int, ...], KeyedDigest]:
-        """(S, the h-state extended with (address, |S|, *S)) for this address.
-
-        |A| membership digests, after which each value of h on the fiber
-        costs one digest of the encoded bits of x on S.
-        """
-        coords, prefix = _fiber(self._s_state, self.A.members, self._pool_codes,
-                                self._coin_limit, address)
-        return coords, self._h_state.extend(prefix)
 
     def eval(self, x: BitString) -> int:
         if x.length != self.n:

@@ -5,12 +5,13 @@ inclusion rate of the coordinate pool A (p = 1/2 versus q > 1/2).  A
 sampler stores only M, A and the seed.  For a block of seeds one draw
 (``_pool_masks``) makes every M by one Fisher-Yates over the block of
 ``"M"`` streams (``addressing_orders``) and every A from one coin per
-coordinate outside M on the block of ``"A"`` streams, as arrays
-(``RandomStream``).  ``sample_block`` is the one sampler of structured
-instances built from that draw, and ``sample_yes`` and ``sample_no``
-are it at one seed; ``sample_block_at`` answers the same instances at
-given queries without building them (``boolfn.structured_answers``),
-as the string-query game needs.  The per-fiber
+coordinate outside M on the block of ``"A"`` streams
+(``RandomStream.below``), as arrays.  ``sample_block`` is the one
+sampler of structured instances built from that draw, and
+``sample_yes`` and ``sample_no`` are it at one seed; ``sample_block_at``
+answers the same instances at given queries without building them
+(``boolfn.structured_answers``), as the string-query game needs.  The
+per-fiber
 randomness (each fiber's subset S and its values of h) is defined point
 by point by ``StructuredFn.eval``, which re-derives
 it from the seed, so an instance takes O(1) memory however many fibers
@@ -18,8 +19,8 @@ it has.  ``boolfn.to_table`` materializes the same values fiber by
 fiber, deriving each S and each value of h once.
 
 The two tail distributions produce explicit truth tables from a
-one-row stream: iid Bernoulli(3*epsilon) entries, or exactly
-round(2^n * epsilon) ones placed uniformly at random.
+one-row stream: iid Bernoulli(3*epsilon) entries, one stream coin each,
+or exactly round(2^n * epsilon) ones placed uniformly at random.
 ``sample_d1_block_at`` reads the D1 tables of a block of streams at a
 few points without building them.
 """
@@ -94,10 +95,10 @@ def _pool_masks(
     """Whether each coordinate lies in M and in A, per seed: two (seeds, n) boolean arrays.
 
     M comes from ``addressing_orders``; A takes row i of one (seeds,
-    n - t) array of uniforms from the block of ``"A"`` streams as seed i's
+    n - t) array of coins from the block of ``"A"`` streams, at the
+    inclusion rate (p for ``YES_STYLE``, q for ``NO_STYLE``), as seed i's
     coins, one per coordinate outside M in increasing order, and includes
-    the coordinate when its coin is below the inclusion rate (p for
-    ``YES_STYLE``, q for ``NO_STYLE``).  Every row has n - t coordinates
+    the coordinate when its coin fires.  Every row has n - t coordinates
     outside M, so a boolean fill in row-major order hands each row its
     own coins in order.
     """
@@ -105,7 +106,7 @@ def _pool_masks(
     inclusion = params.p if kind == YES_STYLE else params.q
     in_m = np.zeros((len(seeds), n), dtype=bool)
     in_m[np.arange(len(seeds))[:, None], addressing_orders(params, seeds)[:, :t] - 1] = True
-    coins = RandomStream(seeds, "A").random(n - t) < inclusion
+    coins = RandomStream(seeds, "A").below(n - t, inclusion)
     in_a = np.zeros_like(in_m)
     in_a[~in_m] = coins.ravel()
     return in_m, in_a
@@ -152,16 +153,12 @@ def check_d1(n: int, epsilon: float) -> None:
 def sample_d1(n: int, epsilon: float, stream: RandomStream) -> TruthTable:
     """Each of the 2^n table bits is independently 1 with probability 3*epsilon.
 
-    Entry ``code`` is 1 when the one-row stream's uniform number ``code``
-    is below 3*epsilon.  The comparison is made on the raw words: the
-    double of word w is (w >> 11) * 2^-53, which is below the double
-    3*epsilon exactly when w >> 11 is below L = ceil(3*epsilon * 2^53),
-    that is when w < L * 2^11, a word for every epsilon <= 1/5.
-    ``sample_d1_block_at`` reads a few entries of a block of such tables.
+    Entry ``code`` is the one-row stream's coin ``code`` at rate 3*epsilon
+    (``RandomStream.below``).  ``sample_d1_block_at`` reads a few entries
+    of a block of such tables.
     """
     check_d1(n, epsilon)
-    limit = math.ceil(3.0 * epsilon * 2.0**53) << 11
-    bits = stream.raw(1 << n)[0] < np.uint64(limit)
+    bits = stream.below(1 << n, 3.0 * epsilon)[0]
     return TruthTable(n, bits.view(np.uint8))
 
 
@@ -171,7 +168,7 @@ def sample_d1_block_at(
     """Row i is ``sample_d1(n, epsilon, stream_i).table[codes]`` for row i of ``block``.
 
     Codes may come in any order and repeat; each distinct code costs one
-    uniform per row (``RandomStream.random_at``) instead of 2^n.  Shape
+    coin per row (``RandomStream.below_at``) instead of 2^n.  Shape
     (rows, codes), uint8.
     """
     check_d1(n, epsilon)
@@ -179,7 +176,7 @@ def sample_d1_block_at(
     if distinct and not 0 <= distinct[0] <= distinct[-1] < 1 << n:
         raise InvalidInput(f"codes must lie in [0, 2^{n}), got {distinct[0]}..{distinct[-1]}")
     column = {code: j for j, code in enumerate(distinct)}
-    bits = block.random_at(distinct) < 3.0 * epsilon
+    bits = block.below_at(distinct, 3.0 * epsilon)
     return bits[:, [column[code] for code in codes]].astype(np.uint8)
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -202,8 +203,8 @@ class ExperimentConfig:
 # to an array with one row of answers per seed.
 BlockAnswerer = Callable[[Sequence[Seed], Sequence[BitString]], np.ndarray]
 
-# Cells per block of a hidden-set game's uniform draws: 2^15 float64 cells
-# keep each float temporary at 256 KiB however many trials a game plays.
+# Cells per block of a hidden-set game's coins: 2^15 cells keep the
+# block's float64 rates at 256 KiB however many trials a game plays.
 # Seeded trials (a string-query game, verify_yes, verify_no, goodM) come in
 # blocks of GAME_BLOCK_CELLS // 128 = 256 trials (``_seed_blocks``): a
 # block holds each trial's seed, the state words of its streams and the
@@ -305,34 +306,33 @@ def run_hidden_set_game(plan: AnyPlan, params: Params, trials: int, seed: int) -
     Element plans play the sseq game and set plans the sssq game.  Each
     side of a game has one stream, ``RandomStream([Seed(seed)],
     f"game-{mode}/{side}")``.  Every trial of the side reads the next
-    ``m + width`` uniforms from it: first the m coins of ``sample_hidden``
-    (element i joins the hidden set when its coin is below the side's
-    inclusion rate, p or q), then the ``width`` response draws of
-    ``sseq_respond`` (width m, one per element, compared with the
-    element's ``hit_prob``) or ``sssq_respond`` (width ``plan.cost``, one
-    per query slot in query order, compared with theta).  That is the
-    sequence a loop of ``sample_hidden(m, inclusion, stream)`` then
-    ``respond(hidden, plan, epsilon, n, stream)`` consumes.
+    ``m + width`` coins from it: first the m coins of ``sample_hidden``
+    at the side's inclusion rate (p or q), then the ``width`` response
+    coins of ``sseq_respond`` (width m, one per element, at its
+    ``hit_prob``) or ``sssq_respond`` (width ``plan.cost``, one per query
+    slot in query order, at theta).  That is the sequence a loop of
+    ``sample_hidden(m, inclusion, stream)`` then ``respond(hidden, plan,
+    epsilon, n, stream)`` consumes.
 
     The side draws its trials as C-order blocks of shape (rows, m + width),
     each at most ``GAME_BLOCK_CELLS`` cells (at least one row) read by one
-    ``RandomStream.random``, so memory does not grow with ``trials``;
-    consecutive blocks read the stream in the same order, so the block
-    size changes no output.  The rates are computed once per game, and
-    ``tasks.batch_bayes_decider`` decides every trial of a block at once,
-    exactly as ``tasks.bayes_decide`` would decide each on its own.
+    ``RandomStream.below`` with one rate per column, so memory does not
+    grow with ``trials``; consecutive blocks read the stream in the same
+    order, so the block size changes no output.  The rates are computed
+    once per game, and ``tasks.batch_bayes_decider`` decides every trial
+    of a block at once, exactly as ``tasks.bayes_decide`` would.
     """
     m, epsilon, n = plan.m, params.epsilon, params.n
     if m < 1:
         raise InvalidInput(f"m must be positive, got {m}")
-    if isinstance(plan, ElementQueryPlan):
-        mode = "sseq"
-        rates = np.array([binom_stats.hit_prob(c, epsilon, n) for c in plan.counts])
-    else:
-        mode = "sssq"
-        rates = coin_rate(epsilon, n)
     element_of = tasks.response_elements(plan)
     width = len(element_of)
+    if isinstance(plan, ElementQueryPlan):
+        mode = "sseq"
+        responses = [binom_stats.hit_prob(c, epsilon, n) for c in plan.counts]
+    else:
+        mode = "sssq"
+        responses = [coin_rate(epsilon, n)] * width
     rows_per_block = max(1, GAME_BLOCK_CELLS // (m + width))
     game_seed = Seed(seed)
     inclusions = {YES: params.p, NO: params.q}
@@ -340,12 +340,13 @@ def run_hidden_set_game(plan: AnyPlan, params: Params, trials: int, seed: int) -
 
     def count_yes(side: str, first: int, count: int) -> int:
         stream = RandomStream([game_seed], f"game-{mode}/{side}")
+        rates = np.tile([inclusions[side]] * m + responses, rows_per_block)
         yes = 0
         for done in range(0, count, rows_per_block):
             rows = min(rows_per_block, count - done)
-            draws = stream.random(rows * (m + width)).reshape(rows, m + width)
-            hidden = draws[:, :m] < inclusions[side]
-            bits = hidden[:, element_of] & (draws[:, m:] < rates)
+            cells = rows * (m + width)
+            coins = stream.below(cells, rates[:cells]).reshape(rows, m + width)
+            bits = coins[:, element_of] & coins[:, m:]
             yes += int(np.count_nonzero(decide(bits)))
         return yes
 
@@ -474,8 +475,8 @@ def _tail_experiment(config: ExperimentConfig, which: str) -> ExperimentReport:
     far by construction and ``certificate_soundness`` cannot fail.  The
     distance reuses the certificate's counts, so each sample takes one
     edge-count pass.  Sample j is drawn from the one-row stream
-    ``RandomStream([Seed(config.seed).mix(j)], which)``.
-    Runs at any n that ``dist_to_k_junta`` accepts (n <= DIST_CAP).
+    ``RandomStream([Seed(config.seed).mix(j)], which)``, its seed from
+    ``_seed_blocks``.  Runs at any n that ``dist_to_k_junta`` accepts (n <= DIST_CAP).
     """
     params = config.params
     n, epsilon = params.n, params.epsilon
@@ -484,7 +485,7 @@ def _tail_experiment(config: ExperimentConfig, which: str) -> ExperimentReport:
     certified = 0
     far = 0
     sound = True
-    for seed in Seed(config.seed).mixes(range(config.trials)):
+    for seed in chain.from_iterable(_seed_blocks(config.seed, 0, config.trials)):
         g = sampler(n, epsilon, RandomStream([seed], which))
         counts = bichromatic_edge_counts(g)
         is_certified = min(counts) >= threshold

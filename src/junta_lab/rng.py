@@ -4,20 +4,21 @@ Every random choice in the package derives from a seed and a role label
 through one of two mechanisms:
 
 * ``KeyedDigest``: a blake2b state keyed by the seed and personalized by
-  a role, with a payload prefix absorbed.  For any payload it answers the
-  64-bit digest of ``(seed, role, prefix + payload)``, or whether that
-  digest falls below a threshold, so lazily evaluated objects re-derive
-  any bit on demand without caching and pay the key schedule once per
-  state.  ``derive_u64`` and ``derive_bit`` are its one-shot forms.
+  a role.  For any payload it answers the 64-bit digest of ``(seed,
+  role, payload)``, or whether that digest falls below ``byte_limit`` of
+  a rate, so lazily evaluated objects re-derive any bit on demand without
+  caching and pay the key schedule once per state.  ``derive_u64`` and
+  ``derive_bit`` are its one-shot forms.
 * ``RandomStream(seeds, role)``: one counter-mode stream per seed, held
   as uint64 arrays.  Output j of the stream of (seed, role) is
   SplitMix64's finalizer over a Weyl sequence (Steele, Lea & Flood,
   "Fast splittable pseudorandom number generators", OOPSLA 2014),
   mix64(key + (j + 1) * GAMMA), with key = mix64(seed ^ a 64-bit blake2b
-  of the role).  Its raw words, doubles, point reads and bounded integers
-  are array arithmetic over every row at once, and a row depends on its
-  seed alone, so ``RandomStream([seed], role)`` is one stream and a block
-  of seeds draws the same streams together.
+  of the role).  Its raw words, coins (a word below ``word_limit`` of a
+  rate), point coins and bounded integers are array arithmetic over every
+  row at once, and a row depends on its seed alone, so
+  ``RandomStream([seed], role)`` is one stream and a block of seeds draws
+  the same streams together.
 
 Distinct role labels give computationally independent streams; the same
 seed and role always reproduce the same draws.
@@ -113,13 +114,12 @@ def _keyed(seed: Seed, role: str, data: bytes = b""):
 
 
 class KeyedDigest:
-    """A blake2b state that has absorbed a seed (the key), a role (the person) and a prefix.
+    """A blake2b state that has absorbed a seed (the key) and a role (the person).
 
     Each answer copies the state, feeds it the payload and reads the
-    8-byte digest, so the key schedule and the prefix are paid once
-    however many payloads follow.  ``state`` is any object with ``copy``,
-    ``update`` and ``digest``; ``of`` builds the blake2b one, with an
-    empty prefix, and ``extend`` appends to the prefix.
+    8-byte digest, so the key schedule is paid once however many payloads
+    follow.  ``state`` is any object with ``copy``, ``update`` and
+    ``digest``; ``of`` builds the blake2b one.
     """
 
     __slots__ = ("_state",)
@@ -131,20 +131,14 @@ class KeyedDigest:
     def of(cls, seed: Seed, role: str) -> "KeyedDigest":
         return cls(_keyed(seed, role))
 
-    def extend(self, data: bytes) -> "KeyedDigest":
-        """The state with ``data`` appended to its prefix."""
-        state = self._state.copy()
-        state.update(data)
-        return KeyedDigest(state)
-
     def u64(self, payload: bytes) -> int:
-        """The digest of prefix + payload as a big-endian 64-bit word."""
+        """The digest of the payload as a big-endian 64-bit word."""
         state = self._state.copy()
         state.update(payload)
         return int.from_bytes(state.digest(), "big")
 
     def below(self, payloads: Sequence[bytes], limit: bytes) -> list[bool]:
-        """For each payload, whether the digest of prefix + payload sorts below ``limit``.
+        """For each payload, whether its digest sorts below ``limit``.
 
         ``limit`` comes from ``byte_limit``.  Digests are big-endian, so
         bytes order is numeric order.
@@ -152,7 +146,7 @@ class KeyedDigest:
         return self.below_after(b"", payloads, limit)
 
     def below_after(self, head: bytes, payloads: Sequence[bytes], limit: bytes) -> list[bool]:
-        """``self.extend(head).below(payloads, limit)``, building no extended state object.
+        """``self.below([head + p for p in payloads], limit)``, feeding the head once.
 
         A structured instance asks this once per fiber, with the fiber's
         address or prefix as the head.
@@ -239,9 +233,30 @@ def _key(seed: Seed, role_word: int) -> int:
     return z ^ (z >> 31)
 
 
-def _to_doubles(target: np.ndarray, words: np.ndarray) -> None:
-    """Write each word's top 53 bits times 2^-53 into ``target``."""
-    np.multiply(np.right_shift(words, 11, out=words), 2.0**-53, out=target)
+def _unit_rates(rate, count: int | None = None) -> np.ndarray:
+    """``rate`` as float64 in [0, 1]; given ``count``, one rate or one per position of ``count``."""
+    rates = np.asarray(rate, dtype=np.float64)
+    if count is not None and rates.shape not in ((), (count,)):
+        raise InvalidInput(f"need one rate or {count}, got rates of shape {rates.shape}")
+    if rates.size and not (rates.min() >= 0.0 and rates.max() <= 1.0):
+        raise InvalidInput(f"rates must be in [0, 1], got {rates.min()}..{rates.max()}")
+    return rates
+
+
+def word_limit(rate) -> np.ndarray:
+    """ceil(rate * 2^53) as uint64, for a float or an array of floats in [0, 1].
+
+    The stream-side counterpart of ``byte_limit``: a coin at rate r on
+    word w fires when (w >> 11) < ceil(r * 2^53), exactly when the double
+    (w >> 11) * 2^-53 is below r, as scaling by 2^53 is exact and w >> 11
+    is an integer.  Rate 0 never fires and rate 1 always does.
+    """
+    return _limits(_unit_rates(rate))
+
+
+def _limits(rates: np.ndarray) -> np.ndarray:
+    """``word_limit`` of rates already checked by ``_unit_rates``."""
+    return np.ceil(rates * 2.0**53).astype(np.uint64)
 
 
 class RandomStream:
@@ -249,12 +264,13 @@ class RandomStream:
 
     Output j of a stream is mix64(key + (j + 1) * GAMMA), with key =
     mix64(seed ^ the 8-byte blake2b of the role).  Each row keeps its Weyl
-    state, key + position * GAMMA, as its cursor.  ``raw`` and ``random``
-    read each row's next outputs in chunks of at most ``_CHUNK`` positions,
-    in place; ``random_at`` reads positions ahead of the cursor directly;
-    and ``bounded`` draws integers by Lemire's method, each row moving past
-    the words its draws read.  A block of seeds gives each row the draws
-    ``RandomStream([seed], role)`` gives, draw for draw.
+    state, key + position * GAMMA, as its cursor.  ``raw`` reads each
+    row's next words and ``below`` its next coins, in chunks of at most
+    ``_CHUNK`` positions, in place; ``below_at`` reads coins at positions
+    ahead of the cursor directly; and ``bounded`` draws integers by
+    Lemire's method, each row moving past the words its draws read.  A
+    block of seeds gives each row the draws ``RandomStream([seed], role)``
+    gives, draw for draw.
     """
 
     def __init__(self, seeds: Sequence[Seed], role: str):
@@ -273,8 +289,9 @@ class RandomStream:
     def _read(self, count: int, dtype, convert) -> np.ndarray:
         """Each row's next ``count`` outputs through ``convert``: shape (rows, count).
 
-        ``convert(target, words)`` writes a chunk's words into its columns
-        of the result, of the given dtype, and may overwrite the words.
+        ``convert(target, words, span)`` writes the words of the read's
+        positions ``span`` (a slice) into ``target``, their columns of the
+        result, of the given dtype, and may overwrite the words.
         """
         if count < 0:
             raise InvalidInput(f"count must be non-negative, got {count}")
@@ -283,33 +300,45 @@ class RandomStream:
             size = min(_CHUNK, count - start)
             words = self._state[:, None] + _STEPS[:size]
             self._state += _STEPS[size - 1]
-            convert(out[:, start:start + size], _mix64(words, np.empty_like(words)))
+            span = slice(start, start + size)
+            convert(out[:, span], _mix64(words, np.empty_like(words)), span)
         return out
 
     def raw(self, count: int) -> np.ndarray:
         """The next ``count`` 64-bit outputs of each row: shape (rows, count), uint64."""
-        return self._read(count, np.uint64, np.copyto)
+        return self._read(count, np.uint64, lambda target, words, span: np.copyto(target, words))
 
-    def random(self, count: int) -> np.ndarray:
-        """The next ``count`` doubles of each row, each output's top 53 bits times 2^-53."""
-        return self._read(count, np.float64, _to_doubles)
+    def below(self, count: int, rate) -> np.ndarray:
+        """The next ``count`` coins of each row, output j's top 53 bits below ``word_limit``.
 
-    def random_at(self, positions: Sequence[int]) -> np.ndarray:
-        """The doubles ``random(size)`` would put at the given strictly increasing positions.
+        ``rate`` is one float or one per position; per-position limits are
+        made a chunk at a time, as the words are.  Shape (rows, count), bool.
+        """
+        rates = _unit_rates(rate, count)
+        limit = None if rates.ndim else _limits(rates)
 
-        Shape (rows, positions).  Each row then stands just past the last
-        position.
+        def coins(target, words, span):
+            limits = _limits(rates[span]) if limit is None else limit
+            np.less(np.right_shift(words, 11, out=words), limits, out=target)
+
+        return self._read(count, bool, coins)
+
+    def below_at(self, positions: Sequence[int], rate) -> np.ndarray:
+        """The coins ``below(size, rate)`` would put at the given strictly increasing positions.
+
+        ``rate`` is one float or one per position.  Shape (rows, positions),
+        bool.  Each row then stands just past the last position.
         """
         positions = list(positions)
         for before, pos in zip([-1] + positions, positions):
             if pos <= before:
                 raise InvalidInput(f"positions must be strictly increasing and >= 0, got {pos}")
+        limits = _limits(_unit_rates(rate, len(positions)))
         steps = np.array(positions, dtype=np.uint64) + 1
-        out = np.empty((len(self), len(positions)))
-        _to_doubles(out, self._words(slice(None), steps))
+        coins = np.right_shift(self._words(slice(None), steps), 11) < limits
         if positions:
             self._state += steps[-1:] * _GAMMA
-        return out
+        return coins
 
     def bounded(self, ranges: Sequence[int]) -> np.ndarray:
         """Column j of row i is a uniform integer in [0, ranges[j]), the draws made in order.

@@ -135,16 +135,12 @@ class StringQueryPlan:
 def sample_hidden(m: int, prob: float, stream: RandomStream) -> IndexSet:
     """The hidden set: each element of [m] joins independently with the given probability.
 
-    Element i joins when the i-th of the one-row stream's next m doubles
-    is below ``prob``.
+    Element i joins when the i-th of the one-row stream's next m coins at
+    rate ``prob`` fires.
     """
     if m < 1:
         raise InvalidInput(f"m must be positive, got {m}")
-    if not 0.0 <= prob <= 1.0:
-        raise InvalidInput(f"prob must be in [0, 1], got {prob}")
-    mask = stream.random(m)[0] < prob
-    members = (i + 1 for i in range(m) if mask[i])
-    return IndexSet.of(m, members)
+    return IndexSet.of(m, (i for i, coin in enumerate(stream.below(m, prob)[0], 1) if coin))
 
 
 def sssq_respond(
@@ -154,21 +150,17 @@ def sssq_respond(
     n: int,
     stream: RandomStream,
 ) -> SssqResponse:
-    """One oracle round: per queried element, 0 off A, rate-theta coin on A."""
+    """One oracle round: per queried element, 0 off A, rate-theta coin on A.
+
+    Each query reads one coin per slot from the one-row stream.
+    """
     if plan.m != A.universe_size:
         raise DimensionMismatch(f"plan universe {plan.m} != hidden universe {A.universe_size}")
     theta = coin_rate(epsilon, n)
     members = set(A.members)
-    response = []
-    for T in plan.queries:
-        draws = stream.random(len(T))[0]
-        response.append(
-            tuple(
-                1 if (j in members and draws[pos] < theta) else 0
-                for pos, j in enumerate(T.members)
-            )
-        )
-    return tuple(response)
+    return tuple(tuple(int(j in members and coin)
+                       for j, coin in zip(T.members, stream.below(len(T), theta)[0]))
+                 for T in plan.queries)
 
 
 def sseq_respond(
@@ -178,15 +170,16 @@ def sseq_respond(
     n: int,
     stream: RandomStream,
 ) -> SseqResponse:
-    """One oracle round: element i of A answers 1 with the compounded hit rate."""
+    """One oracle round: element i of A answers 1 with the compounded hit rate.
+
+    Element i reads the i-th of the one-row stream's next m coins, at
+    ``hit_prob`` of its count.
+    """
     if plan.m != A.universe_size:
         raise DimensionMismatch(f"plan length {plan.m} != hidden universe {A.universe_size}")
     members = set(A.members)
-    draws = stream.random(plan.m)[0]
-    return tuple(
-        1 if (i + 1 in members and draws[i] < hit_prob(plan.counts[i], epsilon, n)) else 0
-        for i in range(plan.m)
-    )
+    coins = stream.below(plan.m, [hit_prob(c, epsilon, n) for c in plan.counts])[0]
+    return tuple(int(i in members and coin) for i, coin in enumerate(coins, 1))
 
 
 def set_plan_to_element_counts(plan: SetQueryPlan) -> ElementQueryPlan:

@@ -26,7 +26,7 @@ keyed states derive, and ``fresh_digests`` swaps those states for
 ``fiberwise_table`` and ``fiberwise_eval_many`` are ``to_table`` and
 ``StructuredFn.eval_many`` as they were before one fiber kernel and a
 transposed-view fill replaced them; they read the instance's keyed
-states directly.
+states directly, through ``keyed_fiber``.
 
 ``dict_response_law`` and ``dict_lifted_law`` are the exact response laws
 as dicts keyed by response tuples, built outcome by outcome; the flat
@@ -36,14 +36,14 @@ the lifting as a sampler, whose law ``dict_lifted_law`` writes down.
 ``reference_stream`` defines the random streams: the words of the
 stream of (seed, role), one Python int at a time, SplitMix64's output
 sequence from the key mix64(seed ^ blake2b(role)).  It shares no code
-with ``junta_lab.rng``.  ``reference_double``, ``reference_bounded`` and
-``reference_random_at`` are the draws ``RandomStream`` makes from those
-words, ``ScalarStream`` is a one-row ``RandomStream`` built on them for
-the one-trial ``tasks`` functions, and ``reference_string_plan`` is
-``harness.random_string_plan`` word by word.  ``numpy_generator`` and the
-``numpy_*`` tables are the numpy PCG64 draws the D1/D2 tables came from
-before the counter stream replaced them, kept so that the new draws are
-timed against the path they replaced.
+with ``junta_lab.rng``.  ``reference_double`` and ``reference_random_at``
+are the doubles (word >> 11) * 2^-53 of those words, against which a
+stream coin at rate r is the double comparison u < r, and
+``reference_bounded`` is ``RandomStream.bounded``'s draw.  ``ScalarStream``
+is a one-row ``RandomStream`` built on them for the one-trial ``tasks``
+functions, and ``reference_string_plan`` is ``harness.random_string_plan``
+word by word.  ``unmix64`` inverts the finalizer, so ``stream_with_words``
+builds a stream that reads chosen words.
 
 ``per_trial_string_game`` is ``harness.run_game`` as one loop over the
 trials, each instance sampled from its own seed, and ``instance_answers``
@@ -108,11 +108,15 @@ def per_point_table(f) -> TruthTable:
     return TruthTable(n, np.array([f.eval(BitString(n, c)) for c in range(1 << n)]))
 
 
-def _fiber(f, address: int):
-    """(S, h-state extended with (address, |S|, *S)), each encoded by ``pack_ints`` afresh."""
-    fired = f._s_state.extend(pack_ints(address)).below(f._pool_codes, f._coin_limit)
+def keyed_fiber(f, address: int):
+    """(S, the h-prefix (address, |S|, *S)) of the address's fiber, encoded by ``pack_ints`` afresh.
+
+    S is read off the instance's keyed S-state; each value of h on the
+    fiber is the h-state's digest of the prefix and the bits of x on S.
+    """
+    fired = f._s_state.below_after(pack_ints(address), f._pool_codes, f._coin_limit)
     coords = tuple(compress(f.A.members, fired))
-    return coords, f._h_state.extend(pack_ints(address, len(coords), *coords))
+    return coords, pack_ints(address, len(coords), *coords)
 
 
 def fiberwise_table(f) -> TruthTable:
@@ -131,11 +135,12 @@ def fiberwise_table(f) -> TruthTable:
     assignments: dict[int, list[bytes]] = {}
     for code in range(1 << t):
         address = code + 1
-        coords, state = _fiber(f, address)
+        coords, prefix = keyed_fiber(f, address)
         width = len(coords)
         if width not in assignments:
             assignments[width] = [pack_ints(*bits) for bits in product((0, 1), repeat=width)]
-        values = np.array(state.below(assignments[width], _HALF), dtype=np.uint8)
+        values = np.array(f._h_state.below_after(prefix, assignments[width], _HALF),
+                          dtype=np.uint8)
         address_bits = dict(zip(f.M.members, ((code >> (t - 1 - j)) & 1 for j in range(t))))
         fiber = tuple(address_bits.get(i, slice(None)) for i in range(1, n + 1))
         cube[fiber] = values.reshape([2 if i in coords else 1 for i in free])
@@ -158,11 +163,11 @@ def fiberwise_eval_many(f, xs) -> tuple[int, ...]:
         address += 1
         fiber = fibers.get(address)
         if fiber is None:
-            coords, state = _fiber(f, address)
-            fiber = fibers[address] = (state, [n - a for a in coords])
-        state, shifts = fiber
+            coords, prefix = keyed_fiber(f, address)
+            fiber = fibers[address] = (prefix, [n - a for a in coords])
+        prefix, shifts = fiber
         bits = pack_ints(*[(code >> shift) & 1 for shift in shifts])
-        out.append(int(state.below((bits,), _HALF)[0]))
+        out.append(int(f._h_state.below_after(prefix, (bits,), _HALF)[0]))
     return tuple(out)
 
 
@@ -227,9 +232,12 @@ def reference_random_at(seed, role: str, positions) -> list[float]:
 
 
 class ScalarStream:
-    """``RandomStream([seed], role)``'s ``random``, drawn one word at a time.
+    """A one-row stream of (seed, role) whose coins are double comparisons, one word at a time.
 
-    The one-trial ``tasks`` functions take it as their stream.
+    ``random`` reads the next doubles; ``below`` reads the next coins, coin
+    j firing when its double is below its rate (one rate, or one per
+    position), as ``RandomStream([seed], role).below`` must.  The one-trial
+    ``tasks`` functions take it as their stream.
     """
 
     def __init__(self, seed, role: str):
@@ -237,6 +245,37 @@ class ScalarStream:
 
     def random(self, count: int) -> np.ndarray:
         return np.array([[reference_double(self.words) for _ in range(count)]])
+
+    def below(self, count: int, rate) -> np.ndarray:
+        rates = np.broadcast_to(rate, (count,)).tolist()
+        return np.array([[reference_double(self.words) < r for r in rates]], dtype=bool)
+
+
+def _unshift(z: int, shift: int) -> int:
+    """The x with x ^ (x >> shift) == z."""
+    x = z
+    for _ in range(64 // shift):
+        x = z ^ (x >> shift)
+    return x
+
+
+def unmix64(z: int) -> int:
+    """The word whose ``mix64`` is z: each multiply and xorshift undone in reverse order."""
+    z = _unshift(z, 31) * pow(0x94D049BB133111EB, -1, 1 << 64) & MASK64
+    z = _unshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & MASK64
+    return _unshift(z, 30)
+
+
+def stream_with_words(words, position: int = 0) -> RandomStream:
+    """A ``RandomStream`` whose row i reads ``words[i]`` at ``position``.
+
+    Each row's cursor is set so that mix64(cursor + (position + 1) * GAMMA)
+    is the row's word.
+    """
+    stream = RandomStream([Seed(0)] * len(words), "chosen-words")
+    stream._state = np.array([(unmix64(w) - (position + 1) * GAMMA) & MASK64 for w in words],
+                             dtype=np.uint64)
+    return stream
 
 
 def reference_string_plan(n: int, q: int, seed, role: str, decider) -> tasks.StringQueryPlan:
@@ -250,35 +289,6 @@ def reference_string_plan(n: int, q: int, seed, role: str, decider) -> tasks.Str
             value = value << 64 | next(words)
         codes.append(value >> (64 * per_query - n))
     return tasks.StringQueryPlan(tuple(BitString(n, v) for v in codes), decider)
-
-
-def numpy_generator(seed, role: str) -> np.random.Generator:
-    """The numpy PCG64 generator the stream of (seed, role) was before the counter stream.
-
-    Seeded with the 16-byte blake2b digest of b"stream", keyed by the
-    seed and personalized by the role, read as one big-endian integer.
-    """
-    person = role.encode("utf-8")
-    if len(person) > hashlib.blake2b.PERSON_SIZE:
-        person = hashlib.blake2b(person, digest_size=hashlib.blake2b.PERSON_SIZE).digest()
-    key = seed.value.to_bytes(8, "little")
-    entropy = hashlib.blake2b(b"stream", digest_size=16, key=key, person=person).digest()
-    return np.random.Generator(np.random.PCG64(int.from_bytes(entropy, "big")))
-
-
-def numpy_d1_table(n: int, epsilon: float, seed, role: str) -> TruthTable:
-    """A D1 table as numpy drew it: one generator, 2^n doubles, each entry 1 below 3 epsilon."""
-    bits = numpy_generator(seed, role).random(1 << n) < 3.0 * epsilon
-    return TruthTable(n, bits.astype(np.uint8))
-
-
-def numpy_d2_table(n: int, epsilon: float, seed, role: str) -> TruthTable:
-    """A D2 table as numpy drew it: ``Generator.choice`` of the weight positions, no replacement."""
-    size = 1 << n
-    ones = numpy_generator(seed, role).choice(size, size=round(size * epsilon), replace=False)
-    table = np.zeros(size, dtype=np.uint8)
-    table[ones] = 1
-    return TruthTable(n, table)
 
 
 def complement_sample(params, kind: str, seed, M: IndexSet | None = None) -> StructuredFn:
@@ -697,30 +707,26 @@ def reference_table(f) -> TruthTable:
 class FreshDigest:
     """``rng.KeyedDigest``'s interface, building one fresh keyed blake2b per digest.
 
-    It keeps the prefix as bytes and re-keys for every payload, as every
-    digest was derived before the keyed state was kept; swapped in for
-    ``KeyedDigest`` it gives the same answers at the old cost.
+    It re-keys for every payload, as every digest was derived before the
+    keyed state was kept; swapped in for ``KeyedDigest`` it gives the same
+    answers at the old cost.
     """
 
-    def __init__(self, seed, role: str, prefix: bytes = b""):
-        self.seed, self.role, self.prefix = seed, role, prefix
+    def __init__(self, seed, role: str):
+        self.seed, self.role = seed, role
 
     @classmethod
     def of(cls, seed, role: str) -> "FreshDigest":
         return cls(seed, role)
 
-    def extend(self, data: bytes) -> "FreshDigest":
-        return FreshDigest(self.seed, self.role, self.prefix + data)
-
     def u64(self, payload: bytes) -> int:
-        return int.from_bytes(reference_digest(self.seed, self.role, self.prefix + payload), "big")
+        return int.from_bytes(reference_digest(self.seed, self.role, payload), "big")
 
     def below(self, payloads, limit: bytes) -> list[bool]:
         return self.below_after(b"", payloads, limit)
 
     def below_after(self, head: bytes, payloads, limit: bytes) -> list[bool]:
-        return [reference_digest(self.seed, self.role, self.prefix + head + p) < limit
-                for p in payloads]
+        return [reference_digest(self.seed, self.role, head + p) < limit for p in payloads]
 
 
 @contextmanager
@@ -773,7 +779,7 @@ def digest_counts(f) -> tuple[int, int]:
     assignment of the fiber's coordinates S.
     """
     addresses = 1 << len(f.M)
-    fibers = sum(1 << len(f.fiber(a)[0]) for a in range(1, addresses + 1))
+    fibers = sum(1 << len(keyed_fiber(f, a)[0]) for a in range(1, addresses + 1))
     return (1 << f.n) * (len(f.A) + 1), addresses * len(f.A) + fibers
 
 
@@ -787,7 +793,7 @@ def eval_many_digest_counts(f, xs) -> tuple[int, int]:
     values = set()
     for x in xs:
         address = address_index(f.M, x)
-        values.add((address, tuple(x.bit(a) for a in f.fiber(address)[0])))
+        values.add((address, tuple(x.bit(a) for a in keyed_fiber(f, address)[0])))
     membership = len({address for address, _ in values}) * len(f.A)
     return membership + len(xs), membership + len(values)
 

@@ -258,7 +258,7 @@ def test_summary_counts_match_binomial_law():
     responses = RandomStream([Seed(77)], "summary-law/resp")
     counts = np.zeros(c_j + 1, dtype=np.int64)
     for _ in range(rounds):
-        mask = hidden.random(c_j)[0] < params.p
+        mask = hidden.below(c_j, params.p)[0]
         A = IndexSet.of(c_j, (i + 1 for i in range(c_j) if mask[i]))
         b = sseq_respond(A, plan, params.epsilon, params.n, responses)
         counts[sum(b)] += 1
@@ -282,7 +282,7 @@ def test_summary_mean_shift_between_rates():
         hidden = RandomStream([Seed(78)], f"summary-shift/{label}")
         responses = RandomStream([Seed(78)], f"summary-shift/{label}/r")
         for _ in range(rounds):
-            mask = hidden.random(c_j)[0] < rate
+            mask = hidden.below(c_j, rate)[0]
             A = IndexSet.of(c_j, (i + 1 for i in range(c_j) if mask[i]))
             totals += sum(sseq_respond(A, plan, params.epsilon, params.n, responses))
         means[label] = totals / rounds
@@ -422,9 +422,8 @@ def test_shift_bound_sweep_recomputes_the_refined_cells_exactly(monkeypatch):
 
     monkeypatch.setattr(binom_stats, "approximate_shift_cells", skewed)
     calls = []
-    exact_margin = binom_stats._exact_margin
-    monkeypatch.setattr(binom_stats, "_exact_margin",
-                        lambda c, r, x: calls.append(c) or exact_margin(c, r, x))
+    exact = binom_stats.exact_dtv
+    monkeypatch.setattr(binom_stats, "exact_dtv", lambda a, b: calls.append(a.c) or exact(a, b))
     assert shift_bound_sweep(rates, _BOUND_SWEEP_TOP) == expected
     r, x, c, distance, bound, slack = skewed(rates, _BOUND_SWEEP_TOP)
     assert 1 < len(calls) == refine_mask(bound - distance, slack).sum() < expected[0] // 2

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from junta_lab import boolfn
 from junta_lab.boolfn import (
     BitString,
     IndexSet,
@@ -36,6 +37,7 @@ from references import (
     eval_many_digest_counts,
     fiberwise_eval_many,
     fiberwise_table,
+    keyed_fiber,
     per_direction_edge_counts,
     per_point_table,
     reference_eval,
@@ -351,12 +353,13 @@ def test_eval_many_matches_eval():
     st.data(),
 )
 def test_keyed_paths_equal_the_fresh_blake2b_reference(n, sampler, epsilon, seed_value, data):
-    """fiber, eval_many and to_table against one fresh keyed blake2b per digest."""
+    """The fiber kernel, eval_many and to_table against one fresh keyed blake2b per digest."""
     # derive_params starts at n = 4; below it one address bit and the rest pool
     params = desk(n, epsilon) if n >= 4 else replace(desk(4, epsilon), n=n, m=n - 1, t=1)
     f = sampler(params, Seed(seed_value))
     for address in range(1, (1 << len(f.M)) + 1):
-        assert f.fiber(address)[0] == reference_fiber_coords(f, address)
+        coords, _ = boolfn._fiber(f._s_state, f.A.members, f._pool_codes, f._coin_limit, address)
+        assert coords == reference_fiber_coords(f, address)
     codes = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=24))
     codes += codes[::-1]
     mask = sum(1 << (n - i) for i in f.M.members)
@@ -388,7 +391,7 @@ def test_eval_many_derives_one_digest_per_distinct_value(n, sampler, epsilon, se
     mask = sum(1 << (n - i) for i in f.M.members)
     fiber = data.draw(st.integers(0, (1 << n) - 1)) & mask
     # repeats; every query in one fiber; the fiber with the widest S
-    widest = max(range(1, (1 << len(f.M)) + 1), key=lambda a: len(f.fiber(a)[0]))
+    widest = max(range(1, (1 << len(f.M)) + 1), key=lambda a: len(keyed_fiber(f, a)[0]))
     widest_bits = sum(((widest - 1) >> (len(f.M) - 1 - j) & 1) << (n - i)
                       for j, i in enumerate(f.M.members))
     batches = [codes + codes[::-1], [fiber | (c & ~mask) for c in codes],
@@ -438,7 +441,7 @@ def test_fiber_paths_equal_the_reference_on_edge_shapes(n, M, epsilon, full_pool
 
 def test_to_table_of_an_instance_with_large_fibers_equals_the_reference():
     f = edge_instance(9, [1, 9], 1.0, 7, full_pool=True)
-    assert max(len(f.fiber(a)[0]) for a in range(1, 5)) >= 3
+    assert max(len(keyed_fiber(f, a)[0]) for a in range(1, 5)) >= 3
     assert to_table(f) == reference_table(f)
 
 

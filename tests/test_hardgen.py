@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from junta_lab.binom_stats import hit_prob
 from junta_lab.boolfn import NO_STYLE, YES_STYLE, BitString, StructuredFn, TruthTable, to_table
 from junta_lab.errors import (
     DimensionMismatch,
@@ -31,7 +32,13 @@ from junta_lab.hardgen import (
 )
 from junta_lab.params import DESK_SCALE, derive_params
 from junta_lab.rng import RandomStream, Seed, derive_bit, pack_ints
-from references import complement_sample, instance_answers, sample_d1_at
+from references import (
+    ScalarStream,
+    complement_sample,
+    instance_answers,
+    sample_d1_at,
+    stream_with_words,
+)
 
 
 def desk(n, epsilon=0.1):
@@ -282,38 +289,67 @@ def test_d1_determinism_and_domain():
         sample_d1(-1, 0.05, RandomStream([Seed(5)], "x"))
 
 
-class FixedWords:
-    """A one-row stream whose raw words are given."""
+# Both ends of [0, 1], the least double, 2^-53 and its neighbours, the
+# largest double below 1, D1's largest rate and element-game hit rates.
+EDGE_RATES = [0.0, 1.0, 2.0**-1074, 2.0**-1022, math.nextafter(2.0**-53, 0.0), 2.0**-53,
+              math.nextafter(2.0**-53, 1.0), 1.0 - 2.0**-53, 0.6,
+              *(hit_prob(c, epsilon, n) for c in (1, 3, 64) for epsilon, n in ((0.1, 10), (0.75, 1024)))]
 
-    def __init__(self, words):
-        self.words = np.array(words, dtype=np.uint64)
 
-    def raw(self, count):
-        assert count == len(self.words)
-        return self.words[None, :]
+def limit_words(rate):
+    """The words at and around the limit L * 2^11, L = ceil(rate * 2^53), that fit in 64 bits.
+
+    (L << 11) - 1 is the last word whose double (w >> 11) * 2^-53 is below
+    the rate and L << 11 the first that is not.
+    """
+    limit = math.ceil(rate * 2.0**53)
+    edges = [(limit << 11) - 1, limit << 11, (limit - 1) << 11, ((limit + 1) << 11) - 1]
+    return [w for w in edges if 0 <= w < 2**64]
 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    st.floats(2.0**-1074, 0.2) | st.sampled_from([0.2, 2.0**-1074, 2.0**-1022, 1e-300, 0.1]),
-    st.lists(st.integers(0, 2**64 - 1), min_size=8, max_size=8),
+    st.floats(0.0, 1.0) | st.sampled_from(EDGE_RATES),
+    st.lists(st.integers(0, 2**64 - 1), min_size=4, max_size=4),
 )
-def test_d1_raw_word_comparison_equals_the_double_comparison(epsilon, words):
-    # words at and around the limit L * 2^11, L = ceil(3 epsilon 2^53), and
-    # at the doubles just below and at 3 epsilon, all read as (w >> 11) 2^-53
-    limit = math.ceil(3.0 * epsilon * 2.0**53)
-    edges = [(limit << 11) - 1, limit << 11, (limit - 1) << 11, ((limit + 1) << 11) - 1]
-    words = (words + [w for w in edges if 0 <= w < 2**64])[:16]
-    words += [0] * (16 - len(words))
-    table = sample_d1(4, epsilon, FixedWords(words)).table.tolist()
-    assert table == [int((w >> 11) * 2.0**-53 < 3.0 * epsilon) for w in words]
+def test_d1_raw_word_comparison_equals_the_double_comparison(rate, words):
+    # a coin fires when w >> 11 is below ceil(rate 2^53): exactly when the
+    # double (w >> 11) 2^-53 is below the rate, for every rate in [0, 1]
+    words = words + limit_words(rate)
+    expected = [(w >> 11) * 2.0**-53 < rate for w in words]
+    assert stream_with_words(words).below(1, rate)[:, 0].tolist() == expected
+    assert stream_with_words(words, 9).below_at([9], [rate]).tolist() == [[e] for e in expected]
+    # the D1 coin at rate 3 epsilon, in the full table and in a point read
+    epsilon = min(rate, 0.6) / 3.0
+    if epsilon > 0.0:
+        words = words[:4] + limit_words(3.0 * epsilon)
+        expected = [int((w >> 11) * 2.0**-53 < 3.0 * epsilon) for w in words]
+        tables = [sample_d1(1, epsilon, stream_with_words([w])).table for w in words]
+        assert [int(table[0]) for table in tables] == expected
+        points = sample_d1_block_at(4, epsilon, stream_with_words(words, 9), [9])
+        assert points[:, 0].tolist() == expected
 
 
 def test_d1_raw_words_equal_the_stream_doubles():
     for seed, epsilon in ((1, 0.2), (2, 0.05), (3, 2.0**-30)):
         table = sample_d1(12, epsilon, RandomStream([Seed(seed)], "d1")).table
-        doubles = RandomStream([Seed(seed)], "d1").random(1 << 12)[0]
+        doubles = ScalarStream(Seed(seed), "d1").random(1 << 12)[0]
         assert table.tolist() == (doubles < 3.0 * epsilon).astype(np.uint8).tolist()
+
+
+def test_d1_table_is_its_peak_memory():
+    # the 2^20 coins are the one 1 MiB allocation: the words behind them are
+    # read and compared a chunk at a time and never held
+    sample_d1(20, 0.05, RandomStream([Seed(0)], "d1"))
+    stream = RandomStream([Seed(1)], "d1")
+    tracemalloc.start()
+    try:
+        table = sample_d1(20, 0.05, stream)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.table.nbytes == 1 << 20
+    assert peak <= (1 << 20) + (1 << 18)
 
 
 @st.composite
@@ -343,7 +379,7 @@ def test_d1_point_reads_equal_the_full_table(read, seed):
 def test_d1_point_reads_compare_strictly():
     # An entry whose uniform equals 3 * epsilon exactly is 0 in both forms.
     n = 6
-    full = RandomStream([Seed(9)], "d1").random(1 << n)[0].tolist()
+    full = ScalarStream(Seed(9), "d1").random(1 << n)[0].tolist()
     for code, u in enumerate(full):
         third = u / 3.0
         exact = [e for e in (third, math.nextafter(third, 0.0), math.nextafter(third, 1.0))

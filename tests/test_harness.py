@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from functools import partial
 from pathlib import Path
@@ -404,6 +405,27 @@ def test_verify_d2_small():
     report = run_experiment(cfg)
     assert report.passed
     assert report.rows[0]["certified_fraction"] > 0.5
+
+
+@pytest.mark.parametrize("experiment, epsilon", [("verify_d1", 0.1), ("verify_d2", 2.0**-4)])
+def test_tail_experiment_memory_does_not_grow_with_trials(experiment, epsilon, monkeypatch):
+    # the trial seeds come in the blocks of _seed_blocks, here 16 trials each,
+    # so ten times the trials hold no more seeds at once; the seeds stay the same
+    params = desk_params(6, epsilon=epsilon)
+    full = {trials: run_experiment(ExperimentConfig(params, experiment, trials, 5)).rows
+            for trials in (64, 640)}
+    monkeypatch.setattr(harness, "GAME_BLOCK_CELLS", 128 * 16)
+    peaks = {}
+    for trials in (64, 640):
+        config = ExperimentConfig(params, experiment, trials, 5)
+        tracemalloc.start()
+        try:
+            rows = run_experiment(config).rows
+            _, peaks[trials] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rows == full[trials]
+    assert peaks[640] <= peaks[64] + 8 * 1024
 
 
 def test_budget_game_small():

@@ -20,8 +20,10 @@ from junta_lab.rng import (
     derive_u64,
     pack_each,
     pack_ints,
+    word_limit,
 )
 from references import (
+    ScalarStream,
     general_encoding,
     reference_bit,
     reference_bounded,
@@ -118,16 +120,16 @@ def test_keyed_digest_equals_the_fresh_blake2b_reference(seed_value, role, prefi
     expected = int.from_bytes(reference_digest(seed, role, whole), "big")
     assert derive_u64(seed, role, whole) == expected
     assert derive_bit(seed, role, whole, threshold) == reference_bit(seed, role, whole, threshold)
-    keyed = KeyedDigest.of(seed, role).extend(prefix)
-    assert keyed.u64(payload) == expected
-    assert keyed.below([payload, payload], byte_limit(threshold)) == [
+    keyed = KeyedDigest.of(seed, role)
+    assert keyed.u64(whole) == expected
+    assert keyed.below([whole, whole], byte_limit(threshold)) == [
         bool(reference_bit(seed, role, whole, threshold))
     ] * 2
-    # the prefix split anywhere between the state and the head
+    # the prefix split anywhere between the head and the payloads
     for cut in (0, len(prefix) // 2, len(prefix)):
-        head = prefix[cut:]
-        split = KeyedDigest.of(seed, role).extend(prefix[:cut])
-        assert split.below_after(head, [payload, b"", payload], byte_limit(threshold)) == [
+        head, rest = prefix[:cut], prefix[cut:]
+        assert keyed.below_after(head, [rest + payload, rest, rest + payload],
+                                 byte_limit(threshold)) == [
             bool(reference_bit(seed, role, whole, threshold)),
             bool(reference_bit(seed, role, prefix, threshold)),
             bool(reference_bit(seed, role, whole, threshold)),
@@ -208,7 +210,7 @@ def test_stream_determinism():
     s1 = RandomStream([Seed(9)], "demo")
     s2 = RandomStream([Seed(9)], "demo")
     assert s1.raw(10).tolist() == s2.raw(10).tolist()
-    assert s1.random(1).tolist() == s2.random(1).tolist()
+    assert s1.below(8, 0.5).tolist() == s2.below(8, 0.5).tolist()
     other = RandomStream([Seed(9)], "demo2")
     assert s1.raw(1).tolist() != other.raw(1).tolist()
 
@@ -271,20 +273,24 @@ def test_stream_keys_equal_the_reference_keys(values, role):
     assert RandomStream(seeds, role)._state.tolist() == [reference_key(s, role) for s in seeds]
 
 
+# One rate per coin of ``first_draws``: fair coins and the edges of [0, 1].
+FIRST_RATES = [0.5, 0.5, 0.5, 0.0, 1.0, 2.0**-53, 1.0 - 2.0**-53, 0.3]
+
+
 def first_draws(stream):
-    """A double, a bounded draw and 8 coins from each row of ``stream``, as one tuple per row."""
-    first = stream.random(1)[:, 0].tolist()
+    """A coin, a bounded draw and 8 coins from each row of ``stream``, as one tuple per row."""
+    first = stream.below(1, 0.3)[:, 0].tolist()
     bounded = stream.bounded([1000])[:, 0].tolist()
-    coins = (stream.random(8) < 0.5).tolist()
+    coins = stream.below(8, FIRST_RATES).tolist()
     return list(zip(first, bounded, coins))
 
 
 def reference_first_draws(seed, role):
     """``first_draws`` of the one stream of (seed, role), from ``reference_stream``."""
     words = reference_stream(seed, role)
-    first = reference_double(words)
+    first = reference_double(words) < 0.3
     bounded = reference_bounded(words, 1000)
-    return first, bounded, [reference_double(words) < 0.5 for _ in range(8)]
+    return first, bounded, [reference_double(words) < rate for rate in FIRST_RATES]
 
 
 @pytest.mark.parametrize("role", ["M", "d1", LONG_ROLE, ""])
@@ -306,42 +312,59 @@ def test_many_streams_of_a_split_block_are_the_same_streams():
     assert split == whole
     empty = RandomStream([], "A")
     assert len(empty) == 0
-    assert empty.random(3).shape == (0, 3)
-    assert empty.random_at([2, 5]).shape == (0, 2)
+    assert empty.below(3, 0.5).shape == (0, 3)
+    assert empty.below_at([2, 5], 0.5).shape == (0, 2)
     assert empty.bounded([5, 1]).shape == (0, 2)
 
 
+RATES = st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0, 0.5, 2.0**-1074, 2.0**-53, 1.0 - 2.0**-53])
+
+
+def coin_draws(positions):
+    """(positions, rate) for ``below`` or ``below_at``: one rate, or one per position."""
+    count = positions if isinstance(positions, int) else len(positions)
+    return st.tuples(st.just(positions), RATES | st.lists(RATES, min_size=count, max_size=count))
+
+
 DRAWS = st.one_of(
-    st.tuples(st.just("random"), st.integers(0, 5)),
-    st.tuples(st.just("raw"), st.integers(0, 5)),
-    st.tuples(st.just("random_at"), st.sets(st.integers(0, 300), max_size=4).map(sorted)),
-    st.tuples(st.just("bounded"), st.lists(
+    st.tuples(st.just("below"), st.integers(0, 5).flatmap(coin_draws)),
+    st.tuples(st.just("raw"), st.tuples(st.integers(0, 5))),
+    st.tuples(st.just("below_at"),
+              st.sets(st.integers(0, 300), max_size=4).map(sorted).flatmap(coin_draws)),
+    st.tuples(st.just("bounded"), st.tuples(st.lists(
         st.one_of(st.integers(1, 40), st.integers(1, 2**32), st.sampled_from([2**31 + 1, 2**32])),
-        max_size=6)),
+        max_size=6))),
 )
 
 
 def stream_draws(words, draws):
-    """The values ``draws`` gives on one stream's ``words``, draw after draw."""
+    """The values ``draws`` gives on one stream's ``words``, draw after draw.
+
+    A coin at rate r is the double comparison: the word's double below r.
+    """
     out = []
-    for kind, arg in draws:
-        if kind == "random":
-            out.append([reference_double(words) for _ in range(arg)])
+    for kind, args in draws:
+        if kind == "below":
+            count, rate = args
+            rates = rate if isinstance(rate, list) else [rate] * count
+            out.append([reference_double(words) < r for r in rates])
         elif kind == "raw":
-            out.append(take(words, arg))
-        elif kind == "random_at":
-            full = [reference_double(words) for _ in range(arg[-1] + 1)] if arg else []
-            out.append([full[p] for p in arg])
+            out.append(take(words, *args))
+        elif kind == "below_at":
+            positions, rate = args
+            rates = rate if isinstance(rate, list) else [rate] * len(positions)
+            full = [reference_double(words) for _ in range(positions[-1] + 1)] if positions else []
+            out.append([full[p] < r for p, r in zip(positions, rates)])
         else:
-            out.append([reference_bounded(words, r) for r in arg])
+            out.append([reference_bounded(words, r) for r in args[0]])
     return out
 
 
 def block_draws(stream, draws):
     """Each row's values for ``draws`` on ``stream``, draw after draw."""
     rows = [[] for _ in range(len(stream))]
-    for kind, arg in draws:
-        for row, values in zip(rows, getattr(stream, kind)(arg).tolist()):
+    for kind, args in draws:
+        for row, values in zip(rows, getattr(stream, kind)(*args).tolist()):
             row.append(values)
     return rows
 
@@ -350,7 +373,7 @@ def block_draws(stream, draws):
 @given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6),
        draws=st.lists(DRAWS, max_size=6))
 def test_block_draws_equal_the_per_seed_streams(seeds, draws):
-    # random, raw, random_at and bounded, interleaved in any order: each row
+    # below, raw, below_at and bounded, interleaved in any order: each row
     # moves past exactly the words its draws read, rejected words included
     seeds = [Seed(v) for v in seeds]
     rows = block_draws(RandomStream(seeds, "r"), draws)
@@ -386,21 +409,26 @@ EDGE_SEEDS = [[Seed(0)], [Seed(2**64 - 1)], [Seed(0), Seed(2**64 - 1), Seed(5)]]
 @pytest.mark.parametrize("count", LONG_READS)
 @pytest.mark.parametrize("seeds", EDGE_SEEDS, ids=["0", "2^64-1", "three"])
 def test_long_reads_equal_the_per_seed_streams(seeds, count):
-    # a read runs in chunks of _CHUNK positions; every chunk boundary must join up
-    doubles, words = RandomStream(seeds, "r").random(count), RandomStream(seeds, "r").raw(count)
-    assert doubles.shape == words.shape == (len(seeds), count) and words.dtype == np.uint64
-    for seed, row, raw_row in zip(seeds, doubles.tolist(), words.tolist()):
-        assert row == RandomStream([seed], "r").random(count)[0].tolist()
+    # a read runs in chunks of _CHUNK positions; every chunk boundary must join up,
+    # for the words, the coins and the per-position rates of the coins
+    rates = np.linspace(0.0, 1.0, count)
+    coins, words = RandomStream(seeds, "r").below(count, rates), RandomStream(seeds, "r").raw(count)
+    assert coins.shape == words.shape == (len(seeds), count) and words.dtype == np.uint64
+    assert coins.dtype == bool
+    for seed, row, raw_row in zip(seeds, coins.tolist(), words.tolist()):
+        assert row == RandomStream([seed], "r").below(count, rates)[0].tolist()
         assert raw_row == take(reference_stream(seed, "r"), count)
+        assert row == [(w >> 11) * 2.0**-53 < r for w, r in zip(raw_row, rates.tolist())]
 
 
 @pytest.mark.parametrize("seeds", EDGE_SEEDS, ids=["0", "2^64-1", "three"])
 def test_successive_long_reads_continue_one_stream(seeds):
     # each read starts where the last one stopped, mid-chunk or on a boundary,
     # and bounded draws between long reads move each row by the words they read
-    reads = [("bounded", [7]), ("random", _CHUNK + 1), ("raw", _CHUNK - 1),
-             ("bounded", [5, 2**32]), ("random", 2 * _CHUNK), ("bounded", [9]),
-             ("raw", 3), ("random", 3 * _CHUNK + 5), ("bounded", [2**31 + 1, 3])]
+    reads = [("bounded", ([7],)), ("below", (_CHUNK + 1, 0.5)), ("raw", (_CHUNK - 1,)),
+             ("bounded", ([5, 2**32],)), ("below", (2 * _CHUNK, [0.25, 0.75] * _CHUNK)),
+             ("bounded", ([9],)), ("raw", (3,)), ("below", (3 * _CHUNK + 5, 0.1)),
+             ("bounded", ([2**31 + 1, 3],))]
     rows = block_draws(RandomStream(seeds, "r"), reads)
     assert rows == [stream_draws(reference_stream(seed, "r"), reads) for seed in seeds]
 
@@ -469,30 +497,80 @@ def test_seed_mix_is_the_mix_digest_of_the_packed_index(index):
 @given(
     seed=st.integers(min_value=0, max_value=2**64 - 1),
     positions=st.sets(st.integers(min_value=0, max_value=4095), max_size=12),
+    rate=RATES,
 )
-def test_random_at_equals_the_full_draw(seed, positions):
+def test_below_at_equals_the_full_draw(seed, positions, rate):
     seeds = [Seed(seed), Seed(seed ^ 1)]
     ordered = sorted(positions)
-    got = RandomStream(seeds, "r").random_at(ordered).tolist()
-    for s, row in zip(seeds, got):
-        full = RandomStream([s], "r").random(4096)[0]
-        assert row == [full[p] for p in ordered] == reference_random_at(s, "r", ordered)
+    # one rate for every position, and one per position
+    per_position = [(rate + j / 7) % 1.0 for j in range(len(ordered))]
+    for rates in (rate, per_position):
+        got = RandomStream(seeds, "r").below_at(ordered, rates).tolist()
+        at = np.broadcast_to(rates, (len(ordered),)).tolist()
+        for s, row in zip(seeds, got):
+            full = RandomStream([s], "r").below(4096, rate)[0]
+            expected = [u < r for u, r in zip(reference_random_at(s, "r", ordered), at)]
+            assert row == expected
+            if rates is rate:
+                assert row == [full[p] for p in ordered]
 
 
-def test_random_at_leaves_the_stream_past_the_last_position():
-    full = RandomStream([Seed(2)], "r").random(10)[0]
+def test_below_at_leaves_the_stream_past_the_last_position():
+    words = RandomStream([Seed(2)], "r").raw(10)[0].tolist()
+    coins = [(w >> 11) * 2.0**-53 < 0.5 for w in words]
     block = RandomStream([Seed(2)], "r")
-    assert block.random_at([0, 3]).tolist() == [[full[0], full[3]]]
-    assert block.random(2).tolist() == [full[4:6].tolist()]
-    assert block.random_at([1]).tolist() == [[full[7]]]
-    assert RandomStream([Seed(2)], "r").random_at([]).shape == (1, 0)
+    assert block.below_at([0, 3], 0.5).tolist() == [[coins[0], coins[3]]]
+    assert block.below(2, 0.5).tolist() == [coins[4:6]]
+    assert block.below_at([1], 0.5).tolist() == [[coins[7]]]
+    assert block.raw(1).tolist() == [words[8:9]]
+    assert RandomStream([Seed(2)], "r").below_at([], 0.5).shape == (1, 0)
 
 
-def test_random_at_rejects_unsorted_or_negative_positions():
+def test_below_at_rejects_unsorted_or_negative_positions():
     for positions in ([3, 1], [2, 2], [-1]):
         with pytest.raises(InvalidInput):
-            RandomStream([Seed(2)], "r").random_at(positions)
+            RandomStream([Seed(2)], "r").below_at(positions, 0.5)
     with pytest.raises(InvalidInput):
-        RandomStream([Seed(2)], "r").random(-1)
+        RandomStream([Seed(2)], "r").below(-1, 0.5)
     with pytest.raises(InvalidInput):
         RandomStream([Seed(2)], "r").raw(-1)
+
+
+@pytest.mark.parametrize(
+    "rate, limit",
+    [(0.0, 0), (2.0**-1074, 1), (math.nextafter(2.0**-53, 0.0), 1), (2.0**-53, 1),
+     (math.nextafter(2.0**-53, 1.0), 2), (0.5, 2**52), (1.0 - 2.0**-53, 2**53 - 1), (1.0, 2**53)],
+)
+def test_word_limit_is_the_ceiling_of_rate_times_2_53(rate, limit):
+    """Words whose top 53 bits are limit - 1 fire and limit do not; rate 1 fires on every word."""
+    assert word_limit(rate) == limit and word_limit([rate, rate]).tolist() == [limit] * 2
+    tops = [top for top in (limit - 1, limit) if 0 <= top < 2**53]
+    for top in tops:
+        assert (top < limit) == (top * 2.0**-53 < rate)
+
+
+def test_coin_rates_lie_in_the_unit_interval_one_or_one_per_position():
+    block = RandomStream([Seed(2)], "r")
+    for rate in (-2.0**-1074, 1.0 + 2.0**-52, math.nan, [0.5, 2.0]):
+        with pytest.raises(InvalidInput):
+            word_limit(rate)
+        with pytest.raises(InvalidInput):
+            block.below(2, rate)
+        with pytest.raises(InvalidInput):
+            block.below_at([0, 1], rate)
+    for rates in ([0.5], [0.5, 0.5, 0.5], [[0.5, 0.5]]):
+        with pytest.raises(InvalidInput):
+            block.below(2, rates)
+        with pytest.raises(InvalidInput):
+            block.below_at([3, 4], rates)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), rates=st.lists(RATES, max_size=40))
+def test_coins_equal_the_scalar_double_comparison(seed, rates):
+    # per-position rates and one rate, against the scalar stream's doubles
+    stream = RandomStream([Seed(seed)], "coins")
+    scalar = ScalarStream(Seed(seed), "coins")
+    assert stream.below(len(rates), rates).tolist() == scalar.below(len(rates), rates).tolist()
+    for rate in rates[:3]:
+        assert stream.below(5, rate).tolist() == (scalar.random(5) < rate).tolist()

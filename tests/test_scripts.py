@@ -77,7 +77,6 @@ SMALL_BENCH = {
     "PLAN_N": (8, 40), "DIGEST_TABLE_N": (8,),
     "EDGE_COUNTS_N": 8, "CLI_CALLS": 3, "TAIL_N": (8,), "STRUCTURED_CASES": ((8, 0.1), (8, 1.0)),
     "STRUCTURED_PER_KIND": 3, "STRUCTURED_QUERIES": 4, "VERIFY_SEEDS": (3,),
-    "TABLE_D1": (2, 8), "TABLE_D2": ((8, 2), (8, 255)),
 }
 
 

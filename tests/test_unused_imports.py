@@ -1,7 +1,9 @@
 """Every name a module imports under src/, tests/ or scripts/ is used in that module.
 
 No module under src/ names ``numpy.random``: every random draw comes from
-``rng.RandomStream`` or a keyed digest.
+``rng.RandomStream`` or a keyed digest.  No module under src/ reads a
+stream's doubles or scales a word by 2^-53 either: every coin is a word
+compared with ``rng.word_limit`` or a digest with ``rng.byte_limit``.
 """
 
 import ast
@@ -63,6 +65,15 @@ def test_src_never_names_numpy_random():
              for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
              if re.search(r"\b(numpy|np)\.random\b", line)]
     assert not named, "numpy.random named under src/:\n" + "\n".join(named)
+
+
+def test_src_reads_no_stream_doubles():
+    doubles = re.compile(r"\.random\(|\brandom_at\(|2\.0\s*\*\*\s*-53")
+    named = [f"{path.relative_to(ROOT)}:{number}: {line.strip()}"
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if doubles.search(line)]
+    assert not named, "stream doubles read under src/:\n" + "\n".join(named)
 
 
 def test_the_scan_sees_an_unused_import(tmp_path):
