@@ -75,6 +75,10 @@ Sections, in order:
   where the fiberwise form derives one per query
   (``eval_many_digest_counts``).  The before sides share today's
   ``pack_ints``, so they run a little faster than the code they stand for.
+  Then lazy instances at desk n in ``LAZY_N``, where t runs to the
+  hundreds: a yes instance's ``eval_many`` at 1 and at 64 random queries
+  against ``fiberwise_eval_many``, and ``sample_block_at`` on 3 no-style
+  seeds and 16 queries against ``instance_answers``.
 - ``verify_sampling``: the instances ``verify_yes`` and ``verify_no``
   draw, yes and no at desk n = ``DESK_N`` on ``VERIFY_SEEDS`` seeds:
   ``sample_block`` on the whole block against one ``complement_sample``
@@ -82,8 +86,8 @@ Sections, in order:
 
 The sizes each section runs at are the module constants below, so a test
 can run every section small.  The script exits 1 if any comparison
-fails, and writes BENCH_34.json at the root of the checkout (BENCH_30.json,
-BENCH_25.json, BENCH_23.json, BENCH_22.json, BENCH_21.json, BENCH_18.json and
+fails, and writes BENCH_41.json at the root of the checkout (BENCH_34.json,
+BENCH_30.json, BENCH_25.json, BENCH_23.json, BENCH_22.json, BENCH_21.json, BENCH_18.json and
 BENCH_17.json are earlier runs; BENCH_2, BENCH_3,
 BENCH_5, BENCH_6, BENCH_7, BENCH_10, BENCH_11, BENCH_12, BENCH_14 and
 BENCH_15.json are earlier runs, in the earlier per-section layout).
@@ -167,7 +171,7 @@ from references import (  # noqa: E402
     set_checked_deserialize,
 )
 
-OUTPUT = ROOT / "BENCH_34.json"
+OUTPUT = ROOT / "BENCH_41.json"
 SEED = 1
 REPEATS = {"to_table": 3, "distance": 3, "matching": 3, "kernel": 7, "frontier": 3, "games": 5,
            "strings_game": 11, "stream_seeding": 21, "budget_game": 11, "seed_derivation": 7,
@@ -198,6 +202,7 @@ DTV_ARGV = ["dtv", "--c", "1", "--p", "0.5", "--q", "0.75", "--lambda", "1.0"]
 TAIL_N = (16, 18, 20)
 STRUCTURED_CASES = ((10, 0.1), (12, 0.1), (14, 0.1), (12, 1.0))
 STRUCTURED_PER_KIND, STRUCTURED_QUERIES = 10, 16
+LAZY_N = (256, 1024, 4096)
 VERIFY_SEEDS = (10, 20, 256)
 
 
@@ -565,6 +570,26 @@ def structured_pairs() -> list[Pair]:
                  lambda fs=fs, xs=xs: [f.eval_many(xs) for f in fs],
                  tuple(map(sum, zip(*(eval_many_digest_counts(f, xs) for f in fs))))),
         ]
+    for n in LAZY_N:
+        p = desk_params(n)
+        seeds = Seed(SEED).mixes(range(3))
+        f = sample_yes(p, seeds[0])
+        draw = random.Random(SEED)
+        xs = [BitString(n, draw.getrandbits(n)) for _ in range(64)]
+        label = f"desk n = {n}, t = {p.t}, |A| = {len(f.A)}, yes instance of Seed({SEED}).mix(0)"
+        for count in (1, 64):
+            pairs.append(Pair(f"lazy eval_many n = {n}, {count} queries",
+                              f"{label}, {count} random queries, gather against fiberwise",
+                              lambda xs=xs[:count], f=f: fiberwise_eval_many(f, xs),
+                              lambda xs=xs[:count], f=f: f.eval_many(xs),
+                              eval_many_digest_counts(f, xs[:count])))
+        pairs.append(Pair(f"lazy sample_block_at n = {n}",
+                          f"desk n = {n}, t = {p.t}, no-style seeds Seed({SEED}).mix(0..2), "
+                          "16 random queries, block against one instance per seed",
+                          lambda p=p, seeds=seeds, xs=xs[:16]:
+                              instance_answers(p, NO_STYLE, seeds, xs).tolist(),
+                          lambda p=p, seeds=seeds, xs=xs[:16]:
+                              sample_block_at(p, NO_STYLE, seeds, xs).tolist()))
     return pairs
 
 

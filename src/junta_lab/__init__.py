@@ -5,9 +5,7 @@ from .boolfn import (
     IndexSet,
     StructuredFn,
     TruthTable,
-    address_index,
     flip,
-    hamming,
     relevant_variables,
     to_table,
 )
@@ -19,9 +17,7 @@ __all__ = [
     "IndexSet",
     "StructuredFn",
     "TruthTable",
-    "address_index",
     "flip",
-    "hamming",
     "relevant_variables",
     "to_table",
     "DESK_SCALE",

@@ -3,8 +3,9 @@
 Coordinate indices are 1-based throughout the public API.  A length-n bit
 string is encoded as the integer whose binary expansion, most significant
 bit first, reads x_1 x_2 ... x_n; truth tables are indexed by that code.
-The addressing map uses the same convention: the smallest index of the
-addressing set contributes the most significant bit.
+The addressing map x -> x|_M uses the same convention: the smallest
+index of the addressing set contributes the most significant bit.  Its
+one implementation is the gather ``_addresses``.
 
 A structured instance's values come from two kernels that every
 evaluation path shares: ``_fiber`` (a fiber's coordinate subset S and
@@ -77,12 +78,6 @@ def flip(x: BitString, i: int) -> BitString:
     return BitString(x.length, x.code ^ (1 << (x.length - i)))
 
 
-def hamming(x: BitString, y: BitString) -> int:
-    if x.length != y.length:
-        raise DimensionMismatch(f"lengths differ: {x.length} vs {y.length}")
-    return (x.code ^ y.code).bit_count()
-
-
 @dataclass(frozen=True)
 class IndexSet:
     """A sorted duplicate-free subset of [1, universe_size]."""
@@ -118,23 +113,6 @@ class IndexSet:
 
     def __iter__(self):
         return iter(self.members)
-
-
-def address_index(M: IndexSet, x: BitString) -> int:
-    """The integer in [1, 2^|M|] encoded by x's projection on M, plus one.
-
-    The smallest member of M contributes the most significant bit.
-    """
-    if M.universe_size != x.length:
-        raise DimensionMismatch(
-            f"universe {M.universe_size} does not match string length {x.length}"
-        )
-    if not M.members:
-        raise InvalidInput("the addressing set must be non-empty")
-    value = 0
-    for i in M.members:
-        value = (value << 1) | x.bit(i)
-    return value + 1
 
 
 class TruthTable:
@@ -268,6 +246,37 @@ def _answers(states, pool, pool_codes, coin_limit: bytes, n: int, codes, address
     return out
 
 
+def _addresses(n: int, members, codes: Sequence[int]) -> np.ndarray:
+    """Each n-bit code's address under each row of ``members``: shape (rows, codes).
+
+    A row holds t members of an addressing set, 1-based and increasing; the
+    address is one plus the t-bit integer the code's bits there spell, MSB
+    first.  One fancy index reads those bits out of the (codes, n) uint8
+    bit matrix into the low bits of whole bytes, which one ``np.packbits``
+    packs: int64 while t < 63, Python ints (an object array) from t = 63.
+    """
+    members = np.asarray(members, dtype=np.intp)
+    rows, t = members.shape
+    size, width = -(-t // 8), -(-n // 8)
+    raw = np.frombuffer(b"".join([code.to_bytes(width, "big") for code in codes]), np.uint8)
+    # column 8 * width - n + i - 1 of the unpacked bytes is bit i
+    bits = np.unpackbits(raw.reshape(len(codes), width), axis=1)
+    spelled = np.zeros((len(codes), rows, 8 * size), np.uint8)
+    spelled[..., 8 * size - t:] = bits[:, members + (8 * width - n - 1)]
+    packed = np.packbits(spelled).reshape(len(codes), rows, size)
+    if t < 63:
+        # each address's bytes, least significant first, in one 8-byte word
+        words = np.zeros((len(codes), rows, 8), np.uint8)
+        words[..., :size] = packed[..., ::-1]
+        addresses = words.view("<i8")[..., 0]
+    else:
+        data = packed.tobytes()
+        addresses = np.array([int.from_bytes(data[i:i + size], "big")
+                              for i in range(0, len(data), size)], object).reshape(len(codes), rows)
+    addresses += 1
+    return addresses.T
+
+
 def _query_codes(n: int, xs: Sequence[BitString]) -> list[int]:
     """The codes of the queries ``xs``; raises unless every one has length n."""
     codes = [x.code for x in xs if x.length == n]
@@ -293,9 +302,10 @@ class StructuredFn:
     membership kernel (``_fiber``), which reads S off |A| digests of the
     address and a member after the S-state; the value of h is then a
     digest of the bits of x on S after (address, |S|, *S) and the h-state,
-    so no digest pays the key schedule again.  ``eval_many`` is the
-    evaluation kernel ``_answers``, which ``structured_answers`` runs for a
-    block of instances without building them.
+    so no digest pays the key schedule again.  ``eval_many`` reads its
+    queries' addresses with one ``_addresses`` gather and answers them by
+    the evaluation kernel ``_answers``, which ``structured_answers`` runs
+    for a block of instances without building them.
     """
 
     params: Params
@@ -341,20 +351,17 @@ class StructuredFn:
     def eval_many(self, xs: Sequence[BitString]) -> tuple[int, ...]:
         """``tuple(self.eval(x) for x in xs)``, deriving each address's fiber once.
 
-        The address is read by shifts on ``x.code``.  Queries of one fiber
+        The addresses are one ``_addresses`` gather.  Queries of one fiber
         that agree on S share one value of h, so each distinct (address, x
         on S) costs one digest: a fiber with empty S answers all of its
         queries with one.
         """
         n = self.n
         codes = _query_codes(n, xs)
-        addresses = [0] * len(codes)
-        for shift in [n - i for i in self.M.members]:
-            addresses = [(address << 1) | ((code >> shift) & 1)
-                         for address, code in zip(addresses, codes)]
+        addresses = _addresses(n, [self.M.members], codes)[0].tolist()
         states = (self._s_state, self._h_state)
         bits = _answers(states, self.A.members, self._pool_codes, self._coin_limit, n, codes,
-                        [address + 1 for address in addresses])
+                        addresses)
         return tuple([int(bit) for bit in bits])
 
 
@@ -366,25 +373,14 @@ def structured_answers(
 
     M_i and A_i are the coordinates (1-based) where row i of the boolean
     (seeds, n) masks ``in_m`` and ``in_a`` is set; the kind only chooses
-    how A was drawn.  The addresses of every query for the whole block are
-    array steps: one shift-and-or per member of M, in increasing order, of
-    the queries' bits at that member, in the narrowest unsigned type that
-    holds 2^t (Python integers when t > 63).  Each row then runs
-    ``_answers`` on its seed's keyed states, so a trial builds no
-    instance, index set or extended state.  Shape (seeds, xs), uint8.
+    how A was drawn.  The addresses of every query under every M_i are one
+    ``_addresses`` gather.  Each row then runs ``_answers`` on its seed's
+    keyed states, so a trial builds no instance, index set or extended
+    state.  Shape (seeds, xs), uint8.
     """
     n, t = params.n, params.t
     codes = _query_codes(n, xs)
-    width = -(-n // 8)
-    # bits[i - 1, j] is bit i of query j
-    bits = np.array([np.unpackbits(np.frombuffer(code.to_bytes(width, "big"), np.uint8))[-n:]
-                     for code in codes], dtype=np.uint8).reshape(len(codes), n).T
-    members = np.nonzero(in_m)[1].reshape(len(seeds), t)
-    addresses = np.zeros((len(seeds), len(codes)), dtype=np.min_scalar_type(1 << t))
-    for column in members.T:
-        addresses <<= 1
-        addresses |= bits[column]
-    addresses += 1
+    addresses = _addresses(n, np.nonzero(in_m)[1].reshape(len(seeds), t) + 1, codes)
     coords = range(1, n + 1)
     coord_codes = pack_each(coords)
     coin_limit = byte_limit(params.coin_prob)

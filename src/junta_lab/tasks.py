@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .binom_stats import BinomialSpec, hit_prob, product_dtv, tv_distance
-from .boolfn import BitString, IndexSet, address_index
+from .boolfn import BitString, IndexSet, _addresses
 from .errors import (
     BadM,
     DimensionMismatch,
@@ -376,6 +376,8 @@ def build_set_queries(
     m = len(label_coords)
     if m == 0:
         raise InvalidInput("M leaves no coordinates for set queries")
+    if not M.members:
+        raise InvalidInput("the addressing set must be non-empty")
 
     # Per class, its first query's code and the coordinates where any of
     # its queries differs from that one.
@@ -383,14 +385,14 @@ def build_set_queries(
     bases: list[int] = []
     diff_masks: list[int] = []
     class_of = []
-    for x in X.queries:
-        addr = address_index(M, x)
+    codes = [x.code for x in X.queries]
+    for code, addr in zip(codes, _addresses(X.n, [M.members], codes)[0].tolist()):
         if addr not in class_index:
             class_index[addr] = len(bases)
-            bases.append(x.code)
+            bases.append(code)
             diff_masks.append(0)
         c = class_index[addr]
-        diff_masks[c] |= bases[c] ^ x.code
+        diff_masks[c] |= bases[c] ^ code
         class_of.append(c)
 
     n = X.n

@@ -23,6 +23,11 @@ package follows.  ``counted_digests`` counts the digests the package's
 keyed states derive, and ``fresh_digests`` swaps those states for
 ``FreshDigest``.
 
+``hamming`` is the Hamming distance and ``address_index`` the
+addressing map x -> x|_M, one bit of x at a time; ``boolfn._addresses``,
+the one gather every address in the package comes from, must agree with
+it.
+
 ``fiberwise_table`` and ``fiberwise_eval_many`` are ``to_table`` and
 ``StructuredFn.eval_many`` as they were before one fiber kernel and a
 transposed-view fill replaced them; they read the instance's keyed
@@ -77,8 +82,6 @@ from junta_lab.boolfn import (
     IndexSet,
     StructuredFn,
     TruthTable,
-    address_index,
-    hamming,
 )
 from junta_lab.binom_stats import (
     _DIRECT_CAP,
@@ -100,6 +103,29 @@ from junta_lab.junta_distance import dist_to_k_junta, max_disjoint_bichromatic_m
 from junta_lab.params import coin_rate
 from junta_lab.rng import KeyedDigest, RandomStream, Seed, pack_ints
 from junta_lab.tasks import ElementQueryPlan
+
+
+def hamming(x: BitString, y: BitString) -> int:
+    if x.length != y.length:
+        raise DimensionMismatch(f"lengths differ: {x.length} vs {y.length}")
+    return (x.code ^ y.code).bit_count()
+
+
+def address_index(M: IndexSet, x: BitString) -> int:
+    """The integer in [1, 2^|M|] encoded by x's projection on M, plus one.
+
+    The smallest member of M contributes the most significant bit.
+    """
+    if M.universe_size != x.length:
+        raise DimensionMismatch(
+            f"universe {M.universe_size} does not match string length {x.length}"
+        )
+    if not M.members:
+        raise InvalidInput("the addressing set must be non-empty")
+    value = 0
+    for i in M.members:
+        value = (value << 1) | x.bit(i)
+    return value + 1
 
 
 def per_point_table(f) -> TruthTable:

@@ -16,10 +16,8 @@ from junta_lab.boolfn import (
     StructuredFn,
     TruthTable,
     YES_STYLE,
-    address_index,
     bichromatic_edge_counts,
     flip,
-    hamming,
     relevant_variables,
     to_table,
 )
@@ -30,13 +28,17 @@ from junta_lab.errors import (
     TooLarge,
 )
 from junta_lab.hardgen import sample_no, sample_yes
-from junta_lab.params import DESK_SCALE, derive_params
+from junta_lab.harness import always_yes
+from junta_lab.params import DESK_SCALE, STRICT, derive_params
 from junta_lab.rng import Seed
+from junta_lab.tasks import StringQueryPlan, build_set_queries
 from references import (
+    address_index,
     counted_digests,
     eval_many_digest_counts,
     fiberwise_eval_many,
     fiberwise_table,
+    hamming,
     keyed_fiber,
     per_direction_edge_counts,
     per_point_table,
@@ -99,10 +101,15 @@ def test_address_examples():
     assert address_index(M, BitString.from_text("0011")) == 1
     assert address_index(M, BitString.from_text("1100")) == 4
     assert address_index(M, BitString.from_text("0100")) == 2
-    with pytest.raises(InvalidInput):
-        address_index(IndexSet.of(4, []), BitString.from_text("0000"))
+    codes = [0b0000, 0b0011, 0b1100, 0b0100]
+    assert boolfn._addresses(4, [M.members], codes).tolist() == [[1, 1, 4, 2]]
+    # the set-query reduction addresses its queries by the same gather
+    plan = StringQueryPlan(tuple(BitString(4, code) for code in codes), always_yes)
+    assert build_set_queries(plan, M, 1, force=True).class_of == (0, 0, 1, 2)
+    with pytest.raises(InvalidInput, match="^the addressing set must be non-empty$"):
+        build_set_queries(plan, IndexSet.of(4, []), 1, force=True)
     with pytest.raises(DimensionMismatch):
-        address_index(IndexSet.of(3, [1]), BitString.from_text("0000"))
+        build_set_queries(plan, IndexSet.of(3, [1]), 1, force=True)
 
 
 def test_address_is_balanced():
@@ -115,6 +122,22 @@ def test_address_is_balanced():
         counts[v] = counts.get(v, 0) + 1
     assert set(counts) == set(range(1, 5))
     assert all(c == 1 << (n - 2) for c in counts.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 140), st.data())
+def test_address_gather_equals_the_reference(n, data):
+    # rows of M of one size t, up to t = 139: int64 addresses below t = 63, Python ints from it
+    t = data.draw(st.integers(1, n))
+    rows = data.draw(st.lists(st.lists(st.integers(1, n), min_size=t, max_size=t, unique=True)
+                              .map(sorted), max_size=4))
+    codes = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=6))
+    got = boolfn._addresses(n, np.array(rows, dtype=np.intp).reshape(len(rows), t), codes)
+    assert got.shape == (len(rows), len(codes))
+    assert got.dtype == (np.int64 if t < 63 else object)
+    assert got.tolist() == [[address_index(IndexSet(n, tuple(row)), BitString(n, code))
+                             for code in codes] for row in rows]
+    assert all(type(address) is int for row in got.tolist() for address in row)
 
 
 def test_indexset_validation():
@@ -342,6 +365,20 @@ def test_eval_many_matches_eval():
     assert f.eval_many(xs) == expected
     assert to_table(f).eval_many(xs) == expected
     assert f.eval_many([]) == ()
+
+
+# the paper's scale: t = 96 address bits at desk n = 256, t = 432 and 1856 at
+# strict n = 1024 and 4096
+@pytest.mark.parametrize("n, mode", [(256, DESK_SCALE), (1024, STRICT), (4096, STRICT)])
+@settings(max_examples=3, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.data())
+def test_eval_many_equals_the_reference_at_long_addresses(n, mode, seed_value, data):
+    params = derive_params(n, 0.75, 0.1, mode)
+    codes = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=4))
+    xs = [BitString(n, code) for code in codes]
+    for sampler in (sample_yes, sample_no):
+        f = sampler(params, Seed(seed_value))
+        assert f.eval_many(xs) == tuple(reference_eval(f, x) for x in xs)
 
 
 @settings(max_examples=25, deadline=None)

@@ -596,7 +596,7 @@ GOLDEN_CLI = Path(__file__).resolve().parent / "golden" / "cli"
 def test_cli_outputs_match_the_goldens(monkeypatch, capsys):
     monkeypatch.chdir(GOLDEN_CLI)
     cases = json.loads((GOLDEN_CLI / "cases.json").read_text(encoding="utf-8"))
-    assert len(cases) == 25
+    assert len(cases) == 26
     for case in cases:
         code, out = run_cli(capsys, *case["argv"])
         assert (code, out) == (0, case["stdout"]), case["argv"]

@@ -156,10 +156,11 @@ def test_block_answers_equal_eval_many(n, epsilon, seeds, data):
         assert answers.tolist() == instance_answers(params, kind, seeds, xs).tolist()
 
 
-@pytest.mark.parametrize("t", [8, 9, 40, 63, 64])
+@pytest.mark.parametrize("t", [8, 9, 40, 62, 63, 64, 432])
 def test_block_answers_at_long_addresses_and_their_domain(t):
-    # addresses up to 2^t take the narrowest unsigned type that holds them,
-    # Python integers from t = 64; empty blocks and plans answer nothing
+    # addresses up to 2^t are int64 while t < 63 and Python integers from
+    # t = 63 on, where 2^t no longer fits; t = 432 is strict n = 1024's;
+    # empty blocks and plans answer nothing
     n = t + 6
     params = replace(desk(n), m=6, t=t)
     seeds = Seed(t).mixes(range(3))

@@ -76,7 +76,7 @@ SMALL_BENCH = {
     "STRINGS_QUERIES": 4, "STRINGS_TRIALS": 20, "STREAMS": 30, "HIDDEN_BLOCK": 9000,
     "PLAN_N": (8, 40), "DIGEST_TABLE_N": (8,),
     "EDGE_COUNTS_N": 8, "CLI_CALLS": 3, "TAIL_N": (8,), "STRUCTURED_CASES": ((8, 0.1), (8, 1.0)),
-    "STRUCTURED_PER_KIND": 3, "STRUCTURED_QUERIES": 4, "VERIFY_SEEDS": (3,),
+    "STRUCTURED_PER_KIND": 3, "STRUCTURED_QUERIES": 4, "VERIFY_SEEDS": (3,), "LAZY_N": (16,),
 }
 
 
