@@ -47,7 +47,7 @@ from .hardgen import (
     sample_d2,
 )
 from .junta_distance import dist_to_k_junta
-from .params import DESK_SCALE, Params, coin_rate, derive_params
+from .params import DESK_SCALE, Params, derive_params
 from .rng import RandomStream, Seed
 from .tasks import (
     NO,
@@ -308,11 +308,10 @@ def run_hidden_set_game(plan: AnyPlan, params: Params, trials: int, seed: int) -
     f"game-{mode}/{side}")``.  Every trial of the side reads the next
     ``m + width`` coins from it: first the m coins of ``sample_hidden``
     at the side's inclusion rate (p or q), then the ``width`` response
-    coins of ``sseq_respond`` (width m, one per element, at its
-    ``hit_prob``) or ``sssq_respond`` (width ``plan.cost``, one per query
-    slot in query order, at theta).  That is the sequence a loop of
-    ``sample_hidden(m, inclusion, stream)`` then ``respond(hidden, plan,
-    epsilon, n, stream)`` consumes.
+    coins of ``tasks.response_layout`` (width m for an element plan,
+    ``plan.cost`` for a set plan), at the layout's rates.  That is the
+    sequence a loop of ``sample_hidden(m, inclusion, stream)`` then
+    ``tasks.respond(hidden, plan, epsilon, n, stream)`` consumes.
 
     The side draws its trials as C-order blocks of shape (rows, m + width),
     each at most ``GAME_BLOCK_CELLS`` cells (at least one row) read by one
@@ -322,17 +321,12 @@ def run_hidden_set_game(plan: AnyPlan, params: Params, trials: int, seed: int) -
     once per game, and ``tasks.batch_bayes_decider`` decides every trial
     of a block at once, exactly as ``tasks.bayes_decide`` would.
     """
-    m, epsilon, n = plan.m, params.epsilon, params.n
+    m = plan.m
     if m < 1:
         raise InvalidInput(f"m must be positive, got {m}")
-    element_of = tasks.response_elements(plan)
+    element_of, responses = tasks.response_layout(plan, params.epsilon, params.n)
     width = len(element_of)
-    if isinstance(plan, ElementQueryPlan):
-        mode = "sseq"
-        responses = [binom_stats.hit_prob(c, epsilon, n) for c in plan.counts]
-    else:
-        mode = "sssq"
-        responses = [coin_rate(epsilon, n)] * width
+    mode = "sseq" if isinstance(plan, ElementQueryPlan) else "sssq"
     rows_per_block = max(1, GAME_BLOCK_CELLS // (m + width))
     game_seed = Seed(seed)
     inclusions = {YES: params.p, NO: params.q}
@@ -340,7 +334,7 @@ def run_hidden_set_game(plan: AnyPlan, params: Params, trials: int, seed: int) -
 
     def count_yes(side: str, first: int, count: int) -> int:
         stream = RandomStream([game_seed], f"game-{mode}/{side}")
-        rates = np.tile([inclusions[side]] * m + responses, rows_per_block)
+        rates = np.tile(np.concatenate((np.full(m, inclusions[side]), responses)), rows_per_block)
         yes = 0
         for done in range(0, count, rows_per_block):
             rows = min(rows_per_block, count - done)

@@ -7,8 +7,8 @@ through one of two mechanisms:
   a role.  For any payload it answers the 64-bit digest of ``(seed,
   role, payload)``, or whether that digest falls below ``byte_limit`` of
   a rate, so lazily evaluated objects re-derive any bit on demand without
-  caching and pay the key schedule once per state.  ``derive_u64`` and
-  ``derive_bit`` are its one-shot forms.
+  caching and pay the key schedule once per state.  ``derive_u64``,
+  ``derive_bit`` and ``Seed.mix`` read a fresh state once.
 * ``RandomStream(seeds, role)``: one counter-mode stream per seed, held
   as uint64 arrays.  Output j of the stream of (seed, role) is
   SplitMix64's finalizer over a Weyl sequence (Steele, Lea & Flood,
@@ -50,10 +50,13 @@ class Seed:
 
     def mix(self, index: int) -> "Seed":
         """Derive the seed for trial number ``index`` of a Monte-Carlo run."""
-        return Seed(derive_u64(self, "mix", pack_ints(index)))
+        return self.mixes([index])[0]
 
     def mixes(self, indices: Sequence[int]) -> list["Seed"]:
-        """``[self.mix(i) for i in indices]``, paying the key schedule once."""
+        """The seed of each trial i: the keyed digest of ``pack_ints(i)`` under the role "mix".
+
+        The key schedule is paid once for all the indices.
+        """
         mix = KeyedDigest.of(self, "mix")
         return [Seed(mix.u64(payload)) for payload in pack_each(indices)]
 
@@ -108,9 +111,9 @@ def _person(role: str) -> bytes:
     return hashlib.blake2b(raw, digest_size=hashlib.blake2b.PERSON_SIZE).digest()
 
 
-def _keyed(seed: Seed, role: str, data: bytes = b""):
-    """The 8-byte blake2b state keyed by ``seed``, personalized by ``role``, fed ``data``."""
-    return hashlib.blake2b(data, digest_size=8, key=seed._key(), person=_person(role))
+def _keyed(seed: Seed, role: str):
+    """The 8-byte blake2b state keyed by ``seed`` and personalized by ``role``."""
+    return hashlib.blake2b(digest_size=8, key=seed._key(), person=_person(role))
 
 
 class KeyedDigest:
@@ -137,19 +140,13 @@ class KeyedDigest:
         state.update(payload)
         return int.from_bytes(state.digest(), "big")
 
-    def below(self, payloads: Sequence[bytes], limit: bytes) -> list[bool]:
-        """For each payload, whether its digest sorts below ``limit``.
+    def below_after(self, head: bytes, payloads: Sequence[bytes], limit: bytes) -> list[bool]:
+        """For each payload p, whether the digest of ``head + p`` sorts below ``limit``.
 
         ``limit`` comes from ``byte_limit``.  Digests are big-endian, so
-        bytes order is numeric order.
-        """
-        return self.below_after(b"", payloads, limit)
-
-    def below_after(self, head: bytes, payloads: Sequence[bytes], limit: bytes) -> list[bool]:
-        """``self.below([head + p for p in payloads], limit)``, feeding the head once.
-
-        A structured instance asks this once per fiber, with the fiber's
-        address or prefix as the head.
+        bytes order is numeric order.  The head is fed once: a structured
+        instance asks this once per fiber, with the fiber's address or
+        prefix as the head.
         """
         state = self._state.copy()
         state.update(head)
@@ -183,12 +180,8 @@ def byte_limit(threshold: float) -> bytes:
 
 
 def derive_u64(seed: Seed, role: str, payload: bytes) -> int:
-    """Avalanche-mix ``(seed, role, payload)`` into a uniform 64-bit word.
-
-    ``KeyedDigest.of(seed, role).u64(payload)`` as one blake2b call, with
-    no state to copy.
-    """
-    return int.from_bytes(_keyed(seed, role, payload).digest(), "big")
+    """Avalanche-mix ``(seed, role, payload)`` into a uniform 64-bit word."""
+    return KeyedDigest.of(seed, role).u64(payload)
 
 
 def derive_bit(seed: Seed, role: str, payload: bytes, threshold: float) -> int:
@@ -199,7 +192,7 @@ def derive_bit(seed: Seed, role: str, payload: bytes, threshold: float) -> int:
     ceil(threshold * 2^64): threshold 0 never fires and threshold 1 always
     does.
     """
-    return int(KeyedDigest.of(seed, role).below((payload,), byte_limit(threshold))[0])
+    return int(KeyedDigest.of(seed, role).below_after(b"", (payload,), byte_limit(threshold))[0])
 
 
 

@@ -18,6 +18,11 @@ likelihood-threshold decider between the two inclusion rates,
 ``batch_bayes_decider`` (and ``bayes_decide`` on one response), is the
 only reader of the per-element log-likelihood tables.
 
+One oracle round, ``respond`` (also bound as ``sseq_respond`` and
+``sssq_respond``), reads the coins of ``response_layout``, the one place
+that gives each response bit its element and coin rate; the block game
+``harness.run_hidden_set_game`` and the decider read the same layout.
+
 Outcome conventions: a set-query response is a tuple of per-query bit
 tuples aligned with the sorted members of each query; an element-query
 response is a length-m bit tuple.  An exact response law is a flat list
@@ -33,6 +38,7 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -143,43 +149,48 @@ def sample_hidden(m: int, prob: float, stream: RandomStream) -> IndexSet:
     return IndexSet.of(m, (i for i, coin in enumerate(stream.below(m, prob)[0], 1) if coin))
 
 
-def sssq_respond(
+def response_layout(plan: AnyPlan, epsilon: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The element (0-based) and the coin rate of each bit of a flattened response.
+
+    A response flattens to its bits in order: an element response as it
+    is, one bit per element at ``hit_prob`` of its count, and a set
+    response query after query, one bit per slot at theta = epsilon /
+    sqrt(n).  This is the one place that makes response-coin rates.
+    """
+    if isinstance(plan, ElementQueryPlan):
+        return np.arange(plan.m), np.array([hit_prob(c, epsilon, n) for c in plan.counts])
+    theta = coin_rate(epsilon, n)
+    elements = np.array([j - 1 for T in plan.queries for j in T.members], dtype=np.intp)
+    return elements, np.full(len(elements), theta)
+
+
+def respond(
     A: IndexSet,
-    plan: SetQueryPlan,
+    plan: AnyPlan,
     epsilon: float,
     n: int,
     stream: RandomStream,
-) -> SssqResponse:
-    """One oracle round: per queried element, 0 off A, rate-theta coin on A.
+) -> Union[SssqResponse, SseqResponse]:
+    """One oracle round: each bit of ``response_layout`` is 0 off A and its coin on A.
 
-    Each query reads one coin per slot from the one-row stream.
+    The round reads its coins, one per bit at the layout's rates, with one
+    ``below`` on the one-row stream.  An element plan answers a length-m
+    bit tuple; a set plan answers one bit tuple per query, aligned with
+    the query's sorted members.  ``sseq_respond`` and ``sssq_respond`` are
+    this function.
     """
     if plan.m != A.universe_size:
         raise DimensionMismatch(f"plan universe {plan.m} != hidden universe {A.universe_size}")
-    theta = coin_rate(epsilon, n)
+    elements, rates = response_layout(plan, epsilon, n)
     members = set(A.members)
-    return tuple(tuple(int(j in members and coin)
-                       for j, coin in zip(T.members, stream.below(len(T), theta)[0]))
-                 for T in plan.queries)
+    coins = stream.below(len(rates), rates)[0].tolist()
+    bits = iter([int(e + 1 in members and coin) for e, coin in zip(elements.tolist(), coins)])
+    if isinstance(plan, ElementQueryPlan):
+        return tuple(bits)
+    return tuple(tuple(islice(bits, len(T))) for T in plan.queries)
 
 
-def sseq_respond(
-    A: IndexSet,
-    plan: ElementQueryPlan,
-    epsilon: float,
-    n: int,
-    stream: RandomStream,
-) -> SseqResponse:
-    """One oracle round: element i of A answers 1 with the compounded hit rate.
-
-    Element i reads the i-th of the one-row stream's next m coins, at
-    ``hit_prob`` of its count.
-    """
-    if plan.m != A.universe_size:
-        raise DimensionMismatch(f"plan length {plan.m} != hidden universe {A.universe_size}")
-    members = set(A.members)
-    coins = stream.below(plan.m, [hit_prob(c, epsilon, n) for c in plan.counts])[0]
-    return tuple(int(i in members and coin) for i, coin in enumerate(coins, 1))
+sseq_respond = sssq_respond = respond
 
 
 def set_plan_to_element_counts(plan: SetQueryPlan) -> ElementQueryPlan:
@@ -358,26 +369,22 @@ class ReductionPlan:
     set_plan: SetQueryPlan
 
 
-def build_set_queries(
-    X: StringQueryPlan, M: IndexSet, tau: int, force: bool = False
-) -> ReductionPlan:
+def build_set_queries(X: StringQueryPlan, M: IndexSet, tau: int) -> ReductionPlan:
     """Group queries by their projection on M and collect differing coordinates.
 
-    Raises BadM when some far pair shares a projection, unless forced for
-    negative testing.  With a separating M the total set-query cost is at
-    most tau times the number of string queries.
+    Raises BadM when some far pair shares a projection.  With a separating
+    M the total set-query cost is at most tau times the number of string
+    queries.
     """
     if M.universe_size != X.n:
         raise DimensionMismatch(f"M universe {M.universe_size} != query length {X.n}")
-    if not force and not is_separating(M, X, tau):
+    if not is_separating(M, X, tau):
         raise BadM("some query pair at distance >= tau has equal projections on M")
 
     label_coords = M.complement().members
     m = len(label_coords)
     if m == 0:
         raise InvalidInput("M leaves no coordinates for set queries")
-    if not M.members:
-        raise InvalidInput("the addressing set must be non-empty")
 
     # Per class, its first query's code and the coordinates where any of
     # its queries differs from that one.
@@ -404,7 +411,7 @@ def build_set_queries(
         for diff_mask in diff_masks
     ))
 
-    if not force and set_plan.cost > tau * X.q:
+    if set_plan.cost > tau * X.q:
         raise InconsistentInput(
             f"cost {set_plan.cost} exceeds tau * q = {tau * X.q} despite a separating M"
         )
@@ -419,14 +426,14 @@ def simulate_distinguisher(
     X: StringQueryPlan,
     M: IndexSet,
     params: Params,
-    respond: Callable[[SetQueryPlan], SssqResponse],
+    oracle: Callable[[SetQueryPlan], SssqResponse],
     stream: RandomStream,
 ) -> str:
     """Play the string-query decider against a set-query oracle.
 
-    ``respond`` is the oracle: one call answers one set plan, as
-    ``functools.partial(sssq_respond, A, epsilon=..., n=..., stream=...)``
-    does for a hidden set A.  The reduction calls it once, with the reduced
+    One call of ``oracle`` answers one set plan, as
+    ``functools.partial(respond, A, epsilon=..., n=..., stream=...)`` does
+    for a hidden set A.  The reduction calls it once, with the reduced
     set plan: that call is the oracle's one round.  It keeps the positions
     that answered 1, and feeds the decider one fresh uniform random function
     per class applied to each query's restriction to those positions.  Plans
@@ -441,7 +448,7 @@ def simulate_distinguisher(
             stacklevel=2,
         )
     plan = build_set_queries(X, M, params.tau)
-    response = respond(plan.set_plan)
+    response = oracle(plan.set_plan)
     fn_seed = Seed(int(stream.raw(1)[0, 0]))
     bits = []
     for idx, x in enumerate(X.queries):
@@ -512,22 +519,11 @@ def _log_likelihood_rows(
     return rows
 
 
-def response_elements(plan: AnyPlan) -> np.ndarray:
-    """The element (0-based) that answers each bit of a flattened response.
-
-    A response flattens to its bits in order: an element response as it is,
-    a set response query after query.
-    """
-    if isinstance(plan, ElementQueryPlan):
-        return np.arange(plan.m)
-    return np.array([j - 1 for T in plan.queries for j in T.members], dtype=np.intp)
-
-
 def batch_bayes_decider(plan: AnyPlan, params: Params) -> Callable[[np.ndarray], np.ndarray]:
     """The likelihood-threshold decider between the two inclusion rates, over a batch.
 
     The returned function takes a boolean array whose rows are responses
-    flattened as in ``response_elements`` and returns a boolean array, True
+    flattened as in ``response_layout`` and returns a boolean array, True
     where the decider answers yes: where the response's log-likelihood
     under p is at least its log-likelihood under q.  Each element's count of
     ones picks its term from the ``_log_likelihood_rows`` tables, and the
@@ -542,7 +538,7 @@ def batch_bayes_decider(plan: AnyPlan, params: Params) -> Callable[[np.ndarray],
         tables.append([np.array(row) for row in rows])
     # One entry per likelihood row: every element of an element plan, the
     # queried elements of a set plan, each in increasing order.
-    elements = response_elements(plan)
+    elements = response_layout(plan, params.epsilon, params.n)[0]
     columns = [np.flatnonzero(elements == e) for e in sorted(set(elements.tolist()))]
 
     def decide(bits: np.ndarray) -> np.ndarray:
@@ -564,12 +560,14 @@ def bayes_decide(
 ) -> str:
     """The likelihood-threshold decider on one response: a one-row ``batch_bayes_decider``.
 
-    A caller deciding many responses of one plan passes ``decide``, that
-    plan's ``batch_bayes_decider(plan, params)``, so the tables are built once.
+    The response flattens as in ``response_layout`` and must have its
+    width.  A caller deciding many responses of one plan passes
+    ``decide``, that plan's ``batch_bayes_decider(plan, params)``, so the
+    tables are built once.
     """
     if isinstance(plan, SetQueryPlan):
         response = [bit for row in response for bit in row]
-    width = len(response_elements(plan))
+    width = len(response_layout(plan, params.epsilon, params.n)[0])
     if len(response) != width:
         raise DimensionMismatch(f"response has {len(response)} bits, plan {width} slots")
     bits = np.array(response, dtype=bool).reshape(1, width)

@@ -33,6 +33,11 @@ it.
 transposed-view fill replaced them; they read the instance's keyed
 states directly, through ``keyed_fiber``.
 
+``per_query_sssq_respond`` and ``per_element_sseq_respond`` are the two
+oracle rounds as they were written before ``tasks.respond`` read every
+round's coins with one ``below`` from ``tasks.response_layout``: one
+``below`` per set query, and one per-element read of ``hit_prob`` rates.
+
 ``dict_response_law`` and ``dict_lifted_law`` are the exact response laws
 as dicts keyed by response tuples, built outcome by outcome; the flat
 laws of ``tasks`` must equal them entry for entry.  ``lift_response`` is
@@ -545,19 +550,45 @@ def reference_is_separating(M, X, tau: int) -> bool:
     )
 
 
+def per_query_sssq_respond(A, plan, epsilon: float, n: int, stream):
+    """A set-query oracle round, one ``below`` per query at theta.
+
+    Each queried element answers 0 off A and its rate-theta coin on A.
+    This is ``tasks.sssq_respond`` as it was before ``tasks.respond`` read
+    a round's coins with one ``below``.
+    """
+    if plan.m != A.universe_size:
+        raise DimensionMismatch(f"plan universe {plan.m} != hidden universe {A.universe_size}")
+    theta = coin_rate(epsilon, n)
+    members = set(A.members)
+    return tuple(tuple(int(j in members and coin)
+                       for j, coin in zip(T.members, stream.below(len(T), theta)[0]))
+                 for T in plan.queries)
+
+
+def per_element_sseq_respond(A, plan, epsilon: float, n: int, stream):
+    """An element-query oracle round: element i of A answers 1 at ``hit_prob`` of its count.
+
+    Element i reads the i-th of the stream's next m coins.  This is
+    ``tasks.sseq_respond`` as it was before ``tasks.respond`` replaced it.
+    """
+    if plan.m != A.universe_size:
+        raise DimensionMismatch(f"plan length {plan.m} != hidden universe {A.universe_size}")
+    members = set(A.members)
+    coins = stream.below(plan.m, [hit_prob(c, epsilon, n) for c in plan.counts])[0]
+    return tuple(int(i in members and coin) for i, coin in enumerate(coins, 1))
+
+
 def per_trial_game(plan, params, trials: int, seed: int, decide=None) -> float:
     """The hidden-set game's advantage, one trial at a time on each side's ``ScalarStream``.
 
-    Each trial calls ``sample_hidden``, answers with the oracle's respond
-    function on the side stream and decides the response with
-    ``decide(response)``: by default ``tasks.bayes_decide`` given the
-    plan's ``batch_bayes_decider``, built once.  This is the scalar loop
-    whose draws and answers ``run_hidden_set_game`` reproduces in blocks.
+    Each trial calls ``sample_hidden``, answers with ``tasks.respond`` on
+    the side stream and decides the response with ``decide(response)``:
+    by default ``tasks.bayes_decide`` given the plan's
+    ``batch_bayes_decider``, built once.  This is the scalar loop whose
+    draws and answers ``run_hidden_set_game`` reproduces in blocks.
     """
-    if isinstance(plan, tasks.ElementQueryPlan):
-        mode, respond = "sseq", tasks.sseq_respond
-    else:
-        mode, respond = "sssq", tasks.sssq_respond
+    mode = "sseq" if isinstance(plan, tasks.ElementQueryPlan) else "sssq"
     if decide is None:
         batch = tasks.batch_bayes_decider(plan, params)
         decide = partial(tasks.bayes_decide, plan=plan, params=params, decide=batch)
@@ -567,7 +598,7 @@ def per_trial_game(plan, params, trials: int, seed: int, decide=None) -> float:
         stream, hits = ScalarStream(Seed(seed), f"game-{mode}/{side}"), 0
         for _ in range(count):
             A = tasks.sample_hidden(plan.m, inclusion, stream)
-            hits += decide(respond(A, plan, params.epsilon, params.n, stream)) == tasks.YES
+            hits += decide(tasks.respond(A, plan, params.epsilon, params.n, stream)) == tasks.YES
         rates[side] = hits / count
     return rates[tasks.YES] - rates[tasks.NO]
 
@@ -748,9 +779,6 @@ class FreshDigest:
     def u64(self, payload: bytes) -> int:
         return int.from_bytes(reference_digest(self.seed, self.role, payload), "big")
 
-    def below(self, payloads, limit: bytes) -> list[bool]:
-        return self.below_after(b"", payloads, limit)
-
     def below_after(self, head: bytes, payloads, limit: bytes) -> list[bool]:
         return [reference_digest(self.seed, self.role, head + p) < limit for p in payloads]
 
@@ -759,8 +787,8 @@ class FreshDigest:
 def counted_digests():
     """Count the digests ``rng.KeyedDigest`` derives, which every digest-derived bit goes through.
 
-    ``below`` answers through ``below_after``, so ``u64`` and ``below_after``
-    see every digest.
+    ``u64`` and ``below_after`` see every digest, ``derive_u64``,
+    ``derive_bit`` and ``Seed.mix`` included.
     """
     u64, below_after = KeyedDigest.u64, KeyedDigest.below_after
     count = [0]

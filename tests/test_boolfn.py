@@ -104,12 +104,13 @@ def test_address_examples():
     codes = [0b0000, 0b0011, 0b1100, 0b0100]
     assert boolfn._addresses(4, [M.members], codes).tolist() == [[1, 1, 4, 2]]
     # the set-query reduction addresses its queries by the same gather
+    # tau = n + 1: no pair is that far apart, so every M separates
     plan = StringQueryPlan(tuple(BitString(4, code) for code in codes), always_yes)
-    assert build_set_queries(plan, M, 1, force=True).class_of == (0, 0, 1, 2)
+    assert build_set_queries(plan, M, 5).class_of == (0, 0, 1, 2)
     with pytest.raises(InvalidInput, match="^the addressing set must be non-empty$"):
-        build_set_queries(plan, IndexSet.of(4, []), 1, force=True)
+        build_set_queries(plan, IndexSet.of(4, []), 5)
     with pytest.raises(DimensionMismatch):
-        build_set_queries(plan, IndexSet.of(3, [1]), 1, force=True)
+        build_set_queries(plan, IndexSet.of(3, [1]), 5)
 
 
 def test_address_is_balanced():

@@ -70,7 +70,7 @@ class FixedState:
 
 
 def fires(digest_value, threshold):
-    return KeyedDigest(FixedState(digest_value)).below([b""], byte_limit(threshold))[0]
+    return KeyedDigest(FixedState(digest_value)).below_after(b"", [b""], byte_limit(threshold))[0]
 
 
 def test_threshold_one_fires_on_the_largest_digest():
@@ -122,7 +122,7 @@ def test_keyed_digest_equals_the_fresh_blake2b_reference(seed_value, role, prefi
     assert derive_bit(seed, role, whole, threshold) == reference_bit(seed, role, whole, threshold)
     keyed = KeyedDigest.of(seed, role)
     assert keyed.u64(whole) == expected
-    assert keyed.below([whole, whole], byte_limit(threshold)) == [
+    assert keyed.below_after(b"", [whole, whole], byte_limit(threshold)) == [
         bool(reference_bit(seed, role, whole, threshold))
     ] * 2
     # the prefix split anywhere between the head and the payloads

@@ -38,6 +38,8 @@ from junta_lab.tasks import (
     is_separating,
     lift_equivalence_gap,
     lifted_response_distribution,
+    respond,
+    response_layout,
     separates,
     sample_hidden,
     set_plan_to_element_counts,
@@ -51,6 +53,8 @@ from references import (
     dict_lifted_law,
     dict_response_law,
     lift_response,
+    per_element_sseq_respond,
+    per_query_sssq_respond,
     per_trial_game,
     reference_is_separating,
     reference_stream,
@@ -149,6 +153,53 @@ def test_sseq_frequency():
     ones = sum(resp)
     sigma = math.sqrt(m * 0.25 * 0.75)
     assert abs(ones - 0.25 * m) <= 5 * sigma
+
+
+def test_response_layout_gives_each_bit_its_element_and_rate():
+    epsilon, n = 0.5, 4  # theta = 0.25
+    elements, rates = response_layout(ElementQueryPlan.of([0, 2, 1]), epsilon, n)
+    assert elements.tolist() == [0, 1, 2]
+    assert rates.tolist() == [0.0, hit_prob(2, epsilon, n), 0.25]
+    # query after query, one bit per slot of each query's sorted members
+    elements, rates = response_layout(SetQueryPlan.of(4, [[3, 2], [], [3], [1, 3, 4]]), epsilon, n)
+    assert elements.tolist() == [1, 2, 2, 0, 2, 3]
+    assert rates.tolist() == [0.25] * 6
+    for plan in (ElementQueryPlan.of([]), SetQueryPlan.of(3, [[], []])):
+        elements, rates = response_layout(plan, epsilon, n)
+        assert (len(elements), len(rates)) == (0, 0)
+        assert (elements.dtype, rates.dtype) == (np.intp, np.float64)
+    # theta is checked even when no slot reads it
+    with pytest.raises(InvalidInput):
+        response_layout(SetQueryPlan.of(3, [[]]), 3.0, 4)
+
+
+def test_both_oracle_names_are_the_one_round():
+    assert sseq_respond is respond and sssq_respond is respond
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_respond_equals_the_per_query_and_per_element_rounds(data):
+    """One ``below`` per round answers as the per-query and per-element reads did, and moves as far."""
+    m = data.draw(st.integers(1, 6))
+    A = IndexSet.of(m, data.draw(st.sets(st.integers(1, m))))
+    if data.draw(st.booleans()):
+        counts = data.draw(st.lists(st.integers(0, 4), min_size=m, max_size=m))
+        if data.draw(st.booleans()):
+            counts[data.draw(st.integers(0, m - 1))] = 0
+        plan, reference = ElementQueryPlan.of(counts), per_element_sseq_respond
+    else:
+        queries = data.draw(st.lists(st.sets(st.integers(1, m)), min_size=1, max_size=5))
+        extra = data.draw(st.sampled_from(["none", "empty", "repeat"]))
+        queries += {"none": [], "empty": [set()], "repeat": [queries[0]]}[extra]
+        plan, reference = SetQueryPlan.of(m, queries), per_query_sssq_respond
+    epsilon, n = data.draw(st.sampled_from([(0.0, 4), (0.5, 4), (1.2, 4), (2.0, 4), (0.1, 64)]))
+    seed = Seed(data.draw(st.integers(0, 2**64 - 1)))
+    one_read, reference_reads = RandomStream([seed], "round"), RandomStream([seed], "round")
+    for _ in range(3):
+        assert (respond(A, plan, epsilon, n, one_read)
+                == reference(A, plan, epsilon, n, reference_reads))
+        assert one_read.raw(1).tolist() == reference_reads.raw(1).tolist()
 
 
 # ---------------------------------------------------------------- counting
@@ -511,8 +562,9 @@ def test_build_set_queries_rejects_bad_m():
     X = StringQueryPlan(queries=(BitString.from_text("000000"), y), decider=lambda b: YES)
     with pytest.raises(BadM):
         build_set_queries(X, M, tau=4)
-    forced = build_set_queries(X, M, tau=4, force=True)
-    assert forced.set_plan.queries[0].members == (1, 2, 3, 4)
+    # at tau = n + 1 no pair is far, so the same M separates
+    lenient = build_set_queries(X, M, tau=n + 1)
+    assert lenient.set_plan.queries[0].members == (1, 2, 3, 4)
 
 
 def test_build_set_queries_cost_bound():
