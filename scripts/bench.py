@@ -35,8 +35,8 @@ Sections, in order:
   certified sweep (``shift_bound_sweep``) against the per-cell exact
   sweep, both reduced to (cells, violations, worst margin); the batched
   sseq and sssq games against ``per_trial_game``; the goodM mask test
-  against ``reference_is_separating``; ``pack_ints`` against
-  ``general_encoding``.
+  against ``reference_is_separating``; joined ``pack_each`` payloads
+  against ``general_encoding``.
 - ``strings_game``: the string-query game answered a block at a time
   (``run_game`` with ``sample_block_at``) against
   ``per_trial_string_game`` drawing each trial's instance by
@@ -74,7 +74,7 @@ Sections, in order:
   and ``eval_many`` one value of h per distinct (address, bits of x on S)
   where the fiberwise form derives one per query
   (``eval_many_digest_counts``).  The before sides share today's
-  ``pack_ints``, so they run a little faster than the code they stand for.
+  ``pack_each``, so they run a little faster than the code they stand for.
   Then lazy instances at desk n in ``LAZY_N``, where t runs to the
   hundreds: a yes instance's ``eval_many`` at 1 and at 64 random queries
   against ``fiberwise_eval_many``, and ``sample_block_at`` on 3 no-style
@@ -378,9 +378,9 @@ def game_pairs() -> list[Pair]:
              lambda: [reference_is_separating(M, X, good.tau) for M in Ms],
              lambda: [tasks.separates(M, codes)
                       for codes in [tasks.far_pair_codes(X, good.tau)] for M in Ms]),
-        Pair("pack_ints", f"{len(payloads)} fiber payloads of single-byte values",
+        Pair("pack_each", f"{len(payloads)} fiber payloads of single-byte values",
              lambda: [general_encoding(*values) for values in payloads],
-             lambda: [rng.pack_ints(*values) for values in payloads]),
+             lambda: [b"".join(rng.pack_each(values)) for values in payloads]),
     ]
     return pairs
 

@@ -10,7 +10,7 @@ from .boolfn import (
     to_table,
 )
 from .params import DESK_SCALE, STRICT, Params, derive_params
-from .rng import RandomStream, Seed, derive_bit
+from .rng import RandomStream, Seed
 
 __all__ = [
     "BitString",
@@ -26,5 +26,4 @@ __all__ = [
     "derive_params",
     "RandomStream",
     "Seed",
-    "derive_bit",
 ]

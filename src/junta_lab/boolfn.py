@@ -196,12 +196,12 @@ def _keyed_states(seed: Seed) -> tuple[KeyedDigest, KeyedDigest]:
 
 
 def _fiber(s_state: KeyedDigest, pool, pool_codes, coin_limit: bytes, address: int):
-    """(S, the h-prefix ``pack_ints(address, |S|, *S)``) of the address's fiber.
+    """(S, the h-prefix: pack_ints of address, |S| and each of S, joined) of the fiber.
 
     The one membership kernel: member a of the pool joins S when the
-    digest of ``pack_ints(address, a)`` fires at the coin rate, |pool|
-    digests in one S-state call.  At desk rates most fibers draw no
-    coordinate, and their prefix is the address and |S| = 0.
+    digest of ``pack_ints(address) + pack_ints(a)`` fires at the coin
+    rate, |pool| digests in one S-state call.  At desk rates most fibers
+    draw no coordinate, and their prefix is the address and |S| = 0.
     """
     head = pack_ints(address)
     fired = s_state.below_after(head, pool_codes, coin_limit)
@@ -291,11 +291,12 @@ class StructuredFn:
     """A lazily evaluated instance f(x) = h_{address(x)}(x restricted to S).
 
     The address selects a per-fiber coordinate subset S (member a of A
-    joins when the digest of ``(seed, "S-membership", pack_ints(address,
-    a))`` fires at rate epsilon/sqrt(n)) and a per-fiber random function,
-    whose value is the fair bit of ``(seed, "h-value", pack_ints(address,
-    |S|, *S, *bits of x on S))``.  Both derive from the seed, so repeated
-    queries always agree and instances are safe to share across threads.
+    joins when the digest of ``(seed, "S-membership", pack_ints(address)
+    + pack_ints(a))`` fires at rate epsilon/sqrt(n)) and a per-fiber random
+    function, whose value is the fair bit of ``(seed, "h-value", the
+    pack_ints of address, |S|, each of S and each bit of x on S, joined)``.
+    Both derive from the seed, so repeated queries always agree and
+    instances are safe to share across threads.
 
     Each instance keeps one keyed S-state and one keyed h-state, and the
     encodings of A's members.  ``eval_many`` and ``to_table`` share one
@@ -417,7 +418,7 @@ def to_table(f: StructuredFn) -> TruthTable:
     m_or_a = set(f.M.members) | set(pool)
     order = [*f.M.members, *(i for i in range(1, n + 1) if i not in m_or_a), *pool]
     view = out.reshape((2,) * n).transpose([i - 1 for i in order])
-    # per width w, pack_ints of the w bits of y, MSB first, for y in range(2^w)
+    # per width w, the joined pack_ints of the w bits of y, MSB first, for y in range(2^w)
     assignments: dict[int, list[bytes]] = {}
     for address, address_bits in enumerate(product((0, 1), repeat=t), 1):
         coords, prefix = _fiber(f._s_state, pool, f._pool_codes, f._coin_limit, address)

@@ -7,8 +7,9 @@ through one of two mechanisms:
   a role.  For any payload it answers the 64-bit digest of ``(seed,
   role, payload)``, or whether that digest falls below ``byte_limit`` of
   a rate, so lazily evaluated objects re-derive any bit on demand without
-  caching and pay the key schedule once per state.  ``derive_u64``,
-  ``derive_bit`` and ``Seed.mix`` read a fresh state once.
+  caching and pay the key schedule once per state.  Only a structured
+  instance's fibers read digest coins; ``derive_u64`` and ``Seed.mix``
+  read a fresh state's word once.
 * ``RandomStream(seeds, role)``: one counter-mode stream per seed, held
   as uint64 arrays.  Output j of the stream of (seed, role) is
   SplitMix64's finalizer over a Weyl sequence (Steele, Lea & Flood,
@@ -70,16 +71,17 @@ _BYTE_CODES = tuple(b"\x00\x00\x00\x01" + bytes((v,)) for v in range(256))
 _TWO_BYTES = b"\x00\x00\x00\x02"
 
 
-def pack_ints(*values: int) -> bytes:
-    """Length-prefixed big-endian encoding of non-negative integers.
+def pack_ints(value: int) -> bytes:
+    """Length-prefixed big-endian encoding of a non-negative integer.
 
     Unambiguous for arbitrary-precision values, so address indices larger
-    than 64 bits are safe payloads.  It is the concatenation of
-    ``pack_each(values)``; one single-byte value is one table lookup.
+    than 64 bits are safe payloads, and a payload of several values is
+    the concatenation of their encodings, ``pack_each``.  A single-byte
+    value is one table lookup.
     """
-    if len(values) == 1 and 0 <= values[0] < 256:
-        return _BYTE_CODES[values[0]]
-    return b"".join(pack_each(values))
+    if 0 <= value < 256:
+        return _BYTE_CODES[value]
+    return pack_each((value,))[0]
 
 
 def pack_each(values: Sequence[int]) -> tuple[bytes, ...]:
@@ -182,18 +184,6 @@ def byte_limit(threshold: float) -> bytes:
 def derive_u64(seed: Seed, role: str, payload: bytes) -> int:
     """Avalanche-mix ``(seed, role, payload)`` into a uniform 64-bit word."""
     return KeyedDigest.of(seed, role).u64(payload)
-
-
-def derive_bit(seed: Seed, role: str, payload: bytes, threshold: float) -> int:
-    """Return 1 with probability ``threshold``, deterministically per input.
-
-    The 8-byte digest of ``(seed, role, payload)`` fires when it sorts
-    below ``byte_limit(threshold)``, that is when its 64-bit value is below
-    ceil(threshold * 2^64): threshold 0 never fires and threshold 1 always
-    does.
-    """
-    return int(KeyedDigest.of(seed, role).below_after(b"", (payload,), byte_limit(threshold))[0])
-
 
 
 # SplitMix64's Weyl increment (the golden ratio in 64 bits) and the two

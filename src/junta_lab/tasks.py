@@ -11,7 +11,8 @@ Three query models against a hidden set A inside [m]:
 
 The two reductions implemented here: string plans collapse to set plans
 through the addressing-set equivalence classes (with the per-class
-selected-coordinate simulation), and set plans collapse to element plans
+selected-coordinate simulation, whose random functions are fair coins
+of the caller's stream), and set plans collapse to element plans
 through per-element multiplicity counting (with the exact law of
 lifting the single response bit back to per-query bits).  The
 likelihood-threshold decider between the two inclusion rates,
@@ -21,7 +22,8 @@ only reader of the per-element log-likelihood tables.
 One oracle round, ``respond`` (also bound as ``sseq_respond`` and
 ``sssq_respond``), reads the coins of ``response_layout``, the one place
 that gives each response bit its element and coin rate; the block game
-``harness.run_hidden_set_game`` and the decider read the same layout.
+``harness.run_hidden_set_game`` reads the same layout, and the decider
+builds its tables from the layout's columns and rates grouped by element.
 
 Outcome conventions: a set-query response is a tuple of per-query bit
 tuples aligned with the sorted members of each query; an element-query
@@ -53,7 +55,7 @@ from .errors import (
     TooLarge,
 )
 from .params import Params, coin_rate
-from .rng import RandomStream, Seed, derive_bit, pack_ints
+from .rng import RandomStream
 
 YES = "yes"
 NO = "no"
@@ -434,12 +436,15 @@ def simulate_distinguisher(
     One call of ``oracle`` answers one set plan, as
     ``functools.partial(respond, A, epsilon=..., n=..., stream=...)`` does
     for a hidden set A.  The reduction calls it once, with the reduced
-    set plan: that call is the oracle's one round.  It keeps the positions
-    that answered 1, and feeds the decider one fresh uniform random function
-    per class applied to each query's restriction to those positions.  Plans
-    larger than (n/epsilon)^2 queries get a warning: nothing breaks
-    mechanically, but the separation guarantees behind the reduction assume
-    fewer queries.
+    set plan: that call is the oracle's one round.  A class's live
+    coordinates are those whose slots answered 1, and a query's key is its
+    class and its bits there.  The decider gets one fair coin per distinct
+    key, read with one ``below`` on the one-row ``stream`` in order of first
+    use, and equal keys share it: one independent uniform random function
+    per class, applied to each query's restriction to the live coordinates.
+    Plans larger than (n/epsilon)^2 queries get a warning: nothing breaks
+    mechanically, but the separation guarantees behind the reduction
+    assume fewer queries.
     """
     if X.q > (params.n / params.epsilon) ** 2:
         warnings.warn(
@@ -449,16 +454,12 @@ def simulate_distinguisher(
         )
     plan = build_set_queries(X, M, params.tau)
     response = oracle(plan.set_plan)
-    fn_seed = Seed(int(stream.raw(1)[0, 0]))
-    bits = []
-    for idx, x in enumerate(X.queries):
-        c = plan.class_of[idx]
-        T = plan.set_plan.queries[c]
-        live = [label for pos, label in enumerate(T.members) if response[c][pos]]
-        restriction = tuple(x.bit(plan.label_coords[label - 1]) for label in live)
-        payload = pack_ints(c, len(live), *live, *restriction)
-        bits.append(derive_bit(fn_seed, "class-fn", payload, 0.5))
-    return X.decider(tuple(bits))
+    live = [[plan.label_coords[label - 1] for label, bit in zip(T.members, row) if bit]
+            for T, row in zip(plan.set_plan.queries, response)]
+    keys = [(c, *(x.bit(i) for i in live[c])) for c, x in zip(plan.class_of, X.queries)]
+    distinct = list(dict.fromkeys(keys))
+    coin = dict(zip(distinct, stream.below(len(distinct), 0.5)[0].tolist()))
+    return X.decider(tuple(int(coin[key]) for key in keys))
 
 
 def exact_optimal_advantage(plan: AnyPlan, params: Params) -> float:
@@ -485,36 +486,40 @@ def exact_optimal_advantage(plan: AnyPlan, params: Params) -> float:
     return product_dtv(pairs)
 
 
+def _slots_by_element(plan: AnyPlan, epsilon: float, n: int) -> list[tuple[np.ndarray, float]]:
+    """``response_layout``'s columns grouped by element, in increasing order, with its coin rate.
+
+    Every element of an element plan has one column, at ``hit_prob`` of
+    its count; every queried element of a set plan has one column per
+    query holding it, each at theta.
+    """
+    elements, rates = response_layout(plan, epsilon, n)
+    groups = [np.flatnonzero(elements == e) for e in sorted(set(elements.tolist()))]
+    return [(cols, float(rates[cols[0]])) for cols in groups]
+
+
 def _log_likelihood_rows(
-    plan: AnyPlan, inclusion: float, epsilon: float, n: int
+    groups: list[tuple[np.ndarray, float]], inclusion: float, epsilon: float, n: int
 ) -> list[tuple[float, ...]]:
     """Per-element log-likelihood terms of a response under an inclusion rate.
 
-    Entry k of a row is the element's term when k of its slots answered 1.
-    An element plan has one row per element, in order, with one slot each
-    (entries for bit 0 and bit 1).  A set plan has one row per queried
-    element, in increasing order, with one slot per query holding it
-    (entries for k = 0..r).  A term of zero mass is -inf.
+    ``groups`` is ``_slots_by_element`` of the plan, and there is one row
+    per group.  Entry k of an element's row is its term when k of its r
+    slots, each a coin of rate rho, answered 1: log(1 - inclusion * h) for
+    k = 0, where h is rho for one slot and ``hit_prob(r)`` otherwise, and
+    log(inclusion * rho^k * (1 - rho)^(r - k)) for k = 1..r.  A term of
+    zero mass is -inf.
     """
 
     def log_mass(mass: float) -> float:
         return math.log(mass) if mass > 0.0 else -math.inf
 
-    if isinstance(plan, ElementQueryPlan):
-        rows = []
-        for c in plan.counts:
-            hit = inclusion * hit_prob(c, epsilon, n)
-            rows.append((math.log1p(-hit) if hit < 1.0 else -math.inf, log_mass(hit)))
-        return rows
-    theta = coin_rate(epsilon, n)
     rows = []
-    for r in set_plan_to_element_counts(plan).counts:
-        if r == 0:
-            continue
-        hit = inclusion * hit_prob(r, epsilon, n)
+    for cols, rate in groups:
+        r = len(cols)
+        hit = inclusion * (rate if r == 1 else hit_prob(r, epsilon, n))
         row = [math.log1p(-hit) if hit < 1.0 else -math.inf]
-        for k in range(1, r + 1):
-            row.append(log_mass(inclusion * theta**k * (1.0 - theta) ** (r - k)))
+        row += [log_mass(inclusion * rate**k * (1.0 - rate) ** (r - k)) for k in range(1, r + 1)]
         rows.append(tuple(row))
     return rows
 
@@ -525,25 +530,23 @@ def batch_bayes_decider(plan: AnyPlan, params: Params) -> Callable[[np.ndarray],
     The returned function takes a boolean array whose rows are responses
     flattened as in ``response_layout`` and returns a boolean array, True
     where the decider answers yes: where the response's log-likelihood
-    under p is at least its log-likelihood under q.  Each element's count of
-    ones picks its term from the ``_log_likelihood_rows`` tables, and the
-    terms are added in row order, one array add per element starting from
-    0.0, so a row's answer does not depend on the rest of its batch.  Ties,
-    two -inf sums included, answer yes.  The tables are built once, when
-    the decider is made.
+    under p is at least its log-likelihood under q.  Each element's count
+    of ones in its ``_slots_by_element`` columns picks its term from the
+    ``_log_likelihood_rows`` tables, and the terms are added in element
+    order, one array add per element starting from 0.0, so a row's answer
+    does not depend on the rest of its batch.  Ties, two -inf sums
+    included, answer yes.  The tables are built once, when the decider is
+    made.
     """
-    tables = []
-    for inclusion in (params.p, params.q):
-        rows = _log_likelihood_rows(plan, inclusion, params.epsilon, params.n)
-        tables.append([np.array(row) for row in rows])
-    # One entry per likelihood row: every element of an element plan, the
-    # queried elements of a set plan, each in increasing order.
-    elements = response_layout(plan, params.epsilon, params.n)[0]
-    columns = [np.flatnonzero(elements == e) for e in sorted(set(elements.tolist()))]
+    groups = _slots_by_element(plan, params.epsilon, params.n)
+    tables = [
+        [np.array(row) for row in _log_likelihood_rows(groups, inclusion, params.epsilon, params.n)]
+        for inclusion in (params.p, params.q)
+    ]
 
     def decide(bits: np.ndarray) -> np.ndarray:
         ll_yes, ll_no = np.zeros(len(bits)), np.zeros(len(bits))
-        for row_yes, row_no, cols in zip(*tables, columns):
+        for row_yes, row_no, (cols, _) in zip(*tables, groups):
             ones = np.count_nonzero(bits[:, cols], axis=1)
             ll_yes += row_yes[ones]
             ll_no += row_no[ones]
@@ -561,13 +564,15 @@ def bayes_decide(
     """The likelihood-threshold decider on one response: a one-row ``batch_bayes_decider``.
 
     The response flattens as in ``response_layout`` and must have its
-    width.  A caller deciding many responses of one plan passes
-    ``decide``, that plan's ``batch_bayes_decider(plan, params)``, so the
-    tables are built once.
+    width: m bits for an element plan, ``plan.cost`` for a set plan.  A
+    caller deciding many responses of one plan passes ``decide``, that
+    plan's ``batch_bayes_decider(plan, params)``, so the tables are built
+    once.
     """
+    width = plan.m
     if isinstance(plan, SetQueryPlan):
         response = [bit for row in response for bit in row]
-    width = len(response_layout(plan, params.epsilon, params.n)[0])
+        width = plan.cost
     if len(response) != width:
         raise DimensionMismatch(f"response has {len(response)} bits, plan {width} slots")
     bits = np.array(response, dtype=bool).reshape(1, width)

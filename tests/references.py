@@ -37,6 +37,9 @@ states directly, through ``keyed_fiber``.
 oracle rounds as they were written before ``tasks.respond`` read every
 round's coins with one ``below`` from ``tasks.response_layout``: one
 ``below`` per set query, and one per-element read of ``hit_prob`` rates.
+``coin_law`` is the exact law of a one-row sampler such as ``respond``:
+it runs the sampler on a ``CoinTape`` once per coin pattern and weighs
+each pattern by the stream's own coin probabilities.
 
 ``dict_response_law`` and ``dict_lifted_law`` are the exact response laws
 as dicts keyed by response tuples, built outcome by outcome; the flat
@@ -106,7 +109,7 @@ from junta_lab.errors import (
 from junta_lab.hardgen import sample_d1
 from junta_lab.junta_distance import dist_to_k_junta, max_disjoint_bichromatic_matching
 from junta_lab.params import coin_rate
-from junta_lab.rng import KeyedDigest, RandomStream, Seed, pack_ints
+from junta_lab.rng import KeyedDigest, RandomStream, Seed, pack_each, pack_ints, word_limit
 from junta_lab.tasks import ElementQueryPlan
 
 
@@ -140,14 +143,14 @@ def per_point_table(f) -> TruthTable:
 
 
 def keyed_fiber(f, address: int):
-    """(S, the h-prefix (address, |S|, *S)) of the address's fiber, encoded by ``pack_ints`` afresh.
+    """(S, the h-prefix (address, |S|, *S)) of the address's fiber, encoded by ``pack_each`` afresh.
 
     S is read off the instance's keyed S-state; each value of h on the
     fiber is the h-state's digest of the prefix and the bits of x on S.
     """
     fired = f._s_state.below_after(pack_ints(address), f._pool_codes, f._coin_limit)
     coords = tuple(compress(f.A.members, fired))
-    return coords, pack_ints(address, len(coords), *coords)
+    return coords, b"".join(pack_each((address, len(coords), *coords)))
 
 
 def fiberwise_table(f) -> TruthTable:
@@ -169,7 +172,8 @@ def fiberwise_table(f) -> TruthTable:
         coords, prefix = keyed_fiber(f, address)
         width = len(coords)
         if width not in assignments:
-            assignments[width] = [pack_ints(*bits) for bits in product((0, 1), repeat=width)]
+            assignments[width] = [b"".join(pack_each(bits))
+                                  for bits in product((0, 1), repeat=width)]
         values = np.array(f._h_state.below_after(prefix, assignments[width], _HALF),
                           dtype=np.uint8)
         address_bits = dict(zip(f.M.members, ((code >> (t - 1 - j)) & 1 for j in range(t))))
@@ -197,7 +201,7 @@ def fiberwise_eval_many(f, xs) -> tuple[int, ...]:
             coords, prefix = keyed_fiber(f, address)
             fiber = fibers[address] = (prefix, [n - a for a in coords])
         prefix, shifts = fiber
-        bits = pack_ints(*[(code >> shift) & 1 for shift in shifts])
+        bits = b"".join(pack_each([(code >> shift) & 1 for shift in shifts]))
         out.append(int(f._h_state.below_after(prefix, (bits,), _HALF)[0]))
     return tuple(out)
 
@@ -579,6 +583,47 @@ def per_element_sseq_respond(A, plan, epsilon: float, n: int, stream):
     return tuple(int(i in members and coin) for i, coin in enumerate(coins, 1))
 
 
+class CoinTape:
+    """A one-row stream whose coins are a chosen pattern; it records the rate of each coin.
+
+    ``below(count, rate)`` answers the pattern's next ``count`` bits, as a
+    (1, count) array, appends one rate per coin to ``rates`` and counts
+    itself in ``reads``.
+    """
+
+    def __init__(self, pattern):
+        self.pattern, self.rates, self.reads = list(pattern), [], 0
+
+    def below(self, count: int, rate) -> np.ndarray:
+        self.reads += 1
+        start = len(self.rates)
+        self.rates += np.broadcast_to(np.asarray(rate, dtype=np.float64), (count,)).tolist()
+        return np.array([self.pattern[start:start + count]], dtype=bool)
+
+
+def coin_law(run, width: int) -> dict:
+    """The exact law of ``run(stream)`` on a one-row stream: a dict of outcome probabilities.
+
+    ``run`` is called once per pattern of ``width`` coins on a ``CoinTape``
+    and must read exactly ``width`` coins.  A pattern weighs the product,
+    over its coins, of l/2^53 for a 1 and 1 - l/2^53 for a 0, with l the
+    ``word_limit`` of the coin's rate: a stream coin fires when a uniform
+    word's top 53 bits are below l.  Outcomes of probability zero are
+    omitted.
+    """
+    law: dict = {}
+    for pattern in product((0, 1), repeat=width):
+        tape = CoinTape(pattern)
+        outcome = run(tape)
+        if len(tape.rates) != width:
+            raise InconsistentInput(f"the run read {len(tape.rates)} coins, not {width}")
+        fire = (word_limit(tape.rates) / 2.0**53).tolist()
+        weight = math.prod(f if bit else 1.0 - f for f, bit in zip(fire, pattern))
+        if weight > 0.0:
+            law[outcome] = law.get(outcome, 0.0) + weight
+    return law
+
+
 def per_trial_game(plan, params, trials: int, seed: int, decide=None) -> float:
     """The hidden-set game's advantage, one trial at a time on each side's ``ScalarStream``.
 
@@ -738,7 +783,7 @@ def reference_bit(seed, role: str, payload: bytes, threshold: float) -> int:
 
 
 def reference_fiber_coords(f, address: int) -> tuple[int, ...]:
-    """The members a of A whose ``pack_ints(address, a)`` coin fires at epsilon/sqrt(n)."""
+    """The members a of A whose ``general_encoding(address, a)`` coin fires at epsilon/sqrt(n)."""
     theta = f.params.epsilon / math.sqrt(f.n)
     return tuple(
         a for a in f.A.members
@@ -787,8 +832,8 @@ class FreshDigest:
 def counted_digests():
     """Count the digests ``rng.KeyedDigest`` derives, which every digest-derived bit goes through.
 
-    ``u64`` and ``below_after`` see every digest, ``derive_u64``,
-    ``derive_bit`` and ``Seed.mix`` included.
+    ``u64`` and ``below_after`` see every digest, ``derive_u64`` and
+    ``Seed.mix`` included.
     """
     u64, below_after = KeyedDigest.u64, KeyedDigest.below_after
     count = [0]

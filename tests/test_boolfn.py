@@ -391,21 +391,35 @@ def test_eval_many_equals_the_reference_at_long_addresses(n, mode, seed_value, d
     st.data(),
 )
 def test_keyed_paths_equal_the_fresh_blake2b_reference(n, sampler, epsilon, seed_value, data):
-    """The fiber kernel, eval_many and to_table against one fresh keyed blake2b per digest."""
+    """The fiber kernel, eval_many and, up to n = 10, to_table against fresh blake2b digests."""
     # derive_params starts at n = 4; below it one address bit and the rest pool
     params = desk(n, epsilon) if n >= 4 else replace(desk(4, epsilon), n=n, m=n - 1, t=1)
-    f = sampler(params, Seed(seed_value))
+    codes = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=24))
+    assert_keyed_paths_equal_the_reference(sampler(params, Seed(seed_value)), codes, n <= 10)
+
+
+@pytest.mark.parametrize("n, sampler, epsilon", [
+    (11, sample_yes, 0.1), (12, sample_no, 1.0), (13, sample_yes, 1.0), (14, sample_no, 0.1),
+])
+def test_keyed_tables_equal_the_fresh_blake2b_reference_past_n_10(n, sampler, epsilon):
+    """The same checks, with the 2^n-point table, on one fixed instance and query list per n."""
+    codes = np.random.default_rng(n).integers(0, 1 << n, size=24).tolist()
+    assert_keyed_paths_equal_the_reference(sampler(desk(n, epsilon), Seed(n)), codes, True)
+
+
+def assert_keyed_paths_equal_the_reference(f, codes, table):
+    """Every fiber, ``eval_many`` at ``codes`` (reversed, and in one fiber) and, if ``table``, ``to_table``."""
+    n = f.n
     for address in range(1, (1 << len(f.M)) + 1):
         coords, _ = boolfn._fiber(f._s_state, f.A.members, f._pool_codes, f._coin_limit, address)
         assert coords == reference_fiber_coords(f, address)
-    codes = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=24))
-    codes += codes[::-1]
+    codes = codes + codes[::-1]
     mask = sum(1 << (n - i) for i in f.M.members)
     one_fiber = [c & ~mask for c in codes]
     for batch in (codes, one_fiber):
         xs = [BitString(n, c) for c in batch]
         assert f.eval_many(xs) == tuple(reference_eval(f, x) for x in xs)
-    if n <= 10 or data.draw(st.booleans()):
+    if table:
         assert to_table(f) == reference_table(f)
 
 

@@ -31,11 +31,13 @@ from junta_lab.hardgen import (
     sample_yes,
 )
 from junta_lab.params import DESK_SCALE, derive_params
-from junta_lab.rng import RandomStream, Seed, derive_bit, pack_ints
+from junta_lab.rng import RandomStream, Seed
 from references import (
     ScalarStream,
     complement_sample,
+    general_encoding,
     instance_answers,
+    reference_bit,
     sample_d1_at,
     stream_with_words,
 )
@@ -217,7 +219,8 @@ def test_kind_flag_does_not_change_semantics():
 
 def eager_table(f: StructuredFn) -> TruthTable:
     """Eager oracle: materialize every per-address subset and value table
-    from the same digest calls, then evaluate without any laziness."""
+    from one fresh keyed blake2b per digest (``reference_bit`` of a
+    ``general_encoding`` payload), then evaluate without any laziness."""
     n = f.params.n
     theta = f.params.coin_prob
     t = len(f.M)
@@ -225,7 +228,7 @@ def eager_table(f: StructuredFn) -> TruthTable:
     for address in range(1, (1 << t) + 1):
         subsets[address] = tuple(
             a for a in f.A.members
-            if derive_bit(f.seed, "S-membership", pack_ints(address, a), theta)
+            if reference_bit(f.seed, "S-membership", general_encoding(address, a), theta)
         )
     values = {}
     out = np.zeros(1 << n, dtype=np.uint8)
@@ -238,8 +241,8 @@ def eager_table(f: StructuredFn) -> TruthTable:
         coords = subsets[addr]
         key = (addr, tuple(x.bit(a) for a in coords))
         if key not in values:
-            payload = pack_ints(addr, len(coords), *coords, *key[1])
-            values[key] = derive_bit(f.seed, "h-value", payload, 0.5)
+            payload = general_encoding(addr, len(coords), *coords, *key[1])
+            values[key] = reference_bit(f.seed, "h-value", payload, 0.5)
         out[code] = values[key]
     return TruthTable(n, out)
 

@@ -16,7 +16,6 @@ from junta_lab.rng import (
     RandomStream,
     Seed,
     byte_limit,
-    derive_bit,
     derive_u64,
     pack_each,
     pack_ints,
@@ -45,12 +44,17 @@ def test_seed_validation():
         Seed(2**64)
 
 
+def digest_coin(seed, role, payload, threshold):
+    """The digest coin a fiber reads: a fresh keyed state, an empty head and ``byte_limit``."""
+    return KeyedDigest.of(seed, role).below_after(b"", [payload], byte_limit(threshold))[0]
+
+
 def test_degenerate_thresholds():
     seed = Seed(1)
     for j in range(200):
         payload = pack_ints(j)
-        assert derive_bit(seed, "t", payload, 0.0) == 0
-        assert derive_bit(seed, "t", payload, 1.0) == 1
+        assert digest_coin(seed, "t", payload, 0.0) is False
+        assert digest_coin(seed, "t", payload, 1.0) is True
 
 
 class FixedState:
@@ -103,7 +107,7 @@ def test_byte_limit_rejects_thresholds_outside_the_unit_interval():
         with pytest.raises(InvalidInput):
             byte_limit(threshold)
         with pytest.raises(InvalidInput):
-            derive_bit(Seed(1), "t", b"", threshold)
+            digest_coin(Seed(1), "t", b"", threshold)
 
 
 @settings(max_examples=200, deadline=None)
@@ -119,7 +123,8 @@ def test_keyed_digest_equals_the_fresh_blake2b_reference(seed_value, role, prefi
     whole = prefix + payload
     expected = int.from_bytes(reference_digest(seed, role, whole), "big")
     assert derive_u64(seed, role, whole) == expected
-    assert derive_bit(seed, role, whole, threshold) == reference_bit(seed, role, whole, threshold)
+    bit = reference_bit(seed, role, whole, threshold)
+    assert digest_coin(seed, role, whole, threshold) == bool(bit)
     keyed = KeyedDigest.of(seed, role)
     assert keyed.u64(whole) == expected
     assert keyed.below_after(b"", [whole, whole], byte_limit(threshold)) == [
@@ -139,7 +144,7 @@ def test_keyed_digest_equals_the_fresh_blake2b_reference(seed_value, role, prefi
 def test_fair_coin_frequency():
     seed = Seed(7)
     trials = 100_000
-    ones = sum(derive_bit(seed, "coin", pack_ints(j), 0.5) for j in range(trials))
+    ones = sum(digest_coin(seed, "coin", pack_ints(j), 0.5) for j in range(trials))
     # 5 sigma around the binomial mean
     sigma = math.sqrt(trials * 0.25)
     assert abs(ones - trials / 2) <= 5 * sigma
@@ -165,14 +170,14 @@ def test_pack_ints_is_injective_on_tricky_cases():
         ((2**100,), (2**100 + 1,)),
     ]
     for left, right in cases:
-        assert pack_ints(*left) != pack_ints(*right)
+        assert b"".join(pack_each(left)) != b"".join(pack_each(right))
 
 
 def test_pack_ints_rejects_negative():
     with pytest.raises(InvalidInput):
         pack_ints(-1)
     with pytest.raises(InvalidInput):
-        pack_ints(5, -1)
+        pack_each([5, -1])
 
 
 @settings(max_examples=200, deadline=None)
@@ -183,17 +188,19 @@ def test_pack_ints_rejects_negative():
     max_size=12,
 ))
 def test_pack_ints_equals_general_encoding(values):
-    assert pack_ints(*values) == general_encoding(*values)
+    assert b"".join(pack_each(values)) == general_encoding(*values)
+    assert [pack_ints(v) for v in values] == [general_encoding(v) for v in values]
 
 
 def test_pack_ints_boundaries():
-    assert pack_ints() == b""
+    assert b"".join(pack_each([])) == b""
     assert pack_ints(255) == b"\x00\x00\x00\x01\xff"
     assert pack_ints(256) == b"\x00\x00\x00\x02\x01\x00"
     assert pack_ints(65535) == b"\x00\x00\x00\x02\xff\xff"
     assert pack_ints(65536) == b"\x00\x00\x00\x03\x01\x00\x00"
-    assert pack_ints(0, 255, 256) == general_encoding(0, 255, 256)
-    assert pack_ints(2**64, 3) == b"\x00\x00\x00\x09\x01" + bytes(8) + b"\x00\x00\x00\x01\x03"
+    assert b"".join(pack_each([0, 255, 256])) == general_encoding(0, 255, 256)
+    assert (b"".join(pack_each([2**64, 3]))
+            == b"\x00\x00\x00\x09\x01" + bytes(8) + b"\x00\x00\x00\x01\x03")
     # one block per fast path: single bytes, up to two bytes, and past them
     for values in ([0, 255], [0, 255, 256, 65535], [255, 256, 65535, 65536], [65536, 0]):
         assert pack_each(values) == tuple(general_encoding(v) for v in values)

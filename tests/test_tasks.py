@@ -49,6 +49,8 @@ from junta_lab.tasks import (
 )
 from junta_lab.binom_stats import BinomialSpec, exact_dtv, hit_prob, tv_distance
 from references import (
+    CoinTape,
+    coin_law,
     complement_sample,
     dict_lifted_law,
     dict_response_law,
@@ -316,20 +318,28 @@ def test_exact_distribution_sums_to_one():
         assert abs(math.fsum(law) - 1.0) <= 1e-12
 
 
-def test_exact_distribution_matches_sampler():
-    # Monte-Carlo bridge between the sampler and the analytic law
-    plan = SetQueryPlan.of(2, [[1, 2], [2]])
-    A = IndexSet.of(2, [1, 2])
-    law = exact_response_distribution(A, plan, 1.2, 4)  # theta = 0.6
-    trials = 40_000
-    stream = RandomStream([Seed(13)], "mc")
-    counts = [0] * len(law)
-    for _ in range(trials):
-        out = sssq_respond(A, plan, 1.2, 4, stream)
-        counts[flat_index(out, plan)] += 1
-    for observed, prob in zip(counts, law):
-        sigma = math.sqrt(trials * prob * (1 - prob))
-        assert abs(observed - trials * prob) <= 5 * sigma
+def test_respond_law_by_coin_enumeration_equals_the_exact_law():
+    """``respond``'s law, enumerated on a ``CoinTape``, is ``exact_response_distribution``.
+
+    On every claim53 plan with A = [m] and every element plan of counts
+    0..2 over m <= 3 elements, at theta = 0.6 and at ``LAW_EDGES``.  A tape
+    coin fires with chance ceil(rate * 2^53) / 2^53, within 2^-53 of its
+    rate, and each law is a product of at most 3 * w + 1 factors in [0, 1]
+    for w coins, each rounded once; so an entry may differ by at most
+    8 * w * 2^-53.
+    """
+    plans = [(plan, A) for m, plan, A in harness.claim53_pairs() if len(A) == m]
+    plans += [(ElementQueryPlan.of(counts), IndexSet.of(m, range(1, m + 1)))
+              for m in (1, 2, 3) for counts in product(range(3), repeat=m)]
+    for epsilon, n in [(1.2, 4), *LAW_EDGES]:
+        for plan, A in plans:
+            width = len(response_layout(plan, epsilon, n)[0])
+            law = coin_law(partial(respond, A, plan, epsilon, n), width)
+            by_index = {flat_index(outcome, plan): prob for outcome, prob in law.items()}
+            exact = exact_response_distribution(A, plan, epsilon, n)
+            assert len(by_index) == len(law) and max(by_index) < len(exact)
+            for index, want in enumerate(exact):
+                assert abs(by_index.get(index, 0.0) - want) <= 8 * width * 2.0**-53, (plan, index)
 
 
 def test_lifted_law_matches_lift_sampler():
@@ -637,6 +647,33 @@ def test_simulate_distinguisher_empty_live_sets_give_equal_bits():
         assert len(set(bits)) == 1
 
 
+def test_simulate_distinguisher_reads_one_coin_per_distinct_key():
+    """Equal keys share a coin; distinct keys take successive coins in one read."""
+    params = desk(8)
+    M = IndexSet.of(8, [1, 2])
+    x = BitString.zeros(8)
+    seen = []
+
+    def capture(bits):
+        seen.append(bits)
+        return YES
+
+    # class 0 (M bits 00) holds the first four queries, class 1 the last
+    X = StringQueryPlan(queries=(x, flip(x, 3), x, flip(x, 5), flip(x, 1)), decider=capture)
+
+    def oracle(set_plan):
+        # labels 1..6 are coordinates 3..8; of class 0's labels 1 and 3 only 1 answers
+        assert [T.members for T in set_plan.queries] == [(1, 3), ()]
+        return ((1, 0), ())
+
+    # keys (class, bit of x at coordinate 3): (0, 0), (0, 1), (0, 0), (0, 0), then (1,)
+    for pattern, bits in (([1, 0, 1], (1, 0, 1, 1, 1)), ([0, 1, 1], (0, 1, 0, 0, 1))):
+        tape = CoinTape(pattern)
+        assert simulate_distinguisher(X, M, params, oracle, tape) == YES
+        assert seen.pop() == bits
+        assert (tape.reads, tape.rates) == (1, [0.5] * 3)
+
+
 # ---------------------------------------------------------------- advantage
 
 
@@ -812,7 +849,8 @@ def test_log_likelihood_matches_law():
 
 def summed_table_terms(response, plan, inclusion, params):
     """The ``_log_likelihood_rows`` terms of a response's per-element ones counts, summed in row order."""
-    rows = tasks._log_likelihood_rows(plan, inclusion, params.epsilon, params.n)
+    groups = tasks._slots_by_element(plan, params.epsilon, params.n)
+    rows = tasks._log_likelihood_rows(groups, inclusion, params.epsilon, params.n)
     if isinstance(plan, ElementQueryPlan):
         ones = response
     else:

@@ -3,7 +3,9 @@
 No module under src/ names ``numpy.random``: every random draw comes from
 ``rng.RandomStream`` or a keyed digest.  No module under src/ reads a
 stream's doubles or scales a word by 2^-53 either: every coin is a word
-compared with ``rng.word_limit`` or a digest with ``rng.byte_limit``.
+compared with ``rng.word_limit`` or, inside a structured instance's fiber
+only, a digest compared with ``rng.byte_limit``, so only ``rng`` and
+``boolfn`` name the digest coin.
 """
 
 import ast
@@ -74,6 +76,16 @@ def test_src_reads_no_stream_doubles():
              for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
              if doubles.search(line)]
     assert not named, "stream doubles read under src/:\n" + "\n".join(named)
+
+
+def test_only_fibers_read_digest_coins():
+    fiber_modules = {"rng.py", "boolfn.py"}
+    named = [f"{path.relative_to(ROOT)}:{number}: {line.strip()}"
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if re.search(r"\bderive_bit\b", line)
+             or path.name not in fiber_modules and re.search(r"\b(byte_limit|below_after)\b", line)]
+    assert not named, "digest coins named outside the fibers:\n" + "\n".join(named)
 
 
 def test_the_scan_sees_an_unused_import(tmp_path):
