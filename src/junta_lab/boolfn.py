@@ -7,19 +7,21 @@ The addressing map x -> x|_M uses the same convention: the smallest
 index of the addressing set contributes the most significant bit.  Its
 one implementation is the gather ``_addresses``.
 
-A structured instance's values come from two kernels that every
-evaluation path shares: ``_fiber`` (a fiber's coordinate subset S and
-h-prefix) and ``_answers`` (values at given queries, one digest per
-distinct (address, bits of x on S)).  ``StructuredFn.eval_many`` is
-``_answers`` on the instance's keyed states; ``structured_answers``
-runs it for a block of seeds without building instances.
+A structured instance's values come from three kernels: ``_fiber`` (a
+fiber's coordinate subset S and h-prefix), which the other two share;
+``_answers`` (values at given queries, one digest per distinct
+(address, bits of x on S)); and ``_table`` (all 2^n values, fiber by
+fiber).  ``StructuredFn.eval_many`` is ``_answers`` and ``to_table`` is
+``_table`` on the instance's keyed states; ``structured_answers`` and
+``structured_tables`` run them for a block of seeds, from the sampler's
+M and A masks, without building instances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import compress, product
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -393,45 +395,86 @@ def structured_answers(
     return np.frombuffer(out, dtype=np.uint8).reshape(len(seeds), len(codes))
 
 
+def _table(states, M, pool, pool_codes, coin_limit: bytes, n: int) -> np.ndarray:
+    """The instance's 2^n values in code order, fiber by fiber; a new uint8 array.
+
+    The one tabulation kernel, which ``to_table`` and ``structured_tables``
+    share.  Each fiber is one ``_fiber`` call and one h-state call for its
+    2^|S| values, the encoded bits of x on S, MSB first, built once per
+    width.  The table is written through one transposed view of the
+    (2,)*n cube: the axes of M first (so the address bits index a fiber),
+    then the coordinates in neither M nor A, then those of A.  One
+    broadcast over the M axes writes every fiber's first value, its whole
+    fiber when S is empty, as at desk rates most are; then each fiber with
+    non-empty S is overwritten by its values, shaped with length 2 on the
+    axes of S and length 1 on the rest of A.  No 2^n-sized temporary is
+    made.  Capped at n <= 24.
+    """
+    if n > TABLE_CAP:
+        raise TooLarge(f"n = {n} exceeds the truth-table cap {TABLE_CAP}")
+    s_state, h_state = states
+    t = len(M)
+    m_or_a = {*M, *pool}
+    order = [*M, *(i for i in range(1, n + 1) if i not in m_or_a), *pool]
+    out = np.empty(1 << n, dtype=np.uint8)
+    view = out.reshape((2,) * n).transpose([i - 1 for i in order])
+    firsts = bytearray(1 << t)
+    wide = []
+    # per width w, the joined pack_ints of the w bits of y, MSB first, for y in range(2^w)
+    assignments: dict[int, list[bytes]] = {}
+    for index, address_bits in enumerate(product((0, 1), repeat=t)):
+        coords, prefix = _fiber(s_state, pool, pool_codes, coin_limit, index + 1)
+        if width := len(coords):
+            if width not in assignments:
+                assignments[width] = [b"".join(bits) for bits in product(_BIT_CODES, repeat=width)]
+            values = h_state.below_after(prefix, assignments[width], _HALF)
+            wide.append((address_bits, coords, values))
+            firsts[index] = values[0]
+        else:
+            (firsts[index],) = h_state.below_after(prefix, _NO_BITS, _HALF)
+    view[...] = np.frombuffer(firsts, dtype=np.uint8).reshape((2,) * t + (1,) * (n - t))
+    for address_bits, coords, values in wide:
+        shape = [2 if a in coords else 1 for a in pool]
+        view[address_bits] = np.array(values, dtype=np.uint8).reshape(shape)
+    return out
+
+
+def structured_tables(
+    params: Params, seeds: Sequence[Seed], in_m: np.ndarray, in_a: np.ndarray
+) -> Iterator[np.ndarray]:
+    """Row i's table, ``to_table(StructuredFn(params, M_i, A_i, seeds[i], kind)).table``, in order.
+
+    M_i and A_i are the coordinates (1-based) where row i of the boolean
+    (seeds, n) masks ``in_m`` and ``in_a`` is set, as in
+    ``structured_answers``.  Each row runs ``_table`` on its seed's keyed
+    states, so no instance or index set is built.  The tables are made as
+    the iteration reaches them, one 2^n uint8 array each, so a block of
+    seeds holds one table at a time; capped at n <= 24.
+    """
+    n = params.n
+    coords = range(1, n + 1)
+    coord_codes = pack_each(coords)
+    coin_limit = byte_limit(params.coin_prob)
+    for seed, m_row, a_row in zip(seeds, in_m, in_a):
+        a_row = a_row.tolist()
+        yield _table(_keyed_states(seed), list(compress(coords, m_row.tolist())),
+                     list(compress(coords, a_row)), list(compress(coord_codes, a_row)),
+                     coin_limit, n)
+
+
 def to_table(f: StructuredFn) -> TruthTable:
-    """Materialize a structured instance fiber by fiber; capped at n <= 24.
+    """Materialize a structured instance fiber by fiber (``_table``); capped at n <= 24.
 
     Bit-identical to evaluating ``f.eval`` at every code, at a fraction of
     the digests: per-point evaluation costs |A| + 1 digests per point,
     2^n * (|A| + 1) in all, while this derives each fiber's S once and each
     of its 2^|S| values of h once, 2^t * |A| + sum over addresses of
-    2^|S_a|.  Each fiber is one ``_fiber`` call; its values then add only
-    the encoded bits, built once per width.
-
-    The table is written through one transposed view of the (2,)*n cube:
-    the axes of M first (so the address bits index a fiber), then the
-    coordinates in neither M nor A, then those of A.  A fiber with empty S
-    is one bit; otherwise its values, shaped with length 2 on the axes of
-    S (in the same MSB-first order) and length 1 on the rest of A,
-    broadcast onto the fiber's view.  No 2^n-sized temporary is made.
+    2^|S_a|.  It runs the kernel of ``structured_tables`` on the
+    instance's own keyed states.
     """
-    n, t = f.n, len(f.M)
-    if n > TABLE_CAP:
-        raise TooLarge(f"n = {n} exceeds the truth-table cap {TABLE_CAP}")
-    out = np.empty(1 << n, dtype=np.uint8)
-    pool = f.A.members
-    m_or_a = set(f.M.members) | set(pool)
-    order = [*f.M.members, *(i for i in range(1, n + 1) if i not in m_or_a), *pool]
-    view = out.reshape((2,) * n).transpose([i - 1 for i in order])
-    # per width w, the joined pack_ints of the w bits of y, MSB first, for y in range(2^w)
-    assignments: dict[int, list[bytes]] = {}
-    for address, address_bits in enumerate(product((0, 1), repeat=t), 1):
-        coords, prefix = _fiber(f._s_state, pool, f._pool_codes, f._coin_limit, address)
-        width = len(coords)
-        if width not in assignments:
-            assignments[width] = [b"".join(bits) for bits in product(_BIT_CODES, repeat=width)]
-        values = f._h_state.below_after(prefix, assignments[width], _HALF)
-        if width:
-            shape = [2 if a in coords else 1 for a in pool]
-            view[address_bits] = np.array(values, dtype=np.uint8).reshape(shape)
-        else:
-            view[address_bits] = values[0]
-    return TruthTable(n, out)
+    states = (f._s_state, f._h_state)
+    table = _table(states, f.M.members, f.A.members, f._pool_codes, f._coin_limit, f.n)
+    return TruthTable(f.n, table)
 
 
 def bichromatic_edge_counts(f: TruthTable) -> tuple[int, ...]:

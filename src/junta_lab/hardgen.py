@@ -8,15 +8,17 @@ sampler stores only M, A and the seed.  For a block of seeds one draw
 coordinate outside M on the block of ``"A"`` streams
 (``RandomStream.below``), as arrays.  ``sample_block`` is the one
 sampler of structured instances built from that draw, and
-``sample_yes`` and ``sample_no`` are it at one seed; ``sample_block_at``
-answers the same instances at given queries without building them
-(``boolfn.structured_answers``), as the string-query game needs.  The
-per-fiber
-randomness (each fiber's subset S and its values of h) is defined point
-by point by ``StructuredFn.eval``, which re-derives
-it from the seed, so an instance takes O(1) memory however many fibers
-it has.  ``boolfn.to_table`` materializes the same values fiber by
-fiber, deriving each S and each value of h once.
+``sample_yes`` and ``sample_no`` are it at one seed.  Two readers take
+the same draw without building instances: ``sample_block_at`` answers
+them at given queries (``boolfn.structured_answers``), as the
+string-query game needs, and ``sample_block_tables`` tabulates them one
+at a time (``boolfn.structured_tables``), with their pool masks, as
+``verify_yes`` and ``verify_no`` need.  The per-fiber randomness (each
+fiber's subset S and its values of h) is defined point by point by
+``StructuredFn.eval``, which re-derives it from the seed, so an instance
+takes O(1) memory however many fibers it has.  ``boolfn.to_table``
+materializes the same values fiber by fiber, deriving each S and each
+value of h once.
 
 The two tail distributions produce explicit truth tables from a
 one-row stream: iid Bernoulli(3*epsilon) entries, one stream coin each,
@@ -42,6 +44,7 @@ from .boolfn import (
     StructuredFn,
     TruthTable,
     structured_answers,
+    structured_tables,
 )
 from .errors import EpsilonOutOfRange, InvalidInput, TooLarge, WeightOutOfRange
 from .params import Params
@@ -52,6 +55,7 @@ __all__ = [
     "sample_no",
     "sample_block",
     "sample_block_at",
+    "sample_block_tables",
     "addressing_orders",
     "sample_d1",
     "sample_d1_block_at",
@@ -138,6 +142,22 @@ def sample_block_at(
     for the whole block, with no instance built.  Shape (seeds, xs), uint8.
     """
     return structured_answers(params, seeds, *_pool_masks(params, kind, seeds), xs)
+
+
+def sample_block_tables(
+    params: Params, kind: str, seeds: Sequence[Seed]
+) -> Iterator[tuple[np.ndarray, list[bool]]]:
+    """``sample_block``'s instance i as (its table, whether each coordinate lies in M or A), in order.
+
+    The same draws (``_pool_masks``, once for the block) tabulated by
+    ``boolfn.structured_tables``: the table is ``to_table(f).table`` of
+    instance i, and the pool mask's entry j - 1 says whether coordinate j
+    lies in M ∪ A.  No instance is built, and the block holds one table
+    at a time.
+    """
+    in_m, in_a = _pool_masks(params, kind, seeds)
+    for table, pool in zip(structured_tables(params, seeds, in_m, in_a), in_m | in_a):
+        yield table, pool.tolist()
 
 
 def check_d1(n: int, epsilon: float) -> None:

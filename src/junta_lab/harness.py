@@ -31,17 +31,14 @@ from .boolfn import (
     YES_STYLE,
     BitString,
     IndexSet,
-    StructuredFn,
     TruthTable,
     bichromatic_edge_counts,
-    relevant_variables,
-    to_table,
 )
 from .errors import InvalidInput
 from .hardgen import (
     addressing_orders,
     check_d1,
-    sample_block,
+    sample_block_tables,
     sample_d1,
     sample_d1_block_at,
     sample_d2,
@@ -226,19 +223,6 @@ def _seed_blocks(seed: int, first: int, count: int) -> Iterator[list[Seed]]:
         yield base.mixes(range(start, min(start + block, first + count)))
 
 
-def _structured_trials(
-    params: Params, kind: str, seed: int, first: int, count: int
-) -> Iterator[StructuredFn]:
-    """``sample_block`` over ``_seed_blocks(seed, first, count)``: each trial's instance, in order.
-
-    Trial j's instance is ``sample_yes`` (kind ``YES_STYLE``) or
-    ``sample_no`` (``NO_STYLE``) at ``Seed(seed).mix(j)``; each is made as
-    the iteration reaches it.
-    """
-    for seeds in _seed_blocks(seed, first, count):
-        yield from sample_block(params, kind, seeds)
-
-
 def _tally(trials: int, cost: int, count_yes: Callable[[str, int, int], int]) -> GameResult:
     """Play a game's trials and summarize them as a GameResult.
 
@@ -347,27 +331,24 @@ def run_hidden_set_game(plan: AnyPlan, params: Params, trials: int, seed: int) -
     return _tally(trials, plan.cost, count_yes)
 
 
-def _pool_size(f: StructuredFn) -> int:
-    return len(f.M) + len(f.A)
-
-
 def verify_yes(config: ExperimentConfig) -> ExperimentReport:
     """Relevant-variable containment (exact, must be total) and junta frequency.
 
-    Sample j is ``sample_yes`` at ``Seed(config.seed).mix(j)``, drawn in
-    blocks by ``sample_block`` (``_structured_trials``); each is
-    tabulated and dropped before the next.
+    Sample j is ``sample_yes`` at ``Seed(config.seed).mix(j)``, tabulated
+    with its pool mask in blocks by ``sample_block_tables``, one table at
+    a time; no instance is built.  Its relevant variables lie in M ∪ A
+    when every coordinate outside has no bichromatic edge, and it is a
+    k-junta by construction when |M ∪ A| <= k.
     Runs at any n that ``to_table`` accepts (n <= TABLE_CAP).
     """
     params = config.params
     contained = 0
     junta = 0
-    for f in _structured_trials(params, YES_STYLE, config.seed, 0, config.trials):
-        rel = relevant_variables(to_table(f))
-        if set(rel.members) <= set(f.M.members) | set(f.A.members):
-            contained += 1
-        if _pool_size(f) <= params.k:
-            junta += 1
+    for seeds in _seed_blocks(config.seed, 0, config.trials):
+        for table, pool in sample_block_tables(params, YES_STYLE, seeds):
+            counts = bichromatic_edge_counts(TruthTable(params.n, table))
+            contained += not any(count for count, inside in zip(counts, pool) if not inside)
+            junta += sum(pool) <= params.k
     slack = params.k - params.t - params.p * params.m
     floor = 1.0 - math.exp(-2.0 * slack * slack / params.m) if slack > 0 else 0.0
     report = ExperimentReport("verify_yes")
@@ -396,9 +377,9 @@ def verify_no(config: ExperimentConfig) -> ExperimentReport:
     """Exact far-fractions under both samplers and the pool-size gap.
 
     The yes side's sample j is ``sample_yes`` at ``Seed(config.seed).mix(j)``
-    and the no side's is ``sample_no`` at ``mix(trials + j)``, drawn in
-    blocks by ``sample_block`` (``_structured_trials``); each is
-    tabulated and dropped before the next.
+    and the no side's is ``sample_no`` at ``mix(trials + j)``, tabulated
+    with their pool masks in blocks by ``sample_block_tables``, one table
+    at a time; no instance is built, and the pool sizes are the masks'.
     Runs at any n that ``dist_to_k_junta`` accepts (n <= DIST_CAP).
     """
     params = config.params
@@ -407,10 +388,11 @@ def verify_no(config: ExperimentConfig) -> ExperimentReport:
     def side(kind: str, offset: int) -> tuple[int, list[int]]:
         far = 0
         pool_sizes = []
-        for f in _structured_trials(params, kind, config.seed, offset, trials):
-            rep = dist_to_k_junta(to_table(f), params.k, params.epsilon)
-            far += int(bool(rep.far))
-            pool_sizes.append(_pool_size(f))
+        for seeds in _seed_blocks(config.seed, offset, trials):
+            for table, pool in sample_block_tables(params, kind, seeds):
+                rep = dist_to_k_junta(TruthTable(params.n, table), params.k, params.epsilon)
+                far += int(bool(rep.far))
+                pool_sizes.append(sum(pool))
         return far, pool_sizes
 
     far_yes, pools_yes = side(YES_STYLE, 0)

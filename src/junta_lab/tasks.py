@@ -491,10 +491,14 @@ def _slots_by_element(plan: AnyPlan, epsilon: float, n: int) -> list[tuple[np.nd
 
     Every element of an element plan has one column, at ``hit_prob`` of
     its count; every queried element of a set plan has one column per
-    query holding it, each at theta.
+    query holding it, each at theta.  One stable sort of the elements
+    lines each element's columns up in increasing order, and a split where
+    the sorted element changes makes the groups, in one pass however many
+    elements there are.
     """
     elements, rates = response_layout(plan, epsilon, n)
-    groups = [np.flatnonzero(elements == e) for e in sorted(set(elements.tolist()))]
+    order = np.argsort(elements, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(elements[order])) + 1) if len(order) else []
     return [(cols, float(rates[cols[0]])) for cols in groups]
 
 

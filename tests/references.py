@@ -39,7 +39,11 @@ round's coins with one ``below`` from ``tasks.response_layout``: one
 ``below`` per set query, and one per-element read of ``hit_prob`` rates.
 ``coin_law`` is the exact law of a one-row sampler such as ``respond``:
 it runs the sampler on a ``CoinTape`` once per coin pattern and weighs
-each pattern by the stream's own coin probabilities.
+each pattern by the stream's own coin probabilities.  ``row_coin_law``
+is the same law for a block reader such as the hidden-set game, whose
+rows are then every pattern at once (``CoinRows``).  ``per_element_slots``
+is ``tasks._slots_by_element`` as it grouped the layout before one
+stable sort did, one pass per element.
 
 ``dict_response_law`` and ``dict_lifted_law`` are the exact response laws
 as dicts keyed by response tuples, built outcome by outcome; the flat
@@ -57,6 +61,11 @@ is a one-row ``RandomStream`` built on them for the one-trial ``tasks``
 functions, and ``reference_string_plan`` is ``harness.random_string_plan``
 word by word.  ``unmix64`` inverts the finalizer, so ``stream_with_words``
 builds a stream that reads chosen words.
+
+``instance_verify_yes`` and ``instance_verify_no`` are ``verify_yes`` and
+``verify_no`` as one loop over instances, each built by ``sample_block``,
+tabulated by ``to_table`` and checked by ``relevant_variables`` or
+``dist_to_k_junta``: the loop the block tables replaced.
 
 ``per_trial_string_game`` is ``harness.run_game`` as one loop over the
 trials, each instance sampled from its own seed, and ``instance_answers``
@@ -624,6 +633,45 @@ def coin_law(run, width: int) -> dict:
     return law
 
 
+class CoinRows:
+    """A block stream whose rows are every pattern of ``width`` coins; it records each coin's rate.
+
+    Coin j of row r is bit ``width - 1 - j`` of r.  ``below(count, rate)``
+    answers every row's next ``count`` coins, shape (2^width, count), and
+    appends one rate per coin to ``rates``.
+    """
+
+    def __init__(self, width: int):
+        self.patterns = ((np.arange(1 << width)[:, None] >> np.arange(width)[::-1]) & 1).astype(bool)
+        self.rates = []
+
+    def below(self, count: int, rate) -> np.ndarray:
+        start = len(self.rates)
+        self.rates += np.broadcast_to(np.asarray(rate, dtype=np.float64), (count,)).tolist()
+        return self.patterns[:, start:start + count]
+
+
+def row_coin_law(run, width: int) -> dict:
+    """``coin_law`` with all 2^width patterns at once, as the rows of one ``CoinRows`` block.
+
+    ``run`` reads exactly ``width`` coins from the block and returns one
+    outcome per row.  A row weighs the product of its coins' l/2^53 or
+    1 - l/2^53 (``coin_law``'s weights), and each outcome's mass is the
+    ``math.fsum`` of its rows' weights, so the sum adds no rounding.
+    """
+    rows = CoinRows(width)
+    outcomes = np.asarray(run(rows)).tolist()
+    if len(rows.rates) != width:
+        raise InconsistentInput(f"the run read {len(rows.rates)} coins, not {width}")
+    fire = word_limit(rows.rates) / 2.0**53
+    weights = np.where(rows.patterns, fire, 1.0 - fire).prod(axis=1).tolist()
+    by_outcome: dict = {}
+    for outcome, weight in zip(outcomes, weights):
+        by_outcome.setdefault(outcome, []).append(weight)
+    law = {outcome: math.fsum(ws) for outcome, ws in by_outcome.items()}
+    return {outcome: mass for outcome, mass in law.items() if mass > 0.0}
+
+
 def per_trial_game(plan, params, trials: int, seed: int, decide=None) -> float:
     """The hidden-set game's advantage, one trial at a time on each side's ``ScalarStream``.
 
@@ -646,6 +694,71 @@ def per_trial_game(plan, params, trials: int, seed: int, decide=None) -> float:
             hits += decide(tasks.respond(A, plan, params.epsilon, params.n, stream)) == tasks.YES
         rates[side] = hits / count
     return rates[tasks.YES] - rates[tasks.NO]
+
+
+def instance_verify_yes(config, sample_block=hardgen.sample_block):
+    """``verify_yes``'s report as the per-instance loop computed it before the block tables.
+
+    Trial j's instance is ``sample_block``'s at ``Seed(config.seed).mix(j)``,
+    in the blocks of ``harness._seed_blocks``; it is contained when
+    ``relevant_variables(to_table(f))`` lies in M ∪ A, and a junta when
+    |M| + |A| <= k.
+    """
+    params = config.params
+    contained = junta = 0
+    for seeds in harness._seed_blocks(config.seed, 0, config.trials):
+        for f in sample_block(params, YES_STYLE, seeds):
+            rel = boolfn.relevant_variables(boolfn.to_table(f))
+            contained += set(rel.members) <= set(f.M.members) | set(f.A.members)
+            junta += len(f.M) + len(f.A) <= params.k
+    slack = params.k - params.t - params.p * params.m
+    floor = 1.0 - math.exp(-2.0 * slack * slack / params.m) if slack > 0 else 0.0
+    row = {"experiment": "verify_yes", "n": params.n, "k": params.k, "trials": config.trials,
+           "containment_fraction": contained / config.trials,
+           "junta_fraction": junta / config.trials, "junta_floor_hoeffding": floor}
+    check = harness.CheckResult("relevant_variables_subset_of_pool", contained == config.trials,
+                                f"{contained}/{config.trials} samples contained")
+    return harness.ExperimentReport("verify_yes", rows=[row], checks=[check])
+
+
+def instance_verify_no(config, sample_block=hardgen.sample_block):
+    """``verify_no``'s report as the per-instance loop computed it before the block tables.
+
+    The yes side's trial j is ``sample_block``'s yes-style instance at
+    ``Seed(config.seed).mix(j)`` and the no side's its no-style instance
+    at ``mix(trials + j)``; each is tabulated by ``to_table`` and measured
+    by ``dist_to_k_junta``, and its pool size is |M| + |A|.
+    """
+    params, trials = config.params, config.trials
+
+    def side(kind, offset):
+        far, pools = 0, []
+        for seeds in harness._seed_blocks(config.seed, offset, trials):
+            for f in sample_block(params, kind, seeds):
+                far += bool(dist_to_k_junta(boolfn.to_table(f), params.k, params.epsilon).far)
+                pools.append(len(f.M) + len(f.A))
+        return far, pools
+
+    far_yes, pools_yes = side(YES_STYLE, 0)
+    far_no, pools_no = side(boolfn.NO_STYLE, trials)
+    gap = float(np.mean(pools_no) - np.mean(pools_yes))
+    expected_gap = (params.q - params.p) * params.m
+    sigma = math.sqrt(params.q * (1.0 - params.q) * params.m / trials
+                      + params.p * (1.0 - params.p) * params.m / trials)
+    big_pool_gap = params.delta * math.sqrt(params.n) * math.log2(params.n)
+    row = {"experiment": "verify_no", "n": params.n, "k": params.k, "epsilon": params.epsilon,
+           "trials_per_side": trials, "far_fraction_no": far_no / trials,
+           "far_fraction_yes": far_yes / trials, "pool_gap": gap,
+           "expected_pool_gap": expected_gap, "pool_gap_sigma": sigma,
+           "oversize_pool_freq_no": float(np.mean([s >= params.k + big_pool_gap
+                                                   for s in pools_no]))}
+    checks = [
+        harness.CheckResult("far_fraction_order", far_no >= far_yes,
+                            f"far(no) = {far_no}/{trials}, far(yes) = {far_yes}/{trials}"),
+        harness.CheckResult("pool_gap_within_3_sigma", abs(gap - expected_gap) <= 3.0 * sigma,
+                            f"gap {gap:.6g} vs expected {expected_gap:.6g} (sigma {sigma:.6g})"),
+    ]
+    return harness.ExperimentReport("verify_no", rows=[row], checks=checks)
 
 
 def instance_answers(params, kind: str, seeds, xs) -> np.ndarray:
@@ -904,6 +1017,13 @@ def slots_by_element(plan) -> dict[int, list[tuple[int, int]]]:
         for pos, j in enumerate(T.members):
             slots.setdefault(j, []).append((i, pos))
     return slots
+
+
+def per_element_slots(plan, epsilon: float, n: int) -> list:
+    """``tasks._slots_by_element`` as it grouped before: one pass over the layout per element."""
+    elements, rates = tasks.response_layout(plan, epsilon, n)
+    groups = [np.flatnonzero(elements == e) for e in sorted(set(elements.tolist()))]
+    return [(cols, float(rates[cols[0]])) for cols in groups]
 
 
 def truncated_ones_count(r: int, theta: float, words) -> int:

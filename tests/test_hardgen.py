@@ -21,9 +21,11 @@ from junta_lab.errors import (
     WeightOutOfRange,
 )
 from junta_lab.hardgen import (
+    _pool_masks,
     addressing_orders,
     sample_block,
     sample_block_at,
+    sample_block_tables,
     sample_d1,
     sample_d1_block_at,
     sample_d2,
@@ -35,8 +37,10 @@ from junta_lab.rng import RandomStream, Seed
 from references import (
     ScalarStream,
     complement_sample,
+    fiberwise_table,
     general_encoding,
     instance_answers,
+    per_point_table,
     reference_bit,
     sample_d1_at,
     stream_with_words,
@@ -156,6 +160,53 @@ def test_block_answers_equal_eval_many(n, epsilon, seeds, data):
         assert sample_block_at(params, kind, seeds[:1], one_fiber).tolist()[0] == list(
             complement_sample(params, kind, seeds[0]).eval_many(one_fiber))
         assert answers.tolist() == instance_answers(params, kind, seeds, xs).tolist()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(4, 16), st.sampled_from([0.1, 1.0]), seed_blocks())
+def test_block_tables_equal_the_instances(n, epsilon, seeds):
+    # each table is its sample_block instance's, with that instance's M ∪ A
+    # as the pool mask: up to n = 10 evaluated at every point (eval_many of
+    # all 2^n points, and per_point_table for the block's first instance,
+    # which takes about 40 ms at n = 10); past it, filled by the fiberwise
+    # reference and tabulated by its seed alone, which checks that a table
+    # depends on its seed and not on its block
+    params = desk(n, epsilon)
+    points = [BitString(n, code) for code in range(1 << n)]
+    for kind in (YES_STYLE, NO_STYLE):
+        blocked = sample_block_tables(params, kind, seeds)
+        for i, (seed, f, (table, pool)) in enumerate(
+                zip(seeds, sample_block(params, kind, seeds), blocked, strict=True)):
+            assert table.dtype == np.uint8 and table.shape == (1 << n,)
+            assert pool == [i in f.M.members or i in f.A.members for i in range(1, n + 1)]
+            if n <= 10:
+                assert table.tolist() == list(f.eval_many(points))
+                if i == 0:
+                    assert TruthTable(n, table) == per_point_table(f)
+            else:
+                assert TruthTable(n, table) == fiberwise_table(f)
+                ((alone, alone_pool),) = sample_block_tables(params, kind, [seed])
+                assert np.array_equal(alone, table) and alone_pool == pool
+
+
+@pytest.mark.parametrize("kind", [YES_STYLE, NO_STYLE])
+def test_block_tables_hold_one_table_at_a_time(kind):
+    # a 256-seed block at n = 16 tabulated and dropped table by table: the
+    # tracemalloc peak stays within the block's pool draw (its own peak) plus
+    # two 2^16-byte tables, where all 256 tables at once would be 16 MiB
+    params = desk(16)
+    seeds = Seed(16).mixes(range(256))
+    peaks = []
+    for run in (lambda: _pool_masks(params, kind, seeds),
+                lambda: sum(1 for _ in sample_block_tables(params, kind, seeds))):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    draw, tables = peaks
+    assert tables <= draw + 2 * (1 << 16)
 
 
 @pytest.mark.parametrize("t", [8, 9, 40, 62, 63, 64, 432])

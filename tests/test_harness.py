@@ -42,6 +42,8 @@ from junta_lab.tasks import NO, YES, StringQueryPlan
 from references import (
     complement_sample,
     full_table_budget_game,
+    instance_verify_no,
+    instance_verify_yes,
     per_trial_string_game,
     point_read_budget_game,
 )
@@ -283,12 +285,32 @@ def test_verify_block_size_changes_nothing(config, monkeypatch):
     assert run_experiment(config).csv_text() == whole
 
 
+INSTANCE_LOOPS = {"verify_yes": instance_verify_yes, "verify_no": instance_verify_no}
+
+
 @pytest.mark.parametrize("config", VERIFY_CONFIGS[:2], ids=lambda c: c.experiment)
-def test_verify_experiments_equal_the_per_seed_samplers(config, monkeypatch):
-    blocked = run_experiment(config).csv_text()
-    monkeypatch.setattr(harness, "sample_block", lambda params, kind, seeds: (
-        complement_sample(params, kind, seed) for seed in seeds))
-    assert run_experiment(config).csv_text() == blocked
+def test_verify_experiments_equal_the_per_seed_samplers(config):
+    # the per-instance loop, each trial's instance drawn alone from its own reference streams
+    def per_seed(params, kind, seeds):
+        return (complement_sample(params, kind, seed) for seed in seeds)
+
+    reference = INSTANCE_LOOPS[config.experiment](config, per_seed)
+    assert run_experiment(config).csv_text() == reference.csv_text()
+
+
+@pytest.mark.parametrize("epsilon", [0.1, 1.0])
+@pytest.mark.parametrize("n", [6, 10, 12])
+def test_verify_experiments_equal_the_instance_loops(n, epsilon):
+    # the block tables against sample_block -> to_table -> relevant_variables /
+    # dist_to_k_junta; at epsilon = 1 fibers draw coordinates and some D_no
+    # instances are not juntas, so the exact distance runs its blocked walk
+    for seed in range(6):
+        for experiment, trials in (("verify_yes", 20), ("verify_no", 10)):
+            config = ExperimentConfig(desk_params(n, epsilon=epsilon), experiment, trials, seed)
+            report = run_experiment(config)
+            reference = INSTANCE_LOOPS[experiment](config)
+            assert report == reference
+            assert report.csv_text() == reference.csv_text()
 
 
 @pytest.mark.parametrize("seed", range(4))

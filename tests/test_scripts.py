@@ -1,6 +1,7 @@
 """The scripts under scripts/ run end to end, and every bench section agrees with its references."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -45,6 +46,22 @@ def test_desk_suite_writes_every_csv(tmp_path):
     assert written == sorted(path.name for path in GOLDEN_DESK.glob("*.csv"))
     for name in written:
         assert (tmp_path / name).read_bytes() == (GOLDEN_DESK / name).read_bytes(), name
+
+
+def test_ab_runs_a_tree_against_itself(tmp_path):
+    # A/A at a tiny size: two workers on one checkout agree on every output
+    proc = run_script("ab.py", str(ROOT), str(ROOT), "--workload", "structured", "--cycles", "2",
+                      "--setup-probes", "1", "--label", "aa", "--out-dir", str(tmp_path))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    record = json.loads((tmp_path / "AB_aa.json").read_text(encoding="utf-8"))
+    assert record["outputs_equal"] and record["failed_jobs"] == {"parent": 0, "change": 0}
+    assert (record["workload"], record["cycles"]) == ("structured", 2)
+    assert set(record["jobs"]) == {"verify_yes", "verify_no"}
+    for summary in (record["cycle"], record["setup"], *record["jobs"].values()):
+        assert summary["wins"] + summary["losses"] + summary["ties"] == len(summary["parent_s"])
+        assert summary["ratio_q1"] <= summary["ratio_median"] <= summary["ratio_q3"]
+        assert 0.0 < summary["sign_p"] <= 1.0
+    assert len(record["cycle"]["change_s"]) == 2 and len(record["setup"]["parent_s"]) == 1
 
 
 def load_script(name):

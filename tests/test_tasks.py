@@ -55,11 +55,13 @@ from references import (
     dict_lifted_law,
     dict_response_law,
     lift_response,
+    per_element_slots,
     per_element_sseq_respond,
     per_query_sssq_respond,
     per_trial_game,
     reference_is_separating,
     reference_stream,
+    row_coin_law,
 )
 
 
@@ -847,6 +849,28 @@ def test_log_likelihood_matches_law():
             assert math.exp(ll) == pytest.approx(prob, rel=1e-9)
 
 
+@st.composite
+def layout_plans(draw):
+    """An element plan of counts 0..5, or a set plan of 1 to 8 queries, empty ones included."""
+    m = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        return ElementQueryPlan.of(draw(st.lists(st.integers(0, 5), min_size=m, max_size=m)))
+    queries = draw(st.lists(st.sets(st.integers(1, m)), min_size=1, max_size=8))
+    return SetQueryPlan.of(m, [sorted(T) for T in queries])
+
+
+@settings(max_examples=100, deadline=None)
+@given(layout_plans(), st.sampled_from([(0.1, 10), (1.2, 4)]))
+def test_slots_by_element_equal_the_per_element_grouping(plan, edge):
+    epsilon, n = edge
+    got = tasks._slots_by_element(plan, epsilon, n)
+    want = per_element_slots(plan, epsilon, n)
+    assert len(got) == len(want)
+    for (cols, rate), (want_cols, want_rate) in zip(got, want):
+        assert cols.dtype == want_cols.dtype and cols.tolist() == want_cols.tolist()
+        assert rate == want_rate
+
+
 def summed_table_terms(response, plan, inclusion, params):
     """The ``_log_likelihood_rows`` terms of a response's per-element ones counts, summed in row order."""
     groups = tasks._slots_by_element(plan, params.epsilon, params.n)
@@ -1011,6 +1035,49 @@ def test_hidden_set_game_matches_exact_advantage(plan, seed):
     sigma = (result.ci_high - result.ci_low) / (2 * Z_95)
     exact = exact_optimal_advantage(plan, GAME_PARAMS)
     assert abs(result.advantage - exact) <= 3 * sigma
+
+
+# The GAME_PLANS whose trial reads at most 20 coins (m hidden, then the
+# layout's width): sseq-desk 8 + 8, sseq-zero-counts 6 + 6 and
+# sssq-empty-query 6 + 8; sssq-desk reads 8 + 32.
+ENUMERABLE_GAMES = ["sseq-desk", "sseq-zero-counts", "sssq-empty-query"]
+
+# Each side's P(yes) is a sum over coin patterns of products of w <= 20
+# exact factors (l/2^53 and 1 - l/2^53 are doubles), so it carries w - 1
+# roundings per product and one for the math.fsum; and word_limit moves
+# each coin's rate by less than 2^-53, which moves a multilinear law by
+# less than w * 2^-53.  That is under 4 * 20 * 2^-53 = 8.9e-15 for the
+# two sides together.  exact_optimal_advantage adds its own rounding over
+# a few hundred binomial mass products; 1e-13 covers both ten times over
+# (measured errors are below 1e-15).
+GAME_LAW_TOLERANCE = 1e-13
+
+
+@pytest.mark.parametrize("plan", [GAME_PLANS[GAME_IDS.index(i)] for i in ENUMERABLE_GAMES],
+                         ids=ENUMERABLE_GAMES)
+def test_hidden_set_game_law_equals_the_exact_advantage(plan):
+    """One trial's exact law per side, every coin pattern enumerated: the decider attains the optimum.
+
+    A trial reads ``sample_hidden``'s m coins at the side's inclusion rate,
+    then ``respond``'s coins at ``response_layout``'s rates, and
+    ``batch_bayes_decider`` decides the response, as ``run_hidden_set_game``
+    reads and decides each row of a block.
+    """
+    params = GAME_PARAMS
+    element_of, responses = response_layout(plan, params.epsilon, params.n)
+    width = plan.m + len(element_of)
+    assert width <= 20
+    decide = batch_bayes_decider(plan, params)
+
+    def yes_rate(inclusion):
+        def trial(rows):
+            hidden = rows.below(plan.m, inclusion)
+            return decide(hidden[:, element_of] & rows.below(len(element_of), responses))
+
+        return row_coin_law(trial, width).get(True, 0.0)
+
+    advantage = yes_rate(params.p) - yes_rate(params.q)
+    assert abs(advantage - exact_optimal_advantage(plan, params)) <= GAME_LAW_TOLERANCE
 
 
 @pytest.mark.parametrize("plan", GAME_PLANS, ids=GAME_IDS)
