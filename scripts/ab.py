@@ -79,8 +79,8 @@ class Worker:
 
     def __init__(self, tree: Path, workload: str, seed: int):
         self.work = tempfile.TemporaryDirectory(prefix="ab-")
-        argv = [sys.executable, str(Path(__file__).resolve()), str(tree.resolve()),
-                str(tree.resolve()), "--workload", workload, "--seed", str(seed), "--worker"]
+        argv = [sys.executable, str(Path(__file__).resolve()), str(tree), str(tree),
+                "--workload", workload, "--seed", str(seed), "--worker"]
         self.proc = subprocess.Popen(argv, cwd=self.work.name, stdin=subprocess.PIPE,
                                      stdout=subprocess.PIPE, text=True)
 
@@ -225,7 +225,7 @@ def main(argv: list[str] | None = None) -> int:
         return worker(args.parent, args.workload, args.seed)
     if args.cycles is None or args.cycles < 1 or args.setup_probes < 0:
         parser.error("--cycles must be positive and --setup-probes not negative")
-    trees = {"parent": args.parent, "change": args.change}
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for side, tree in trees.items():
         if not (tree / "src" / "junta_lab").is_dir() or not (tree / "perfbench").is_dir():
             parser.error(f"{side} {tree} is not a junta-lab checkout")

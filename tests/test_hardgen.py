@@ -175,13 +175,13 @@ def test_block_tables_equal_the_instances(n, epsilon, seeds):
     points = [BitString(n, code) for code in range(1 << n)]
     for kind in (YES_STYLE, NO_STYLE):
         blocked = sample_block_tables(params, kind, seeds)
-        for i, (seed, f, (table, pool)) in enumerate(
+        for index, (seed, f, (table, pool)) in enumerate(
                 zip(seeds, sample_block(params, kind, seeds), blocked, strict=True)):
             assert table.dtype == np.uint8 and table.shape == (1 << n,)
             assert pool == [i in f.M.members or i in f.A.members for i in range(1, n + 1)]
             if n <= 10:
                 assert table.tolist() == list(f.eval_many(points))
-                if i == 0:
+                if index == 0:
                     assert TruthTable(n, table) == per_point_table(f)
             else:
                 assert TruthTable(n, table) == fiberwise_table(f)
