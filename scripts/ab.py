@@ -16,6 +16,8 @@ parent time / change time (above 1 means the change is faster) with its
 median and quartiles, the change's wins, losses and ties, and the
 two-sided sign-test p-value.  Every job's output bytes (a SHA-256 digest)
 and failure state must be equal between the checkouts, cycle by cycle.
+Each tree is named by its git commit (null outside a git checkout, as in
+a ``git archive`` copy) and by a SHA-256 over its ``src/`` files.
 Then it launches ``perfbench/run.py --setup-probe`` ``--setup-probes``
 times per checkout, alternating which goes first, and reports set-up
 seconds the same way.  Everything goes to ``AB_<label>.json`` in
@@ -125,6 +127,16 @@ def git_commit(tree: Path) -> str | None:
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
+def src_sha256(tree: Path) -> str:
+    """A SHA-256 over the tree's ``src/`` files: each relative path and its bytes, in path order."""
+    digest = hashlib.sha256()
+    src = tree / "src"
+    for path in sorted(p for p in src.rglob("*") if p.is_file() and "__pycache__" not in p.parts):
+        digest.update(path.relative_to(src).as_posix().encode("utf-8") + b"\0")
+        digest.update(hashlib.sha256(path.read_bytes()).digest())
+    return digest.hexdigest()
+
+
 def sign_test(wins: int, losses: int) -> float:
     """Two-sided exact sign-test p-value of ``wins`` against ``losses``; ties are dropped."""
     n = wins + losses
@@ -196,6 +208,7 @@ def run(trees: dict[str, Path], workload: str, cycles: int, seed: int,
     record = {
         "workload": workload, "cycles": cycles, "seed": seed, "nproc": os.cpu_count(),
         "commits": {side: git_commit(trees[side]) for side in SIDES},
+        "src_sha256": {side: src_sha256(trees[side]) for side in SIDES},
         "items_per_cycle": {side: runs[side][0]["items"] for side in SIDES},
         "cycle": compare(*([r["s"] for r in runs[side]] for side in SIDES)),
         "jobs": {name: compare(*([r["jobs"][i]["s"] for r in runs[side]] for side in SIDES))

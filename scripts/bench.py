@@ -2,22 +2,19 @@
 """Time each fast path against its reference on fixed seeds, and check that they agree.
 
 Every comparison is a ``Pair``: a name, a line describing its inputs, the
-reference call, the fast call and a digest hook.  The references and the
-"before" forms are imported from ``tests/references.py``, which the tests
-use as oracles too; this script defines none.  ``compared`` is the one
-loop: it runs both calls once inside ``counted_digests`` (which counts
-every digest a keyed digest state derives), checks that the results are
-equal and the digest counts as the hook expects, and then times each call
+reference call and the fast call.  The references and the "before" forms
+are imported from ``tests/references.py``, which the tests use as oracles
+too; this script defines none.  ``compared`` is the one loop: it runs both
+calls once, checks that the results are equal, and then times each call
 ``REPEATS[section]`` times.  Every case record has the same keys:
-section, name, inputs, reference and fast (median and quartiles), equal,
-speedup and digests.
+section, name, inputs, reference and fast (median and quartiles), equal
+and speedup.
 
 Sections, in order:
 
 - ``to_table``: ``to_table`` against per-point evaluation on yes and no
   desk instances at n in ``COMPARED``, and alone at n in ``FAST_ONLY`` (24
-  is the truth-table cap); both digest counts must match their closed
-  forms (``digest_counts``).
+  is the truth-table cap).
 - ``distance``: ``dist_to_k_junta`` against ``first_minimum_over_subsets``
   (one ``bincount`` per size-k set) on D2 tables at n in ``ORACLE_N``, at
   k = n - 1 and k = n - 4.
@@ -35,8 +32,7 @@ Sections, in order:
   certified sweep (``shift_bound_sweep``) against the per-cell exact
   sweep, both reduced to (cells, violations, worst margin); the batched
   sseq and sssq games against ``per_trial_game``; the goodM mask test
-  against ``reference_is_separating``; joined ``pack_each`` payloads
-  against ``general_encoding``.
+  against ``reference_is_separating``.
 - ``strings_game``: the string-query game answered a block at a time
   (``run_game`` with ``sample_block_at``) against
   ``per_trial_string_game`` drawing each trial's instance by
@@ -55,10 +51,9 @@ Sections, in order:
 - ``budget_game``: ``budget_game`` against ``full_table_budget_game``
   (one full ``sample_d1`` table per no-side trial) and against
   ``point_read_budget_game`` (D1 point reads, one stream per trial).
-- ``seed_derivation``: the strings game one trial at a time (instances
-  by ``complement_sample``) and ``to_table`` with keyed digest states
-  against ``fresh_sample`` instances, which build one fresh keyed blake2b
-  per digest (and so derive no counted digest).
+- ``seed_derivation``: ``Seed.mixes`` (one keyed blake2b state, copied
+  per trial) against one fresh keyed blake2b per trial
+  (``reference_digest``), for ``MIX_INDICES`` trial seeds.
 - ``explicit_tables``: the packed edge counts against one pass per
   direction; ``dist_to_k_junta``'s word adds against ``count_adds``; the
   per-call cost of ``cli.main`` on a ``dtv`` call at c = 1, one parser per
@@ -69,24 +64,22 @@ Sections, in order:
 - ``structured``: at ``STRUCTURED_CASES``, on yes and no instances,
   sampling (``sample_block``, one block per kind) against one
   ``complement_sample`` call per seed, ``to_table`` against
-  ``fiberwise_table`` and ``eval_many`` against ``fiberwise_eval_many``;
-  sampling derives no digest, ``to_table`` the same digests on both sides,
-  and ``eval_many`` one value of h per distinct (address, bits of x on S)
-  where the fiberwise form derives one per query
-  (``eval_many_digest_counts``).  The before sides share today's
-  ``pack_each``, so they run a little faster than the code they stand for.
-  Then lazy instances at desk n in ``LAZY_N``, where t runs to the
-  hundreds: a yes instance's ``eval_many`` at 1 and at 64 random queries
-  against ``fiberwise_eval_many``, and ``sample_block_at`` on 3 no-style
-  seeds and 16 queries against ``instance_answers``.
+  ``fiberwise_table`` and ``eval_many`` against ``fiberwise_eval_many``,
+  both fiberwise forms computing every word on Python ints.  Then lazy
+  instances at desk n in ``LAZY_N``, where t runs to the hundreds: a yes
+  instance's ``eval_many`` at 1 and at 64 random queries against
+  ``fiberwise_eval_many``, and ``sample_block_at`` on 3 no-style seeds and
+  16 queries against ``instance_answers``; and one strict D_no (alpha
+  0.75, epsilon 0.1) at n in ``STRICT_LAZY_N``, a single ``eval`` and a
+  64-query ``eval_many``, against ``fiberwise_eval_many``.
 - ``verify_sampling``: the instances ``verify_yes`` and ``verify_no``
   draw, yes and no at desk n = ``DESK_N`` on ``VERIFY_SEEDS`` seeds:
   ``sample_block`` on the whole block against one ``complement_sample``
-  call per seed; sampling derives no digest.
+  call per seed.
 
 The sizes each section runs at are the module constants below, so a test
 can run every section small.  The script exits 1 if any comparison
-fails, and writes BENCH_41.json at the root of the checkout (BENCH_34.json,
+fails, and writes BENCH_51.json at the root of the checkout (BENCH_41.json, BENCH_34.json,
 BENCH_30.json, BENCH_25.json, BENCH_23.json, BENCH_22.json, BENCH_21.json, BENCH_18.json and
 BENCH_17.json are earlier runs; BENCH_2, BENCH_3,
 BENCH_5, BENCH_6, BENCH_7, BENCH_10, BENCH_11, BENCH_12, BENCH_14 and
@@ -108,7 +101,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from junta_lab import harness, rng, tasks
+from junta_lab import harness, tasks
 from junta_lab.binom_stats import BinomialSpec, exact_dtv, shift_bound_sweep
 from junta_lab.boolfn import (
     NO_STYLE,
@@ -136,6 +129,7 @@ from junta_lab.harness import (
     random_string_plan,
     run_hidden_set_game,
 )
+from junta_lab.params import derive_params
 from junta_lab.rng import RandomStream, Seed
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -146,14 +140,10 @@ from references import (  # noqa: E402
     cli_calls,
     complement_sample,
     count_adds,
-    counted_digests,
-    digest_counts,
     distance_and_witness,
-    eval_many_digest_counts,
     fiberwise_eval_many,
     fiberwise_table,
     first_minimum_over_subsets,
-    fresh_sample,
     full_table_budget_game,
     general_encoding,
     generator_walk,
@@ -166,12 +156,13 @@ from references import (  # noqa: E402
     per_trial_game,
     per_trial_string_game,
     point_read_budget_game,
+    reference_digest,
     reference_is_separating,
     reference_string_plan,
     set_checked_deserialize,
 )
 
-OUTPUT = ROOT / "BENCH_41.json"
+OUTPUT = ROOT / "BENCH_51.json"
 SEED = 1
 REPEATS = {"to_table": 3, "distance": 3, "matching": 3, "kernel": 7, "frontier": 3, "games": 5,
            "strings_game": 11, "stream_seeding": 21, "budget_game": 11, "seed_derivation": 7,
@@ -190,12 +181,11 @@ FRONTIER_D2 = (18, 14)
 GAME_TRIALS = 2000
 BUDGET_N = 14
 GOOD_M_N, GOOD_M_QUERIES, GOOD_M_DRAWS = 12, 20, 2000
-PAYLOADS = 20000
 STRINGS_N, STRINGS_QUERIES, STRINGS_TRIALS = 12, 16, 500
 STREAMS = 1000
 HIDDEN_BLOCK = harness.GAME_BLOCK_CELLS
 PLAN_N = (12, 48)
-DIGEST_TABLE_N = (10, 14)
+MIX_INDICES = 2000
 EDGE_COUNTS_N = 16
 CLI_CALLS = 100
 DTV_ARGV = ["dtv", "--c", "1", "--p", "0.5", "--q", "0.75", "--lambda", "1.0"]
@@ -203,22 +193,17 @@ TAIL_N = (16, 18, 20)
 STRUCTURED_CASES = ((10, 0.1), (12, 0.1), (14, 0.1), (12, 1.0))
 STRUCTURED_PER_KIND, STRUCTURED_QUERIES = 10, 16
 LAZY_N = (256, 1024, 4096)
+STRICT_LAZY_N = (1024, 4096)
 VERIFY_SEEDS = (10, 20, 256)
 
 
 class Pair(NamedTuple):
-    """One comparison.
-
-    ``reference`` is None for a fast path timed alone.  ``digests`` is the
-    digest hook: None only records the counts, and a (reference, fast)
-    tuple gives each side's closed form, None where a side is not checked.
-    """
+    """One comparison; ``reference`` is None for a fast path timed alone."""
 
     name: str
     inputs: str
     reference: Optional[Callable[[], object]]
     fast: Callable[[], object]
-    digests: Optional[tuple] = None
 
 
 def timed(call, repeats: int) -> dict:
@@ -237,25 +222,17 @@ def compared(section: str, pairs) -> tuple[list[dict], list[str]]:
     cases, problems = [], []
     for pair in pairs:
         case = {"section": section, "name": pair.name, "inputs": pair.inputs}
-        results, counts = {}, {}
+        results = {}
         for label, call in (("reference", pair.reference), ("fast", pair.fast)):
-            case[label] = results[label] = counts[label] = None
+            case[label] = results[label] = None
             if call is not None:
-                with counted_digests() as count:
-                    results[label] = call()
-                counts[label] = count[0]
+                results[label] = call()
                 case[label] = timed(call, REPEATS[section])
         timed_alone = pair.reference is None
         case["equal"] = None if timed_alone else results["reference"] == results["fast"]
         case["speedup"] = None if timed_alone else case["reference"]["median_s"] / case["fast"]["median_s"]
-        case["digests"] = counts
-        got = (counts["reference"], counts["fast"])
-        digests_ok = all(want is None or want == count
-                         for want, count in zip(pair.digests or (), got))
         if case["equal"] is False:
             problems.append(f"{section}: {pair.name}: fast path differs from its reference")
-        if not digests_ok:
-            problems.append(f"{section}: {pair.name}: {got} digests, expected {pair.digests}")
         cases.append(case)
     return cases, problems
 
@@ -276,12 +253,10 @@ def to_table_pairs() -> list[Pair]:
     for n in COMPARED + FAST_ONLY:
         for kind, sampler in SAMPLERS.items():
             f = sampler(desk_params(n), Seed(SEED))
-            per_point, fiberwise = digest_counts(f)
-            against = n in COMPARED
             pairs.append(Pair(f"n = {n}, {kind}",
                               f"desk {kind} instance, seed {SEED}, t = {len(f.M)}, |A| = {len(f.A)}",
-                              partial(per_point_table, f) if against else None, partial(to_table, f),
-                              (per_point if against else None, fiberwise)))
+                              partial(per_point_table, f) if n in COMPARED else None,
+                              partial(to_table, f)))
     return pairs
 
 
@@ -344,14 +319,6 @@ def game_pairs() -> list[Pair]:
     good = desk_params(GOOD_M_N)
     X = random_string_plan(GOOD_M_N, GOOD_M_QUERIES, Seed(SEED), "goodM-plan", always_yes)
     Ms = [f.M for f in sample_block(good, YES_STYLE, Seed(SEED).mixes(range(GOOD_M_DRAWS)))]
-    draw = random.Random(SEED)
-    # to_table's payloads: address, |S|, the members of S, then their bits.
-    payloads = []
-    for _ in range(PAYLOADS):
-        size = draw.randint(0, 6)
-        coords = sorted(draw.sample(range(1, 17), size))
-        payloads.append((draw.randint(1, 16), size, *coords,
-                         *(draw.randint(0, 1) for _ in coords)))
     cells = [(BinomialSpec(c, r), BinomialSpec(c, shifted))
              for c, r, shifted, _, _ in bound_sweep_cells(p)]
     pairs = [
@@ -378,9 +345,6 @@ def game_pairs() -> list[Pair]:
              lambda: [reference_is_separating(M, X, good.tau) for M in Ms],
              lambda: [tasks.separates(M, codes)
                       for codes in [tasks.far_pair_codes(X, good.tau)] for M in Ms]),
-        Pair("pack_each", f"{len(payloads)} fiber payloads of single-byte values",
-             lambda: [general_encoding(*values) for values in payloads],
-             lambda: [b"".join(rng.pack_each(values)) for values in payloads]),
     ]
     return pairs
 
@@ -475,26 +439,12 @@ def budget_game_pairs() -> list[Pair]:
 
 
 def seed_derivation_pairs() -> list[Pair]:
-    params = desk_params(STRINGS_N)
-    plan = strings_plan("parity_yes")
-    keyed = [partial(complement_sample, params, kind) for kind in (YES_STYLE, NO_STYLE)]
-    fresh = [partial(fresh_sample, complement_sample, params, kind) for kind in (YES_STYLE, NO_STYLE)]
-    pairs = [Pair("strings_game", f"desk n = {STRINGS_N}, {STRINGS_QUERIES} queries, parity_yes, "
-                  f"{STRINGS_TRIALS} trials, seed {SEED}, one trial at a time",
-                  lambda: per_trial_string_game(*fresh, plan, STRINGS_TRIALS, SEED).as_json_dict(),
-                  lambda: per_trial_string_game(*keyed, plan, STRINGS_TRIALS, SEED).as_json_dict())]
-    # epsilon = 0.1 is the structured workload's instances, whose fibers are
-    # mostly empty; at epsilon = 1 every fiber draws several coordinates
-    for n in DIGEST_TABLE_N:
-        for epsilon in (0.1, 1.0):
-            for kind, sampler in SAMPLERS.items():
-                p = desk_params(n, epsilon=epsilon)
-                f = sampler(p, Seed(SEED))
-                pairs.append(Pair(f"to_table n = {n}, epsilon = {epsilon}, {kind}",
-                                  f"desk {kind} instance, seed {SEED}",
-                                  partial(to_table, fresh_sample(sampler, p, Seed(SEED))),
-                                  partial(to_table, f), (0, digest_counts(f)[1])))
-    return pairs
+    base = Seed(SEED)
+    return [Pair("Seed.mixes", f"{MIX_INDICES} trial seeds of Seed({SEED}), one keyed state copied "
+                 "per trial against one fresh keyed blake2b per trial",
+                 lambda: [int.from_bytes(reference_digest(base, "mix", general_encoding(i)), "big")
+                          for i in range(MIX_INDICES)],
+                 lambda: [seed.value for seed in base.mixes(range(MIX_INDICES))])]
 
 
 def explicit_table_pairs() -> list[Pair]:
@@ -550,7 +500,6 @@ def structured_pairs() -> list[Pair]:
         fs = [f for kind, block in draws for f in sample_block(p, kind, block)]
         draw = random.Random(SEED)
         xs = [BitString(n, draw.getrandbits(n)) for _ in range(STRUCTURED_QUERIES)]
-        tables = sum(digest_counts(f)[1] for f in fs)
         label = (f"desk n = {n}, epsilon = {epsilon}, {STRUCTURED_PER_KIND} yes and "
                  f"{STRUCTURED_PER_KIND} no instances, seed {SEED}")
         pairs += [
@@ -559,16 +508,14 @@ def structured_pairs() -> list[Pair]:
                  lambda draws=draws, p=p: [complement_sample(p, kind, seed)
                                            for kind, block in draws for seed in block],
                  lambda draws=draws, p=p: [f for kind, block in draws
-                                           for f in sample_block(p, kind, block)],
-                 (0, 0)),
+                                           for f in sample_block(p, kind, block)]),
             Pair(f"to_table n = {n}, epsilon = {epsilon}", f"{label}, view fill against fiberwise",
                  lambda fs=fs: [fiberwise_table(f) for f in fs],
-                 lambda fs=fs: [to_table(f) for f in fs], (tables, tables)),
+                 lambda fs=fs: [to_table(f) for f in fs]),
             Pair(f"eval_many n = {n}, epsilon = {epsilon}",
                  f"{label}, {STRUCTURED_QUERIES} random queries, batched against fiberwise",
                  lambda fs=fs, xs=xs: [fiberwise_eval_many(f, xs) for f in fs],
-                 lambda fs=fs, xs=xs: [f.eval_many(xs) for f in fs],
-                 tuple(map(sum, zip(*(eval_many_digest_counts(f, xs) for f in fs))))),
+                 lambda fs=fs, xs=xs: [f.eval_many(xs) for f in fs]),
         ]
     for n in LAZY_N:
         p = desk_params(n)
@@ -581,8 +528,7 @@ def structured_pairs() -> list[Pair]:
             pairs.append(Pair(f"lazy eval_many n = {n}, {count} queries",
                               f"{label}, {count} random queries, gather against fiberwise",
                               lambda xs=xs[:count], f=f: fiberwise_eval_many(f, xs),
-                              lambda xs=xs[:count], f=f: f.eval_many(xs),
-                              eval_many_digest_counts(f, xs[:count])))
+                              lambda xs=xs[:count], f=f: f.eval_many(xs)))
         pairs.append(Pair(f"lazy sample_block_at n = {n}",
                           f"desk n = {n}, t = {p.t}, no-style seeds Seed({SEED}).mix(0..2), "
                           "16 random queries, block against one instance per seed",
@@ -590,6 +536,20 @@ def structured_pairs() -> list[Pair]:
                               instance_answers(p, NO_STYLE, seeds, xs).tolist(),
                           lambda p=p, seeds=seeds, xs=xs[:16]:
                               sample_block_at(p, NO_STYLE, seeds, xs).tolist()))
+    for n in STRICT_LAZY_N:
+        f = sample_no(derive_params(n, 0.75, 0.1), Seed(SEED))
+        draw = random.Random(SEED)
+        xs = [BitString(n, draw.getrandbits(n)) for _ in range(64)]
+        label = f"strict D_no, n = {n}, t = {len(f.M)}, |A| = {len(f.A)}, seed {SEED}"
+        pairs += [
+            Pair(f"strict eval n = {n}, 1 query", f"{label}, one eval call against fiberwise",
+                 lambda xs=xs, f=f: fiberwise_eval_many(f, xs[:1]),
+                 lambda xs=xs, f=f: (f.eval(xs[0]),)),
+            Pair(f"strict eval_many n = {n}, 64 queries",
+                 f"{label}, 64 random queries, gather against fiberwise",
+                 lambda xs=xs, f=f: fiberwise_eval_many(f, xs),
+                 lambda xs=xs, f=f: f.eval_many(xs)),
+        ]
     return pairs
 
 
@@ -604,8 +564,7 @@ def verify_sampling_pairs() -> list[Pair]:
                 f"desk n = {DESK_N}, seeds Seed({SEED}).mix(0..{count - 1}), one block "
                 "against one complement_sample call per seed",
                 lambda seeds=seeds, style=style: [complement_sample(p, style, seed) for seed in seeds],
-                lambda seeds=seeds, style=style: list(sample_block(p, style, seeds)),
-                (0, 0)))
+                lambda seeds=seeds, style=style: list(sample_block(p, style, seeds))))
     return pairs
 
 

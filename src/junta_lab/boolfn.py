@@ -7,27 +7,28 @@ The addressing map x -> x|_M uses the same convention: the smallest
 index of the addressing set contributes the most significant bit.  Its
 one implementation is the gather ``_addresses``.
 
-A structured instance's values come from three kernels: ``_fiber`` (a
-fiber's coordinate subset S and h-prefix), which the other two share;
-``_answers`` (values at given queries, one digest per distinct
-(address, bits of x on S)); and ``_table`` (all 2^n values, fiber by
-fiber).  ``StructuredFn.eval_many`` is ``_answers`` and ``to_table`` is
-``_table`` on the instance's keyed states; ``structured_answers`` and
-``structured_tables`` run them for a block of seeds, from the sampler's
-M and A masks, without building instances.
+A structured instance's bits are words of ``rng.words`` at keys folded
+from its seed, and come from three array kernels over rows (instances)
+at once: ``_fibers`` (each fiber's h key and coordinate subset S), which
+the other two share; ``_answers`` (values at given queries); and
+``_tables`` (all 2^n values, fiber by fiber).  ``StructuredFn.eval_many``
+is ``_answers`` and ``to_table`` is ``_tables`` with the instance as the
+one row; ``structured_answers`` and ``structured_tables`` run them for a
+block of seeds, from the sampler's M and A masks, without building
+instances.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import compress, product
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidInput, TooLarge
 from .params import Params
-from .rng import KeyedDigest, Seed, byte_limit, pack_each, pack_ints
+from .rng import Seed, stream_keys, word_limit, words
 
 TABLE_CAP = 24
 
@@ -185,96 +186,131 @@ class TruthTable:
 
 _S_ROLE = "S-membership"
 _H_ROLE = "h-value"
-_HALF = byte_limit(0.5)
-_BIT_CODES = (pack_ints(0), pack_ints(1))
-# |S| = 0 in a fiber's prefix, and the encoded bits of x on an empty S
-_NO_COORDS = pack_ints(0)
-_NO_BITS = (b"",)
+_HALF = word_limit(0.5)
+_MASK64 = (1 << 64) - 1
+# Cells (rows x fibers or queries x pool coordinates) of one chunk of a
+# block's kernel arrays, and positions of a wide fiber's values made at
+# once: each uint64 temporary holds at most this many words, so a block's
+# memory does not grow with its seeds and to_table's stays far below its
+# table.
+_CELLS = 1 << 11
+_PIECE = 1 << 9
 
 
-def _keyed_states(seed: Seed) -> tuple[KeyedDigest, KeyedDigest]:
-    """The S-membership and h-value keyed states of the instance with this seed."""
-    return KeyedDigest.of(seed, _S_ROLE), KeyedDigest.of(seed, _H_ROLE)
+def _row_keys(seeds: Sequence[Seed]) -> np.ndarray:
+    """K_S and K_H per seed, the keys of its "S-membership" and "h-value" streams: (2, seeds)."""
+    return np.stack([stream_keys(seeds, _S_ROLE), stream_keys(seeds, _H_ROLE)])
 
 
-def _fiber(s_state: KeyedDigest, pool, pool_codes, coin_limit: bytes, address: int):
-    """(S, the h-prefix: pack_ints of address, |S| and each of S, joined) of the fiber.
+def _fold(keys: np.ndarray, chunks, widths) -> np.ndarray:
+    """fold(key, v, w): key <- words(key, c) for each 64-bit chunk c of v, least significant first.
 
-    The one membership kernel: member a of the pool joins S when the
-    digest of ``pack_ints(address) + pack_ints(a)`` fires at the coin
-    rate, |pool| digests in one S-state call.  At desk rates most fibers
-    draw no coordinate, and their prefix is the address and |S| = 0.
+    ``chunks`` holds v's chunks along its first axis (or is a list of
+    them), each broadcasting with ``keys``; a key folds the first
+    max(1, ceil(w / 64)) of them, w from ``widths``, which broadcasts with
+    the keys.  For w <= 64 the fold is words(key, v).
     """
-    head = pack_ints(address)
-    fired = s_state.below_after(head, pool_codes, coin_limit)
-    if True not in fired:
-        return (), head + _NO_COORDS
-    coords = tuple(compress(pool, fired))
-    return coords, b"".join((head, pack_ints(len(coords)), *compress(pool_codes, fired)))
+    for index, chunk in enumerate(chunks):
+        folded = words(keys, chunk)
+        keys = folded if index == 0 else np.where(widths > 64 * index, folded, keys)
+    return keys
 
 
-def _answers(states, pool, pool_codes, coin_limit: bytes, n: int, codes, addresses) -> list[bool]:
-    """The instance's values at the n-bit ``codes``, given each code's address.
+def _address_chunks(addresses: np.ndarray, t: int) -> np.ndarray:
+    """The ceil(t / 64) 64-bit chunks of t-bit addresses, least significant first: uint64."""
+    if addresses.dtype != object:
+        return addresses.astype(np.uint64)[None]
+    flat = addresses.ravel().tolist()
+    shifts = range(0, t, 64)
+    return np.array([[a >> shift & _MASK64 for a in flat] for shift in shifts],
+                    dtype=np.uint64).reshape(len(shifts), *addresses.shape)
+
+
+def _value_bits(values: np.ndarray) -> np.ndarray:
+    """The fair coin of each folded word, in place: its top 53 bits below ``word_limit(0.5)``."""
+    return np.right_shift(values, 11, out=values) < _HALF
+
+
+def _fibers(keys: np.ndarray, chunks: np.ndarray, t: int, coords: np.ndarray,
+            in_pool: np.ndarray, limit) -> tuple[np.ndarray, np.ndarray]:
+    """(h keys, membership coins) of the fibers at the addresses whose ``chunks`` are given.
+
+    The one fiber kernel.  Row r's keys are ``keys[:, r]`` (K_S, K_H) and
+    its candidate coordinates ``coords[r]`` (1-based, increasing), of which
+    ``in_pool[r]`` marks the members of A.  A fiber at address a has the
+    keys s = fold(K_S, a, t) and h = fold(K_H, a, t), and coordinate i of A
+    joins its S when words(s, i) >> 11 < ``limit``, word_limit(theta):
+    exact to the word, and independent of the rest of A.  ``chunks`` has
+    shape (chunks, rows or 1, fibers); h is (rows, fibers) and the coins
+    (rows, fibers, candidates).
+    """
+    s, h = _fold(keys[:, :, None], chunks, t)
+    coins = words(s[:, :, None], coords[:, None, :])
+    coins = np.right_shift(coins, 11, out=coins) < limit
+    coins &= in_pool[:, None, :]
+    return h, coins
+
+
+def _answers(keys: np.ndarray, coords: np.ndarray, in_pool: np.ndarray, limit, t: int,
+             bits: np.ndarray, addresses: np.ndarray) -> np.ndarray:
+    """Each row's values at the queries whose bits and addresses are given: (rows, queries), bool.
 
     The one evaluation kernel, which ``StructuredFn.eval_many`` and
-    ``structured_answers`` share.  Each distinct address derives its
-    fiber once (``_fiber``); then each distinct (address, bits of x on S)
-    costs one value of h, the digest of the bits packed MSB first after
-    the fiber's prefix, so a fiber with empty S answers all of its queries
-    with one digest.
+    ``structured_answers`` share.  ``bits`` is the queries' (queries, n)
+    bit matrix (``_code_bits``) and ``addresses`` their (rows, queries)
+    addresses under each row's M; the rows are as in ``_fibers``, which
+    gives each query its fiber's h key and S.  Then f(x) is the fair coin
+    of fold(h, y, max(|S|, 1)), y being the bits of x on S read as an
+    integer, the smallest coordinate most significant.  Bit j of y sits
+    ``after`` places up, the number of members of S after it.
     """
-    s_state, h_state = states
-    by_address: dict[int, list[int]] = {}
-    for pos, address in enumerate(addresses):
-        by_address.setdefault(address, []).append(pos)
-    out = [False] * len(codes)
-    for address, positions in by_address.items():
-        coords, prefix = _fiber(s_state, pool, pool_codes, coin_limit, address)
-        if not coords:
-            (bit,) = h_state.below_after(prefix, _NO_BITS, _HALF)
-            for pos in positions:
-                out[pos] = bit
-            continue
-        shifts = [n - a for a in coords]
-        by_value: dict[bytes, list[int]] = {}
-        for pos in positions:
-            code = codes[pos]
-            value = b"".join([_BIT_CODES[(code >> shift) & 1] for shift in shifts])
-            by_value.setdefault(value, []).append(pos)
-        bits = h_state.below_after(prefix, list(by_value), _HALF)
-        for bit, group in zip(bits, by_value.values()):
-            for pos in group:
-                out[pos] = bit
-    return out
+    h, coins = _fibers(keys, _address_chunks(addresses, t), t, coords, in_pool, limit)
+    width = coins.sum(axis=2, dtype=np.uint64)
+    after = np.subtract(width[:, :, None], np.cumsum(coins, axis=2, dtype=np.uint64))
+    coins &= bits[:, coords - 1].transpose(1, 0, 2)
+    chunk_of = after >> 6 if width.max(initial=0) > 64 else None
+    # bit j of y in its chunk: after & 63 places up, for the members of S
+    placed = np.left_shift(coins, np.bitwise_and(after, 63, out=after), out=after)
+    chunks = [placed] if chunk_of is None else [
+        np.where(chunk_of == index, placed, 0) for index in range((int(width.max()) + 63) // 64)]
+    y = [chunk.sum(axis=2, dtype=np.uint64) for chunk in chunks]
+    return _value_bits(_fold(h, y, width))
 
 
-def _addresses(n: int, members, codes: Sequence[int]) -> np.ndarray:
-    """Each n-bit code's address under each row of ``members``: shape (rows, codes).
+def _code_bits(n: int, codes: Sequence[int]) -> np.ndarray:
+    """The (codes, n) bit matrix of n-bit codes: column i - 1 is bit i, MSB first; bool."""
+    width = -(-n // 8)
+    raw = np.frombuffer(b"".join([code.to_bytes(width, "big") for code in codes]), np.uint8)
+    bits = np.unpackbits(raw.reshape(len(codes), width), axis=1)
+    return bits[:, 8 * width - n:].view(bool)
 
-    A row holds t members of an addressing set, 1-based and increasing; the
-    address is one plus the t-bit integer the code's bits there spell, MSB
-    first.  One fancy index reads those bits out of the (codes, n) uint8
-    bit matrix into the low bits of whole bytes, which one ``np.packbits``
-    packs: int64 while t < 63, Python ints (an object array) from t = 63.
+
+def _addresses(bits: np.ndarray, members) -> np.ndarray:
+    """Each query's address under each row of ``members``: shape (rows, queries).
+
+    ``bits`` is the queries' (queries, n) bit matrix (``_code_bits``).  A
+    row holds t members of an addressing set, 1-based and increasing; the
+    address is one plus the t-bit integer the query's bits there spell, MSB
+    first.  One fancy index reads those bits into the low bits of whole
+    bytes, which one ``np.packbits`` packs: int64 while t < 63, Python ints
+    (an object array) from t = 63.
     """
     members = np.asarray(members, dtype=np.intp)
     rows, t = members.shape
-    size, width = -(-t // 8), -(-n // 8)
-    raw = np.frombuffer(b"".join([code.to_bytes(width, "big") for code in codes]), np.uint8)
-    # column 8 * width - n + i - 1 of the unpacked bytes is bit i
-    bits = np.unpackbits(raw.reshape(len(codes), width), axis=1)
-    spelled = np.zeros((len(codes), rows, 8 * size), np.uint8)
-    spelled[..., 8 * size - t:] = bits[:, members + (8 * width - n - 1)]
-    packed = np.packbits(spelled).reshape(len(codes), rows, size)
+    queries = len(bits)
+    size = -(-t // 8)
+    spelled = np.zeros((queries, rows, 8 * size), np.uint8)
+    spelled[..., 8 * size - t:] = bits[:, members - 1]
+    packed = np.packbits(spelled).reshape(queries, rows, size)
     if t < 63:
         # each address's bytes, least significant first, in one 8-byte word
-        words = np.zeros((len(codes), rows, 8), np.uint8)
-        words[..., :size] = packed[..., ::-1]
-        addresses = words.view("<i8")[..., 0]
+        little = np.zeros((queries, rows, 8), np.uint8)
+        little[..., :size] = packed[..., ::-1]
+        addresses = little.view("<i8")[..., 0]
     else:
         data = packed.tobytes()
         addresses = np.array([int.from_bytes(data[i:i + size], "big")
-                              for i in range(0, len(data), size)], object).reshape(len(codes), rows)
+                              for i in range(0, len(data), size)], object).reshape(queries, rows)
     addresses += 1
     return addresses.T
 
@@ -292,23 +328,21 @@ def _query_codes(n: int, xs: Sequence[BitString]) -> list[int]:
 class StructuredFn:
     """A lazily evaluated instance f(x) = h_{address(x)}(x restricted to S).
 
-    The address selects a per-fiber coordinate subset S (member a of A
-    joins when the digest of ``(seed, "S-membership", pack_ints(address)
-    + pack_ints(a))`` fires at rate epsilon/sqrt(n)) and a per-fiber random
-    function, whose value is the fair bit of ``(seed, "h-value", the
-    pack_ints of address, |S|, each of S and each bit of x on S, joined)``.
-    Both derive from the seed, so repeated queries always agree and
+    The seed gives two keys, K_S and K_H, those of its ``"S-membership"``
+    and ``"h-value"`` streams.  The fiber at address a (1-based, t = |M|
+    bits wide) has the keys s_a = fold(K_S, a, t) and h_a = fold(K_H, a, t),
+    where fold feeds a's 64-bit chunks through ``rng.words``.  Member i of
+    A joins S_a when words(s_a, i) >> 11 < word_limit(epsilon / sqrt(n)),
+    and f(x) = 1 when fold(h_a, y, max(|S_a|, 1)) >> 11 < word_limit(1/2),
+    y being x's bits on S_a, the smallest coordinate most significant.
+    Every bit derives from the seed, so repeated queries always agree and
     instances are safe to share across threads.
 
-    Each instance keeps one keyed S-state and one keyed h-state, and the
-    encodings of A's members.  ``eval_many`` and ``to_table`` share one
-    membership kernel (``_fiber``), which reads S off |A| digests of the
-    address and a member after the S-state; the value of h is then a
-    digest of the bits of x on S after (address, |S|, *S) and the h-state,
-    so no digest pays the key schedule again.  ``eval_many`` reads its
-    queries' addresses with one ``_addresses`` gather and answers them by
-    the evaluation kernel ``_answers``, which ``structured_answers`` runs
-    for a block of instances without building them.
+    The instance keeps its two keys as integers once it has evaluated
+    (``_keys``).  ``eval_many`` reads its queries' addresses with one
+    ``_addresses`` gather and answers them by the evaluation kernel
+    ``_answers``; ``to_table`` runs the tabulation kernel ``_tables``.  ``structured_answers`` and ``structured_tables``
+    run the same kernels for a block of seeds without building instances.
     """
 
     params: Params
@@ -316,10 +350,6 @@ class StructuredFn:
     A: IndexSet
     seed: Seed
     kind: str
-    _s_state: KeyedDigest = field(init=False, repr=False, compare=False)
-    _h_state: KeyedDigest = field(init=False, repr=False, compare=False)
-    _pool_codes: tuple[bytes, ...] = field(init=False, repr=False, compare=False)
-    _coin_limit: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.params.n
@@ -331,20 +361,15 @@ class StructuredFn:
             raise InvalidInput("M and A must be disjoint")
         if self.kind not in (YES_STYLE, NO_STYLE):
             raise InvalidInput(f"kind must be {YES_STYLE!r} or {NO_STYLE!r}")
-        derive = object.__setattr__
-        s_state, h_state = _keyed_states(self.seed)
-        derive(self, "_s_state", s_state)
-        derive(self, "_h_state", h_state)
-        derive(self, "_pool_codes", pack_each(self.A.members))
-        derive(self, "_coin_limit", byte_limit(self.params.coin_prob))
-
-    def __reduce__(self):
-        # the keyed states cannot be pickled; they are rebuilt from the fields
-        return (StructuredFn, (self.params, self.M, self.A, self.seed, self.kind))
 
     @property
     def n(self) -> int:
         return self.params.n
+
+    @cached_property
+    def _keys(self) -> tuple[int, int]:
+        """(K_S, K_H), derived from the seed at the first evaluation."""
+        return tuple(_row_keys([self.seed])[:, 0].tolist())
 
     def eval(self, x: BitString) -> int:
         if x.length != self.n:
@@ -352,20 +377,27 @@ class StructuredFn:
         return self.eval_many((x,))[0]
 
     def eval_many(self, xs: Sequence[BitString]) -> tuple[int, ...]:
-        """``tuple(self.eval(x) for x in xs)``, deriving each address's fiber once.
+        """``tuple(self.eval(x) for x in xs)``: one ``_addresses`` gather and one ``_answers`` call.
 
-        The addresses are one ``_addresses`` gather.  Queries of one fiber
-        that agree on S share one value of h, so each distinct (address, x
-        on S) costs one digest: a fiber with empty S answers all of its
-        queries with one.
+        The instance is the kernel's one row, with A as its candidates.
         """
-        n = self.n
-        codes = _query_codes(n, xs)
-        addresses = _addresses(n, [self.M.members], codes)[0].tolist()
-        states = (self._s_state, self._h_state)
-        bits = _answers(states, self.A.members, self._pool_codes, self._coin_limit, n, codes,
-                        addresses)
-        return tuple([int(bit) for bit in bits])
+        bits = _code_bits(self.n, _query_codes(self.n, xs))
+        pool = np.array(self.A.members, dtype=np.intp).reshape(1, len(self.A))
+        values = _answers(np.array(self._keys, dtype=np.uint64)[:, None], pool,
+                          np.ones(pool.shape, dtype=bool), word_limit(self.params.coin_prob),
+                          len(self.M), bits, _addresses(bits, [self.M.members]))
+        return tuple(values[0].view(np.uint8).tolist())
+
+
+def _block_rows(params: Params, in_m: np.ndarray, in_a: np.ndarray):
+    """A block's M members (seeds, t) and its candidates, the coordinates outside M, with A's mask.
+
+    Every row has t members and n - t candidates, 1-based and increasing.
+    """
+    shape = (len(in_m), params.n - params.t)
+    members = np.nonzero(in_m)[1].reshape(len(in_m), params.t) + 1
+    outside = ~in_m
+    return members, np.nonzero(outside)[1].reshape(shape) + 1, in_a[outside].reshape(shape)
 
 
 def structured_answers(
@@ -376,67 +408,84 @@ def structured_answers(
 
     M_i and A_i are the coordinates (1-based) where row i of the boolean
     (seeds, n) masks ``in_m`` and ``in_a`` is set; the kind only chooses
-    how A was drawn.  The addresses of every query under every M_i are one
-    ``_addresses`` gather.  Each row then runs ``_answers`` on its seed's
-    keyed states, so a trial builds no instance, index set or extended
-    state.  Shape (seeds, xs), uint8.
+    how A was drawn.  The seeds run through ``_addresses`` and ``_answers``
+    in chunks of at most ``_CELLS`` (query, candidate) cells, so a trial
+    builds no instance or index set and memory does not grow with the
+    block.  Shape (seeds, xs), uint8.
     """
     n, t = params.n, params.t
-    codes = _query_codes(n, xs)
-    addresses = _addresses(n, np.nonzero(in_m)[1].reshape(len(seeds), t) + 1, codes)
-    coords = range(1, n + 1)
-    coord_codes = pack_each(coords)
-    coin_limit = byte_limit(params.coin_prob)
-    out = bytearray()
-    for seed, pool, row in zip(seeds, in_a, addresses):
-        pool = pool.tolist()
-        out.extend(_answers(_keyed_states(seed), list(compress(coords, pool)),
-                            list(compress(coord_codes, pool)), coin_limit, n, codes, row.tolist()))
-    return np.frombuffer(out, dtype=np.uint8).reshape(len(seeds), len(codes))
+    bits = _code_bits(n, _query_codes(n, xs))
+    keys = _row_keys(seeds)
+    limit = word_limit(params.coin_prob)
+    out = np.empty((len(seeds), len(bits)), dtype=np.uint8)
+    step = max(1, _CELLS // max(1, len(bits) * (n - t)))
+    for start in range(0, len(seeds), step):
+        rows = slice(start, start + step)
+        members, coords, in_pool = _block_rows(params, in_m[rows], in_a[rows])
+        out[rows] = _answers(keys[:, rows], coords, in_pool, limit, t, bits,
+                             _addresses(bits, members))
+    return out
 
 
-def _table(states, M, pool, pool_codes, coin_limit: bytes, n: int) -> np.ndarray:
-    """The instance's 2^n values in code order, fiber by fiber; a new uint8 array.
+def _fiber_values(h: np.ndarray, width: int) -> np.ndarray:
+    """Each fiber's 2^width values, at y = 0, 1, ...: shape (fibers, 2^width), uint8.
+
+    For |S| = width <= 64 a value is the fair coin of words(h, y), made
+    ``_PIECE`` positions at a time.
+    """
+    size = 1 << width
+    out = np.empty(len(h) * size, dtype=np.uint8)
+    for start in range(0, len(out), _PIECE):
+        at = np.arange(start, min(start + _PIECE, len(out)), dtype=np.uint64)
+        out[start:start + len(at)] = _value_bits(words(h[at >> width], at & (size - 1)))
+    return out.reshape(len(h), size)
+
+
+def _tables(params: Params, keys: np.ndarray, in_m: np.ndarray,
+            in_a: np.ndarray) -> Iterator[np.ndarray]:
+    """Each row's 2^n values in code order, one new uint8 array at a time.
 
     The one tabulation kernel, which ``to_table`` and ``structured_tables``
-    share.  Each fiber is one ``_fiber`` call and one h-state call for its
-    2^|S| values, the encoded bits of x on S, MSB first, built once per
-    width.  The table is written through one transposed view of the
-    (2,)*n cube: the axes of M first (so the address bits index a fiber),
-    then the coordinates in neither M nor A, then those of A.  One
-    broadcast over the M axes writes every fiber's first value, its whole
-    fiber when S is empty, as at desk rates most are; then each fiber with
-    non-empty S is overwritten by its values, shaped with length 2 on the
-    axes of S and length 1 on the rest of A.  No 2^n-sized temporary is
+    share.  Row r has the keys ``keys[:, r]`` and the masks ``in_m[r]`` and
+    ``in_a[r]``; its candidates are the coordinates outside M.  For a chunk
+    of rows at once (at most ``_CELLS`` (fiber, candidate) cells) it makes
+    every fiber's h key and S (``_fibers``) and each fiber's first value,
+    at y = 0; the values of the fibers with non-empty S are made a width at
+    a time (``_fiber_values``).  A table is written through one transposed
+    view of the (2,)*n cube: the axes of M first (so the address bits index
+    a fiber), then the coordinates in neither M nor A, then those of A.
+    One broadcast over the M axes writes every fiber's first value, its
+    whole fiber when S is empty, as at desk rates most are; then each fiber
+    with non-empty S is overwritten by its values, shaped with length 2 on
+    the axes of S and length 1 on the rest of A.  No 2^n-sized temporary is
     made.  Capped at n <= 24.
     """
+    n, t = params.n, params.t
     if n > TABLE_CAP:
         raise TooLarge(f"n = {n} exceeds the truth-table cap {TABLE_CAP}")
-    s_state, h_state = states
-    t = len(M)
-    m_or_a = {*M, *pool}
-    order = [*M, *(i for i in range(1, n + 1) if i not in m_or_a), *pool]
-    out = np.empty(1 << n, dtype=np.uint8)
-    view = out.reshape((2,) * n).transpose([i - 1 for i in order])
-    firsts = bytearray(1 << t)
-    wide = []
-    # per width w, the joined pack_ints of the w bits of y, MSB first, for y in range(2^w)
-    assignments: dict[int, list[bytes]] = {}
-    for index, address_bits in enumerate(product((0, 1), repeat=t)):
-        coords, prefix = _fiber(s_state, pool, pool_codes, coin_limit, index + 1)
-        if width := len(coords):
-            if width not in assignments:
-                assignments[width] = [b"".join(bits) for bits in product(_BIT_CODES, repeat=width)]
-            values = h_state.below_after(prefix, assignments[width], _HALF)
-            wide.append((address_bits, coords, values))
-            firsts[index] = values[0]
-        else:
-            (firsts[index],) = h_state.below_after(prefix, _NO_BITS, _HALF)
-    view[...] = np.frombuffer(firsts, dtype=np.uint8).reshape((2,) * t + (1,) * (n - t))
-    for address_bits, coords, values in wide:
-        shape = [2 if a in coords else 1 for a in pool]
-        view[address_bits] = np.array(values, dtype=np.uint8).reshape(shape)
-    return out
+    addresses = np.arange(1, (1 << t) + 1, dtype=np.uint64)[None, None]
+    limit = word_limit(params.coin_prob)
+    step = max(1, _CELLS // ((1 << t) * max(1, n - t)))
+    for start in range(0, len(in_m), step):
+        rows = slice(start, start + step)
+        members, coords, in_pool = _block_rows(params, in_m[rows], in_a[rows])
+        h, coins = _fibers(keys[:, rows], addresses, t, coords, in_pool, limit)
+        firsts = _value_bits(words(h, 0)).view(np.uint8)
+        widths = coins.sum(axis=2)
+        wide: dict[int, list] = {}
+        for width in sorted(set(widths[widths > 0].tolist())):
+            at = np.nonzero(widths == width)
+            for row, fiber, values in zip(*at, _fiber_values(h[at], width)):
+                wide.setdefault(row, []).append((fiber, values))
+        for row, (M, candidates, pool) in enumerate(zip(members, coords, in_pool)):
+            out = np.empty(1 << n, dtype=np.uint8)
+            order = np.concatenate([M, candidates[~pool], candidates[pool]]) - 1
+            view = out.reshape((2,) * n).transpose(order)
+            view[...] = firsts[row].reshape((2,) * t + (1,) * (n - t))
+            for fiber, values in wide.get(row, ()):
+                address_bits = tuple([(fiber >> (t - 1 - j)) & 1 for j in range(t)])
+                view[address_bits] = values.reshape(np.where(coins[row, fiber, pool], 2, 1))
+            yield out
 
 
 def structured_tables(
@@ -446,35 +495,30 @@ def structured_tables(
 
     M_i and A_i are the coordinates (1-based) where row i of the boolean
     (seeds, n) masks ``in_m`` and ``in_a`` is set, as in
-    ``structured_answers``.  Each row runs ``_table`` on its seed's keyed
-    states, so no instance or index set is built.  The tables are made as
-    the iteration reaches them, one 2^n uint8 array each, so a block of
-    seeds holds one table at a time; capped at n <= 24.
+    ``structured_answers``.  The block runs ``_tables``, so no instance or
+    index set is built.  The tables are made as the iteration reaches
+    them, one 2^n uint8 array each, so a block of seeds holds one table at
+    a time; capped at n <= 24.
     """
-    n = params.n
-    coords = range(1, n + 1)
-    coord_codes = pack_each(coords)
-    coin_limit = byte_limit(params.coin_prob)
-    for seed, m_row, a_row in zip(seeds, in_m, in_a):
-        a_row = a_row.tolist()
-        yield _table(_keyed_states(seed), list(compress(coords, m_row.tolist())),
-                     list(compress(coords, a_row)), list(compress(coord_codes, a_row)),
-                     coin_limit, n)
+    return _tables(params, _row_keys(seeds), in_m, in_a)
 
 
 def to_table(f: StructuredFn) -> TruthTable:
-    """Materialize a structured instance fiber by fiber (``_table``); capped at n <= 24.
+    """Materialize a structured instance fiber by fiber: ``_tables`` with it as the one row.
 
-    Bit-identical to evaluating ``f.eval`` at every code, at a fraction of
-    the digests: per-point evaluation costs |A| + 1 digests per point,
-    2^n * (|A| + 1) in all, while this derives each fiber's S once and each
-    of its 2^|S| values of h once, 2^t * |A| + sum over addresses of
-    2^|S_a|.  It runs the kernel of ``structured_tables`` on the
-    instance's own keyed states.
+    Equal to evaluating ``f.eval`` at every code, at a fraction of the
+    words: per point, evaluation folds two fiber keys and reads |A| + 1
+    more words, while this folds two keys and reads n - t + 1 more words
+    per fiber (a coin per coordinate outside M, and the value at y = 0),
+    then 2^|S_a| words for each fiber with non-empty S.
+    Capped at n <= 24.
     """
-    states = (f._s_state, f._h_state)
-    table = _table(states, f.M.members, f.A.members, f._pool_codes, f._coin_limit, f.n)
-    return TruthTable(f.n, table)
+    in_m = np.zeros((1, f.n), dtype=bool)
+    in_a = np.zeros((1, f.n), dtype=bool)
+    in_m[0, np.array(f.M.members, dtype=np.intp) - 1] = True
+    in_a[0, np.array(f.A.members, dtype=np.intp) - 1] = True
+    keys = np.array(f._keys, dtype=np.uint64)[:, None]
+    return TruthTable(f.n, next(_tables(f.params, keys, in_m, in_a)))
 
 
 def bichromatic_edge_counts(f: TruthTable) -> tuple[int, ...]:

@@ -14,8 +14,9 @@ them at given queries (``boolfn.structured_answers``), as the
 string-query game needs, and ``sample_block_tables`` tabulates them one
 at a time (``boolfn.structured_tables``), with their pool masks, as
 ``verify_yes`` and ``verify_no`` need.  The per-fiber randomness (each
-fiber's subset S and its values of h) is defined point by point by
-``StructuredFn.eval``, which re-derives it from the seed, so an instance
+fiber's subset S and its values of h) comes from counter-mode words at
+fiber keys folded from the seed's ``"S-membership"`` and ``"h-value"``
+stream keys (``boolfn.StructuredFn``), re-derived on demand, so an instance
 takes O(1) memory however many fibers it has.  ``boolfn.to_table``
 materializes the same values fiber by fiber, deriving each S and each
 value of h once.

@@ -1,25 +1,24 @@
-"""Seeded determinism: 64-bit seeds, labeled substreams, and digest-derived bits.
+"""Seeded determinism: 64-bit seeds, labeled counter-mode streams, and trial seeds.
 
-Every random choice in the package derives from a seed and a role label
-through one of two mechanisms:
+Every random draw in the package is a word of one counter-mode generator:
+SplitMix64's finalizer over a Weyl sequence (Steele, Lea & Flood, "Fast
+splittable pseudorandom number generators", OOPSLA 2014).  Word j of the
+key K is ``words(K, j)`` = mix64(K + (j + 1) * GAMMA), and a coin at rate
+r on a word w fires when (w >> 11) < ``word_limit(r)``.
 
-* ``KeyedDigest``: a blake2b state keyed by the seed and personalized by
-  a role.  For any payload it answers the 64-bit digest of ``(seed,
-  role, payload)``, or whether that digest falls below ``byte_limit`` of
-  a rate, so lazily evaluated objects re-derive any bit on demand without
-  caching and pay the key schedule once per state.  Only a structured
-  instance's fibers read digest coins; ``derive_u64`` and ``Seed.mix``
-  read a fresh state's word once.
-* ``RandomStream(seeds, role)``: one counter-mode stream per seed, held
-  as uint64 arrays.  Output j of the stream of (seed, role) is
-  SplitMix64's finalizer over a Weyl sequence (Steele, Lea & Flood,
-  "Fast splittable pseudorandom number generators", OOPSLA 2014),
-  mix64(key + (j + 1) * GAMMA), with key = mix64(seed ^ a 64-bit blake2b
-  of the role).  Its raw words, coins (a word below ``word_limit`` of a
-  rate), point coins and bounded integers are array arithmetic over every
-  row at once, and a row depends on its seed alone, so
-  ``RandomStream([seed], role)`` is one stream and a block of seeds draws
-  the same streams together.
+* ``RandomStream(seeds, role)``: one stream per seed, held as uint64
+  arrays.  Its key is mix64(seed ^ a 64-bit blake2b of the role), and its
+  output j is word j of that key.  Its raw words, coins, point coins and
+  bounded integers are array arithmetic over every row at once, and a row
+  depends on its seed alone, so ``RandomStream([seed], role)`` is one
+  stream and a block of seeds draws the same streams together.
+* A structured instance's fibers (``boolfn``) start from the keys of two
+  such streams and read ``words`` at fiber keys folded from them, so any
+  bit is re-derived on demand from the seed.
+
+blake2b appears only where a string or a trial index becomes a word: the
+role word of a stream, ``Seed.mix`` (the seed of trial i, the keyed digest
+of ``pack_ints(i)`` under the role "mix") and ``derive_u64``.
 
 Distinct role labels give computationally independent streams; the same
 seed and role always reproduce the same draws.
@@ -28,7 +27,6 @@ seed and role always reproduce the same draws.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -54,136 +52,43 @@ class Seed:
         return self.mixes([index])[0]
 
     def mixes(self, indices: Sequence[int]) -> list["Seed"]:
-        """The seed of each trial i: the keyed digest of ``pack_ints(i)`` under the role "mix".
+        """The seed of each trial i: ``derive_u64(self, "mix", pack_ints(i))``.
 
-        The key schedule is paid once for all the indices.
+        The key schedule is paid once: each index copies one keyed state.
         """
-        mix = KeyedDigest.of(self, "mix")
-        return [Seed(mix.u64(payload)) for payload in pack_each(indices)]
-
-    def _key(self) -> bytes:
-        return self.value.to_bytes(8, "little")
-
-
-# pack_ints(v) for every v in [0, 255]: a 4-byte length of 1, then the byte.
-_BYTE_CODES = tuple(b"\x00\x00\x00\x01" + bytes((v,)) for v in range(256))
-# The length prefix of pack_ints(v) for every v in [256, 65535].
-_TWO_BYTES = b"\x00\x00\x00\x02"
+        mix = _keyed(self, "mix")
+        seeds = []
+        for index in indices:
+            state = mix.copy()
+            state.update(pack_ints(index))
+            seeds.append(Seed(int.from_bytes(state.digest(), "big")))
+        return seeds
 
 
 def pack_ints(value: int) -> bytes:
-    """Length-prefixed big-endian encoding of a non-negative integer.
-
-    Unambiguous for arbitrary-precision values, so address indices larger
-    than 64 bits are safe payloads, and a payload of several values is
-    the concatenation of their encodings, ``pack_each``.  A single-byte
-    value is one table lookup.
-    """
-    if 0 <= value < 256:
-        return _BYTE_CODES[value]
-    return pack_each((value,))[0]
-
-
-def pack_each(values: Sequence[int]) -> tuple[bytes, ...]:
-    """``pack_ints(v)`` for each v in values.
-
-    Single-byte values, the common case, take precomputed encodings, and
-    two-byte values a fixed length prefix.
-    """
-    if min(values, default=0) >= 0:
-        top = max(values, default=0)
-        if top < 256:
-            return tuple([_BYTE_CODES[v] for v in values])
-        if top < 1 << 16:
-            return tuple([_BYTE_CODES[v] if v < 256 else _TWO_BYTES + v.to_bytes(2, "big")
-                          for v in values])
-    out = []
-    for v in values:
-        if v < 0:
-            raise InvalidInput(f"payload integers must be non-negative, got {v}")
-        body = v.to_bytes(max(1, (v.bit_length() + 7) // 8), "big")
-        out.append(len(body).to_bytes(4, "big") + body)
-    return tuple(out)
-
-
-def _person(role: str) -> bytes:
-    raw = role.encode("utf-8")
-    if len(raw) <= hashlib.blake2b.PERSON_SIZE:
-        return raw
-    return hashlib.blake2b(raw, digest_size=hashlib.blake2b.PERSON_SIZE).digest()
+    """A non-negative integer as a 4-byte big-endian length, then its big-endian bytes."""
+    if value < 0:
+        raise InvalidInput(f"payload integers must be non-negative, got {value}")
+    size = (value.bit_length() + 7) // 8 or 1
+    return size.to_bytes(4, "big") + value.to_bytes(size, "big")
 
 
 def _keyed(seed: Seed, role: str):
-    """The 8-byte blake2b state keyed by ``seed`` and personalized by ``role``."""
-    return hashlib.blake2b(digest_size=8, key=seed._key(), person=_person(role))
+    """The 8-byte blake2b state keyed by the seed's 8 little-endian bytes, personalized by ``role``.
 
-
-class KeyedDigest:
-    """A blake2b state that has absorbed a seed (the key) and a role (the person).
-
-    Each answer copies the state, feeds it the payload and reads the
-    8-byte digest, so the key schedule is paid once however many payloads
-    follow.  ``state`` is any object with ``copy``, ``update`` and
-    ``digest``; ``of`` builds the blake2b one.
+    A role longer than blake2b's 16-byte personalization is hashed to 16 bytes.
     """
-
-    __slots__ = ("_state",)
-
-    def __init__(self, state):
-        self._state = state
-
-    @classmethod
-    def of(cls, seed: Seed, role: str) -> "KeyedDigest":
-        return cls(_keyed(seed, role))
-
-    def u64(self, payload: bytes) -> int:
-        """The digest of the payload as a big-endian 64-bit word."""
-        state = self._state.copy()
-        state.update(payload)
-        return int.from_bytes(state.digest(), "big")
-
-    def below_after(self, head: bytes, payloads: Sequence[bytes], limit: bytes) -> list[bool]:
-        """For each payload p, whether the digest of ``head + p`` sorts below ``limit``.
-
-        ``limit`` comes from ``byte_limit``.  Digests are big-endian, so
-        bytes order is numeric order.  The head is fed once: a structured
-        instance asks this once per fiber, with the fiber's address or
-        prefix as the head.
-        """
-        state = self._state.copy()
-        state.update(head)
-        copy = state.copy
-        fired = []
-        for payload in payloads:
-            state = copy()
-            state.update(payload)
-            fired.append(state.digest() < limit)
-        return fired
-
-
-# Sorts after every 8-byte digest: an 8-byte string is a prefix of it or
-# smaller at its first differing byte.
-_ABOVE_EVERY_DIGEST = b"\xff" * 9
-
-
-def byte_limit(threshold: float) -> bytes:
-    """The bytes that exactly a ``threshold`` share of 8-byte digests sort below.
-
-    A digest d fires when d < threshold * 2^64, which for an integer d is
-    d < ceil(threshold * 2^64).  Scaling a float by a power of two is
-    exact, so threshold 0 never fires, threshold 1 always does and 0.5
-    fires exactly when the top bit is 0.  The limit 2^64 (threshold 1)
-    has no 8-byte form and becomes a 9-byte string above every digest.
-    """
-    if not 0.0 <= threshold <= 1.0:
-        raise InvalidInput(f"threshold must be in [0, 1], got {threshold}")
-    limit = math.ceil(threshold * _U64)
-    return limit.to_bytes(8, "big") if limit < _U64 else _ABOVE_EVERY_DIGEST
+    person = role.encode("utf-8")
+    if len(person) > hashlib.blake2b.PERSON_SIZE:
+        person = hashlib.blake2b(person, digest_size=hashlib.blake2b.PERSON_SIZE).digest()
+    return hashlib.blake2b(digest_size=8, key=seed.value.to_bytes(8, "little"), person=person)
 
 
 def derive_u64(seed: Seed, role: str, payload: bytes) -> int:
-    """Avalanche-mix ``(seed, role, payload)`` into a uniform 64-bit word."""
-    return KeyedDigest.of(seed, role).u64(payload)
+    """Avalanche-mix ``(seed, role, payload)`` into a uniform 64-bit word, a keyed blake2b."""
+    state = _keyed(seed, role)
+    state.update(payload)
+    return int.from_bytes(state.digest(), "big")
 
 
 # SplitMix64's Weyl increment (the golden ratio in 64 bits) and the two
@@ -208,12 +113,33 @@ def _mix64(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return z
 
 
-def _key(seed: Seed, role_word: int) -> int:
-    """A stream's key, mix64(seed ^ role_word), on Python ints: a block has few seeds."""
-    z = seed.value ^ role_word
-    z = (z ^ (z >> 30)) * _MIX_1 % _U64
-    z = (z ^ (z >> 27)) * _MIX_2 % _U64
-    return z ^ (z >> 31)
+def words(keys, positions) -> np.ndarray:
+    """Word ``positions`` of each key, mix64(key + (position + 1) * GAMMA): a new uint64 array.
+
+    ``keys`` and ``positions`` are 64-bit unsigned integers or arrays of
+    them that broadcast together, and the result has at least one axis.
+    Word j of a stream's key is its output j.  This is the package's one
+    word: ``RandomStream`` reads it past each row's cursor and a
+    structured instance's fibers at their fiber keys.
+    """
+    z = keys + (np.array(positions, dtype=np.uint64, ndmin=1) + 1) * _GAMMA
+    return _mix64(z, np.empty_like(z))
+
+
+def stream_keys(seeds: Sequence[Seed], role: str) -> np.ndarray:
+    """The key of the stream of (seed, role) per seed: mix64(seed ^ the role's 8-byte blake2b).
+
+    On Python ints, as a block has few seeds; shape (seeds,), uint64.
+    """
+    role_hash = hashlib.blake2b(role.encode("utf-8"), digest_size=8)
+    role_word = int.from_bytes(role_hash.digest(), "big")
+    keys = []
+    for seed in seeds:
+        z = seed.value ^ role_word
+        z = (z ^ (z >> 30)) * _MIX_1 % _U64
+        z = (z ^ (z >> 27)) * _MIX_2 % _U64
+        keys.append(z ^ (z >> 31))
+    return np.array(keys, dtype=np.uint64)
 
 
 def _unit_rates(rate, count: int | None = None) -> np.ndarray:
@@ -229,10 +155,10 @@ def _unit_rates(rate, count: int | None = None) -> np.ndarray:
 def word_limit(rate) -> np.ndarray:
     """ceil(rate * 2^53) as uint64, for a float or an array of floats in [0, 1].
 
-    The stream-side counterpart of ``byte_limit``: a coin at rate r on
-    word w fires when (w >> 11) < ceil(r * 2^53), exactly when the double
-    (w >> 11) * 2^-53 is below r, as scaling by 2^53 is exact and w >> 11
-    is an integer.  Rate 0 never fires and rate 1 always does.
+    A coin at rate r on word w fires when (w >> 11) < ceil(r * 2^53),
+    exactly when the double (w >> 11) * 2^-53 is below r, as scaling by
+    2^53 is exact and w >> 11 is an integer.  Rate 0 never fires and rate
+    1 always does.
     """
     return _limits(_unit_rates(rate))
 
@@ -245,8 +171,8 @@ def _limits(rates: np.ndarray) -> np.ndarray:
 class RandomStream:
     """The stream of ``(seed, role)`` for each seed of ``seeds``: row i is seed i's.
 
-    Output j of a stream is mix64(key + (j + 1) * GAMMA), with key =
-    mix64(seed ^ the 8-byte blake2b of the role).  Each row keeps its Weyl
+    Output j of a stream is ``words(key, j)``, with key from
+    ``stream_keys``.  Each row keeps its Weyl
     state, key + position * GAMMA, as its cursor.  ``raw`` reads each
     row's next words and ``below`` its next coins, in chunks of at most
     ``_CHUNK`` positions, in place; ``below_at`` reads coins at positions
@@ -257,17 +183,10 @@ class RandomStream:
     """
 
     def __init__(self, seeds: Sequence[Seed], role: str):
-        role_hash = hashlib.blake2b(role.encode("utf-8"), digest_size=8)
-        role_word = int.from_bytes(role_hash.digest(), "big")
-        self._state = np.array([_key(seed, role_word) for seed in seeds], dtype=np.uint64)
+        self._state = stream_keys(seeds, role)
 
     def __len__(self) -> int:
         return len(self._state)
-
-    def _words(self, rows, steps: np.ndarray) -> np.ndarray:
-        """The words ``steps`` positions past each row's cursor (1 is the next), for ``rows``."""
-        words = self._state[rows, None] + steps * _GAMMA
-        return _mix64(words, np.empty_like(words))
 
     def _read(self, count: int, dtype, convert) -> np.ndarray:
         """Each row's next ``count`` outputs through ``convert``: shape (rows, count).
@@ -281,15 +200,15 @@ class RandomStream:
         out = np.empty((len(self), count), dtype=dtype)
         for start in range(0, count, _CHUNK):
             size = min(_CHUNK, count - start)
-            words = self._state[:, None] + _STEPS[:size]
+            chunk = self._state[:, None] + _STEPS[:size]
             self._state += _STEPS[size - 1]
             span = slice(start, start + size)
-            convert(out[:, span], _mix64(words, np.empty_like(words)), span)
+            convert(out[:, span], _mix64(chunk, np.empty_like(chunk)), span)
         return out
 
     def raw(self, count: int) -> np.ndarray:
         """The next ``count`` 64-bit outputs of each row: shape (rows, count), uint64."""
-        return self._read(count, np.uint64, lambda target, words, span: np.copyto(target, words))
+        return self._read(count, np.uint64, lambda target, chunk, span: np.copyto(target, chunk))
 
     def below(self, count: int, rate) -> np.ndarray:
         """The next ``count`` coins of each row, output j's top 53 bits below ``word_limit``.
@@ -300,9 +219,9 @@ class RandomStream:
         rates = _unit_rates(rate, count)
         limit = None if rates.ndim else _limits(rates)
 
-        def coins(target, words, span):
+        def coins(target, chunk, span):
             limits = _limits(rates[span]) if limit is None else limit
-            np.less(np.right_shift(words, 11, out=words), limits, out=target)
+            np.less(np.right_shift(chunk, 11, out=chunk), limits, out=target)
 
         return self._read(count, bool, coins)
 
@@ -317,10 +236,9 @@ class RandomStream:
             if pos <= before:
                 raise InvalidInput(f"positions must be strictly increasing and >= 0, got {pos}")
         limits = _limits(_unit_rates(rate, len(positions)))
-        steps = np.array(positions, dtype=np.uint64) + 1
-        coins = np.right_shift(self._words(slice(None), steps), 11) < limits
+        coins = np.right_shift(words(self._state[:, None], positions), 11) < limits
         if positions:
-            self._state += steps[-1:] * _GAMMA
+            self._state += (positions[-1] + 1) * _GAMMA % _U64
         return coins
 
     def bounded(self, ranges: Sequence[int]) -> np.ndarray:
@@ -338,11 +256,11 @@ class RandomStream:
         limits = np.array(ranges, dtype=np.uint64)
         floors = np.array([(1 << 32) % r for r in ranges], dtype=np.uint64)
         columns = np.arange(len(ranges), dtype=np.uint64)
-        # steps[i, j]: how far past row i's cursor draw j reads, rejections included
-        steps = np.tile(columns + 1, (len(self), 1))
+        # positions[i, j]: the position past row i's cursor that draw j reads, rejections included
+        positions = np.tile(columns, (len(self), 1))
 
         def draw(rows):
-            scaled = (self._words(rows, steps[rows]) & _M32) * limits
+            scaled = (words(self._state[rows, None], positions[rows]) & _M32) * limits
             return (scaled >> 32).astype(np.int64), (scaled & _M32) >= floors
 
         draws, taken = draw(slice(None))
@@ -350,8 +268,8 @@ class RandomStream:
             # a rejected word pushes its draw and every later one of its row on by a position
             rows = np.flatnonzero(~taken.all(axis=1))
             first = (~taken[rows]).argmax(axis=1)
-            steps[rows] += columns >= first[:, None]
+            positions[rows] += columns >= first[:, None]
             draws[rows], taken[rows] = draw(rows)
         if len(ranges):
-            self._state += steps[:, -1] * _GAMMA
+            self._state += (positions[:, -1] + 1) * _GAMMA
         return draws

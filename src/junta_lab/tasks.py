@@ -46,7 +46,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .binom_stats import BinomialSpec, hit_prob, product_dtv, tv_distance
-from .boolfn import BitString, IndexSet, _addresses
+from .boolfn import BitString, IndexSet, _addresses, _code_bits
 from .errors import (
     BadM,
     DimensionMismatch,
@@ -395,7 +395,7 @@ def build_set_queries(X: StringQueryPlan, M: IndexSet, tau: int) -> ReductionPla
     diff_masks: list[int] = []
     class_of = []
     codes = [x.code for x in X.queries]
-    for code, addr in zip(codes, _addresses(X.n, [M.members], codes)[0].tolist()):
+    for code, addr in zip(codes, _addresses(_code_bits(X.n, codes), [M.members])[0].tolist()):
         if addr not in class_index:
             class_index[addr] = len(bases)
             bases.append(code)

@@ -4,7 +4,7 @@ This is the one home of the references: the tests compare the library
 against them, and ``scripts/bench.py`` times the library against them and
 defines none of its own.  A reference either writes a quantity down by
 its definition (``first_minimum_over_subsets``, ``pmf``, ``per_term_dtv``,
-``reference_is_separating``, the fresh-blake2b digests) or is a fast path
+``reference_is_separating``, the scalar structured instance) or is a fast path
 as it was before a change replaced it (``generator_walk``,
 ``fiberwise_table``, ``count_adds``, ...), so a speedup is always timed
 against the form it replaced.
@@ -16,22 +16,27 @@ vector must equal ``pmf`` exactly.  ``bound_sweep_cells`` is
 rounded rows of ``pascal_rows``, as the sweep ran before
 ``binom_stats.shift_bound_sweep`` certified it.
 
-The digest references build one fresh keyed ``hashlib.blake2b`` per
-digest and share no code with ``junta_lab.rng``; their layout (seed key,
-role personalization, payload) is the definition every digest of the
-package follows.  ``counted_digests`` counts the digests the package's
-keyed states derive, and ``fresh_digests`` swaps those states for
-``FreshDigest``.
+``reference_digest`` builds one fresh keyed ``hashlib.blake2b`` per
+digest and shares no code with ``junta_lab.rng``; its layout (seed key,
+role personalization, payload) defines ``rng.derive_u64`` and the trial
+seeds of ``Seed.mix``, whose payload is ``general_encoding`` of the
+trial index.
 
 ``hamming`` is the Hamming distance and ``address_index`` the
 addressing map x -> x|_M, one bit of x at a time; ``boolfn._addresses``,
 the one gather every address in the package comes from, must agree with
 it.
 
-``fiberwise_table`` and ``fiberwise_eval_many`` are ``to_table`` and
-``StructuredFn.eval_many`` as they were before one fiber kernel and a
-transposed-view fill replaced them; they read the instance's keyed
-states directly, through ``keyed_fiber``.
+``reference_fiber``, ``reference_value`` and ``reference_eval`` define a
+structured instance on Python ints, every word afresh from
+``reference_key`` and ``reference_word``: the fiber at address a has
+the keys fold(K, a, t) (``reference_fold``) of the seed's
+"S-membership" and "h-value" keys, member i of A joins its S when word i
+of the S key is a coin at epsilon/sqrt(n), and f(x) is the fair coin of
+fold(h key, x's bits on S, max(|S|, 1)).  ``fiberwise_table`` and
+``fiberwise_eval_many`` are ``to_table`` and ``StructuredFn.eval_many``
+one fiber and one query at a time on that reference, as they ran before
+the array kernels.
 
 ``per_query_sssq_respond`` and ``per_element_sseq_respond`` are the two
 oracle rounds as they were written before ``tasks.respond`` read every
@@ -75,24 +80,22 @@ each no-side trial on its own stream, drawing its whole D1 table or
 reading it at the queries (``sample_d1_at`` over
 ``reference_random_at``).
 
-Several references patch a module attribute for the length of one call
-(``count_adds``, ``fresh_digests``, ``counted_digests``) and restore it
-on the way out.
+One reference patches a module attribute for the length of one call
+(``count_adds``) and restores it on the way out.
 """
 
 import hashlib
 import io
 import math
-from contextlib import contextmanager, redirect_stdout
+from contextlib import redirect_stdout
 from fractions import Fraction
 from functools import partial
-from itertools import combinations, compress, product
+from itertools import combinations, product
 
 import numpy as np
 
 from junta_lab import boolfn, cli, hardgen, harness, junta_distance, tasks
 from junta_lab.boolfn import (
-    _HALF,
     TABLE_CAP,
     YES_STYLE,
     BitString,
@@ -118,7 +121,7 @@ from junta_lab.errors import (
 from junta_lab.hardgen import sample_d1
 from junta_lab.junta_distance import dist_to_k_junta, max_disjoint_bichromatic_matching
 from junta_lab.params import coin_rate
-from junta_lab.rng import KeyedDigest, RandomStream, Seed, pack_each, pack_ints, word_limit
+from junta_lab.rng import RandomStream, Seed, word_limit
 from junta_lab.tasks import ElementQueryPlan
 
 
@@ -151,23 +154,13 @@ def per_point_table(f) -> TruthTable:
     return TruthTable(n, np.array([f.eval(BitString(n, c)) for c in range(1 << n)]))
 
 
-def keyed_fiber(f, address: int):
-    """(S, the h-prefix (address, |S|, *S)) of the address's fiber, encoded by ``pack_each`` afresh.
-
-    S is read off the instance's keyed S-state; each value of h on the
-    fiber is the h-state's digest of the prefix and the bits of x on S.
-    """
-    fired = f._s_state.below_after(pack_ints(address), f._pool_codes, f._coin_limit)
-    coords = tuple(compress(f.A.members, fired))
-    return coords, b"".join(pack_each((address, len(coords), *coords)))
-
-
 def fiberwise_table(f) -> TruthTable:
-    """``to_table`` one fiber at a time through the (2,)*n cube.
+    """``to_table`` one fiber at a time through the (2,)*n cube, from the scalar reference.
 
-    Each fiber indexes the cube with an n-long tuple (an address bit on the
-    axes of M, a full slice elsewhere) and reshapes its values with one
-    axis per free coordinate.
+    Each fiber's S and its 2^|S| values come from ``reference_fiber`` and
+    ``reference_value``; the fiber indexes the cube with an n-long tuple
+    (an address bit on the axes of M, a full slice elsewhere) and reshapes
+    its values with one axis per free coordinate.
     """
     n, t = f.n, len(f.M)
     if n > TABLE_CAP:
@@ -175,15 +168,9 @@ def fiberwise_table(f) -> TruthTable:
     out = np.empty(1 << n, dtype=np.uint8)
     cube = out.reshape((2,) * n)
     free = [i for i in range(1, n + 1) if i not in f.M]
-    assignments: dict[int, list[bytes]] = {}
     for code in range(1 << t):
-        address = code + 1
-        coords, prefix = keyed_fiber(f, address)
-        width = len(coords)
-        if width not in assignments:
-            assignments[width] = [b"".join(pack_each(bits))
-                                  for bits in product((0, 1), repeat=width)]
-        values = np.array(f._h_state.below_after(prefix, assignments[width], _HALF),
+        coords, key = reference_fiber(f, code + 1)
+        values = np.array([reference_value(key, y, len(coords)) for y in range(1 << len(coords))],
                           dtype=np.uint8)
         address_bits = dict(zip(f.M.members, ((code >> (t - 1 - j)) & 1 for j in range(t))))
         fiber = tuple(address_bits.get(i, slice(None)) for i in range(1, n + 1))
@@ -205,13 +192,13 @@ def fiberwise_eval_many(f, xs) -> tuple[int, ...]:
         for shift in address_shifts:
             address = (address << 1) | ((code >> shift) & 1)
         address += 1
-        fiber = fibers.get(address)
-        if fiber is None:
-            coords, prefix = keyed_fiber(f, address)
-            fiber = fibers[address] = (prefix, [n - a for a in coords])
-        prefix, shifts = fiber
-        bits = b"".join(pack_each([(code >> shift) & 1 for shift in shifts]))
-        out.append(int(f._h_state.below_after(prefix, (bits,), _HALF)[0]))
+        if address not in fibers:
+            fibers[address] = reference_fiber(f, address)
+        coords, key = fibers[address]
+        y = 0
+        for a in coords:
+            y = y << 1 | (code >> (n - a)) & 1
+        out.append(reference_value(key, y, len(coords)))
     return tuple(out)
 
 
@@ -890,124 +877,52 @@ def reference_digest(seed, role: str, payload: bytes) -> bytes:
     return hashlib.blake2b(payload, digest_size=8, key=key, person=person).digest()
 
 
-def reference_bit(seed, role: str, payload: bytes, threshold: float) -> int:
-    """1 when the digest, read as a big-endian integer, is below threshold * 2^64."""
-    return int(int.from_bytes(reference_digest(seed, role, payload), "big") < threshold * 2**64)
+def reference_fold(key: int, value: int, width: int) -> int:
+    """fold(key, v, w): key <- ``reference_word(key, c)`` for each 64-bit chunk c of v over ceil(w / 64).
+
+    The chunks go least significant first, so for w <= 64 the fold is
+    ``reference_word(key, v)``.
+    """
+    for shift in range(0, width, 64):
+        key = reference_word(key, value >> shift & MASK64)
+    return key
 
 
-def reference_fiber_coords(f, address: int) -> tuple[int, ...]:
-    """The members a of A whose ``general_encoding(address, a)`` coin fires at epsilon/sqrt(n)."""
-    theta = f.params.epsilon / math.sqrt(f.n)
-    return tuple(
-        a for a in f.A.members
-        if reference_bit(f.seed, "S-membership", general_encoding(address, a), theta)
-    )
+def reference_fiber(f, address: int) -> tuple[tuple[int, ...], int]:
+    """(S, h key) of the fiber at ``address`` (1-based, t = |M| bits wide).
+
+    The fiber's keys are fold(K, address, t) for K the keys of the streams
+    (seed, "S-membership") and (seed, "h-value").  Member i of A joins S
+    when word i of the S key, shifted right by 11, is below
+    ceil(theta * 2^53), theta = epsilon / sqrt(n).
+    """
+    t = len(f.M)
+    limit = math.ceil(f.params.epsilon / math.sqrt(f.n) * 2**53)
+    s_key = reference_fold(reference_key(f.seed, "S-membership"), address, t)
+    coords = tuple(a for a in f.A.members if reference_word(s_key, a) >> 11 < limit)
+    return coords, reference_fold(reference_key(f.seed, "h-value"), address, t)
+
+
+def reference_value(key: int, y: int, width: int) -> int:
+    """h's value at y for a fiber with h key ``key`` and |S| = width: the fair coin of the fold."""
+    return int(reference_fold(key, y, max(width, 1)) >> 11 < 2**52)
 
 
 def reference_eval(f, x: BitString) -> int:
-    """f(x) = h_address(x on S), every digest derived afresh."""
+    """f(x) = h_address(x on S), y = x's bits on S with the smallest coordinate first; every word afresh."""
     bits = {i: (x.code >> (f.n - i)) & 1 for i in range(1, f.n + 1)}
     address = 1 + sum(bits[i] << (len(f.M.members) - 1 - j) for j, i in enumerate(f.M.members))
-    coords = reference_fiber_coords(f, address)
-    payload = general_encoding(address, len(coords), *coords, *(bits[a] for a in coords))
-    return reference_bit(f.seed, "h-value", payload, 0.5)
+    coords, key = reference_fiber(f, address)
+    y = 0
+    for a in coords:
+        y = y << 1 | bits[a]
+    return reference_value(key, y, len(coords))
 
 
 def reference_table(f) -> TruthTable:
     """The truth table of ``f``, one ``reference_eval`` per point."""
     n = f.n
     return TruthTable(n, np.array([reference_eval(f, BitString(n, c)) for c in range(1 << n)]))
-
-
-class FreshDigest:
-    """``rng.KeyedDigest``'s interface, building one fresh keyed blake2b per digest.
-
-    It re-keys for every payload, as every digest was derived before the
-    keyed state was kept; swapped in for ``KeyedDigest`` it gives the same
-    answers at the old cost.
-    """
-
-    def __init__(self, seed, role: str):
-        self.seed, self.role = seed, role
-
-    @classmethod
-    def of(cls, seed, role: str) -> "FreshDigest":
-        return cls(seed, role)
-
-    def u64(self, payload: bytes) -> int:
-        return int.from_bytes(reference_digest(self.seed, self.role, payload), "big")
-
-    def below_after(self, head: bytes, payloads, limit: bytes) -> list[bool]:
-        return [reference_digest(self.seed, self.role, head + p) < limit for p in payloads]
-
-
-@contextmanager
-def counted_digests():
-    """Count the digests ``rng.KeyedDigest`` derives, which every digest-derived bit goes through.
-
-    ``u64`` and ``below_after`` see every digest, ``derive_u64`` and
-    ``Seed.mix`` included.
-    """
-    u64, below_after = KeyedDigest.u64, KeyedDigest.below_after
-    count = [0]
-
-    def counting_u64(self, payload):
-        count[0] += 1
-        return u64(self, payload)
-
-    def counting_below_after(self, head, payloads, limit):
-        count[0] += len(payloads)
-        return below_after(self, head, payloads, limit)
-
-    KeyedDigest.u64, KeyedDigest.below_after = counting_u64, counting_below_after
-    try:
-        yield count
-    finally:
-        KeyedDigest.u64, KeyedDigest.below_after = u64, below_after
-
-
-@contextmanager
-def fresh_digests():
-    """Structured instances built inside derive every digest from a fresh keyed blake2b."""
-    keyed = boolfn.KeyedDigest
-    boolfn.KeyedDigest = FreshDigest
-    try:
-        yield
-    finally:
-        boolfn.KeyedDigest = keyed
-
-
-def fresh_sample(sampler, *args) -> StructuredFn:
-    """``sampler(*args)`` with ``FreshDigest`` states, as instances were built before keyed states."""
-    with fresh_digests():
-        return sampler(*args)
-
-
-def digest_counts(f) -> tuple[int, int]:
-    """The digests ``per_point_table`` and ``to_table`` derive for structured ``f``.
-
-    Per point: one membership coin per member of A, then the value.  Per
-    fiber: one membership coin per member of A, then one value per
-    assignment of the fiber's coordinates S.
-    """
-    addresses = 1 << len(f.M)
-    fibers = sum(1 << len(keyed_fiber(f, a)[0]) for a in range(1, addresses + 1))
-    return (1 << f.n) * (len(f.A) + 1), addresses * len(f.A) + fibers
-
-
-def eval_many_digest_counts(f, xs) -> tuple[int, int]:
-    """The digests ``fiberwise_eval_many`` and ``f.eval_many`` derive at the queries ``xs``.
-
-    Both derive one membership coin per member of A for each distinct
-    address; then the fiberwise form derives one value of h per query and
-    ``eval_many`` one per distinct (address, bits of x on S).
-    """
-    values = set()
-    for x in xs:
-        address = address_index(f.M, x)
-        values.add((address, tuple(x.bit(a) for a in keyed_fiber(f, address)[0])))
-    membership = len({address for address, _ in values}) * len(f.A)
-    return membership + len(xs), membership + len(values)
 
 
 def slots_by_element(plan) -> dict[int, list[tuple[int, int]]]:

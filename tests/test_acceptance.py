@@ -240,8 +240,7 @@ def test_pipeline_matches_direct_simulation():
         direct_hits = 0
         for j in range(trials):
             f = complement_sample(params, YES_STYLE, base.mix(j), M)
-            bits = tuple(f.eval(xq) for xq in X.queries)
-            if X.decider(bits) == YES:
+            if X.decider(f.eval_many(X.queries)) == YES:
                 direct_hits += 1
 
         p_pipe = pipe_hits / trials

@@ -1,20 +1,23 @@
 """Bit strings, truth tables, the addressing map, and structured instances."""
 
+import math
 import pickle
 import tracemalloc
 from dataclasses import replace
+from itertools import compress
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from junta_lab import boolfn
+from junta_lab import boolfn, rng
 from junta_lab.boolfn import (
     BitString,
     IndexSet,
     StructuredFn,
     TruthTable,
+    NO_STYLE,
     YES_STYLE,
     bichromatic_edge_counts,
     flip,
@@ -27,23 +30,22 @@ from junta_lab.errors import (
     InvalidInput,
     TooLarge,
 )
-from junta_lab.hardgen import sample_no, sample_yes
+from junta_lab.hardgen import sample_block, sample_no, sample_yes
 from junta_lab.harness import always_yes
 from junta_lab.params import DESK_SCALE, STRICT, derive_params
-from junta_lab.rng import Seed
+from junta_lab.rng import RandomStream, Seed, word_limit
 from junta_lab.tasks import StringQueryPlan, build_set_queries
 from references import (
+    GAMMA,
     address_index,
-    counted_digests,
-    eval_many_digest_counts,
     fiberwise_eval_many,
     fiberwise_table,
     hamming,
-    keyed_fiber,
     per_direction_edge_counts,
     per_point_table,
     reference_eval,
-    reference_fiber_coords,
+    reference_fiber,
+    reference_fold,
     reference_table,
     set_checked_deserialize,
 )
@@ -102,7 +104,7 @@ def test_address_examples():
     assert address_index(M, BitString.from_text("1100")) == 4
     assert address_index(M, BitString.from_text("0100")) == 2
     codes = [0b0000, 0b0011, 0b1100, 0b0100]
-    assert boolfn._addresses(4, [M.members], codes).tolist() == [[1, 1, 4, 2]]
+    assert boolfn._addresses(boolfn._code_bits(4, codes), [M.members]).tolist() == [[1, 1, 4, 2]]
     # the set-query reduction addresses its queries by the same gather
     # tau = n + 1: no pair is that far apart, so every M separates
     plan = StringQueryPlan(tuple(BitString(4, code) for code in codes), always_yes)
@@ -133,7 +135,8 @@ def test_address_gather_equals_the_reference(n, data):
     rows = data.draw(st.lists(st.lists(st.integers(1, n), min_size=t, max_size=t, unique=True)
                               .map(sorted), max_size=4))
     codes = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=6))
-    got = boolfn._addresses(n, np.array(rows, dtype=np.intp).reshape(len(rows), t), codes)
+    got = boolfn._addresses(boolfn._code_bits(n, codes),
+                            np.array(rows, dtype=np.intp).reshape(len(rows), t))
     assert got.shape == (len(rows), len(codes))
     assert got.dtype == (np.int64 if t < 63 else object)
     assert got.tolist() == [[address_index(IndexSet(n, tuple(row)), BitString(n, code))
@@ -384,76 +387,158 @@ def test_eval_many_equals_the_reference_at_long_addresses(n, mode, seed_value, d
 
 @settings(max_examples=25, deadline=None)
 @given(
-    st.integers(2, 14),
+    st.integers(2, 16),
     st.sampled_from([sample_yes, sample_no]),
     st.sampled_from([0.1, 1.0]),
     st.integers(0, 2**64 - 1),
     st.data(),
 )
-def test_keyed_paths_equal_the_fresh_blake2b_reference(n, sampler, epsilon, seed_value, data):
-    """The fiber kernel, eval_many and, up to n = 10, to_table against fresh blake2b digests."""
+def test_fiber_paths_equal_the_scalar_reference(n, sampler, epsilon, seed_value, data):
+    """The fiber kernel, eval_many and to_table against the scalar reference, n up to 16."""
     # derive_params starts at n = 4; below it one address bit and the rest pool
     params = desk(n, epsilon) if n >= 4 else replace(desk(4, epsilon), n=n, m=n - 1, t=1)
     codes = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=24))
-    assert_keyed_paths_equal_the_reference(sampler(params, Seed(seed_value)), codes, n <= 10)
+    assert_fiber_paths_equal_the_reference(sampler(params, Seed(seed_value)), codes, n <= 10)
 
 
 @pytest.mark.parametrize("n, sampler, epsilon", [
     (11, sample_yes, 0.1), (12, sample_no, 1.0), (13, sample_yes, 1.0), (14, sample_no, 0.1),
 ])
-def test_keyed_tables_equal_the_fresh_blake2b_reference_past_n_10(n, sampler, epsilon):
-    """The same checks, with the 2^n-point table, on one fixed instance and query list per n."""
+def test_tables_equal_the_scalar_reference_past_n_10(n, sampler, epsilon):
+    """The same checks, with the 2^n-point reference table, on one fixed instance and query list per n."""
     codes = np.random.default_rng(n).integers(0, 1 << n, size=24).tolist()
-    assert_keyed_paths_equal_the_reference(sampler(desk(n, epsilon), Seed(n)), codes, True)
+    assert_fiber_paths_equal_the_reference(sampler(desk(n, epsilon), Seed(n)), codes, True)
 
 
-def assert_keyed_paths_equal_the_reference(f, codes, table):
-    """Every fiber, ``eval_many`` at ``codes`` (reversed, and in one fiber) and, if ``table``, ``to_table``."""
-    n = f.n
-    for address in range(1, (1 << len(f.M)) + 1):
-        coords, _ = boolfn._fiber(f._s_state, f.A.members, f._pool_codes, f._coin_limit, address)
-        assert coords == reference_fiber_coords(f, address)
-    codes = codes + codes[::-1]
+def fiber_kernel(f):
+    """Every fiber of ``f`` from ``boolfn._fibers``, in address order: (h keys, S per fiber)."""
+    t = len(f.M)
+    pool = np.array([f.A.members], dtype=np.intp).reshape(1, len(f.A))
+    addresses = np.arange(1, (1 << t) + 1, dtype=np.uint64)[None, None]
+    h, coins = boolfn._fibers(np.array(f._keys, dtype=np.uint64)[:, None], addresses, t, pool,
+                              np.ones(pool.shape, dtype=bool), word_limit(f.params.coin_prob))
+    return h[0].tolist(), [tuple(compress(f.A.members, row)) for row in coins[0].tolist()]
+
+
+def assert_fiber_paths_equal_the_reference(f, codes, per_point):
+    """Every fiber, ``eval_many`` at three batches of ``codes`` and ``to_table``.
+
+    The batches: the codes and their reverse (repeats), every code moved
+    into one fiber, and every code moved into the fiber with the widest S.
+    The table must equal ``fiberwise_table`` and, if ``per_point``,
+    ``reference_table``.
+    """
+    n, t = f.n, len(f.M)
+    fibers = [reference_fiber(f, address) for address in range(1, (1 << t) + 1)]
+    h, coords = fiber_kernel(f)
+    assert list(zip(coords, h)) == fibers
     mask = sum(1 << (n - i) for i in f.M.members)
-    one_fiber = [c & ~mask for c in codes]
-    for batch in (codes, one_fiber):
+    widest = max(range(1 << t), key=lambda code: len(fibers[code][0]))
+    widest_bits = sum((widest >> (t - 1 - j) & 1) << (n - i) for j, i in enumerate(f.M.members))
+    for batch in (codes + codes[::-1], [c & ~mask for c in codes],
+                  [widest_bits | (c & ~mask) for c in codes]):
         xs = [BitString(n, c) for c in batch]
         assert f.eval_many(xs) == tuple(reference_eval(f, x) for x in xs)
-    if table:
+    assert to_table(f) == fiberwise_table(f)
+    if per_point:
         assert to_table(f) == reference_table(f)
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    st.integers(4, 12),
-    st.sampled_from([sample_yes, sample_no]),
-    st.sampled_from([0.1, 1.0]),
-    st.integers(0, 2**64 - 1),
-    st.data(),
-)
-def test_eval_many_derives_one_digest_per_distinct_value(n, sampler, epsilon, seed_value, data):
-    """eval_many against per-point ``reference_eval``, and its digests in closed form.
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.sampled_from([1, 63, 64, 65, 128, 129]) | st.integers(1, 300),
+       st.data())
+def test_fold_equals_the_reference_at_chunk_boundaries(key, width, data):
+    # a fold reads max(1, ceil(width / 64)) chunks, however many it is given:
+    # one up to width 64, then one more per 64 bits
+    values = data.draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=4)
+                       | st.just([(1 << width) - 1, 0, 1 << (width - 1)]))
+    if width < 63:
+        chunks = boolfn._address_chunks(np.array(values, dtype=np.int64), width)
+    else:
+        chunks = boolfn._address_chunks(np.array(values, dtype=object), width)
+    assert chunks.shape == (-(-width // 64), len(values))
+    expected = [reference_fold(key, v, width) for v in values]
+    assert boolfn._fold(np.array(key, dtype=np.uint64), chunks, width).tolist() == expected
+    # one more chunk than the width needs, with a width per value, as eval_many folds y
+    wider = boolfn._address_chunks(np.array(values, dtype=object), width + 64)
+    widths = np.full(len(values), width, dtype=np.uint64)
+    assert boolfn._fold(np.array(key, dtype=np.uint64), wider, widths).tolist() == expected
 
-    Each distinct address costs |A| membership digests and each distinct
-    (address, x on S) one value of h, so a repeated query and a second
-    query in a fiber with empty S add none.
-    """
-    f = sampler(desk(n, epsilon), Seed(seed_value))
-    codes = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=20))
-    mask = sum(1 << (n - i) for i in f.M.members)
-    fiber = data.draw(st.integers(0, (1 << n) - 1)) & mask
-    # repeats; every query in one fiber; the fiber with the widest S
-    widest = max(range(1, (1 << len(f.M)) + 1), key=lambda a: len(keyed_fiber(f, a)[0]))
-    widest_bits = sum(((widest - 1) >> (len(f.M) - 1 - j) & 1) << (n - i)
-                      for j, i in enumerate(f.M.members))
-    batches = [codes + codes[::-1], [fiber | (c & ~mask) for c in codes],
-               [widest_bits | (c & ~mask) for c in codes]]
-    for batch in batches:
-        xs = [BitString(n, c) for c in batch]
-        with counted_digests() as count:
-            got = f.eval_many(xs)
-        assert got == tuple(reference_eval(f, x) for x in xs)
-        assert count[0] == eval_many_digest_counts(f, xs)[1]
+
+def wide_instance(t, seed_value):
+    """An instance with t address bits and 150 pool members at theta = 0.9: |S| is 120-150."""
+    n = t + 150
+    params = replace(desk(max(n, 4)), n=n, m=150, t=t, epsilon=0.9 * math.sqrt(n))
+    return StructuredFn(params=params, M=IndexSet.of(n, range(1, t + 1)),
+                        A=IndexSet.of(n, range(t + 1, n + 1)), seed=Seed(seed_value), kind=YES_STYLE)
+
+
+@pytest.mark.parametrize("t", [8, 62, 63, 64, 65, 128, 432])
+@settings(max_examples=3, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.data())
+def test_eval_many_equals_the_reference_at_wide_addresses_and_fibers(t, seed_value, data):
+    # addresses of one to seven chunks, and fibers with |S| of two or three chunks
+    f = wide_instance(t, seed_value)
+    n = f.n
+    codes = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=4))
+    xs = [BitString(n, code) for code in codes + [0, (1 << n) - 1]]
+    assert f.eval_many(xs) == tuple(reference_eval(f, x) for x in xs)
+    assert min(len(reference_fiber(f, address_index(f.M, x))[0]) for x in xs) > 64
+
+
+@pytest.mark.parametrize("role", ["S-membership", "h-value"])
+@pytest.mark.parametrize("t", [1, 6, 63, 64])
+def test_fiber_keys_up_to_64_address_bits_are_words_of_the_role_stream(t, role):
+    # fold(K, a, t) is word a of the stream whose key is K when a fits one chunk
+    f = wide_instance(t, 7 + t)
+    addresses = sorted({1, 2, (1 << t) - 1, 1 << t})
+    expected = []
+    for address in addresses:
+        at = RandomStream([f.seed], role)
+        at._state += address % 2**64 * GAMMA % 2**64
+        expected.append(at.raw(1)[0, 0].tolist())
+    if t <= 6:
+        words = RandomStream([f.seed], role).raw((1 << t) + 1)[0]
+        assert expected == [words[a] for a in addresses]
+    kind = object if t >= 63 else np.int64
+    chunks = boolfn._address_chunks(np.array([addresses], dtype=kind), t)
+    keys = np.array(f._keys, dtype=np.uint64)[:, None]
+    pool = np.array([f.A.members], dtype=np.intp)
+    h, coins = boolfn._fibers(keys, chunks, t, pool, np.ones(pool.shape, dtype=bool),
+                              word_limit(f.params.coin_prob))
+    if role == "h-value":
+        assert h[0].tolist() == expected
+    else:
+        limit = word_limit(f.params.coin_prob)
+        words = rng.words(np.array(expected, dtype=np.uint64)[:, None], pool)
+        assert coins[0].tolist() == ((words >> 11) < limit).tolist()
+
+
+def test_fiber_frequencies_within_4_sigma():
+    # at desk n = 12, epsilon = 1, on 100 yes and 100 no instances: a member
+    # of A joins a fiber's S at rate theta, each coin on its own word; a
+    # coordinate of A has influence theta / 2 (it lies in S with chance
+    # theta, and then each pair of values differs with chance 1/2); one of M
+    # has influence 1/2 (its flip moves x to another fiber)
+    n = 12
+    params = desk(n, 1.0)
+    theta = params.coin_prob
+    seeds = Seed(12).mixes(range(200))
+    fs = [*sample_block(params, YES_STYLE, seeds[:100]), *sample_block(params, NO_STYLE, seeds[100:])]
+    joined = coins = 0
+    influences = {"A": [], "M": []}
+    for f in fs:
+        _, fibers = fiber_kernel(f)
+        joined += sum(map(len, fibers))
+        coins += len(fibers) * len(f.A)
+        influence = np.array(bichromatic_edge_counts(to_table(f))) / 2 ** (n - 1)
+        for name, members in (("A", f.A.members), ("M", f.M.members)):
+            if members:
+                influences[name].append(influence[np.array(members) - 1].mean())
+    assert abs(joined / coins - theta) <= 4 * math.sqrt(theta * (1 - theta) / coins)
+    for name, expected in (("A", theta / 2), ("M", 0.5)):
+        values = np.array(influences[name])
+        assert abs(values.mean() - expected) <= 4 * values.std(ddof=1) / math.sqrt(len(values))
 
 
 def edge_instance(n, M, epsilon, seed_value, full_pool):
@@ -493,7 +578,7 @@ def test_fiber_paths_equal_the_reference_on_edge_shapes(n, M, epsilon, full_pool
 
 def test_to_table_of_an_instance_with_large_fibers_equals_the_reference():
     f = edge_instance(9, [1, 9], 1.0, 7, full_pool=True)
-    assert max(len(keyed_fiber(f, a)[0]) for a in range(1, 5)) >= 3
+    assert max(len(reference_fiber(f, a)[0]) for a in range(1, 5)) >= 3
     assert to_table(f) == reference_table(f)
 
 

@@ -38,10 +38,10 @@ from references import (
     ScalarStream,
     complement_sample,
     fiberwise_table,
-    general_encoding,
     instance_answers,
     per_point_table,
-    reference_bit,
+    reference_fiber,
+    reference_value,
     sample_d1_at,
     stream_with_words,
 )
@@ -270,17 +270,11 @@ def test_kind_flag_does_not_change_semantics():
 
 def eager_table(f: StructuredFn) -> TruthTable:
     """Eager oracle: materialize every per-address subset and value table
-    from one fresh keyed blake2b per digest (``reference_bit`` of a
-    ``general_encoding`` payload), then evaluate without any laziness."""
+    from the scalar reference (``reference_fiber``, ``reference_value``,
+    each word afresh), then evaluate without any laziness."""
     n = f.params.n
-    theta = f.params.coin_prob
     t = len(f.M)
-    subsets = {}
-    for address in range(1, (1 << t) + 1):
-        subsets[address] = tuple(
-            a for a in f.A.members
-            if reference_bit(f.seed, "S-membership", general_encoding(address, a), theta)
-        )
+    fibers = {address: reference_fiber(f, address) for address in range(1, (1 << t) + 1)}
     values = {}
     out = np.zeros(1 << n, dtype=np.uint8)
     for code in range(1 << n):
@@ -289,11 +283,11 @@ def eager_table(f: StructuredFn) -> TruthTable:
         for i in f.M.members:
             addr = (addr << 1) | x.bit(i)
         addr += 1
-        coords = subsets[addr]
+        coords, h_key = fibers[addr]
         key = (addr, tuple(x.bit(a) for a in coords))
         if key not in values:
-            payload = general_encoding(addr, len(coords), *coords, *key[1])
-            values[key] = reference_bit(f.seed, "h-value", payload, 0.5)
+            y = int("".join(map(str, key[1])) or "0", 2)
+            values[key] = reference_value(h_key, y, len(coords))
         out[code] = values[key]
     return TruthTable(n, out)
 
@@ -493,6 +487,33 @@ def test_d2_subset_frequencies_at_n_3():
     assert len(counts) == subsets
     sigma = math.sqrt(draws * (1 / subsets) * (1 - 1 / subsets))
     assert all(abs(count - draws / subsets) <= 4 * sigma for count in counts.values())
+
+
+class TiedFirstRead:
+    """A one-row stream whose first ``raw`` read is ``first``; later reads come from ``stream``.
+
+    A counter-mode stream cannot be made to read 2^n chosen words in a row,
+    so this stub stands in for one; ``sample_d2`` reads only ``raw``.
+    """
+
+    def __init__(self, first, stream):
+        self.first, self.stream = first, stream
+
+    def raw(self, count):
+        if self.first is None:
+            return self.stream.raw(count)
+        words, self.first = np.array([self.first], dtype=np.uint64), None
+        assert words.shape == (1, count)
+        return words
+
+
+def test_d2_draws_again_on_a_tie_at_the_weight():
+    # weight 3 of 8: the 3rd and 4th smallest of the first 8 words tie, so
+    # only 2 words lie below the 4th smallest; the table comes from the next 8
+    first = [1, 9, 4, 2, 9, 4, 9, 9]
+    tied = sample_d2(3, 3 / 8, TiedFirstRead(first, RandomStream([Seed(4)], "d2")))
+    assert int(tied.table.sum()) == 3
+    assert tied == sample_d2(3, 3 / 8, RandomStream([Seed(4)], "d2"))
 
 
 def test_d2_weight_out_of_range():

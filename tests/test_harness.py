@@ -91,11 +91,13 @@ def test_run_game_fixed_instances_derive_no_seed(monkeypatch):
 
 
 def test_run_game_identical_samplers():
+    # with one sampler on both sides each game's 95% interval covers 0 with
+    # chance 0.95, so at most 7 of 40 games miss it but with chance 7e-4
     params = desk_params(6)
     plan = random_string_plan(6, 2, Seed(2), "p", all_equal_yes)
     gen = partial(sample_block_at, params, YES_STYLE)
-    result = run_game(gen, gen, plan, 2000, 11)
-    assert result.ci_low <= 0.0 <= result.ci_high
+    results = [run_game(gen, gen, plan, 2000, seed) for seed in range(40)]
+    assert sum(not r.ci_low <= 0.0 <= r.ci_high for r in results) <= 7
 
 
 def test_run_game_single_query_bit_decider():
@@ -388,6 +390,45 @@ def test_verify_no_small():
     assert row["expected_pool_gap"] == pytest.approx(
         (cfg.params.q - cfg.params.p) * cfg.params.m
     )
+
+
+def pool_gap_check(monkeypatch, no_sizes):
+    """``verify_no``'s pool-gap check when every yes-side pool has size t and the no side's are given.
+
+    ``sample_block_tables`` is replaced by a stub that yields zero tables
+    with pools of the chosen sizes, so only the pool sizes decide the gap.
+    """
+    params = desk_params(10)
+    sizes = {YES_STYLE: iter([params.t] * len(no_sizes)), NO_STYLE: iter(no_sizes)}
+
+    def stub_tables(p, kind, seeds):
+        for _ in seeds:
+            size = next(sizes[kind])
+            yield np.zeros(1 << p.n, dtype=np.uint8), [True] * size + [False] * (p.n - size)
+
+    monkeypatch.setattr(harness, "sample_block_tables", stub_tables)
+    config = ExperimentConfig(params=params, experiment="verify_no", trials=len(no_sizes), seed=3)
+    report = harness.verify_no(config)
+    (check,) = [c for c in report.checks if c.name == "pool_gap_within_3_sigma"]
+    row = report.rows[0]
+    return check.passed, (row["pool_gap"] - row["expected_pool_gap"]) / row["pool_gap_sigma"]
+
+
+@pytest.mark.parametrize("side", [1, -1], ids=["above", "below"])
+def test_verify_no_pool_gap_window_is_3_sigma(monkeypatch, side):
+    # the no side's mean pool size k / trials places the gap a quarter to
+    # three quarters of a step inside and outside expected +- 3 sigma: the
+    # check passes just inside and fails just outside, where a wider window
+    # would pass too
+    params, trials = desk_params(10), 100
+    sigma = math.sqrt((params.q * (1 - params.q) + params.p * (1 - params.p)) * params.m / trials)
+    edge = (params.t + (params.q - params.p) * params.m + side * 3 * sigma) * trials
+    assert 0.25 < edge % 1 < 0.75
+    inside, outside = (math.floor(edge), math.ceil(edge))[::side]
+    for k, passes in ((inside, True), (outside, False)):
+        no_sizes = [k // trials + 1] * (k % trials) + [k // trials] * (trials - k % trials)
+        passed, z = pool_gap_check(monkeypatch, no_sizes)
+        assert passed is passes and 2.95 < side * z < 3.05
 
 
 @pytest.mark.parametrize(

@@ -12,19 +12,17 @@ from junta_lab.errors import InvalidInput
 from junta_lab.harness import always_yes, random_string_plan
 from junta_lab.rng import (
     _CHUNK,
-    KeyedDigest,
     RandomStream,
     Seed,
-    byte_limit,
     derive_u64,
-    pack_each,
     pack_ints,
+    stream_keys,
     word_limit,
+    words,
 )
 from references import (
     ScalarStream,
     general_encoding,
-    reference_bit,
     reference_bounded,
     reference_digest,
     reference_double,
@@ -32,6 +30,8 @@ from references import (
     reference_random_at,
     reference_stream,
     reference_string_plan,
+    reference_word,
+    stream_with_words,
 )
 
 
@@ -44,41 +44,22 @@ def test_seed_validation():
         Seed(2**64)
 
 
-def digest_coin(seed, role, payload, threshold):
-    """The digest coin a fiber reads: a fresh keyed state, an empty head and ``byte_limit``."""
-    return KeyedDigest.of(seed, role).below_after(b"", [payload], byte_limit(threshold))[0]
-
-
 def test_degenerate_thresholds():
-    seed = Seed(1)
-    for j in range(200):
-        payload = pack_ints(j)
-        assert digest_coin(seed, "t", payload, 0.0) is False
-        assert digest_coin(seed, "t", payload, 1.0) is True
+    # rate 0 never fires and rate 1 always does, on a stream and on the words of any key
+    stream = RandomStream([Seed(1)], "t")
+    assert not stream.below(200, 0.0).any()
+    assert stream.below(200, 1.0).all()
+    tops = words(np.array([0, 2**64 - 1], dtype=np.uint64)[:, None], np.arange(200)) >> 11
+    assert not (tops < word_limit(0.0)).any() and (tops < word_limit(1.0)).all()
 
 
-class FixedState:
-    """A hash state whose digest is a fixed 64-bit value, whatever it is fed."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def copy(self):
-        return self
-
-    def update(self, data):
-        pass
-
-    def digest(self):
-        return self.value.to_bytes(8, "big")
+def fires(word, rate):
+    """Whether a stream coin at ``rate`` fires on the 64-bit ``word``."""
+    return bool(stream_with_words([word]).below(1, rate)[0, 0])
 
 
-def fires(digest_value, threshold):
-    return KeyedDigest(FixedState(digest_value)).below_after(b"", [b""], byte_limit(threshold))[0]
-
-
-def test_threshold_one_fires_on_the_largest_digest():
-    # 2^64 - 1 divided by 2^64 rounds to 1.0, so a float comparison misses it
+def test_rate_one_fires_on_the_largest_word():
+    # (2^64 - 1) >> 11 is 2^53 - 1, below word_limit(1) = 2^53
     assert fires(2**64 - 1, 1.0)
 
 
@@ -87,68 +68,42 @@ def test_threshold_comparison_is_strict_at_the_boundary():
     assert fires(2**63 - 1, 0.5)
 
 
-@pytest.mark.parametrize(
-    "threshold, limit",
-    [(0.0, 0), (2.0**-64, 1), (0.5, 2**63), (1.0 - 2.0**-53, 2**64 - 2**11), (1.0, 2**64)],
-)
-def test_byte_limit_fires_below_the_ceiling_of_threshold_times_2_64(threshold, limit):
-    """Digests at limit - 1 fire and at limit do not, where limit = ceil(threshold * 2^64)."""
-    if limit > 0:
-        assert fires(limit - 1, threshold)
-        assert limit - 1 < threshold * 2**64
-    if limit < 2**64:
-        assert not fires(limit, threshold)
-        assert not limit < threshold * 2**64
-    assert not fires(0, threshold) if limit == 0 else fires(0, threshold)
-
-
-def test_byte_limit_rejects_thresholds_outside_the_unit_interval():
-    for threshold in (-2.0**-64, 1.0 + 2.0**-52, math.nan):
-        with pytest.raises(InvalidInput):
-            byte_limit(threshold)
-        with pytest.raises(InvalidInput):
-            digest_coin(Seed(1), "t", b"", threshold)
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(0, 2**64 - 1),
-    st.sampled_from(["t", "S-membership", "h-value", "a-role-label-well-past-sixteen-bytes"]),
+    st.sampled_from(["t", "mix", "S-membership", "a-role-label-well-past-sixteen-bytes"]),
     st.binary(max_size=40),
-    st.binary(max_size=40),
-    st.floats(0.0, 1.0) | st.sampled_from([0.0, 2.0**-64, 0.5, 1.0 - 2.0**-53, 1.0]),
+    st.lists(st.integers(0, 2**70), max_size=4),
 )
-def test_keyed_digest_equals_the_fresh_blake2b_reference(seed_value, role, prefix, payload, threshold):
+def test_keyed_digest_equals_the_fresh_blake2b_reference(seed_value, role, payload, indices):
+    # derive_u64 and the trial seeds of Seed.mixes, against one fresh keyed blake2b per digest
     seed = Seed(seed_value)
-    whole = prefix + payload
-    expected = int.from_bytes(reference_digest(seed, role, whole), "big")
-    assert derive_u64(seed, role, whole) == expected
-    bit = reference_bit(seed, role, whole, threshold)
-    assert digest_coin(seed, role, whole, threshold) == bool(bit)
-    keyed = KeyedDigest.of(seed, role)
-    assert keyed.u64(whole) == expected
-    assert keyed.below_after(b"", [whole, whole], byte_limit(threshold)) == [
-        bool(reference_bit(seed, role, whole, threshold))
-    ] * 2
-    # the prefix split anywhere between the head and the payloads
-    for cut in (0, len(prefix) // 2, len(prefix)):
-        head, rest = prefix[:cut], prefix[cut:]
-        assert keyed.below_after(head, [rest + payload, rest, rest + payload],
-                                 byte_limit(threshold)) == [
-            bool(reference_bit(seed, role, whole, threshold)),
-            bool(reference_bit(seed, role, prefix, threshold)),
-            bool(reference_bit(seed, role, whole, threshold)),
-        ]
+    assert derive_u64(seed, role, payload) == int.from_bytes(
+        reference_digest(seed, role, payload), "big")
+    assert [s.value for s in seed.mixes(indices)] == [
+        int.from_bytes(reference_digest(seed, "mix", general_encoding(i)), "big") for i in indices]
 
 
 def test_fair_coin_frequency():
-    seed = Seed(7)
     trials = 100_000
-    ones = sum(digest_coin(seed, "coin", pack_ints(j), 0.5) for j in range(trials))
+    ones = int(RandomStream([Seed(7)], "coin").below(trials, 0.5).sum())
     # 5 sigma around the binomial mean
     sigma = math.sqrt(trials * 0.25)
     assert abs(ones - trials / 2) <= 5 * sigma
     assert 0.49 <= ones / trials <= 0.51
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5),
+       st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5))
+def test_words_equal_the_reference_words(keys, positions):
+    # word j of key K, broadcast over keys and positions; a stream's output j is word j of its key
+    got = words(np.array(keys, dtype=np.uint64)[:, None], np.array(positions, dtype=np.uint64))
+    assert got.tolist() == [[reference_word(k, j) for j in positions] for k in keys]
+    assert words(keys[0], positions[0]).tolist() == [reference_word(keys[0], positions[0])]
+    seeds = [Seed(k) for k in keys]
+    assert RandomStream(seeds, "w").raw(3).tolist() == words(
+        stream_keys(seeds, "w")[:, None], np.arange(3)).tolist()
 
 
 def test_determinism_and_role_separation():
@@ -170,14 +125,19 @@ def test_pack_ints_is_injective_on_tricky_cases():
         ((2**100,), (2**100 + 1,)),
     ]
     for left, right in cases:
-        assert b"".join(pack_each(left)) != b"".join(pack_each(right))
+        assert packed(left) != packed(right)
+
+
+def packed(values):
+    """The payload of several values: their ``pack_ints`` encodings, joined."""
+    return b"".join(pack_ints(v) for v in values)
 
 
 def test_pack_ints_rejects_negative():
     with pytest.raises(InvalidInput):
         pack_ints(-1)
     with pytest.raises(InvalidInput):
-        pack_each([5, -1])
+        Seed(5).mixes([3, -1])
 
 
 @settings(max_examples=200, deadline=None)
@@ -188,22 +148,19 @@ def test_pack_ints_rejects_negative():
     max_size=12,
 ))
 def test_pack_ints_equals_general_encoding(values):
-    assert b"".join(pack_each(values)) == general_encoding(*values)
+    assert packed(values) == general_encoding(*values)
     assert [pack_ints(v) for v in values] == [general_encoding(v) for v in values]
 
 
 def test_pack_ints_boundaries():
-    assert b"".join(pack_each([])) == b""
+    assert packed([]) == b""
+    assert pack_ints(0) == b"\x00\x00\x00\x01\x00"
     assert pack_ints(255) == b"\x00\x00\x00\x01\xff"
     assert pack_ints(256) == b"\x00\x00\x00\x02\x01\x00"
     assert pack_ints(65535) == b"\x00\x00\x00\x02\xff\xff"
     assert pack_ints(65536) == b"\x00\x00\x00\x03\x01\x00\x00"
-    assert b"".join(pack_each([0, 255, 256])) == general_encoding(0, 255, 256)
-    assert (b"".join(pack_each([2**64, 3]))
-            == b"\x00\x00\x00\x09\x01" + bytes(8) + b"\x00\x00\x00\x01\x03")
-    # one block per fast path: single bytes, up to two bytes, and past them
-    for values in ([0, 255], [0, 255, 256, 65535], [255, 256, 65535, 65536], [65536, 0]):
-        assert pack_each(values) == tuple(general_encoding(v) for v in values)
+    assert packed([0, 255, 256]) == general_encoding(0, 255, 256)
+    assert packed([2**64, 3]) == b"\x00\x00\x00\x09\x01" + bytes(8) + b"\x00\x00\x00\x01\x03"
 
 
 def test_long_role_labels_are_supported():

@@ -56,6 +56,8 @@ def test_ab_runs_a_tree_against_itself(tmp_path):
     record = json.loads((tmp_path / "AB_aa.json").read_text(encoding="utf-8"))
     assert record["outputs_equal"] and record["failed_jobs"] == {"parent": 0, "change": 0}
     assert (record["workload"], record["cycles"]) == ("structured", 2)
+    sides = record["src_sha256"]
+    assert sides["parent"] == sides["change"] and len(sides["parent"]) == 64
     assert set(record["jobs"]) == {"verify_yes", "verify_no"}
     for summary in (record["cycle"], record["setup"], *record["jobs"].values()):
         assert summary["wins"] + summary["losses"] + summary["ties"] == len(summary["parent_s"])
@@ -89,11 +91,12 @@ SMALL_BENCH = {
     "COMPARED": (8,), "FAST_ONLY": (9,), "ORACLE_N": (8,), "DESK_N": 8, "DRAWS": 2,
     "TAIL_DRAW_N": 8, "DIST_JOB": (8, 5), "FRONTIER": (("no", 8), ("yes", 9)),
     "FRONTIER_D2": (8, 5), "GAME_TRIALS": 40, "BUDGET_N": 8, "GOOD_M_N": 8,
-    "GOOD_M_QUERIES": 6, "GOOD_M_DRAWS": 20, "PAYLOADS": 50, "STRINGS_N": 8,
+    "GOOD_M_QUERIES": 6, "GOOD_M_DRAWS": 20, "MIX_INDICES": 50, "STRINGS_N": 8,
     "STRINGS_QUERIES": 4, "STRINGS_TRIALS": 20, "STREAMS": 30, "HIDDEN_BLOCK": 9000,
-    "PLAN_N": (8, 40), "DIGEST_TABLE_N": (8,),
+    "PLAN_N": (8, 40),
     "EDGE_COUNTS_N": 8, "CLI_CALLS": 3, "TAIL_N": (8,), "STRUCTURED_CASES": ((8, 0.1), (8, 1.0)),
     "STRUCTURED_PER_KIND": 3, "STRUCTURED_QUERIES": 4, "VERIFY_SEEDS": (3,), "LAZY_N": (16,),
+    "STRICT_LAZY_N": (512,),
 }
 
 

@@ -1150,7 +1150,7 @@ def test_reduction_preserves_the_advantage():
         hits = 0
         for j in range(trials):
             f = complement_sample(params, kind, base.mix(offset + j), M)
-            if X.decider(tuple(f.eval(xq) for xq in X.queries)) == YES:
+            if X.decider(f.eval_many(X.queries)) == YES:
                 hits += 1
         return hits / trials
 

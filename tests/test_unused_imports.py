@@ -1,11 +1,11 @@
 """Every name a module imports under src/, tests/ or scripts/ is used in that module.
 
-No module under src/ names ``numpy.random``: every random draw comes from
-``rng.RandomStream`` or a keyed digest.  No module under src/ reads a
+No module under src/ names ``numpy.random``: every random draw is a word
+of ``rng``'s counter-mode generator.  No module under src/ reads a
 stream's doubles or scales a word by 2^-53 either: every coin is a word
-compared with ``rng.word_limit`` or, inside a structured instance's fiber
-only, a digest compared with ``rng.byte_limit``, so only ``rng`` and
-``boolfn`` name the digest coin.
+compared with ``rng.word_limit``.  Only ``rng`` names blake2b (for role
+words, trial seeds and ``derive_u64``), and no module names the digest
+coins that structured-instance fibers once read.
 """
 
 import ast
@@ -78,14 +78,22 @@ def test_src_reads_no_stream_doubles():
     assert not named, "stream doubles read under src/:\n" + "\n".join(named)
 
 
-def test_only_fibers_read_digest_coins():
-    fiber_modules = {"rng.py", "boolfn.py"}
-    named = [f"{path.relative_to(ROOT)}:{number}: {line.strip()}"
-             for path in sorted((ROOT / "src").rglob("*.py"))
-             for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
-             if re.search(r"\bderive_bit\b", line)
-             or path.name not in fiber_modules and re.search(r"\b(byte_limit|below_after)\b", line)]
-    assert not named, "digest coins named outside the fibers:\n" + "\n".join(named)
+def src_lines_matching(pattern, skip=()):
+    """``path:line: text`` of every line under src/ that matches, outside the files named in ``skip``."""
+    return [f"{path.relative_to(ROOT)}:{number}: {line.strip()}"
+            for path in sorted((ROOT / "src").rglob("*.py")) if path.name not in skip
+            for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if re.search(pattern, line)]
+
+
+def test_only_rng_names_blake2b():
+    named = src_lines_matching(r"\b(hashlib|blake2b)\b", skip={"rng.py"})
+    assert not named, "blake2b named outside rng.py:\n" + "\n".join(named)
+
+
+def test_src_names_no_digest_coin():
+    named = src_lines_matching(r"\b(byte_limit|below_after|KeyedDigest|derive_bit)\b")
+    assert not named, "digest coins named under src/:\n" + "\n".join(named)
 
 
 def test_the_scan_sees_an_unused_import(tmp_path):
