@@ -410,6 +410,36 @@ def test_tables_equal_the_scalar_reference_past_n_10(n, sampler, epsilon):
     assert_fiber_paths_equal_the_reference(sampler(desk(n, epsilon), Seed(n)), codes, True)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(4, 12),
+    st.sampled_from([sample_yes, sample_no]),
+    st.sampled_from([0.1, 1.0]),
+    st.integers(0, 2**64 - 1),
+    st.data(),
+)
+def test_eval_many_equals_the_reference_on_repeats_and_shared_fibers(n, sampler, epsilon,
+                                                                     seed_value, data):
+    """eval_many against per-point ``reference_eval`` on batches that share fibers.
+
+    The batches: the codes and their reverse (every query repeated), every
+    code moved into one drawn fiber, and every code moved into the fiber
+    with the widest S.
+    """
+    f = sampler(desk(n, epsilon), Seed(seed_value))
+    t = len(f.M)
+    codes = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=20))
+    mask = sum(1 << (n - i) for i in f.M.members)
+    fiber = data.draw(st.integers(0, (1 << n) - 1)) & mask
+    widest = max(range(1, (1 << t) + 1), key=lambda a: len(reference_fiber(f, a)[0]))
+    widest_bits = sum(((widest - 1) >> (t - 1 - j) & 1) << (n - i)
+                      for j, i in enumerate(f.M.members))
+    for batch in (codes + codes[::-1], [fiber | (c & ~mask) for c in codes],
+                  [widest_bits | (c & ~mask) for c in codes]):
+        xs = [BitString(n, c) for c in batch]
+        assert f.eval_many(xs) == tuple(reference_eval(f, x) for x in xs)
+
+
 def fiber_kernel(f):
     """Every fiber of ``f`` from ``boolfn._fibers``, in address order: (h keys, S per fiber)."""
     t = len(f.M)
