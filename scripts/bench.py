@@ -71,7 +71,11 @@ Sections, in order:
   ``fiberwise_eval_many``, and ``sample_block_at`` on 3 no-style seeds and
   16 queries against ``instance_answers``; and one strict D_no (alpha
   0.75, epsilon 0.1) at n in ``STRICT_LAZY_N``, a single ``eval`` and a
-  64-query ``eval_many``, against ``fiberwise_eval_many``.
+  64-query ``eval_many``, against ``fiberwise_eval_many``.  Last, the
+  address gather ``boolfn._addresses`` under the M of the strict D_no at
+  each n in ``ADDRESS_N`` (t = 432 at n = 1024, 1856 at n = 4096), at 1
+  and 64 random queries, against per-query ``address_index`` cut into
+  64-bit chunks (``reference_chunks``).
 - ``verify_sampling``: the instances ``verify_yes`` and ``verify_no``
   draw, yes and no at desk n = ``DESK_N`` on ``VERIFY_SEEDS`` seeds:
   ``sample_block`` on the whole block against one ``complement_sample``
@@ -79,11 +83,12 @@ Sections, in order:
 
 The sizes each section runs at are the module constants below, so a test
 can run every section small.  The script exits 1 if any comparison
-fails, and writes BENCH_51.json at the root of the checkout (BENCH_41.json, BENCH_34.json,
-BENCH_30.json, BENCH_25.json, BENCH_23.json, BENCH_22.json, BENCH_21.json, BENCH_18.json and
-BENCH_17.json are earlier runs; BENCH_2, BENCH_3,
-BENCH_5, BENCH_6, BENCH_7, BENCH_10, BENCH_11, BENCH_12, BENCH_14 and
-BENCH_15.json are earlier runs, in the earlier per-section layout).
+fails, and writes BENCH_53.json at the root of the checkout (BENCH_51.json,
+BENCH_41.json, BENCH_34.json, BENCH_30.json, BENCH_25.json, BENCH_23.json,
+BENCH_22.json, BENCH_21.json, BENCH_18.json and BENCH_17.json are earlier
+runs; BENCH_2, BENCH_3, BENCH_5, BENCH_6, BENCH_7, BENCH_10, BENCH_11,
+BENCH_12, BENCH_14 and BENCH_15.json are earlier runs, in the earlier
+per-section layout).
 
 Usage: python scripts/bench.py
 """
@@ -101,7 +106,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from junta_lab import harness, tasks
+from junta_lab import boolfn, harness, tasks
 from junta_lab.binom_stats import BinomialSpec, exact_dtv, shift_bound_sweep
 from junta_lab.boolfn import (
     NO_STYLE,
@@ -136,6 +141,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))
 from references import (  # noqa: E402
     ScalarStream,
+    address_index,
     bound_sweep_cells,
     cli_calls,
     complement_sample,
@@ -156,13 +162,14 @@ from references import (  # noqa: E402
     per_trial_game,
     per_trial_string_game,
     point_read_budget_game,
+    reference_chunks,
     reference_digest,
     reference_is_separating,
     reference_string_plan,
     set_checked_deserialize,
 )
 
-OUTPUT = ROOT / "BENCH_51.json"
+OUTPUT = ROOT / "BENCH_53.json"
 SEED = 1
 REPEATS = {"to_table": 3, "distance": 3, "matching": 3, "kernel": 7, "frontier": 3, "games": 5,
            "strings_game": 11, "stream_seeding": 21, "budget_game": 11, "seed_derivation": 7,
@@ -194,6 +201,7 @@ STRUCTURED_CASES = ((10, 0.1), (12, 0.1), (14, 0.1), (12, 1.0))
 STRUCTURED_PER_KIND, STRUCTURED_QUERIES = 10, 16
 LAZY_N = (256, 1024, 4096)
 STRICT_LAZY_N = (1024, 4096)
+ADDRESS_N = (1024, 4096)
 VERIFY_SEEDS = (10, 20, 256)
 
 
@@ -550,6 +558,19 @@ def structured_pairs() -> list[Pair]:
                  lambda xs=xs, f=f: fiberwise_eval_many(f, xs),
                  lambda xs=xs, f=f: f.eval_many(xs)),
         ]
+    for n in ADDRESS_N:
+        M = sample_no(derive_params(n, 0.75, 0.1), Seed(SEED)).M
+        draw = random.Random(SEED)
+        xs = [BitString(n, draw.getrandbits(n)) for _ in range(64)]
+        for count in (1, 64):
+            bits = boolfn._code_bits(n, [x.code for x in xs[:count]])
+            pairs.append(Pair(
+                f"address gather n = {n}, t = {len(M)}, {count} queries",
+                f"M of the strict D_no, n = {n}, seed {SEED}, {count} random queries' bit "
+                "matrix, one gather against address_index per query",
+                lambda xs=xs[:count], M=M: [[chunk] for chunk in reference_chunks(
+                    [address_index(M, x) for x in xs], len(M))],
+                lambda bits=bits, M=M: boolfn._addresses(bits, [M.members]).tolist()))
     return pairs
 
 

@@ -7,15 +7,15 @@ The addressing map x -> x|_M uses the same convention: the smallest
 index of the addressing set contributes the most significant bit.  Its
 one implementation is the gather ``_addresses``.
 
-A structured instance's bits are words of ``rng.words`` at keys folded
-from its seed, and come from three array kernels over rows (instances)
-at once: ``_fibers`` (each fiber's h key and coordinate subset S), which
-the other two share; ``_answers`` (values at given queries); and
-``_tables`` (all 2^n values, fiber by fiber).  ``StructuredFn.eval_many``
-is ``_answers`` and ``to_table`` is ``_tables`` with the instance as the
-one row; ``structured_answers`` and ``structured_tables`` run them for a
-block of seeds, from the sampler's M and A masks, without building
-instances.
+A structured instance's bits are coins (``rng.coin``) of ``rng.words`` at
+keys folded from its seed, and come from three array kernels over rows
+(instances) at once, on uint64 keys and address chunks: ``_fibers`` (each
+fiber's h key and coordinate subset S), which the other two share;
+``_answers`` (values at given queries); and ``_tables`` (all 2^n values,
+fiber by fiber).  ``StructuredFn.eval_many`` is ``_answers`` and
+``to_table`` is ``_tables`` with the instance as the one row;
+``structured_answers`` and ``structured_tables`` run them for a block of
+seeds, from the sampler's M and A masks, without building instances.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidInput, TooLarge
 from .params import Params
-from .rng import Seed, stream_keys, word_limit, words
+from .rng import Seed, coin, stream_keys, word_limit, words
 
 TABLE_CAP = 24
 
@@ -187,7 +187,7 @@ class TruthTable:
 _S_ROLE = "S-membership"
 _H_ROLE = "h-value"
 _HALF = word_limit(0.5)
-_MASK64 = (1 << 64) - 1
+_MASK64 = np.uint64(2**64 - 1)
 # Cells (rows x fibers or queries x pool coordinates) of one chunk of a
 # block's kernel arrays, and positions of a wide fiber's values made at
 # once: each uint64 temporary holds at most this many words, so a block's
@@ -216,21 +216,6 @@ def _fold(keys: np.ndarray, chunks, widths) -> np.ndarray:
     return keys
 
 
-def _address_chunks(addresses: np.ndarray, t: int) -> np.ndarray:
-    """The ceil(t / 64) 64-bit chunks of t-bit addresses, least significant first: uint64."""
-    if addresses.dtype != object:
-        return addresses.astype(np.uint64)[None]
-    flat = addresses.ravel().tolist()
-    shifts = range(0, t, 64)
-    return np.array([[a >> shift & _MASK64 for a in flat] for shift in shifts],
-                    dtype=np.uint64).reshape(len(shifts), *addresses.shape)
-
-
-def _value_bits(values: np.ndarray) -> np.ndarray:
-    """The fair coin of each folded word, in place: its top 53 bits below ``word_limit(0.5)``."""
-    return np.right_shift(values, 11, out=values) < _HALF
-
-
 def _fibers(keys: np.ndarray, chunks: np.ndarray, t: int, coords: np.ndarray,
             in_pool: np.ndarray, limit) -> tuple[np.ndarray, np.ndarray]:
     """(h keys, membership coins) of the fibers at the addresses whose ``chunks`` are given.
@@ -239,14 +224,13 @@ def _fibers(keys: np.ndarray, chunks: np.ndarray, t: int, coords: np.ndarray,
     its candidate coordinates ``coords[r]`` (1-based, increasing), of which
     ``in_pool[r]`` marks the members of A.  A fiber at address a has the
     keys s = fold(K_S, a, t) and h = fold(K_H, a, t), and coordinate i of A
-    joins its S when words(s, i) >> 11 < ``limit``, word_limit(theta):
+    joins its S when coin(words(s, i), ``limit``), limit = word_limit(theta):
     exact to the word, and independent of the rest of A.  ``chunks`` has
-    shape (chunks, rows or 1, fibers); h is (rows, fibers) and the coins
-    (rows, fibers, candidates).
+    shape (chunks, rows or 1, fibers), as ``_addresses`` gives them; h is
+    (rows, fibers) and the coins (rows, fibers, candidates).
     """
     s, h = _fold(keys[:, :, None], chunks, t)
-    coins = words(s[:, :, None], coords[:, None, :])
-    coins = np.right_shift(coins, 11, out=coins) < limit
+    coins = coin(words(s[:, :, None], coords[:, None, :]), limit)
     coins &= in_pool[:, None, :]
     return h, coins
 
@@ -256,63 +240,61 @@ def _answers(keys: np.ndarray, coords: np.ndarray, in_pool: np.ndarray, limit, t
     """Each row's values at the queries whose bits and addresses are given: (rows, queries), bool.
 
     The one evaluation kernel, which ``StructuredFn.eval_many`` and
-    ``structured_answers`` share.  ``bits`` is the queries' (queries, n)
-    bit matrix (``_code_bits``) and ``addresses`` their (rows, queries)
-    addresses under each row's M; the rows are as in ``_fibers``, which
-    gives each query its fiber's h key and S.  Then f(x) is the fair coin
+    ``structured_answers`` share.  ``bits`` is the queries' (queries,
+    n + 1) bit matrix (``_code_bits``) and ``addresses`` the (chunks,
+    rows, queries) chunks of their addresses under each row's M
+    (``_addresses``); the rows are as in ``_fibers``, which gives each
+    query its fiber's h key and S.  Then f(x) is the fair coin
     of fold(h, y, max(|S|, 1)), y being the bits of x on S read as an
     integer, the smallest coordinate most significant.  Bit j of y sits
     ``after`` places up, the number of members of S after it.
     """
-    h, coins = _fibers(keys, _address_chunks(addresses, t), t, coords, in_pool, limit)
+    h, coins = _fibers(keys, addresses, t, coords, in_pool, limit)
     width = coins.sum(axis=2, dtype=np.uint64)
     after = np.subtract(width[:, :, None], np.cumsum(coins, axis=2, dtype=np.uint64))
-    coins &= bits[:, coords - 1].transpose(1, 0, 2)
+    coins &= bits[:, coords].transpose(1, 0, 2)
     chunk_of = after >> 6 if width.max(initial=0) > 64 else None
     # bit j of y in its chunk: after & 63 places up, for the members of S
     placed = np.left_shift(coins, np.bitwise_and(after, 63, out=after), out=after)
     chunks = [placed] if chunk_of is None else [
         np.where(chunk_of == index, placed, 0) for index in range((int(width.max()) + 63) // 64)]
     y = [chunk.sum(axis=2, dtype=np.uint64) for chunk in chunks]
-    return _value_bits(_fold(h, y, width))
+    return coin(_fold(h, y, width), _HALF)
 
 
 def _code_bits(n: int, codes: Sequence[int]) -> np.ndarray:
-    """The (codes, n) bit matrix of n-bit codes: column i - 1 is bit i, MSB first; bool."""
-    width = -(-n // 8)
+    """The (codes, n + 1) bool bit matrix of n-bit codes: column i is bit i, column 0 is 0."""
+    width = n // 8 + 1
     raw = np.frombuffer(b"".join([code.to_bytes(width, "big") for code in codes]), np.uint8)
     bits = np.unpackbits(raw.reshape(len(codes), width), axis=1)
-    return bits[:, 8 * width - n:].view(bool)
+    return bits[:, 8 * width - n - 1:].view(bool)
 
 
 def _addresses(bits: np.ndarray, members) -> np.ndarray:
-    """Each query's address under each row of ``members``: shape (rows, queries).
+    """Each query's address under each row of ``members``, in 64-bit chunks: uint64.
 
-    ``bits`` is the queries' (queries, n) bit matrix (``_code_bits``).  A
+    ``bits`` is the queries' (queries, n + 1) bit matrix (``_code_bits``).  A
     row holds t members of an addressing set, 1-based and increasing; the
     address is one plus the t-bit integer the query's bits there spell, MSB
-    first.  One fancy index reads those bits into the low bits of whole
-    bytes, which one ``np.packbits`` packs: int64 while t < 63, Python ints
-    (an object array) from t = 63.
+    first, as its ceil(t / 64) chunks, least significant first, in shape
+    (chunks, rows, queries) for ``_fold``; a carry out of the top chunk is
+    dropped, so when 64 divides t the address 2^t is all zeros.  One
+    ``take`` reads the bits, written least significant first into whole
+    64-bit words that ``np.packbits`` packs little-endian for a uint64
+    view; the one is added with its carry, which reaches a chunk when
+    every chunk below it is all ones, that is when their AND (one
+    accumulate) floor-divided by 2^64 - 1 is 1.
     """
     members = np.asarray(members, dtype=np.intp)
     rows, t = members.shape
-    queries = len(bits)
-    size = -(-t // 8)
-    spelled = np.zeros((queries, rows, 8 * size), np.uint8)
-    spelled[..., 8 * size - t:] = bits[:, members - 1]
-    packed = np.packbits(spelled).reshape(queries, rows, size)
-    if t < 63:
-        # each address's bytes, least significant first, in one 8-byte word
-        little = np.zeros((queries, rows, 8), np.uint8)
-        little[..., :size] = packed[..., ::-1]
-        addresses = little.view("<i8")[..., 0]
-    else:
-        data = packed.tobytes()
-        addresses = np.array([int.from_bytes(data[i:i + size], "big")
-                              for i in range(0, len(data), size)], object).reshape(queries, rows)
-    addresses += 1
-    return addresses.T
+    queries, size = len(bits), -(-t // 64)
+    spelled = np.zeros((queries, rows, 64 * size), bool)
+    spelled[..., t - 1::-1] = bits.take(members, axis=1)
+    chunks = np.packbits(spelled, bitorder="little").view("<u8").reshape(queries, rows, size)
+    carries = np.bitwise_and.accumulate(chunks[..., :-1], axis=-1) // _MASK64
+    chunks[..., 0] += 1
+    chunks[..., 1:] += carries
+    return chunks.transpose(2, 1, 0)
 
 
 def _query_codes(n: int, xs: Sequence[BitString]) -> list[int]:
@@ -331,17 +313,19 @@ class StructuredFn:
     The seed gives two keys, K_S and K_H, those of its ``"S-membership"``
     and ``"h-value"`` streams.  The fiber at address a (1-based, t = |M|
     bits wide) has the keys s_a = fold(K_S, a, t) and h_a = fold(K_H, a, t),
-    where fold feeds a's 64-bit chunks through ``rng.words``.  Member i of
-    A joins S_a when words(s_a, i) >> 11 < word_limit(epsilon / sqrt(n)),
-    and f(x) = 1 when fold(h_a, y, max(|S_a|, 1)) >> 11 < word_limit(1/2),
+    where fold feeds a's ceil(t / 64) 64-bit chunks through ``rng.words``,
+    so when 64 divides t the address 2^t folds as 0.  Member i of A joins
+    S_a when ``rng.coin(words(s_a, i), word_limit(epsilon / sqrt(n)))``,
+    and f(x) = 1 when coin(fold(h_a, y, max(|S_a|, 1)), word_limit(1/2)),
     y being x's bits on S_a, the smallest coordinate most significant.
     Every bit derives from the seed, so repeated queries always agree and
     instances are safe to share across threads.
 
-    The instance keeps its two keys as integers once it has evaluated
-    (``_keys``).  ``eval_many`` reads its queries' addresses with one
-    ``_addresses`` gather and answers them by the evaluation kernel
-    ``_answers``; ``to_table`` runs the tabulation kernel ``_tables``.  ``structured_answers`` and ``structured_tables``
+    The instance keeps its two keys, as the kernels' (2, 1) uint64 array,
+    once it has evaluated (``_keys``).  ``eval_many`` reads its queries'
+    address chunks with one ``_addresses`` gather and answers them by the
+    evaluation kernel ``_answers``; ``to_table`` runs the tabulation
+    kernel ``_tables``.  ``structured_answers`` and ``structured_tables``
     run the same kernels for a block of seeds without building instances.
     """
 
@@ -367,9 +351,11 @@ class StructuredFn:
         return self.params.n
 
     @cached_property
-    def _keys(self) -> tuple[int, int]:
-        """(K_S, K_H), derived from the seed at the first evaluation."""
-        return tuple(_row_keys([self.seed])[:, 0].tolist())
+    def _keys(self) -> np.ndarray:
+        """(K_S, K_H) as a read-only (2, 1) uint64 array, derived at the first evaluation."""
+        keys = _row_keys([self.seed])
+        keys.setflags(write=False)
+        return keys
 
     def eval(self, x: BitString) -> int:
         if x.length != self.n:
@@ -383,9 +369,9 @@ class StructuredFn:
         """
         bits = _code_bits(self.n, _query_codes(self.n, xs))
         pool = np.array(self.A.members, dtype=np.intp).reshape(1, len(self.A))
-        values = _answers(np.array(self._keys, dtype=np.uint64)[:, None], pool,
-                          np.ones(pool.shape, dtype=bool), word_limit(self.params.coin_prob),
-                          len(self.M), bits, _addresses(bits, [self.M.members]))
+        values = _answers(self._keys, pool, np.ones(pool.shape, dtype=bool),
+                          word_limit(self.params.coin_prob), len(self.M), bits,
+                          _addresses(bits, [self.M.members]))
         return tuple(values[0].view(np.uint8).tolist())
 
 
@@ -430,14 +416,14 @@ def structured_answers(
 def _fiber_values(h: np.ndarray, width: int) -> np.ndarray:
     """Each fiber's 2^width values, at y = 0, 1, ...: shape (fibers, 2^width), uint8.
 
-    For |S| = width <= 64 a value is the fair coin of words(h, y), made
+    For |S| = width <= 64 a value is coin(words(h, y), ``_HALF``), made
     ``_PIECE`` positions at a time.
     """
     size = 1 << width
     out = np.empty(len(h) * size, dtype=np.uint8)
     for start in range(0, len(out), _PIECE):
         at = np.arange(start, min(start + _PIECE, len(out)), dtype=np.uint64)
-        out[start:start + len(at)] = _value_bits(words(h[at >> width], at & (size - 1)))
+        out[start:start + len(at)] = coin(words(h[at >> width], at & (size - 1)), _HALF)
     return out.reshape(len(h), size)
 
 
@@ -470,7 +456,7 @@ def _tables(params: Params, keys: np.ndarray, in_m: np.ndarray,
         rows = slice(start, start + step)
         members, coords, in_pool = _block_rows(params, in_m[rows], in_a[rows])
         h, coins = _fibers(keys[:, rows], addresses, t, coords, in_pool, limit)
-        firsts = _value_bits(words(h, 0)).view(np.uint8)
+        firsts = coin(words(h, 0), _HALF).view(np.uint8)
         widths = coins.sum(axis=2)
         wide: dict[int, list] = {}
         for width in sorted(set(widths[widths > 0].tolist())):
@@ -517,8 +503,7 @@ def to_table(f: StructuredFn) -> TruthTable:
     in_a = np.zeros((1, f.n), dtype=bool)
     in_m[0, np.array(f.M.members, dtype=np.intp) - 1] = True
     in_a[0, np.array(f.A.members, dtype=np.intp) - 1] = True
-    keys = np.array(f._keys, dtype=np.uint64)[:, None]
-    return TruthTable(f.n, next(_tables(f.params, keys, in_m, in_a)))
+    return TruthTable(f.n, next(_tables(f.params, f._keys, in_m, in_a)))
 
 
 def bichromatic_edge_counts(f: TruthTable) -> tuple[int, ...]:

@@ -3,8 +3,8 @@
 Every random draw in the package is a word of one counter-mode generator:
 SplitMix64's finalizer over a Weyl sequence (Steele, Lea & Flood, "Fast
 splittable pseudorandom number generators", OOPSLA 2014).  Word j of the
-key K is ``words(K, j)`` = mix64(K + (j + 1) * GAMMA), and a coin at rate
-r on a word w fires when (w >> 11) < ``word_limit(r)``.
+key K is ``words(K, j)`` = mix64(K + (j + 1) * GAMMA), and ``coin``, the one
+coin comparison, fires at rate r on a word w when (w >> 11) < ``word_limit(r)``.
 
 * ``RandomStream(seeds, role)``: one stream per seed, held as uint64
   arrays.  Its key is mix64(seed ^ a 64-bit blake2b of the role), and its
@@ -119,17 +119,24 @@ def words(keys, positions) -> np.ndarray:
     ``keys`` and ``positions`` are 64-bit unsigned integers or arrays of
     them that broadcast together, and the result has at least one axis.
     Word j of a stream's key is its output j.  This is the package's one
-    word: ``RandomStream`` reads it past each row's cursor and a
-    structured instance's fibers at their fiber keys.
+    word: fibers read it at their keys, ``below_at`` and ``bounded`` past
+    each row's cursor, and ``raw`` and ``below`` make its Weyl step inline,
+    through the table ``_STEPS``.
     """
     z = keys + (np.array(positions, dtype=np.uint64, ndmin=1) + 1) * _GAMMA
     return _mix64(z, np.empty_like(z))
 
 
+def coin(words: np.ndarray, limit, out=None) -> np.ndarray:
+    """The one coin comparison, (w >> 11) < ``limit`` per word w: shifts ``words`` in place."""
+    return np.less(np.right_shift(words, 11, out=words), limit, out=out)
+
+
 def stream_keys(seeds: Sequence[Seed], role: str) -> np.ndarray:
     """The key of the stream of (seed, role) per seed: mix64(seed ^ the role's 8-byte blake2b).
 
-    On Python ints, as a block has few seeds; shape (seeds,), uint64.
+    On Python ints, which for one seed take a fraction of an array form's
+    time and for a block of 256 seeds several times it; shape (seeds,), uint64.
     """
     role_hash = hashlib.blake2b(role.encode("utf-8"), digest_size=8)
     role_word = int.from_bytes(role_hash.digest(), "big")
@@ -155,10 +162,10 @@ def _unit_rates(rate, count: int | None = None) -> np.ndarray:
 def word_limit(rate) -> np.ndarray:
     """ceil(rate * 2^53) as uint64, for a float or an array of floats in [0, 1].
 
-    A coin at rate r on word w fires when (w >> 11) < ceil(r * 2^53),
-    exactly when the double (w >> 11) * 2^-53 is below r, as scaling by
-    2^53 is exact and w >> 11 is an integer.  Rate 0 never fires and rate
-    1 always does.
+    A coin at rate r on word w, ``coin(w, word_limit(r))``, fires when
+    (w >> 11) < ceil(r * 2^53), exactly when the double (w >> 11) * 2^-53
+    is below r, as scaling by 2^53 is exact and w >> 11 is an integer.
+    Rate 0 never fires and rate 1 always does.
     """
     return _limits(_unit_rates(rate))
 
@@ -211,7 +218,7 @@ class RandomStream:
         return self._read(count, np.uint64, lambda target, chunk, span: np.copyto(target, chunk))
 
     def below(self, count: int, rate) -> np.ndarray:
-        """The next ``count`` coins of each row, output j's top 53 bits below ``word_limit``.
+        """The next ``count`` coins of each row, ``coin`` of output j at ``word_limit(rate)``.
 
         ``rate`` is one float or one per position; per-position limits are
         made a chunk at a time, as the words are.  Shape (rows, count), bool.
@@ -220,8 +227,7 @@ class RandomStream:
         limit = None if rates.ndim else _limits(rates)
 
         def coins(target, chunk, span):
-            limits = _limits(rates[span]) if limit is None else limit
-            np.less(np.right_shift(chunk, 11, out=chunk), limits, out=target)
+            coin(chunk, _limits(rates[span]) if limit is None else limit, out=target)
 
         return self._read(count, bool, coins)
 
@@ -236,7 +242,7 @@ class RandomStream:
             if pos <= before:
                 raise InvalidInput(f"positions must be strictly increasing and >= 0, got {pos}")
         limits = _limits(_unit_rates(rate, len(positions)))
-        coins = np.right_shift(words(self._state[:, None], positions), 11) < limits
+        coins = coin(words(self._state[:, None], positions), limits)
         if positions:
             self._state += (positions[-1] + 1) * _GAMMA % _U64
         return coins

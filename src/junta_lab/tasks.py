@@ -388,14 +388,15 @@ def build_set_queries(X: StringQueryPlan, M: IndexSet, tau: int) -> ReductionPla
     if m == 0:
         raise InvalidInput("M leaves no coordinates for set queries")
 
-    # Per class, its first query's code and the coordinates where any of
-    # its queries differs from that one.
-    class_index: dict[int, int] = {}
+    # Per class (keyed by its address's chunks), its first query's code and
+    # the coordinates where any of its queries differs from that one.
+    class_index: dict[tuple[int, ...], int] = {}
     bases: list[int] = []
     diff_masks: list[int] = []
     class_of = []
     codes = [x.code for x in X.queries]
-    for code, addr in zip(codes, _addresses(_code_bits(X.n, codes), [M.members])[0].tolist()):
+    chunks = _addresses(_code_bits(X.n, codes), [M.members])[:, 0].tolist()
+    for code, addr in zip(codes, zip(*chunks)):
         if addr not in class_index:
             class_index[addr] = len(bases)
             bases.append(code)

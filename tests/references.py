@@ -25,7 +25,7 @@ trial index.
 ``hamming`` is the Hamming distance and ``address_index`` the
 addressing map x -> x|_M, one bit of x at a time; ``boolfn._addresses``,
 the one gather every address in the package comes from, must agree with
-it.
+it, chunk for chunk (``reference_chunks``).
 
 ``reference_fiber``, ``reference_value`` and ``reference_eval`` define a
 structured instance on Python ints, every word afresh from
@@ -875,6 +875,15 @@ def reference_digest(seed, role: str, payload: bytes) -> bytes:
         person = hashlib.blake2b(person, digest_size=hashlib.blake2b.PERSON_SIZE).digest()
     key = seed.value.to_bytes(8, "little")
     return hashlib.blake2b(payload, digest_size=8, key=key, person=person).digest()
+
+
+def reference_chunks(values, width: int) -> list[list[int]]:
+    """The max(1, ceil(width / 64)) 64-bit chunks of each value, least significant first.
+
+    Indexed [chunk][value]; bits from 64 * chunks up are dropped, so a
+    value is read modulo 2^(64 * chunks).
+    """
+    return [[value >> shift & MASK64 for value in values] for shift in range(0, max(width, 1), 64)]
 
 
 def reference_fold(key: int, value: int, width: int) -> int:

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import random
 import tracemalloc
 from dataclasses import replace
 from itertools import compress
@@ -43,6 +44,7 @@ from references import (
     hamming,
     per_direction_edge_counts,
     per_point_table,
+    reference_chunks,
     reference_eval,
     reference_fiber,
     reference_fold,
@@ -104,7 +106,7 @@ def test_address_examples():
     assert address_index(M, BitString.from_text("1100")) == 4
     assert address_index(M, BitString.from_text("0100")) == 2
     codes = [0b0000, 0b0011, 0b1100, 0b0100]
-    assert boolfn._addresses(boolfn._code_bits(4, codes), [M.members]).tolist() == [[1, 1, 4, 2]]
+    assert boolfn._addresses(boolfn._code_bits(4, codes), [M.members]).tolist() == [[[1, 1, 4, 2]]]
     # the set-query reduction addresses its queries by the same gather
     # tau = n + 1: no pair is that far apart, so every M separates
     plan = StringQueryPlan(tuple(BitString(4, code) for code in codes), always_yes)
@@ -127,21 +129,40 @@ def test_address_is_balanced():
     assert all(c == 1 << (n - 2) for c in counts.values())
 
 
+def assert_gather_equals_the_reference(n, t, rows, codes):
+    """``_addresses`` is each address's uint64 chunks, the reference's mod 2^(64 ceil(t / 64))."""
+    got = boolfn._addresses(boolfn._code_bits(n, codes),
+                            np.array(rows, dtype=np.intp).reshape(len(rows), t))
+    assert got.dtype == np.uint64
+    assert got.shape == (-(-t // 64), len(rows), len(codes))
+    assert got.transpose(1, 0, 2).tolist() == [
+        reference_chunks([address_index(IndexSet(n, tuple(row)), BitString(n, code))
+                          for code in codes], t) for row in rows]
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 140), st.data())
-def test_address_gather_equals_the_reference(n, data):
-    # rows of M of one size t, up to t = 139: int64 addresses below t = 63, Python ints from it
-    t = data.draw(st.integers(1, n))
+@given(st.sampled_from([1, 63, 64, 65, 128, 129, 192]) | st.integers(1, 200), st.data())
+def test_address_gather_equals_the_reference(t, data):
+    # rows of M of one size t, up to four chunks; the all-ones code's
+    # address 2^t carries through every chunk, and out of the top one
+    # when 64 divides t
+    n = data.draw(st.integers(t, t + 8))
     rows = data.draw(st.lists(st.lists(st.integers(1, n), min_size=t, max_size=t, unique=True)
                               .map(sorted), max_size=4))
     codes = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=6))
-    got = boolfn._addresses(boolfn._code_bits(n, codes),
-                            np.array(rows, dtype=np.intp).reshape(len(rows), t))
-    assert got.shape == (len(rows), len(codes))
-    assert got.dtype == (np.int64 if t < 63 else object)
-    assert got.tolist() == [[address_index(IndexSet(n, tuple(row)), BitString(n, code))
-                             for code in codes] for row in rows]
-    assert all(type(address) is int for row in got.tolist() for address in row)
+    # the first row's low 64 and 128 address bits all ones: a carry into chunk 1 and 2
+    codes += [sum(1 << (n - i) for i in rows[0][-low:]) for low in (64, 128) if rows and low <= t]
+    assert_gather_equals_the_reference(n, t, rows, codes + [(1 << n) - 1])
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+@pytest.mark.parametrize("n, t", [(1024, 432), (4096, 1856)])
+def test_address_gather_equals_the_reference_at_the_papers_t(n, t, rows):
+    # t = 432 and 1856 are strict n = 1024's and 4096's: 7 and 29 chunks
+    draw = random.Random(t + rows)
+    members = [sorted(draw.sample(range(1, n + 1), t)) for _ in range(rows)]
+    codes = [draw.getrandbits(n) for _ in range(4)] + [0, (1 << n) - 1]
+    assert_gather_equals_the_reference(n, t, members, codes)
 
 
 def test_indexset_validation():
@@ -445,8 +466,8 @@ def fiber_kernel(f):
     t = len(f.M)
     pool = np.array([f.A.members], dtype=np.intp).reshape(1, len(f.A))
     addresses = np.arange(1, (1 << t) + 1, dtype=np.uint64)[None, None]
-    h, coins = boolfn._fibers(np.array(f._keys, dtype=np.uint64)[:, None], addresses, t, pool,
-                              np.ones(pool.shape, dtype=bool), word_limit(f.params.coin_prob))
+    h, coins = boolfn._fibers(f._keys, addresses, t, pool, np.ones(pool.shape, dtype=bool),
+                              word_limit(f.params.coin_prob))
     return h[0].tolist(), [tuple(compress(f.A.members, row)) for row in coins[0].tolist()]
 
 
@@ -482,15 +503,12 @@ def test_fold_equals_the_reference_at_chunk_boundaries(key, width, data):
     # one up to width 64, then one more per 64 bits
     values = data.draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=4)
                        | st.just([(1 << width) - 1, 0, 1 << (width - 1)]))
-    if width < 63:
-        chunks = boolfn._address_chunks(np.array(values, dtype=np.int64), width)
-    else:
-        chunks = boolfn._address_chunks(np.array(values, dtype=object), width)
+    chunks = np.array(reference_chunks(values, width), dtype=np.uint64)
     assert chunks.shape == (-(-width // 64), len(values))
     expected = [reference_fold(key, v, width) for v in values]
     assert boolfn._fold(np.array(key, dtype=np.uint64), chunks, width).tolist() == expected
     # one more chunk than the width needs, with a width per value, as eval_many folds y
-    wider = boolfn._address_chunks(np.array(values, dtype=object), width + 64)
+    wider = np.array(reference_chunks(values, width + 64), dtype=np.uint64)
     widths = np.full(len(values), width, dtype=np.uint64)
     assert boolfn._fold(np.array(key, dtype=np.uint64), wider, widths).tolist() == expected
 
@@ -530,11 +548,10 @@ def test_fiber_keys_up_to_64_address_bits_are_words_of_the_role_stream(t, role):
     if t <= 6:
         words = RandomStream([f.seed], role).raw((1 << t) + 1)[0]
         assert expected == [words[a] for a in addresses]
-    kind = object if t >= 63 else np.int64
-    chunks = boolfn._address_chunks(np.array([addresses], dtype=kind), t)
-    keys = np.array(f._keys, dtype=np.uint64)[:, None]
+    # 2^64 at t = 64 is one all-zeros chunk
+    chunks = np.array(reference_chunks(addresses, t), dtype=np.uint64)[:, None]
     pool = np.array([f.A.members], dtype=np.intp)
-    h, coins = boolfn._fibers(keys, chunks, t, pool, np.ones(pool.shape, dtype=bool),
+    h, coins = boolfn._fibers(f._keys, chunks, t, pool, np.ones(pool.shape, dtype=bool),
                               word_limit(f.params.coin_prob))
     if role == "h-value":
         assert h[0].tolist() == expected

@@ -211,9 +211,9 @@ def test_block_tables_hold_one_table_at_a_time(kind):
 
 @pytest.mark.parametrize("t", [8, 9, 40, 62, 63, 64, 432])
 def test_block_answers_at_long_addresses_and_their_domain(t):
-    # addresses up to 2^t are int64 while t < 63 and Python integers from
-    # t = 63 on, where 2^t no longer fits; t = 432 is strict n = 1024's;
-    # empty blocks and plans answer nothing
+    # addresses up to 2^t are one uint64 chunk up to t = 64, where 2^t is
+    # all zeros, and seven at t = 432, strict n = 1024's; empty blocks and
+    # plans answer nothing
     n = t + 6
     params = replace(desk(n), m=6, t=t)
     seeds = Seed(t).mixes(range(3))

@@ -3,9 +3,12 @@
 No module under src/ names ``numpy.random``: every random draw is a word
 of ``rng``'s counter-mode generator.  No module under src/ reads a
 stream's doubles or scales a word by 2^-53 either: every coin is a word
-compared with ``rng.word_limit``.  Only ``rng`` names blake2b (for role
-words, trial seeds and ``derive_u64``), and no module names the digest
-coins that structured-instance fibers once read.
+compared with ``rng.word_limit``, and only ``rng.coin`` makes that
+comparison: no other code under src/ shifts a value right by 11.  Only
+``rng`` names blake2b (for role words, trial seeds and ``derive_u64``),
+and no module names the digest coins that structured-instance fibers once
+read.  No numpy array under src/ has dtype ``object``: every word is a
+fixed-width integer.
 """
 
 import ast
@@ -94,6 +97,77 @@ def test_only_rng_names_blake2b():
 def test_src_names_no_digest_coin():
     named = src_lines_matching(r"\b(byte_limit|below_after|KeyedDigest|derive_bit)\b")
     assert not named, "digest coins named under src/:\n" + "\n".join(named)
+
+
+def object_arrays(path):
+    """``line: call`` of each numpy call in the module that passes dtype ``object`` or ``"O"``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
+            continue
+        on_numpy = isinstance(node.func.value, ast.Name) and node.func.value.id in ("np", "numpy")
+        if not (on_numpy or node.func.attr in ("astype", "view")):
+            continue
+        dtypes = node.args + [keyword.value for keyword in node.keywords if keyword.arg == "dtype"]
+        if any(isinstance(d, ast.Name) and d.id == "object"
+               or isinstance(d, ast.Constant) and d.value in ("O", "object") for d in dtypes):
+            found.append(f"{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def shifts_by_11(path, allowed=()):
+    """``line: code`` of each right shift by 11 (``>> 11`` or ``right_shift(..., 11``).
+
+    Shifts inside the functions named in ``allowed`` do not count.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    exempt = {id(node) for function in ast.walk(tree)
+              if isinstance(function, ast.FunctionDef) and function.name in allowed
+              for node in ast.walk(function)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in exempt:
+            continue
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.RShift):
+            amount = node.right if isinstance(node, ast.BinOp) else node.value
+        elif (isinstance(node, ast.Call) and len(node.args) > 1
+              and getattr(node.func, "attr", getattr(node.func, "id", None)) == "right_shift"):
+            amount = node.args[1]
+        else:
+            continue
+        if isinstance(amount, ast.Constant) and amount.value == 11:
+            found.append(f"{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_src_makes_no_object_array():
+    found = [f"{path.relative_to(ROOT)}:{line}"
+             for path in sorted((ROOT / "src").rglob("*.py")) for line in object_arrays(path)]
+    assert not found, "object arrays under src/:\n" + "\n".join(found)
+
+
+def test_only_the_rng_coin_shifts_a_word_by_11():
+    found = [f"{path.relative_to(ROOT)}:{line}" for path in sorted((ROOT / "src").rglob("*.py"))
+             for line in shifts_by_11(path, {"coin"} if path.name == "rng.py" else ())]
+    assert not found, "a coin comparison outside rng.coin:\n" + "\n".join(found)
+    coin = next(node for node in ast.walk(ast.parse((ROOT / "src/junta_lab/rng.py").read_text()))
+                if isinstance(node, ast.FunctionDef) and node.name == "coin")
+    assert "right_shift(words, 11" in ast.unparse(coin)
+
+
+def test_the_censuses_see_object_arrays_and_shifts(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "import numpy as np\n"
+        "a = np.array([1 << 70], object)\nb = np.zeros(3, dtype='O')\nc = a.astype(object)\n"
+        "d = isinstance(a, object) and np.zeros(3, dtype=np.uint64)\n"
+        "def coin(words, limit):\n    return np.right_shift(words, 11, out=words) < limit\n"
+        "def other(w):\n    w >>= 11\n    return (w >> 11, np.right_shift(w, 11), w >> 12)\n",
+        encoding="utf-8",
+    )
+    assert [line.split(":")[0] for line in object_arrays(module)] == ["2", "3", "4"]
+    assert sorted(int(line.split(":")[0]) for line in shifts_by_11(module, {"coin"})) == [9, 10, 10]
+    assert sorted(int(line.split(":")[0]) for line in shifts_by_11(module)) == [7, 9, 10, 10]
 
 
 def test_the_scan_sees_an_unused_import(tmp_path):
