@@ -71,11 +71,10 @@ Sections, in order:
   ``fiberwise_eval_many``, and ``sample_block_at`` on 3 no-style seeds and
   16 queries against ``instance_answers``; and one strict D_no (alpha
   0.75, epsilon 0.1) at n in ``STRICT_LAZY_N``, a single ``eval`` and a
-  64-query ``eval_many``, against ``fiberwise_eval_many``.  Last, the
-  address gather ``boolfn._addresses`` under the M of the strict D_no at
-  each n in ``ADDRESS_N`` (t = 432 at n = 1024, 1856 at n = 4096), at 1
-  and 64 random queries, against per-query ``address_index`` cut into
-  64-bit chunks (``reference_chunks``).
+  64-query ``eval_many``, against ``fiberwise_eval_many``, and the address
+  gather ``boolfn._addresses`` under its M (t = 432 at n = 1024, 1856 at
+  n = 4096) at 1 and 64 of those queries, against per-query
+  ``address_index`` cut into 64-bit chunks (``reference_chunks``).
 - ``verify_sampling``: the instances ``verify_yes`` and ``verify_no``
   draw, yes and no at desk n = ``DESK_N`` on ``VERIFY_SEEDS`` seeds:
   ``sample_block`` on the whole block against one ``complement_sample``
@@ -201,7 +200,6 @@ STRUCTURED_CASES = ((10, 0.1), (12, 0.1), (14, 0.1), (12, 1.0))
 STRUCTURED_PER_KIND, STRUCTURED_QUERIES = 10, 16
 LAZY_N = (256, 1024, 4096)
 STRICT_LAZY_N = (1024, 4096)
-ADDRESS_N = (1024, 4096)
 VERIFY_SEEDS = (10, 20, 256)
 
 
@@ -558,19 +556,15 @@ def structured_pairs() -> list[Pair]:
                  lambda xs=xs, f=f: fiberwise_eval_many(f, xs),
                  lambda xs=xs, f=f: f.eval_many(xs)),
         ]
-    for n in ADDRESS_N:
-        M = sample_no(derive_params(n, 0.75, 0.1), Seed(SEED)).M
-        draw = random.Random(SEED)
-        xs = [BitString(n, draw.getrandbits(n)) for _ in range(64)]
         for count in (1, 64):
             bits = boolfn._code_bits(n, [x.code for x in xs[:count]])
             pairs.append(Pair(
-                f"address gather n = {n}, t = {len(M)}, {count} queries",
-                f"M of the strict D_no, n = {n}, seed {SEED}, {count} random queries' bit "
-                "matrix, one gather against address_index per query",
-                lambda xs=xs[:count], M=M: [[chunk] for chunk in reference_chunks(
+                f"address gather n = {n}, t = {len(f.M)}, {count} queries",
+                f"{label}, {count} random queries' bit matrix, one gather under M "
+                "against address_index per query",
+                lambda xs=xs[:count], M=f.M: [[chunk] for chunk in reference_chunks(
                     [address_index(M, x) for x in xs], len(M))],
-                lambda bits=bits, M=M: boolfn._addresses(bits, [M.members]).tolist()))
+                lambda bits=bits, M=f.M: boolfn._addresses(bits, [M.members]).tolist()))
     return pairs
 
 

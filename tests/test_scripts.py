@@ -96,7 +96,7 @@ SMALL_BENCH = {
     "PLAN_N": (8, 40),
     "EDGE_COUNTS_N": 8, "CLI_CALLS": 3, "TAIL_N": (8,), "STRUCTURED_CASES": ((8, 0.1), (8, 1.0)),
     "STRUCTURED_PER_KIND": 3, "STRUCTURED_QUERIES": 4, "VERIFY_SEEDS": (3,), "LAZY_N": (16,),
-    "STRICT_LAZY_N": (512,), "ADDRESS_N": (512,),
+    "STRICT_LAZY_N": (512,),
 }
 
 
