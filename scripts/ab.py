@@ -31,6 +31,7 @@ import hashlib
 import json
 import math
 import os
+import runpy
 import statistics
 import subprocess
 import sys
@@ -41,10 +42,11 @@ from pathlib import Path
 SIDES = ("parent", "change")
 
 
-def cycle_seed(seed: int, index: int) -> int:
-    """A 63-bit job seed for one cycle, as ``perfbench/run.py`` derives it."""
-    digest = hashlib.blake2b(f"{seed}/{index}".encode(), digest_size=8).digest()
-    return int.from_bytes(digest, "big") >> 1
+# The cycle seeds are perfbench's own: cycle i of seed s runs its jobs on the
+# seed that cycle i of ``perfbench/run.py --seed s`` does.  Running run.py
+# outside ``__main__`` only defines its names.
+PERFBENCH_RUN = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+cycle_seed = runpy.run_path(str(PERFBENCH_RUN))["cycle_seed"]
 
 
 def worker(tree: Path, workload: str, seed: int) -> int:

@@ -43,9 +43,9 @@ Sections, in order:
   bounded draws and the A stream's coins as ``sample_block`` makes them
   at desk n = ``STRINGS_N``, the D1 stream's point coins at three codes
   as the budget game makes them) on ``STREAMS`` streams, one block of
-  ``STREAMS`` rows against ``STREAMS`` one-row ``RandomStream``s; one
-  side's block of a hidden-set game (``HIDDEN_BLOCK`` coins) as a
-  one-row read against the scalar ``ScalarStream``; and goodM's plan
+  ``STREAMS`` rows against ``STREAMS`` one-row ``RandomStream``s; a
+  one-rate ``below`` of ``HIDDEN_BLOCK`` coins (a hidden-set game block's
+  size) against the scalar ``ScalarStream``; and goodM's plan
   at each n in ``PLAN_N`` by ``random_string_plan`` against
   ``reference_string_plan``.
 - ``budget_game``: ``budget_game`` against ``full_table_budget_game``
@@ -418,9 +418,9 @@ def stream_seeding_pairs() -> list[Pair]:
              for role, (label, draw) in cases.items()]
     side = "game-sseq/yes"
     rate = params.p
-    pairs.append(Pair(f"one stream, {HIDDEN_BLOCK} coins",
-                      f"one hidden-set game block at rate {rate}, seed {SEED}, role {side!r}: a "
-                      "one-row read against the scalar reference stream",
+    pairs.append(Pair(f"one-rate below, {HIDDEN_BLOCK} coins",
+                      f"a hidden-set game block's size at rate {rate}, seed {SEED}, role {side!r}: "
+                      "a one-row read against the scalar reference stream",
                       lambda: ScalarStream(Seed(SEED), side).below(HIDDEN_BLOCK, rate)[0].tolist(),
                       lambda: RandomStream([Seed(SEED)], side).below(HIDDEN_BLOCK, rate)[0].tolist()))
     for n in PLAN_N:

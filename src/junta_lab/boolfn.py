@@ -64,9 +64,6 @@ class BitString:
             raise IndexOutOfRange(f"coordinate {i} not in [1, {self.length}]")
         return (self.code >> (self.length - i)) & 1
 
-    def bits(self) -> tuple[int, ...]:
-        return tuple((self.code >> (self.length - i)) & 1 for i in range(1, self.length + 1))
-
     def to_text(self) -> str:
         return format(self.code, f"0{self.length}b")
 
@@ -174,8 +171,10 @@ class TruthTable:
             n = int(lines[0][2:])
         except ValueError as exc:
             raise InvalidInput(f"malformed dimension line {lines[0]!r}") from exc
-        if n < 1 or n > TABLE_CAP:
-            raise TooLarge(f"n = {n} outside [1, {TABLE_CAP}]")
+        if n < 1:
+            raise InvalidInput(f"n must be positive, got {n}")
+        if n > TABLE_CAP:
+            raise TooLarge(f"n = {n} exceeds the truth-table cap {TABLE_CAP}")
         # one "?" byte per non-ASCII character, which the 0/1 check rejects
         raw = lines[1].encode("ascii", "replace")
         bits = np.frombuffer(raw, dtype=np.uint8) - ord("0")

@@ -45,7 +45,7 @@ from .hardgen import (
 )
 from .junta_distance import dist_to_k_junta
 from .params import DESK_SCALE, Params, derive_params
-from .rng import RandomStream, Seed
+from .rng import RandomStream, Seed, coin, word_limit
 from .tasks import (
     NO,
     YES,
@@ -201,7 +201,7 @@ class ExperimentConfig:
 BlockAnswerer = Callable[[Sequence[Seed], Sequence[BitString]], np.ndarray]
 
 # Cells per block of a hidden-set game's coins: 2^15 cells keep the
-# block's float64 rates at 256 KiB however many trials a game plays.
+# block's uint64 words at 256 KiB however many trials a game plays.
 # Seeded trials (a string-query game, verify_yes, verify_no, goodM) come in
 # blocks of GAME_BLOCK_CELLS // 128 = 256 trials (``_seed_blocks``): a
 # block holds each trial's seed, the state words of its streams and the
@@ -298,12 +298,12 @@ def run_hidden_set_game(plan: AnyPlan, params: Params, trials: int, seed: int) -
     ``tasks.respond(hidden, plan, epsilon, n, stream)`` consumes.
 
     The side draws its trials as C-order blocks of shape (rows, m + width),
-    each at most ``GAME_BLOCK_CELLS`` cells (at least one row) read by one
-    ``RandomStream.below`` with one rate per column, so memory does not
-    grow with ``trials``; consecutive blocks read the stream in the same
-    order, so the block size changes no output.  The rates are computed
-    once per game, and ``tasks.batch_bayes_decider`` decides every trial
-    of a block at once, exactly as ``tasks.bayes_decide`` would.
+    each at most ``GAME_BLOCK_CELLS`` cells (at least one row) of
+    ``RandomStream.raw`` words that ``rng.coin`` compares with the side's
+    one ``word_limit`` row, so memory does not grow with ``trials``; blocks
+    read the stream in order, so the block size changes no output.
+    ``tasks.batch_bayes_decider`` decides a block's trials at once,
+    exactly as ``tasks.bayes_decide`` would.
     """
     m = plan.m
     if m < 1:
@@ -318,12 +318,11 @@ def run_hidden_set_game(plan: AnyPlan, params: Params, trials: int, seed: int) -
 
     def count_yes(side: str, first: int, count: int) -> int:
         stream = RandomStream([game_seed], f"game-{mode}/{side}")
-        rates = np.tile(np.concatenate((np.full(m, inclusions[side]), responses)), rows_per_block)
+        limits = word_limit(np.concatenate((np.full(m, inclusions[side]), responses)))
         yes = 0
         for done in range(0, count, rows_per_block):
             rows = min(rows_per_block, count - done)
-            cells = rows * (m + width)
-            coins = stream.below(cells, rates[:cells]).reshape(rows, m + width)
+            coins = coin(stream.raw(rows * (m + width)).reshape(rows, m + width), limits)
             bits = coins[:, element_of] & coins[:, m:]
             yes += int(np.count_nonzero(decide(bits)))
         return yes

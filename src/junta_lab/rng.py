@@ -149,29 +149,20 @@ def stream_keys(seeds: Sequence[Seed], role: str) -> np.ndarray:
     return np.array(keys, dtype=np.uint64)
 
 
-def _unit_rates(rate, count: int | None = None) -> np.ndarray:
-    """``rate`` as float64 in [0, 1]; given ``count``, one rate or one per position of ``count``."""
+def word_limit(rate, count: int | None = None) -> np.ndarray:
+    """ceil(rate * 2^53) as uint64, for a float or an array of floats in [0, 1].
+
+    Given ``count``, ``rate`` must be one rate or one per position of
+    ``count``.  A coin at rate r on word w, ``coin(w, word_limit(r))``,
+    fires when (w >> 11) < ceil(r * 2^53), exactly when the double
+    (w >> 11) * 2^-53 is below r, as scaling by 2^53 is exact and w >> 11
+    is an integer.  Rate 0 never fires and rate 1 always does.
+    """
     rates = np.asarray(rate, dtype=np.float64)
     if count is not None and rates.shape not in ((), (count,)):
         raise InvalidInput(f"need one rate or {count}, got rates of shape {rates.shape}")
     if rates.size and not (rates.min() >= 0.0 and rates.max() <= 1.0):
         raise InvalidInput(f"rates must be in [0, 1], got {rates.min()}..{rates.max()}")
-    return rates
-
-
-def word_limit(rate) -> np.ndarray:
-    """ceil(rate * 2^53) as uint64, for a float or an array of floats in [0, 1].
-
-    A coin at rate r on word w, ``coin(w, word_limit(r))``, fires when
-    (w >> 11) < ceil(r * 2^53), exactly when the double (w >> 11) * 2^-53
-    is below r, as scaling by 2^53 is exact and w >> 11 is an integer.
-    Rate 0 never fires and rate 1 always does.
-    """
-    return _limits(_unit_rates(rate))
-
-
-def _limits(rates: np.ndarray) -> np.ndarray:
-    """``word_limit`` of rates already checked by ``_unit_rates``."""
     return np.ceil(rates * 2.0**53).astype(np.uint64)
 
 
@@ -220,14 +211,13 @@ class RandomStream:
     def below(self, count: int, rate) -> np.ndarray:
         """The next ``count`` coins of each row, ``coin`` of output j at ``word_limit(rate)``.
 
-        ``rate`` is one float or one per position; per-position limits are
-        made a chunk at a time, as the words are.  Shape (rows, count), bool.
+        ``rate`` is one float or one per position; its limits are made once
+        per read and sliced per chunk.  Shape (rows, count), bool.
         """
-        rates = _unit_rates(rate, count)
-        limit = None if rates.ndim else _limits(rates)
+        limits = word_limit(rate, count)
 
         def coins(target, chunk, span):
-            coin(chunk, _limits(rates[span]) if limit is None else limit, out=target)
+            coin(chunk, limits[span] if limits.ndim else limits, out=target)
 
         return self._read(count, bool, coins)
 
@@ -241,7 +231,7 @@ class RandomStream:
         for before, pos in zip([-1] + positions, positions):
             if pos <= before:
                 raise InvalidInput(f"positions must be strictly increasing and >= 0, got {pos}")
-        limits = _limits(_unit_rates(rate, len(positions)))
+        limits = word_limit(rate, len(positions))
         coins = coin(words(self._state[:, None], positions), limits)
         if positions:
             self._state += (positions[-1] + 1) * _GAMMA % _U64

@@ -444,8 +444,10 @@ def set_checked_deserialize(text: str) -> TruthTable:
         n = int(lines[0][2:])
     except ValueError as exc:
         raise InvalidInput(f"malformed dimension line {lines[0]!r}") from exc
-    if n < 1 or n > TABLE_CAP:
-        raise TooLarge(f"n = {n} outside [1, {TABLE_CAP}]")
+    if n < 1:
+        raise InvalidInput(f"n must be positive, got {n}")
+    if n > TABLE_CAP:
+        raise TooLarge(f"n = {n} exceeds the truth-table cap {TABLE_CAP}")
     bits = lines[1]
     if len(bits) != 1 << n or set(bits) - {"0", "1"}:
         raise InvalidInput("table line must be exactly 2^n characters of 0/1")

@@ -201,6 +201,14 @@ def test_truth_table_serialization_round_trip():
         TruthTable.deserialize("m=2\n0110\n")
 
 
+@pytest.mark.parametrize("n, error", [(0, InvalidInput), (-1, InvalidInput), (25, TooLarge)])
+def test_deserialize_checks_the_dimension_line_as_the_constructor(n, error):
+    # n below 1 is outside the domain, as for TruthTable(n, ...); only n above the cap is too large
+    for parse in (TruthTable.deserialize, set_checked_deserialize):
+        with pytest.raises(error):
+            parse(f"n={n}\n0110\n")
+
+
 TABLE_LINE_ERROR = r"^table line must be exactly 2\^n characters of 0/1$"
 BAD_TABLE_LINES = ["0120", "01\u00e9", "0\u00e9", "0110 ", "011", "01100", ""]
 

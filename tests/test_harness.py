@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from junta_lab import harness, params as params_mod, tasks
-from junta_lab.boolfn import NO_STYLE, YES_STYLE, BitString, TruthTable
+from junta_lab.boolfn import NO_STYLE, YES_STYLE, BitString, IndexSet, TruthTable
 from junta_lab.errors import InvalidInput, TooLarge
 from junta_lab.hardgen import sample_block_at
 from junta_lab.harness import (
@@ -489,6 +489,28 @@ def test_tail_experiment_memory_does_not_grow_with_trials(experiment, epsilon, m
             tracemalloc.stop()
         assert rows == full[trials]
     assert peaks[640] <= peaks[64] + 8 * 1024
+
+
+@pytest.mark.parametrize("kind", ["element", "set"])
+def test_hidden_set_game_memory_stays_flat(kind):
+    # the plans of the game_sseq and game_sssq benchmark jobs: 4 reads of each
+    # element, or 4 sets [m]; a side's blocks hold GAME_BLOCK_CELLS uint64 words
+    # and one word-sized temporary per cell at most, at 20 000 trials as at 200 000
+    params = desk_params(10)
+    m = params.m
+    plan = (tasks.ElementQueryPlan.of([4] * m) if kind == "element"
+            else tasks.SetQueryPlan(m, (IndexSet.of(m, range(1, m + 1)),) * 4))
+    harness.run_hidden_set_game(plan, params, 2000, 1)  # warm-up: caches and lazy imports
+    peaks = {}
+    for trials in (20_000, 200_000):
+        tracemalloc.start()
+        try:
+            harness.run_hidden_set_game(plan, params, trials, 1)
+            _, peaks[trials] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peaks[200_000] <= peaks[20_000] + 1024
+    assert max(peaks.values()) <= 16 * harness.GAME_BLOCK_CELLS
 
 
 def test_budget_game_small():

@@ -5,10 +5,11 @@ of ``rng``'s counter-mode generator.  No module under src/ reads a
 stream's doubles or scales a word by 2^-53 either: every coin is a word
 compared with ``rng.word_limit``, and only ``rng.coin`` makes that
 comparison: no other code under src/ shifts a value right by 11.  Only
-``rng`` names blake2b (for role words, trial seeds and ``derive_u64``),
-and no module names the digest coins that structured-instance fibers once
-read.  No numpy array under src/ has dtype ``object``: every word is a
-fixed-width integer.
+``word_limit`` scales a rate by 2^53, so a rate becomes its limit in one
+place.  Only ``rng`` names blake2b (for role words, trial seeds and
+``derive_u64``), and no module names the digest coins that
+structured-instance fibers once read.  No numpy array under src/ has
+dtype ``object``: every word is a fixed-width integer.
 """
 
 import ast
@@ -115,19 +116,22 @@ def object_arrays(path):
     return found
 
 
+def nodes_outside(path, allowed):
+    """The module's AST nodes, except those inside the functions named in ``allowed``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    exempt = {id(node) for function in ast.walk(tree)
+              if isinstance(function, ast.FunctionDef) and function.name in allowed
+              for node in ast.walk(function)}
+    return [node for node in ast.walk(tree) if id(node) not in exempt]
+
+
 def shifts_by_11(path, allowed=()):
     """``line: code`` of each right shift by 11 (``>> 11`` or ``right_shift(..., 11``).
 
     Shifts inside the functions named in ``allowed`` do not count.
     """
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    exempt = {id(node) for function in ast.walk(tree)
-              if isinstance(function, ast.FunctionDef) and function.name in allowed
-              for node in ast.walk(function)}
     found = []
-    for node in ast.walk(tree):
-        if id(node) in exempt:
-            continue
+    for node in nodes_outside(path, allowed):
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.RShift):
             amount = node.right if isinstance(node, ast.BinOp) else node.value
         elif (isinstance(node, ast.Call) and len(node.args) > 1
@@ -138,6 +142,17 @@ def shifts_by_11(path, allowed=()):
         if isinstance(amount, ast.Constant) and amount.value == 11:
             found.append(f"{node.lineno}: {ast.unparse(node)}")
     return found
+
+
+def scales_by_2_53(path, allowed=()):
+    """``line: code`` of each 2^53 written as ``2 ** 53``, ``2.0 ** 53`` or ``1 << 53``.
+
+    Those inside the functions named in ``allowed`` do not count.
+    """
+    return [f"{node.lineno}: {ast.unparse(node)}" for node in nodes_outside(path, allowed)
+            if isinstance(node, ast.BinOp) and isinstance(node.left, ast.Constant)
+            and node.left.value == {ast.Pow: 2, ast.LShift: 1}.get(type(node.op))
+            and isinstance(node.right, ast.Constant) and node.right.value == 53]
 
 
 def test_src_makes_no_object_array():
@@ -153,6 +168,26 @@ def test_only_the_rng_coin_shifts_a_word_by_11():
     coin = next(node for node in ast.walk(ast.parse((ROOT / "src/junta_lab/rng.py").read_text()))
                 if isinstance(node, ast.FunctionDef) and node.name == "coin")
     assert "right_shift(words, 11" in ast.unparse(coin)
+
+
+def test_only_word_limit_scales_a_rate_by_2_53():
+    found = [f"{path.relative_to(ROOT)}:{line}" for path in sorted((ROOT / "src").rglob("*.py"))
+             for line in scales_by_2_53(path, {"word_limit"} if path.name == "rng.py" else ())]
+    assert not found, "a rate scaled by 2^53 outside rng.word_limit:\n" + "\n".join(found)
+
+
+def test_the_census_sees_every_2_53(tmp_path):
+    # _limits is the second rate-to-limit step rng once had beside word_limit
+    module = tmp_path / "module.py"
+    module.write_text(
+        "import numpy as np\n"
+        "def word_limit(rate):\n    return np.ceil(np.asarray(rate) * 2.0**53).astype(np.uint64)\n"
+        "def _limits(rates):\n    return np.ceil(rates * 2.0**53).astype(np.uint64)\n"
+        "a, b, c = 2**53, 1 << 53, (2 ** 52, 3 ** 53, 1 << 11, 2.0 ** -53)\n",
+        encoding="utf-8",
+    )
+    assert sorted(int(line.split(":")[0]) for line in scales_by_2_53(module, {"word_limit"})) == [5, 6, 6]
+    assert sorted(int(line.split(":")[0]) for line in scales_by_2_53(module)) == [3, 5, 6, 6]
 
 
 def test_the_censuses_see_object_arrays_and_shifts(tmp_path):
